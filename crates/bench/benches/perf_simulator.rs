@@ -8,30 +8,21 @@ use std::time::Duration;
 use transport::{attach_flow, FlowConfig, PathSpec};
 
 fn bench_event_loop(c: &mut Criterion) {
-    // Fast engine vs the pre-overhaul reference engine, as separate benches:
-    // criterion's history then tracks both the absolute event-loop cost and
-    // (by ratio) the overhaul's speedup.
-    for (label, engine) in [
-        ("event_loop_10k_raw_packets", EngineConfig::default()),
-        ("event_loop_10k_raw_packets_reference_engine", EngineConfig::reference()),
-    ] {
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let mut sim = Simulator::with_engine(1, engine);
-                let l = sim.add_link(
-                    LinkConfig::new(1_000_000_000, SimDuration::from_micros(10))
-                        .queue_limit(20_000),
-                );
-                let sink = sim.add_agent(Box::new(workload::Sink::new()));
-                let route = Route::new(vec![l], sink);
-                for _ in 0..10_000 {
-                    sim.world_mut().send_packet(sink, route.clone(), 1500, Payload::Raw);
-                }
-                sim.run_to_completion();
-                std::hint::black_box(sim.agent::<workload::Sink>(sink).pkts)
-            });
+    c.bench_function("event_loop_10k_raw_packets", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new(1);
+            let l = sim.add_link(
+                LinkConfig::new(1_000_000_000, SimDuration::from_micros(10)).queue_limit(20_000),
+            );
+            let sink = sim.add_agent(Box::new(workload::Sink::new()));
+            let route = Route::new(vec![l], sink);
+            for _ in 0..10_000 {
+                sim.world_mut().send_packet(sink, route.clone(), 1500, Payload::Raw);
+            }
+            sim.run_to_completion();
+            std::hint::black_box(sim.agent::<workload::Sink>(sink).pkts)
         });
-    }
+    });
 }
 
 fn bench_bulk_transfer(c: &mut Criterion) {
@@ -55,33 +46,28 @@ fn bench_bulk_transfer(c: &mut Criterion) {
 }
 
 fn bench_mptcp_two_paths(c: &mut Criterion) {
-    for (label, engine) in [
-        ("transport_1mb_transfer_lia_2paths", EngineConfig::default()),
-        ("transport_1mb_transfer_lia_2paths_reference_engine", EngineConfig::reference()),
-    ] {
-        c.bench_function(label, |b| {
-            b.iter(|| {
-                let mut sim = Simulator::with_engine(1, engine);
-                let mk = |sim: &mut Simulator| {
-                    let f = sim.add_link(LinkConfig::new(50_000_000, SimDuration::from_millis(2)));
-                    let r = sim.add_link(LinkConfig::new(50_000_000, SimDuration::from_millis(2)));
-                    PathSpec::new(vec![f], vec![r])
-                };
-                let p1 = mk(&mut sim);
-                let p2 = mk(&mut sim);
-                let flow = attach_flow(
-                    &mut sim,
-                    FlowConfig::new(0).transfer_bytes(1_000_000),
-                    AlgorithmKind::Lia.build(2),
-                    &[p1, p2],
-                    SimDuration::ZERO,
-                );
-                sim.run_until(SimTime::from_secs_f64(10.0));
-                assert!(flow.is_finished(&sim));
-                std::hint::black_box(flow.goodput_bps(&sim))
-            });
+    c.bench_function("transport_1mb_transfer_lia_2paths", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new(1);
+            let mk = |sim: &mut Simulator| {
+                let f = sim.add_link(LinkConfig::new(50_000_000, SimDuration::from_millis(2)));
+                let r = sim.add_link(LinkConfig::new(50_000_000, SimDuration::from_millis(2)));
+                PathSpec::new(vec![f], vec![r])
+            };
+            let p1 = mk(&mut sim);
+            let p2 = mk(&mut sim);
+            let flow = attach_flow(
+                &mut sim,
+                FlowConfig::new(0).transfer_bytes(1_000_000),
+                AlgorithmKind::Lia.build(2),
+                &[p1, p2],
+                SimDuration::ZERO,
+            );
+            sim.run_until(SimTime::from_secs_f64(10.0));
+            assert!(flow.is_finished(&sim));
+            std::hint::black_box(flow.goodput_bps(&sim))
         });
-    }
+    });
 }
 
 /// Cost of the fault-injection layer on the hot path: the same two-path

@@ -12,7 +12,7 @@ use congestion::{AlgorithmKind, MultipathCongestionControl};
 use energy_model::{
     energy_of_flow, EnergyReport, HostLoadSeries, PhoneModel, PowerModel, WiredCpuModel,
 };
-use netsim::{EngineConfig, LossModel, ReorderModel, SimDuration, SimTime, Simulator};
+use netsim::{LossModel, ReorderModel, SimDuration, SimTime, Simulator};
 use obs::{CounterSnapshot, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -84,7 +84,8 @@ pub struct FlowResult {
 }
 
 impl FlowResult {
-    fn collect(
+    /// Summarises one flow of a finished simulation under a power model.
+    pub fn collect(
         sim: &Simulator,
         flow: FlowHandle,
         label: String,
@@ -123,10 +124,6 @@ pub struct BurstyOptions {
     pub cross: ParetoOnOffConfig,
     /// Finite transfer size; `None` = long-lived.
     pub transfer_bytes: Option<u64>,
-    /// Event-loop engine to run on. Results are byte-identical across
-    /// engines (pinned by `tests/sweep_determinism.rs`); non-default values
-    /// exist for that pin and for A/B benchmarking.
-    pub engine: EngineConfig,
 }
 
 impl Default for BurstyOptions {
@@ -138,7 +135,6 @@ impl Default for BurstyOptions {
             one_way: SimDuration::from_millis(10),
             cross: ParetoOnOffConfig::paper_fig5b(),
             transfer_bytes: None,
-            engine: EngineConfig::default(),
         }
     }
 }
@@ -165,10 +161,22 @@ pub fn run_two_path_bursty_traced(
     opts: &BurstyOptions,
     sink: Option<Box<dyn TraceSink>>,
 ) -> (FlowResult, CounterSnapshot) {
-    let mut sim = Simulator::with_engine(opts.seed, opts.engine);
+    let mut sim = Simulator::new(opts.seed);
     if let Some(sink) = sink {
         sim.set_trace_sink(sink);
     }
+    run_two_path_bursty_on(sim, cc, opts)
+}
+
+/// The body of [`run_two_path_bursty_traced`] on a caller-built simulator,
+/// which must be fresh and seeded with `opts.seed`. Exists so the identity
+/// tests can run the scenario on the reference-queue oracle.
+#[doc(hidden)]
+pub fn run_two_path_bursty_on(
+    mut sim: Simulator,
+    cc: &CcChoice,
+    opts: &BurstyOptions,
+) -> (FlowResult, CounterSnapshot) {
     let params = LinkParams::new(opts.link_bps, opts.one_way).queue(100);
     let tp = TwoPath::symmetric(&mut sim, params);
     for link in tp.forward_links() {

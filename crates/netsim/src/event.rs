@@ -4,22 +4,19 @@
 //! events fire in FIFO order, which makes runs deterministic regardless of
 //! queue internals.
 //!
-//! Two interchangeable backends implement that contract (selected by
-//! [`QueueKind`], see `sim::EngineConfig`):
+//! The queue is a single-level calendar queue (timer wheel) of `NUM_BUCKETS`
+//! buckets of `2^BUCKET_SHIFT` ns each (≈131 µs buckets, ≈134 ms horizon),
+//! with an occupancy bitmap for O(words) next-bucket scans and a binary-heap
+//! *far list* for events past the horizon (RTO timers, watchdog-scale timers).
+//! Pushes are O(1); pops stage one bucket at a time, sorting its events once.
+//! DESIGN.md §13 records why this is the one engine.
 //!
-//! * [`QueueKind::TimerWheel`] — the default hot-path engine: a single-level
-//!   calendar queue of `NUM_BUCKETS` buckets of `2^BUCKET_SHIFT` ns each
-//!   (≈131 µs buckets, ≈134 ms wheel horizon), with an occupancy bitmap for
-//!   O(words) next-bucket scans and a binary-heap *far list* for events past
-//!   the horizon (RTO timers, watchdog-scale timers). Pushes are O(1); pops
-//!   stage one bucket at a time, sorting its handful of events once.
-//! * [`QueueKind::BinaryHeap`] — the reference engine (the pre-wheel
-//!   implementation), kept so byte-identity of the two backends can be pinned
-//!   (`tests/sweep_determinism.rs`).
-//!
-//! Both backends extract the exact global minimum under `(time, seq)`, so a
-//! run's event order — and therefore its entire evolution — is identical
-//! whichever is active.
+//! A plain `BinaryHeap` over the same `(time, seq)` key survives as the test
+//! oracle ([`EventQueue::reference_heap`]): both extract the exact global
+//! minimum, so a run's event order — and therefore its entire evolution — is
+//! identical on either, which the identity tests pin at the queue level
+//! (below), the simulator level (`sim.rs`) and the scenario level
+//! (`tests/sweep_determinism.rs`, `tests/chaos.rs`).
 
 use crate::packet::{AgentId, LinkId};
 use crate::pool::PacketSlot;
@@ -37,16 +34,12 @@ const OCC_WORDS: usize = NUM_BUCKETS / 64;
 /// Initial capacity reserved per bucket, so steady-state operation does not
 /// allocate (pinned by `tests/trace_noalloc.rs`).
 const BUCKET_PREALLOC: usize = 4;
-
-/// Which event-queue backend a simulator runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Bucketed calendar queue with far-future heap fallback (default).
-    #[default]
-    TimerWheel,
-    /// Plain binary heap — the reference implementation for identity tests.
-    BinaryHeap,
-}
+/// Largest drained staging buffer (in events) a slot gets back. Without the
+/// cap every slot ratchets up to the largest burst it ever staged — at
+/// ~1 700 events per bucket that was ~85 MB of cyclically touched buffers on
+/// a FatTree run — so wheel memory is bounded by the pending population
+/// plus `NUM_BUCKETS * BUCKET_RETAIN_MAX` events instead.
+const BUCKET_RETAIN_MAX: usize = 64;
 
 /// Kinds of scheduled work.
 #[derive(Debug)]
@@ -103,7 +96,7 @@ fn bucket_of(at: SimTime) -> u64 {
     at.as_nanos() >> BUCKET_SHIFT
 }
 
-/// The calendar-queue backend.
+/// The calendar queue.
 ///
 /// Invariants:
 /// * every ring event's bucket lies in `[cur, cur + NUM_BUCKETS)`;
@@ -194,36 +187,21 @@ impl Wheel {
         }
     }
 
-    /// First occupied slot at or after `from`, as an offset in
-    /// `0..NUM_BUCKETS`, scanning the bitmap a word at a time.
+    /// First occupied slot at or after `from` in ring order, as an offset in
+    /// `0..NUM_BUCKETS`, scanning the bitmap a word at a time: `from..` to the
+    /// end of the ring, then the wrapped `..from`.
     fn next_occupied_offset(&self, from: usize) -> Option<usize> {
         let first_word = from / 64;
-        // First word: mask off bits below `from`.
-        let mut word = self.occ[first_word] & (!0u64 << (from % 64));
-        let mut widx = first_word;
-        for step in 0..=OCC_WORDS {
-            if word != 0 {
-                let bit = widx * 64 + word.trailing_zeros() as usize;
-                let offset = (bit + NUM_BUCKETS - from) % NUM_BUCKETS;
-                // `step == OCC_WORDS` revisits the first word; only bits
-                // *below* `from` (already wrapped past) are valid there.
-                if step == OCC_WORDS && bit >= from {
-                    return None;
-                }
-                return Some(offset);
-            }
-            widx = (widx + 1) % OCC_WORDS;
-            word = self.occ[widx];
-            if step + 1 == OCC_WORDS {
-                // Last lap: re-examine the first word's low bits (wrapped).
-                word = self.occ[first_word] & !(!0u64 << (from % 64));
-                widx = first_word;
-                if from.is_multiple_of(64) {
-                    break;
-                }
-            }
-        }
-        None
+        let below_from = !(!0u64 << (from % 64));
+        let lowest_bit = |w: usize, mask: u64| {
+            let word = self.occ[w] & mask;
+            (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+        };
+        let bit = lowest_bit(first_word, !below_from)
+            .or_else(|| (first_word + 1..OCC_WORDS).find_map(|w| lowest_bit(w, !0)))
+            .or_else(|| (0..first_word).find_map(|w| lowest_bit(w, !0)))
+            .or_else(|| lowest_bit(first_word, below_from))?;
+        Some((bit + NUM_BUCKETS - from) % NUM_BUCKETS)
     }
 
     /// Ensures the next event (if any) sits at the back of `staged`.
@@ -281,11 +259,15 @@ impl Wheel {
             self.count -= 1;
             if self.staged.is_empty() {
                 // Hand the drained buffer's capacity back to its slot so
-                // steady-state cycling over buckets reuses allocations.
-                // An empty VecDeque converts to a Vec in O(1).
+                // steady-state cycling over buckets reuses allocations —
+                // unless a burst grew it past `BUCKET_RETAIN_MAX`, in which
+                // case it is freed. An empty VecDeque converts to a Vec in
+                // O(1).
+                let buf = std::mem::take(&mut self.staged);
                 let slot = Self::slot_index(self.staged_bucket);
-                if self.slots[slot].capacity() < self.staged.capacity() {
-                    self.slots[slot] = Vec::from(std::mem::take(&mut self.staged));
+                let cap = buf.capacity();
+                if cap <= BUCKET_RETAIN_MAX && cap > self.slots[slot].capacity() {
+                    self.slots[slot] = Vec::from(buf);
                 }
             }
         }
@@ -316,17 +298,14 @@ pub(crate) struct EventQueue {
 
 impl Default for EventQueue {
     fn default() -> Self {
-        EventQueue::new(QueueKind::default())
+        EventQueue { imp: QueueImpl::Wheel(Box::new(Wheel::new())), next_seq: 0 }
     }
 }
 
 impl EventQueue {
-    pub fn new(kind: QueueKind) -> Self {
-        let imp = match kind {
-            QueueKind::BinaryHeap => QueueImpl::Heap(BinaryHeap::new()),
-            QueueKind::TimerWheel => QueueImpl::Wheel(Box::new(Wheel::new())),
-        };
-        EventQueue { imp, next_seq: 0 }
+    /// The test oracle: a plain binary heap over the same `(time, seq)` key.
+    pub fn reference_heap() -> Self {
+        EventQueue { imp: QueueImpl::Heap(BinaryHeap::new()), next_seq: 0 }
     }
 
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
@@ -346,26 +325,13 @@ impl EventQueue {
         }
     }
 
-    /// The next event, without popping it. `&mut` because the wheel may have
-    /// to stage its next bucket to know the answer.
-    pub fn peek(&mut self) -> Option<&Event> {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.peek(),
-            QueueImpl::Wheel(w) => w.peek(),
-        }
-    }
-
-    /// Pops the next event only if `pred` accepts it (ACK-batching hook).
-    pub fn pop_if(&mut self, pred: impl FnOnce(&Event) -> bool) -> Option<Event> {
-        if self.peek().is_some_and(pred) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
+    /// Time of the next event, without popping it. `&mut` because the wheel
+    /// may have to stage its next bucket to know the answer.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek().map(|e| e.at)
+        match &mut self.imp {
+            QueueImpl::Heap(h) => h.peek().map(|e| e.at),
+            QueueImpl::Wheel(w) => w.peek().map(|e| e.at),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -373,11 +339,6 @@ impl EventQueue {
             QueueImpl::Heap(h) => h.len(),
             QueueImpl::Wheel(w) => w.count,
         }
-    }
-
-    #[allow(dead_code)] // used by tests and kept for API symmetry
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -392,7 +353,7 @@ mod tests {
     }
 
     fn both_kinds() -> [EventQueue; 2] {
-        [EventQueue::new(QueueKind::TimerWheel), EventQueue::new(QueueKind::BinaryHeap)]
+        [EventQueue::default(), EventQueue::reference_heap()]
     }
 
     #[test]
@@ -427,13 +388,12 @@ mod tests {
             q.push(SimTime::from_nanos(2), timer(0));
             assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
             assert_eq!(q.len(), 2);
-            assert!(!q.is_empty());
         }
     }
 
     #[test]
     fn wheel_handles_far_future_and_bucket_wrap() {
-        let mut q = EventQueue::new(QueueKind::TimerWheel);
+        let mut q = EventQueue::default();
         // One event far past the wheel horizon, one close by.
         q.push(SimTime::from_secs_f64(10.0), timer(100));
         q.push(SimTime::from_nanos(50), timer(1));
@@ -453,7 +413,7 @@ mod tests {
 
     #[test]
     fn push_into_staged_bucket_keeps_fifo() {
-        let mut q = EventQueue::new(QueueKind::TimerWheel);
+        let mut q = EventQueue::default();
         let t = SimTime::from_nanos(1000);
         q.push(t, timer(1));
         q.push(t, timer(2));
@@ -477,8 +437,8 @@ mod tests {
     #[test]
     fn wheel_and_heap_drain_identically_under_random_workload() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut wheel = EventQueue::new(QueueKind::TimerWheel);
-        let mut heap = EventQueue::new(QueueKind::BinaryHeap);
+        let mut wheel = EventQueue::default();
+        let mut heap = EventQueue::reference_heap();
         let mut now = 0u64;
         let mut token = 0u64;
         for _ in 0..5_000 {
@@ -523,5 +483,76 @@ mod tests {
                 (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
             }
         }
+    }
+
+    /// The wrap-around scan against a naive linear one, for every `from`:
+    /// empty, one-bit and two-bit bitmaps (word edges included) plus seeded
+    /// random fills of every density.
+    #[test]
+    fn bitmap_scan_matches_linear_scan_from_every_start() {
+        fn check(w: &Wheel) {
+            for from in 0..NUM_BUCKETS {
+                let naive = (0..NUM_BUCKETS).find(|off| {
+                    let slot = (from + off) % NUM_BUCKETS;
+                    w.occ[slot / 64] >> (slot % 64) & 1 == 1
+                });
+                assert_eq!(w.next_occupied_offset(from), naive, "from {from}, occ {:x?}", w.occ);
+            }
+        }
+        let mut w = Wheel::new();
+        check(&w);
+        // Stride 7 is coprime to 64: every in-word bit position is hit.
+        for a in (0..NUM_BUCKETS).step_by(7) {
+            w.set_occ(a);
+            check(&w);
+            w.clear_occ(a);
+        }
+        let edges = [0, 1, 63, 64, 65, 127, 128, 500, 959, 960, 1022, 1023];
+        for (i, &a) in edges.iter().enumerate() {
+            for &b in &edges[i + 1..] {
+                w.set_occ(a);
+                w.set_occ(b);
+                check(&w);
+                w.occ = [0; OCC_WORDS];
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(11);
+        for fill in 0..32 {
+            for slot in 0..NUM_BUCKETS {
+                if rng.gen_bool(f64::from(fill) / 32.0) {
+                    w.set_occ(slot);
+                }
+            }
+            check(&w);
+            w.occ = [0; OCC_WORDS];
+        }
+    }
+
+    /// Dense bursts must not ratchet every slot they pass through up to the
+    /// burst size: what the wheel retains stays within a small multiple of
+    /// the most events that were ever live at once.
+    #[test]
+    fn dense_bursts_do_not_ratchet_bucket_capacity() {
+        const BURST: u64 = 2_000;
+        let mut q = Wheel::new();
+        let mut seq = 0;
+        for bucket in 0..64u64 {
+            for i in 0..BURST {
+                let at = SimTime::from_nanos((bucket << BUCKET_SHIFT) + i);
+                q.push(Event { at, seq, kind: timer(seq) });
+                seq += 1;
+            }
+            for _ in 0..BURST {
+                assert_eq!(bucket_of(q.pop().unwrap().at), bucket);
+            }
+        }
+        assert!(q.pop().is_none());
+        let retained = q.slots.iter().map(Vec::capacity).sum::<usize>()
+            + q.staged.capacity()
+            + q.far.capacity();
+        assert!(
+            retained <= 4 * BURST as usize,
+            "wheel retains room for {retained} events after bursts of {BURST}"
+        );
     }
 }

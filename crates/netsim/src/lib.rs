@@ -42,7 +42,7 @@
 
 #[cfg(feature = "check-invariants")]
 pub mod check;
-pub mod event;
+pub(crate) mod event;
 pub mod faults;
 pub mod link;
 pub mod packet;
@@ -52,27 +52,23 @@ pub mod time;
 
 /// Convenient glob import of the common simulator types.
 pub mod prelude {
-    pub use crate::event::QueueKind;
     pub use crate::faults::{
         FaultAction, FaultEvent, FaultScript, Impairment, LossModel, ReorderModel,
     };
     pub use crate::link::{Link, LinkConfig, LinkStats};
     pub use crate::packet::{AgentId, LinkId, Packet, Payload, Route};
     pub use crate::sim::{
-        Agent, Ctx, EngineConfig, Simulator, StallReport, StalledFlow, TimerHandle, Watched, World,
+        Agent, Ctx, Simulator, StallReport, StalledFlow, TimerHandle, Watched, World,
     };
     pub use crate::time::{SimDuration, SimTime};
 }
 
 #[cfg(feature = "check-invariants")]
 pub use check::{install_default_invariants, InvariantCheck, InvariantViolation};
-pub use event::QueueKind;
 pub use faults::{
     is_exactly_zero, FaultAction, FaultEvent, FaultScript, Impairment, LossModel, ReorderModel,
 };
 pub use link::{Link, LinkConfig, LinkStats};
 pub use packet::{AgentId, LinkId, Packet, Payload, Route};
-pub use sim::{
-    Agent, Ctx, EngineConfig, Simulator, StallReport, StalledFlow, TimerHandle, Watched, World,
-};
+pub use sim::{Agent, Ctx, Simulator, StallReport, StalledFlow, TimerHandle, Watched, World};
 pub use time::{SimDuration, SimTime};

@@ -1,76 +1,53 @@
 //! Packet arena: slab + freelist storage for in-flight packets.
 //!
-//! Events carry a small [`PacketSlot`] handle instead of a ~130-byte inline
-//! `Packet`, which shrinks every event (cheaper queue moves) and — in pooled
-//! mode — makes steady-state forwarding allocation-free: a delivered packet's
-//! slab cell is recycled for the next send. The slab only ever grows to the
-//! high-water mark of concurrently in-flight packets.
+//! Events carry a 4-byte [`PacketSlot`] handle instead of a ~130-byte inline
+//! `Packet`, which shrinks every event (cheaper queue moves) and makes
+//! steady-state forwarding allocation-free: a delivered packet's slab cell is
+//! recycled for the next send. The slab only ever grows to the high-water
+//! mark of concurrently in-flight packets.
 //!
 //! Lifecycle: `stash` on schedule (send / propagation hop), `unstash` on the
 //! event being consumed (delivery / link arrival). Every stashed packet is
 //! unstashed exactly once — events are never dropped, only executed — so
 //! cells cannot leak within a run.
-//!
-//! With pooling disabled (`EngineConfig::pool_packets = false`, the reference
-//! engine), packets are boxed instead; behavior is byte-identical, only the
-//! allocator traffic differs (pinned by `tests/sweep_determinism.rs`).
 
 use crate::packet::Packet;
 
-/// Handle to a packet owned by an event: either boxed (reference engine) or
-/// an index into the [`PacketPool`] slab.
+/// Handle to a packet owned by an event: an index into the [`PacketPool`]
+/// slab.
 #[derive(Debug)]
-pub(crate) enum PacketSlot {
-    Boxed(Box<Packet>),
-    Pooled(u32),
-}
+pub(crate) struct PacketSlot(u32);
 
 /// Slab of in-flight packets with a freelist of vacated cells.
 #[derive(Debug, Default)]
 pub(crate) struct PacketPool {
     slab: Vec<Option<Packet>>,
     free: Vec<u32>,
-    pooled: bool,
 }
 
 impl PacketPool {
-    pub fn new(pooled: bool) -> Self {
-        PacketPool { slab: Vec::new(), free: Vec::new(), pooled }
-    }
-
     /// Parks a packet and returns the handle to store in an event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `u32::MAX` packets are in flight at once.
     pub fn stash(&mut self, pkt: Packet) -> PacketSlot {
-        if !self.pooled {
-            return PacketSlot::Boxed(Box::new(pkt));
+        if let Some(i) = self.free.pop() {
+            self.slab[i as usize] = Some(pkt);
+            return PacketSlot(i);
         }
-        match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = Some(pkt);
-                PacketSlot::Pooled(i)
-            }
-            None => match u32::try_from(self.slab.len()) {
-                Ok(i) => {
-                    self.slab.push(Some(pkt));
-                    PacketSlot::Pooled(i)
-                }
-                // > 4 billion packets simultaneously in flight: fall back to
-                // boxing rather than misindexing.
-                Err(_) => PacketSlot::Boxed(Box::new(pkt)),
-            },
-        }
+        // simlint: allow(P001, documented panic: four billion packets simultaneously in flight is out of scope by construction)
+        let i = u32::try_from(self.slab.len()).expect("packet slab index overflow");
+        self.slab.push(Some(pkt));
+        PacketSlot(i)
     }
 
     /// Reclaims the packet; the cell returns to the freelist.
     pub fn unstash(&mut self, slot: PacketSlot) -> Packet {
-        match slot {
-            PacketSlot::Boxed(b) => *b,
-            PacketSlot::Pooled(i) => {
-                // simlint: allow(P001, invariant: each Pooled handle is created by stash and consumed exactly once)
-                let pkt = self.slab[i as usize].take().expect("pool slot double-freed");
-                self.free.push(i);
-                pkt
-            }
-        }
+        // simlint: allow(P001, invariant: each handle is created by stash and consumed exactly once)
+        let pkt = self.slab[slot.0 as usize].take().expect("pool slot double-freed");
+        self.free.push(slot.0);
+        pkt
     }
 }
 
@@ -96,7 +73,7 @@ mod tests {
 
     #[test]
     fn pooled_cells_are_recycled() {
-        let mut pool = PacketPool::new(true);
+        let mut pool = PacketPool::default();
         let a = pool.stash(pkt(1));
         let b = pool.stash(pkt(2));
         assert_eq!(pool.slab.len(), 2);
@@ -107,14 +84,5 @@ mod tests {
         assert_eq!(pool.unstash(b).id, 2);
         assert_eq!(pool.unstash(c).id, 3);
         assert_eq!(pool.free.len(), 2);
-    }
-
-    #[test]
-    fn unpooled_mode_boxes() {
-        let mut pool = PacketPool::new(false);
-        let a = pool.stash(pkt(7));
-        assert!(matches!(a, PacketSlot::Boxed(_)));
-        assert_eq!(pool.unstash(a).id, 7);
-        assert!(pool.slab.is_empty());
     }
 }

@@ -28,7 +28,7 @@
 //! assert_eq!(sim.agent::<Counter>(sink).received, 1);
 //! ```
 
-use crate::event::{EventKind, EventQueue, QueueKind};
+use crate::event::{EventKind, EventQueue};
 use crate::faults::FaultAction;
 use crate::link::{Enqueue, Link, LinkConfig};
 use crate::packet::{AgentId, LinkId, Packet, Payload, Route};
@@ -83,39 +83,6 @@ pub trait Watched {
     fn diagnostics(&self) -> String;
 }
 
-/// Engine selection: which event-queue backend and packet storage a
-/// simulator runs on. All configurations are *byte-identical in behavior* —
-/// they differ only in speed — which is pinned across the chaos seeds by
-/// `tests/sweep_determinism.rs` and `tests/chaos.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Event queue backend (timer wheel by default).
-    pub queue: QueueKind,
-    /// Store in-flight packets in the slab pool (default) instead of boxing
-    /// them per event.
-    pub pool_packets: bool,
-    /// Coalesce consecutive same-time deliveries to one agent into a single
-    /// dispatch (default). Ignored — forced off — under the
-    /// `check-invariants` feature so invariant checks keep running after
-    /// every individual event.
-    pub batch_acks: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { queue: QueueKind::TimerWheel, pool_packets: true, batch_acks: true }
-    }
-}
-
-impl EngineConfig {
-    /// The reference engine: binary heap, boxed packets, no delivery
-    /// batching. This is the pre-overhaul event loop, kept as the oracle the
-    /// fast path is pinned against.
-    pub fn reference() -> Self {
-        EngineConfig { queue: QueueKind::BinaryHeap, pool_packets: false, batch_acks: false }
-    }
-}
-
 /// Handle to a cancellable timer slot (see [`World::timer_slot`]).
 ///
 /// Unlike fire-and-forget [`Ctx::schedule_in`] timers, a slot timer can be
@@ -166,7 +133,6 @@ pub struct World {
     pool: PacketPool,
     timers: Vec<TimerSlot>,
     armed_count: u64,
-    batch: bool,
     /// Total packets dropped by DropTail across all links.
     pub dropped_pkts: u64,
     /// Total packets lost to random-loss impairments across all links.
@@ -177,18 +143,17 @@ pub struct World {
 }
 
 impl World {
-    fn new(seed: u64, engine: EngineConfig) -> Self {
+    fn new(seed: u64, queue: EventQueue) -> Self {
         World {
             now: SimTime::ZERO,
             links: Vec::new(),
-            queue: EventQueue::new(engine.queue),
+            queue,
             rng: SmallRng::seed_from_u64(seed),
             next_pkt_id: 0,
             trace: TraceSlot(None),
-            pool: PacketPool::new(engine.pool_packets),
+            pool: PacketPool::default(),
             timers: Vec::new(),
             armed_count: 0,
-            batch: engine.batch_acks && !cfg!(feature = "check-invariants"),
             dropped_pkts: 0,
             random_losses: 0,
             blackout_drops: 0,
@@ -605,29 +570,6 @@ impl World {
             self.queue.push(at, EventKind::LinkEnqueue { link: next, pkt });
         }
     }
-
-    /// Delivery batching: pops and returns the globally next event **only
-    /// if** it is another delivery to `agent` at exactly the current time.
-    /// Since such an event would be dispatched immediately after the current
-    /// one anyway (the queue is drained in total `(time, seq)` order and
-    /// nothing can be scheduled between two same-time events mid-dispatch),
-    /// fusing it into the ongoing dispatch preserves semantics exactly while
-    /// skipping an agent take/restore round-trip per coalesced packet.
-    fn take_coalesced_delivery(&mut self, agent: AgentId) -> Option<Packet> {
-        if !self.batch {
-            return None;
-        }
-        let now = self.now;
-        let ev = self.queue.pop_if(|e| {
-            e.at == now && matches!(e.kind, EventKind::Deliver { agent: a, .. } if a == agent)
-        })?;
-        if let EventKind::Deliver { pkt, .. } = ev.kind {
-            Some(self.pool.unstash(pkt))
-        } else {
-            debug_assert!(false, "pop_if predicate admitted a non-delivery");
-            None
-        }
-    }
 }
 
 /// The per-callback handle agents use to interact with the simulation.
@@ -779,19 +721,22 @@ impl std::fmt::Debug for Simulator {
 }
 
 impl Simulator {
-    /// Creates an empty simulator with the given RNG seed and the default
-    /// (fast) engine.
+    /// Creates an empty simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_engine(seed, EngineConfig::default())
+        Simulator::on_queue(seed, EventQueue::default())
     }
 
-    /// Creates an empty simulator on an explicit [`EngineConfig`]. Every
-    /// engine produces byte-identical runs; non-default configurations exist
-    /// for the identity pins and for benchmarking the fast path against the
-    /// reference.
-    pub fn with_engine(seed: u64, engine: EngineConfig) -> Self {
+    /// [`Simulator::new`] on the binary-heap reference queue: the oracle the
+    /// identity tests compare the engine against, byte for byte. Test-only —
+    /// nothing outside `#[cfg(test)]` code and `tests/` may call it.
+    #[doc(hidden)]
+    pub fn with_reference_queue(seed: u64) -> Self {
+        Simulator::on_queue(seed, EventQueue::reference_heap())
+    }
+
+    fn on_queue(seed: u64, queue: EventQueue) -> Self {
         Simulator {
-            world: World::new(seed, engine),
+            world: World::new(seed, queue),
             agents: Vec::new(),
             watchdog: None,
             #[cfg(feature = "check-invariants")]
@@ -1049,16 +994,7 @@ impl Simulator {
         match ev.kind {
             EventKind::Deliver { agent, pkt } => {
                 let pkt = self.world.pool.unstash(pkt);
-                self.dispatch(agent, |a, ctx| {
-                    a.on_packet(pkt, ctx);
-                    // Fuse immediately-following same-time deliveries to the
-                    // same agent into this dispatch (ACK batching); see
-                    // World::take_coalesced_delivery for why this preserves
-                    // event order exactly.
-                    while let Some(next) = ctx.world.take_coalesced_delivery(agent) {
-                        a.on_packet(next, ctx);
-                    }
-                });
+                self.dispatch(agent, |a, ctx| a.on_packet(pkt, ctx));
             }
             EventKind::Timer { agent, token } => {
                 self.dispatch(agent, |a, ctx| a.on_timer(token, ctx));
@@ -1550,12 +1486,11 @@ mod tests {
         assert_eq!(sim.agent::<Canceller>(a).fired, 1);
     }
 
-    /// The engine matrix produces identical results at the simulator level:
-    /// wheel vs heap, pooled vs boxed, batched vs unbatched.
+    /// Same seed, same delivery schedule — run twice, and a third time on the
+    /// heap oracle.
     #[test]
-    fn engine_configs_agree_on_delivery_schedule() {
-        fn run(engine: EngineConfig) -> Vec<(SimTime, u64)> {
-            let mut sim = Simulator::with_engine(99, engine);
+    fn same_seed_same_trace_on_engine_and_heap_oracle() {
+        fn run(mut sim: Simulator) -> Vec<(SimTime, u64)> {
             let l = sim.add_link(LinkConfig::new(5_000_000, SimDuration::from_micros(100)));
             let sink = sim.add_agent(Box::new(Sink::new()));
             let route = Route::new(vec![l], sink);
@@ -1565,30 +1500,8 @@ mod tests {
             sim.run_until(SimTime::from_secs_f64(1.0));
             sim.agent::<Sink>(sink).received.clone()
         }
-        let reference = run(EngineConfig::reference());
-        for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            for pool_packets in [false, true] {
-                for batch_acks in [false, true] {
-                    let cfg = EngineConfig { queue, pool_packets, batch_acks };
-                    assert_eq!(run(cfg), reference, "engine {cfg:?} diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn determinism_same_seed_same_trace() {
-        fn run() -> Vec<(SimTime, u64)> {
-            let mut sim = Simulator::new(99);
-            let l = sim.add_link(LinkConfig::new(5_000_000, SimDuration::from_micros(100)));
-            let sink = sim.add_agent(Box::new(Sink::new()));
-            let route = Route::new(vec![l], sink);
-            for _ in 0..50 {
-                sim.world_mut().send_packet(sink, route.clone(), 1500, Payload::Raw);
-            }
-            sim.run_until(SimTime::from_secs_f64(1.0));
-            sim.agent::<Sink>(sink).received.clone()
-        }
-        assert_eq!(run(), run());
+        let first = run(Simulator::new(99));
+        assert_eq!(first, run(Simulator::new(99)));
+        assert_eq!(first, run(Simulator::with_reference_queue(99)), "engine diverged from oracle");
     }
 }

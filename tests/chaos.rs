@@ -26,10 +26,7 @@ use bench_harness::repro::ReproSpec;
 use bench_harness::runner::{run_sweep_jobs, SweepCell};
 use congestion::AlgorithmKind;
 use mptcp_energy::CcChoice;
-use netsim::{
-    EngineConfig, FaultAction, FaultScript, LossModel, QueueKind, ReorderModel, SimDuration,
-    SimTime, Simulator,
-};
+use netsim::{FaultAction, FaultScript, LossModel, ReorderModel, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::TwoPath;
@@ -144,28 +141,22 @@ struct SoakOutcome {
 }
 
 fn soak_with(seed: u64, adversarial: bool) -> SoakOutcome {
-    soak_on_engine(seed, adversarial, EngineConfig::default())
+    soak_on(Simulator::new(seed), seed, adversarial)
 }
 
-fn soak_on_engine(seed: u64, adversarial: bool, engine: EngineConfig) -> SoakOutcome {
+/// The soak on a caller-built simulator, fresh and seeded with `seed`.
+fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
     let label = if adversarial { format!("soak-adv-{seed}") } else { format!("soak-{seed}") };
-    let mut sim = Simulator::with_engine(seed, engine);
     if let Some(dir) = trace_dir() {
         if let Some(sink) = obs::jsonl_sink_in(&dir, &label) {
             sim.set_trace_sink(sink);
         }
     }
     let tp = TwoPath::dual_nic(&mut sim, 20_000_000, SimDuration::from_millis(10));
-    let mut script_rng = SmallRng::seed_from_u64(seed ^ 0xC4A05);
-    let script = if adversarial {
-        adversarial_script(&tp, &mut script_rng)
-    } else {
-        random_script(&tp, &mut script_rng)
-    };
-    script.clone().install(&mut sim);
+    let spec = spec_for(seed, adversarial);
+    spec.script.clone().install(&mut sim);
     #[cfg(feature = "check-invariants")]
     netsim::install_default_invariants(&mut sim);
-    let cc_name = if seed.is_multiple_of(2) { "lia" } else { "dts" };
     let cc =
         if seed.is_multiple_of(2) { CcChoice::Base(AlgorithmKind::Lia) } else { CcChoice::dts() };
     let flow = attach_flow(
@@ -184,16 +175,7 @@ fn soak_on_engine(seed: u64, adversarial: bool, engine: EngineConfig) -> SoakOut
     // the sweep runner propagates the failure verbatim.
     #[cfg(feature = "check-invariants")]
     if let Some(v) = sim.invariant_violation() {
-        use bench_harness::repro::{dump_artifact, ReproOutcome, ReproSpec, ViolationRecord};
-        let spec = ReproSpec {
-            seed,
-            transfer_pkts: TRANSFER_PKTS,
-            cc: cc_name.into(),
-            dead_after_backoffs: Some(4),
-            horizon_s: 120.0,
-            fail_at_s: None,
-            script,
-        };
+        use bench_harness::repro::{dump_artifact, ReproOutcome, ViolationRecord};
         let outcome = ReproOutcome {
             finished: flow.is_finished(&sim),
             acked: flow.sender_ref(&sim).data_acked(),
@@ -207,7 +189,6 @@ fn soak_on_engine(seed: u64, adversarial: bool, engine: EngineConfig) -> SoakOut
             dumped.map_or(String::new(), |p| format!(" (repro artifact: {})", p.display()))
         );
     }
-    let _ = cc_name;
     let counters = mptcp_energy::scenarios::counters_of(&sim, std::slice::from_ref(&flow));
     let s = flow.sender_ref(&sim);
     SoakOutcome {
@@ -239,10 +220,9 @@ fn adv_cells(seeds: impl IntoIterator<Item = u64>) -> Vec<SweepCell<'static, Soa
         .collect()
 }
 
-/// Rebuilds the exact fault timeline a soak cell will see, as a
-/// self-contained repro spec: `dual_nic` is the first deterministic thing
-/// `soak_with` does with its fresh `Simulator`, so a scratch sim assigns
-/// identical link ids and the script RNG replays identically.
+/// The exact fault timeline a soak cell sees, as a self-contained repro
+/// spec: `dual_nic` is the first deterministic thing `soak_on` does with its
+/// fresh `Simulator`, so a scratch sim assigns identical link ids.
 fn spec_for(seed: u64, adversarial: bool) -> ReproSpec {
     let mut sim = Simulator::new(seed);
     let tp = TwoPath::dual_nic(&mut sim, 20_000_000, SimDuration::from_millis(10));
@@ -352,27 +332,19 @@ fn chaos_runs_are_reproducible_per_seed() {
 
 #[test]
 fn chaos_outcomes_identical_across_engines() {
-    // The event-loop overhaul's contract under fire: with faults, blackouts,
-    // reordering, duplication, and corruption all active, every engine
-    // combination still produces the same `SoakOutcome` bit-for-bit. Seeds
-    // pick one LIA (even) and one DTS (odd) cell, plain and adversarial.
+    // The engine's contract under fire: with faults, blackouts, reordering,
+    // duplication, and corruption all active, it still produces the same
+    // `SoakOutcome` as the binary-heap oracle bit-for-bit. Seeds pick one
+    // LIA (even) and one DTS (odd) cell, plain and adversarial.
     for seed in [4u64, 9] {
         for adversarial in [false, true] {
-            let reference = soak_on_engine(seed, adversarial, EngineConfig::reference());
+            let reference = soak_on(Simulator::with_reference_queue(seed), seed, adversarial);
             assert!(reference.finished, "seed {seed}: reference run incomplete");
-            for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-                for pool_packets in [true, false] {
-                    for batch_acks in [true, false] {
-                        let engine = EngineConfig { queue, pool_packets, batch_acks };
-                        assert_eq!(
-                            soak_on_engine(seed, adversarial, engine),
-                            reference,
-                            "seed {seed} (adversarial={adversarial}): engine {engine:?} \
-                             diverged from reference"
-                        );
-                    }
-                }
-            }
+            assert_eq!(
+                soak_with(seed, adversarial),
+                reference,
+                "seed {seed} (adversarial={adversarial}): engine diverged from the heap oracle"
+            );
         }
     }
 }
