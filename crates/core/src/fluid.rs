@@ -381,7 +381,30 @@ impl FluidSolver {
     /// link index out of range.
     pub fn from_state(net: &FluidNet, x0: &[Vec<f64>]) -> Self {
         assert_eq!(x0.len(), net.flows.len(), "x0 must have one row per flow");
+        for (f, (row, flow)) in x0.iter().zip(&net.flows).enumerate() {
+            assert_eq!(row.len(), flow.paths.len(), "x0 row {f} must match the flow's paths");
+        }
+        FluidSolver::build(net, x0.concat())
+    }
+
+    /// Builds a solver from `net` with the state given flat (flow-major, as
+    /// [`FluidSolver::x`] exposes it) — the path the hybrid engine uses
+    /// across epochs: one copy of the state, no per-flow allocation.
+    ///
+    /// # Panics
+    /// Panics if `x0`'s length does not equal the net's total path count, or
+    /// a path references a link index out of range.
+    pub fn from_flat_state(net: &FluidNet, x0: &[f64]) -> Self {
+        let total: usize = net.flows.iter().map(|f| f.paths.len()).sum();
+        assert_eq!(x0.len(), total, "flat x0 must have one entry per path");
+        FluidSolver::build(net, x0.to_vec())
+    }
+
+    /// Flattens `net` into the CSR arrays around the flow-major state `x`,
+    /// whose length the caller has checked against the net's path count.
+    fn build(net: &FluidNet, x: Vec<f64>) -> Self {
         let n_links = net.links.len();
+        let n_paths = x.len();
         let mut topo = FlatTopo {
             capacity: net.links.iter().map(|l| l.capacity).collect(),
             p0: net.links.iter().map(|l| l.p0).collect(),
@@ -393,12 +416,10 @@ impl FluidSolver {
             link_off: Vec::new(),
             link_idx: Vec::new(),
         };
-        let mut x = Vec::new();
         topo.path_off.push(0);
         topo.link_off.push(0);
-        for (f, flow) in net.flows.iter().enumerate() {
-            assert_eq!(x0[f].len(), flow.paths.len(), "x0 row {f} must match the flow's paths");
-            for (p, path) in flow.paths.iter().enumerate() {
+        for flow in &net.flows {
+            for path in &flow.paths {
                 topo.rtt.push(path.rtt);
                 topo.base_rtt.push(path.base_rtt);
                 for &l in &path.links {
@@ -406,11 +427,9 @@ impl FluidSolver {
                     topo.link_idx.push(l);
                 }
                 topo.link_off.push(topo.link_idx.len());
-                x.push(x0[f][p]);
             }
             topo.path_off.push(topo.rtt.len());
         }
-        let n_paths = x.len();
         let ws = Scratch {
             xc: vec![0.0; n_paths],
             k1: vec![0.0; n_paths],
@@ -422,25 +441,6 @@ impl FluidSolver {
             prices: vec![0.0; n_links],
         };
         FluidSolver { topo, ws, x, price_cap_hits: 0 }
-    }
-
-    /// Builds a solver from `net` with the state given flat (flow-major, as
-    /// [`FluidSolver::x`] exposes it) — the zero-copy path the hybrid engine
-    /// uses across epochs.
-    ///
-    /// # Panics
-    /// Panics if `x0`'s length does not equal the net's total path count, or
-    /// a path references a link index out of range.
-    pub fn from_flat_state(net: &FluidNet, x0: &[f64]) -> Self {
-        let total: usize = net.flows.iter().map(|f| f.paths.len()).sum();
-        assert_eq!(x0.len(), total, "flat x0 must have one entry per path");
-        let mut nested = Vec::with_capacity(net.flows.len());
-        let mut off = 0;
-        for flow in &net.flows {
-            nested.push(x0[off..off + flow.paths.len()].to_vec());
-            off += flow.paths.len();
-        }
-        FluidSolver::from_state(net, &nested)
     }
 
     /// Number of flows.

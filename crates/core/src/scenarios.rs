@@ -114,7 +114,9 @@ impl FlowResult {
 pub struct BurstyOptions {
     /// RNG seed.
     pub seed: u64,
-    /// Run length, seconds.
+    /// Run length, seconds. An upper bound when `transfer_bytes` is set:
+    /// the run then ends within 100 ms of the transfer being acknowledged,
+    /// and the link counters and traces cover that window.
     pub duration_s: f64,
     /// Path rate, bits/second (testbed NICs: 100 Mb/s).
     pub link_bps: u64,
@@ -122,7 +124,8 @@ pub struct BurstyOptions {
     pub one_way: SimDuration,
     /// Cross-traffic configuration (the paper's Pareto bursts).
     pub cross: ParetoOnOffConfig,
-    /// Finite transfer size; `None` = long-lived.
+    /// Finite transfer size; `None` = long-lived, which runs for exactly
+    /// `duration_s`.
     pub transfer_bytes: Option<u64>,
 }
 
@@ -144,6 +147,32 @@ impl Default for BurstyOptions {
 /// saturating fallback only exists to make the conversion total.
 fn idx_u64(i: usize) -> u64 {
     u64::try_from(i).unwrap_or(u64::MAX)
+}
+
+/// How often [`run_until_finished`] looks at the measured flows: the most
+/// simulated time a run can spend past its last measured completion.
+const FINISH_POLL: SimDuration = SimDuration::from_millis(100);
+
+/// Advances `sim` until every flow in `measured` has finished or the clock
+/// reaches `horizon`, whichever is first, in [`FINISH_POLL`] steps of
+/// [`Simulator::run_until`].
+///
+/// A sender takes its last telemetry sample at `finished_at` and its
+/// counters stop there, so nothing simulated after the last measured flow
+/// finishes can reach a result: the competitors, cross traffic and elephants
+/// that would fill the rest of the horizon are not simulated. A measured flow
+/// that never finishes (long-lived, or cut off by faults) keeps the run going
+/// to exactly `horizon`, event for event what one `run_until(horizon)` does.
+/// If the stall watchdog or the invariant checker halts the simulator the
+/// clock stays at the halt, as `run_until` leaves it.
+fn run_until_finished(sim: &mut Simulator, measured: &[FlowHandle], horizon: SimTime) {
+    while sim.now() < horizon && !measured.iter().all(|f| f.is_finished(sim)) {
+        let target = (sim.now() + FINISH_POLL).min(horizon);
+        sim.run_until(target);
+        if sim.now() < target {
+            return; // halted: further calls would not advance the clock
+        }
+    }
 }
 
 /// Runs the Fig. 5(b) scenario: one MPTCP connection over two 100 Mb/s paths
@@ -177,23 +206,36 @@ pub fn run_two_path_bursty_on(
     cc: &CcChoice,
     opts: &BurstyOptions,
 ) -> (FlowResult, CounterSnapshot) {
+    let flow = build_two_path_bursty(&mut sim, cc, opts);
+    run_until_finished(&mut sim, &[flow], SimTime::from_secs_f64(opts.duration_s));
+    let out = collect_two_path_bursty(&sim, flow, cc);
+    // Detach (and thereby flush) the sink before the simulator is dropped.
+    drop(sim.take_trace_sink());
+    out
+}
+
+/// Builds the Fig. 5(b) topology, cross traffic and the measured connection
+/// on a fresh `sim`.
+fn build_two_path_bursty(sim: &mut Simulator, cc: &CcChoice, opts: &BurstyOptions) -> FlowHandle {
     let params = LinkParams::new(opts.link_bps, opts.one_way).queue(100);
-    let tp = TwoPath::symmetric(&mut sim, params);
+    let tp = TwoPath::symmetric(sim, params);
     for link in tp.forward_links() {
-        attach_pareto_cross_traffic(&mut sim, vec![link], opts.cross);
+        attach_pareto_cross_traffic(sim, vec![link], opts.cross);
     }
     let mut cfg = FlowConfig::new(0).sample_every(SimDuration::from_millis(20));
     if let Some(bytes) = opts.transfer_bytes {
         cfg = cfg.transfer_bytes(bytes);
     }
-    let flow = attach_flow(&mut sim, cfg, cc.build(2), &tp.both(), SimDuration::ZERO);
-    sim.run_until(SimTime::from_secs_f64(opts.duration_s));
+    attach_flow(sim, cfg, cc.build(2), &tp.both(), SimDuration::ZERO)
+}
+
+fn collect_two_path_bursty(
+    sim: &Simulator,
+    flow: FlowHandle,
+    cc: &CcChoice,
+) -> (FlowResult, CounterSnapshot) {
     let mut model = WiredCpuModel::i7_3770();
-    let result = FlowResult::collect(&sim, flow, cc.label(), &mut model);
-    let counters = counters_of(&sim, &[flow]);
-    // Detach (and thereby flush) the sink before the simulator is dropped.
-    drop(sim.take_trace_sink());
-    (result, counters)
+    (FlowResult::collect(sim, flow, cc.label(), &mut model), counters_of(sim, &[flow]))
 }
 
 /// Assembles the observability counter snapshot for a finished simulation:
@@ -224,7 +266,10 @@ pub struct SharedOptions {
     pub link_bps: u64,
     /// One-way propagation.
     pub one_way: SimDuration,
-    /// Safety horizon, seconds.
+    /// Safety horizon, seconds: an upper bound. Every measured transfer is
+    /// finite, so the run ends when the last user's transfer is
+    /// acknowledged; a user still unfinished at the horizon is charged up to
+    /// its last sample.
     pub horizon_s: f64,
 }
 
@@ -245,6 +290,13 @@ impl Default for SharedOptions {
 /// (16 MB each) racing 2N long-lived TCP users over two shared bottlenecks.
 /// The host's idle power is attributed evenly across the N users.
 pub fn run_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> Vec<f64> {
+    let (mut sim, users) = build_shared_bottleneck(cc, opts);
+    run_until_finished(&mut sim, &users, SimTime::from_secs_f64(opts.horizon_s));
+    shared_bottleneck_energies(&sim, &users)
+}
+
+/// Builds the Fig. 5(a) simulation; returns it with the N measured users.
+fn build_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> (Simulator, Vec<FlowHandle>) {
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
     let mut stagger_rng = SmallRng::seed_from_u64(opts.seed ^ 0x5A);
@@ -262,7 +314,7 @@ pub fn run_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> Vec<f64> {
         );
     }
     // N MPTCP users under test.
-    let flows: Vec<FlowHandle> = (0..opts.n_users)
+    let users = (0..opts.n_users)
         .map(|i| {
             let start = SimDuration::from_millis(stagger_rng.gen_range(0..200));
             attach_flow(
@@ -276,10 +328,13 @@ pub fn run_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> Vec<f64> {
             )
         })
         .collect();
-    sim.run_until(SimTime::from_secs_f64(opts.horizon_s));
+    (sim, users)
+}
+
+fn shared_bottleneck_energies(sim: &Simulator, users: &[FlowHandle]) -> Vec<f64> {
     let mut model = WiredCpuModel::i7_3770();
-    model.idle_w /= opts.n_users as f64; // all N senders share one machine
-    flows.iter().map(|f| energy_of_flow(&mut model, f.sender_ref(&sim).samples()).joules).collect()
+    model.idle_w /= users.len() as f64; // all N senders share one machine
+    users.iter().map(|f| energy_of_flow(&mut model, f.sender_ref(sim).samples()).joules).collect()
 }
 
 /// Options for the EC2 scenario (Fig. 10).
@@ -729,7 +784,9 @@ pub fn run_hierarchy(cc: &CcChoice, opts: &HierarchyOptions) -> HierarchyResult 
     }
 }
 
-/// Options for the short-flow (mice) datacenter experiment.
+/// Options for the short-flow (mice) datacenter experiment. Every mouse is a
+/// finite transfer, so the run ends when the last one is acknowledged;
+/// `mice.horizon_s + drain_s` is an upper bound.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShortFlowOptions {
     /// RNG seed.
@@ -785,6 +842,14 @@ impl ShortFlowResult {
 /// long-lived elephants — the mixed workload of real fabrics (Benson et
 /// al.), measuring mouse flow-completion times under each algorithm.
 pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResult {
+    let (mut sim, mice) = build_short_flows(cc, opts);
+    let horizon = SimTime::from_secs_f64(opts.mice.horizon_s + opts.drain_s);
+    run_until_finished(&mut sim, &mice, horizon);
+    short_flow_result(&sim, &mice, cc)
+}
+
+/// Builds the short-flow simulation; returns it with the measured mice.
+fn build_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> (Simulator, Vec<FlowHandle>) {
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
     let params = LinkParams::new(100_000_000, SimDuration::from_micros(100)).queue(32);
@@ -812,7 +877,7 @@ pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResul
     }
     // Mice.
     let schedule = short_flow_schedule(&opts.mice, &mut rng);
-    let mice: Vec<FlowHandle> = schedule
+    let mice = schedule
         .iter()
         .enumerate()
         .map(|(i, sf)| {
@@ -835,11 +900,14 @@ pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResul
             )
         })
         .collect();
-    sim.run_until(SimTime::from_secs_f64(opts.mice.horizon_s + opts.drain_s));
+    (sim, mice)
+}
+
+fn short_flow_result(sim: &Simulator, mice: &[FlowHandle], cc: &CcChoice) -> ShortFlowResult {
     let mut fct: Vec<f64> = mice
         .iter()
         .filter_map(|f| {
-            let s = f.sender_ref(&sim);
+            let s = f.sender_ref(sim);
             match (s.started_at(), s.finished_at()) {
                 (Some(a), Some(b)) => Some(b.saturating_since(a).as_secs_f64()),
                 _ => None,
@@ -849,4 +917,173 @@ pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResul
     fct.sort_by(f64::total_cmp);
     let completion_rate = if mice.is_empty() { 1.0 } else { fct.len() as f64 / mice.len() as f64 };
     ShortFlowResult { label: cc.label(), fct_s: fct, completion_rate }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::{FaultAction, FaultScript};
+
+    /// Every number in a `FlowResult`, floats as their bit patterns.
+    fn flow_bits(r: &FlowResult) -> Vec<u64> {
+        let mut bits = vec![
+            r.goodput_bps.to_bits(),
+            r.energy.joules.to_bits(),
+            r.energy.duration_s.to_bits(),
+            r.energy.mean_power_w.to_bits(),
+            r.finish_s.map_or(u64::MAX, f64::to_bits),
+            r.rexmits,
+            r.timeouts,
+        ];
+        let points = r.energy.trace.iter().chain(&r.tput_trace);
+        bits.extend(points.flat_map(|&(t, y)| [t.to_bits(), y.to_bits()]));
+        bits
+    }
+
+    fn f64_bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The bound that is the optimisation: the clock stopped within one poll
+    /// of the last measured completion, short of the horizon.
+    fn assert_stopped_at_last_finish(sim: &Simulator, measured: &[FlowHandle], horizon: SimTime) {
+        let last = measured.iter().map(|f| f.finish_time(sim).expect("every flow finished")).max();
+        let last = last.expect("at least one measured flow");
+        assert!(sim.now() <= last + FINISH_POLL, "ran to {} past last finish {last}", sim.now());
+        assert!(sim.now() < horizon, "ran to the horizon");
+    }
+
+    fn finite_bursty(duration_s: f64) -> BurstyOptions {
+        BurstyOptions { duration_s, transfer_bytes: Some(4 << 20), ..BurstyOptions::default() }
+    }
+
+    /// A bursty scenario on a fresh simulator; with `dark_from`, both paths
+    /// go dark in both directions from then on.
+    fn bursty(
+        cc: &CcChoice,
+        opts: &BurstyOptions,
+        dark_from: Option<SimTime>,
+    ) -> (Simulator, FlowHandle) {
+        let mut sim = Simulator::new(opts.seed);
+        let flow = build_two_path_bursty(&mut sim, cc, opts);
+        if let Some(at) = dark_from {
+            let links = 0..sim.world().link_count();
+            links
+                .fold(FaultScript::new(), |s, link| s.at(at, FaultAction::LinkDown { link }))
+                .install(&mut sim);
+        }
+        (sim, flow)
+    }
+
+    /// The same bursty scenario driven to `duration_s` by plain `run_until`
+    /// (first) and by `run_until_finished` (second).
+    fn bursty_both_ways(
+        cc: &CcChoice,
+        opts: &BurstyOptions,
+        dark_from: Option<SimTime>,
+    ) -> [(Simulator, FlowHandle); 2] {
+        let horizon = SimTime::from_secs_f64(opts.duration_s);
+        let mut full = bursty(cc, opts, dark_from);
+        full.0.run_until(horizon);
+        let mut bounded = bursty(cc, opts, dark_from);
+        run_until_finished(&mut bounded.0, &[bounded.1], horizon);
+        [full, bounded]
+    }
+
+    #[test]
+    fn shared_bottleneck_matches_full_horizon_run_and_stops_at_last_finish() {
+        let opts = SharedOptions {
+            n_users: 3,
+            transfer_bytes: 256 * 1024,
+            horizon_s: 10.0,
+            ..SharedOptions::default()
+        };
+        let horizon = SimTime::from_secs_f64(opts.horizon_s);
+        for kind in AlgorithmKind::PAPER_FOUR {
+            let cc = CcChoice::Base(kind);
+            let (mut full, full_users) = build_shared_bottleneck(&cc, &opts);
+            full.run_until(horizon);
+            let (mut sim, users) = build_shared_bottleneck(&cc, &opts);
+            run_until_finished(&mut sim, &users, horizon);
+            assert_eq!(
+                f64_bits(&shared_bottleneck_energies(&sim, &users)),
+                f64_bits(&shared_bottleneck_energies(&full, &full_users)),
+                "{kind}"
+            );
+            assert_stopped_at_last_finish(&sim, &users, horizon);
+        }
+    }
+
+    #[test]
+    fn finite_bursty_matches_full_horizon_run_and_stops_at_finish() {
+        let opts = finite_bursty(20.0);
+        for cc in [CcChoice::Base(AlgorithmKind::Lia), CcChoice::dts()] {
+            let [(full, full_flow), (sim, flow)] = bursty_both_ways(&cc, &opts, None);
+            let (want, want_counters) = collect_two_path_bursty(&full, full_flow, &cc);
+            let (got, counters) = collect_two_path_bursty(&sim, flow, &cc);
+            assert_eq!(flow_bits(&got), flow_bits(&want), "{}", cc.label());
+            // Link counters cover the shorter window; the sender's are frozen.
+            assert_eq!(counters.subflows, want_counters.subflows);
+            assert_eq!(counters.conns, want_counters.conns);
+            assert_stopped_at_last_finish(&sim, &[flow], SimTime::from_secs_f64(opts.duration_s));
+        }
+    }
+
+    #[test]
+    fn short_flows_match_full_horizon_run_and_stop_at_last_mouse() {
+        let opts = ShortFlowOptions {
+            mice: ShortFlowConfig { horizon_s: 1.0, max_bytes: 128 * 1024, ..Default::default() },
+            drain_s: 4.0,
+            ..ShortFlowOptions::default()
+        };
+        let horizon = SimTime::from_secs_f64(opts.mice.horizon_s + opts.drain_s);
+        let cc = CcChoice::dts();
+        let (mut full, full_mice) = build_short_flows(&cc, &opts);
+        full.run_until(horizon);
+        let (mut sim, mice) = build_short_flows(&cc, &opts);
+        run_until_finished(&mut sim, &mice, horizon);
+        let want = short_flow_result(&full, &full_mice, &cc);
+        let got = short_flow_result(&sim, &mice, &cc);
+        assert!(mice.len() > 5 && got.fct_s.len() == mice.len());
+        assert_eq!(f64_bits(&got.fct_s), f64_bits(&want.fct_s));
+        assert_eq!(got.completion_rate.to_bits(), want.completion_rate.to_bits());
+        assert_stopped_at_last_finish(&sim, &mice, horizon);
+    }
+
+    #[test]
+    fn blacked_out_transfer_runs_to_exactly_the_horizon() {
+        let opts = finite_bursty(5.0);
+        let cc = CcChoice::dts();
+        let dark_from = Some(SimTime::from_secs_f64(0.1));
+        let [(full, full_flow), (sim, flow)] = bursty_both_ways(&cc, &opts, dark_from);
+        assert!(!flow.is_finished(&sim));
+        assert_eq!(sim.now(), SimTime::from_secs_f64(opts.duration_s));
+        let (want, _) = collect_two_path_bursty(&full, full_flow, &cc);
+        let (got, _) = collect_two_path_bursty(&sim, flow, &cc);
+        assert_eq!(flow_bits(&got), flow_bits(&want));
+    }
+
+    #[test]
+    fn stall_watchdog_ends_the_run_at_detection_time() {
+        let opts = finite_bursty(60.0);
+        let (mut sim, flow) = bursty(&CcChoice::dts(), &opts, Some(SimTime::from_secs_f64(0.1)));
+        sim.enable_watchdog(SimDuration::from_secs_f64(1.0));
+        sim.watch(flow.sender);
+        run_until_finished(&mut sim, &[flow], SimTime::from_secs_f64(opts.duration_s));
+        let report = sim.stall_report().expect("watchdog must fire");
+        assert_eq!(sim.now(), report.at);
+        assert!(sim.now() <= SimTime::from_secs_f64(3.0), "stalled only at {}", sim.now());
+    }
+
+    #[test]
+    fn long_lived_flow_runs_to_exactly_the_horizon_unchanged() {
+        let opts = BurstyOptions { duration_s: 3.0, ..BurstyOptions::default() };
+        let cc = CcChoice::dts();
+        let [(full, full_flow), (sim, flow)] = bursty_both_ways(&cc, &opts, None);
+        assert_eq!(sim.now(), SimTime::from_secs_f64(opts.duration_s));
+        let (want, want_counters) = collect_two_path_bursty(&full, full_flow, &cc);
+        let (got, counters) = collect_two_path_bursty(&sim, flow, &cc);
+        assert_eq!(flow_bits(&got), flow_bits(&want));
+        assert_eq!(counters, want_counters);
+    }
 }
