@@ -1,6 +1,14 @@
-//! Regenerates every figure in one crash-safe run.
+//! Regenerates every figure — or, with `--only`, some — in one crash-safe
+//! run.
 //!
-//! Pass --smoke/--quick/--full and optionally --jobs N. With --journal PATH
+//! Pass --smoke/--quick/--full and optionally --jobs N. `--only LIST` (or
+//! `--only=LIST`) restricts the run to a comma-separated list of figure
+//! module names (`fig01 fig02 fig03 fig04 fig06 fig07 fig08 fig09 fig10
+//! fig12_14 fig15 fig16 fig17`); an unknown name is a usage error that
+//! lists them. The selection is made before the grid is planned, so it is
+//! part of the grid digest: a journal written for one selection is refused
+//! by a run with another ("written for grid …"), never half-reused — use a
+//! journal path per selection. With --journal PATH
 //! (or the SWEEP_JOURNAL env var) each completed figure is checkpointed to
 //! an append-only journal: kill the run at any point, rerun the same
 //! command, and only the unfinished figures execute — the final stdout is
@@ -14,20 +22,41 @@
 use bench_harness::fabric::{run_dist, DistOptions, FabricOptions};
 use bench_harness::{figs, Cli};
 
-fn main() {
-    let cli = Cli::from_args();
-    let opts = FabricOptions::from_cli(&cli);
-    let report = match run_dist(
-        figs::fig_cells(cli.scale),
-        &opts,
-        &DistOptions::from_cli(&cli, "figures"),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("figures_all: {e}");
-            std::process::exit(2);
+/// Splits `--only LIST` / `--only=LIST` off the argument list; the rest is
+/// the shared [`Cli`] surface.
+fn take_only(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<String>, Vec<String>), String> {
+    let mut only = None;
+    let mut rest = Vec::new();
+    while let Some(a) = args.next() {
+        if a == "--only" {
+            only = Some(args.next().ok_or("--only: missing figure list")?);
+        } else if let Some(list) = a.strip_prefix("--only=") {
+            only = Some(list.to_owned());
+        } else {
+            rest.push(a);
         }
+    }
+    Ok((only, rest))
+}
+
+/// Usage and run errors alike: the message on stderr, exit 2.
+fn die(e: &str) -> ! {
+    eprintln!("figures_all: {e}");
+    std::process::exit(2);
+}
+
+fn main() {
+    let (only, rest) = take_only(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
+    let cli = Cli::from_arg_list(rest.into_iter());
+    let cells = match &only {
+        Some(list) => figs::fig_cells_only(cli.scale, list).unwrap_or_else(|e| die(&e)),
+        None => figs::fig_cells(cli.scale),
     };
+    let opts = FabricOptions::from_cli(&cli);
+    let report =
+        run_dist(cells, &opts, &DistOptions::from_cli(&cli, "figures")).unwrap_or_else(|e| die(&e));
     eprintln!("{}", report.counters.render());
     for r in report.results() {
         print!("==== {} ====\n{}\n", r.label, r.output);

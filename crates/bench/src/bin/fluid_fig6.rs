@@ -102,12 +102,14 @@ fn main() {
         // Implied 16 MB transfer time and a simple ∝1/τ̄ energy proxy.
         let seconds = transfer_bits / (mptcp * mss_bits);
         if let Some(sink) = sink.as_mut() {
-            sink.raw_line(&format!(
-                "{{\"ev\":\"fluid_cell\",\"psi\":\"{}\",\"n_users\":{n_users},\
-                 \"mptcp_pkts_s\":{mptcp:.3},\"tcp_pkts_s\":{tcp:.3},\
-                 \"transfer_s\":{seconds:.3}}}",
-                r.label
-            ));
+            sink.line(|w| {
+                w.str("ev", "fluid_cell")
+                    .str("psi", &r.label)
+                    .u64("n_users", n_users as u64)
+                    .f64_fixed("mptcp_pkts_s", mptcp, 3)
+                    .f64_fixed("tcp_pkts_s", tcp, 3)
+                    .f64_fixed("transfer_s", seconds, 3)
+            });
         }
         rows.push(vec![
             r.label.clone(),

@@ -144,39 +144,18 @@ impl DistOptions {
         }
     }
 
-    /// Builds options from the parsed [`crate::Cli`] plus the env knobs:
-    /// `SWEEP_LEASE_S` (fractional seconds without a new cell before a
-    /// stall), `SWEEP_HEARTBEAT_MS`, `SWEEP_HEARTBEAT_TIMEOUT_MS`,
-    /// `SWEEP_POLL_MS`, `SWEEP_CLAIM_TIMEOUT_S` (fractional seconds an
-    /// attach-mode request may sit unclaimed; 0 waits forever),
-    /// `SWEEP_REDISPATCH` (budget per shard), and `SWEEP_SPAWN=attach` to
-    /// use externally-started `sweep_worker` processes. Unusable values
-    /// warn and fall back.
+    /// Builds options from the parsed [`crate::Cli`] plus the two env
+    /// knobs deployments set: `SWEEP_CLAIM_TIMEOUT_S` (fractional seconds
+    /// an attach-mode request may sit unclaimed; 0 waits forever) and
+    /// `SWEEP_SPAWN=attach` to use externally-started `sweep_worker`
+    /// processes. Unusable values warn and fall back. Lease, heartbeat,
+    /// poll and re-dispatch settings are struct fields only: the drills
+    /// that need other values set them in code.
     pub fn from_cli(cli: &crate::Cli, suite: impl Into<String>) -> DistOptions {
         let mut o = DistOptions::new(suite);
         o.workers = cli.workers();
         o.spool = cli.spool.clone();
         o.task = cli.dist.clone();
-        if let Some(secs) = env_parsed::<f64>("SWEEP_LEASE_S", "a positive number of seconds") {
-            if secs > 0.0 && secs.is_finite() {
-                o.lease = Duration::from_secs_f64(secs);
-            } else {
-                eprintln!(
-                    "warning: ignoring SWEEP_LEASE_S={secs}: expected a positive number of seconds"
-                );
-            }
-        }
-        if let Some(ms) = env_parsed::<u64>("SWEEP_HEARTBEAT_MS", "an interval in milliseconds") {
-            o.heartbeat = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) =
-            env_parsed::<u64>("SWEEP_HEARTBEAT_TIMEOUT_MS", "a timeout in milliseconds")
-        {
-            o.heartbeat_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = env_parsed::<u64>("SWEEP_POLL_MS", "an interval in milliseconds") {
-            o.poll = Duration::from_millis(ms.max(1));
-        }
         if let Some(secs) =
             env_parsed::<f64>("SWEEP_CLAIM_TIMEOUT_S", "a number of seconds (0 waits forever)")
         {
@@ -190,9 +169,6 @@ impl DistOptions {
                      expected a non-negative number of seconds"
                 );
             }
-        }
-        if let Some(n) = env_parsed::<u32>("SWEEP_REDISPATCH", "a re-dispatch budget") {
-            o.max_redispatch = n;
         }
         if std::env::var("SWEEP_SPAWN").as_deref() == Ok("attach") {
             o.spawn = SpawnMode::Attach;

@@ -2,10 +2,10 @@
 //! through a spool directory.
 //!
 //! The supervisor and its workers share no memory and no sockets — only a
-//! directory. Every artefact is a flat JSONL file in the journal's
-//! hand-rolled dialect (floats as IEEE-754 bit patterns, strings escaped by
-//! `crate::repro::esc`), so the same parsing discipline — and the same
-//! torn-tail tolerance — applies end to end:
+//! directory. Every artefact is a flat JSONL file in the journal's dialect
+//! ([`obs::record`]: floats as IEEE-754 bit patterns, a line read whole or
+//! rejected), so the same parsing discipline — and the same torn-tail
+//! tolerance — applies end to end:
 //!
 //! ```text
 //! spool/
@@ -51,12 +51,11 @@
 //! ```
 
 use crate::fabric::journal::{
-    parse_id, parse_payload, render_payload, str_field, u64_field, DoneLine, JournalValue,
+    cell_fields, done_fields, framed, read_done, read_id, DoneLine, JournalValue,
 };
 use crate::fabric::plan::CellId;
 use crate::fabric::retry::AttemptStats;
-use crate::repro::esc;
-use std::fmt::Write as _;
+use obs::record::{self, Record};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -116,11 +115,14 @@ pub fn init_spool(
         std::fs::create_dir_all(spool.join(sub))
             .map_err(|e| format!("cannot create spool dir {}/{sub}: {e}", spool.display()))?;
     }
-    let line = format!(
-        "{{\"dist\":\"manifest\",\"version\":{PROTOCOL_VERSION},\"grid\":\"{grid:016x}\",\
-         \"cells\":{cells},\"shards\":{shards},\"suite\":\"{}\"}}\n",
-        esc(suite)
-    );
+    let line = framed(|w| {
+        w.str("dist", "manifest")
+            .u64("version", PROTOCOL_VERSION)
+            .hex("grid", grid)
+            .u64("cells", cells as u64)
+            .u64("shards", shards as u64)
+            .str("suite", suite)
+    });
     std::fs::write(manifest_path(spool), line)
         .map_err(|e| format!("cannot write spool manifest: {e}"))
 }
@@ -179,31 +181,31 @@ pub fn write_request(
     header: &RequestHeader,
     cells: &[RequestCell],
 ) -> Result<PathBuf, String> {
-    let mut text = format!(
-        "{{\"dist\":\"request\",\"version\":{},\"grid\":\"{:016x}\",\"shard\":{},\"gen\":{},\
-         \"suite\":\"{}\",\"cells\":{},\"deadline_ms\":{},\"max_attempts\":{},\"backoff_ms\":{},\
-         \"max_backoff_ms\":{},\"heartbeat_ms\":{}}}\n",
-        header.version,
-        header.grid,
-        header.shard,
-        header.gen,
-        esc(&header.suite),
-        cells.len(),
-        header.deadline_ms,
-        header.max_attempts,
-        header.backoff_ms,
-        header.max_backoff_ms,
-        header.heartbeat_ms,
-    );
+    let mut text = String::new();
+    record::line(&mut text)
+        .str("dist", "request")
+        .u64("version", header.version)
+        .hex("grid", header.grid)
+        .u64("shard", header.shard as u64)
+        .u64("gen", header.gen)
+        .str("suite", &header.suite)
+        .u64("cells", cells.len() as u64)
+        .u64("deadline_ms", header.deadline_ms)
+        .u64("max_attempts", u64::from(header.max_attempts))
+        .u64("backoff_ms", header.backoff_ms)
+        .u64("max_backoff_ms", header.max_backoff_ms)
+        .u64("heartbeat_ms", header.heartbeat_ms)
+        .end();
+    text.push('\n');
     for c in cells {
-        let _ = writeln!(
-            text,
-            "{{\"dist\":\"cell\",\"id\":\"{}\",\"index\":{},\"label\":\"{}\",\"seed\":{}}}",
-            c.id,
-            c.index,
-            esc(&c.label),
-            c.seed
-        );
+        record::line(&mut text)
+            .str("dist", "cell")
+            .hex("id", c.id.as_u64())
+            .u64("index", c.index as u64)
+            .str("label", &c.label)
+            .u64("seed", c.seed)
+            .end();
+        text.push('\n');
     }
     let path = request_path(spool, header.shard, header.gen);
     let tmp = path.with_extension("jsonl.tmp");
@@ -227,21 +229,22 @@ pub fn read_request(path: &Path) -> Result<(RequestHeader, Vec<RequestCell>), St
         .map_err(|e| format!("cannot read request {}: {e}", path.display()))?;
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let head = lines.next().ok_or_else(|| format!("request {} is empty", path.display()))?;
-    if str_field(head, "dist")? != "request" {
+    let head = record::read(head)?;
+    if head.str("dist")? != "request" {
         return Err(format!("request {} does not start with a request header", path.display()));
     }
     let header = RequestHeader {
-        version: u64_field(head, "version")?,
-        grid: parse_grid(head)?,
-        shard: usize::try_from(u64_field(head, "shard")?).map_err(|e| e.to_string())?,
-        gen: u64_field(head, "gen")?,
-        suite: str_field(head, "suite")?,
-        cells: usize::try_from(u64_field(head, "cells")?).map_err(|e| e.to_string())?,
-        deadline_ms: u64_field(head, "deadline_ms")?,
-        max_attempts: u32::try_from(u64_field(head, "max_attempts")?).map_err(|e| e.to_string())?,
-        backoff_ms: u64_field(head, "backoff_ms")?,
-        max_backoff_ms: u64_field(head, "max_backoff_ms")?,
-        heartbeat_ms: u64_field(head, "heartbeat_ms")?,
+        version: head.uint("version")?,
+        grid: head.hex("grid")?,
+        shard: head.uint("shard")?,
+        gen: head.uint("gen")?,
+        suite: head.str("suite")?.to_owned(),
+        cells: head.uint("cells")?,
+        deadline_ms: head.uint("deadline_ms")?,
+        max_attempts: head.uint("max_attempts")?,
+        backoff_ms: head.uint("backoff_ms")?,
+        max_backoff_ms: head.uint("max_backoff_ms")?,
+        heartbeat_ms: head.uint("heartbeat_ms")?,
     };
     if header.version != PROTOCOL_VERSION {
         return Err(format!(
@@ -251,16 +254,17 @@ pub fn read_request(path: &Path) -> Result<(RequestHeader, Vec<RequestCell>), St
             header.version
         ));
     }
-    let mut cells = Vec::with_capacity(header.cells);
+    let mut cells = Vec::with_capacity(header.cells.min(1 << 16));
     for line in lines {
-        if str_field(line, "dist")? != "cell" {
+        let rec = record::read(line)?;
+        if rec.str("dist")? != "cell" {
             return Err(format!("request {}: unexpected line {line:?}", path.display()));
         }
         cells.push(RequestCell {
-            id: parse_id(line)?,
-            index: usize::try_from(u64_field(line, "index")?).map_err(|e| e.to_string())?,
-            label: str_field(line, "label")?,
-            seed: u64_field(line, "seed")?,
+            id: read_id(&rec)?,
+            index: rec.uint("index")?,
+            label: rec.str("label")?.to_owned(),
+            seed: rec.uint("seed")?,
         });
     }
     if cells.len() != header.cells {
@@ -272,11 +276,6 @@ pub fn read_request(path: &Path) -> Result<(RequestHeader, Vec<RequestCell>), St
         ));
     }
     Ok((header, cells))
-}
-
-fn parse_grid(line: &str) -> Result<u64, String> {
-    let g = str_field(line, "grid")?;
-    u64::from_str_radix(&g, 16).map_err(|e| format!("bad grid digest {g:?}: {e}"))
 }
 
 /// The worker side of a response file: header first, then one flushed line
@@ -307,11 +306,14 @@ impl ResponseWriter {
         let path = response_path(spool, shard, gen);
         let mut file = File::create(&path)
             .map_err(|e| format!("cannot create response {}: {e}", path.display()))?;
-        let head = format!(
-            "{{\"dist\":\"response\",\"version\":{version},\"grid\":\"{grid:016x}\",\
-             \"shard\":{shard},\"gen\":{gen},\"worker\":\"{}\"}}\n",
-            esc(worker)
-        );
+        let head = framed(|w| {
+            w.str("dist", "response")
+                .u64("version", version)
+                .hex("grid", grid)
+                .u64("shard", shard as u64)
+                .u64("gen", gen)
+                .str("worker", worker)
+        });
         file.write_all(head.as_bytes())
             .and_then(|()| file.flush())
             .map_err(|e| format!("cannot write response header: {e}"))?;
@@ -339,14 +341,7 @@ impl ResponseWriter {
         attempts: u32,
         payload: &[JournalValue],
     ) -> Result<(), String> {
-        let mut line = format!(
-            "{{\"dist\":\"done\",\"id\":\"{id}\",\"label\":\"{}\",\"seed\":{seed},\
-             \"attempts\":{attempts},\"payload\":",
-            esc(label)
-        );
-        render_payload(payload, &mut line);
-        line.push_str("}\n");
-        self.append(&line)?;
+        self.append(&framed(|w| done_fields(w, "dist", id, label, seed, attempts, payload)))?;
         self.done += 1;
         Ok(())
     }
@@ -365,17 +360,14 @@ impl ResponseWriter {
         cause: &str,
         message: &str,
     ) -> Result<(), String> {
-        let line = format!(
-            "{{\"dist\":\"failed\",\"id\":\"{id}\",\"label\":\"{}\",\"seed\":{seed},\
-             \"attempts\":{},\"panics\":{},\"deadline_kills\":{},\"cause\":\"{cause}\",\
-             \"message\":\"{}\"}}\n",
-            esc(label),
-            stats.attempts,
-            stats.panics,
-            stats.deadline_kills,
-            esc(message)
-        );
-        self.append(&line)?;
+        self.append(&framed(|w| {
+            cell_fields(w, "dist", "failed", id, label, seed)
+                .u64("attempts", u64::from(stats.attempts))
+                .u64("panics", u64::from(stats.panics))
+                .u64("deadline_kills", u64::from(stats.deadline_kills))
+                .str("cause", cause)
+                .str("message", message)
+        }))?;
         self.failed += 1;
         Ok(())
     }
@@ -387,9 +379,8 @@ impl ResponseWriter {
     ///
     /// On filesystem failures.
     pub fn finish(mut self) -> Result<(), String> {
-        let line =
-            format!("{{\"dist\":\"end\",\"done\":{},\"failed\":{}}}\n", self.done, self.failed);
-        self.append(&line)
+        let (done, failed) = (self.done as u64, self.failed as u64);
+        self.append(&framed(|w| w.str("dist", "end").u64("done", done).u64("failed", failed)))
     }
 }
 
@@ -541,18 +532,19 @@ fn parse_header_line(
     out: &mut ParsedResponse,
 ) -> Result<(), LineIssue> {
     let bad = |e: String| LineIssue::Malformed(format!("response header: {e}"));
-    if str_field(line, "dist").map_err(bad)? != "response" {
+    let rec = record::read(line).map_err(bad)?;
+    if rec.str("dist").map_err(bad)? != "response" {
         return Err(LineIssue::Malformed("response does not start with a header".to_owned()));
     }
-    let version = u64_field(line, "version").map_err(bad)?;
+    let version: u64 = rec.uint("version").map_err(bad)?;
     if version != PROTOCOL_VERSION {
         return Err(LineIssue::Reject(ResponseFault::Stale(format!(
             "worker speaks protocol v{version}, supervisor speaks v{PROTOCOL_VERSION}"
         ))));
     }
-    let grid = parse_grid(line).map_err(bad)?;
-    let shard = u64_field(line, "shard").map_err(bad)?;
-    let gen = u64_field(line, "gen").map_err(bad)?;
+    let grid = rec.hex("grid").map_err(bad)?;
+    let shard: u64 = rec.uint("shard").map_err(bad)?;
+    let gen: u64 = rec.uint("gen").map_err(bad)?;
     if grid != expect.grid || shard != expect.shard as u64 || gen != expect.gen {
         return Err(LineIssue::Reject(ResponseFault::Invalid(format!(
             "response echoes grid={grid:016x} shard={shard} gen={gen}, \
@@ -560,8 +552,21 @@ fn parse_header_line(
             expect.grid, expect.shard, expect.gen
         ))));
     }
-    out.worker = Some(str_field(line, "worker").map_err(bad)?);
+    out.worker = Some(rec.str("worker").map_err(bad)?.to_owned());
     Ok(())
+}
+
+fn read_failed(rec: &Record<'_>) -> Result<FailedLine, String> {
+    Ok(FailedLine {
+        id: read_id(rec)?,
+        label: rec.str("label")?.to_owned(),
+        seed: rec.uint("seed")?,
+        attempts: rec.uint("attempts")?,
+        panics: rec.uint("panics")?,
+        deadline_kills: rec.uint("deadline_kills")?,
+        cause: rec.str("cause")?.to_owned(),
+        message: rec.str("message")?.to_owned(),
+    })
 }
 
 fn parse_body_line(
@@ -570,43 +575,16 @@ fn parse_body_line(
     footer: &mut Option<(u64, u64)>,
 ) -> Result<(), LineIssue> {
     let bad = |e: String| LineIssue::Malformed(format!("response line: {e}"));
-    match str_field(line, "dist").map_err(bad)?.as_str() {
-        "done" => {
-            out.done.push(DoneLine {
-                id: parse_id(line).map_err(bad)?,
-                label: str_field(line, "label").map_err(bad)?,
-                seed: u64_field(line, "seed").map_err(bad)?,
-                attempts: u32::try_from(u64_field(line, "attempts").map_err(bad)?)
-                    .map_err(|e| bad(e.to_string()))?,
-                payload: parse_payload(line).map_err(bad)?,
-            });
-            Ok(())
-        }
-        "failed" => {
-            out.failed.push(FailedLine {
-                id: parse_id(line).map_err(bad)?,
-                label: str_field(line, "label").map_err(bad)?,
-                seed: u64_field(line, "seed").map_err(bad)?,
-                attempts: u32::try_from(u64_field(line, "attempts").map_err(bad)?)
-                    .map_err(|e| bad(e.to_string()))?,
-                panics: u32::try_from(u64_field(line, "panics").map_err(bad)?)
-                    .map_err(|e| bad(e.to_string()))?,
-                deadline_kills: u32::try_from(u64_field(line, "deadline_kills").map_err(bad)?)
-                    .map_err(|e| bad(e.to_string()))?,
-                cause: str_field(line, "cause").map_err(bad)?,
-                message: str_field(line, "message").map_err(bad)?,
-            });
-            Ok(())
-        }
+    let mut rec = record::read(line).map_err(bad)?;
+    match rec.str("dist").map_err(bad)? {
+        "done" => out.done.push(read_done(&mut rec).map_err(bad)?),
+        "failed" => out.failed.push(read_failed(&rec).map_err(bad)?),
         "end" => {
-            *footer = Some((
-                u64_field(line, "done").map_err(bad)?,
-                u64_field(line, "failed").map_err(bad)?,
-            ));
-            Ok(())
+            *footer = Some((rec.uint("done").map_err(bad)?, rec.uint("failed").map_err(bad)?));
         }
-        other => Err(LineIssue::Malformed(format!("unknown response line kind {other:?}"))),
+        other => return Err(LineIssue::Malformed(format!("unknown response line kind {other:?}"))),
     }
+    Ok(())
 }
 
 /// Appends one heartbeat line for `worker` and flushes it.
@@ -627,10 +605,13 @@ pub fn append_heartbeat(
         .append(true)
         .open(&path)
         .map_err(|e| format!("cannot open heartbeat {}: {e}", path.display()))?;
-    let line = format!(
-        "{{\"dist\":\"heartbeat\",\"worker\":\"{}\",\"shard\":{shard},\"gen\":{gen},\"seq\":{seq}}}\n",
-        esc(worker)
-    );
+    let line = framed(|w| {
+        w.str("dist", "heartbeat")
+            .str("worker", worker)
+            .u64("shard", shard as u64)
+            .u64("gen", gen)
+            .u64("seq", seq)
+    });
     f.write_all(line.as_bytes())
         .and_then(|()| f.flush())
         .map_err(|e| format!("cannot append heartbeat: {e}"))
@@ -649,11 +630,9 @@ pub fn append_heartbeat(
 pub fn read_heartbeat_seq(spool: &Path, worker: &str, shard: usize, gen: u64) -> Option<u64> {
     let text = std::fs::read_to_string(heartbeat_path(spool, worker)).ok()?;
     text.lines()
-        .filter(|l| {
-            u64_field(l, "shard").is_ok_and(|s| s == shard as u64)
-                && u64_field(l, "gen").is_ok_and(|g| g == gen)
-        })
-        .filter_map(|l| u64_field(l, "seq").ok())
+        .filter_map(|l| record::read(l).ok())
+        .filter(|r| r.uint("shard") == Ok(shard as u64) && r.uint("gen") == Ok(gen))
+        .filter_map(|r| r.uint("seq").ok())
         .max()
 }
 
@@ -667,10 +646,12 @@ pub fn try_claim(spool: &Path, shard: usize, gen: u64, worker: &str) -> Result<b
     let path = claim_path(spool, shard, gen);
     match OpenOptions::new().create_new(true).write(true).open(&path) {
         Ok(mut f) => {
-            let line = format!(
-                "{{\"dist\":\"claim\",\"worker\":\"{}\",\"shard\":{shard},\"gen\":{gen}}}\n",
-                esc(worker)
-            );
+            let line = framed(|w| {
+                w.str("dist", "claim")
+                    .str("worker", worker)
+                    .u64("shard", shard as u64)
+                    .u64("gen", gen)
+            });
             f.write_all(line.as_bytes())
                 .and_then(|()| f.flush())
                 .map_err(|e| format!("cannot write claim {}: {e}", path.display()))?;
@@ -685,7 +666,7 @@ pub fn try_claim(spool: &Path, shard: usize, gen: u64, worker: &str) -> Result<b
 /// fully written).
 pub fn read_claim(spool: &Path, shard: usize, gen: u64) -> Option<String> {
     let text = std::fs::read_to_string(claim_path(spool, shard, gen)).ok()?;
-    text.lines().find_map(|l| str_field(l, "worker").ok())
+    text.lines().find_map(|l| Some(record::read(l).ok()?.str("worker").ok()?.to_owned()))
 }
 
 /// Drops the shutdown marker: attached workers drain and exit.
@@ -874,6 +855,62 @@ mod tests {
             "fresh beats must not be masked by another dispatch's maximum"
         );
         assert_eq!(read_heartbeat_seq(&spool, "w", 2, 0), None, "no lines for that dispatch");
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    /// Whole or rejected: a worker killed mid-append can tear its footer at
+    /// any byte. Every tear must read as "still streaming" with the whole
+    /// prefix harvestable — never as a lying (or a complete) footer.
+    #[test]
+    fn every_proper_prefix_of_the_footer_is_streaming_not_a_fault() {
+        let expect = ResponseExpect { grid: 0x11, shard: 0, gen: 0 };
+        let mut body = framed(|w| {
+            w.str("dist", "response")
+                .u64("version", PROTOCOL_VERSION)
+                .hex("grid", 0x11)
+                .u64("shard", 0)
+                .u64("gen", 0)
+                .str("worker", "w")
+        });
+        for i in 0..10u64 {
+            let id = CellId::derive("c", i, Fingerprint::new());
+            body.push_str(&framed(|w| {
+                done_fields(w, "dist", id, "c", i, 1, &[JournalValue::U64(i)])
+            }));
+        }
+        let footer = "{\"dist\":\"end\",\"done\":10,\"failed\":12}";
+        for cut in 1..footer.len() {
+            let p = parse_response(&format!("{body}{}", &footer[..cut]), &expect);
+            assert!(!p.complete && p.fault.is_none(), "cut at {cut}: {p:?}");
+            assert_eq!(p.done.len(), 10, "cut at {cut} lost harvested cells");
+        }
+        // The whole footer is a footer — and this one lies about `failed`.
+        let p = parse_response(&format!("{body}{footer}\n"), &expect);
+        assert!(!p.complete);
+        match &p.fault {
+            Some(ResponseFault::Invalid(d)) => assert!(d.contains("promises"), "{d}"),
+            other => panic!("expected footer rejection, got {other:?}"),
+        }
+        assert_eq!(p.done.len(), 10);
+    }
+
+    /// `read_heartbeat_seq` skips a torn final beat instead of reading a
+    /// shorter sequence number out of it (`"seq":4` torn from `"seq":41}`).
+    #[test]
+    fn a_torn_final_heartbeat_is_ignored() {
+        let spool = tmp("hb-torn");
+        let _ = std::fs::remove_dir_all(&spool);
+        init_spool(&spool, 1, 1, 1, "walk").expect("init");
+        append_heartbeat(&spool, "w", 0, 0, 3).expect("hb");
+        let whole = "{\"dist\":\"heartbeat\",\"worker\":\"w\",\"shard\":0,\"gen\":0,\"seq\":41}";
+        let path = heartbeat_path(&spool, "w");
+        let before = std::fs::read_to_string(&path).expect("read");
+        for cut in 1..whole.len() {
+            std::fs::write(&path, format!("{before}{}", &whole[..cut])).expect("write");
+            assert_eq!(read_heartbeat_seq(&spool, "w", 0, 0), Some(3), "cut at {cut}");
+        }
+        std::fs::write(&path, format!("{before}{whole}\n")).expect("write");
+        assert_eq!(read_heartbeat_seq(&spool, "w", 0, 0), Some(41));
         let _ = std::fs::remove_dir_all(&spool);
     }
 }

@@ -9,7 +9,9 @@
 //! round-trips every value exactly — `f64`s travel as IEEE-754 bit
 //! patterns, the same discipline as [`crate::repro`].
 //!
-//! Line formats (flat one-line JSON, parsed with the obs key-scan helpers):
+//! Line formats (flat one-line records, written and read through
+//! [`obs::record`] — a line is read whole or rejected, which is what makes
+//! "the torn line is the last line" a safe rule):
 //!
 //! ```text
 //! {"fabric":"run","version":1,"grid":"<16 hex>","cells":N}
@@ -30,13 +32,11 @@
 //! identity across resumes.
 
 use super::plan::CellId;
-use crate::repro::{esc, json_escaped_str_field, unesc};
+use obs::record::{self, LineWriter, Record};
 use obs::{
-    json_str_field, json_u64_field, ConnCounters, CounterSnapshot, GlobalCounters, HybridCounters,
-    LinkCounters, SubflowCounters,
+    ConnCounters, CounterSnapshot, GlobalCounters, HybridCounters, LinkCounters, SubflowCounters,
 };
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
@@ -44,16 +44,8 @@ use std::path::Path;
 /// The journal format version written in `run` headers.
 pub const JOURNAL_VERSION: u64 = 1;
 
-/// One token of an encoded payload: journals are built from unsigned words
-/// (integers, float bit patterns, flags, lengths) and strings — nothing
-/// else, so decoding is total and bit-exact.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JournalValue {
-    /// An unsigned word (also carries `f64::to_bits` patterns).
-    U64(u64),
-    /// A UTF-8 string.
-    Str(String),
-}
+/// One token of an encoded payload: the record dialect's array word.
+pub use obs::record::Word as JournalValue;
 
 /// Sequential reader over a decoded payload.
 #[derive(Debug)]
@@ -456,87 +448,6 @@ pub fn decode_payload<T: JournalCodec>(vals: &[JournalValue]) -> Result<T, Strin
     Ok(v)
 }
 
-pub(crate) fn render_payload(vals: &[JournalValue], out: &mut String) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match v {
-            JournalValue::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            JournalValue::Str(s) => {
-                let _ = write!(out, "\"{}\"", esc(s));
-            }
-        }
-    }
-    out.push(']');
-}
-
-/// Parses the `"payload":[...]` array out of a journal line. Shared with
-/// the distributed wire codec (`super::dist::wire`), whose `done` lines use
-/// the same payload rendering.
-pub(crate) fn parse_payload(line: &str) -> Result<Vec<JournalValue>, String> {
-    let pat = "\"payload\":[";
-    let start = line.find(pat).ok_or("done line missing payload array")? + pat.len();
-    let rest = &line[start..];
-    // Scan to the matching close bracket, honouring string escapes.
-    let mut end = None;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' if in_str => escaped = true,
-            '"' => in_str = !in_str,
-            ']' if !in_str => {
-                end = Some(i);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let body = &rest[..end.ok_or("unterminated payload array")?];
-    let mut vals = Vec::new();
-    let mut item = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut flush = |item: &mut String| -> Result<(), String> {
-        let t = item.trim();
-        if t.is_empty() {
-            return Ok(());
-        }
-        if let Some(stripped) = t.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-            vals.push(JournalValue::Str(unesc(stripped)));
-        } else {
-            vals.push(JournalValue::U64(
-                t.parse::<u64>().map_err(|e| format!("bad payload number {t:?}: {e}"))?,
-            ));
-        }
-        item.clear();
-        Ok(())
-    };
-    for c in body.chars() {
-        match c {
-            _ if escaped => {
-                escaped = false;
-                item.push('\\');
-                item.push(c);
-            }
-            '\\' if in_str => escaped = true,
-            '"' => {
-                in_str = !in_str;
-                item.push('"');
-            }
-            ',' if !in_str => flush(&mut item)?,
-            c => item.push(c),
-        }
-    }
-    flush(&mut item)?;
-    Ok(vals)
-}
-
 /// A replayed `done` line: the cell's identity plus its still-encoded
 /// payload (decoded against the concrete output type by the fabric core).
 #[derive(Clone, Debug, PartialEq)]
@@ -587,36 +498,69 @@ pub struct JournalReplay {
     pub torn_tail: Option<String>,
 }
 
-fn parse_grid(line: &str) -> Result<u64, String> {
-    let g =
-        json_str_field(line, "grid").ok_or_else(|| format!("run header missing grid: {line}"))?;
-    u64::from_str_radix(g, 16).map_err(|e| format!("bad grid digest {g:?}: {e}"))
+/// One framed line: the record `fields` builds, then the newline.
+pub(crate) fn framed(fields: impl FnOnce(LineWriter<'_>) -> LineWriter<'_>) -> String {
+    let mut line = String::new();
+    fields(record::line(&mut line)).end();
+    line.push('\n');
+    line
 }
 
-pub(crate) fn parse_id(line: &str) -> Result<CellId, String> {
-    CellId::parse(json_str_field(line, "id").ok_or_else(|| format!("line missing id: {line}"))?)
+/// The identity prefix every per-cell line shares, journal (`"fabric"`) or
+/// spool (`"dist"`): `{"<family>":"<kind>","id":…,"label":…,"seed":…`.
+pub(crate) fn cell_fields<'a>(
+    w: LineWriter<'a>,
+    family: &str,
+    kind: &str,
+    id: CellId,
+    label: &str,
+    seed: u64,
+) -> LineWriter<'a> {
+    w.str(family, kind).hex("id", id.as_u64()).str("label", label).u64("seed", seed)
 }
 
-pub(crate) fn str_field(line: &str, key: &str) -> Result<String, String> {
-    json_escaped_str_field(line, key)
-        .map(unesc)
-        .ok_or_else(|| format!("line missing {key}: {line}"))
+/// The fields of a `done` line of either family.
+pub(crate) fn done_fields<'a>(
+    w: LineWriter<'a>,
+    family: &str,
+    id: CellId,
+    label: &str,
+    seed: u64,
+    attempts: u32,
+    payload: &[JournalValue],
+) -> LineWriter<'a> {
+    cell_fields(w, family, "done", id, label, seed)
+        .u64("attempts", u64::from(attempts))
+        .words("payload", payload)
 }
 
-pub(crate) fn u64_field(line: &str, key: &str) -> Result<u64, String> {
-    json_u64_field(line, key).ok_or_else(|| format!("line missing {key}: {line}"))
+pub(crate) fn read_id(rec: &Record<'_>) -> Result<CellId, String> {
+    CellId::parse(rec.str("id")?)
+}
+
+/// Reads the fields of a `done` line of either family (the caller has
+/// already matched the family tag).
+pub(crate) fn read_done(rec: &mut Record<'_>) -> Result<DoneLine, String> {
+    Ok(DoneLine {
+        id: read_id(rec)?,
+        label: rec.str("label")?.to_owned(),
+        seed: rec.uint("seed")?,
+        attempts: rec.uint("attempts")?,
+        payload: rec.take_words("payload")?,
+    })
 }
 
 fn parse_line(replay: &mut JournalReplay, line: &str) -> Result<(), String> {
-    match json_str_field(line, "fabric") {
-        Some("run") => {
-            let version = u64_field(line, "version")?;
+    let mut rec = record::read(line)?;
+    match rec.str("fabric")? {
+        "run" => {
+            let version: u64 = rec.uint("version")?;
             if version != JOURNAL_VERSION {
                 return Err(format!(
                     "journal version {version} (this build reads {JOURNAL_VERSION})"
                 ));
             }
-            let grid = parse_grid(line)?;
+            let grid = rec.hex("grid")?;
             if let Some(prior) = replay.grid {
                 if prior != grid {
                     return Err(format!(
@@ -626,15 +570,8 @@ fn parse_line(replay: &mut JournalReplay, line: &str) -> Result<(), String> {
             }
             replay.grid = Some(grid);
         }
-        Some("done") => {
-            let entry = DoneLine {
-                id: parse_id(line)?,
-                label: str_field(line, "label")?,
-                seed: u64_field(line, "seed")?,
-                attempts: u32::try_from(u64_field(line, "attempts")?)
-                    .map_err(|e| format!("attempts out of range: {e}"))?,
-                payload: parse_payload(line)?,
-            };
+        "done" => {
+            let entry = read_done(&mut rec)?;
             // First record wins, pinned by test. A cell can be journaled
             // twice once multiple writers exist (a supervisor harvesting a
             // crashed worker's partial response while its re-dispatch also
@@ -648,18 +585,17 @@ fn parse_line(replay: &mut JournalReplay, line: &str) -> Result<(), String> {
             // journals (and additionally rejects disagreeing payloads).
             replay.done.entry(entry.id).or_insert(entry);
         }
-        Some("quarantined") => {
+        "quarantined" => {
             replay.quarantined.push(QuarantineLine {
-                id: parse_id(line)?,
-                label: str_field(line, "label")?,
-                seed: u64_field(line, "seed")?,
-                attempts: u32::try_from(u64_field(line, "attempts")?)
-                    .map_err(|e| format!("attempts out of range: {e}"))?,
-                cause: str_field(line, "cause")?,
-                message: str_field(line, "message")?,
+                id: read_id(&rec)?,
+                label: rec.str("label")?.to_owned(),
+                seed: rec.uint("seed")?,
+                attempts: rec.uint("attempts")?,
+                cause: rec.str("cause")?.to_owned(),
+                message: rec.str("message")?.to_owned(),
             });
         }
-        other => return Err(format!("unknown journal line kind {other:?}: {line}")),
+        other => return Err(format!("unknown journal line kind {other:?}")),
     }
     Ok(())
 }
@@ -751,20 +687,23 @@ impl JournalWriter {
             .open(path)
             .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         let mut w = JournalWriter { file };
-        w.line(&format!(
-            "{{\"fabric\":\"run\",\"version\":{JOURNAL_VERSION},\"grid\":\"{grid:016x}\",\"cells\":{cells}}}"
-        ))?;
+        w.append(|w| {
+            w.str("fabric", "run")
+                .u64("version", JOURNAL_VERSION)
+                .hex("grid", grid)
+                .u64("cells", cells as u64)
+        })?;
         Ok(w)
     }
 
-    fn line(&mut self, json: &str) -> Result<(), String> {
+    fn append(
+        &mut self,
+        fields: impl FnOnce(LineWriter<'_>) -> LineWriter<'_>,
+    ) -> Result<(), String> {
         // One write_all + flush per line: after a kill, the journal holds
         // whole lines plus at most one torn tail.
-        let mut buf = String::with_capacity(json.len() + 1);
-        buf.push_str(json);
-        buf.push('\n');
         self.file
-            .write_all(buf.as_bytes())
+            .write_all(framed(fields).as_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| format!("journal write failed: {e}"))
     }
@@ -782,15 +721,7 @@ impl JournalWriter {
         attempts: u32,
         payload: &[JournalValue],
     ) -> Result<(), String> {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"fabric\":\"done\",\"id\":\"{id}\",\"label\":\"{}\",\"seed\":{seed},\"attempts\":{attempts},\"payload\":",
-            esc(label)
-        );
-        render_payload(payload, &mut out);
-        out.push('}');
-        self.line(&out)
+        self.append(|w| done_fields(w, "fabric", id, label, seed, attempts, payload))
     }
 
     /// Appends a `quarantined` record for an exhausted cell.
@@ -807,12 +738,12 @@ impl JournalWriter {
         cause: &str,
         message: &str,
     ) -> Result<(), String> {
-        self.line(&format!(
-            "{{\"fabric\":\"quarantined\",\"id\":\"{id}\",\"label\":\"{}\",\"seed\":{seed},\
-             \"attempts\":{attempts},\"cause\":\"{cause}\",\"message\":\"{}\"}}",
-            esc(label),
-            esc(message)
-        ))
+        self.append(|w| {
+            cell_fields(w, "fabric", "quarantined", id, label, seed)
+                .u64("attempts", u64::from(attempts))
+                .str("cause", cause)
+                .str("message", message)
+        })
     }
 }
 
@@ -1020,14 +951,36 @@ mod tests {
             String::from("c]d"),
             String::from("e\"f\\g"),
         ]);
-        let mut line = String::from(
-            "{\"fabric\":\"done\",\"id\":\"0000000000000001\",\"label\":\"x\",\"seed\":0,\"attempts\":1,\"payload\":",
+        let one = CellId::parse("0000000000000001").expect("id");
+        let line = framed(|w| done_fields(w, "fabric", one, "x", 0, 1, &payload));
+        assert_eq!(
+            line,
+            "{\"fabric\":\"done\",\"id\":\"0000000000000001\",\"label\":\"x\",\"seed\":0,\"attempts\":1,\"payload\":[3,\"a,b\",\"c]d\",\"e\\\"f\\\\g\"]}\n"
         );
-        render_payload(&payload, &mut line);
-        line.push('}');
-        let parsed = parse_payload(&line).expect("parse");
+        let parsed =
+            read_done(&mut record::read(line.trim_end()).expect("read")).expect("done").payload;
         assert_eq!(parsed, payload);
         let decoded: Vec<String> = decode_payload(&parsed).expect("decode");
         assert_eq!(decoded, vec!["a,b", "c]d", "e\"f\\g"]);
+    }
+
+    /// Whole or rejected: a kill can cut a line anywhere, and every cut must
+    /// read as torn — never as a shorter, valid-looking record.
+    #[test]
+    fn every_proper_prefix_of_a_done_line_is_torn_at_the_tail_and_corrupt_mid_file() {
+        let head = "{\"fabric\":\"run\",\"version\":1,\"grid\":\"00000000000000ff\",\"cells\":2}\n";
+        let payload = encode_payload(&(1.5f64, String::from("s")));
+        let done = framed(|w| done_fields(w, "fabric", id(0), "a \"q\" 𝕏", 7, 1, &payload));
+        let done = done.trim_end();
+        for cut in (1..done.len()).filter(|&i| done.is_char_boundary(i)) {
+            let torn = &done[..cut];
+            let replay = parse_journal(&format!("{head}{torn}")).expect("a torn tail is tolerated");
+            assert_eq!(replay.torn_tail.as_deref(), Some(torn), "cut at {cut}");
+            assert!(replay.done.is_empty(), "cut at {cut} replayed a cell: {torn}");
+            let err = parse_journal(&format!("{head}{torn}\n{done}\n")).unwrap_err();
+            assert!(err.contains("journal line 2"), "cut at {cut}: {err}");
+        }
+        let whole = parse_journal(&format!("{head}{done}")).expect("whole");
+        assert!(whole.torn_tail.is_none() && whole.done.len() == 1);
     }
 }

@@ -231,22 +231,13 @@ pub(crate) fn write_artifact(
         }
         None => {
             let path = dir.join(format!("quarantine-{}.jsonl", planned.id));
-            std::fs::create_dir_all(dir)
-                .and_then(|()| {
-                    std::fs::write(
-                        &path,
-                        format!(
-                            "{{\"fabric\":\"quarantine\",\"id\":\"{}\",\"label\":\"{}\",\"seed\":{},\
-                             \"cause\":\"{}\",\"message\":\"{}\"}}\n",
-                            planned.id,
-                            repro::esc(&planned.label),
-                            planned.seed,
-                            cause.as_str(),
-                            repro::esc(message)
-                        ),
-                    )
-                })
-                .map(|()| path)
+            let PlannedCell { id, label, seed, .. } = planned;
+            let stub = journal::framed(|w| {
+                journal::cell_fields(w, "fabric", "quarantine", *id, label, *seed)
+                    .str("cause", cause.as_str())
+                    .str("message", message)
+            });
+            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, stub)).map(|()| path)
         }
     };
     match result {

@@ -17,36 +17,42 @@ pub mod fig17;
 use crate::fabric::{FabricCell, Fingerprint};
 use crate::Scale;
 
-/// A named figure harness entry point.
-type FigRunner = (&'static str, fn(Scale) -> String);
+/// A figure harness entry point: module name (the `--only` key), report
+/// label, runner.
+type FigRunner = (&'static str, &'static str, fn(Scale) -> String);
 
 /// Every figure harness, in report order.
 const FIGS: &[FigRunner] = &[
-    ("Fig 1", fig01::run),
-    ("Fig 2", fig02::run),
-    ("Fig 3", fig03::run),
-    ("Fig 4", fig04::run),
-    ("Fig 6", fig06::run),
-    ("Fig 7", fig07::run),
-    ("Fig 8", fig08::run),
-    ("Fig 9", fig09::run),
-    ("Fig 10", fig10::run),
-    ("Fig 12-14", fig12_14::run),
-    ("Fig 15", fig15::run),
-    ("Fig 16", fig16::run),
-    ("Fig 17", fig17::run),
+    ("fig01", "Fig 1", fig01::run),
+    ("fig02", "Fig 2", fig02::run),
+    ("fig03", "Fig 3", fig03::run),
+    ("fig04", "Fig 4", fig04::run),
+    ("fig06", "Fig 6", fig06::run),
+    ("fig07", "Fig 7", fig07::run),
+    ("fig08", "Fig 8", fig08::run),
+    ("fig09", "Fig 9", fig09::run),
+    ("fig10", "Fig 10", fig10::run),
+    ("fig12_14", "Fig 12-14", fig12_14::run),
+    ("fig15", "Fig 15", fig15::run),
+    ("fig16", "Fig 16", fig16::run),
+    ("fig17", "Fig 17", fig17::run),
 ];
 
 /// Runs every figure harness at the given scale, returning the concatenated
 /// report (the `figures` bench target uses `Scale::Smoke`).
 pub fn run_all(scale: Scale) -> String {
     let mut out = String::new();
-    for &(name, f) in FIGS {
+    for &(_, name, f) in FIGS {
         out.push_str(&format!("==== {name} ====\n"));
         out.push_str(&f(scale));
         out.push('\n');
     }
     out
+}
+
+fn fig_cell(scale: Scale, &(_, name, f): &FigRunner) -> FabricCell<String> {
+    FabricCell::new(name, 0, move || f(scale))
+        .config(Fingerprint::new().str("figs").str(scale.name()).str(name))
 }
 
 /// The same harnesses as independent fabric cells (label = figure name,
@@ -57,10 +63,46 @@ pub fn run_all(scale: Scale) -> String {
 /// config fingerprint, so a journal written at one scale refuses to resume
 /// a sweep at another.
 pub fn fig_cells(scale: Scale) -> Vec<FabricCell<String>> {
-    FIGS.iter()
-        .map(|&(name, f)| {
-            FabricCell::new(name, 0, move || f(scale))
-                .config(Fingerprint::new().str("figs").str(scale.name()).str(name))
-        })
-        .collect()
+    FIGS.iter().map(|fig| fig_cell(scale, fig)).collect()
+}
+
+/// [`fig_cells`] restricted to a comma-separated list of module names
+/// (`fig06,fig12_14`), in report order whatever order the list is in.
+///
+/// # Errors
+///
+/// On a name that is not a figure module; the message lists the names.
+pub fn fig_cells_only(scale: Scale, only: &str) -> Result<Vec<FabricCell<String>>, String> {
+    let wanted: Vec<&str> = only.split(',').collect();
+    if let Some(bad) = wanted.iter().find(|w| !FIGS.iter().any(|(key, ..)| key == *w)) {
+        let known: Vec<&str> = FIGS.iter().map(|&(key, ..)| key).collect();
+        return Err(format!("--only: unknown figure {bad:?} (known: {})", known.join(", ")));
+    }
+    Ok(FIGS
+        .iter()
+        .filter(|(key, ..)| wanted.contains(key))
+        .map(|fig| fig_cell(scale, fig))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_selects_in_report_order_and_names_what_it_does_not_know() {
+        let labels = |only: &str| -> Vec<String> {
+            fig_cells_only(Scale::Smoke, only).expect(only).into_iter().map(|c| c.label).collect()
+        };
+        assert_eq!(labels("fig12_14,fig06"), ["Fig 6", "Fig 12-14"]);
+        assert_eq!(labels("fig01"), ["Fig 1"]);
+        // A selected cell is the same cell the full grid holds.
+        let full = fig_cells(Scale::Smoke);
+        let one = fig_cells_only(Scale::Smoke, "fig17").expect("fig17");
+        assert_eq!(one[0].id(), full.last().expect("13 figures").id());
+        for bad in ["fig05", "", "fig06,", "Fig 6"] {
+            let err = fig_cells_only(Scale::Smoke, bad).map(|_| ()).unwrap_err();
+            assert!(err.contains("fig12_14") && err.contains("unknown figure"), "{err}");
+        }
+    }
 }

@@ -1,9 +1,10 @@
 //! # bench-harness — figure regeneration harnesses
 //!
 //! One module per figure of the paper's evaluation. Every module exposes
-//! `run(scale) -> String` returning the printed table; the `src/bin/fig*`
-//! binaries are thin wrappers, and the custom `figures` bench target runs
-//! every module at [`Scale::Smoke`] so `cargo bench` regenerates all rows.
+//! `run(scale) -> String` returning the printed table; `figures_all`
+//! (optionally `--only fig06,fig09`) is the one binary in front of them, and
+//! the custom `figures` bench target runs every module at [`Scale::Smoke`]
+//! so `cargo bench` regenerates all rows.
 //!
 //! Scales:
 //! * [`Scale::Smoke`] — seconds; CI and `cargo bench`.
@@ -30,12 +31,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--smoke`/`--quick`/`--full` (and a tolerated `--jobs N`) from
-    /// the process arguments, defaulting to `Quick`.
-    pub fn from_args() -> Scale {
-        Cli::from_args().scale
-    }
-
     /// A stable lowercase name, used in fabric config fingerprints (a
     /// journal written at one scale must not resume a sweep at another).
     pub fn name(self) -> &'static str {
@@ -101,7 +96,13 @@ impl Cli {
     /// (or `--spool=DIR`), and the worker-side `--dist-*` flags from the
     /// process arguments. Exits with a usage message on anything else.
     pub fn from_args() -> Cli {
-        Cli::parse(std::env::args().skip(1)).unwrap_or_else(|bad| {
+        Cli::from_arg_list(std::env::args().skip(1))
+    }
+
+    /// [`Cli::from_args`] over an explicit argument list, for a binary that
+    /// strips a flag of its own first (`figures_all --only`).
+    pub fn from_arg_list(args: impl Iterator<Item = String>) -> Cli {
+        Cli::parse(args).unwrap_or_else(|bad| {
             eprintln!(
                 "unknown argument `{bad}` \
                  (expected --smoke/--quick/--full/--jobs N/--trace DIR/--journal PATH/\

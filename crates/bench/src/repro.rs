@@ -9,9 +9,8 @@
 //! re-executes the spec deterministically and checks that the same violation
 //! recurs at the same simulated time.
 //!
-//! Artifact format — flat one-line JSON objects, parsed with the same
-//! key-scan helpers as the trace summarizer ([`obs::json_str_field`] /
-//! [`obs::json_u64_field`]):
+//! Artifact format — flat one-line records, written and read through
+//! [`obs::record`] like every other JSONL file in the repo:
 //!
 //! ```text
 //! {"repro":"spec","seed":7,"transfer_pkts":20000,"cc":"lia","horizon_ns":...}
@@ -28,7 +27,8 @@
 use congestion::AlgorithmKind;
 use mptcp_energy::CcChoice;
 use netsim::{FaultAction, FaultScript, LossModel, ReorderModel, SimDuration, SimTime, Simulator};
-use obs::{json_str_field, json_u64_field, RingSink, TraceEvent};
+use obs::record::{self, LineWriter, Record};
+use obs::{RingSink, TraceEvent};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -163,230 +163,128 @@ pub fn artifact_dir() -> Option<PathBuf> {
     std::env::var_os("SWEEP_ARTIFACTS").map(Into::into)
 }
 
-/// JSON string escaping shared with the fabric journal (`crate::fabric`).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`esc`]; shared with the fabric journal.
-pub(crate) fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = (&mut chars).take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// Like [`json_str_field`] but honours backslash escapes, so violation
-/// messages containing quotes survive the round trip. Returns the *raw*
-/// (still-escaped) span; pass it through [`unesc`].
-pub(crate) fn json_escaped_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' => escaped = true,
-            '"' => return Some(&rest[..i]),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn fault_json(at: SimTime, action: &FaultAction, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{{\"repro\":\"fault\",\"at_ns\":{}", at.as_nanos());
+fn fault_fields<'a>(w: LineWriter<'a>, at: SimTime, action: &FaultAction) -> LineWriter<'a> {
+    let w = w.str("repro", "fault").u64("at_ns", at.as_nanos());
+    let head =
+        |action: &str, link: netsim::LinkId| w.str("action", action).u64("link", link as u64);
     match action {
         FaultAction::SetLoss { link, model } => {
-            let _ = write!(out, ",\"action\":\"set_loss\",\"link\":{link}");
+            let w = head("set_loss", *link);
             match model {
-                LossModel::None => out.push_str(",\"model\":\"none\""),
-                LossModel::Iid { p } => {
-                    let _ = write!(out, ",\"model\":\"iid\",\"p_bits\":{}", p.to_bits());
-                }
-                LossModel::GilbertElliott { p_good_bad, p_bad_good, loss_good, loss_bad } => {
-                    let _ = write!(
-                        out,
-                        ",\"model\":\"ge\",\"pgb_bits\":{},\"pbg_bits\":{},\
-                         \"lg_bits\":{},\"lb_bits\":{}",
-                        p_good_bad.to_bits(),
-                        p_bad_good.to_bits(),
-                        loss_good.to_bits(),
-                        loss_bad.to_bits()
-                    );
-                }
+                LossModel::None => w.str("model", "none"),
+                LossModel::Iid { p } => w.str("model", "iid").f64_bits("p_bits", *p),
+                LossModel::GilbertElliott { p_good_bad, p_bad_good, loss_good, loss_bad } => w
+                    .str("model", "ge")
+                    .f64_bits("pgb_bits", *p_good_bad)
+                    .f64_bits("pbg_bits", *p_bad_good)
+                    .f64_bits("lg_bits", *loss_good)
+                    .f64_bits("lb_bits", *loss_bad),
             }
         }
-        FaultAction::SetBandwidth { link, bps } => {
-            let _ = write!(out, ",\"action\":\"set_bandwidth\",\"link\":{link},\"bps\":{bps}");
-        }
+        FaultAction::SetBandwidth { link, bps } => head("set_bandwidth", *link).u64("bps", *bps),
         FaultAction::SetPropagation { link, propagation } => {
-            let _ = write!(
-                out,
-                ",\"action\":\"set_propagation\",\"link\":{link},\"prop_ns\":{}",
-                propagation.as_nanos()
-            );
+            head("set_propagation", *link).u64("prop_ns", propagation.as_nanos())
         }
-        FaultAction::LinkDown { link } => {
-            let _ = write!(out, ",\"action\":\"link_down\",\"link\":{link}");
-        }
-        FaultAction::LinkUp { link } => {
-            let _ = write!(out, ",\"action\":\"link_up\",\"link\":{link}");
-        }
+        FaultAction::LinkDown { link } => head("link_down", *link),
+        FaultAction::LinkUp { link } => head("link_up", *link),
         FaultAction::SetReorder { link, model } => {
-            let _ = write!(out, ",\"action\":\"set_reorder\",\"link\":{link}");
+            let w = head("set_reorder", *link);
             match model {
-                ReorderModel::None => out.push_str(",\"model\":\"none\""),
-                ReorderModel::Uniform { p, max_extra } => {
-                    let _ = write!(
-                        out,
-                        ",\"model\":\"uniform\",\"p_bits\":{},\"max_extra_ns\":{}",
-                        p.to_bits(),
-                        max_extra.as_nanos()
-                    );
-                }
+                ReorderModel::None => w.str("model", "none"),
+                ReorderModel::Uniform { p, max_extra } => w
+                    .str("model", "uniform")
+                    .f64_bits("p_bits", *p)
+                    .u64("max_extra_ns", max_extra.as_nanos()),
             }
         }
         FaultAction::SetDuplicate { link, p } => {
-            let _ = write!(
-                out,
-                ",\"action\":\"set_duplicate\",\"link\":{link},\"p_bits\":{}",
-                p.to_bits()
-            );
+            head("set_duplicate", *link).f64_bits("p_bits", *p)
         }
-        FaultAction::SetCorrupt { link, p } => {
-            let _ = write!(
-                out,
-                ",\"action\":\"set_corrupt\",\"link\":{link},\"p_bits\":{}",
-                p.to_bits()
-            );
-        }
+        FaultAction::SetCorrupt { link, p } => head("set_corrupt", *link).f64_bits("p_bits", *p),
     }
-    out.push('}');
 }
 
-fn parse_fault(line: &str) -> Result<(SimTime, FaultAction), String> {
-    let at = SimTime::from_nanos(
-        json_u64_field(line, "at_ns").ok_or_else(|| format!("fault line missing at_ns: {line}"))?,
-    );
-    let link = json_u64_field(line, "link")
-        .ok_or_else(|| format!("fault line missing link: {line}"))?
-        as netsim::LinkId;
-    let bits = |key: &str| -> Result<f64, String> {
-        json_u64_field(line, key)
-            .map(f64::from_bits)
-            .ok_or_else(|| format!("fault line missing {key}: {line}"))
+fn parse_fault(rec: &Record<'_>) -> Result<(SimTime, FaultAction), String> {
+    let at = SimTime::from_nanos(rec.uint("at_ns")?);
+    let link: netsim::LinkId = rec.uint("link")?;
+    // The model constructors panic outside [0, 1]; artifacts are
+    // hand-editable, so the range is checked here.
+    let prob = |key: &str| -> Result<f64, String> {
+        let p = f64::from_bits(rec.uint(key)?);
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(format!("{key} decodes to {p}, not a probability"))
+        }
     };
-    let action = match json_str_field(line, "action") {
-        Some("set_loss") => {
-            let model = match json_str_field(line, "model") {
-                Some("none") => LossModel::None,
-                Some("iid") => LossModel::iid(bits("p_bits")?),
-                Some("ge") => LossModel::gilbert_elliott(
-                    bits("pgb_bits")?,
-                    bits("pbg_bits")?,
-                    bits("lg_bits")?,
-                    bits("lb_bits")?,
+    let action = match rec.str("action")? {
+        "set_loss" => {
+            let model = match rec.str("model")? {
+                "none" => LossModel::None,
+                "iid" => LossModel::iid(prob("p_bits")?),
+                "ge" => LossModel::gilbert_elliott(
+                    prob("pgb_bits")?,
+                    prob("pbg_bits")?,
+                    prob("lg_bits")?,
+                    prob("lb_bits")?,
                 ),
-                other => return Err(format!("unknown loss model {other:?}: {line}")),
+                other => return Err(format!("unknown loss model {other:?}")),
             };
             FaultAction::SetLoss { link, model }
         }
-        Some("set_bandwidth") => FaultAction::SetBandwidth {
+        "set_bandwidth" => FaultAction::SetBandwidth { link, bps: rec.uint("bps")? },
+        "set_propagation" => FaultAction::SetPropagation {
             link,
-            bps: json_u64_field(line, "bps")
-                .ok_or_else(|| format!("fault line missing bps: {line}"))?,
+            propagation: SimDuration::from_nanos(rec.uint("prop_ns")?),
         },
-        Some("set_propagation") => FaultAction::SetPropagation {
-            link,
-            propagation: SimDuration::from_nanos(
-                json_u64_field(line, "prop_ns")
-                    .ok_or_else(|| format!("fault line missing prop_ns: {line}"))?,
-            ),
-        },
-        Some("link_down") => FaultAction::LinkDown { link },
-        Some("link_up") => FaultAction::LinkUp { link },
-        Some("set_reorder") => {
-            let model = match json_str_field(line, "model") {
-                Some("none") => ReorderModel::None,
-                Some("uniform") => ReorderModel::uniform(
-                    bits("p_bits")?,
-                    SimDuration::from_nanos(
-                        json_u64_field(line, "max_extra_ns")
-                            .ok_or_else(|| format!("fault line missing max_extra_ns: {line}"))?,
-                    ),
+        "link_down" => FaultAction::LinkDown { link },
+        "link_up" => FaultAction::LinkUp { link },
+        "set_reorder" => {
+            let model = match rec.str("model")? {
+                "none" => ReorderModel::None,
+                "uniform" => ReorderModel::uniform(
+                    prob("p_bits")?,
+                    SimDuration::from_nanos(rec.uint("max_extra_ns")?),
                 ),
-                other => return Err(format!("unknown reorder model {other:?}: {line}")),
+                other => return Err(format!("unknown reorder model {other:?}")),
             };
             FaultAction::SetReorder { link, model }
         }
-        Some("set_duplicate") => FaultAction::SetDuplicate { link, p: bits("p_bits")? },
-        Some("set_corrupt") => FaultAction::SetCorrupt { link, p: bits("p_bits")? },
-        other => return Err(format!("unknown fault action {other:?}: {line}")),
+        "set_duplicate" => FaultAction::SetDuplicate { link, p: prob("p_bits")? },
+        "set_corrupt" => FaultAction::SetCorrupt { link, p: prob("p_bits")? },
+        other => return Err(format!("unknown fault action {other:?}")),
     };
     Ok((at, action))
 }
 
 /// Renders the artifact for a violating run as a JSONL string.
 pub fn render_artifact(spec: &ReproSpec, outcome: &ReproOutcome) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"repro\":\"spec\",\"seed\":{},\"transfer_pkts\":{},\"cc\":\"{}\",\"horizon_ns\":{}",
-        spec.seed,
-        spec.transfer_pkts,
-        esc(&spec.cc),
-        SimDuration::from_secs_f64(spec.horizon_s).as_nanos()
-    );
+    let mut w = record::line(&mut out)
+        .str("repro", "spec")
+        .u64("seed", spec.seed)
+        .u64("transfer_pkts", spec.transfer_pkts)
+        .str("cc", &spec.cc)
+        .u64("horizon_ns", SimDuration::from_secs_f64(spec.horizon_s).as_nanos());
     if let Some(k) = spec.dead_after_backoffs {
-        let _ = write!(out, ",\"dead_after_backoffs\":{k}");
+        w = w.u64("dead_after_backoffs", u64::from(k));
     }
     if let Some(fail_at) = spec.fail_at_s {
-        let _ = write!(out, ",\"fail_at_ns\":{}", SimDuration::from_secs_f64(fail_at).as_nanos());
+        w = w.u64("fail_at_ns", SimDuration::from_secs_f64(fail_at).as_nanos());
     }
-    out.push_str("}\n");
+    w.end();
+    out.push('\n');
     for ev in spec.script.events() {
-        fault_json(ev.at, &ev.action, &mut out);
+        fault_fields(record::line(&mut out), ev.at, &ev.action).end();
         out.push('\n');
     }
     if let Some(v) = &outcome.violation {
-        let _ = writeln!(
-            out,
-            "{{\"repro\":\"violation\",\"at_ns\":{},\"message\":\"{}\"}}",
-            v.at_ns,
-            esc(&v.message)
-        );
+        record::line(&mut out)
+            .str("repro", "violation")
+            .u64("at_ns", v.at_ns)
+            .str("message", &v.message)
+            .end();
+        out.push('\n');
     }
     for ev in &outcome.trace_tail {
         ev.to_json(&mut out);
@@ -429,40 +327,57 @@ pub fn dump_artifact_named(
 }
 
 /// Parses an artifact back into its spec and recorded violation.
+///
+/// # Errors
+///
+/// On a `{"repro":…` line that is not a whole record (artifacts are
+/// evidence, and a silently skipped torn fault line would replay a different
+/// scenario), on missing or out-of-range fields, and when there is no spec
+/// line. Every other line is the trace tail — context, not config — and is
+/// skipped even when it does not read: `dump_artifact_named` does not write
+/// atomically, so a kill can tear the last tail line.
 pub fn parse_artifact(text: &str) -> Result<(ReproSpec, Option<ViolationRecord>), String> {
     let mut spec: Option<ReproSpec> = None;
     let mut violation = None;
-    for line in text.lines() {
-        match json_str_field(line, "repro") {
-            Some("spec") => {
-                let need =
-                    |key: &str| json_u64_field(line, key).ok_or(format!("spec missing {key}"));
+    for (i, line) in text.lines().enumerate() {
+        let rec = match record::read(line) {
+            Ok(rec) => rec,
+            Err(e) if record::opens_with(line, "repro") => {
+                return Err(format!("artifact line {}: {e}", i + 1));
+            }
+            Err(_) => continue,
+        };
+        match rec.str("repro") {
+            Ok("spec") => {
+                let tag = |e: String| format!("spec {e}");
                 spec = Some(ReproSpec {
-                    seed: need("seed")?,
-                    transfer_pkts: need("transfer_pkts")?,
-                    cc: json_str_field(line, "cc").map(unesc).ok_or("spec missing cc")?,
-                    dead_after_backoffs: json_u64_field(line, "dead_after_backoffs")
-                        .map(|k| k as u32),
-                    horizon_s: SimDuration::from_nanos(need("horizon_ns")?).as_secs_f64(),
-                    fail_at_s: json_u64_field(line, "fail_at_ns")
+                    seed: rec.uint("seed").map_err(tag)?,
+                    transfer_pkts: rec.uint("transfer_pkts").map_err(tag)?,
+                    cc: rec.str("cc").map_err(tag)?.to_owned(),
+                    dead_after_backoffs: rec.opt_uint("dead_after_backoffs").map_err(tag)?,
+                    horizon_s: SimDuration::from_nanos(rec.uint("horizon_ns").map_err(tag)?)
+                        .as_secs_f64(),
+                    fail_at_s: rec
+                        .opt_uint("fail_at_ns")
+                        .map_err(tag)?
                         .map(|ns| SimDuration::from_nanos(ns).as_secs_f64()),
                     script: FaultScript::new(),
                 });
             }
-            Some("fault") => {
+            Ok("fault") => {
                 let spec = spec.as_mut().ok_or("fault line before spec line")?;
-                let (at, action) = parse_fault(line)?;
+                let (at, action) =
+                    parse_fault(&rec).map_err(|e| format!("fault line {e}: {line}"))?;
                 spec.script = std::mem::take(&mut spec.script).at(at, action);
             }
-            Some("violation") => {
+            Ok("violation") => {
+                let tag = |e: String| format!("violation {e}");
                 violation = Some(ViolationRecord {
-                    at_ns: json_u64_field(line, "at_ns").ok_or("violation missing at_ns")?,
-                    message: json_escaped_str_field(line, "message")
-                        .map(unesc)
-                        .ok_or("violation missing message")?,
+                    at_ns: rec.uint("at_ns").map_err(tag)?,
+                    message: rec.str("message").map_err(tag)?.to_owned(),
                 });
             }
-            _ => {} // trace tail / unknown lines — context, not config
+            _ => {} // trace tail / unknown records — context, not config
         }
     }
     Ok((spec.ok_or("artifact has no spec line")?, violation))

@@ -14,8 +14,6 @@
 //! domain — only *whether/when* work re-runs depends on the clock, never
 //! any cell's output — so relative wall time is the honest axis here.
 
-use std::fmt::Write as _;
-
 /// One supervisor decision, rendered to the `events.jsonl` audit log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DistEvent {
@@ -98,63 +96,32 @@ impl DistEvent {
     /// Appends this event as one JSONL line (no trailing newline).
     /// `t_ms` is supervisor wall-clock milliseconds since the run began.
     pub fn to_json(&self, t_ms: u64, out: &mut String) {
-        let _ = write!(out, "{{\"dist_ev\":\"{}\",\"t_ms\":{t_ms}", self.kind());
+        let w = crate::record::line(out).str("dist_ev", self.kind()).u64("t_ms", t_ms);
+        let lease = |shard: usize, gen: u64| w.u64("shard", shard as u64).u64("gen", gen);
         match self {
             DistEvent::LeaseGranted { shard, gen, worker, cells } => {
-                let _ = write!(
-                    out,
-                    ",\"shard\":{shard},\"gen\":{gen},\"worker\":\"{}\",\"cells\":{cells}",
-                    escape(worker)
-                );
+                lease(*shard, *gen).str("worker", worker).u64("cells", *cells as u64)
             }
             DistEvent::ResponseAccepted { shard, gen, done, failed } => {
-                let _ = write!(
-                    out,
-                    ",\"shard\":{shard},\"gen\":{gen},\"done\":{done},\"failed\":{failed}"
-                );
+                lease(*shard, *gen).u64("done", *done as u64).u64("failed", *failed as u64)
             }
             DistEvent::LeaseRevoked { shard, gen, reason, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"shard\":{shard},\"gen\":{gen},\"reason\":\"{reason}\",\"detail\":\"{}\"",
-                    escape(detail)
-                );
+                lease(*shard, *gen).str("reason", reason).str("detail", detail)
             }
             DistEvent::CellHarvested { shard, gen, cell }
             | DistEvent::DuplicateCell { shard, gen, cell } => {
-                let _ = write!(out, ",\"shard\":{shard},\"gen\":{gen},\"cell\":\"{cell}\"");
+                lease(*shard, *gen).str("cell", cell)
             }
-            DistEvent::LateResponse { shard, gen } => {
-                let _ = write!(out, ",\"shard\":{shard},\"gen\":{gen}");
-            }
+            DistEvent::LateResponse { shard, gen } => lease(*shard, *gen),
         }
-        out.push('}');
+        .end();
     }
-}
-
-/// Minimal JSON string escaping for the audit log (quotes, backslashes,
-/// control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::{json_str_field, json_u64_field};
+    use crate::record;
 
     #[test]
     fn events_render_parseable_jsonl() {
@@ -166,18 +133,20 @@ mod tests {
         };
         let mut out = String::new();
         ev.to_json(1234, &mut out);
-        assert_eq!(json_str_field(&out, "dist_ev"), Some("lease_revoked"));
-        assert_eq!(json_u64_field(&out, "t_ms"), Some(1234));
-        assert_eq!(json_u64_field(&out, "shard"), Some(2));
-        assert_eq!(json_str_field(&out, "reason"), Some("stall"));
+        let rec = record::read(&out).expect("parseable");
+        assert_eq!(rec.str("dist_ev"), Ok("lease_revoked"));
+        assert_eq!(rec.uint("t_ms"), Ok(1234u64));
+        assert_eq!(rec.uint("shard"), Ok(2u64));
+        assert_eq!(rec.str("reason"), Ok("stall"));
         assert!(out.contains("\\\"live\\\""), "{out}");
         assert!(!out.contains('\n'));
 
         let ev = DistEvent::LeaseGranted { shard: 0, gen: 0, worker: "w0".into(), cells: 4 };
         let mut out = String::new();
         ev.to_json(0, &mut out);
-        assert_eq!(json_str_field(&out, "worker"), Some("w0"));
-        assert_eq!(json_u64_field(&out, "cells"), Some(4));
+        let rec = record::read(&out).expect("parseable");
+        assert_eq!(rec.str("worker"), Ok("w0"));
+        assert_eq!(rec.uint("cells"), Ok(4u64));
     }
 
     #[test]

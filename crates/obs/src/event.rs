@@ -226,113 +226,57 @@ impl TraceEvent {
         }
     }
 
-    /// Appends the event as one flat JSON object (no trailing newline) to
-    /// `out`. Hand-rolled: field names and values never need escaping, so a
-    /// serializer dependency would buy nothing.
+    /// Appends the event as one flat record (no trailing newline) to `out`
+    /// through [`crate::record`], without allocating.
     pub fn to_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let ev = self.kind_name();
+        let w = crate::record::line(out).str("ev", self.kind_name()).u64("t_ns", self.t_ns());
         match *self {
-            TraceEvent::Enqueue { t_ns, link, pkt_id, qlen } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"link\":{link},\"pkt\":{pkt_id},\"qlen\":{qlen}}}"
-                );
+            TraceEvent::Enqueue { link, pkt_id, qlen, .. } => {
+                w.u64("link", link).u64("pkt", pkt_id).u64("qlen", qlen as u64)
             }
-            TraceEvent::Drop { t_ns, link, pkt_id, cause } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"link\":{link},\"pkt\":{pkt_id},\"cause\":\"{}\"}}",
-                    cause.name()
-                );
+            TraceEvent::Drop { link, pkt_id, cause, .. } => {
+                w.u64("link", link).u64("pkt", pkt_id).str("cause", cause.name())
             }
-            TraceEvent::FastRexmit { t_ns, conn, subflow, seq } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"seq\":{seq}}}"
-                );
+            TraceEvent::FastRexmit { conn, subflow, seq, .. }
+            | TraceEvent::SpuriousRexmit { conn, subflow, seq, .. } => {
+                w.u64("conn", conn).u64("subflow", subflow as u64).u64("seq", seq)
             }
-            TraceEvent::RtoFired { t_ns, conn, subflow, backoff } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"backoff\":{backoff}}}"
-                );
+            TraceEvent::RtoFired { conn, subflow, backoff, .. }
+            | TraceEvent::ZeroWindowProbe { conn, subflow, backoff, .. } => w
+                .u64("conn", conn)
+                .u64("subflow", subflow as u64)
+                .u64("backoff", u64::from(backoff)),
+            TraceEvent::RecoveryEnter { conn, subflow, recover, cause, .. } => w
+                .u64("conn", conn)
+                .u64("subflow", subflow as u64)
+                .u64("recover", recover)
+                .str("cause", cause.name()),
+            TraceEvent::RecoveryExit { conn, subflow, cum_ack, .. } => {
+                w.u64("conn", conn).u64("subflow", subflow as u64).u64("cum_ack", cum_ack)
             }
-            TraceEvent::SpuriousRexmit { t_ns, conn, subflow, seq } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"seq\":{seq}}}"
-                );
+            TraceEvent::CwndChange { conn, subflow, cwnd_pkts, .. } => {
+                w.u64("conn", conn).u64("subflow", subflow as u64).f64_dec("cwnd_pkts", cwnd_pkts)
             }
-            TraceEvent::RecoveryEnter { t_ns, conn, subflow, recover, cause } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"recover\":{recover},\"cause\":\"{}\"}}",
-                    cause.name()
-                );
+            TraceEvent::SubflowDead { conn, subflow, .. }
+            | TraceEvent::SubflowRevived { conn, subflow, .. } => {
+                w.u64("conn", conn).u64("subflow", subflow as u64)
             }
-            TraceEvent::RecoveryExit { t_ns, conn, subflow, cum_ack } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"cum_ack\":{cum_ack}}}"
-                );
+            TraceEvent::SchedulerPick { conn, subflow, data_seq, .. } => {
+                w.u64("conn", conn).u64("subflow", subflow as u64).u64("data_seq", data_seq)
             }
-            TraceEvent::CwndChange { t_ns, conn, subflow, cwnd_pkts } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"cwnd_pkts\":{cwnd_pkts}}}"
-                );
+            TraceEvent::Fault { link, kind, .. } => w.u64("link", link).str("kind", kind.name()),
+            TraceEvent::Impair { link, pkt_id, kind, .. } => {
+                w.u64("link", link).u64("pkt", pkt_id).str("kind", kind.name())
             }
-            TraceEvent::SubflowDead { t_ns, conn, subflow }
-            | TraceEvent::SubflowRevived { t_ns, conn, subflow } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow}}}"
-                );
+            TraceEvent::SegDiscard { conn, pkt_id, cause, .. } => {
+                w.u64("conn", conn).u64("pkt", pkt_id).str("cause", cause.name())
             }
-            TraceEvent::SchedulerPick { t_ns, conn, subflow, data_seq } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"data_seq\":{data_seq}}}"
-                );
-            }
-            TraceEvent::Fault { t_ns, link, kind } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"link\":{link},\"kind\":\"{}\"}}",
-                    kind.name()
-                );
-            }
-            TraceEvent::Impair { t_ns, link, pkt_id, kind } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"link\":{link},\"pkt\":{pkt_id},\"kind\":\"{}\"}}",
-                    kind.name()
-                );
-            }
-            TraceEvent::SegDiscard { t_ns, conn, pkt_id, cause } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"pkt\":{pkt_id},\"cause\":\"{}\"}}",
-                    cause.name()
-                );
-            }
-            TraceEvent::ZeroWindowStall { t_ns, conn } => {
-                let _ = write!(out, "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn}}}");
-            }
-            TraceEvent::ZeroWindowProbe { t_ns, conn, subflow, backoff } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"subflow\":{subflow},\"backoff\":{backoff}}}"
-                );
-            }
-            TraceEvent::ZeroWindowResume { t_ns, conn, rwnd_pkts } => {
-                let _ = write!(
-                    out,
-                    "{{\"ev\":\"{ev}\",\"t_ns\":{t_ns},\"conn\":{conn},\"rwnd_pkts\":{rwnd_pkts}}}"
-                );
+            TraceEvent::ZeroWindowStall { conn, .. } => w.u64("conn", conn),
+            TraceEvent::ZeroWindowResume { conn, rwnd_pkts, .. } => {
+                w.u64("conn", conn).u64("rwnd_pkts", rwnd_pkts)
             }
         }
+        .end();
     }
 }
 

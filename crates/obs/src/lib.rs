@@ -16,6 +16,8 @@
 //! - [`counters`] — always-on per-link / per-subflow / global counter
 //!   snapshots assembled after a run, carried through
 //!   `bench_harness::runner::RunSummary`;
+//! - [`record`] — the one-line JSON dialect every trace, journal, spool
+//!   and artifact line is written and read through;
 //! - [`summary`] — the JSONL summarizer behind the `trace_dump` binary.
 //!
 //! ## Determinism contract
@@ -29,6 +31,7 @@
 pub mod counters;
 pub mod dist_event;
 pub mod event;
+pub mod record;
 pub mod sink;
 pub mod summary;
 
@@ -42,4 +45,4 @@ pub use sink::{
     jsonl_sink_in, sanitize_label, trace_path, FilterSink, JsonlSink, NullSink, RingSink, TeeSink,
     TraceSink,
 };
-pub use summary::{json_str_field, json_u64_field, summarize, TraceSummary};
+pub use summary::{summarize, TraceSummary};

@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
+use crate::record::LineWriter;
 
 /// A consumer of trace events. `Send` because simulators (and the sinks they
 /// own) move across sweep-runner worker threads.
@@ -149,19 +150,27 @@ impl<F: FnMut(&TraceEvent) -> bool + Send> TraceSink for FilterSink<F> {
 /// single line buffer.
 pub struct JsonlSink<W: Write + Send> {
     out: W,
-    line: String,
+    buf: String,
 }
 
 impl<W: Write + Send> JsonlSink<W> {
     /// Wraps an arbitrary writer.
     pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out, line: String::with_capacity(160) }
+        JsonlSink { out, buf: String::with_capacity(160) }
     }
 
-    /// Writes a caller-formatted raw JSONL line (used by harnesses that log
-    /// cell-level records alongside simulator events).
-    pub fn raw_line(&mut self, json: &str) {
-        let _ = writeln!(self.out, "{json}");
+    /// Writes one harness-defined record (cell-level results logged
+    /// alongside simulator events): `fields` adds to the writer it is
+    /// handed and returns it; the sink closes and frames the line.
+    pub fn line(&mut self, fields: impl FnOnce(LineWriter<'_>) -> LineWriter<'_>) {
+        self.buf.clear();
+        fields(crate::record::line(&mut self.buf)).end();
+        self.write_line();
+    }
+
+    fn write_line(&mut self) {
+        self.buf.push('\n');
+        let _ = self.out.write_all(self.buf.as_bytes());
     }
 }
 
@@ -174,10 +183,9 @@ impl JsonlSink<BufWriter<File>> {
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, ev: &TraceEvent) {
-        self.line.clear();
-        ev.to_json(&mut self.line);
-        self.line.push('\n');
-        let _ = self.out.write_all(self.line.as_bytes());
+        self.buf.clear();
+        ev.to_json(&mut self.buf);
+        self.write_line();
     }
 
     fn flush(&mut self) {
@@ -273,7 +281,7 @@ mod tests {
         let mut sink = JsonlSink::new(Vec::new());
         sink.record(&ev(1));
         sink.record(&ev(2));
-        sink.raw_line("{\"ev\":\"custom\"}");
+        sink.line(|w| w.str("ev", "custom"));
         sink.flush();
         let text = String::from_utf8(sink.out.clone()).unwrap();
         assert_eq!(text.lines().count(), 3);

@@ -1,31 +1,16 @@
 //! JSONL trace summarizer: the library behind the `trace_dump` binary.
 //!
-//! Parsing is deliberately minimal — traces are flat one-line JSON objects
-//! emitted by [`crate::event::TraceEvent::to_json`] (plus harness-written
-//! `raw_line` records), so field extraction by key scan is exact for our own
-//! output and gracefully lossy for anything else: unknown `"ev"` values are
-//! still counted by kind, and lines without an `"ev"` field are tallied as
+//! Traces are flat one-line records emitted by
+//! [`crate::event::TraceEvent::to_json`] (plus harness-written
+//! [`crate::sink::JsonlSink::line`] records), read back with
+//! [`crate::record::read`]: exact for our own output and gracefully lossy
+//! for anything else — unknown `"ev"` values are still counted by kind, and
+//! lines that are not whole records with an `"ev"` field are tallied as
 //! malformed rather than aborting the summary.
 
+use crate::record;
 use std::collections::BTreeMap;
 use std::io::BufRead;
-
-/// Extracts the string value of `"key":"value"` from a flat JSON line.
-pub fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-/// Extracts the numeric value of `"key":123` from a flat JSON line.
-pub fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
 
 /// Aggregates over one JSONL trace.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -62,26 +47,30 @@ impl TraceSummary {
         if line.is_empty() {
             return;
         }
-        let Some(ev) = json_str_field(line, "ev") else {
+        let Ok(rec) = record::read(line) else {
+            self.malformed_lines += 1;
+            return;
+        };
+        let Ok(ev) = rec.str("ev") else {
             self.malformed_lines += 1;
             return;
         };
         self.events += 1;
         *self.by_kind.entry(ev.to_string()).or_insert(0) += 1;
-        if let Some(t) = json_u64_field(line, "t_ns") {
+        if let Ok(t) = rec.uint("t_ns") {
             self.note_time(t);
         }
         match ev {
             "drop" => {
-                let cause = json_str_field(line, "cause").unwrap_or("unknown").to_string();
+                let cause = rec.str("cause").unwrap_or("unknown").to_string();
                 *self.drops_by_cause.entry(cause).or_insert(0) += 1;
-                if let Some(link) = json_u64_field(line, "link") {
+                if let Ok(link) = rec.uint("link") {
                     *self.drops_by_link.entry(link).or_insert(0) += 1;
                 }
             }
             "recovery_enter" | "rto_fired" => {
-                let conn = json_u64_field(line, "conn").unwrap_or(0);
-                let sf = json_u64_field(line, "subflow").unwrap_or(0);
+                let conn = rec.uint("conn").unwrap_or(0);
+                let sf = rec.uint("subflow").unwrap_or(0);
                 let map = if ev == "recovery_enter" {
                     &mut self.recoveries_by_subflow
                 } else {
@@ -159,17 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn field_extraction_is_exact_on_our_output() {
-        let l =
-            line(&TraceEvent::Drop { t_ns: 17, link: 3, pkt_id: 9, cause: DropCause::Blackout });
-        assert_eq!(json_str_field(&l, "ev"), Some("drop"));
-        assert_eq!(json_str_field(&l, "cause"), Some("blackout"));
-        assert_eq!(json_u64_field(&l, "t_ns"), Some(17));
-        assert_eq!(json_u64_field(&l, "link"), Some(3));
-        assert_eq!(json_u64_field(&l, "missing"), None);
-    }
-
-    #[test]
     fn summary_buckets_drops_and_recoveries() {
         let mut s = TraceSummary::default();
         s.add_line(&line(&TraceEvent::Drop {
@@ -193,9 +171,17 @@ mod tests {
         }));
         s.add_line(&line(&TraceEvent::RtoFired { t_ns: 4, conn: 7, subflow: 1, backoff: 0 }));
         s.add_line("{\"ev\":\"fluid_cell\",\"psi\":0.5}");
+        // A degenerate window is still an event (the one worth finding).
+        s.add_line(&line(&TraceEvent::CwndChange {
+            t_ns: 4,
+            conn: 7,
+            subflow: 1,
+            cwnd_pkts: f64::NAN,
+        }));
         s.add_line("not json at all");
         s.add_line("");
-        assert_eq!(s.events, 5);
+        assert_eq!(s.events, 6);
+        assert_eq!(s.by_kind.get("cwnd_change"), Some(&1));
         assert_eq!(s.malformed_lines, 1);
         assert_eq!(s.drops_by_cause.get("queue_overflow"), Some(&1));
         assert_eq!(s.drops_by_cause.get("blackout"), Some(&1));
