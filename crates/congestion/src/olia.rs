@@ -58,39 +58,51 @@ impl Olia {
         }
     }
 
-    /// Computes `α_r` for every subflow.
-    pub fn alphas(&self, flows: &[SubflowCc]) -> Vec<f64> {
-        let n = flows.len();
-        let mut alphas = vec![0.0; n];
-        let usable: Vec<usize> =
-            (0..n).filter(|&k| flows[k].active && flows[k].has_rtt()).collect();
-        if usable.len() < 2 {
-            return alphas;
-        }
+    /// Computes `α_r` for subflow `r` by counting the best-path and
+    /// max-window sets instead of building them: this runs once per ACK and
+    /// must not allocate.
+    fn alpha(&self, r: usize, flows: &[SubflowCc]) -> f64 {
+        let usable = |k: usize| flows[k].active && flows[k].has_rtt();
         // Best paths: max l²/rtt² among usable paths.
         let quality = |k: usize| {
             let l = self.history.get(k).copied().unwrap_or_default().inter_loss();
             let rtt = flows[k].srtt;
             (l / rtt) * (l / rtt)
         };
-        let qmax = usable.iter().map(|&k| quality(k)).fold(0.0f64, f64::max);
-        let wmax = usable.iter().map(|&k| flows[k].cwnd).fold(0.0f64, f64::max);
-        let best: Vec<usize> =
-            usable.iter().copied().filter(|&k| quality(k) >= qmax * (1.0 - 1e-9)).collect();
-        let maxw: Vec<usize> =
-            usable.iter().copied().filter(|&k| flows[k].cwnd >= wmax * (1.0 - 1e-9)).collect();
-        let b_minus_m: Vec<usize> = best.iter().copied().filter(|k| !maxw.contains(k)).collect();
-        if b_minus_m.is_empty() {
-            return alphas; // collected = ∅: no transfer needed.
+        let (mut n, mut qmax, mut wmax) = (0usize, 0.0f64, 0.0f64);
+        for k in (0..flows.len()).filter(|&k| usable(k)) {
+            n += 1;
+            qmax = qmax.max(quality(k));
+            wmax = wmax.max(flows[k].cwnd);
         }
-        let nf = usable.len() as f64;
-        for &k in &b_minus_m {
-            alphas[k] = 1.0 / (nf * b_minus_m.len() as f64);
+        if n < 2 || !usable(r) {
+            return 0.0;
         }
-        for &k in &maxw {
-            alphas[k] = -1.0 / (nf * maxw.len() as f64);
+        let best = |k: usize| quality(k) >= qmax * (1.0 - 1e-9);
+        let maxw = |k: usize| flows[k].cwnd >= wmax * (1.0 - 1e-9);
+        let (mut n_maxw, mut n_best_not_maxw) = (0usize, 0usize);
+        for k in (0..flows.len()).filter(|&k| usable(k)) {
+            if maxw(k) {
+                n_maxw += 1;
+            } else if best(k) {
+                n_best_not_maxw += 1;
+            }
         }
-        alphas
+        if n_best_not_maxw == 0 {
+            0.0 // B∖M = ∅: no transfer needed.
+        } else if maxw(r) {
+            -1.0 / (n as f64 * n_maxw as f64)
+        } else if best(r) {
+            1.0 / (n as f64 * n_best_not_maxw as f64)
+        } else {
+            0.0
+        }
+    }
+
+    /// Computes `α_r` for every subflow (the form tests and diagnostics
+    /// read; `on_ack` asks for the one it needs).
+    pub fn alphas(&self, flows: &[SubflowCc]) -> Vec<f64> {
+        (0..flows.len()).map(|r| self.alpha(r, flows)).collect()
     }
 }
 
@@ -106,7 +118,7 @@ impl MultipathCongestionControl for Olia {
             return;
         }
         let base = common::model_increase(1.0, r, flows);
-        let alpha = self.alphas(flows)[r];
+        let alpha = self.alpha(r, flows);
         let delta = base + alpha / flows[r].cwnd;
         // OLIA's α can be negative; allow gentle decrease but never below the
         // floor (common::increase clamps positives only, so handle directly).
@@ -141,6 +153,77 @@ mod tests {
         f.ssthresh = 1.0;
         f.observe_rtt(rtt);
         f
+    }
+
+    /// `alphas` as it was written before `on_ack` stopped allocating: the
+    /// sets of the definition, built as `Vec`s. Kept as the oracle for the
+    /// counting form.
+    fn alphas_by_sets(cc: &Olia, flows: &[SubflowCc]) -> Vec<f64> {
+        let n = flows.len();
+        let mut alphas = vec![0.0; n];
+        let usable: Vec<usize> =
+            (0..n).filter(|&k| flows[k].active && flows[k].has_rtt()).collect();
+        if usable.len() < 2 {
+            return alphas;
+        }
+        let quality = |k: usize| {
+            let l = cc.history.get(k).copied().unwrap_or_default().inter_loss();
+            let rtt = flows[k].srtt;
+            (l / rtt) * (l / rtt)
+        };
+        let qmax = usable.iter().map(|&k| quality(k)).fold(0.0f64, f64::max);
+        let wmax = usable.iter().map(|&k| flows[k].cwnd).fold(0.0f64, f64::max);
+        let best: Vec<usize> =
+            usable.iter().copied().filter(|&k| quality(k) >= qmax * (1.0 - 1e-9)).collect();
+        let maxw: Vec<usize> =
+            usable.iter().copied().filter(|&k| flows[k].cwnd >= wmax * (1.0 - 1e-9)).collect();
+        let b_minus_m: Vec<usize> = best.iter().copied().filter(|k| !maxw.contains(k)).collect();
+        if b_minus_m.is_empty() {
+            return alphas;
+        }
+        let nf = usable.len() as f64;
+        for &k in &b_minus_m {
+            alphas[k] = 1.0 / (nf * b_minus_m.len() as f64);
+        }
+        for &k in &maxw {
+            alphas[k] = -1.0 / (nf * maxw.len() as f64);
+        }
+        alphas
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// The counting form and the set-building form agree to the bit.
+        /// States are drawn from a few values per field, so ties in window
+        /// and in quality, inactive and RTT-less subflows, and fewer history
+        /// entries than subflows are all common.
+        #[test]
+        fn counted_alphas_equal_the_set_definition_bit_for_bit(
+            paths in proptest::collection::vec((1..5u32, 0..4u32, 0..4u32, 0..4u32, 0..8u32), 1..7),
+            histories in 1..7usize,
+        ) {
+            let mut cc = Olia::new(histories.min(paths.len()));
+            let flows: Vec<SubflowCc> = paths
+                .iter()
+                .enumerate()
+                .map(|(k, &(cwnd, rtt, l1, l2, active))| {
+                    if let Some(h) = cc.history.get_mut(k) {
+                        *h = LossHistory { l1: f64::from(l1) * 50.0, l2: f64::from(l2) * 50.0 };
+                    }
+                    let mut f = SubflowCc::new();
+                    f.cwnd = f64::from(cwnd) * 7.5;
+                    f.active = active > 0;
+                    if rtt > 0 {
+                        f.observe_rtt(f64::from(rtt) * 0.05);
+                    }
+                    f
+                })
+                .collect();
+            let (counted, by_sets) = (cc.alphas(&flows), alphas_by_sets(&cc, &flows));
+            let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&counted), bits(&by_sets), "{counted:?} vs {by_sets:?} on {flows:?}");
+        }
     }
 
     #[test]

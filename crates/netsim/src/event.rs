@@ -4,12 +4,18 @@
 //! events fire in FIFO order, which makes runs deterministic regardless of
 //! queue internals.
 //!
-//! The queue is a single-level calendar queue (timer wheel) of `NUM_BUCKETS`
-//! buckets of `2^BUCKET_SHIFT` ns each (≈131 µs buckets, ≈134 ms horizon),
-//! with an occupancy bitmap for O(words) next-bucket scans and a binary-heap
-//! *far list* for events past the horizon (RTO timers, watchdog-scale timers).
-//! Pushes are O(1); pops stage one bucket at a time, sorting its events once.
-//! DESIGN.md §13 records why this is the one engine.
+//! The queue is a calendar queue (timer wheel) of `NUM_BUCKETS` buckets of
+//! `2^BUCKET_SHIFT` ns each (≈131 µs buckets, ≈134 ms horizon), with an
+//! occupancy bitmap for O(words) next-bucket scans and a binary-heap *far
+//! list* for events past the horizon (RTO timers, watchdog-scale timers).
+//! Pushes are O(1). Pops stage one bucket at a time, and how a bucket is
+//! staged depends on its own length: a handful of events are sorted once and
+//! drained; a dense bucket (a datacenter fabric puts ~650 events in one) is
+//! split by finer time bits into `NUM_SUBS` sub-slots of `2^SUB_SHIFT` ns
+//! (≈1 µs), each sorted only when the drain reaches it, so that an event
+//! pushed into the bucket being drained — a third of all pushes there — is an
+//! append to a later sub-slot instead of an insert into one long sorted run.
+//! DESIGN.md §13 records the measurements behind both decisions.
 //!
 //! A plain `BinaryHeap` over the same `(time, seq)` key survives as the test
 //! oracle ([`EventQueue::reference_heap`]): both extract the exact global
@@ -31,14 +37,25 @@ const BUCKET_SHIFT: u32 = 17;
 const NUM_BUCKETS: usize = 1024;
 /// Words in the occupancy bitmap.
 const OCC_WORDS: usize = NUM_BUCKETS / 64;
+/// Log2 of the sub-slot width in nanoseconds (2^10 ns ≈ 1 µs).
+const SUB_SHIFT: u32 = 10;
+/// Sub-slots a dense bucket is split into; their occupancy is one `u128`.
+const NUM_SUBS: usize = 1 << (BUCKET_SHIFT - SUB_SHIFT);
+/// A bucket staged with at least this many events is split into sub-slots;
+/// a shorter one is sorted whole. Splitting costs each event one more move
+/// and a scattered write, which a handful of events does not earn back.
+const DENSE_BUCKET_MIN: usize = 32;
 /// Initial capacity reserved per bucket, so steady-state operation does not
 /// allocate (pinned by `tests/trace_noalloc.rs`).
 const BUCKET_PREALLOC: usize = 4;
-/// Largest drained staging buffer (in events) a slot gets back. Without the
-/// cap every slot ratchets up to the largest burst it ever staged — at
-/// ~1 700 events per bucket that was ~85 MB of cyclically touched buffers on
-/// a FatTree run — so wheel memory is bounded by the pending population
-/// plus `NUM_BUCKETS * BUCKET_RETAIN_MAX` events instead.
+/// The same per sub-slot, for the dense steady state.
+const SUB_PREALLOC: usize = 8;
+/// Largest drained buffer (in events) a bucket or sub-slot gets back.
+/// Without the cap every slot ratchets up to the largest burst it ever
+/// staged — at ~1 700 events per bucket that was ~85 MB of cyclically touched
+/// buffers on a FatTree run — so wheel memory is bounded by the pending
+/// population plus `(NUM_BUCKETS + NUM_SUBS) * BUCKET_RETAIN_MAX` events
+/// instead.
 const BUCKET_RETAIN_MAX: usize = 64;
 
 /// Kinds of scheduled work.
@@ -96,34 +113,80 @@ fn bucket_of(at: SimTime) -> u64 {
     at.as_nanos() >> BUCKET_SHIFT
 }
 
+/// Absolute sub-slot index: the bucket index with the sub-slot bits appended.
+#[inline]
+fn sub_of(at: SimTime) -> u64 {
+    at.as_nanos() >> SUB_SHIFT
+}
+
+/// What the timer wheel counts about itself (part of
+/// [`crate::sim::EngineCounters`]); all zero on the reference heap.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WheelCounters {
+    /// Buckets staged.
+    pub buckets_staged: u64,
+    /// Of those, buckets long enough to be split into sub-slots.
+    pub dense_buckets_staged: u64,
+    /// Events those dense buckets held when they were staged.
+    pub dense_events_staged: u64,
+    /// Most events any bucket held when it was staged.
+    pub largest_bucket: u64,
+    /// Pushes that landed in the bucket being drained.
+    pub draining_pushes: u64,
+    /// Pushes that landed behind the wheel position, because a peek had
+    /// staged a bucket ahead of the clock.
+    pub early_pushes: u64,
+    /// Events that moved from the far list into the ring.
+    pub far_migrations: u64,
+}
+
 /// The calendar queue.
 ///
 /// Invariants:
 /// * every ring event's bucket lies in `[cur, cur + NUM_BUCKETS)`;
 /// * every far-list event's bucket is `>= cur + NUM_BUCKETS`;
-/// * `staged` holds (part of) bucket `staged_bucket == cur`, sorted
-///   *ascending* by `(at, seq)` and drained from the front;
-/// * pushes never predate the last popped event (the simulator only
-///   schedules at or after `now`), so `bucket(at) >= cur` always holds.
+/// * `staged` is the *run* being drained: sorted ascending by `(at, seq)`,
+///   popped from the front, and earlier than everything else in the wheel.
+///   It holds every pending event up to and including sub-slot
+///   `run_last_sub` of bucket `cur` — the whole bucket when it was staged
+///   sparse, one sub-slot when it was staged dense;
+/// * `subs` holds the rest of a dense bucket `cur`, unsorted, one `Vec` per
+///   sub-slot (allocated when the first dense bucket is staged), with
+///   `sub_occ` as their occupancy; both are empty otherwise.
 ///
-/// `staged` is a `VecDeque` on purpose: a push into the mid-drain bucket
-/// almost always carries the bucket's largest `(at, seq)` key (it is
-/// scheduled after everything already there, and carries the globally
-/// largest seq), so the hot insert is an O(1) `push_back` instead of a
-/// front-biased `Vec::insert` memmove. When serialization time is shorter
-/// than a bucket, nearly every `LinkTxDone` takes this path.
+/// "Every pending event up to", not "of bucket `cur` up to", because of the
+/// *peek-ahead* case. Staging happens on `peek` as well as on `pop`, and it
+/// moves `cur` to the bucket of the next event, which may lie far beyond the
+/// last popped one (`run_until` peeks, sees a timer past its deadline and
+/// returns). A later push need only be at or after the last *popped* time, so
+/// it may belong to a bucket behind `cur`, for which the ring has no slot. It
+/// goes where a push ahead of the run's head in bucket `cur` goes: into the
+/// run, by sorted insert. (Should a driver start a whole workload behind a
+/// far-off peeked timer, the run is one long sorted `VecDeque` until the
+/// clock reaches that timer: correct, and as fast as the wheel was when that
+/// was its only way to stage a bucket.)
+///
+/// `staged` is a `VecDeque` so that the sorted insert costs the shorter of
+/// the two shifts, and the append when the new event carries the run's
+/// largest key (it always carries the largest seq) costs none.
 #[derive(Debug)]
 struct Wheel {
     slots: Vec<Vec<Event>>,
     occ: [u64; OCC_WORDS],
     /// Absolute bucket index of the wheel position.
     cur: u64,
-    /// The staged (current) bucket, sorted ascending; drained from the front.
+    /// The run being drained, sorted ascending; drained from the front.
     staged: VecDeque<Event>,
-    staged_bucket: u64,
+    /// Last absolute sub-slot index whose events belong in `staged`.
+    run_last_sub: u64,
+    /// Whether bucket `cur` was split into `subs` when it was staged.
+    dense: bool,
+    subs: Vec<Vec<Event>>,
+    sub_occ: u128,
     /// Events beyond the wheel horizon.
     far: BinaryHeap<Event>,
     count: usize,
+    counters: WheelCounters,
 }
 
 impl Wheel {
@@ -133,9 +196,13 @@ impl Wheel {
             occ: [0; OCC_WORDS],
             cur: 0,
             staged: VecDeque::with_capacity(BUCKET_PREALLOC),
-            staged_bucket: 0,
+            run_last_sub: 0,
+            dense: false,
+            subs: Vec::new(),
+            sub_occ: 0,
             far: BinaryHeap::new(),
             count: 0,
+            counters: WheelCounters::default(),
         }
     }
 
@@ -154,20 +221,45 @@ impl Wheel {
         self.occ[slot / 64] &= !(1u64 << (slot % 64));
     }
 
+    /// Appends to sub-slot `sub_of(ev.at)` of the bucket being drained.
+    #[inline]
+    fn push_sub(&mut self, ev: Event) {
+        let s = (sub_of(ev.at) % NUM_SUBS as u64) as usize;
+        self.subs[s].push(ev);
+        self.sub_occ |= 1u128 << s;
+    }
+
     fn push(&mut self, ev: Event) {
-        // `cur` only advances on pops (it tracks the last popped bucket), so
-        // after a long event-free stretch new pushes may land on the far
-        // list even though they are near `now`; the next pop jumps the
-        // window forward and migrates them back. Pushes can never land
-        // *behind* `cur`: the simulator only schedules at or after `now`.
+        // `cur` only advances when a bucket is staged, so after a long
+        // event-free stretch new pushes may land on the far list even though
+        // they are near `now`; the next pop jumps the window forward and
+        // migrates them back.
         let b = bucket_of(ev.at);
-        debug_assert!(b >= self.cur, "event scheduled before the wheel position");
         self.count += 1;
-        if !self.staged.is_empty() && b == self.staged_bucket {
-            // The staged bucket is mid-drain: keep it sorted ascending. A
+        let draining = !(self.staged.is_empty() && self.sub_occ == 0);
+        if b > self.cur || (b == self.cur && !draining) {
+            if b < self.cur + NUM_BUCKETS as u64 {
+                let slot = Self::slot_index(b);
+                self.slots[slot].push(ev);
+                self.set_occ(slot);
+            } else {
+                self.far.push(ev);
+            }
+        } else if b == self.cur && (self.staged.is_empty() || sub_of(ev.at) > self.run_last_sub) {
+            // Bucket `cur` is mid-drain, and this is for a later sub-slot.
+            self.counters.draining_pushes += 1;
+            self.push_sub(ev);
+        } else {
+            // It belongs in the run — or, behind a bucket that a peek
+            // staged, before everything there is: keep the run sorted. A
             // fresh event carries the largest seq, so unless it is scheduled
             // strictly earlier than something still staged it is the new
-            // maximum and appends in O(1).
+            // maximum and appends.
+            if b == self.cur {
+                self.counters.draining_pushes += 1;
+            } else {
+                self.counters.early_pushes += 1;
+            }
             let key = ev.key();
             if self.staged.back().is_some_and(|last| last.key() < key) {
                 self.staged.push_back(ev);
@@ -178,12 +270,6 @@ impl Wheel {
                     .unwrap_or_else(|p| p);
                 self.staged.insert(pos, ev);
             }
-        } else if b < self.cur + NUM_BUCKETS as u64 {
-            let slot = Self::slot_index(b);
-            self.slots[slot].push(ev);
-            self.set_occ(slot);
-        } else {
-            self.far.push(ev);
         }
     }
 
@@ -204,9 +290,57 @@ impl Wheel {
         Some((bit + NUM_BUCKETS - from) % NUM_BUCKETS)
     }
 
-    /// Ensures the next event (if any) sits at the back of `staged`.
+    /// Makes the earliest occupied sub-slot of the dense bucket `cur` the run.
+    fn stage_next_sub(&mut self) {
+        debug_assert!(self.staged.is_empty() && self.sub_occ != 0);
+        let s = self.sub_occ.trailing_zeros();
+        self.sub_occ &= self.sub_occ - 1;
+        let mut run = std::mem::take(&mut self.subs[s as usize]);
+        run.sort_unstable_by_key(Event::key);
+        self.staged = VecDeque::from(run);
+        self.run_last_sub = (self.cur << (BUCKET_SHIFT - SUB_SHIFT)) | u64::from(s);
+    }
+
+    /// Stages the next ring bucket, `b`, out of ring slot `slot`.
+    fn stage_bucket(&mut self, b: u64, slot: usize) {
+        debug_assert!(!self.slots[slot].is_empty());
+        let mut bucket = std::mem::take(&mut self.slots[slot]);
+        self.clear_occ(slot);
+        self.cur = b;
+        self.counters.buckets_staged += 1;
+        self.counters.largest_bucket = self.counters.largest_bucket.max(bucket.len() as u64);
+        self.dense = bucket.len() >= DENSE_BUCKET_MIN;
+        if self.dense {
+            if self.subs.is_empty() {
+                // First dense bucket of the run: a simulation that never
+                // stages one never pays for the sub-slots.
+                self.subs = (0..NUM_SUBS).map(|_| Vec::with_capacity(SUB_PREALLOC)).collect();
+            }
+            self.counters.dense_buckets_staged += 1;
+            self.counters.dense_events_staged += bucket.len() as u64;
+            for ev in bucket.drain(..) {
+                self.push_sub(ev);
+            }
+            if bucket.capacity() <= BUCKET_RETAIN_MAX {
+                self.slots[slot] = bucket;
+            }
+            self.stage_next_sub();
+        } else {
+            // Ascending sort: the earliest (time, seq) pops from the front.
+            // Vec -> VecDeque is O(1) and reuses the allocation.
+            bucket.sort_unstable_by_key(Event::key);
+            self.staged = VecDeque::from(bucket);
+            self.run_last_sub = ((b + 1) << (BUCKET_SHIFT - SUB_SHIFT)) - 1;
+        }
+    }
+
+    /// Ensures the next event (if any) sits at the front of `staged`.
     fn ensure_staged(&mut self) -> bool {
         if !self.staged.is_empty() {
+            return true;
+        }
+        if self.sub_occ != 0 {
+            self.stage_next_sub();
             return true;
         }
         if self.count == 0 {
@@ -223,20 +357,12 @@ impl Wheel {
                 let slot = Self::slot_index(bucket_of(ev.at));
                 self.slots[slot].push(ev);
                 self.set_occ(slot);
+                self.counters.far_migrations += 1;
             }
             let cur_slot = Self::slot_index(self.cur);
             if let Some(offset) = self.next_occupied_offset(cur_slot) {
                 let b = self.cur + offset as u64;
-                let slot = Self::slot_index(b);
-                debug_assert!(!self.slots[slot].is_empty());
-                let mut bucket = std::mem::take(&mut self.slots[slot]);
-                self.clear_occ(slot);
-                // Ascending sort: the earliest (time, seq) pops from the
-                // front. Vec -> VecDeque is O(1) and reuses the allocation.
-                bucket.sort_unstable_by_key(Event::key);
-                self.staged = VecDeque::from(bucket);
-                self.staged_bucket = b;
-                self.cur = b;
+                self.stage_bucket(b, Self::slot_index(b));
                 return true;
             }
             // Ring empty; jump the window to the far list.
@@ -255,28 +381,28 @@ impl Wheel {
             return None;
         }
         let ev = self.staged.pop_front();
-        if ev.is_some() {
-            self.count -= 1;
-            if self.staged.is_empty() {
-                // Hand the drained buffer's capacity back to its slot so
-                // steady-state cycling over buckets reuses allocations —
-                // unless a burst grew it past `BUCKET_RETAIN_MAX`, in which
-                // case it is freed. An empty VecDeque converts to a Vec in
-                // O(1).
-                let buf = std::mem::take(&mut self.staged);
-                let slot = Self::slot_index(self.staged_bucket);
-                let cap = buf.capacity();
-                if cap <= BUCKET_RETAIN_MAX && cap > self.slots[slot].capacity() {
-                    self.slots[slot] = Vec::from(buf);
-                }
+        self.count -= 1;
+        if self.staged.is_empty() {
+            // Hand the drained buffer's capacity back to where the run came
+            // from, so steady-state cycling reuses allocations — unless a
+            // burst grew it past `BUCKET_RETAIN_MAX`, in which case it is
+            // freed. An empty VecDeque converts to a Vec in O(1).
+            let buf = Vec::from(std::mem::take(&mut self.staged));
+            let home = if self.dense {
+                &mut self.subs[(self.run_last_sub % NUM_SUBS as u64) as usize]
+            } else {
+                &mut self.slots[Self::slot_index(self.cur)]
+            };
+            if buf.capacity() <= BUCKET_RETAIN_MAX && buf.capacity() > home.capacity() {
+                *home = buf;
             }
         }
         ev
     }
 
-    fn peek(&mut self) -> Option<&Event> {
+    fn peek_time(&mut self) -> Option<SimTime> {
         if self.ensure_staged() {
-            self.staged.front()
+            self.staged.front().map(|ev| ev.at)
         } else {
             None
         }
@@ -330,7 +456,7 @@ impl EventQueue {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.imp {
             QueueImpl::Heap(h) => h.peek().map(|e| e.at),
-            QueueImpl::Wheel(w) => w.peek().map(|e| e.at),
+            QueueImpl::Wheel(w) => w.peek_time(),
         }
     }
 
@@ -338,6 +464,19 @@ impl EventQueue {
         match &self.imp {
             QueueImpl::Heap(h) => h.len(),
             QueueImpl::Wheel(w) => w.count,
+        }
+    }
+
+    /// Events ever pushed.
+    pub fn pushed(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// The wheel's own counters; all zero on the reference heap.
+    pub fn wheel_counters(&self) -> WheelCounters {
+        match &self.imp {
+            QueueImpl::Heap(_) => WheelCounters::default(),
+            QueueImpl::Wheel(w) => w.counters,
         }
     }
 }
@@ -430,10 +569,39 @@ mod tests {
         assert_eq!(tokens, vec![1, 2, 3]);
     }
 
+    fn token_of(ev: &Event) -> u64 {
+        match ev.kind {
+            EventKind::Timer { token, .. } => token,
+            _ => panic!("wrong kind"),
+        }
+    }
+
+    /// The peek-ahead regression at the queue level. `peek_time` stages the
+    /// bucket of the only pending event, a second away; a push that is legal
+    /// (nothing has been popped yet) but lands in an earlier bucket used to
+    /// go into a ring slot *behind* the wheel position and pop second.
+    #[test]
+    fn push_behind_a_peeked_bucket_pops_first() {
+        for mut q in both_kinds() {
+            let late = SimTime::from_secs_f64(1.0);
+            let early = SimTime::from_nanos(11_000_000);
+            q.push(late, timer(1));
+            assert_eq!(q.peek_time(), Some(late));
+            q.push(early, timer(2));
+            // Same bucket as the staged run, ahead of its head.
+            q.push(SimTime::from_nanos(late.as_nanos() - 1), timer(3));
+            assert_eq!(q.peek_time(), Some(early));
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| token_of(&e)).collect();
+            assert_eq!(order, vec![2, 3, 1]);
+        }
+    }
+
     /// The central equivalence pin at the queue level: a randomized
-    /// push/pop workload (monotone non-decreasing push times, as the
-    /// simulator guarantees) drains in the identical order from both
-    /// backends.
+    /// push/pop/peek workload drains in the identical order from both
+    /// backends. Push times are at or after the last *popped* time, as the
+    /// simulator guarantees — not after the last peeked one, so pushes land
+    /// behind buckets that a peek staged; bursts make buckets long enough to
+    /// be split into sub-slots and then push into them mid-drain.
     #[test]
     fn wheel_and_heap_drain_identically_under_random_workload() {
         let mut rng = SmallRng::seed_from_u64(7);
@@ -441,45 +609,61 @@ mod tests {
         let mut heap = EventQueue::reference_heap();
         let mut now = 0u64;
         let mut token = 0u64;
-        for _ in 0..5_000 {
-            if rng.gen_bool(0.6) {
-                // Mixed horizons: same bucket, nearby buckets, far future.
-                let delta: u64 = match rng.gen_range(0..4u32) {
-                    0 => rng.gen_range(0..1_000),
-                    1 => rng.gen_range(0..2_000_000),
-                    2 => rng.gen_range(0..200_000_000),
-                    _ => rng.gen_range(0..5_000_000_000),
-                };
-                token += 1;
-                wheel.push(SimTime::from_nanos(now + delta), timer(token));
-                heap.push(SimTime::from_nanos(now + delta), timer(token));
-            } else {
-                let a = wheel.pop();
-                let b = heap.pop();
-                match (&a, &b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.at, y.at);
-                        match (&x.kind, &y.kind) {
-                            (
-                                EventKind::Timer { token: ta, .. },
-                                EventKind::Timer { token: tb, .. },
-                            ) => assert_eq!(ta, tb),
-                            _ => panic!("wrong kinds"),
-                        }
-                        now = now.max(x.at.as_nanos());
+        let mut push = |wheel: &mut EventQueue, heap: &mut EventQueue, at: u64| {
+            token += 1;
+            wheel.push(SimTime::from_nanos(at), timer(token));
+            heap.push(SimTime::from_nanos(at), timer(token));
+        };
+        for _ in 0..40_000 {
+            match rng.gen_range(0..100u32) {
+                0..=24 => {
+                    // Mixed horizons: same bucket, nearby buckets, far future.
+                    let delta: u64 = match rng.gen_range(0..4u32) {
+                        0 => rng.gen_range(0..1_000),
+                        1 => rng.gen_range(0..2_000_000),
+                        2 => rng.gen_range(0..200_000_000),
+                        _ => rng.gen_range(0..5_000_000_000),
+                    };
+                    push(&mut wheel, &mut heap, now + delta);
+                }
+                25 => {
+                    // A burst inside one or two buckets, some of it at
+                    // exactly `now`.
+                    for _ in 0..rng.gen_range(1..2 * DENSE_BUCKET_MIN) {
+                        let delta = rng.gen_range(0..1u64 << BUCKET_SHIFT) & !0xff;
+                        push(&mut wheel, &mut heap, now + delta);
                     }
-                    _ => panic!("one backend drained early: {a:?} vs {b:?}"),
+                }
+                26..=35 => assert_eq!(wheel.peek_time(), heap.peek_time()),
+                _ => {
+                    let a = wheel.pop();
+                    let b = heap.pop();
+                    match (&a, &b) {
+                        (None, None) => {}
+                        (Some(x), Some(y)) => {
+                            assert_eq!((x.at, token_of(x)), (y.at, token_of(y)));
+                            assert!(x.at.as_nanos() >= now, "the wheel went backwards");
+                            now = x.at.as_nanos();
+                        }
+                        _ => panic!("one backend drained early: {a:?} vs {b:?}"),
+                    }
                 }
             }
+            assert_eq!(wheel.len(), heap.len());
         }
+        let c = wheel.wheel_counters();
+        assert!(
+            c.dense_buckets_staged > 50
+                && c.draining_pushes > 1_000
+                && c.early_pushes > 100
+                && c.far_migrations > 100,
+            "the workload missed one of the wheel's paths: {c:?}"
+        );
         // Drain the rest in lockstep.
         loop {
             match (wheel.pop(), heap.pop()) {
                 (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.at, y.at);
-                }
+                (Some(x), Some(y)) => assert_eq!((x.at, token_of(&x)), (y.at, token_of(&y))),
                 (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
             }
         }
@@ -547,7 +731,8 @@ mod tests {
             }
         }
         assert!(q.pop().is_none());
-        let retained = q.slots.iter().map(Vec::capacity).sum::<usize>()
+        assert!(q.counters.dense_buckets_staged == 64);
+        let retained = q.slots.iter().chain(&q.subs).map(Vec::capacity).sum::<usize>()
             + q.staged.capacity()
             + q.far.capacity();
         assert!(

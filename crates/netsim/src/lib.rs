@@ -58,7 +58,8 @@ pub mod prelude {
     pub use crate::link::{Link, LinkConfig, LinkStats};
     pub use crate::packet::{AgentId, LinkId, Packet, Payload, Route};
     pub use crate::sim::{
-        Agent, Ctx, Simulator, StallReport, StalledFlow, TimerHandle, Watched, World,
+        Agent, Ctx, EngineCounters, Simulator, StallReport, StalledFlow, TimerHandle, Watched,
+        WheelCounters, World,
     };
     pub use crate::time::{SimDuration, SimTime};
 }
@@ -70,5 +71,8 @@ pub use faults::{
 };
 pub use link::{Link, LinkConfig, LinkStats};
 pub use packet::{AgentId, LinkId, Packet, Payload, Route};
-pub use sim::{Agent, Ctx, Simulator, StallReport, StalledFlow, TimerHandle, Watched, World};
+pub use sim::{
+    Agent, Ctx, EngineCounters, Simulator, StallReport, StalledFlow, TimerHandle, Watched,
+    WheelCounters, World,
+};
 pub use time::{SimDuration, SimTime};

@@ -10,7 +10,7 @@
 //! upon arrival", Alizadeh et al.).
 
 use crate::faults::Impairment;
-use crate::packet::Packet;
+use crate::pool::PacketSlot;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -98,8 +98,11 @@ pub struct LinkStats {
 pub struct Link {
     cfg: LinkConfig,
     impairment: Impairment,
-    queue: VecDeque<Packet>,
-    in_flight: Option<Packet>,
+    /// Waiting packets as `(handle, wire size)`: the packets themselves stay
+    /// in the simulator's slab, and the size rides along so that starting
+    /// the next transmission does not have to look it up there.
+    queue: VecDeque<(PacketSlot, u32)>,
+    in_flight: Option<(PacketSlot, u32)>,
     /// Memo of the last two `(size, serialization delay)` pairs, so the
     /// u128 multiply/divide in [`LinkConfig::serialization`] leaves the
     /// per-packet path (traffic is dominated by one data size and one ACK
@@ -119,13 +122,15 @@ pub struct Link {
 
 /// What happened when a packet was offered to a link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Enqueue {
+pub(crate) enum Enqueue {
     /// The link was idle; transmission starts now and completes after the
     /// contained serialization delay.
     StartTx(SimDuration),
-    /// The packet joined the queue.
-    Queued,
-    /// The queue was full; the packet was dropped.
+    /// The packet joined the queue. With `ce`, it found the queue over the
+    /// ECN threshold and the caller must set its Congestion-Experienced mark.
+    Queued { ce: bool },
+    /// The queue was full: the link did not keep the handle, and the caller
+    /// must free the packet.
     Dropped,
 }
 
@@ -276,17 +281,17 @@ impl Link {
 
     /// Sets the link administratively up or down at time `now`. Going down
     /// drains the queue (each drained packet counts as a blackout drop) and
-    /// returns the drained packet ids (so the caller can trace each drop); a
-    /// packet already in service completes its transmission. Going up (or a
-    /// no-op transition) returns an empty list without allocating.
-    pub(crate) fn set_up(&mut self, up: bool, now: SimTime) -> Vec<u64> {
+    /// returns the drained handles, which the caller must free (and trace);
+    /// a packet already in service completes its transmission. Going up (or
+    /// a no-op transition) returns an empty list without allocating.
+    pub(crate) fn set_up(&mut self, up: bool, now: SimTime) -> Vec<PacketSlot> {
         let was_up = self.impairment.is_up();
         self.impairment.set_up(up);
         if up || !was_up {
             return Vec::new();
         }
         self.note_q_change(now);
-        let drained: Vec<u64> = self.queue.drain(..).map(|p| p.id).collect();
+        let drained: Vec<PacketSlot> = self.queue.drain(..).map(|(pkt, _)| pkt).collect();
         self.stats.blackout_drops += drained.len() as u64;
         drained
     }
@@ -335,30 +340,29 @@ impl Link {
         self.last_q_change = now;
     }
 
-    /// Offers `pkt` to the link at time `now`.
+    /// Offers the packet behind `pkt`, `size_bytes` on the wire, to the link
+    /// at time `now`.
     ///
     /// The caller (the simulator) is responsible for scheduling the
     /// transmission-complete event when `StartTx` is returned.
-    pub fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> Enqueue {
+    pub(crate) fn enqueue(&mut self, pkt: PacketSlot, size_bytes: u32, now: SimTime) -> Enqueue {
         if self.in_flight.is_none() {
             debug_assert!(self.queue.is_empty());
-            let ser = self.serialization_cached(pkt.size_bytes);
-            self.in_flight = Some(pkt);
+            let ser = self.serialization_cached(size_bytes);
+            self.in_flight = Some((pkt, size_bytes));
             Enqueue::StartTx(ser)
         } else if self.queue.len() < self.cfg.queue_limit_pkts {
-            if let Some(k) = self.cfg.ecn_threshold_pkts {
-                // DCTCP: mark when arrival occupancy — the in-service packet
-                // plus the queued ones — strictly exceeds K. (This used to be
-                // `>=`, marking one packet early at the boundary.)
-                if self.queue.len() + 1 > k {
-                    pkt.ecn_ce = true;
-                    self.stats.ecn_marks += 1;
-                }
+            // DCTCP: mark when arrival occupancy — the in-service packet
+            // plus the queued ones — strictly exceeds K. (This used to be
+            // `>=`, marking one packet early at the boundary.)
+            let ce = self.cfg.ecn_threshold_pkts.is_some_and(|k| self.queue.len() + 1 > k);
+            if ce {
+                self.stats.ecn_marks += 1;
             }
             self.note_q_change(now);
-            self.queue.push_back(pkt);
+            self.queue.push_back((pkt, size_bytes));
             self.stats.max_qlen = self.stats.max_qlen.max(self.queue.len());
-            Enqueue::Queued
+            Enqueue::Queued { ce }
         } else {
             self.stats.drops += 1;
             Enqueue::Dropped
@@ -366,27 +370,20 @@ impl Link {
     }
 
     /// Completes the in-service transmission at time `now`, returning the
-    /// transmitted packet and, if the queue was non-empty, the next packet's
-    /// serialization delay (its transmission starts immediately).
+    /// transmitted packet's handle and, if the queue was non-empty, the next
+    /// packet's serialization delay (its transmission starts immediately).
     ///
     /// # Panics
     ///
     /// Panics if the link was not transmitting.
-    pub fn tx_done(&mut self, now: SimTime) -> (Packet, Option<SimDuration>) {
+    pub(crate) fn tx_done(&mut self, now: SimTime) -> (PacketSlot, Option<SimDuration>) {
         // simlint: allow(P001, documented panic: the simulator only schedules TxDone while a transmission is in service, so an idle link here is event-queue corruption)
-        let pkt = self.in_flight.take().expect("tx_done on idle link");
+        let (pkt, size_bytes) = self.in_flight.take().expect("tx_done on idle link");
         self.stats.tx_pkts += 1;
-        self.stats.tx_bytes += u64::from(pkt.size_bytes);
-        let next = if let Some(next_pkt) = {
-            self.note_q_change(now);
-            self.queue.pop_front()
-        } {
-            let ser = self.serialization_cached(next_pkt.size_bytes);
-            self.in_flight = Some(next_pkt);
-            Some(ser)
-        } else {
-            None
-        };
+        self.stats.tx_bytes += u64::from(size_bytes);
+        self.note_q_change(now);
+        self.in_flight = self.queue.pop_front();
+        let next = self.in_flight.map(|(_, next_size)| self.serialization_cached(next_size));
         (pkt, next)
     }
 }
@@ -394,7 +391,15 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Payload, Route};
+    use crate::packet::{Packet, Payload, Route};
+    use crate::pool::PacketPool;
+
+    /// Parks a fresh `size`-byte packet in `pool` and offers its handle to
+    /// `l` at time zero, the way `World::offer_to_link` does.
+    fn offer(l: &mut Link, pool: &mut PacketPool, size: u32) -> Enqueue {
+        let slot = pool.stash(pkt(size));
+        l.enqueue(slot, size, SimTime::ZERO)
+    }
 
     fn pkt(size: u32) -> Packet {
         Packet {
@@ -442,7 +447,8 @@ mod tests {
     #[test]
     fn idle_link_starts_transmitting() {
         let mut l = Link::new(LinkConfig::new(8_000_000, SimDuration::ZERO));
-        match l.enqueue(pkt(1000), SimTime::ZERO) {
+        let mut pool = PacketPool::default();
+        match offer(&mut l, &mut pool, 1000) {
             Enqueue::StartTx(d) => assert_eq!(d, SimDuration::from_millis(1)),
             other => panic!("expected StartTx, got {other:?}"),
         }
@@ -453,10 +459,11 @@ mod tests {
     fn droptail_drops_beyond_limit() {
         let cfg = LinkConfig::new(8_000_000, SimDuration::ZERO).queue_limit(2);
         let mut l = Link::new(cfg);
-        assert!(matches!(l.enqueue(pkt(100), SimTime::ZERO), Enqueue::StartTx(_)));
-        assert_eq!(l.enqueue(pkt(100), SimTime::ZERO), Enqueue::Queued);
-        assert_eq!(l.enqueue(pkt(100), SimTime::ZERO), Enqueue::Queued);
-        assert_eq!(l.enqueue(pkt(100), SimTime::ZERO), Enqueue::Dropped);
+        let mut pool = PacketPool::default();
+        assert!(matches!(offer(&mut l, &mut pool, 100), Enqueue::StartTx(_)));
+        assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Queued { ce: false });
+        assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Queued { ce: false });
+        assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Dropped);
         assert_eq!(l.stats().drops, 1);
         assert_eq!(l.queue_len(), 2);
     }
@@ -465,13 +472,14 @@ mod tests {
     fn tx_done_chains_queue() {
         let cfg = LinkConfig::new(8_000_000, SimDuration::ZERO);
         let mut l = Link::new(cfg);
-        let _ = l.enqueue(pkt(1000), SimTime::ZERO);
-        let _ = l.enqueue(pkt(500), SimTime::ZERO);
+        let mut pool = PacketPool::default();
+        let _ = offer(&mut l, &mut pool, 1000);
+        let _ = offer(&mut l, &mut pool, 500);
         let (done, next) = l.tx_done(SimTime::from_secs_f64(0.001));
-        assert_eq!(done.size_bytes, 1000);
+        assert_eq!(pool.get(done).size_bytes, 1000);
         assert_eq!(next, Some(SimDuration::from_micros(500)));
         let (done2, next2) = l.tx_done(SimTime::from_secs_f64(0.0015));
-        assert_eq!(done2.size_bytes, 500);
+        assert_eq!(pool.get(done2).size_bytes, 500);
         assert_eq!(next2, None);
         assert!(!l.is_busy());
         assert_eq!(l.stats().tx_pkts, 2);
@@ -482,10 +490,14 @@ mod tests {
     fn ecn_marks_above_threshold() {
         let cfg = LinkConfig::new(8_000_000, SimDuration::ZERO).queue_limit(10).ecn_threshold(2);
         let mut l = Link::new(cfg);
-        let _ = l.enqueue(pkt(100), SimTime::ZERO); // in service
-        let _ = l.enqueue(pkt(100), SimTime::ZERO); // finds occupancy 1 <= K
-        let _ = l.enqueue(pkt(100), SimTime::ZERO); // finds occupancy 2 <= K
-        let _ = l.enqueue(pkt(100), SimTime::ZERO); // finds occupancy 3 >  K -> marked
+        let mut pool = PacketPool::default();
+        let _ = offer(&mut l, &mut pool, 100); // in service
+        let _ = offer(&mut l, &mut pool, 100); // finds occupancy 1 <= K
+
+        // Finds occupancy 2 <= K: queued unmarked.
+        assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Queued { ce: false });
+        // Finds occupancy 3 > K: the caller is told to mark it.
+        assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Queued { ce: true });
         assert_eq!(l.stats().ecn_marks, 1);
     }
 
@@ -500,14 +512,16 @@ mod tests {
             let cfg =
                 LinkConfig::new(8_000_000, SimDuration::ZERO).queue_limit(10).ecn_threshold(k);
             let mut l = Link::new(cfg);
+            let mut pool = PacketPool::default();
             // Build up `occupancy_found` resident packets: one in service,
             // the rest queued.
             for _ in 0..occupancy_found {
-                let _ = l.enqueue(pkt(100), SimTime::ZERO);
+                let _ = offer(&mut l, &mut pool, 100);
             }
             assert_eq!(l.queue_len() + usize::from(l.is_busy()), occupancy_found);
             let marks_before = l.stats().ecn_marks;
-            let _ = l.enqueue(pkt(100), SimTime::ZERO);
+            let outcome = offer(&mut l, &mut pool, 100);
+            assert_eq!(outcome, Enqueue::Queued { ce: expect_mark });
             assert_eq!(
                 l.stats().ecn_marks - marks_before,
                 u64::from(expect_mark),
@@ -519,65 +533,40 @@ mod tests {
     #[test]
     fn serialization_cache_tracks_bandwidth_changes() {
         let mut l = Link::new(LinkConfig::new(8_000_000, SimDuration::ZERO));
+        let mut pool = PacketPool::default();
         // Warm the cache via the in-service path.
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_millis(1))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_millis(1)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.001));
         // Same size again: served from cache, same answer.
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_millis(1))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_millis(1)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.002));
         // Rate change invalidates the memo.
         l.set_bandwidth(16_000_000);
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_micros(500))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_micros(500)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.003));
         // A third distinct size evicts the oldest entry but keeps answers exact.
-        assert_eq!(
-            l.enqueue(pkt(500), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_micros(250))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 500), Enqueue::StartTx(SimDuration::from_micros(250)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.004));
-        assert_eq!(
-            l.enqueue(pkt(40), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_micros(20))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 40), Enqueue::StartTx(SimDuration::from_micros(20)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.005));
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_micros(500))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_micros(500)));
     }
 
     #[test]
     fn background_load_slows_serialization_and_invalidates_cache() {
         let mut l = Link::new(LinkConfig::new(8_000_000, SimDuration::ZERO));
+        let mut pool = PacketPool::default();
         // Warm the cache at the nominal rate: 1000 B at 8 Mb/s = 1 ms.
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_millis(1))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_millis(1)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.001));
         // Half the link is now fluid background: residual 4 Mb/s → 2 ms.
         l.set_background_bps(4_000_000);
         assert_eq!(l.effective_bandwidth_bps(), 4_000_000);
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_millis(2))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_millis(2)));
         let _ = l.tx_done(SimTime::from_secs_f64(0.003));
         // Clearing the background restores the nominal rate exactly.
         l.set_background_bps(0);
-        assert_eq!(
-            l.enqueue(pkt(1000), SimTime::ZERO),
-            Enqueue::StartTx(SimDuration::from_millis(1))
-        );
+        assert_eq!(offer(&mut l, &mut pool, 1000), Enqueue::StartTx(SimDuration::from_millis(1)));
     }
 
     #[test]
@@ -597,8 +586,9 @@ mod tests {
     #[test]
     fn utilization_measures_against_nominal_capacity_under_background() {
         let mut l = Link::new(LinkConfig::new(8_000_000, SimDuration::ZERO));
+        let mut pool = PacketPool::default();
         l.set_background_bps(4_000_000);
-        let _ = l.enqueue(pkt(1000), SimTime::ZERO);
+        let _ = offer(&mut l, &mut pool, 1000);
         let _ = l.tx_done(SimTime::from_secs_f64(0.002));
         // 8000 bits over 2 ms against the *nominal* 8 Mb/s: 50%.
         let u = l.utilization(SimTime::from_secs_f64(0.002));
@@ -609,7 +599,8 @@ mod tests {
     fn utilization_and_mean_queue() {
         let cfg = LinkConfig::new(8_000_000, SimDuration::ZERO);
         let mut l = Link::new(cfg);
-        let _ = l.enqueue(pkt(1000), SimTime::ZERO);
+        let mut pool = PacketPool::default();
+        let _ = offer(&mut l, &mut pool, 1000);
         let _ = l.tx_done(SimTime::from_secs_f64(0.001));
         // 8000 bits sent in 1 ms over an 8 Mb/s link => 100% busy for that ms.
         let u = l.utilization(SimTime::from_secs_f64(0.001));

@@ -1,21 +1,25 @@
 //! Packet arena: slab + freelist storage for in-flight packets.
 //!
-//! Events carry a 4-byte [`PacketSlot`] handle instead of a ~130-byte inline
-//! `Packet`, which shrinks every event (cheaper queue moves) and makes
-//! steady-state forwarding allocation-free: a delivered packet's slab cell is
-//! recycled for the next send. The slab only ever grows to the high-water
-//! mark of concurrently in-flight packets.
+//! Events and link queues carry a 4-byte [`PacketSlot`] handle instead of a
+//! ~130-byte inline `Packet`, so a hop moves a handle, not the packet: the
+//! packet is written into its slab cell once and stays there until it leaves
+//! the network. Steady-state forwarding is allocation-free — a vacated cell
+//! is recycled for the next send — and the slab only ever grows to the
+//! high-water mark of concurrently in-flight packets.
 //!
-//! Lifecycle: `stash` on schedule (send / propagation hop), `unstash` on the
-//! event being consumed (delivery / link arrival). Every stashed packet is
-//! unstashed exactly once — events are never dropped, only executed — so
-//! cells cannot leak within a run.
+//! Lifecycle: `stash` once in `World::send_packet` (and once per copy the
+//! duplication impairment makes), `unstash` once where the packet leaves the
+//! network — delivery to its agent, or a drop (DropTail overflow, fault loss,
+//! an offer to a down link, a link-down queue drain). In between, links and
+//! events pass the handle and reach `hop`, `ecn_ce`, `corrupted` and `id`
+//! through [`PacketPool::get`] / [`PacketPool::get_mut`]. Every exit from the
+//! network must free its cell explicitly; `sim.rs`'s slab conservation test
+//! pins that none forgets to.
 
 use crate::packet::Packet;
 
-/// Handle to a packet owned by an event: an index into the [`PacketPool`]
-/// slab.
-#[derive(Debug)]
+/// Handle to an in-flight packet: an index into the [`PacketPool`] slab.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PacketSlot(u32);
 
 /// Slab of in-flight packets with a freelist of vacated cells.
@@ -26,7 +30,7 @@ pub(crate) struct PacketPool {
 }
 
 impl PacketPool {
-    /// Parks a packet and returns the handle to store in an event.
+    /// Parks a packet and returns its handle.
     ///
     /// # Panics
     ///
@@ -42,12 +46,38 @@ impl PacketPool {
         PacketSlot(i)
     }
 
+    /// The parked packet.
+    #[inline]
+    pub fn get(&self, slot: PacketSlot) -> &Packet {
+        // simlint: allow(P001, invariant: a handle is live from stash until its single unstash)
+        self.slab[slot.0 as usize].as_ref().expect("pool slot read after free")
+    }
+
+    /// The parked packet, mutably (hop cursor, ECN and corruption marks).
+    #[inline]
+    pub fn get_mut(&mut self, slot: PacketSlot) -> &mut Packet {
+        // simlint: allow(P001, invariant: a handle is live from stash until its single unstash)
+        self.slab[slot.0 as usize].as_mut().expect("pool slot written after free")
+    }
+
     /// Reclaims the packet; the cell returns to the freelist.
     pub fn unstash(&mut self, slot: PacketSlot) -> Packet {
         // simlint: allow(P001, invariant: each handle is created by stash and consumed exactly once)
         let pkt = self.slab[slot.0 as usize].take().expect("pool slot double-freed");
         self.free.push(slot.0);
         pkt
+    }
+
+    /// Cells ever allocated: the high-water mark of concurrently in-flight
+    /// packets.
+    pub fn high_water(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// Cells currently holding a packet.
+    #[cfg(test)]
+    pub fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
     }
 }
 
@@ -76,13 +106,16 @@ mod tests {
         let mut pool = PacketPool::default();
         let a = pool.stash(pkt(1));
         let b = pool.stash(pkt(2));
-        assert_eq!(pool.slab.len(), 2);
+        assert_eq!(pool.high_water(), 2);
+        pool.get_mut(a).hop = 3;
+        assert_eq!(pool.get(a).hop, 3);
         assert_eq!(pool.unstash(a).id, 1);
         // The vacated cell is reused: slab does not grow.
         let c = pool.stash(pkt(3));
-        assert_eq!(pool.slab.len(), 2);
+        assert_eq!(pool.high_water(), 2);
+        assert_eq!(pool.live(), 2);
         assert_eq!(pool.unstash(b).id, 2);
         assert_eq!(pool.unstash(c).id, 3);
-        assert_eq!(pool.free.len(), 2);
+        assert_eq!(pool.live(), 0);
     }
 }

@@ -28,11 +28,12 @@
 //! assert_eq!(sim.agent::<Counter>(sink).received, 1);
 //! ```
 
+pub use crate::event::WheelCounters;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::FaultAction;
 use crate::link::{Enqueue, Link, LinkConfig};
 use crate::packet::{AgentId, LinkId, Packet, Payload, Route};
-use crate::pool::PacketPool;
+use crate::pool::{PacketPool, PacketSlot};
 use crate::time::{SimDuration, SimTime};
 use obs::{DropCause, FaultKind, ImpairKind, LinkCounters, TraceEvent, TraceSink};
 use rand::rngs::SmallRng;
@@ -108,6 +109,34 @@ struct TimerSlot {
     wake_gen: u32,
 }
 
+/// Deterministic engine telemetry: what the event loop did, as plain counts.
+///
+/// Always on, and a function of the simulation alone — no wall-clock enters
+/// it — so two runs of one seed report the same numbers. Everything but
+/// `wheel` describes the simulation and is the same on the engine and on the
+/// reference heap. `wheel` is the measured answer to "how dense is this
+/// workload's event population", which is what the wheel's dense/sparse
+/// staging decides on (DESIGN.md §13).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// `Deliver` events popped: packets handed to their destination agent.
+    pub popped_deliver: u64,
+    /// `LinkTxDone` events popped: packets that finished serializing.
+    pub popped_link_tx_done: u64,
+    /// `LinkEnqueue` events popped: packets offered to a link after a hop.
+    pub popped_link_enqueue: u64,
+    /// Fire-and-forget timer events popped.
+    pub popped_timer: u64,
+    /// Slot-timer wake events popped (fired, re-slept or stale).
+    pub popped_timer_wake: u64,
+    /// Events ever pushed.
+    pub pushed: u64,
+    /// What the timer wheel did; zero on the reference heap.
+    pub wheel: WheelCounters,
+    /// Most packets ever in flight at once (slab cells allocated).
+    pub slab_high_water: u64,
+}
+
 /// The installed trace sink, if any. A newtype so [`World`] can keep its
 /// `Debug` derive (sinks themselves need not be `Debug`).
 struct TraceSlot(Option<Box<dyn TraceSink>>);
@@ -133,6 +162,9 @@ pub struct World {
     pool: PacketPool,
     timers: Vec<TimerSlot>,
     armed_count: u64,
+    /// Only the `popped_*` fields are kept here; the rest are read off the
+    /// queue and the pool on demand ([`Simulator::engine_counters`]).
+    popped: EngineCounters,
     /// Total packets dropped by DropTail across all links.
     pub dropped_pkts: u64,
     /// Total packets lost to random-loss impairments across all links.
@@ -154,6 +186,7 @@ impl World {
             pool: PacketPool::default(),
             timers: Vec::new(),
             armed_count: 0,
+            popped: EngineCounters::default(),
             dropped_pkts: 0,
             random_losses: 0,
             blackout_drops: 0,
@@ -347,76 +380,71 @@ impl World {
             route,
             payload,
         };
-        if pkt.route.links.is_empty() {
-            let agent = pkt.route.dst;
-            let pkt = self.pool.stash(pkt);
-            self.queue.push(self.now, EventKind::Deliver { agent, pkt });
-        } else {
-            let link = pkt.route.links[0];
-            self.offer_to_link(link, pkt);
+        // Stashed here, once; from now on links and events pass the handle
+        // and the packet stays in its slab cell until it leaves the network.
+        let first = pkt.route.links.first().copied();
+        let agent = pkt.route.dst;
+        let pkt = self.pool.stash(pkt);
+        match first {
+            Some(link) => self.offer_to_link(link, pkt),
+            None => self.queue.push(self.now, EventKind::Deliver { agent, pkt }),
         }
         id
     }
 
-    fn offer_to_link(&mut self, link: LinkId, pkt: Packet) {
+    /// Frees a packet that leaves the network without being delivered, and
+    /// traces why.
+    fn drop_packet(&mut self, link: LinkId, pkt: PacketSlot, cause: DropCause) {
+        let pkt_id = self.pool.unstash(pkt).id;
+        self.emit(TraceEvent::Drop {
+            t_ns: self.now.as_nanos(),
+            link: World::trace_link_id(link),
+            pkt_id,
+            cause,
+        });
+    }
+
+    fn offer_to_link(&mut self, link: LinkId, pkt: PacketSlot) {
         // Impairments act where the wire starts: a down link swallows the
         // packet outright, then the loss process rolls, and only survivors
         // reach the DropTail queue. `dropped_pkts` stays DropTail-only.
-        let t_ns = self.now.as_nanos();
-        let pkt_id = pkt.id;
         let l = &mut self.links[link];
         l.note_offered();
         if !l.is_up() {
             l.note_blackout_drop();
             self.blackout_drops += 1;
-            self.emit(TraceEvent::Drop {
-                t_ns,
-                link: World::trace_link_id(link),
-                pkt_id,
-                cause: DropCause::Blackout,
-            });
-            return;
+            return self.drop_packet(link, pkt, DropCause::Blackout);
         }
         if l.roll_loss(&mut self.rng) {
             self.random_losses += 1;
-            self.emit(TraceEvent::Drop {
-                t_ns,
-                link: World::trace_link_id(link),
-                pkt_id,
-                cause: DropCause::FaultLoss,
-            });
-            return;
+            return self.drop_packet(link, pkt, DropCause::FaultLoss);
         }
-        let outcome = l.enqueue(pkt, self.now);
+        let (pkt_id, size_bytes) = {
+            let p = self.pool.get(pkt);
+            (p.id, p.size_bytes)
+        };
+        let outcome = l.enqueue(pkt, size_bytes, self.now);
         let qlen = l.queue_len();
         match outcome {
             Enqueue::StartTx(ser) => {
                 self.queue.push(self.now + ser, EventKind::LinkTxDone { link });
-                self.emit(TraceEvent::Enqueue {
-                    t_ns,
-                    link: World::trace_link_id(link),
-                    pkt_id,
-                    qlen,
-                });
             }
-            Enqueue::Queued => {
-                self.emit(TraceEvent::Enqueue {
-                    t_ns,
-                    link: World::trace_link_id(link),
-                    pkt_id,
-                    qlen,
-                });
+            Enqueue::Queued { ce } => {
+                if ce {
+                    self.pool.get_mut(pkt).ecn_ce = true;
+                }
             }
             Enqueue::Dropped => {
                 self.dropped_pkts += 1;
-                self.emit(TraceEvent::Drop {
-                    t_ns,
-                    link: World::trace_link_id(link),
-                    pkt_id,
-                    cause: DropCause::QueueOverflow,
-                });
+                return self.drop_packet(link, pkt, DropCause::QueueOverflow);
             }
         }
+        self.emit(TraceEvent::Enqueue {
+            t_ns: self.now.as_nanos(),
+            link: World::trace_link_id(link),
+            pkt_id,
+            qlen,
+        });
     }
 
     /// Sets a link administratively up or down. Going down drains the link's
@@ -430,14 +458,8 @@ impl World {
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
         let drained = self.links[id].set_up(up, self.now);
         self.blackout_drops += drained.len() as u64;
-        let t_ns = self.now.as_nanos();
-        for pkt_id in drained {
-            self.emit(TraceEvent::Drop {
-                t_ns,
-                link: World::trace_link_id(id),
-                pkt_id,
-                cause: DropCause::Blackout,
-            });
+        for pkt in drained {
+            self.drop_packet(id, pkt, DropCause::Blackout);
         }
     }
 
@@ -490,7 +512,7 @@ impl World {
         });
     }
 
-    fn forward_after_tx(&mut self, link: LinkId, mut pkt: Packet) {
+    fn forward_after_tx(&mut self, link: LinkId, pkt: PacketSlot) {
         // Delivery impairments roll in a fixed order — corrupt, duplicate,
         // jitter(original), jitter(duplicate) — so the RNG stream is a pure
         // function of the configured models; inactive models draw nothing,
@@ -519,39 +541,27 @@ impl World {
             (prop, corrupt, duplicate, jitter, dup_jitter)
         };
         let t_ns = self.now.as_nanos();
-        if corrupt {
-            pkt.corrupted = true;
-            self.emit(TraceEvent::Impair {
-                t_ns,
-                link: World::trace_link_id(link),
-                pkt_id: pkt.id,
-                kind: ImpairKind::Corrupt,
-            });
+        let p = self.pool.get_mut(pkt);
+        p.hop += 1;
+        p.corrupted |= corrupt;
+        let pkt_id = p.id;
+        let impaired = [
+            (corrupt, ImpairKind::Corrupt),
+            (duplicate, ImpairKind::Duplicate),
+            (jitter.is_some(), ImpairKind::Reorder),
+            (dup_jitter.is_some(), ImpairKind::Reorder),
+        ];
+        for (_, kind) in impaired.into_iter().filter(|(hit, _)| *hit) {
+            self.emit(TraceEvent::Impair { t_ns, link: World::trace_link_id(link), pkt_id, kind });
         }
-        if duplicate {
-            self.emit(TraceEvent::Impair {
-                t_ns,
-                link: World::trace_link_id(link),
-                pkt_id: pkt.id,
-                kind: ImpairKind::Duplicate,
-            });
-        }
-        for _ in 0..(jitter.is_some() as usize + dup_jitter.is_some() as usize) {
-            self.emit(TraceEvent::Impair {
-                t_ns,
-                link: World::trace_link_id(link),
-                pkt_id: pkt.id,
-                kind: ImpairKind::Reorder,
-            });
-        }
-        pkt.hop += 1;
         let base = self.now + prop;
-        let dup_copy = if duplicate { Some(pkt.clone()) } else { None };
         self.schedule_arrival(base + jitter.unwrap_or(SimDuration::ZERO), pkt);
-        if let Some(copy) = dup_copy {
+        if duplicate {
             // The copy inherits corruption (same bits on the wire twice) and
             // rolls its own jitter, so the two arrivals can land in either
-            // order.
+            // order. From here on it is a packet of its own, in its own cell.
+            let copy = self.pool.get(pkt).clone();
+            let copy = self.pool.stash(copy);
             self.schedule_arrival(base + dup_jitter.unwrap_or(SimDuration::ZERO), copy);
         }
     }
@@ -559,16 +569,13 @@ impl World {
     /// Schedules one packet copy to arrive at `at`: delivered to the route's
     /// destination agent after the last hop, otherwise offered to the next
     /// link on the route.
-    fn schedule_arrival(&mut self, at: SimTime, pkt: Packet) {
-        if pkt.at_last_hop() {
-            let agent = pkt.route.dst;
-            let pkt = self.pool.stash(pkt);
-            self.queue.push(at, EventKind::Deliver { agent, pkt });
-        } else {
-            let next = pkt.route.links[pkt.hop];
-            let pkt = self.pool.stash(pkt);
-            self.queue.push(at, EventKind::LinkEnqueue { link: next, pkt });
-        }
+    fn schedule_arrival(&mut self, at: SimTime, pkt: PacketSlot) {
+        let p = self.pool.get(pkt);
+        let kind = match p.route.links.get(p.hop) {
+            Some(&link) => EventKind::LinkEnqueue { link, pkt },
+            None => EventKind::Deliver { agent: p.route.dst, pkt },
+        };
+        self.queue.push(at, kind);
     }
 }
 
@@ -993,13 +1000,16 @@ impl Simulator {
         self.world.now = ev.at;
         match ev.kind {
             EventKind::Deliver { agent, pkt } => {
+                self.world.popped.popped_deliver += 1;
                 let pkt = self.world.pool.unstash(pkt);
                 self.dispatch(agent, |a, ctx| a.on_packet(pkt, ctx));
             }
             EventKind::Timer { agent, token } => {
+                self.world.popped.popped_timer += 1;
                 self.dispatch(agent, |a, ctx| a.on_timer(token, ctx));
             }
             EventKind::TimerWake { slot, wake_gen } => {
+                self.world.popped.popped_timer_wake += 1;
                 let s = &mut self.world.timers[slot as usize];
                 if s.wake_gen == wake_gen {
                     s.has_event = false;
@@ -1020,6 +1030,7 @@ impl Simulator {
                 }
             }
             EventKind::LinkTxDone { link } => {
+                self.world.popped.popped_link_tx_done += 1;
                 let (pkt, next) = self.world.links[link].tx_done(self.world.now);
                 if let Some(ser) = next {
                     self.world.queue.push(self.world.now + ser, EventKind::LinkTxDone { link });
@@ -1027,7 +1038,7 @@ impl Simulator {
                 self.world.forward_after_tx(link, pkt);
             }
             EventKind::LinkEnqueue { link, pkt } => {
-                let pkt = self.world.pool.unstash(pkt);
+                self.world.popped.popped_link_enqueue += 1;
                 self.world.offer_to_link(link, pkt);
             }
         }
@@ -1073,6 +1084,16 @@ impl Simulator {
     /// traffic.
     pub fn armed_timers(&self) -> u64 {
         self.world.armed_timers()
+    }
+
+    /// What the event loop has done so far (see [`EngineCounters`]).
+    pub fn engine_counters(&self) -> EngineCounters {
+        EngineCounters {
+            pushed: self.world.queue.pushed(),
+            wheel: self.world.queue.wheel_counters(),
+            slab_high_water: self.world.pool.high_water() as u64,
+            ..self.world.popped
+        }
     }
 }
 
@@ -1484,6 +1505,115 @@ mod tests {
         sim.world_mut().send_packet(a, route, 100, Payload::Raw);
         sim.run_to_completion();
         assert_eq!(sim.agent::<Canceller>(a).fired, 1);
+    }
+
+    /// The peek-ahead regression. `run_until` peeks at the next event — a
+    /// timer a second away — to learn it is past the deadline, and that peek
+    /// stages the timer's bucket and moves the wheel position there. Work
+    /// scheduled afterwards, at or after `now` but a second *before* that
+    /// bucket, used to land in a ring slot behind the wheel position: a
+    /// release build fired `[1 s, 11 ms]` with the clock running backwards,
+    /// a debug build panicked in `Wheel::push`.
+    #[test]
+    fn work_scheduled_between_two_runs_fires_in_time_order() {
+        struct Stamp(Vec<(SimTime, u64)>);
+        impl Agent for Stamp {
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+                self.0.push((ctx.now(), token));
+            }
+        }
+        fn run(mut sim: Simulator) -> Vec<(SimTime, u64)> {
+            let a = sim.add_agent(Box::new(Stamp(Vec::new())));
+            sim.kick(a, SimDuration::from_millis(1000), 1);
+            sim.run_until(ms(10));
+            sim.kick(a, SimDuration::from_millis(1), 2);
+            sim.run_until(ms(2000));
+            sim.agent::<Stamp>(a).0.clone()
+        }
+        let fired = run(Simulator::new(1));
+        assert_eq!(fired, vec![(ms(11), 2), (ms(1000), 1)]);
+        assert_eq!(fired, run(Simulator::with_reference_queue(1)));
+    }
+
+    /// Sends `burst` packets every `every` until `bursts` are out.
+    struct Burster {
+        route: Arc<Route>,
+        burst: u32,
+        bursts: u32,
+        every: SimDuration,
+    }
+
+    impl Agent for Burster {
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.burst {
+                ctx.send(self.route.clone(), 1000, Payload::Raw);
+            }
+            self.bursts -= 1;
+            if self.bursts > 0 {
+                ctx.schedule_in(self.every, token);
+            }
+        }
+    }
+
+    /// Every way a packet can leave the network frees its slab cell. Until
+    /// packets stayed in the slab across hops this could not fail — a cell
+    /// lived from one event's push to its pop — so the drops are new places
+    /// to leak from: DropTail overflow, iid loss, an offer to a down link, a
+    /// link going down over a non-empty queue; duplication is a new place to
+    /// allocate from. One run has all of them, and corruption and reordering.
+    #[test]
+    fn every_exit_from_the_network_frees_its_slab_cell() {
+        use crate::faults::{FaultScript, LossModel, ReorderModel};
+        fn run(mut sim: Simulator) -> (Vec<LinkCounters>, EngineCounters, usize) {
+            let us = SimDuration::from_micros;
+            // A fast first hop bursts into a slow second one with a short
+            // queue; the third hop duplicates, corrupts and reorders.
+            let l0 = sim.add_link(LinkConfig::new(1_000_000_000, us(10)).queue_limit(64));
+            let l1 = sim.add_link(LinkConfig::new(100_000_000, us(10)).queue_limit(8));
+            let l2 = sim.add_link(LinkConfig::new(1_000_000_000, us(10)).queue_limit(64));
+            sim.world_mut().link_mut(l1).impairment_mut().set_loss(LossModel::iid(0.05));
+            let imp = sim.world_mut().link_mut(l2).impairment_mut();
+            imp.set_duplicate(0.1);
+            imp.set_corrupt(0.1);
+            imp.set_reorder(ReorderModel::uniform(0.2, us(300)));
+            let sink = sim.add_agent(Box::new(Sink::new()));
+            let route = Route::new(vec![l0, l1, l2], sink);
+            let src =
+                sim.add_agent(Box::new(Burster { route, burst: 24, bursts: 40, every: us(1000) }));
+            // Down in the middle of a burst's backlog, and across two more.
+            let at = |t_us: u64| SimTime::from_nanos(t_us * 1_000);
+            FaultScript::new().blackout(l1, at(10_300), at(12_500)).install(&mut sim);
+            sim.kick(src, SimDuration::ZERO, 0);
+            sim.run_to_completion();
+            assert_eq!(sim.pending_events(), 0);
+            assert_eq!(sim.world().pool.live(), 0, "slab cells leaked");
+            let delivered = sim.agent::<Sink>(sink).received.len();
+            (sim.world().link_counters(), sim.engine_counters(), delivered)
+        }
+        let (links, engine, delivered) = run(Simulator::new(5));
+        for l in &links {
+            assert_eq!(l.offered, l.tx_pkts + l.drops(), "link {} lost count of a packet", l.link);
+        }
+        let [l0, l1, l2] = &links[..] else { panic!("three links") };
+        assert_eq!(l0.offered, 24 * 40);
+        assert!(l1.drops_queue > 0 && l1.drops_fault > 0, "{l1:?}");
+        // More blackout drops than offers made while down: a queue was drained.
+        assert!(l1.drops_blackout > 2 * 24 && l1.drops_blackout < 3 * 24, "{l1:?}");
+        assert!(l2.duplicated > 0 && l2.corrupted > 0 && l2.reordered > 0, "{l2:?}");
+        assert_eq!(delivered as u64, l2.tx_pkts + l2.duplicated);
+        assert_eq!(engine.popped_deliver, delivered as u64);
+        assert!(engine.slab_high_water >= 24 && engine.slab_high_water < 100, "{engine:?}");
+
+        // The oracle sees the same run, down to what it popped.
+        let (oracle_links, oracle_engine, oracle_delivered) =
+            run(Simulator::with_reference_queue(5));
+        assert_eq!(links, oracle_links);
+        assert_eq!(delivered, oracle_delivered);
+        assert!(engine.wheel.buckets_staged > 0);
+        assert_eq!(oracle_engine.wheel, WheelCounters::default());
+        assert_eq!(EngineCounters { wheel: oracle_engine.wheel, ..engine }, oracle_engine);
     }
 
     /// Same seed, same delivery schedule — run twice, and a third time on the
