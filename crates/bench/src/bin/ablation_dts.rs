@@ -22,9 +22,7 @@
 //! the `trace_dump` binary. Tracing never changes results (pinned by
 //! `tests/sweep_determinism.rs`).
 
-use bench_harness::fabric::{
-    run_dist, CellOutcome, DistOptions, FabricCell, FabricOptions, Fingerprint,
-};
+use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
 use mptcp_energy::scenarios::{run_two_path_bursty_traced, BurstyOptions, CcChoice};
 use mptcp_energy::{friendliness_ratio, CcModel, DtsConfig, Psi};
@@ -127,18 +125,7 @@ fn main() {
         cells.push(cell("eps", name.to_owned(), cfg, o, trace));
     }
 
-    let report = match run_dist(
-        cells,
-        &FabricOptions::from_cli(&cli),
-        &DistOptions::from_cli(&cli, "ablation_dts"),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("ablation_dts: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("{}", report.counters.render());
+    let report = cli.sweep("ablation_dts", cells);
     let (slope_out, rest) = report.outcomes.split_at(slopes.len());
     let (c_out, eps_out) = rest.split_at(cs.len());
 
@@ -169,8 +156,5 @@ fn main() {
         table(&["epsilon", "energy (J)", "fct (s)", "Mb/s"], &rows_for(eps_out, |_| Vec::new()))
     );
 
-    if !report.is_complete() {
-        eprint!("{}", report.partial_note());
-        std::process::exit(1);
-    }
+    report.exit_if_partial();
 }

@@ -21,45 +21,18 @@
 //! input order — byte-comparable across runs by construction.
 
 use bench_harness::fabric::demo;
-use bench_harness::fabric::{run_dist, DistOptions, FabricOptions};
-use bench_harness::Cli;
-
-fn env_ms(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(ms) => Some(ms),
-        Err(_) => {
-            eprintln!("warning: ignoring unusable {name}={raw:?} (want integer milliseconds)");
-            None
-        }
-    }
-}
+use bench_harness::{env_parsed, Cli};
 
 fn main() {
     let cli = Cli::from_args();
-    let sleep_ms = env_ms("FABRIC_SMOKE_SLEEP_MS");
-    let fail: Vec<String> = std::env::var("FABRIC_SMOKE_FAIL")
+    let sleep_ms = env_parsed("FABRIC_SMOKE_SLEEP_MS", "integer milliseconds", |_| true);
+    let fail: Vec<String> = env_parsed::<String>("FABRIC_SMOKE_FAIL", "cell labels", |_| true)
         .map(|s| s.split(',').map(|t| t.trim().to_owned()).filter(|t| !t.is_empty()).collect())
         .unwrap_or_default();
 
-    let cells = demo::walk_cells_with(sleep_ms, &fail);
-    let report = match run_dist(
-        cells,
-        &FabricOptions::from_cli(&cli),
-        &DistOptions::from_cli(&cli, demo::WALK_SUITE),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("fabric_smoke: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("{}", report.counters.render());
+    let report = cli.sweep(demo::WALK_SUITE, demo::walk_cells_with(sleep_ms, &fail));
     for r in report.results() {
         println!("{:?}", (&r.label, r.seed, &r.output));
     }
-    if !report.is_complete() {
-        eprint!("{}", report.partial_note());
-        std::process::exit(1);
-    }
+    report.exit_if_partial();
 }

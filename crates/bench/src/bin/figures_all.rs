@@ -19,7 +19,6 @@
 //! (or SWEEP_WORKERS) the figures run in N supervised worker processes —
 //! same byte-identical stdout, plus survival of whole worker losses.
 
-use bench_harness::fabric::{run_dist, DistOptions, FabricOptions};
 use bench_harness::{figs, Cli};
 
 /// Splits `--only LIST` / `--only=LIST` off the argument list; the rest is
@@ -41,7 +40,7 @@ fn take_only(
     Ok((only, rest))
 }
 
-/// Usage and run errors alike: the message on stderr, exit 2.
+/// A usage error: the message on stderr, exit 2.
 fn die(e: &str) -> ! {
     eprintln!("figures_all: {e}");
     std::process::exit(2);
@@ -54,15 +53,9 @@ fn main() {
         Some(list) => figs::fig_cells_only(cli.scale, list).unwrap_or_else(|e| die(&e)),
         None => figs::fig_cells(cli.scale),
     };
-    let opts = FabricOptions::from_cli(&cli);
-    let report =
-        run_dist(cells, &opts, &DistOptions::from_cli(&cli, "figures")).unwrap_or_else(|e| die(&e));
-    eprintln!("{}", report.counters.render());
+    let report = cli.sweep("figures", cells);
     for r in report.results() {
         print!("==== {} ====\n{}\n", r.label, r.output);
     }
-    if !report.is_complete() {
-        eprint!("{}", report.partial_note());
-        std::process::exit(1);
-    }
+    report.exit_if_partial();
 }

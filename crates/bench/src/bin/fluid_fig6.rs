@@ -19,7 +19,7 @@
 //! the custom event kind and the file slots into the same trace directory
 //! the packet-level harnesses fill.
 
-use bench_harness::fabric::{run_dist, DistOptions, FabricCell, FabricOptions, Fingerprint};
+use bench_harness::fabric::{FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
 use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, Psi};
 
@@ -84,18 +84,7 @@ fn main() {
             }
         }
     });
-    let report = match run_dist(
-        cells,
-        &FabricOptions::from_cli(&cli),
-        &DistOptions::from_cli(&cli, "fluid_fig6"),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("fluid_fig6: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("{}", report.counters.render());
+    let report = cli.sweep("fluid_fig6", cells);
     let mut rows = Vec::new();
     for r in report.results() {
         let (mptcp, tcp) = r.output;
@@ -128,8 +117,5 @@ fn main() {
         table(&["psi", "mptcp x* (pkt/s)", "tcp x* (pkt/s)", "mptcp/tcp", "16MB time (s)"], &rows)
     );
     println!("\nmptcp/tcp near 1 = TCP-friendly; higher mptcp x* = shorter transfers = less energy (Eq. 2).");
-    if !report.is_complete() {
-        eprint!("{}", report.partial_note());
-        std::process::exit(1);
-    }
+    report.exit_if_partial();
 }

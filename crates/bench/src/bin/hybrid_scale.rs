@@ -18,9 +18,7 @@
 //! clock and seeded RNG; outputs are journaled bit-exactly).
 
 use bench_harness::fabric::journal::{JournalValue, ValueReader};
-use bench_harness::fabric::{
-    run_dist, DistOptions, FabricCell, FabricOptions, Fingerprint, JournalCodec,
-};
+use bench_harness::fabric::{FabricCell, Fingerprint, JournalCodec};
 use bench_harness::{Cli, Scale};
 use congestion::AlgorithmKind;
 use energy_model::WiredCpuModel;
@@ -214,18 +212,7 @@ fn main() {
         })
         .collect();
 
-    let report = match run_dist(
-        cells,
-        &FabricOptions::from_cli(&cli),
-        &DistOptions::from_cli(&cli, "hybrid_scale"),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("hybrid_scale: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("{}", report.counters.render());
+    let report = cli.sweep("hybrid_scale", cells);
 
     println!(
         "# hybrid_scale {} — FatTree(k={}), {} fluid + {} packet flows, {} epochs x {}s",
@@ -256,8 +243,5 @@ fn main() {
     for r in report.results() {
         eprintln!("{}: {}", r.label, r.output.hybrid.render());
     }
-    if !report.is_complete() {
-        eprint!("{}", report.partial_note());
-        std::process::exit(1);
-    }
+    report.exit_if_partial();
 }

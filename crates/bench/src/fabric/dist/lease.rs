@@ -16,8 +16,9 @@
 //!   the lease deadline is *stalled* (livelocked cell, infinite loop below
 //!   the per-attempt deadline radar) — cause [`RevokeCause::Stall`].
 //! * A worker whose **process exits** without a complete response crashed —
-//!   cause [`RevokeCause::Crash`], detected by the supervisor's `try_wait`,
-//!   never by this module.
+//!   detected by the supervisor's `try_wait`, never by this module (like
+//!   invalid responses and claim timeouts, it is revoked where it is seen,
+//!   under a plain reason tag).
 //!
 //! Everything here is pure: time enters only as caller-supplied millisecond
 //! readings (the supervisor passes wall-clock milliseconds; tests pass
@@ -28,31 +29,24 @@
 //! the supervisor harvests any complete response before assessing, so a
 //! worker that finishes on the stroke of its deadline is never revoked.
 
-/// Why the supervisor revoked a lease. Carried into
+/// Why [`Lease::assess`] wants a lease revoked. Carried into
 /// [`obs::DistEvent::LeaseRevoked`] and the counter accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RevokeCause {
-    /// The worker process exited without a complete, valid response.
-    Crash,
     /// No heartbeat inside the liveness window: the process is gone or
     /// wedged too hard to run its heartbeat thread.
     HeartbeatLapse,
     /// Heartbeats kept arriving but no new cell completed before the lease
     /// deadline: the worker is alive but not progressing.
     Stall,
-    /// The worker's response failed validation (corrupt lines, wrong grid,
-    /// or a stale protocol version).
-    InvalidResponse,
 }
 
 impl RevokeCause {
     /// The stable tag used in events and logs.
     pub fn as_str(self) -> &'static str {
         match self {
-            RevokeCause::Crash => "crash",
             RevokeCause::HeartbeatLapse => "heartbeat_lapse",
             RevokeCause::Stall => "stall",
-            RevokeCause::InvalidResponse => "invalid_response",
         }
     }
 }

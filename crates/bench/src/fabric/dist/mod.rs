@@ -54,16 +54,11 @@ pub mod worker;
 pub use lease::{Lease, RevokeCause};
 pub use worker::{attach_loop, parse_chaos, serve_cells, SuiteFn, SuiteRegistry};
 
-use super::journal::{decode_payload, JournalCodec, JournalWriter};
-use super::merge::{CellOutcome, QuarantineRecord};
-use super::plan::{CellId, PlannedCell, ShardPlan};
+use super::journal::{decode_payload, JournalCodec};
+use super::plan::{CellId, PlannedCell};
 use super::retry::{AttemptStats, FailCause};
-use super::{
-    assemble_report, env_parsed, replay_for_plan, write_artifact, FabricCell, FabricOptions,
-    FabricReport, Replayed,
-};
-use crate::runner::RunSummary;
-use crate::DistWorkerCli;
+use super::{open_journal, plan_of, Collector, FabricCell, FabricOptions, FabricReport};
+use crate::{env_parsed, DistWorkerCli};
 use obs::{CounterSnapshot, DistCounters, DistEvent};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -156,25 +151,22 @@ impl DistOptions {
         o.workers = cli.workers();
         o.spool = cli.spool.clone();
         o.task = cli.dist.clone();
-        if let Some(secs) =
-            env_parsed::<f64>("SWEEP_CLAIM_TIMEOUT_S", "a number of seconds (0 waits forever)")
-        {
-            if netsim::is_exactly_zero(secs) {
-                o.claim_timeout = None;
-            } else if secs > 0.0 && secs.is_finite() {
-                o.claim_timeout = Some(Duration::from_secs_f64(secs));
-            } else {
-                eprintln!(
-                    "warning: ignoring SWEEP_CLAIM_TIMEOUT_S={secs}: \
-                     expected a non-negative number of seconds"
-                );
-            }
+        let what = "a non-negative number of seconds (0 waits forever)";
+        if let Some(secs) = env_parsed("SWEEP_CLAIM_TIMEOUT_S", what, crate::secs) {
+            o.claim_timeout = claim_timeout_of(secs);
         }
-        if std::env::var("SWEEP_SPAWN").as_deref() == Ok("attach") {
+        let spawn: Option<String> = env_parsed("SWEEP_SPAWN", "a spawn mode", |_| true);
+        if spawn.as_deref() == Some("attach") {
             o.spawn = SpawnMode::Attach;
         }
         o
     }
+}
+
+/// `SWEEP_CLAIM_TIMEOUT_S` seconds as [`DistOptions::claim_timeout`]: zero
+/// waits forever.
+fn claim_timeout_of(secs: f64) -> Option<Duration> {
+    (secs > 0.0).then(|| Duration::from_secs_f64(secs))
 }
 
 /// Runs the grid across worker processes — or serves it, or falls through.
@@ -280,11 +272,10 @@ struct Supervisor<'a, T> {
     grid: u64,
     opts: &'a FabricOptions,
     dist: &'a DistOptions,
-    cells: &'a [FabricCell<T>],
-    writer: Option<JournalWriter>,
+    /// Where harvested and given-up cells settle (journal, report).
+    collector: Collector<'a, T>,
     counters: DistCounters,
     events: EventLog,
-    fresh: Vec<(usize, CellOutcome<T>, AttemptStats)>,
     lease_ms: u64,
     hb_timeout_ms: u64,
 }
@@ -297,17 +288,8 @@ fn supervise<T>(
 where
     T: JournalCodec + Send + 'static,
 {
-    let plan = ShardPlan::new(cells.iter().map(|c| (c.label.clone(), c.seed, c.config)))?;
-    let cells_by_index: BTreeMap<usize, (String, u64)> =
-        plan.cells().iter().map(|p| (p.index, (p.label.clone(), p.seed))).collect();
-    let replayed: Replayed<T> = match &opts.journal {
-        Some(path) => replay_for_plan(&plan, path)?,
-        None => BTreeMap::new(),
-    };
-    let writer = match &opts.journal {
-        Some(path) => Some(JournalWriter::append_to(path, plan.grid_id(), plan.len())?),
-        None => None,
-    };
+    let plan = plan_of(&cells)?;
+    let (replayed, writer) = open_journal(&plan, opts.journal.as_deref())?;
 
     // A fresh per-grid spool: stale files from a previous (possibly killed)
     // supervisor must not masquerade as this run's responses — completed
@@ -323,8 +305,7 @@ where
         grid: plan.grid_id(),
         opts,
         dist,
-        cells: &cells,
-        writer,
+        collector: Collector::new(&plan, &cells, opts, writer),
         counters: DistCounters::default(),
         events: EventLog {
             file: std::fs::OpenOptions::new()
@@ -334,7 +315,6 @@ where
                 .ok(),
             t0: Instant::now(),
         },
-        fresh: Vec::new(),
         lease_ms: dist.lease.as_millis() as u64,
         hb_timeout_ms: dist.heartbeat_timeout.as_millis() as u64,
         spool,
@@ -365,9 +345,6 @@ where
             run.state = sup.dispatch(&run)?;
         }
         runs.push(run);
-    }
-    if !replayed.is_empty() {
-        eprintln!("fabric: resumed {} of {} cell(s) from journal", replayed.len(), plan.len());
     }
 
     loop {
@@ -419,12 +396,9 @@ where
     if let Err(e) = wire::write_shutdown(&sup.spool) {
         eprintln!("warning: {e}");
     }
-    let Supervisor { counters, fresh, .. } = sup;
-    let mut report = assemble_report(&plan, replayed, fresh, &cells_by_index)?;
+    let Supervisor { counters, collector, .. } = sup;
+    let mut report = collector.finish(replayed)?;
     report.counters.dist = counters;
-    if !report.counters.dist.is_idle() {
-        eprintln!("{}", report.counters.dist.render());
-    }
     Ok(report)
 }
 
@@ -627,12 +601,6 @@ where
                     self.counters.heartbeat_lapses += 1;
                     format!("no heartbeat for over {} ms", self.hb_timeout_ms)
                 }
-                // `assess` only reports liveness causes; crash and
-                // invalid-response revokes are raised directly at their
-                // detection sites above, so these arms never count.
-                RevokeCause::Crash | RevokeCause::InvalidResponse => {
-                    format!("unexpected {} verdict from lease assessment", cause.as_str())
-                }
             };
             return self.revoke(run, child, cause.as_str(), detail, now);
         }
@@ -640,8 +608,9 @@ where
     }
 
     /// Consumes new response lines past the harvest cursors. First valid
-    /// result per cell wins — it is journaled immediately (crash-safety for
-    /// the *supervisor*), later duplicates are counted and dropped.
+    /// result per cell wins — the collector journals it immediately
+    /// (crash-safety for the *supervisor*), later duplicates are counted
+    /// and dropped.
     ///
     /// # Errors
     ///
@@ -664,31 +633,9 @@ where
             };
             let (output, counters) = decode_payload::<(T, CounterSnapshot)>(&dl.payload)
                 .map_err(|e| format!("payload for cell {} ({:?}): {e}", dl.id, dl.label))?;
-            if let Some(w) = &mut self.writer {
-                if let Err(e) = w.record_done(
-                    planned.id,
-                    &planned.label,
-                    planned.seed,
-                    dl.attempts,
-                    &dl.payload,
-                ) {
-                    eprintln!("warning: {e}");
-                }
-            }
-            self.fresh.push((
-                planned.index,
-                CellOutcome::Done {
-                    summary: RunSummary {
-                        label: planned.label.clone(),
-                        seed: planned.seed,
-                        output,
-                        counters,
-                    },
-                    attempts: dl.attempts,
-                    replayed: false,
-                },
-                AttemptStats { attempts: dl.attempts, panics: 0, deadline_kills: 0 },
-            ));
+            // A `done` line carries attempts only (DESIGN.md §15, known gap).
+            let stats = AttemptStats { attempts: dl.attempts, ..AttemptStats::default() };
+            self.collector.done(planned.index, output, counters, stats, &dl.payload);
             run.pending.remove(&dl.id);
             run.accepted_this_gen.push(dl.id);
         }
@@ -708,59 +655,16 @@ where
                 "worker" => FailCause::Worker,
                 _ => FailCause::Panic,
             };
-            self.quarantine(
-                planned,
-                fl.attempts,
-                cause,
-                fl.message.clone(),
-                AttemptStats {
-                    attempts: fl.attempts,
-                    panics: fl.panics,
-                    deadline_kills: fl.deadline_kills,
-                },
-            );
+            let stats = AttemptStats {
+                attempts: fl.attempts,
+                panics: fl.panics,
+                deadline_kills: fl.deadline_kills,
+            };
+            self.collector.quarantine(planned.index, fl.attempts, cause, fl.message.clone(), stats);
             run.pending.remove(&fl.id);
             run.accepted_this_gen.push(fl.id);
         }
         Ok(())
-    }
-
-    /// Quarantines one cell: artifact, journal line, report entry — the
-    /// exact single-process semantics, fed from the wire.
-    fn quarantine(
-        &mut self,
-        planned: &PlannedCell,
-        attempts: u32,
-        cause: FailCause,
-        message: String,
-        stats: AttemptStats,
-    ) {
-        let artifact = self.opts.artifacts.as_deref().and_then(|dir| {
-            write_artifact(dir, planned, self.cells[planned.index].repro.as_ref(), cause, &message)
-        });
-        let record = QuarantineRecord {
-            id: planned.id,
-            label: planned.label.clone(),
-            seed: planned.seed,
-            attempts,
-            cause,
-            message,
-            artifact,
-        };
-        eprintln!("fabric: {record}");
-        if let Some(w) = &mut self.writer {
-            if let Err(e) = w.record_quarantine(
-                record.id,
-                &record.label,
-                record.seed,
-                record.attempts,
-                cause.as_str(),
-                &record.message,
-            ) {
-                eprintln!("warning: {e}");
-            }
-        }
-        self.fresh.push((planned.index, CellOutcome::Quarantined(record), stats));
     }
 
     /// Revokes the current lease: kill the worker (if ours to kill), log
@@ -811,17 +715,15 @@ where
                 run.shard,
                 run.causes.join("; ")
             );
-            let remaining: Vec<&PlannedCell> = run.pending.values().copied().collect();
-            for planned in remaining {
-                self.quarantine(
-                    planned,
+            for planned in std::mem::take(&mut run.pending).into_values() {
+                self.collector.quarantine(
+                    planned.index,
                     attempts,
                     FailCause::Worker,
                     message.clone(),
                     AttemptStats::default(),
                 );
             }
-            run.pending.clear();
             return Ok(State::Settled);
         }
         run.redispatches += 1;
@@ -829,19 +731,9 @@ where
         run.gen += 1;
         run.harvest_done = 0;
         run.harvest_failed = 0;
-        Ok(State::AwaitingRedispatch {
-            at_ms: now + redispatch_backoff(self.opts, run.redispatches),
-        })
+        let backoff = self.opts.retry.backoff(run.redispatches);
+        Ok(State::AwaitingRedispatch { at_ms: now + backoff.as_millis() as u64 })
     }
-}
-
-/// Bounded exponential backoff before the `nth` re-dispatch (1-based),
-/// shaped by the fabric's retry policy: `base · 2^(n-1)` capped at the
-/// policy ceiling.
-fn redispatch_backoff(opts: &FabricOptions, nth: u32) -> u64 {
-    let exp = nth.saturating_sub(1).min(20);
-    let backoff = opts.retry.base_backoff.saturating_mul(1 << exp).min(opts.retry.max_backoff);
-    backoff.as_millis() as u64
 }
 
 /// Spawns one worker process for `(shard, gen)`.
@@ -905,7 +797,6 @@ fn passthrough_args(args: impl Iterator<Item = String>) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::RetryPolicy;
     use super::*;
 
     #[test]
@@ -929,27 +820,17 @@ mod tests {
     }
 
     #[test]
-    fn redispatch_backoff_doubles_and_caps() {
-        let opts = FabricOptions {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                base_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(35),
-            },
-            ..FabricOptions::default()
-        };
-        assert_eq!(redispatch_backoff(&opts, 1), 10);
-        assert_eq!(redispatch_backoff(&opts, 2), 20);
-        assert_eq!(redispatch_backoff(&opts, 3), 35, "capped at the policy ceiling");
-        assert_eq!(redispatch_backoff(&opts, 21), 35);
-    }
-
-    #[test]
     fn dist_options_defaults_are_single_process() {
         let o = DistOptions::new("walk");
         assert_eq!(o.workers, 1);
         assert_eq!(o.spawn, SpawnMode::SelfExec);
         assert!(o.task.is_none());
         assert!(o.lease > o.heartbeat_timeout, "a stall must outlive a heartbeat lapse window");
+    }
+
+    #[test]
+    fn a_zero_claim_timeout_waits_forever() {
+        assert_eq!(claim_timeout_of(0.0), None);
+        assert_eq!(claim_timeout_of(2.5), Some(Duration::from_millis(2500)));
     }
 }

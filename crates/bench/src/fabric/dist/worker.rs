@@ -38,15 +38,14 @@
 //! runs.
 
 use super::super::journal::{JournalCodec, JournalValue};
-use super::super::plan::ShardPlan;
 use super::super::retry::{self, CellFn, RetryPolicy};
-use super::super::FabricCell;
+use super::super::{plan_of, FabricCell};
 use super::wire::{self, RequestCell, RequestHeader, ResponseWriter, PROTOCOL_VERSION};
 use crate::DistWorkerCli;
 use obs::CounterSnapshot;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -104,7 +103,7 @@ fn armed_chaos(shard: usize, gen: u64) -> Option<Chaos> {
     if gen != 0 {
         return None;
     }
-    let spec = std::env::var("SWEEP_DIST_CHAOS").ok()?;
+    let spec: String = crate::env_parsed("SWEEP_DIST_CHAOS", "a chaos spec", |_| true)?;
     parse_chaos(&spec).filter(|c| c.shard == shard)
 }
 
@@ -118,9 +117,12 @@ fn kill_self_hard() -> ! {
 }
 
 /// A liveness thread handle: appends one heartbeat line per interval until
-/// dropped/stopped.
+/// dropped.
 struct HeartbeatThread {
-    stop: Arc<AtomicBool>,
+    /// Never sent on: dropping it is the stop signal, and wakes the thread
+    /// mid-interval — a worker must not outlive its last cell by a whole
+    /// heartbeat interval, the supervisor waits for it to exit.
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -132,30 +134,31 @@ impl HeartbeatThread {
         gen: u64,
         interval: Duration,
     ) -> HeartbeatThread {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let spool = spool.to_path_buf();
         let worker = worker.to_owned();
         let handle = std::thread::Builder::new()
             .name(format!("dist-heartbeat-{worker}"))
             .spawn(move || {
                 let mut seq = 0u64;
-                while !flag.load(Ordering::Relaxed) {
+                loop {
                     seq += 1;
                     if let Err(e) = wire::append_heartbeat(&spool, &worker, shard, gen, seq) {
                         eprintln!("warning: {e}");
                     }
-                    std::thread::sleep(interval);
+                    if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                        return;
+                    }
                 }
             })
             .ok();
-        HeartbeatThread { stop, handle }
+        HeartbeatThread { stop: Some(stop), handle }
     }
 }
 
 impl Drop for HeartbeatThread {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -266,7 +269,7 @@ where
 {
     let (header, requested) =
         wire::read_request(&wire::request_path(&task.spool, task.shard, task.gen))?;
-    let plan = ShardPlan::new(cells.iter().map(|c| (c.label.clone(), c.seed, c.config)))?;
+    let plan = plan_of(cells)?;
     if plan.grid_id() != header.grid {
         return Err(format!(
             "request is for grid {:016x}, this binary plans grid {:016x}; \
@@ -321,11 +324,6 @@ impl SuiteRegistry {
     /// Looks a suite up.
     pub fn get(&self, name: &str) -> Option<&SuiteFn> {
         self.suites.get(name)
-    }
-
-    /// The hosted suite names.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.suites.keys().map(String::as_str)
     }
 }
 
@@ -420,6 +418,24 @@ mod tests {
         assert_eq!(parse_chaos("kill:x@1"), None);
         assert_eq!(parse_chaos("kill:1"), None, "shard is mandatory");
         assert_eq!(parse_chaos(""), None);
+    }
+
+    #[test]
+    fn dropping_the_heartbeat_does_not_wait_out_the_interval() {
+        let spool = std::env::temp_dir().join(format!("dist-heartbeat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        wire::init_spool(&spool, 0, 0, 1, "t").expect("spool");
+        let heartbeat = HeartbeatThread::start(&spool, "w", 0, 0, Duration::from_secs(10));
+        // The first beat on disk proves the thread is inside its interval.
+        let started = std::time::Instant::now();
+        while wire::read_heartbeat_seq(&spool, "w", 0, 0) != Some(1) {
+            assert!(started.elapsed() < Duration::from_secs(5), "no first heartbeat");
+            std::thread::yield_now();
+        }
+        let dropping = std::time::Instant::now();
+        drop(heartbeat);
+        assert!(dropping.elapsed() < Duration::from_secs(1), "drop waited out the interval");
+        let _ = std::fs::remove_dir_all(&spool);
     }
 
     #[test]

@@ -581,8 +581,6 @@ fn parse_line(replay: &mut JournalReplay, line: &str) -> Result<(), String> {
             // first-record-wins means the payload that later readers see is
             // the one that was checkpointed first — resuming can never
             // silently swap an already-merged result for a different one.
-            // `merge::merge_replays` applies the same rule across shard
-            // journals (and additionally rejects disagreeing payloads).
             replay.done.entry(entry.id).or_insert(entry);
         }
         "quarantined" => {
@@ -797,6 +795,86 @@ mod tests {
         };
         roundtrip(snap);
         roundtrip(CounterSnapshot::default());
+    }
+
+    /// The on-disk word order of every counter struct, pinned against a
+    /// literal. Each field holds its position in the struct's declaration
+    /// (hundreds digit: which struct), so the literal reads as "declared
+    /// n-th, encoded here" — `queue_high_water`, declared 7th, travels last.
+    #[test]
+    fn counter_word_order_is_pinned() {
+        fn pinned<T: JournalCodec + PartialEq + std::fmt::Debug>(value: &T, words: &[u64]) {
+            let literal: Vec<JournalValue> = words.iter().map(|&w| JournalValue::U64(w)).collect();
+            assert_eq!(encode_payload(value), literal, "encoded word order moved");
+            assert_eq!(&decode_payload::<T>(&literal).expect("decode"), value);
+        }
+        let link = LinkCounters {
+            link: 101,
+            tx_pkts: 102,
+            drops_queue: 103,
+            drops_fault: 104,
+            drops_blackout: 105,
+            ecn_marks: 106,
+            queue_high_water: 107,
+            offered: 108,
+            reordered: 109,
+            duplicated: 110,
+            corrupted: 111,
+        };
+        let link_words = [101, 102, 103, 104, 105, 106, 108, 109, 110, 111, 107];
+        pinned(&link, &link_words);
+        let subflow = SubflowCounters {
+            conn: 201,
+            subflow: 202,
+            rtos: 203,
+            fast_rexmits: 204,
+            spurious_rexmits: 205,
+            recoveries: 206,
+            deaths: 207,
+            revivals: 208,
+            probes: 209,
+        };
+        let subflow_words = [201, 202, 203, 204, 205, 206, 207, 208, 209];
+        pinned(&subflow, &subflow_words);
+        let conn = ConnCounters {
+            conn: 301,
+            zero_window_stalls: 302,
+            persist_probes: 303,
+            corrupt_acks: 304,
+            corrupt_discards: 305,
+            rwnd_dropped: 306,
+            ooo_dropped: 307,
+            duplicates: 308,
+        };
+        let conn_words = [301, 302, 303, 304, 305, 306, 307, 308];
+        pinned(&conn, &conn_words);
+        let global = GlobalCounters { nan_samples: 401, dropped_load_samples: 402 };
+        pinned(&global, &[401, 402]);
+        let hybrid = HybridCounters {
+            epochs: 501,
+            fluid_flows: 502,
+            packet_flows: 503,
+            handoffs: 504,
+            fluid_steps: 505,
+            price_cap_hits: 506,
+            background_links: 507,
+        };
+        pinned(&hybrid, &[501, 502, 503, 504, 505, 506, 507]);
+        // The snapshot: links, subflows, conns (each length-prefixed), global.
+        let snapshot = CounterSnapshot {
+            links: vec![link],
+            subflows: vec![subflow],
+            conns: vec![conn],
+            global,
+        };
+        let mut words = vec![1];
+        words.extend(link_words);
+        words.push(1);
+        words.extend(subflow_words);
+        words.push(1);
+        words.extend(conn_words);
+        words.extend([401, 402]);
+        pinned(&snapshot, &words);
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! The merge path is deliberately free of wall-clock, RNG, and hash-order
 //! effects: the report is a pure function of (grid, journaled payloads,
 //! fresh outputs, quarantine records), so an interrupted-and-resumed sweep
-//! assembles the same bytes as an uninterrupted one, and sharded journals
-//! merge associatively.
+//! assembles the same bytes as an uninterrupted one.
 
-use super::journal::JournalReplay;
 use super::plan::CellId;
 use super::retry::FailCause;
 use crate::runner::RunSummary;
@@ -103,27 +101,6 @@ impl<T> FabricReport<T> {
         self.quarantined().next().is_none()
     }
 
-    /// Consumes the report into the plain summary vector, or an error
-    /// naming every quarantined cell — for callers (tests, strict
-    /// harnesses) that cannot use a partial grid.
-    ///
-    /// # Errors
-    ///
-    /// When any cell was quarantined; the message is [`Self::partial_note`].
-    pub fn into_results(self) -> Result<Vec<RunSummary<T>>, String> {
-        if !self.is_complete() {
-            return Err(self.partial_note());
-        }
-        Ok(self
-            .outcomes
-            .into_iter()
-            .filter_map(|o| match o {
-                CellOutcome::Done { summary, .. } => Some(summary),
-                CellOutcome::Quarantined(_) => None,
-            })
-            .collect())
-    }
-
     /// The graceful-degradation report: names every quarantined cell (with
     /// its repro artifact, when one was written) instead of aborting the
     /// sweep. Empty when the run is complete.
@@ -141,6 +118,15 @@ impl<T> FabricReport<T> {
             out.push_str(&format!("  {q}\n"));
         }
         out
+    }
+
+    /// The sweep binaries' epilogue: a partial report prints its
+    /// [`Self::partial_note`] on stderr and exits 1.
+    pub fn exit_if_partial(&self) {
+        if !self.is_complete() {
+            eprint!("{}", self.partial_note());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -166,50 +152,9 @@ pub fn assemble<T>(
     Ok(parts.into_iter().map(|(_, o)| o).collect())
 }
 
-/// Merges journals written by independent shards of the **same grid** into
-/// one replay (the distributed story: every worker appends to its own
-/// journal; the merger needs only the files).
-///
-/// # Errors
-///
-/// When the shards disagree on the grid digest, or two shards journaled the
-/// same cell with different payloads (a determinism violation worth
-/// failing loudly on).
-pub fn merge_replays(
-    replays: impl IntoIterator<Item = JournalReplay>,
-) -> Result<JournalReplay, String> {
-    let mut merged = JournalReplay::default();
-    for replay in replays {
-        match (merged.grid, replay.grid) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(format!(
-                    "cannot merge journals for different grids ({a:016x} vs {b:016x})"
-                ));
-            }
-            (None, Some(b)) => merged.grid = Some(b),
-            _ => {}
-        }
-        for (id, entry) in replay.done {
-            if let Some(prior) = merged.done.get(&id) {
-                if prior.payload != entry.payload {
-                    return Err(format!(
-                        "journals disagree on cell {id} ({:?}): the cell is not deterministic",
-                        entry.label
-                    ));
-                }
-                continue;
-            }
-            merged.done.insert(id, entry);
-        }
-        merged.quarantined.extend(replay.quarantined);
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::journal::{encode_payload, DoneLine};
     use crate::fabric::plan::Fingerprint;
     use obs::CounterSnapshot;
 
@@ -261,47 +206,9 @@ mod tests {
         assert!(note.contains("\"q1\""), "{note}");
         assert!(note.contains("repro.jsonl"), "{note}");
         assert!(note.contains("[panic]"), "{note}");
-        let err = report.into_results().unwrap_err();
-        assert!(err.contains("quarantined"), "{err}");
 
         let clean = FabricReport { outcomes: vec![done(0)], counters: FabricCounters::default() };
         assert!(clean.is_complete());
         assert_eq!(clean.partial_note(), "");
-        assert_eq!(clean.into_results().expect("complete").len(), 1);
-    }
-
-    fn replay_with(grid: u64, cells: &[(u64, u64)]) -> JournalReplay {
-        let mut r = JournalReplay { grid: Some(grid), ..JournalReplay::default() };
-        for &(seed, out) in cells {
-            let id = CellId::derive("c", seed, Fingerprint::new());
-            r.done.insert(
-                id,
-                DoneLine {
-                    id,
-                    label: format!("c{seed}"),
-                    seed,
-                    attempts: 1,
-                    payload: encode_payload(&out),
-                },
-            );
-        }
-        r
-    }
-
-    #[test]
-    fn shard_journals_merge_and_conflicts_fail() {
-        let merged = merge_replays([replay_with(5, &[(0, 0), (1, 1)]), replay_with(5, &[(2, 4)])])
-            .expect("merge");
-        assert_eq!(merged.done.len(), 3);
-        assert_eq!(merged.grid, Some(5));
-        // Agreeing duplicates are fine (two shards both ran a cell).
-        assert!(merge_replays([replay_with(5, &[(0, 0)]), replay_with(5, &[(0, 0)])]).is_ok());
-        // Distinct grids refuse to merge.
-        let err = merge_replays([replay_with(5, &[]), replay_with(6, &[])]).unwrap_err();
-        assert!(err.contains("different grids"), "{err}");
-        // Disagreeing payloads for the same cell are a determinism violation.
-        let err =
-            merge_replays([replay_with(5, &[(0, 0)]), replay_with(5, &[(0, 9)])]).unwrap_err();
-        assert!(err.contains("not deterministic"), "{err}");
     }
 }

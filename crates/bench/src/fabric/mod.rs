@@ -47,15 +47,15 @@ pub use merge::{CellOutcome, FabricReport, QuarantineRecord};
 pub use plan::{CellId, Fingerprint, ShardPlan};
 pub use retry::{FailCause, RetryPolicy};
 
+use crate::env_parsed;
 use crate::repro::{self, ReproOutcome, ReproSpec, ViolationRecord};
-use crate::runner::RunSummary;
+use crate::runner::{run_sweep_jobs, RunSummary, SweepCell};
 use journal::{decode_payload, JournalValue, JournalWriter};
 use obs::{CounterSnapshot, FabricCounters};
 use plan::PlannedCell;
-use retry::CellFn;
+use retry::{AttemptStats, CellFn};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -153,17 +153,6 @@ impl Default for FabricOptions {
     }
 }
 
-pub(crate) fn env_parsed<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
-    let v = std::env::var(name).ok()?;
-    match v.trim().parse::<T>() {
-        Ok(parsed) => Some(parsed),
-        Err(_) => {
-            eprintln!("warning: ignoring {name}={v:?}: expected {what}");
-            None
-        }
-    }
-}
-
 impl FabricOptions {
     /// Builds options from the parsed [`crate::Cli`] plus the fabric env
     /// knobs: `SWEEP_DEADLINE_S` (fractional seconds per attempt),
@@ -176,21 +165,13 @@ impl FabricOptions {
             journal: cli.journal_path(),
             ..FabricOptions::default()
         };
-        if let Some(secs) = env_parsed::<f64>("SWEEP_DEADLINE_S", "a positive number of seconds") {
-            if secs > 0.0 && secs.is_finite() {
-                o.deadline = Some(Duration::from_secs_f64(secs));
-            } else {
-                eprintln!("warning: ignoring SWEEP_DEADLINE_S={secs}: expected a positive number of seconds");
-            }
+        o.deadline =
+            env_parsed("SWEEP_DEADLINE_S", "a positive number of seconds", crate::positive_secs)
+                .map(Duration::from_secs_f64);
+        if let Some(n) = env_parsed("SWEEP_RETRIES", "a positive attempt count", crate::nonzero) {
+            o.retry.max_attempts = n;
         }
-        if let Some(n) = env_parsed::<u32>("SWEEP_RETRIES", "a positive attempt count") {
-            if n >= 1 {
-                o.retry.max_attempts = n;
-            } else {
-                eprintln!("warning: ignoring SWEEP_RETRIES=0: expected a positive attempt count");
-            }
-        }
-        if let Some(ms) = env_parsed::<u64>("SWEEP_BACKOFF_MS", "a backoff in milliseconds") {
+        if let Some(ms) = env_parsed("SWEEP_BACKOFF_MS", "a backoff in milliseconds", |_| true) {
             o.retry.base_backoff = Duration::from_millis(ms);
         }
         o
@@ -205,7 +186,7 @@ impl FabricOptions {
 /// label-derived names would let their artifacts overwrite each other.
 /// IO failures warn and return `None` — quarantine must never abort the
 /// sweep it exists to save.
-pub(crate) fn write_artifact(
+fn write_artifact(
     dir: &Path,
     planned: &PlannedCell,
     spec: Option<&ReproSpec>,
@@ -253,21 +234,30 @@ pub(crate) fn write_artifact(
 /// position.
 pub(crate) type Replayed<T> = BTreeMap<usize, (T, CounterSnapshot, u32)>;
 
-/// Loads and decodes the journal at `journal_path` against `plan`: grid
-/// check, torn-tail warning, and per-cell payload decode. Shared by the
-/// in-process fabric and the distributed supervisor, so both resume with
-/// identical semantics.
-pub(crate) fn replay_for_plan<T: JournalCodec>(
+/// Plans the grid `cells` describe. The one place a grid is planned:
+/// supervisor, in-process runner and self-exec worker agree on the digest
+/// because they all come through here.
+pub(crate) fn plan_of<T>(cells: &[FabricCell<T>]) -> Result<ShardPlan, String> {
+    ShardPlan::new(cells.iter().map(|c| (c.label.clone(), c.seed, c.config)))
+}
+
+/// Opens the journal at `path` for `plan`: replays what it already holds
+/// (grid check, torn-tail warning, per-cell payload decode), then appends
+/// this run's header. No path means no checkpointing: nothing replayed and
+/// no writer. Shared by the in-process fabric and the distributed
+/// supervisor, so both resume with identical semantics.
+pub(crate) fn open_journal<T: JournalCodec>(
     plan: &ShardPlan,
-    journal_path: &Path,
-) -> Result<Replayed<T>, String> {
-    let replay = journal::load_journal(journal_path)?;
+    path: Option<&Path>,
+) -> Result<(Replayed<T>, Option<JournalWriter>), String> {
+    let Some(path) = path else { return Ok((BTreeMap::new(), None)) };
+    let replay = journal::load_journal(path)?;
     if let Some(grid) = replay.grid {
         if grid != plan.grid_id() {
             return Err(format!(
                 "journal {} was written for grid {grid:016x}, this sweep is {:016x}; \
                  refusing to mix results (use a fresh journal path per grid)",
-                journal_path.display(),
+                path.display(),
                 plan.grid_id()
             ));
         }
@@ -275,7 +265,7 @@ pub(crate) fn replay_for_plan<T: JournalCodec>(
     if let Some(torn) = &replay.torn_tail {
         eprintln!(
             "fabric: journal {} has a torn final line (interrupted append), re-running that cell: {}",
-            journal_path.display(),
+            path.display(),
             &torn[..torn.len().min(80)]
         );
     }
@@ -284,7 +274,7 @@ pub(crate) fn replay_for_plan<T: JournalCodec>(
         let Some(planned) = plan.find(*id) else {
             return Err(format!(
                 "journal {} contains cell {id} ({:?}) that is not in this grid",
-                journal_path.display(),
+                path.display(),
                 entry.label
             ));
         };
@@ -292,134 +282,185 @@ pub(crate) fn replay_for_plan<T: JournalCodec>(
             .map_err(|e| format!("journal payload for cell {id} ({:?}): {e}", entry.label))?;
         replayed.insert(planned.index, (output, counters, entry.attempts));
     }
-    Ok(replayed)
+    if !replayed.is_empty() {
+        eprintln!(
+            "fabric: resumed {} of {} cell(s) from journal {}",
+            replayed.len(),
+            plan.len(),
+            path.display()
+        );
+    }
+    let writer = JournalWriter::append_to(path, plan.grid_id(), plan.len())?;
+    Ok((replayed, Some(writer)))
 }
 
-/// Runs the missing cells across the worker pool with containment, calling
-/// `on_done` under no lock ordering guarantees (it must synchronise
-/// internally — the journal writer sits behind a `Mutex`).
-#[allow(clippy::type_complexity)]
-fn run_missing<T: Send + 'static>(
-    work: &[(usize, &FabricCell<T>, &PlannedCell)],
-    opts: &FabricOptions,
-    on_done: &(dyn Fn(&PlannedCell, u32, &T, &CounterSnapshot) + Sync),
-    on_quarantine: &(dyn Fn(&QuarantineRecord) + Sync),
-) -> Result<Vec<(usize, CellOutcome<T>, retry::AttemptStats)>, String> {
-    let jobs = opts.jobs.max(1).min(work.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let run_one = |&(index, cell, planned): &(usize, &FabricCell<T>, &PlannedCell)| {
-        let (result, stats) =
-            retry::run_with_retries(&cell.label, &cell.run, opts.deadline, &opts.retry);
-        let outcome = match result {
-            Ok((output, counters)) => {
-                on_done(planned, stats.attempts, &output, &counters);
-                CellOutcome::Done {
-                    summary: RunSummary {
-                        label: cell.label.clone(),
-                        seed: cell.seed,
-                        output,
-                        counters,
-                    },
-                    attempts: stats.attempts,
-                    replayed: false,
-                }
-            }
-            Err((cause, message)) => {
-                let artifact = opts.artifacts.as_deref().and_then(|dir| {
-                    write_artifact(dir, planned, cell.repro.as_ref(), cause, &message)
-                });
-                let record = QuarantineRecord {
-                    id: planned.id,
-                    label: cell.label.clone(),
-                    seed: cell.seed,
-                    attempts: stats.attempts,
-                    cause,
-                    message,
-                    artifact,
-                };
-                on_quarantine(&record);
-                CellOutcome::Quarantined(record)
-            }
-        };
-        (index, outcome, stats)
-    };
-    if jobs == 1 {
-        // Serial reference path: identical decisions, no threads.
-        return Ok(work.iter().map(run_one).collect());
+/// Where every executed cell settles, whichever path ran it: pool threads
+/// of the in-process fabric (behind a `Mutex`) and the distributed
+/// supervisor's harvest both end here. The only code that journals a
+/// `done`, quarantines a cell (artifact, journal line, record, stderr) or
+/// assembles the [`FabricReport`].
+pub(crate) struct Collector<'a, T> {
+    plan: &'a ShardPlan,
+    /// The runnable cells, by input position (for quarantine repro specs).
+    cells: &'a [FabricCell<T>],
+    artifacts: Option<&'a Path>,
+    writer: Option<JournalWriter>,
+    fresh: Vec<(usize, CellOutcome<T>)>,
+    counters: FabricCounters,
+}
+
+impl<'a, T> Collector<'a, T> {
+    pub(crate) fn new(
+        plan: &'a ShardPlan,
+        cells: &'a [FabricCell<T>],
+        opts: &'a FabricOptions,
+        writer: Option<JournalWriter>,
+    ) -> Collector<'a, T> {
+        Collector {
+            plan,
+            cells,
+            artifacts: opts.artifacts.as_deref(),
+            writer,
+            fresh: Vec::new(),
+            counters: FabricCounters::default(),
+        }
     }
-    let mut out = Vec::with_capacity(work.len());
-    let joined: Result<(), String> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = work.get(i) else { return mine };
-                        mine.push(run_one(item));
-                    }
-                })
-            })
-            .collect();
-        let mut first_err = None;
-        for worker in workers {
-            match worker.join() {
-                Ok(mine) => out.extend(mine),
-                Err(payload) => {
-                    // Cell panics are caught inside run_with_retries; a
-                    // worker-level panic is a fabric bug, surfaced as Err.
-                    first_err.get_or_insert_with(|| {
-                        format!(
-                            "fabric worker panicked: {}",
-                            retry::panic_message(payload.as_ref())
-                        )
-                    });
-                }
+
+    fn count(&mut self, stats: AttemptStats) {
+        self.counters.executed += 1;
+        self.counters.retries += u64::from(stats.attempts.saturating_sub(1));
+        self.counters.panics += u64::from(stats.panics);
+        self.counters.deadline_kills += u64::from(stats.deadline_kills);
+    }
+
+    /// Settles cell `index` as completed: checkpoint first (`payload` is
+    /// the encoded `(output, counters)`, unread without a journal), then
+    /// the report entry.
+    pub(crate) fn done(
+        &mut self,
+        index: usize,
+        output: T,
+        counters: CounterSnapshot,
+        stats: AttemptStats,
+        payload: &[JournalValue],
+    ) {
+        let planned = &self.plan.cells()[index];
+        if let Some(w) = &mut self.writer {
+            // A failing checkpoint degrades crash safety, never the sweep.
+            if let Err(e) =
+                w.record_done(planned.id, &planned.label, planned.seed, stats.attempts, payload)
+            {
+                eprintln!("warning: {e}");
             }
         }
-        first_err.map_or(Ok(()), Err)
-    });
-    joined?;
-    Ok(out)
-}
+        self.count(stats);
+        self.fresh.push((index, done_outcome(planned, output, counters, stats.attempts, false)));
+    }
 
-fn assemble_report<T>(
-    plan: &ShardPlan,
-    replayed: Replayed<T>,
-    fresh: Vec<(usize, CellOutcome<T>, retry::AttemptStats)>,
-    cells_by_index: &BTreeMap<usize, (String, u64)>,
-) -> Result<FabricReport<T>, String> {
-    let mut counters = FabricCounters {
-        planned: plan.len() as u64,
-        replayed: replayed.len() as u64,
-        executed: fresh.len() as u64,
-        ..FabricCounters::default()
-    };
-    let mut parts: Vec<(usize, CellOutcome<T>)> = Vec::with_capacity(plan.len());
-    for (index, (output, snapshot, attempts)) in replayed {
-        let (label, seed) = match cells_by_index.get(&index) {
-            Some(pair) => pair.clone(),
-            None => return Err(format!("fabric merge: replayed index {index} not in grid")),
-        };
-        parts.push((
-            index,
-            CellOutcome::Done {
-                summary: RunSummary { label, seed, output, counters: snapshot },
+    /// Settles cell `index` as quarantined after `attempts` tries: repro
+    /// artifact, journal line, stderr notice, report entry.
+    pub(crate) fn quarantine(
+        &mut self,
+        index: usize,
+        attempts: u32,
+        cause: FailCause,
+        message: String,
+        stats: AttemptStats,
+    ) {
+        let planned = &self.plan.cells()[index];
+        let artifact = self.artifacts.and_then(|dir| {
+            write_artifact(dir, planned, self.cells[index].repro.as_ref(), cause, &message)
+        });
+        let PlannedCell { id, label, seed, .. } = planned.clone();
+        let record = QuarantineRecord { id, label, seed, attempts, cause, message, artifact };
+        eprintln!("fabric: {record}");
+        if let Some(w) = &mut self.writer {
+            if let Err(e) = w.record_quarantine(
+                record.id,
+                &record.label,
+                record.seed,
                 attempts,
-                replayed: true,
-            },
-        ));
-    }
-    for (index, outcome, stats) in fresh {
-        counters.retries += u64::from(stats.attempts.saturating_sub(1));
-        counters.panics += u64::from(stats.panics);
-        counters.deadline_kills += u64::from(stats.deadline_kills);
-        if matches!(outcome, CellOutcome::Quarantined(_)) {
-            counters.quarantined += 1;
+                cause.as_str(),
+                &record.message,
+            ) {
+                eprintln!("warning: {e}");
+            }
         }
-        parts.push((index, outcome));
+        self.count(stats);
+        self.counters.quarantined += 1;
+        self.fresh.push((index, CellOutcome::Quarantined(record)));
     }
-    Ok(FabricReport { outcomes: merge::assemble(plan.len(), parts)?, counters })
+
+    /// Merges the settled cells with the `replayed` ones into the report,
+    /// in input order.
+    ///
+    /// # Errors
+    ///
+    /// When a planned cell settled twice or never — a fabric-core bug.
+    pub(crate) fn finish(mut self, replayed: Replayed<T>) -> Result<FabricReport<T>, String> {
+        self.counters.planned = self.plan.len() as u64;
+        self.counters.replayed = replayed.len() as u64;
+        for (index, (output, counters, attempts)) in replayed {
+            let planned = &self.plan.cells()[index];
+            self.fresh.push((index, done_outcome(planned, output, counters, attempts, true)));
+        }
+        let outcomes = merge::assemble(self.plan.len(), self.fresh)?;
+        Ok(FabricReport { outcomes, counters: self.counters })
+    }
+}
+
+fn done_outcome<T>(
+    planned: &PlannedCell,
+    output: T,
+    counters: CounterSnapshot,
+    attempts: u32,
+    replayed: bool,
+) -> CellOutcome<T> {
+    let summary = RunSummary { label: planned.label.clone(), seed: planned.seed, output, counters };
+    CellOutcome::Done { summary, attempts, replayed }
+}
+
+/// Executes the cells `replayed` does not cover on the [`crate::runner`]
+/// pool, each under the containment policy, and settles them through one
+/// [`Collector`]. `encode` renders a completed cell's journal payload; it
+/// runs on the pool thread, outside the collector's lock, and only when a
+/// journal is open.
+fn run_planned<T: Send + 'static>(
+    cells: &[FabricCell<T>],
+    opts: &FabricOptions,
+    plan: &ShardPlan,
+    (replayed, writer): (Replayed<T>, Option<JournalWriter>),
+    encode: fn(&T, &CounterSnapshot) -> Vec<JournalValue>,
+) -> Result<FabricReport<T>, String> {
+    let journals = writer.is_some();
+    let collector = Mutex::new(Collector::new(plan, cells, opts, writer));
+    // Cell panics are caught inside run_with_retries, so a pool thread
+    // cannot die holding the lock; recovery keeps a fabric-core panic from
+    // cascading into every other worker.
+    let settle = || collector.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let missing: Vec<SweepCell<'_, ()>> = cells
+        .iter()
+        .enumerate()
+        .filter(|(index, _)| !replayed.contains_key(index))
+        .map(|(index, cell)| {
+            SweepCell::new(cell.label.as_str(), cell.seed, move || {
+                let (result, stats) =
+                    retry::run_with_retries(&cell.label, &cell.run, opts.deadline, &opts.retry);
+                match result {
+                    Ok((output, counters)) => {
+                        let payload =
+                            if journals { encode(&output, &counters) } else { Vec::new() };
+                        settle().done(index, output, counters, stats, &payload);
+                    }
+                    Err((cause, message)) => {
+                        settle().quarantine(index, stats.attempts, cause, message, stats);
+                    }
+                }
+            })
+        })
+        .collect();
+    run_sweep_jobs(missing, opts.jobs);
+    collector.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).finish(replayed)
 }
 
 /// Runs the grid **without** a journal: containment (deadlines, retries,
@@ -434,18 +475,8 @@ pub fn run_fabric_ephemeral<T: Send + 'static>(
     cells: Vec<FabricCell<T>>,
     opts: &FabricOptions,
 ) -> Result<FabricReport<T>, String> {
-    let plan = ShardPlan::new(cells.iter().map(|c| (c.label.clone(), c.seed, c.config)))?;
-    let cells_by_index: BTreeMap<usize, (String, u64)> =
-        plan.cells().iter().map(|p| (p.index, (p.label.clone(), p.seed))).collect();
-    let work: Vec<(usize, &FabricCell<T>, &PlannedCell)> = cells
-        .iter()
-        .zip(plan.cells())
-        .map(|(cell, planned)| (planned.index, cell, planned))
-        .collect();
-    let fresh = run_missing(&work, opts, &|_, _, _, _| {}, &|q| {
-        eprintln!("fabric: {q}");
-    })?;
-    assemble_report(&plan, BTreeMap::new(), fresh, &cells_by_index)
+    let plan = plan_of(&cells)?;
+    run_planned(&cells, opts, &plan, (BTreeMap::new(), None), |_, _| Vec::new())
 }
 
 /// Runs the grid with the full crash-safe protocol: journal replay and
@@ -465,65 +496,20 @@ pub fn run_fabric<T>(
 where
     T: JournalCodec + Send + 'static,
 {
-    let Some(journal_path) = opts.journal.clone() else {
-        return run_fabric_ephemeral(cells, opts);
-    };
-    let plan = ShardPlan::new(cells.iter().map(|c| (c.label.clone(), c.seed, c.config)))?;
-    let cells_by_index: BTreeMap<usize, (String, u64)> =
-        plan.cells().iter().map(|p| (p.index, (p.label.clone(), p.seed))).collect();
-
-    // Replay: decode every journaled payload for this grid.
-    let replayed: Replayed<T> = replay_for_plan(&plan, &journal_path)?;
-
-    let writer = Mutex::new(JournalWriter::append_to(&journal_path, plan.grid_id(), plan.len())?);
-    let on_done = |planned: &PlannedCell, attempts: u32, output: &T, counters: &CounterSnapshot| {
-        let mut payload: Vec<JournalValue> = Vec::new();
+    let plan = plan_of(&cells)?;
+    let journal = open_journal(&plan, opts.journal.as_deref())?;
+    run_planned(&cells, opts, &plan, journal, |output, counters| {
+        let mut payload = Vec::new();
         output.encode(&mut payload);
         counters.encode(&mut payload);
-        let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Err(e) = w.record_done(planned.id, &planned.label, planned.seed, attempts, &payload)
-        {
-            // A failing checkpoint degrades crash safety, never the sweep.
-            eprintln!("warning: {e}");
-        }
-    };
-    let on_quarantine = |record: &QuarantineRecord| {
-        eprintln!("fabric: {record}");
-        let mut w = writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Err(e) = w.record_quarantine(
-            record.id,
-            &record.label,
-            record.seed,
-            record.attempts,
-            record.cause.as_str(),
-            &record.message,
-        ) {
-            eprintln!("warning: {e}");
-        }
-    };
-
-    let work: Vec<(usize, &FabricCell<T>, &PlannedCell)> = cells
-        .iter()
-        .zip(plan.cells())
-        .filter(|(_, planned)| !replayed.contains_key(&planned.index))
-        .map(|(cell, planned)| (planned.index, cell, planned))
-        .collect();
-    if !replayed.is_empty() {
-        eprintln!(
-            "fabric: resumed {} of {} cell(s) from journal {}",
-            replayed.len(),
-            plan.len(),
-            journal_path.display()
-        );
-    }
-    let fresh = run_missing(&work, opts, &on_done, &on_quarantine)?;
-    assemble_report(&plan, replayed, fresh, &cells_by_index)
+        payload
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {

@@ -58,16 +58,18 @@ impl RetryPolicy {
         self.max_attempts.max(1)
     }
 
+    /// The `nth` backoff (1-based): `base · 2^(n-1)`, capped at the
+    /// ceiling. Also paces the distributed supervisor's re-dispatches.
+    pub fn backoff(&self, nth: u32) -> Duration {
+        let exp = nth.saturating_sub(1).min(20);
+        self.base_backoff.saturating_mul(1 << exp).min(self.max_backoff)
+    }
+
     /// The backoff to sleep after failed attempt `attempt` (1-based), or
     /// `None` when the policy is exhausted and the cell must be
     /// quarantined.
     pub fn backoff_after(&self, attempt: u32) -> Option<Duration> {
-        if attempt >= self.attempts() {
-            return None;
-        }
-        let exp = attempt.saturating_sub(1).min(20);
-        let factor = 1u32 << exp;
-        Some(self.base_backoff.saturating_mul(factor).min(self.max_backoff))
+        (attempt < self.attempts()).then(|| self.backoff(attempt))
     }
 }
 
@@ -230,6 +232,9 @@ mod tests {
         let zero = RetryPolicy { max_attempts: 0, ..p };
         assert_eq!(zero.attempts(), 1);
         assert_eq!(zero.backoff_after(1), None);
+        // The bare formula (what paces re-dispatches) never runs out.
+        let ms = |nth| p.backoff(nth).as_millis();
+        assert_eq!((ms(1), ms(2), ms(3), ms(21)), (10, 20, 35, 35));
     }
 
     #[test]

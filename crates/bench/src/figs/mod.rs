@@ -38,18 +38,6 @@ const FIGS: &[FigRunner] = &[
     ("fig17", "Fig 17", fig17::run),
 ];
 
-/// Runs every figure harness at the given scale, returning the concatenated
-/// report (the `figures` bench target uses `Scale::Smoke`).
-pub fn run_all(scale: Scale) -> String {
-    let mut out = String::new();
-    for &(_, name, f) in FIGS {
-        out.push_str(&format!("==== {name} ====\n"));
-        out.push_str(&f(scale));
-        out.push('\n');
-    }
-    out
-}
-
 fn fig_cell(scale: Scale, &(_, name, f): &FigRunner) -> FabricCell<String> {
     FabricCell::new(name, 0, move || f(scale))
         .config(Fingerprint::new().str("figs").str(scale.name()).str(name))

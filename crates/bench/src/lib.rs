@@ -2,12 +2,10 @@
 //!
 //! One module per figure of the paper's evaluation. Every module exposes
 //! `run(scale) -> String` returning the printed table; `figures_all`
-//! (optionally `--only fig06,fig09`) is the one binary in front of them, and
-//! the custom `figures` bench target runs every module at [`Scale::Smoke`]
-//! so `cargo bench` regenerates all rows.
+//! (optionally `--only fig06,fig09`) is the one binary in front of them.
 //!
 //! Scales:
-//! * [`Scale::Smoke`] — seconds; CI and `cargo bench`.
+//! * [`Scale::Smoke`] — seconds; CI and the repo benchmark.
 //! * [`Scale::Quick`] — minutes; the default for the binaries.
 //! * [`Scale::Full`] — closest to the paper's parameters that a laptop-class
 //!   machine handles (see EXPERIMENTS.md for the documented scaling).
@@ -220,14 +218,14 @@ impl Cli {
     /// The trace output directory: `--trace` if given, else the
     /// `SWEEP_TRACE` environment variable, else `None` (tracing disabled).
     pub fn trace_dir(&self) -> Option<std::path::PathBuf> {
-        self.trace.clone().or_else(|| std::env::var_os("SWEEP_TRACE").map(Into::into))
+        self.trace.clone().or_else(|| env_parsed("SWEEP_TRACE", "a directory", |_| true))
     }
 
     /// The sweep journal path: `--journal` if given, else the
     /// `SWEEP_JOURNAL` environment variable, else `None` (checkpointing
     /// disabled; the sweep runs ephemerally).
     pub fn journal_path(&self) -> Option<std::path::PathBuf> {
-        self.journal.clone().or_else(|| std::env::var_os("SWEEP_JOURNAL").map(Into::into))
+        self.journal.clone().or_else(|| env_parsed("SWEEP_JOURNAL", "a file path", |_| true))
     }
 
     /// The distributed worker-process count: `--workers` if given, else the
@@ -235,22 +233,86 @@ impl Cli {
     /// fabric runs in-process and never touches a spool). Unusable env
     /// values warn and fall back, matching `SWEEP_JOBS` handling.
     pub fn workers(&self) -> usize {
-        if let Some(n) = self.workers {
-            return n.max(1);
-        }
-        match std::env::var("SWEEP_WORKERS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!(
-                        "warning: ignoring SWEEP_WORKERS={v:?}: expected a positive worker count"
-                    );
-                    1
-                }
-            },
-            Err(_) => 1,
-        }
+        self.workers
+            .or_else(|| env_parsed("SWEEP_WORKERS", "a positive worker count", nonzero))
+            .unwrap_or(1)
     }
+
+    /// The sweep binaries' front door: runs `cells` as suite `suite` with
+    /// the fabric and dist options this command line and the `SWEEP_*`
+    /// environment select, and prints the run's counters on stderr. A
+    /// fabric error (bad journal, unusable spool, spawn failure) is
+    /// reported on stderr and exits 2; in a `--dist-worker` process this
+    /// serves the shard and never returns.
+    pub fn sweep<T>(
+        &self,
+        suite: &str,
+        cells: Vec<fabric::FabricCell<T>>,
+    ) -> fabric::FabricReport<T>
+    where
+        T: fabric::JournalCodec + Send + 'static,
+    {
+        let opts = fabric::FabricOptions::from_cli(self);
+        let dist = fabric::DistOptions::from_cli(self, suite);
+        let report = fabric::run_dist(cells, &opts, &dist).unwrap_or_else(|e| {
+            eprintln!("{suite} sweep: {e}");
+            std::process::exit(2);
+        });
+        eprintln!("{}", report.counters.render());
+        report
+    }
+}
+
+/// What a raw environment value resolves to, and the warning owed when it
+/// is set but unusable (silently ignoring a typo'd `SWEEP_JOBS` could mask
+/// a mis-pinned reproducibility run). Pure, so the fallback order and the
+/// warn path of every variable are unit-testable.
+fn parse_env<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> (Option<T>, Option<String>) {
+    let Some(raw) = raw else { return (None, None) };
+    match raw.trim().parse::<T>() {
+        Ok(v) if valid(&v) => (Some(v), None),
+        _ => (None, Some(format!("warning: ignoring {name}={raw:?}: expected {what}"))),
+    }
+}
+
+/// Reads environment variable `name` as a `T` that passes `valid`; a value
+/// that is set but unusable is reported on stderr (naming `what` was
+/// expected) and treated as unset. The crate's only environment read, so
+/// every `SWEEP_*` knob parses, range-checks and warns the same way.
+pub fn env_parsed<T: std::str::FromStr>(
+    name: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = std::env::var(name);
+    if let Err(std::env::VarError::NotUnicode(v)) = &raw {
+        eprintln!("warning: ignoring {name}={v:?}: not valid UTF-8");
+    }
+    let (value, warning) = parse_env(name, raw.ok().as_deref(), what, valid);
+    if let Some(w) = warning {
+        eprintln!("{w}");
+    }
+    value
+}
+
+/// Range check for the count knobs: zero is a usage error, not "none".
+pub(crate) fn nonzero<T: Default + PartialEq>(n: &T) -> bool {
+    *n != T::default()
+}
+
+/// Range check for seconds: anything a `Duration` can hold.
+pub(crate) fn secs(s: &f64) -> bool {
+    std::time::Duration::try_from_secs_f64(*s).is_ok()
+}
+
+/// [`secs`], excluding zero.
+pub(crate) fn positive_secs(s: &f64) -> bool {
+    *s > 0.0 && secs(s)
 }
 
 /// Renders an aligned text table: a header row plus data rows.
@@ -329,6 +391,58 @@ mod tests {
         assert_eq!(pct_of(1.0, -2.0, 0), "-");
         assert_eq!(pct_of(1.0, f64::INFINITY, 0), "-");
         assert_eq!(pct_of(1.0, f64::NAN, 0), "-");
+    }
+
+    /// One row of the environment table: `name=raw` through `valid` must
+    /// resolve to `want`; set-but-unusable must also warn, naming variable
+    /// and value, and everything else must stay silent.
+    fn env_case<T: std::str::FromStr + PartialEq + std::fmt::Debug>(
+        name: &str,
+        raw: Option<&str>,
+        valid: impl Fn(&T) -> bool,
+        want: Option<T>,
+    ) {
+        let (got, warning) = parse_env(name, raw, "something usable", valid);
+        assert_eq!(got, want, "{name}={raw:?}");
+        match (raw, got) {
+            (Some(raw), None) => {
+                let w = warning.unwrap_or_else(|| panic!("{name}={raw:?} must warn"));
+                assert!(w.contains(name) && w.contains(raw), "{w}");
+            }
+            _ => assert_eq!(warning, None, "{name}={raw:?} must be silent"),
+        }
+    }
+
+    #[test]
+    fn env_values_parse_range_check_and_warn() {
+        // Unset: silently nothing, so the caller's default applies (for
+        // SWEEP_JOBS the machine's available parallelism).
+        env_case::<usize>("SWEEP_JOBS", None, nonzero, None);
+        assert!(runner::default_jobs() >= 1);
+        // A usable value wins over the default, silently.
+        env_case("SWEEP_JOBS", Some("4"), nonzero, Some(4usize));
+        env_case("SWEEP_JOBS", Some(" 2 "), nonzero, Some(2usize));
+        // Set but unusable falls back AND warns — a typo'd SWEEP_JOBS must
+        // not silently change a pinned reproducibility run.
+        for bad in ["0", "-3", "lots", ""] {
+            env_case::<usize>("SWEEP_JOBS", Some(bad), nonzero, None);
+        }
+        env_case("SWEEP_WORKERS", Some("3"), nonzero, Some(3usize));
+        env_case::<usize>("SWEEP_WORKERS", Some("0"), nonzero, None);
+        env_case("SWEEP_RETRIES", Some("2"), nonzero, Some(2u32));
+        env_case::<u32>("SWEEP_RETRIES", Some("0"), nonzero, None);
+        env_case("SWEEP_BACKOFF_MS", Some("0"), |_| true, Some(0u64));
+        env_case("SWEEP_DEADLINE_S", Some("1.5"), positive_secs, Some(1.5f64));
+        for bad in ["-1", "inf", "0", "NaN", "1e30", "soon"] {
+            env_case::<f64>("SWEEP_DEADLINE_S", Some(bad), positive_secs, None);
+        }
+        // Zero is a value here (the reader maps it to "wait forever").
+        env_case("SWEEP_CLAIM_TIMEOUT_S", Some("0"), secs, Some(0.0f64));
+        env_case("SWEEP_CLAIM_TIMEOUT_S", Some("2.5"), secs, Some(2.5f64));
+        for bad in ["-1", "inf"] {
+            env_case::<f64>("SWEEP_CLAIM_TIMEOUT_S", Some(bad), secs, None);
+        }
+        env_case("SWEEP_TRACE", Some("out/t"), |_| true, Some(std::path::PathBuf::from("out/t")));
     }
 
     fn parse(args: &[&str]) -> Result<Cli, String> {

@@ -160,7 +160,7 @@ pub fn run_repro_cell(spec: &ReproSpec) -> Result<ReproOutcome, String> {
 
 /// The artifact directory named by the `SWEEP_ARTIFACTS` env var, if set.
 pub fn artifact_dir() -> Option<PathBuf> {
-    std::env::var_os("SWEEP_ARTIFACTS").map(Into::into)
+    crate::env_parsed("SWEEP_ARTIFACTS", "a directory", |_| true)
 }
 
 fn fault_fields<'a>(w: LineWriter<'a>, at: SimTime, action: &FaultAction) -> LineWriter<'a> {

@@ -99,46 +99,15 @@ pub struct RunSummary<T> {
     pub counters: CounterSnapshot,
 }
 
-/// Parses a `SWEEP_JOBS`-style override; `None` when absent or unusable.
-fn parse_jobs(v: Option<&str>) -> Option<usize> {
-    v.and_then(|s| s.trim().parse::<usize>().ok()).filter(|&n| n >= 1)
-}
-
-/// Resolves the fallback worker count from an optional `SWEEP_JOBS`-style
-/// value and the machine's available parallelism. The fallback order is:
-/// usable env value > `available`; an env value that is set but unusable
-/// also yields the warning to print — silently ignoring a typo'd
-/// `SWEEP_JOBS` could mask a mis-pinned reproducibility run. Pure function
-/// of its inputs so the order and warn path are unit-testable.
-fn resolve_jobs(env: Option<&str>, available: usize) -> (usize, Option<String>) {
-    match env {
-        None => (available, None),
-        Some(v) => match parse_jobs(Some(v)) {
-            Some(n) => (n, None),
-            None => (
-                available,
-                Some(format!(
-                    "warning: ignoring SWEEP_JOBS={v:?}: expected a positive integer; \
-                     using available parallelism"
-                )),
-            ),
-        },
-    }
-}
-
 /// The worker count used when none is given explicitly: the `SWEEP_JOBS`
 /// environment variable if set to a positive integer, otherwise the
 /// machine's available parallelism. A `SWEEP_JOBS` value that is set but not
 /// a positive integer is reported on stderr (the same input as `--jobs` is a
 /// hard usage error) before using the default.
 pub fn default_jobs() -> usize {
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let env = std::env::var("SWEEP_JOBS").ok();
-    let (jobs, warning) = resolve_jobs(env.as_deref(), available);
-    if let Some(w) = warning {
-        eprintln!("{w}");
-    }
-    jobs
+    crate::env_parsed("SWEEP_JOBS", "a positive integer", crate::nonzero).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// Extracts a human-readable message from a panic payload. `&str` and
@@ -318,34 +287,6 @@ mod tests {
     fn empty_sweep_is_fine() {
         let out: Vec<RunSummary<u8>> = run_sweep_jobs(Vec::new(), 8);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn jobs_parsing() {
-        assert_eq!(parse_jobs(Some("4")), Some(4));
-        assert_eq!(parse_jobs(Some(" 2 ")), Some(2));
-        assert_eq!(parse_jobs(Some("0")), None);
-        assert_eq!(parse_jobs(Some("lots")), None);
-        assert_eq!(parse_jobs(None), None);
-        assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn resolve_jobs_fallback_order_and_warn_path() {
-        // No env: the machine's available parallelism, silently.
-        assert_eq!(resolve_jobs(None, 8), (8, None));
-        // Usable env wins over available parallelism, silently.
-        assert_eq!(resolve_jobs(Some("4"), 8), (4, None));
-        assert_eq!(resolve_jobs(Some(" 2 "), 8), (2, None));
-        // Set-but-unusable env falls back AND warns — a typo'd SWEEP_JOBS
-        // must not silently change a pinned reproducibility run.
-        for bad in ["0", "-3", "lots", ""] {
-            let (jobs, warning) = resolve_jobs(Some(bad), 8);
-            assert_eq!(jobs, 8, "SWEEP_JOBS={bad:?} must fall back");
-            let w = warning.unwrap_or_else(|| panic!("SWEEP_JOBS={bad:?} must warn"));
-            assert!(w.contains("SWEEP_JOBS"), "{w}");
-            assert!(w.contains(bad), "{w}");
-        }
     }
 
     #[test]

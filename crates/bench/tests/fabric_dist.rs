@@ -72,19 +72,34 @@ fn killed_worker_is_redispatched_and_merge_unchanged() {
 
 #[test]
 fn worker_quarantines_travel_the_wire_like_local_ones() {
-    let (serial, serial_err, code) = smoke(&[], &[("FABRIC_SMOKE_FAIL", "cell-05")]);
+    let dir = temp_dir("quarantine");
+    let fail = [("FABRIC_SMOKE_FAIL", "cell-05")];
+    let journal = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (serial, serial_err, code) = smoke(&["--journal", &journal("serial.jsonl")], &fail);
     assert_eq!(code, Some(1), "a quarantined cell exits 1:\n{serial_err}");
-    let spool = temp_dir("quarantine");
     let (dist, stderr, code) = smoke(
-        &["--workers", "3", "--spool", spool.to_str().unwrap()],
-        &[("FABRIC_SMOKE_FAIL", "cell-05")],
+        &["--workers", "3", "--spool", dir.to_str().unwrap(), "--journal", &journal("dist.jsonl")],
+        &fail,
     );
     assert_eq!(code, Some(1), "the distributed run must also exit 1:\n{stderr}");
     assert_eq!(dist, serial, "surviving cells must merge identically around the quarantine");
-    assert!(
-        stderr.contains("quarantined=1") && stderr.contains("panics="),
-        "the wire must carry the same quarantine accounting, got:\n{stderr}"
-    );
+    // One collector settles both paths, so the accounting is not merely
+    // similar: the counters line and the journaled quarantine are the
+    // same bytes whether the cell failed in this process or across the wire.
+    let lines_with = |text: &str, needle: &str| -> Vec<String> {
+        text.lines().filter(|l| l.contains(needle)).map(str::to_owned).collect()
+    };
+    let counters = lines_with(&serial_err, "fabric: planned=");
+    assert_eq!(counters.len(), 1, "one counters line:\n{serial_err}");
+    assert!(counters[0].contains("panics=3") && counters[0].contains("quarantined=1"));
+    assert_eq!(lines_with(&stderr, "fabric: planned="), counters, "dist stderr:\n{stderr}");
+    let journaled = |name: &str| {
+        let text = std::fs::read_to_string(journal(name)).unwrap();
+        lines_with(&text, "\"fabric\":\"quarantined\"")
+    };
+    assert_eq!(journaled("serial.jsonl").len(), 1);
+    assert_eq!(journaled("dist.jsonl"), journaled("serial.jsonl"));
+    assert_eq!(lines_with(&stderr, "fabric-dist:").len(), 1, "printed once:\n{stderr}");
 }
 
 #[test]
