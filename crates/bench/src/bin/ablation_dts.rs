@@ -26,7 +26,7 @@ use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
 use mptcp_energy::scenarios::{run_two_path_bursty_traced, BurstyOptions, CcChoice};
 use mptcp_energy::{friendliness_ratio, CcModel, DtsConfig, Psi};
-use obs::{CounterSnapshot, TraceSink};
+use obs::TraceSink;
 use std::path::{Path, PathBuf};
 
 fn opts(scale: Scale) -> BurstyOptions {
@@ -38,13 +38,9 @@ fn opts(scale: Scale) -> BurstyOptions {
     BurstyOptions { transfer_bytes: Some(transfer), duration_s: 600.0, ..BurstyOptions::default() }
 }
 
-fn run_cfg(
-    cfg: DtsConfig,
-    o: &BurstyOptions,
-    sink: Option<Box<dyn TraceSink>>,
-) -> ((f64, f64, f64), CounterSnapshot) {
-    let (r, counters) = run_two_path_bursty_traced(&CcChoice::Dts(cfg), o, sink);
-    ((r.energy.joules, r.finish_s.unwrap_or(f64::NAN), r.goodput_bps / 1e6), counters)
+fn run_cfg(cfg: DtsConfig, o: &BurstyOptions, sink: Option<Box<dyn TraceSink>>) -> (f64, f64, f64) {
+    let (r, _counters) = run_two_path_bursty_traced(&CcChoice::Dts(cfg), o, sink);
+    (r.energy.joules, r.finish_s.unwrap_or(f64::NAN), r.goodput_bps / 1e6)
 }
 
 /// One labelled `DtsConfig` variant as a fabric cell. The fingerprint covers
@@ -65,7 +61,7 @@ fn cell(
         .str(&label)
         .u64(o.transfer_bytes.unwrap_or(0))
         .u64(o.seed);
-    FabricCell::with_counters(label, o.seed, move || {
+    FabricCell::new(label, o.seed, move || {
         let sink = trace.as_deref().and_then(|d| obs::jsonl_sink_in(d, &file_label));
         run_cfg(cfg, &o, sink)
     })

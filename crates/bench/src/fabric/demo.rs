@@ -13,9 +13,8 @@
 //! `u64` checksum plus an `f64` running mean — cheap, seeded, and
 //! float-bearing, so bit-exact journal round-trips are exercised too.
 
-use super::journal::{JournalCodec, JournalValue};
+use super::journal::encode_payload;
 use super::{FabricCell, Fingerprint};
-use obs::CounterSnapshot;
 
 /// Cells in the demo grid.
 pub const WALK_CELLS: u64 = 12;
@@ -80,17 +79,12 @@ pub fn walk_cells() -> Vec<FabricCell<(u64, f64)>> {
 /// the in-process cell would journal, so attach-mode merges stay
 /// byte-identical.
 pub fn walk_suite() -> super::dist::SuiteFn {
-    std::sync::Arc::new(|_label: &str, seed: u64| {
-        let mut payload: Vec<JournalValue> = Vec::new();
-        walk(seed).encode(&mut payload);
-        (payload, CounterSnapshot::default())
-    })
+    std::sync::Arc::new(|_label: &str, seed: u64| encode_payload(&walk(seed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::journal::{decode_payload, ValueReader};
 
     #[test]
     fn walk_is_deterministic_and_seed_sensitive() {
@@ -103,14 +97,6 @@ mod tests {
         // The attach-mode suite and the in-process cell must serialize the
         // same bytes for the same seed — this equality is what makes the
         // dist-vs-serial byte-identity pin possible in attach mode.
-        let (payload, counters) = walk_suite()(&walk_label(5), 5);
-        let mut wire = payload;
-        counters.encode(&mut wire);
-        let mut direct: Vec<JournalValue> = Vec::new();
-        (walk(5), CounterSnapshot::default()).encode(&mut direct);
-        let decoded: ((u64, f64), CounterSnapshot) = decode_payload(&wire).unwrap();
-        let expected: ((u64, f64), CounterSnapshot) =
-            <((u64, f64), CounterSnapshot)>::decode(&mut ValueReader::new(&direct)).unwrap();
-        assert_eq!(decoded.0, expected.0);
+        assert_eq!(walk_suite()(&walk_label(5), 5), encode_payload(&walk(5)));
     }
 }

@@ -59,7 +59,7 @@ use super::plan::{CellId, PlannedCell};
 use super::retry::{AttemptStats, FailCause};
 use super::{open_journal, plan_of, Collector, FabricCell, FabricOptions, FabricReport};
 use crate::{env_parsed, DistWorkerCli};
-use obs::{CounterSnapshot, DistCounters, DistEvent};
+use obs::{DistCounters, DistEvent};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -151,12 +151,18 @@ impl DistOptions {
         o.workers = cli.workers();
         o.spool = cli.spool.clone();
         o.task = cli.dist.clone();
+        if o.task.is_some() {
+            // A worker serves its shard and exits: the supervisor's knobs
+            // below are not its to read, or to warn about a second time.
+            return o;
+        }
         let what = "a non-negative number of seconds (0 waits forever)";
         if let Some(secs) = env_parsed("SWEEP_CLAIM_TIMEOUT_S", what, crate::secs) {
             o.claim_timeout = claim_timeout_of(secs);
         }
-        let spawn: Option<String> = env_parsed("SWEEP_SPAWN", "a spawn mode", |_| true);
-        if spawn.as_deref() == Some("attach") {
+        // One value: a near miss must warn, not silently self-exec while
+        // the operator's external pool idles.
+        if env_parsed("SWEEP_SPAWN", "`attach`", |s: &String| s == "attach").is_some() {
             o.spawn = SpawnMode::Attach;
         }
         o
@@ -180,8 +186,8 @@ fn claim_timeout_of(secs: f64) -> Option<Duration> {
 /// * `dist.workers <= 1`: delegates to [`super::run_fabric`] — identical
 ///   semantics, no spool, no processes.
 /// * Otherwise: supervises `dist.workers` shard leases to completion and
-///   returns the merged report, byte-identical (outputs, seeds, labels,
-///   counter snapshots) to the in-process run of the same grid.
+///   returns the merged report, byte-identical (outputs, seeds, labels) to
+///   the in-process run of the same grid.
 ///
 /// # Errors
 ///
@@ -620,7 +626,7 @@ where
         run: &mut ShardRun<'_>,
         parsed: &wire::ParsedResponse,
     ) -> Result<(), String> {
-        for dl in &parsed.done[run.harvest_done..] {
+        for (dl, stats) in &parsed.done[run.harvest_done..] {
             run.harvest_done += 1;
             let Some(&planned) = run.pending.get(&dl.id) else {
                 self.counters.duplicate_cells += 1;
@@ -631,11 +637,9 @@ where
                 });
                 continue;
             };
-            let (output, counters) = decode_payload::<(T, CounterSnapshot)>(&dl.payload)
+            let output = decode_payload::<T>(&dl.payload)
                 .map_err(|e| format!("payload for cell {} ({:?}): {e}", dl.id, dl.label))?;
-            // A `done` line carries attempts only (DESIGN.md §15, known gap).
-            let stats = AttemptStats { attempts: dl.attempts, ..AttemptStats::default() };
-            self.collector.done(planned.index, output, counters, stats, &dl.payload);
+            self.collector.done(planned.index, output, *stats, &dl.payload);
             run.pending.remove(&dl.id);
             run.accepted_this_gen.push(dl.id);
         }
@@ -650,17 +654,8 @@ where
                 });
                 continue;
             };
-            let cause = match fl.cause.as_str() {
-                "deadline" => FailCause::Deadline,
-                "worker" => FailCause::Worker,
-                _ => FailCause::Panic,
-            };
-            let stats = AttemptStats {
-                attempts: fl.attempts,
-                panics: fl.panics,
-                deadline_kills: fl.deadline_kills,
-            };
-            self.collector.quarantine(planned.index, fl.attempts, cause, fl.message.clone(), stats);
+            let (attempts, message) = (fl.stats.attempts, fl.message.clone());
+            self.collector.quarantine(planned.index, attempts, fl.cause, message, fl.stats);
             run.pending.remove(&fl.id);
             run.accepted_this_gen.push(fl.id);
         }

@@ -36,33 +36,37 @@
 //! Line formats:
 //!
 //! ```text
-//! {"dist":"manifest","version":1,"grid":"<16 hex>","cells":N,"shards":K,"suite":"..."}
-//! {"dist":"request","version":1,"grid":"<16 hex>","shard":K,"gen":G,"suite":"...",
+//! {"dist":"manifest","version":2,"grid":"<16 hex>","cells":N,"shards":K,"suite":"..."}
+//! {"dist":"request","version":2,"grid":"<16 hex>","shard":K,"gen":G,"suite":"...",
 //!  "cells":N,"deadline_ms":D,"max_attempts":A,"backoff_ms":B,"max_backoff_ms":C,
 //!  "heartbeat_ms":H}
 //! {"dist":"cell","id":"<16 hex>","index":I,"label":"...","seed":S}
 //! {"dist":"claim","worker":"...","shard":K,"gen":G}
 //! {"dist":"heartbeat","worker":"...","shard":K,"gen":G,"seq":N}
-//! {"dist":"response","version":1,"grid":"<16 hex>","shard":K,"gen":G,"worker":"..."}
-//! {"dist":"done","id":"<16 hex>","label":"...","seed":S,"attempts":A,"payload":[...]}
+//! {"dist":"response","version":2,"grid":"<16 hex>","shard":K,"gen":G,"worker":"..."}
+//! {"dist":"done","id":"<16 hex>","label":"...","seed":S,"attempts":A,"panics":P,
+//!  "deadline_kills":D,"payload":[...]}
 //! {"dist":"failed","id":"<16 hex>","label":"...","seed":S,"attempts":A,"panics":P,
-//!  "deadline_kills":D,"cause":"...","message":"..."}
+//!  "deadline_kills":D,"cause":"panic"|"deadline","message":"..."}
 //! {"dist":"end","done":D,"failed":F}
 //! ```
+//!
+//! Both per-cell lines carry the worker's whole [`AttemptStats`], so a cell
+//! that panicked once and then succeeded is counted the same supervised or
+//! in-process. (Version 1 sent `attempts` alone on `done` and appended a
+//! counter snapshot to every payload; a v1 peer is refused at the header.)
 
-use crate::fabric::journal::{
-    cell_fields, done_fields, framed, read_done, read_id, DoneLine, JournalValue,
-};
+use crate::fabric::journal::{cell_fields, framed, read_done, read_id, DoneLine, JournalValue};
 use crate::fabric::plan::CellId;
-use crate::fabric::retry::AttemptStats;
-use obs::record::{self, Record};
+use crate::fabric::retry::{AttemptStats, FailCause};
+use obs::record::{self, LineWriter, Record};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The wire protocol version; bumped on any incompatible change to the
 /// line formats above. Echoed in every request and response header.
-pub const PROTOCOL_VERSION: u64 = 1;
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Path of the request file for `(shard, gen)`.
 pub fn request_path(spool: &Path, shard: usize, gen: u64) -> PathBuf {
@@ -338,10 +342,13 @@ impl ResponseWriter {
         id: CellId,
         label: &str,
         seed: u64,
-        attempts: u32,
+        stats: AttemptStats,
         payload: &[JournalValue],
     ) -> Result<(), String> {
-        self.append(&framed(|w| done_fields(w, "dist", id, label, seed, attempts, payload)))?;
+        self.append(&framed(|w| {
+            stats_fields(cell_fields(w, "dist", "done", id, label, seed), stats)
+                .words("payload", payload)
+        }))?;
         self.done += 1;
         Ok(())
     }
@@ -357,15 +364,12 @@ impl ResponseWriter {
         label: &str,
         seed: u64,
         stats: AttemptStats,
-        cause: &str,
+        cause: FailCause,
         message: &str,
     ) -> Result<(), String> {
         self.append(&framed(|w| {
-            cell_fields(w, "dist", "failed", id, label, seed)
-                .u64("attempts", u64::from(stats.attempts))
-                .u64("panics", u64::from(stats.panics))
-                .u64("deadline_kills", u64::from(stats.deadline_kills))
-                .str("cause", cause)
+            stats_fields(cell_fields(w, "dist", "failed", id, label, seed), stats)
+                .str("cause", cause.as_str())
                 .str("message", message)
         }))?;
         self.failed += 1;
@@ -384,6 +388,22 @@ impl ResponseWriter {
     }
 }
 
+/// The attempt accounting both per-cell response lines carry, so the
+/// supervisor's `FabricCounters` match a single-process run exactly.
+fn stats_fields(w: LineWriter<'_>, stats: AttemptStats) -> LineWriter<'_> {
+    w.u64("attempts", u64::from(stats.attempts))
+        .u64("panics", u64::from(stats.panics))
+        .u64("deadline_kills", u64::from(stats.deadline_kills))
+}
+
+fn read_stats(rec: &Record<'_>) -> Result<AttemptStats, String> {
+    Ok(AttemptStats {
+        attempts: rec.uint("attempts")?,
+        panics: rec.uint("panics")?,
+        deadline_kills: rec.uint("deadline_kills")?,
+    })
+}
+
 /// One streamed `failed` line: a cell the worker exhausted its per-cell
 /// retry policy on (the distributed analogue of a quarantine record).
 #[derive(Clone, Debug, PartialEq)]
@@ -394,15 +414,11 @@ pub struct FailedLine {
     pub label: String,
     /// The cell's seed.
     pub seed: u64,
-    /// Attempts consumed on the worker.
-    pub attempts: u32,
-    /// Attempts that ended in a caught panic (per-cause accounting, so the
-    /// supervisor's `FabricCounters` match a single-process run exactly).
-    pub panics: u32,
-    /// Attempts abandoned at the per-attempt wall-clock deadline.
-    pub deadline_kills: u32,
-    /// Failure cause tag (`panic`/`deadline`).
-    pub cause: String,
+    /// Attempts consumed on the worker, by how each ended.
+    pub stats: AttemptStats,
+    /// Why the last attempt failed: a panic or the deadline, the two causes
+    /// a worker can report.
+    pub cause: FailCause,
     /// The last failure message.
     pub message: String,
 }
@@ -452,8 +468,9 @@ impl ResponseFault {
 pub struct ParsedResponse {
     /// The worker id from the header, once the header exists.
     pub worker: Option<String>,
-    /// Completed cells harvested from the valid prefix.
-    pub done: Vec<DoneLine>,
+    /// Completed cells harvested from the valid prefix, each with the
+    /// worker's attempt accounting.
+    pub done: Vec<(DoneLine, AttemptStats)>,
     /// Exhausted cells from the valid prefix.
     pub failed: Vec<FailedLine>,
     /// True once the `end` footer is present with matching counts.
@@ -556,15 +573,13 @@ fn parse_header_line(
     Ok(())
 }
 
-fn read_failed(rec: &Record<'_>) -> Result<FailedLine, String> {
+fn read_failed(rec: &Record<'_>, cause: FailCause) -> Result<FailedLine, String> {
     Ok(FailedLine {
         id: read_id(rec)?,
         label: rec.str("label")?.to_owned(),
         seed: rec.uint("seed")?,
-        attempts: rec.uint("attempts")?,
-        panics: rec.uint("panics")?,
-        deadline_kills: rec.uint("deadline_kills")?,
-        cause: rec.str("cause")?.to_owned(),
+        stats: read_stats(rec)?,
+        cause,
         message: rec.str("message")?.to_owned(),
     })
 }
@@ -577,8 +592,21 @@ fn parse_body_line(
     let bad = |e: String| LineIssue::Malformed(format!("response line: {e}"));
     let mut rec = record::read(line).map_err(bad)?;
     match rec.str("dist").map_err(bad)? {
-        "done" => out.done.push(read_done(&mut rec).map_err(bad)?),
-        "failed" => out.failed.push(read_failed(&rec).map_err(bad)?),
+        "done" => {
+            let stats = read_stats(&rec).map_err(bad)?;
+            out.done.push((read_done(&mut rec).map_err(bad)?, stats));
+        }
+        "failed" => {
+            // A whole line naming a cause no worker mints is not a tear:
+            // nothing else in the file can be trusted either.
+            let tag = rec.str("cause").map_err(bad)?;
+            let cause = FailCause::reported(tag).ok_or_else(|| {
+                LineIssue::Reject(ResponseFault::Invalid(format!(
+                    "response line: failed cell reports unknown cause {tag:?}"
+                )))
+            })?;
+            out.failed.push(read_failed(&rec, cause).map_err(bad)?);
+        }
         "end" => {
             *footer = Some((rec.uint("done").map_err(bad)?, rec.uint("failed").map_err(bad)?));
         }
@@ -732,7 +760,7 @@ mod tests {
         assert_eq!(rc, cells);
         // Version skew is refused with both versions named.
         let skew =
-            std::fs::read_to_string(&path).unwrap().replacen("\"version\":1", "\"version\":999", 1);
+            std::fs::read_to_string(&path).unwrap().replacen("\"version\":2", "\"version\":999", 1);
         std::fs::write(&path, skew).unwrap();
         let err = read_request(&path).unwrap_err();
         assert!(err.contains("v999") && err.contains("out of step"), "{err}");
@@ -748,13 +776,15 @@ mod tests {
         let mut w =
             ResponseWriter::create(&spool, 0, 0, 0x11, "w0-g0", PROTOCOL_VERSION).expect("create");
         let id = CellId::derive("a", 1, Fingerprint::new());
-        w.record_done(id, "a", 1, 1, &[JournalValue::U64(42)]).expect("done");
+        let flaky = AttemptStats { attempts: 2, panics: 1, deadline_kills: 0 };
+        w.record_done(id, "a", 1, flaky, &[JournalValue::U64(42)]).expect("done");
         // Mid-stream: header + one done line, no footer → partial, harvestable.
         let text = std::fs::read_to_string(response_path(&spool, 0, 0)).unwrap();
         let p = parse_response(&text, &expect);
         assert_eq!(p.worker.as_deref(), Some("w0-g0"));
         assert_eq!(p.done.len(), 1);
-        assert_eq!(p.done[0].payload, vec![JournalValue::U64(42)]);
+        assert_eq!(p.done[0].0.payload, vec![JournalValue::U64(42)]);
+        assert_eq!((p.done[0].0.attempts, p.done[0].1), (2, flaky));
         assert!(!p.complete && p.fault.is_none());
         // A torn final line is streaming, not a fault; the prefix survives.
         let torn = format!("{text}{{\"dist\":\"done\",\"id\":\"00");
@@ -763,37 +793,38 @@ mod tests {
         assert!(!p.complete && p.fault.is_none(), "{:?}", p.fault);
         // Footer completes it.
         let stats = AttemptStats { attempts: 3, panics: 3, deadline_kills: 0 };
-        w.record_failed(CellId::derive("b", 2, Fingerprint::new()), "b", 2, stats, "panic", "boom")
-            .expect("failed");
+        let b = CellId::derive("b", 2, Fingerprint::new());
+        w.record_failed(b, "b", 2, stats, FailCause::Panic, "boom").expect("failed");
         w.finish().expect("finish");
         let text = std::fs::read_to_string(response_path(&spool, 0, 0)).unwrap();
         let p = parse_response(&text, &expect);
         assert!(p.complete, "{p:?}");
         assert_eq!(p.failed.len(), 1);
-        assert_eq!(p.failed[0].cause, "panic");
-        assert_eq!((p.failed[0].panics, p.failed[0].deadline_kills), (3, 0));
+        assert_eq!((p.failed[0].cause, p.failed[0].stats), (FailCause::Panic, stats));
         let _ = std::fs::remove_dir_all(&spool);
     }
 
     #[test]
     fn responses_reject_version_skew_echo_mismatch_and_bad_footer() {
         let expect = ResponseExpect { grid: 0x11, shard: 0, gen: 1 };
-        let stale = "{\"dist\":\"response\",\"version\":0,\"grid\":\"0000000000000011\",\
-                     \"shard\":0,\"gen\":1,\"worker\":\"w\"}\n";
-        let p = parse_response(stale, &expect);
-        assert!(matches!(p.fault, Some(ResponseFault::Stale(_))), "{p:?}");
+        let header = "{\"dist\":\"response\",\"version\":2,\"grid\":\"0000000000000011\",\
+                      \"shard\":0,\"gen\":1,\"worker\":\"w\"}\n";
+        // The chaos drill's version 0 and the previous format's version 1.
+        for v in [0, 1] {
+            let old = header.replacen("\"version\":2", &format!("\"version\":{v}"), 1);
+            let p = parse_response(&old, &expect);
+            assert!(matches!(p.fault, Some(ResponseFault::Stale(_))), "v{v}: {p:?}");
+        }
         // A revoked generation's echo must not pass for the replacement's.
-        let old_gen = "{\"dist\":\"response\",\"version\":1,\"grid\":\"0000000000000011\",\
-                       \"shard\":0,\"gen\":0,\"worker\":\"w\"}\n";
-        let p = parse_response(old_gen, &expect);
+        let old_gen = header.replacen("\"gen\":1", "\"gen\":0", 1);
+        let p = parse_response(&old_gen, &expect);
         match &p.fault {
             Some(ResponseFault::Invalid(d)) => assert!(d.contains("gen=0"), "{d}"),
             other => panic!("expected echo rejection, got {other:?}"),
         }
         // Footer counts must match the lines actually present.
-        let lying = "{\"dist\":\"response\",\"version\":1,\"grid\":\"0000000000000011\",\
-                     \"shard\":0,\"gen\":1,\"worker\":\"w\"}\n{\"dist\":\"end\",\"done\":5,\"failed\":0}\n";
-        let p = parse_response(lying, &expect);
+        let lying = format!("{header}{{\"dist\":\"end\",\"done\":5,\"failed\":0}}\n");
+        let p = parse_response(&lying, &expect);
         assert!(!p.complete);
         match &p.fault {
             Some(ResponseFault::Invalid(d)) => assert!(d.contains("promises"), "{d}"),
@@ -801,16 +832,30 @@ mod tests {
         }
         // Interior corruption faults the file but keeps the valid prefix.
         let id = CellId::derive("a", 1, Fingerprint::new());
-        let corrupt = format!(
-            "{{\"dist\":\"response\",\"version\":1,\"grid\":\"0000000000000011\",\
-             \"shard\":0,\"gen\":1,\"worker\":\"w\"}}\n\
-             {{\"dist\":\"done\",\"id\":\"{id}\",\"label\":\"a\",\"seed\":1,\"attempts\":1,\
-             \"payload\":[7]}}\nGARBAGE\n{{\"dist\":\"end\",\"done\":1,\"failed\":0}}\n"
+        let done = format!(
+            "{header}{{\"dist\":\"done\",\"id\":\"{id}\",\"label\":\"a\",\"seed\":1,\"attempts\":1,\
+             \"panics\":0,\"deadline_kills\":0,\"payload\":[7]}}\n"
         );
+        let corrupt = format!("{done}GARBAGE\n{{\"dist\":\"end\",\"done\":1,\"failed\":0}}\n");
         let p = parse_response(&corrupt, &expect);
         assert_eq!(p.done.len(), 1, "prefix before the damage is harvestable");
         assert!(matches!(p.fault, Some(ResponseFault::Invalid(_))), "{p:?}");
         assert!(!p.complete);
+        // A whole `failed` line whose cause no worker can report — garbage,
+        // or the supervisor-only "worker" — is a fault wherever it sits, the
+        // final line included: it must never be read as a panic.
+        for tag in ["bogus", "worker"] {
+            let failed = format!(
+                "{done}{{\"dist\":\"failed\",\"id\":\"{id}\",\"label\":\"b\",\"seed\":2,\"attempts\":1,\
+                 \"panics\":1,\"deadline_kills\":0,\"cause\":\"{tag}\",\"message\":\"m\"}}\n"
+            );
+            let p = parse_response(&failed, &expect);
+            assert_eq!((p.done.len(), p.failed.len()), (1, 0), "{tag}: {p:?}");
+            match &p.fault {
+                Some(ResponseFault::Invalid(d)) => assert!(d.contains(tag), "{d}"),
+                other => panic!("expected an unknown-cause rejection, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -874,9 +919,10 @@ mod tests {
         });
         for i in 0..10u64 {
             let id = CellId::derive("c", i, Fingerprint::new());
-            body.push_str(&framed(|w| {
-                done_fields(w, "dist", id, "c", i, 1, &[JournalValue::U64(i)])
-            }));
+            body.push_str(&format!(
+                "{{\"dist\":\"done\",\"id\":\"{id}\",\"label\":\"c\",\"seed\":{i},\"attempts\":1,\
+                 \"panics\":0,\"deadline_kills\":0,\"payload\":[{i}]}}\n"
+            ));
         }
         let footer = "{\"dist\":\"end\",\"done\":10,\"failed\":12}";
         for cut in 1..footer.len() {

@@ -37,12 +37,11 @@
 //! 0). Used by the `fabric_chaos` harness and CI; never armed in normal
 //! runs.
 
-use super::super::journal::{JournalCodec, JournalValue};
+use super::super::journal::{encode_payload, JournalCodec, JournalValue};
 use super::super::retry::{self, CellFn, RetryPolicy};
 use super::super::{plan_of, FabricCell};
 use super::wire::{self, RequestCell, RequestHeader, ResponseWriter, PROTOCOL_VERSION};
 use crate::DistWorkerCli;
-use obs::CounterSnapshot;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -165,9 +164,8 @@ impl Drop for HeartbeatThread {
     }
 }
 
-/// The output of one served cell before it hits the wire: the encoded
-/// output payload (without counters) plus the counter snapshot, matching
-/// the journal's `(output, counters)` payload layout.
+/// One served cell: its closure returns the output already encoded, the
+/// payload of its `done` line (and, later, of the supervisor's journal).
 type ServedCell = CellFn<Vec<JournalValue>>;
 
 /// Serves one request with per-cell closures supplied by `make`, applying
@@ -226,22 +224,14 @@ fn serve_request(
         let run = make(cell)?;
         let (result, stats) = retry::run_with_retries(&cell.label, &run, deadline, &policy);
         match result {
-            Ok((mut payload, counters)) => {
-                counters.encode(&mut payload);
-                resp.record_done(cell.id, &cell.label, cell.seed, stats.attempts, &payload)?;
+            Ok(payload) => {
+                resp.record_done(cell.id, &cell.label, cell.seed, stats, &payload)?;
                 if chaos.map(|c| c.mode) == Some(ChaosMode::Dup) {
-                    resp.record_done(cell.id, &cell.label, cell.seed, stats.attempts, &payload)?;
+                    resp.record_done(cell.id, &cell.label, cell.seed, stats, &payload)?;
                 }
             }
             Err((cause, message)) => {
-                resp.record_failed(
-                    cell.id,
-                    &cell.label,
-                    cell.seed,
-                    stats,
-                    cause.as_str(),
-                    &message,
-                )?;
+                resp.record_failed(cell.id, &cell.label, cell.seed, stats, cause, &message)?;
             }
         }
     }
@@ -284,20 +274,15 @@ where
             .get(&req.id)
             .ok_or_else(|| format!("request names cell {} not in this grid", req.id))?;
         let run = Arc::clone(&cell.run);
-        Ok(Arc::new(move || {
-            let (out, counters) = run();
-            let mut payload = Vec::new();
-            out.encode(&mut payload);
-            (payload, counters)
-        }) as ServedCell)
+        Ok(Arc::new(move || encode_payload(&run())) as ServedCell)
     })
 }
 
 /// A named cell function an attached worker hosts: `(label, seed)` → the
-/// encoded output payload plus counters. Must produce byte-identical
-/// payloads to the in-process cell of the same suite — the merged report is
-/// pinned to be identical either way.
-pub type SuiteFn = Arc<dyn Fn(&str, u64) -> (Vec<JournalValue>, CounterSnapshot) + Send + Sync>;
+/// encoded output. Must produce byte-identical payloads to the in-process
+/// cell of the same suite — the merged report is pinned to be identical
+/// either way.
+pub type SuiteFn = Arc<dyn Fn(&str, u64) -> Vec<JournalValue> + Send + Sync>;
 
 /// The suites an attached worker can serve, by name. Requests for unknown
 /// suites are left unclaimed for some other worker.
@@ -316,7 +301,7 @@ impl SuiteRegistry {
     pub fn register(
         &mut self,
         name: impl Into<String>,
-        f: impl Fn(&str, u64) -> (Vec<JournalValue>, CounterSnapshot) + Send + Sync + 'static,
+        f: impl Fn(&str, u64) -> Vec<JournalValue> + Send + Sync + 'static,
     ) {
         self.suites.insert(name.into(), Arc::new(f));
     }

@@ -14,10 +14,14 @@
 //! "the torn line is the last line" a safe rule):
 //!
 //! ```text
-//! {"fabric":"run","version":1,"grid":"<16 hex>","cells":N}
+//! {"fabric":"run","version":2,"grid":"<16 hex>","cells":N}
 //! {"fabric":"done","id":"<16 hex>","label":"...","seed":7,"attempts":1,"payload":[...]}
 //! {"fabric":"quarantined","id":"<16 hex>","label":"...","seed":7,"attempts":3,"cause":"panic","message":"..."}
 //! ```
+//!
+//! A `done` payload is the cell's encoded output and nothing else; a journal
+//! of any other version (1 appended a counter snapshot to every payload) is
+//! refused at its first header, not read around.
 //!
 //! A `run` header is appended each time a fabric run opens the journal; the
 //! grid digest must match across every header, so a journal can never mix
@@ -33,16 +37,14 @@
 
 use super::plan::CellId;
 use obs::record::{self, LineWriter, Record};
-use obs::{
-    ConnCounters, CounterSnapshot, GlobalCounters, HybridCounters, LinkCounters, SubflowCounters,
-};
+use obs::HybridCounters;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
 
 /// The journal format version written in `run` headers.
-pub const JOURNAL_VERSION: u64 = 1;
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// One token of an encoded payload: the record dialect's array word.
 pub use obs::record::Word as JournalValue;
@@ -241,88 +243,6 @@ impl<A: JournalCodec, B: JournalCodec, C: JournalCodec, D: JournalCodec> Journal
     }
 }
 
-impl JournalCodec for LinkCounters {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        let LinkCounters {
-            link,
-            tx_pkts,
-            drops_queue,
-            drops_fault,
-            drops_blackout,
-            ecn_marks,
-            queue_high_water,
-            offered,
-            reordered,
-            duplicated,
-            corrupted,
-        } = self;
-        for v in [
-            link,
-            tx_pkts,
-            drops_queue,
-            drops_fault,
-            drops_blackout,
-            ecn_marks,
-            offered,
-            reordered,
-            duplicated,
-            corrupted,
-        ] {
-            v.encode(out);
-        }
-        queue_high_water.encode(out);
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        Ok(LinkCounters {
-            link: r.u64()?,
-            tx_pkts: r.u64()?,
-            drops_queue: r.u64()?,
-            drops_fault: r.u64()?,
-            drops_blackout: r.u64()?,
-            ecn_marks: r.u64()?,
-            offered: r.u64()?,
-            reordered: r.u64()?,
-            duplicated: r.u64()?,
-            corrupted: r.u64()?,
-            queue_high_water: usize::decode(r)?,
-        })
-    }
-}
-
-impl JournalCodec for SubflowCounters {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        let SubflowCounters {
-            conn,
-            subflow,
-            rtos,
-            fast_rexmits,
-            spurious_rexmits,
-            recoveries,
-            deaths,
-            revivals,
-            probes,
-        } = self;
-        conn.encode(out);
-        subflow.encode(out);
-        for v in [rtos, fast_rexmits, spurious_rexmits, recoveries, deaths, revivals, probes] {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        Ok(SubflowCounters {
-            conn: r.u64()?,
-            subflow: usize::decode(r)?,
-            rtos: r.u64()?,
-            fast_rexmits: r.u64()?,
-            spurious_rexmits: r.u64()?,
-            recoveries: r.u64()?,
-            deaths: r.u64()?,
-            revivals: r.u64()?,
-            probes: r.u64()?,
-        })
-    }
-}
-
 impl JournalCodec for HybridCounters {
     fn encode(&self, out: &mut Vec<JournalValue>) {
         let HybridCounters {
@@ -355,74 +275,6 @@ impl JournalCodec for HybridCounters {
             fluid_steps: r.u64()?,
             price_cap_hits: r.u64()?,
             background_links: r.u64()?,
-        })
-    }
-}
-
-impl JournalCodec for ConnCounters {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        let ConnCounters {
-            conn,
-            zero_window_stalls,
-            persist_probes,
-            corrupt_acks,
-            corrupt_discards,
-            rwnd_dropped,
-            ooo_dropped,
-            duplicates,
-        } = self;
-        for v in [
-            conn,
-            zero_window_stalls,
-            persist_probes,
-            corrupt_acks,
-            corrupt_discards,
-            rwnd_dropped,
-            ooo_dropped,
-            duplicates,
-        ] {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        Ok(ConnCounters {
-            conn: r.u64()?,
-            zero_window_stalls: r.u64()?,
-            persist_probes: r.u64()?,
-            corrupt_acks: r.u64()?,
-            corrupt_discards: r.u64()?,
-            rwnd_dropped: r.u64()?,
-            ooo_dropped: r.u64()?,
-            duplicates: r.u64()?,
-        })
-    }
-}
-
-impl JournalCodec for GlobalCounters {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        let GlobalCounters { nan_samples, dropped_load_samples } = self;
-        nan_samples.encode(out);
-        dropped_load_samples.encode(out);
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        Ok(GlobalCounters { nan_samples: r.u64()?, dropped_load_samples: r.u64()? })
-    }
-}
-
-impl JournalCodec for CounterSnapshot {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        let CounterSnapshot { links, subflows, conns, global } = self;
-        links.encode(out);
-        subflows.encode(out);
-        conns.encode(out);
-        global.encode(out);
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        Ok(CounterSnapshot {
-            links: Vec::decode(r)?,
-            subflows: Vec::decode(r)?,
-            conns: Vec::decode(r)?,
-            global: GlobalCounters::decode(r)?,
         })
     }
 }
@@ -460,7 +312,7 @@ pub struct DoneLine {
     pub seed: u64,
     /// How many attempts the cell took.
     pub attempts: u32,
-    /// The encoded `(output, counters)` payload.
+    /// The encoded output.
     pub payload: Vec<JournalValue>,
 }
 
@@ -519,17 +371,16 @@ pub(crate) fn cell_fields<'a>(
     w.str(family, kind).hex("id", id.as_u64()).str("label", label).u64("seed", seed)
 }
 
-/// The fields of a `done` line of either family.
+/// The fields of a journal `done` line.
 pub(crate) fn done_fields<'a>(
     w: LineWriter<'a>,
-    family: &str,
     id: CellId,
     label: &str,
     seed: u64,
     attempts: u32,
     payload: &[JournalValue],
 ) -> LineWriter<'a> {
-    cell_fields(w, family, "done", id, label, seed)
+    cell_fields(w, "fabric", "done", id, label, seed)
         .u64("attempts", u64::from(attempts))
         .words("payload", payload)
 }
@@ -538,7 +389,7 @@ pub(crate) fn read_id(rec: &Record<'_>) -> Result<CellId, String> {
     CellId::parse(rec.str("id")?)
 }
 
-/// Reads the fields of a `done` line of either family (the caller has
+/// Reads the fields both families' `done` lines share (the caller has
 /// already matched the family tag).
 pub(crate) fn read_done(rec: &mut Record<'_>) -> Result<DoneLine, String> {
     Ok(DoneLine {
@@ -719,7 +570,7 @@ impl JournalWriter {
         attempts: u32,
         payload: &[JournalValue],
     ) -> Result<(), String> {
-        self.append(|w| done_fields(w, "fabric", id, label, seed, attempts, payload))
+        self.append(|w| done_fields(w, id, label, seed, attempts, payload))
     }
 
     /// Appends a `quarantined` record for an exhausted cell.
@@ -779,77 +630,11 @@ mod tests {
         roundtrip((1u64, 2u64, 3u64, 4u64));
     }
 
-    #[test]
-    fn codec_roundtrips_counter_snapshots() {
-        let snap = CounterSnapshot {
-            links: vec![LinkCounters {
-                link: 3,
-                tx_pkts: 100,
-                drops_fault: 2,
-                queue_high_water: 9,
-                ..Default::default()
-            }],
-            subflows: vec![SubflowCounters { conn: 1, subflow: 1, rtos: 4, ..Default::default() }],
-            conns: vec![ConnCounters { conn: 1, duplicates: 7, ..Default::default() }],
-            global: GlobalCounters { nan_samples: 1, dropped_load_samples: 2 },
-        };
-        roundtrip(snap);
-        roundtrip(CounterSnapshot::default());
-    }
-
-    /// The on-disk word order of every counter struct, pinned against a
-    /// literal. Each field holds its position in the struct's declaration
-    /// (hundreds digit: which struct), so the literal reads as "declared
-    /// n-th, encoded here" — `queue_high_water`, declared 7th, travels last.
+    /// The on-disk word order of the one counter struct the journal still
+    /// carries (inside `hybrid_scale`'s output), pinned against a literal:
+    /// each field holds its position in the struct's declaration.
     #[test]
     fn counter_word_order_is_pinned() {
-        fn pinned<T: JournalCodec + PartialEq + std::fmt::Debug>(value: &T, words: &[u64]) {
-            let literal: Vec<JournalValue> = words.iter().map(|&w| JournalValue::U64(w)).collect();
-            assert_eq!(encode_payload(value), literal, "encoded word order moved");
-            assert_eq!(&decode_payload::<T>(&literal).expect("decode"), value);
-        }
-        let link = LinkCounters {
-            link: 101,
-            tx_pkts: 102,
-            drops_queue: 103,
-            drops_fault: 104,
-            drops_blackout: 105,
-            ecn_marks: 106,
-            queue_high_water: 107,
-            offered: 108,
-            reordered: 109,
-            duplicated: 110,
-            corrupted: 111,
-        };
-        let link_words = [101, 102, 103, 104, 105, 106, 108, 109, 110, 111, 107];
-        pinned(&link, &link_words);
-        let subflow = SubflowCounters {
-            conn: 201,
-            subflow: 202,
-            rtos: 203,
-            fast_rexmits: 204,
-            spurious_rexmits: 205,
-            recoveries: 206,
-            deaths: 207,
-            revivals: 208,
-            probes: 209,
-        };
-        let subflow_words = [201, 202, 203, 204, 205, 206, 207, 208, 209];
-        pinned(&subflow, &subflow_words);
-        let conn = ConnCounters {
-            conn: 301,
-            zero_window_stalls: 302,
-            persist_probes: 303,
-            corrupt_acks: 304,
-            corrupt_discards: 305,
-            rwnd_dropped: 306,
-            ooo_dropped: 307,
-            duplicates: 308,
-        };
-        let conn_words = [301, 302, 303, 304, 305, 306, 307, 308];
-        pinned(&conn, &conn_words);
-        let global = GlobalCounters { nan_samples: 401, dropped_load_samples: 402 };
-        pinned(&global, &[401, 402]);
         let hybrid = HybridCounters {
             epochs: 501,
             fluid_flows: 502,
@@ -859,22 +644,9 @@ mod tests {
             price_cap_hits: 506,
             background_links: 507,
         };
-        pinned(&hybrid, &[501, 502, 503, 504, 505, 506, 507]);
-        // The snapshot: links, subflows, conns (each length-prefixed), global.
-        let snapshot = CounterSnapshot {
-            links: vec![link],
-            subflows: vec![subflow],
-            conns: vec![conn],
-            global,
-        };
-        let mut words = vec![1];
-        words.extend(link_words);
-        words.push(1);
-        words.extend(subflow_words);
-        words.push(1);
-        words.extend(conn_words);
-        words.extend([401, 402]);
-        pinned(&snapshot, &words);
+        let literal = [501, 502, 503, 504, 505, 506, 507].map(JournalValue::U64).to_vec();
+        assert_eq!(encode_payload(&hybrid), literal, "encoded word order moved");
+        assert_eq!(decode_payload::<HybridCounters>(&literal).expect("decode"), hybrid);
     }
 
     #[test]
@@ -936,7 +708,7 @@ mod tests {
     fn torn_final_line_is_tolerated_mid_file_corruption_is_not() {
         let mut good = String::new();
         good.push_str(
-            "{\"fabric\":\"run\",\"version\":1,\"grid\":\"00000000000000ff\",\"cells\":2}\n",
+            "{\"fabric\":\"run\",\"version\":2,\"grid\":\"00000000000000ff\",\"cells\":2}\n",
         );
         good.push_str(&format!(
             "{{\"fabric\":\"done\",\"id\":\"{}\",\"label\":\"a\",\"seed\":0,\"attempts\":1,\"payload\":[1]}}\n",
@@ -964,7 +736,7 @@ mod tests {
         let path = dir.join("j.jsonl");
         let mut torn = String::new();
         torn.push_str(
-            "{\"fabric\":\"run\",\"version\":1,\"grid\":\"00000000000000ff\",\"cells\":2}\n",
+            "{\"fabric\":\"run\",\"version\":2,\"grid\":\"00000000000000ff\",\"cells\":2}\n",
         );
         torn.push_str(&format!(
             "{{\"fabric\":\"done\",\"id\":\"{}\",\"label\":\"a\",\"seed\":0,\"attempts\":1,\"payload\":[1]}}\n",
@@ -989,7 +761,7 @@ mod tests {
         // a resume must replay — pinned here so the policy is specified,
         // not incidental.
         let mut text = String::from(
-            "{\"fabric\":\"run\",\"version\":1,\"grid\":\"00000000000000ff\",\"cells\":1}\n",
+            "{\"fabric\":\"run\",\"version\":2,\"grid\":\"00000000000000ff\",\"cells\":1}\n",
         );
         text.push_str(&format!(
             "{{\"fabric\":\"done\",\"id\":\"{}\",\"label\":\"first\",\"seed\":0,\"attempts\":1,\"payload\":[11]}}\n",
@@ -1009,13 +781,16 @@ mod tests {
 
     #[test]
     fn journal_refuses_grid_and_version_mismatches() {
-        let a = "{\"fabric\":\"run\",\"version\":1,\"grid\":\"0000000000000001\",\"cells\":1}\n";
-        let b = "{\"fabric\":\"run\",\"version\":1,\"grid\":\"0000000000000002\",\"cells\":1}\ntrailer-guard\n";
+        let a = "{\"fabric\":\"run\",\"version\":2,\"grid\":\"0000000000000001\",\"cells\":1}\n";
+        let b = "{\"fabric\":\"run\",\"version\":2,\"grid\":\"0000000000000002\",\"cells\":1}\ntrailer-guard\n";
         let err = parse_journal(&format!("{a}{b}")).unwrap_err();
         assert!(err.contains("mixes grids"), "{err}");
-        let v9 = "{\"fabric\":\"run\",\"version\":9,\"grid\":\"0000000000000001\",\"cells\":1}\ntrailer-guard\n";
-        let err = parse_journal(v9).unwrap_err();
-        assert!(err.contains("version 9"), "{err}");
+        // Any other version is refused — the previous format's included.
+        for v in [9, 1] {
+            let header = a.replacen("\"version\":2", &format!("\"version\":{v}"), 1);
+            let err = parse_journal(&format!("{header}trailer-guard\n")).unwrap_err();
+            assert!(err.contains(&format!("journal version {v} (this build reads 2)")), "{err}");
+        }
         // Missing file = empty journal, not an error.
         let empty =
             load_journal(Path::new("/nonexistent/fabric/journal.jsonl")).expect("missing file");
@@ -1030,7 +805,7 @@ mod tests {
             String::from("e\"f\\g"),
         ]);
         let one = CellId::parse("0000000000000001").expect("id");
-        let line = framed(|w| done_fields(w, "fabric", one, "x", 0, 1, &payload));
+        let line = framed(|w| done_fields(w, one, "x", 0, 1, &payload));
         assert_eq!(
             line,
             "{\"fabric\":\"done\",\"id\":\"0000000000000001\",\"label\":\"x\",\"seed\":0,\"attempts\":1,\"payload\":[3,\"a,b\",\"c]d\",\"e\\\"f\\\\g\"]}\n"
@@ -1046,9 +821,9 @@ mod tests {
     /// read as torn — never as a shorter, valid-looking record.
     #[test]
     fn every_proper_prefix_of_a_done_line_is_torn_at_the_tail_and_corrupt_mid_file() {
-        let head = "{\"fabric\":\"run\",\"version\":1,\"grid\":\"00000000000000ff\",\"cells\":2}\n";
+        let head = "{\"fabric\":\"run\",\"version\":2,\"grid\":\"00000000000000ff\",\"cells\":2}\n";
         let payload = encode_payload(&(1.5f64, String::from("s")));
-        let done = framed(|w| done_fields(w, "fabric", id(0), "a \"q\" 𝕏", 7, 1, &payload));
+        let done = framed(|w| done_fields(w, id(0), "a \"q\" 𝕏", 7, 1, &payload));
         let done = done.trim_end();
         for cut in (1..done.len()).filter(|&i| done.is_char_boundary(i)) {
             let torn = &done[..cut];

@@ -156,16 +156,10 @@ pub fn assemble<T>(
 mod tests {
     use super::*;
     use crate::fabric::plan::Fingerprint;
-    use obs::CounterSnapshot;
 
     fn done(i: u64) -> CellOutcome<u64> {
         CellOutcome::Done {
-            summary: RunSummary {
-                label: format!("c{i}"),
-                seed: i,
-                output: i * i,
-                counters: CounterSnapshot::default(),
-            },
+            summary: RunSummary { label: format!("c{i}"), seed: i, output: i * i },
             attempts: 1,
             replayed: false,
         }

@@ -50,8 +50,8 @@ pub use retry::{FailCause, RetryPolicy};
 use crate::env_parsed;
 use crate::repro::{self, ReproOutcome, ReproSpec, ViolationRecord};
 use crate::runner::{run_sweep_jobs, RunSummary, SweepCell};
-use journal::{decode_payload, JournalValue, JournalWriter};
-use obs::{CounterSnapshot, FabricCounters};
+use journal::{decode_payload, encode_payload, JournalValue, JournalWriter};
+use obs::FabricCounters;
 use plan::PlannedCell;
 use retry::{AttemptStats, CellFn};
 use std::collections::BTreeMap;
@@ -75,21 +75,13 @@ pub struct FabricCell<T> {
 }
 
 impl<T> FabricCell<T> {
-    /// Creates a cell from a label, a seed, and a re-runnable closure;
-    /// counters come back empty (see [`FabricCell::with_counters`]).
+    /// Creates a cell from a label, a seed, and a re-runnable closure. A
+    /// cell that wants counters next to its numbers returns them in `T`, as
+    /// `hybrid_scale`'s `CellOut` does.
     pub fn new(
         label: impl Into<String>,
         seed: u64,
         run: impl Fn() -> T + Send + Sync + 'static,
-    ) -> FabricCell<T> {
-        FabricCell::with_counters(label, seed, move || (run(), CounterSnapshot::default()))
-    }
-
-    /// Creates a cell whose closure also reports an [`obs::CounterSnapshot`].
-    pub fn with_counters(
-        label: impl Into<String>,
-        seed: u64,
-        run: impl Fn() -> (T, CounterSnapshot) + Send + Sync + 'static,
     ) -> FabricCell<T> {
         FabricCell {
             label: label.into(),
@@ -232,7 +224,7 @@ fn write_artifact(
 
 /// The already-journaled results for a grid, decoded and indexed by input
 /// position.
-pub(crate) type Replayed<T> = BTreeMap<usize, (T, CounterSnapshot, u32)>;
+pub(crate) type Replayed<T> = BTreeMap<usize, (T, u32)>;
 
 /// Plans the grid `cells` describe. The one place a grid is planned:
 /// supervisor, in-process runner and self-exec worker agree on the digest
@@ -278,9 +270,9 @@ pub(crate) fn open_journal<T: JournalCodec>(
                 entry.label
             ));
         };
-        let (output, counters) = decode_payload::<(T, CounterSnapshot)>(&entry.payload)
+        let output = decode_payload::<T>(&entry.payload)
             .map_err(|e| format!("journal payload for cell {id} ({:?}): {e}", entry.label))?;
-        replayed.insert(planned.index, (output, counters, entry.attempts));
+        replayed.insert(planned.index, (output, entry.attempts));
     }
     if !replayed.is_empty() {
         eprintln!(
@@ -334,13 +326,12 @@ impl<'a, T> Collector<'a, T> {
     }
 
     /// Settles cell `index` as completed: checkpoint first (`payload` is
-    /// the encoded `(output, counters)`, unread without a journal), then
-    /// the report entry.
+    /// the encoded `output`, unread without a journal), then the report
+    /// entry.
     pub(crate) fn done(
         &mut self,
         index: usize,
         output: T,
-        counters: CounterSnapshot,
         stats: AttemptStats,
         payload: &[JournalValue],
     ) {
@@ -354,7 +345,7 @@ impl<'a, T> Collector<'a, T> {
             }
         }
         self.count(stats);
-        self.fresh.push((index, done_outcome(planned, output, counters, stats.attempts, false)));
+        self.fresh.push((index, done_outcome(planned, output, stats.attempts, false)));
     }
 
     /// Settles cell `index` as quarantined after `attempts` tries: repro
@@ -400,9 +391,9 @@ impl<'a, T> Collector<'a, T> {
     pub(crate) fn finish(mut self, replayed: Replayed<T>) -> Result<FabricReport<T>, String> {
         self.counters.planned = self.plan.len() as u64;
         self.counters.replayed = replayed.len() as u64;
-        for (index, (output, counters, attempts)) in replayed {
+        for (index, (output, attempts)) in replayed {
             let planned = &self.plan.cells()[index];
-            self.fresh.push((index, done_outcome(planned, output, counters, attempts, true)));
+            self.fresh.push((index, done_outcome(planned, output, attempts, true)));
         }
         let outcomes = merge::assemble(self.plan.len(), self.fresh)?;
         Ok(FabricReport { outcomes, counters: self.counters })
@@ -412,11 +403,10 @@ impl<'a, T> Collector<'a, T> {
 fn done_outcome<T>(
     planned: &PlannedCell,
     output: T,
-    counters: CounterSnapshot,
     attempts: u32,
     replayed: bool,
 ) -> CellOutcome<T> {
-    let summary = RunSummary { label: planned.label.clone(), seed: planned.seed, output, counters };
+    let summary = RunSummary { label: planned.label.clone(), seed: planned.seed, output };
     CellOutcome::Done { summary, attempts, replayed }
 }
 
@@ -430,7 +420,7 @@ fn run_planned<T: Send + 'static>(
     opts: &FabricOptions,
     plan: &ShardPlan,
     (replayed, writer): (Replayed<T>, Option<JournalWriter>),
-    encode: fn(&T, &CounterSnapshot) -> Vec<JournalValue>,
+    encode: fn(&T) -> Vec<JournalValue>,
 ) -> Result<FabricReport<T>, String> {
     let journals = writer.is_some();
     let collector = Mutex::new(Collector::new(plan, cells, opts, writer));
@@ -447,10 +437,9 @@ fn run_planned<T: Send + 'static>(
                 let (result, stats) =
                     retry::run_with_retries(&cell.label, &cell.run, opts.deadline, &opts.retry);
                 match result {
-                    Ok((output, counters)) => {
-                        let payload =
-                            if journals { encode(&output, &counters) } else { Vec::new() };
-                        settle().done(index, output, counters, stats, &payload);
+                    Ok(output) => {
+                        let payload = if journals { encode(&output) } else { Vec::new() };
+                        settle().done(index, output, stats, &payload);
                     }
                     Err((cause, message)) => {
                         settle().quarantine(index, stats.attempts, cause, message, stats);
@@ -476,7 +465,7 @@ pub fn run_fabric_ephemeral<T: Send + 'static>(
     opts: &FabricOptions,
 ) -> Result<FabricReport<T>, String> {
     let plan = plan_of(&cells)?;
-    run_planned(&cells, opts, &plan, (BTreeMap::new(), None), |_, _| Vec::new())
+    run_planned(&cells, opts, &plan, (BTreeMap::new(), None), |_| Vec::new())
 }
 
 /// Runs the grid with the full crash-safe protocol: journal replay and
@@ -498,12 +487,7 @@ where
 {
     let plan = plan_of(&cells)?;
     let journal = open_journal(&plan, opts.journal.as_deref())?;
-    run_planned(&cells, opts, &plan, journal, |output, counters| {
-        let mut payload = Vec::new();
-        output.encode(&mut payload);
-        counters.encode(&mut payload);
-        payload
-    })
+    run_planned(&cells, opts, &plan, journal, encode_payload)
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //! fabric keeps waiting for it. simlint's D002 rule scopes wall-clock bans
 //! to the simulation crates for exactly this split.
 
-use obs::CounterSnapshot;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -95,13 +94,20 @@ impl FailCause {
             FailCause::Worker => "worker",
         }
     }
+
+    /// The inverse of [`Self::as_str`] for the causes a worker can report
+    /// on a `failed` line. `"worker"` is minted by the supervisor alone, so
+    /// on the wire it is as unknown as any other tag.
+    pub fn reported(tag: &str) -> Option<FailCause> {
+        [FailCause::Panic, FailCause::Deadline].into_iter().find(|c| c.as_str() == tag)
+    }
 }
 
 /// The outcome of one attempt.
 #[derive(Debug)]
 pub enum Attempt<T> {
     /// The cell completed.
-    Done(T, CounterSnapshot),
+    Done(T),
     /// The cell failed with this cause and message.
     Failed(FailCause, String),
 }
@@ -110,7 +116,7 @@ pub use crate::runner::panic_message;
 
 /// The runnable side of a fabric cell: shared (`Arc`) so retries and
 /// detached deadline threads can each hold an execution handle.
-pub type CellFn<T> = Arc<dyn Fn() -> (T, CounterSnapshot) + Send + Sync + 'static>;
+pub type CellFn<T> = Arc<dyn Fn() -> T + Send + Sync + 'static>;
 
 /// Runs one attempt of `run`, catching panics; with a deadline, the attempt
 /// runs on its own thread and is abandoned (detached, result discarded) if
@@ -123,7 +129,7 @@ pub fn run_attempt<T: Send + 'static>(
     let Some(deadline) = deadline else {
         // No deadline: run on the claiming worker, no thread spawn.
         return match catch_unwind(AssertUnwindSafe(|| run())) {
-            Ok((out, counters)) => Attempt::Done(out, counters),
+            Ok(out) => Attempt::Done(out),
             Err(payload) => Attempt::Failed(FailCause::Panic, panic_message(payload.as_ref())),
         };
     };
@@ -142,9 +148,9 @@ pub fn run_attempt<T: Send + 'static>(
         }
     };
     match rx.recv_timeout(deadline) {
-        Ok(Ok((out, counters))) => {
+        Ok(Ok(out)) => {
             let _ = handle.join();
-            Attempt::Done(out, counters)
+            Attempt::Done(out)
         }
         Ok(Err(payload)) => {
             let _ = handle.join();
@@ -172,8 +178,8 @@ pub struct AttemptStats {
     pub deadline_kills: u32,
 }
 
-/// A cell's final outcome: its output and counters, or the last failure.
-pub type CellResult<T> = Result<(T, CounterSnapshot), (FailCause, String)>;
+/// A cell's final outcome: its output, or the last failure.
+pub type CellResult<T> = Result<T, (FailCause, String)>;
 
 /// Runs a cell to completion under `policy`: attempts with backoff until
 /// success or exhaustion. Returns the successful output, or the **last**
@@ -188,7 +194,7 @@ pub fn run_with_retries<T: Send + 'static>(
     loop {
         stats.attempts += 1;
         match run_attempt(label, run, deadline) {
-            Attempt::Done(out, counters) => return (Ok((out, counters)), stats),
+            Attempt::Done(out) => return (Ok(out), stats),
             Attempt::Failed(cause, message) => {
                 match cause {
                     FailCause::Panic => stats.panics += 1,
@@ -212,7 +218,7 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn cell(f: impl Fn() -> u64 + Send + Sync + 'static) -> CellFn<u64> {
-        Arc::new(move || (f(), CounterSnapshot::default()))
+        Arc::new(f)
     }
 
     #[test]
@@ -240,7 +246,7 @@ mod tests {
     #[test]
     fn attempts_catch_panics_with_messages() {
         let ok = run_attempt("ok", &cell(|| 7), None);
-        assert!(matches!(ok, Attempt::Done(7, _)));
+        assert!(matches!(ok, Attempt::Done(7)));
         let boom: CellFn<u64> = Arc::new(|| panic!("boom at seed 3"));
         match run_attempt("boom", &boom, None) {
             Attempt::Failed(FailCause::Panic, msg) => {
@@ -270,7 +276,7 @@ mod tests {
         }
         // A fast cell under the same deadline completes normally.
         match run_attempt("fast", &cell(|| 9), Some(Duration::from_secs(10))) {
-            Attempt::Done(9, _) => {}
+            Attempt::Done(9) => {}
             other => panic!("expected success, got {other:?}"),
         }
     }
@@ -287,11 +293,11 @@ mod tests {
         let flaky: CellFn<u64> = Arc::new(move || {
             let n = c.fetch_add(1, Ordering::Relaxed);
             assert!(n >= 2, "flaky failure #{n}");
-            (n.into(), CounterSnapshot::default())
+            n.into()
         });
         let (out, stats) = run_with_retries("flaky", &flaky, None, &policy);
         assert_eq!(stats, AttemptStats { attempts: 3, panics: 2, deadline_kills: 0 });
-        assert!(matches!(out, Ok((2, _))), "third attempt should succeed");
+        assert!(matches!(out, Ok(2)), "third attempt should succeed");
         // Exhaustion reports the last failure and the full attempt count.
         let always: CellFn<u64> = Arc::new(|| panic!("always"));
         let (out, stats) = run_with_retries("always", &always, None, &policy);

@@ -443,6 +443,12 @@ mod tests {
             env_case::<f64>("SWEEP_CLAIM_TIMEOUT_S", Some(bad), secs, None);
         }
         env_case("SWEEP_TRACE", Some("out/t"), |_| true, Some(std::path::PathBuf::from("out/t")));
+        // One value; a near miss must warn, not silently spawn local workers.
+        let attach = |s: &String| s == "attach";
+        env_case("SWEEP_SPAWN", Some("attach"), attach, Some("attach".to_owned()));
+        for bad in ["Attach", "atach", ""] {
+            env_case::<String>("SWEEP_SPAWN", Some(bad), attach, None);
+        }
     }
 
     fn parse(args: &[&str]) -> Result<Cli, String> {

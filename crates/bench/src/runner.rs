@@ -38,7 +38,6 @@
 //! assert_eq!(results[3].output, 9);
 //! ```
 
-use obs::CounterSnapshot;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -56,30 +55,17 @@ pub struct SweepCell<'a, T> {
     /// The seed this cell derives its determinism from (informational; the
     /// closure is responsible for actually using it).
     pub seed: u64,
-    run: Box<dyn FnOnce() -> (T, CounterSnapshot) + Send + 'a>,
+    run: Box<dyn FnOnce() -> T + Send + 'a>,
 }
 
 impl<'a, T> SweepCell<'a, T> {
-    /// Creates a cell from a label, a seed, and the run closure. The cell's
-    /// [`RunSummary::counters`] come back empty; use
-    /// [`SweepCell::with_counters`] for cells that report observability
-    /// counters alongside their output.
+    /// Creates a cell from a label, a seed, and the run closure. A cell
+    /// that wants observability counters next to its numbers returns them
+    /// in `T` (e.g. from `mptcp_energy::scenarios::counters_of`).
     pub fn new(
         label: impl Into<String>,
         seed: u64,
         run: impl FnOnce() -> T + Send + 'a,
-    ) -> SweepCell<'a, T> {
-        SweepCell::with_counters(label, seed, move || (run(), CounterSnapshot::default()))
-    }
-
-    /// Creates a cell whose closure also returns an
-    /// [`obs::CounterSnapshot`] (e.g. from
-    /// `mptcp_energy::scenarios::counters_of`), surfaced through
-    /// [`RunSummary::counters`].
-    pub fn with_counters(
-        label: impl Into<String>,
-        seed: u64,
-        run: impl FnOnce() -> (T, CounterSnapshot) + Send + 'a,
     ) -> SweepCell<'a, T> {
         SweepCell { label: label.into(), seed, run: Box::new(run) }
     }
@@ -94,9 +80,6 @@ pub struct RunSummary<T> {
     pub seed: u64,
     /// Whatever the cell's closure returned.
     pub output: T,
-    /// Observability counters reported by the cell (empty for cells built
-    /// with [`SweepCell::new`]).
-    pub counters: CounterSnapshot,
 }
 
 /// The worker count used when none is given explicitly: the `SWEEP_JOBS`
@@ -132,7 +115,7 @@ fn run_cell<T>(cell: SweepCell<'_, T>) -> Result<RunSummary<T>, String> {
     let label = cell.label;
     let seed = cell.seed;
     match catch_unwind(AssertUnwindSafe(cell.run)) {
-        Ok((output, counters)) => Ok(RunSummary { label, seed, output, counters }),
+        Ok(output) => Ok(RunSummary { label, seed, output }),
         Err(payload) => Err(format!(
             "sweep cell {label:?} (seed {seed}) panicked: {}",
             panic_message(payload.as_ref())
@@ -287,25 +270,6 @@ mod tests {
     fn empty_sweep_is_fine() {
         let out: Vec<RunSummary<u8>> = run_sweep_jobs(Vec::new(), 8);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn with_counters_cells_surface_their_snapshot() {
-        let cells: Vec<SweepCell<u64>> = (0..4)
-            .map(|s| {
-                SweepCell::with_counters(format!("c{s}"), s, move || {
-                    let mut snap = CounterSnapshot::default();
-                    snap.global.nan_samples = s;
-                    (s * 2, snap)
-                })
-            })
-            .collect();
-        let out = run_sweep_jobs(cells, 2);
-        assert_eq!(out[3].output, 6);
-        assert_eq!(out[3].counters.global.nan_samples, 3);
-        // Plain cells report empty counters.
-        let plain = run_sweep_jobs(square_cells(2), 1);
-        assert_eq!(plain[1].counters, CounterSnapshot::default());
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! and quarantine-artifact naming.
 
 use bench_harness::fabric::dist::wire::{self, PROTOCOL_VERSION};
-use bench_harness::fabric::journal::JournalCodec;
+use bench_harness::fabric::journal::encode_payload;
+use bench_harness::fabric::retry::AttemptStats;
 use bench_harness::fabric::{
     run_dist, run_fabric, CellOutcome, DistOptions, FabricCell, FabricOptions, Fingerprint,
     RetryPolicy, ShardPlan, SpawnMode,
 };
-use obs::CounterSnapshot;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -146,8 +146,9 @@ fn supervisor_killed_mid_sweep_resumes_from_journal() {
 /// first claimant heartbeats, streams one cell, and goes silent (lease
 /// revoked as a heartbeat lapse); its response file grows *after* the
 /// revocation (counted as a late response, discarded); a second claimant
-/// serves the re-dispatched remainder. The merge must match the serial run
-/// and account every event.
+/// serves the re-dispatched remainder — on its second attempt, after a
+/// panic. The merge must match the serial run and account every event,
+/// that panic included.
 #[test]
 fn attach_worker_lapse_redispatch_and_late_response() {
     let mk_cells = || -> Vec<FabricCell<(u64, f64)>> {
@@ -160,12 +161,8 @@ fn attach_worker_lapse_redispatch_and_late_response() {
             })
             .collect()
     };
-    let payload_for = |seed: u64| {
-        let mut payload = Vec::new();
-        ((seed.wrapping_mul(7) + 1, seed as f64 * 0.5), CounterSnapshot::default())
-            .encode(&mut payload);
-        payload
-    };
+    let payload_for = |seed: u64| encode_payload(&(seed.wrapping_mul(7) + 1, seed as f64 * 0.5));
+    let clean = AttemptStats { attempts: 1, ..AttemptStats::default() };
     // Plan the same grid the supervisor will, to locate its spool subdir.
     let plan = ShardPlan::new(
         (0..4u64).map(|i| (format!("att-{i}"), i, Fingerprint::new().str("attach-test").u64(i))),
@@ -223,7 +220,7 @@ fn attach_worker_lapse_redispatch_and_late_response() {
     let mut resp =
         wire::ResponseWriter::create(&spool, 1, 0, grid, "t-w", PROTOCOL_VERSION).unwrap();
     for c in &cells1 {
-        resp.record_done(c.id, &c.label, c.seed, 1, &payload_for(c.seed)).unwrap();
+        resp.record_done(c.id, &c.label, c.seed, clean, &payload_for(c.seed)).unwrap();
     }
     resp.finish().unwrap();
 
@@ -238,7 +235,7 @@ fn attach_worker_lapse_redispatch_and_late_response() {
         cells0[0].id,
         &cells0[0].label,
         cells0[0].seed,
-        1,
+        clean,
         &payload_for(cells0[0].seed),
     )
     .unwrap();
@@ -273,11 +270,13 @@ fn attach_worker_lapse_redispatch_and_late_response() {
         wire::append_heartbeat(&spool, "t-w", 0, 1, seq).unwrap();
         std::thread::sleep(Duration::from_millis(60));
     }
+    // This cell panicked once on the worker before it succeeded: the
+    // per-cause half of the accounting must cross the wire with it.
     resp.record_done(
         cells0g1[0].id,
         &cells0g1[0].label,
         cells0g1[0].seed,
-        1,
+        AttemptStats { attempts: 2, panics: 1, deadline_kills: 0 },
         &payload_for(cells0g1[0].seed),
     )
     .unwrap();
@@ -300,6 +299,8 @@ fn attach_worker_lapse_redispatch_and_late_response() {
     assert_eq!(d.duplicate_cells, 0);
     assert_eq!(d.claim_timeouts, 0);
     assert_eq!(d.workers_spawned, 0, "attach mode spawns nothing");
+    let c = &report.counters;
+    assert_eq!((c.retries, c.panics), (1, 1), "a worker-side panic counts as an in-process one");
 }
 
 /// A suite no attached worker hosts must never hang the supervisor in a

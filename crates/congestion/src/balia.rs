@@ -14,7 +14,7 @@
 //! responsiveness than OLIA (its design goal).
 
 use crate::common;
-use crate::state::{total_rate, SubflowCc};
+use crate::state::SubflowCc;
 use crate::MultipathCongestionControl;
 
 /// Balia coupled congestion avoidance.
@@ -54,7 +54,6 @@ impl MultipathCongestionControl for Balia {
         let psi = ((1.0 + alpha) / 2.0) * ((4.0 + alpha) / 5.0);
         let delta = common::model_increase(psi, r, flows);
         common::increase(&mut flows[r], delta, newly_acked);
-        let _ = total_rate(flows); // (kept for symmetry with the fluid model)
     }
 
     fn on_loss(&mut self, r: usize, flows: &mut [SubflowCc]) {

@@ -17,7 +17,7 @@
 //!   as well as by loss.
 
 use crate::common;
-use crate::state::{total_cwnd, total_rate, SubflowCc};
+use crate::state::SubflowCc;
 use crate::MultipathCongestionControl;
 
 /// Fraction of the observed delay range treated as the congestion threshold
@@ -125,8 +125,6 @@ impl MultipathCongestionControl for Dwc {
             1.0 / flows[r].cwnd
         };
         common::increase(&mut flows[r], delta, newly_acked);
-        let _ = total_cwnd(flows);
-        let _ = total_rate(flows);
     }
 
     fn on_loss(&mut self, r: usize, flows: &mut [SubflowCc]) {

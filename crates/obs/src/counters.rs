@@ -3,9 +3,9 @@
 //!
 //! Counters are assembled *after* a run from state the simulator and sender
 //! already maintain (link stats, subflow counters), so the hot path pays
-//! nothing for them. They ride along in `bench_harness::runner::RunSummary`
-//! and in scenario outputs, making every sweep cell auditable without
-//! re-running it.
+//! nothing for them. They are read off a finished simulator
+//! (`scenarios::counters_of`); a sweep cell that wants them auditable next to
+//! its numbers returns them in its own output type.
 
 /// Per-link counters: drops split by cause, plus queue high-water.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -269,8 +269,8 @@ impl HybridCounters {
     }
 }
 
-/// A full counter snapshot for one run: the FlowSample-style view the sweep
-/// runner attaches to each `RunSummary`.
+/// A full counter snapshot for one run: the FlowSample-style view read off
+/// a finished simulator.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// One entry per link, in link-id order.

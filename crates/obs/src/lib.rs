@@ -14,8 +14,8 @@
 //!   in-memory implementations; the no-op default is simply *no sink
 //!   installed*, which costs one branch and zero allocations on the hot path;
 //! - [`counters`] — always-on per-link / per-subflow / global counter
-//!   snapshots assembled after a run, carried through
-//!   `bench_harness::runner::RunSummary`;
+//!   snapshots read off a finished simulator; a sweep cell that wants them
+//!   next to its numbers returns them in its own output type;
 //! - [`record`] — the one-line JSON dialect every trace, journal, spool
 //!   and artifact line is written and read through;
 //! - [`summary`] — the JSONL summarizer behind the `trace_dump` binary.
@@ -42,7 +42,6 @@ pub use counters::{
 pub use dist_event::DistEvent;
 pub use event::{DiscardCause, DropCause, FaultKind, ImpairKind, RecoveryCause, TraceEvent};
 pub use sink::{
-    jsonl_sink_in, sanitize_label, trace_path, FilterSink, JsonlSink, NullSink, RingSink, TeeSink,
-    TraceSink,
+    jsonl_sink_in, sanitize_label, trace_path, FilterSink, JsonlSink, RingSink, TraceSink,
 };
 pub use summary::{summarize, TraceSummary};

@@ -23,15 +23,6 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-/// Discards every event. Exists for call sites that need *a* sink value;
-/// prefer simply not installing one.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
-}
-
 /// Collects every event in memory. Handy in tests.
 impl TraceSink for Vec<TraceEvent> {
     fn record(&mut self, ev: &TraceEvent) {
@@ -94,31 +85,6 @@ impl TraceSink for RingSink {
         }
         self.buf.push_back(*ev);
         self.total += 1;
-    }
-}
-
-/// Fans every event out to two sinks. Lets a harness keep a full JSONL trace
-/// on disk *and* an in-memory ring tail for failure artifacts in one run.
-pub struct TeeSink {
-    a: Box<dyn TraceSink>,
-    b: Box<dyn TraceSink>,
-}
-
-impl TeeSink {
-    /// Combines two sinks; both see every event, `a` first.
-    pub fn new(a: Box<dyn TraceSink>, b: Box<dyn TraceSink>) -> TeeSink {
-        TeeSink { a, b }
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.a.record(ev);
-        self.b.record(ev);
-    }
-    fn flush(&mut self) {
-        self.a.flush();
-        self.b.flush();
     }
 }
 
@@ -252,19 +218,6 @@ mod tests {
         assert_eq!(ring.len(), 3);
         let times: Vec<u64> = ring.events().map(TraceEvent::t_ns).collect();
         assert_eq!(times, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn tee_sink_feeds_both_sides() {
-        let left: Arc<Mutex<Vec<TraceEvent>>> = Arc::new(Mutex::new(Vec::new()));
-        let right = Arc::new(Mutex::new(RingSink::new(2)));
-        let mut tee = TeeSink::new(Box::new(left.clone()), Box::new(right.clone()));
-        for t in 0..5 {
-            tee.record(&ev(t));
-        }
-        assert_eq!(left.lock().unwrap().len(), 5);
-        assert_eq!(right.lock().unwrap().total, 5);
-        assert_eq!(right.lock().unwrap().len(), 2);
     }
 
     #[test]

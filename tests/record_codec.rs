@@ -14,7 +14,7 @@ use bench_harness::fabric::dist::wire::{
 use bench_harness::fabric::journal::{encode_payload, load_journal, JournalValue};
 use bench_harness::fabric::retry::AttemptStats;
 use bench_harness::fabric::{
-    run_fabric, CellId, FabricCell, FabricOptions, Fingerprint, RetryPolicy,
+    run_fabric, CellId, FabricCell, FabricOptions, FailCause, Fingerprint, RetryPolicy,
 };
 use bench_harness::repro::{
     parse_artifact, render_artifact, replay_artifact, ReproOutcome, ReproSpec, ViolationRecord,
@@ -96,6 +96,12 @@ fn request() -> (RequestHeader, Vec<RequestCell>) {
     (header, cells)
 }
 
+/// What the spool's `done` cell took before it succeeded and what its
+/// `failed` cell did: three distinct numbers each, so a reader that dropped
+/// or swapped one is caught.
+const DONE_STATS: AttemptStats = AttemptStats { attempts: 4, panics: 1, deadline_kills: 2 };
+const FAILED_STATS: AttemptStats = AttemptStats { attempts: 3, panics: 2, deadline_kills: 1 };
+
 /// Exercises every spool writer once; returns the spool root.
 fn spool(dir: &Path) -> PathBuf {
     let spool = dir.join("spool");
@@ -105,9 +111,9 @@ fn spool(dir: &Path) -> PathBuf {
     let mut w = ResponseWriter::create(&spool, 1, 2, header.grid, "w1-g2", PROTOCOL_VERSION)
         .expect("response");
     let payload = encode_payload(&(0.1f64, NASTY.to_owned(), vec![1u64, 2]));
-    w.record_done(cell_id(0), "c0", 0, 1, &payload).expect("done");
-    let stats = AttemptStats { attempts: 3, panics: 2, deadline_kills: 1 };
-    w.record_failed(cell_id(5), NASTY, u64::MAX, stats, "deadline", NASTY).expect("failed");
+    w.record_done(cell_id(0), "c0", 0, DONE_STATS, &payload).expect("done");
+    w.record_failed(cell_id(5), NASTY, u64::MAX, FAILED_STATS, FailCause::Deadline, NASTY)
+        .expect("failed");
     w.finish().expect("finish");
     wire::append_heartbeat(&spool, "w1-g2", 1, 2, 41).expect("heartbeat");
     assert!(wire::try_claim(&spool, 1, 2, "w1-g2").expect("claim"));
@@ -202,9 +208,8 @@ fn journal_lines_replay_what_was_journaled() {
     let done = replay.done.values().next().expect("one done cell");
     assert_eq!(done.label, format!("good {NASTY}"));
     assert_eq!((done.seed, done.attempts), (7, 1));
-    // The payload is `(output, CounterSnapshot)`; the output leads it.
-    let output = encode_payload(&(1.5f64, NASTY.to_owned(), u64::MAX));
-    assert_eq!(done.payload[..output.len()], output[..]);
+    // The payload is the encoded output, whole.
+    assert_eq!(done.payload, encode_payload(&(1.5f64, NASTY.to_owned(), u64::MAX)));
     assert_eq!(done.payload[0], JournalValue::U64(1.5f64.to_bits()));
     let q = &replay.quarantined[0];
     assert_eq!((q.label.as_str(), q.seed, q.attempts, q.cause.as_str()), ("bad", 8, 1, "panic"));
@@ -225,13 +230,15 @@ fn spool_lines_come_back_through_their_readers() {
     );
     assert!(parsed.complete && parsed.fault.is_none(), "{parsed:?}");
     assert_eq!(parsed.worker.as_deref(), Some("w1-g2"));
-    assert_eq!(parsed.done[0].payload, encode_payload(&(0.1f64, NASTY.to_owned(), vec![1u64, 2])));
+    let (done, done_stats) = &parsed.done[0];
+    assert_eq!(done.payload, encode_payload(&(0.1f64, NASTY.to_owned(), vec![1u64, 2])));
+    assert_eq!((done.attempts, *done_stats), (4, DONE_STATS));
     let failed = &parsed.failed[0];
     assert_eq!(
         (failed.label.as_str(), failed.seed, failed.message.as_str()),
         (NASTY, u64::MAX, NASTY)
     );
-    assert_eq!((failed.attempts, failed.panics, failed.deadline_kills), (3, 2, 1));
+    assert_eq!((failed.stats, failed.cause), (FAILED_STATS, FailCause::Deadline));
     assert_eq!(wire::read_heartbeat_seq(&spool, "w1-g2", 1, 2), Some(41));
     assert_eq!(wire::read_claim(&spool, 1, 2).as_deref(), Some("w1-g2"));
     let _ = std::fs::remove_dir_all(&dir);
