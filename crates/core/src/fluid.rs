@@ -1,6 +1,6 @@
 //! RK4 fluid-model solver for networks of Equation-(3) flows sharing links.
 //!
-//! Links carry smooth congestion prices `p_l(y) = min(p0·(y/c_l)^B, 1)` (the
+//! Links carry smooth congestion prices `p_l(y) = min(p0·(y/c_l)⁴, 1)` (the
 //! standard fluid approximation of loss probability, capped at 1 because it
 //! *is* a probability); a flow's per-path signal is `λ_r = Σ_{l ∈ r} p_l(y_l)`.
 //! The solver integrates every flow's Equation (3) simultaneously, which lets
@@ -26,20 +26,29 @@
 //! projected back onto `[X_MIN, ∞)`. Off the floor the extension is inert and
 //! the integrator is classic RK4, bit-for-bit (pinned by test).
 
-use crate::model::{CcModel, FlowView};
+use crate::model::{CcModel, PathConsts};
 
 /// Minimum rate floor (packets/second): flows never go extinct, matching the
 /// one-packet window floor of the packet level.
 pub const X_MIN: f64 = 1.0;
 
-/// The shared price curve: `min(p0·(y/c)^B, 1)`. Returns the price and
+/// `r^B` for the price exponent, the constant `B = 4` (sharpness of
+/// congestion onset), as two explicit squarings: a fixed sequence of
+/// roundings (which `powi` does not promise), within 4 ulp of libm's power
+/// function at a sixth of its cost (DESIGN.md §14).
+#[inline]
+fn pow_b(r: f64) -> f64 {
+    (r * r) * (r * r)
+}
+
+/// The shared price curve: `min(p0·(y/c)⁴, 1)`. Returns the price and
 /// whether the probability cap engaged.
 #[inline]
-fn price_of(p0: f64, exponent: f64, capacity: f64, y: f64) -> (f64, bool) {
+fn price_of(p0: f64, capacity: f64, y: f64) -> (f64, bool) {
     if y <= 0.0 {
         return (0.0, false);
     }
-    let p = p0 * (y / capacity).powf(exponent);
+    let p = p0 * pow_b(y / capacity);
     if p >= 1.0 {
         (1.0, true)
     } else {
@@ -54,14 +63,12 @@ pub struct FluidLink {
     pub capacity: f64,
     /// Price scale `p0`.
     pub p0: f64,
-    /// Price exponent `B` (sharpness of congestion onset).
-    pub exponent: f64,
 }
 
 impl FluidLink {
     /// A link with the standard price curve (`p0 = 1e-2`, `B = 4`).
     pub fn new(capacity: f64) -> Self {
-        FluidLink { capacity, p0: 1e-2, exponent: 4.0 }
+        FluidLink { capacity, p0: 1e-2 }
     }
 
     /// A link whose price scale is calibrated so that a *single Reno flow*
@@ -73,16 +80,15 @@ impl FluidLink {
     /// packet-level links (which run near full utilization under loss-based
     /// CC) onto fluid links whose equilibria land in the same place.
     pub fn calibrated(capacity: f64, rtt: f64, target_util: f64) -> Self {
-        let exponent = 4.0;
         let xs = target_util * capacity;
-        let p0 = 2.0 / (rtt * rtt * xs * xs * target_util.powf(exponent));
-        FluidLink { capacity, p0, exponent }
+        let p0 = 2.0 / (rtt * rtt * xs * xs * pow_b(target_util));
+        FluidLink { capacity, p0 }
     }
 
     /// The congestion price at aggregate rate `y`, capped at 1.0 (it models
     /// a loss probability).
     pub fn price(&self, y: f64) -> f64 {
-        price_of(self.p0, self.exponent, self.capacity, y).0
+        price_of(self.p0, self.capacity, y).0
     }
 }
 
@@ -170,30 +176,6 @@ impl FluidNet {
         y
     }
 
-    /// `dx/dt` for every flow-path under state `x` (one-shot convenience;
-    /// the solver's flat evaluation is the hot path).
-    pub fn derivatives(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let y = self.link_rates(x);
-        let prices: Vec<f64> = self.links.iter().zip(&y).map(|(l, &yl)| l.price(yl)).collect();
-        self.flows
-            .iter()
-            .enumerate()
-            .map(|(f, flow)| {
-                let rtts: Vec<f64> = flow.paths.iter().map(|p| p.rtt).collect();
-                let bases: Vec<f64> = flow.paths.iter().map(|p| p.base_rtt).collect();
-                let view = FlowView { x: &x[f], rtt: &rtts, base_rtt: &bases };
-                flow.paths
-                    .iter()
-                    .enumerate()
-                    .map(|(p, path)| {
-                        let lambda: f64 = path.links.iter().map(|&l| prices[l]).sum();
-                        flow.model.dxdt(p, &view, lambda)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Builds a flat solver over this net starting from state `x0`.
     ///
     /// # Panics
@@ -279,26 +261,25 @@ pub struct EquilibriumInfo {
     pub residual: f64,
 }
 
-/// Immutable flat topology: links, flows and the CSR path→link index.
+/// Immutable flat topology: links, flows and the CSR path→link index, plus
+/// everything Equation (3) reads that is fixed while the net is.
 struct FlatTopo {
     /// Per-link capacity (packets/second).
     capacity: Vec<f64>,
     /// Per-link price scale.
     p0: Vec<f64>,
-    /// Per-link price exponent.
-    exponent: Vec<f64>,
     /// Per-flow model.
     models: Vec<CcModel>,
     /// Flow `f` owns global paths `path_off[f]..path_off[f+1]`.
     path_off: Vec<usize>,
-    /// Per-path RTT (seconds), flow-major.
+    /// Per-path RTT (seconds), flow-major: what the per-flow aggregates read.
     rtt: Vec<f64>,
-    /// Per-path base RTT (seconds), flow-major.
-    base_rtt: Vec<f64>,
+    /// Per-path kernel constants, flow-major.
+    consts: Vec<PathConsts>,
     /// Path `p` crosses links `link_idx[link_off[p]..link_off[p+1]]`.
     link_off: Vec<usize>,
-    /// CSR link indices.
-    link_idx: Vec<usize>,
+    /// CSR link indices (`u32`: half the bytes the two sparse products walk).
+    link_idx: Vec<u32>,
 }
 
 /// Preallocated integration scratch.
@@ -319,6 +300,26 @@ struct Scratch {
 }
 
 impl FlatTopo {
+    /// The links of path `p`.
+    #[inline]
+    fn links_of(&self, p: usize) -> &[u32] {
+        &self.link_idx[self.link_off[p]..self.link_off[p + 1]]
+    }
+
+    /// `xc = max(xs, X_MIN)` and the per-link aggregate rates `y` under it,
+    /// summed in ascending path order.
+    fn link_load(&self, xs: &[f64], xc: &mut [f64], y: &mut [f64]) {
+        for (c, &v) in xc.iter_mut().zip(xs) {
+            *c = v.max(X_MIN);
+        }
+        y.fill(0.0);
+        for (p, &xv) in xc.iter().enumerate() {
+            for &l in self.links_of(p) {
+                y[l as usize] += xv;
+            }
+        }
+    }
+
     /// Evaluates the constantly-extended field `F̃(xs) = F(max(xs, X_MIN))`
     /// into `out`, using `xc`/`y`/`prices` as scratch. Counts price-cap hits.
     fn field(
@@ -330,35 +331,20 @@ impl FlatTopo {
         out: &mut [f64],
         cap_hits: &mut u64,
     ) {
-        for (c, &v) in xc.iter_mut().zip(xs) {
-            *c = v.max(X_MIN);
-        }
-        y.fill(0.0);
-        for (p, &xv) in xc.iter().enumerate() {
-            for &l in &self.link_idx[self.link_off[p]..self.link_off[p + 1]] {
-                y[l] += xv;
-            }
-        }
+        self.link_load(xs, xc, y);
         for l in 0..prices.len() {
-            let (pv, capped) = price_of(self.p0[l], self.exponent[l], self.capacity[l], y[l]);
+            let (pv, capped) = price_of(self.p0[l], self.capacity[l], y[l]);
             prices[l] = pv;
             if capped {
                 *cap_hits = cap_hits.saturating_add(1);
             }
         }
-        for f in 0..self.models.len() {
+        for (f, model) in self.models.iter().enumerate() {
             let r = self.path_off[f]..self.path_off[f + 1];
-            let view = FlowView {
-                x: &xc[r.clone()],
-                rtt: &self.rtt[r.clone()],
-                base_rtt: &self.base_rtt[r.clone()],
-            };
-            for (local, p) in r.enumerate() {
-                let lambda: f64 = self.link_idx[self.link_off[p]..self.link_off[p + 1]]
-                    .iter()
-                    .map(|&l| prices[l])
-                    .sum();
-                out[p] = self.models[f].dxdt(local, &view, lambda);
+            let sums = model.psi.sums(&xc[r.clone()], &self.rtt[r.clone()]);
+            for p in r {
+                let lambda: f64 = self.links_of(p).iter().map(|&l| prices[l as usize]).sum();
+                out[p] = model.rate(&self.consts[p], &sums, xc[p], lambda);
             }
         }
     }
@@ -377,8 +363,8 @@ impl FluidSolver {
     /// Builds a solver from `net` starting at state `x0` (`x0[flow][path]`).
     ///
     /// # Panics
-    /// Panics if `x0`'s shape does not match the net, or a path references a
-    /// link index out of range.
+    /// Panics if `x0`'s shape does not match the net, a path references a
+    /// link index out of range, or the net has more than `u32::MAX` links.
     pub fn from_state(net: &FluidNet, x0: &[Vec<f64>]) -> Self {
         assert_eq!(x0.len(), net.flows.len(), "x0 must have one row per flow");
         for (f, (row, flow)) in x0.iter().zip(&net.flows).enumerate() {
@@ -392,8 +378,9 @@ impl FluidSolver {
     /// across epochs: one copy of the state, no per-flow allocation.
     ///
     /// # Panics
-    /// Panics if `x0`'s length does not equal the net's total path count, or
-    /// a path references a link index out of range.
+    /// Panics if `x0`'s length does not equal the net's total path count, a
+    /// path references a link index out of range, or the net has more than
+    /// `u32::MAX` links.
     pub fn from_flat_state(net: &FluidNet, x0: &[f64]) -> Self {
         let total: usize = net.flows.iter().map(|f| f.paths.len()).sum();
         assert_eq!(x0.len(), total, "flat x0 must have one entry per path");
@@ -401,18 +388,19 @@ impl FluidSolver {
     }
 
     /// Flattens `net` into the CSR arrays around the flow-major state `x`,
-    /// whose length the caller has checked against the net's path count.
+    /// whose length the caller has checked against the net's path count, and
+    /// computes each path's kernel constants from its `(rtt, base_rtt)` — so
+    /// a solver is valid for as long as the net's RTTs and links are.
     fn build(net: &FluidNet, x: Vec<f64>) -> Self {
         let n_links = net.links.len();
         let n_paths = x.len();
         let mut topo = FlatTopo {
             capacity: net.links.iter().map(|l| l.capacity).collect(),
             p0: net.links.iter().map(|l| l.p0).collect(),
-            exponent: net.links.iter().map(|l| l.exponent).collect(),
             models: net.flows.iter().map(|f| f.model).collect(),
             path_off: Vec::with_capacity(net.flows.len() + 1),
             rtt: Vec::new(),
-            base_rtt: Vec::new(),
+            consts: Vec::new(),
             link_off: Vec::new(),
             link_idx: Vec::new(),
         };
@@ -421,10 +409,11 @@ impl FluidSolver {
         for flow in &net.flows {
             for path in &flow.paths {
                 topo.rtt.push(path.rtt);
-                topo.base_rtt.push(path.base_rtt);
+                topo.consts.push(flow.model.path_consts(path.rtt, path.base_rtt));
                 for &l in &path.links {
                     assert!(l < n_links, "path references link {l} of {n_links}");
-                    topo.link_idx.push(l);
+                    // simlint: allow(P001, documented panic: a net of four billion links is out of scope by construction)
+                    topo.link_idx.push(u32::try_from(l).expect("link index fits u32"));
                 }
                 topo.link_off.push(topo.link_idx.len());
             }
@@ -471,16 +460,7 @@ impl FluidSolver {
     /// Per-link aggregate rates under the *current* state (clamped to the
     /// floor, as the field sees them). Recomputed into the scratch buffer.
     pub fn link_rates(&mut self) -> &[f64] {
-        for (c, &v) in self.ws.xc.iter_mut().zip(&self.x) {
-            *c = v.max(X_MIN);
-        }
-        self.ws.y.fill(0.0);
-        for p in 0..self.ws.xc.len() {
-            let xv = self.ws.xc[p];
-            for &l in &self.topo.link_idx[self.topo.link_off[p]..self.topo.link_off[p + 1]] {
-                self.ws.y[l] += xv;
-            }
-        }
+        self.topo.link_load(&self.x, &mut self.ws.xc, &mut self.ws.y);
         &self.ws.y
     }
 
@@ -559,7 +539,8 @@ pub fn disjoint_paths_net(model: CcModel, caps: &[f64], rtts: &[f64]) -> FluidNe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{CcModel, Psi};
+    use crate::model::{CcModel, FlowView, Phi, Psi};
+    use proptest::prelude::*;
 
     fn reno_single(cap: f64, rtt: f64) -> FluidNet {
         disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[cap], &[rtt])
@@ -654,7 +635,7 @@ mod tests {
         let l = FluidLink::new(1000.0);
         for frac in [0.01, 0.1, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0] {
             let y = 1000.0 * frac;
-            let raw = l.p0 * (y / l.capacity).powf(l.exponent);
+            let raw = l.p0 * pow_b(y / l.capacity);
             assert_eq!(l.price(y).to_bits(), raw.to_bits(), "y/c = {frac}");
         }
     }
@@ -701,46 +682,39 @@ mod tests {
 
     // ---- RK4 stage handling (satellite: classic RK4 off the floor) ----
 
-    /// The pre-refactor nested-`Vec` integrator, kept verbatim as the
-    /// reference for byte-identity: price *uncapped* (as before the fix) and
-    /// the stage floor applied inside `add`. The constant-extension field is
-    /// provably the same map (`F(clamp(s))` vs `clamp` inside `add`), so the
-    /// flat solver must reproduce it bit for bit wherever prices stay below
-    /// the cap.
-    fn reference_rk4_step(net: &FluidNet, x: &[Vec<f64>], dt: f64) -> Vec<Vec<f64>> {
-        let deriv =
-            |x: &[Vec<f64>]| -> Vec<Vec<f64>> {
-                let y = net.link_rates(x);
-                let prices: Vec<f64> =
-                    net.links
-                        .iter()
-                        .zip(&y)
-                        .map(|(l, &yl)| {
-                            if yl <= 0.0 {
-                                0.0
-                            } else {
-                                l.p0 * (yl / l.capacity).powf(l.exponent)
-                            }
-                        })
-                        .collect();
-                net.flows
+    /// The nested-`Vec` field built from the public pieces alone —
+    /// [`FluidNet::link_rates`], [`FluidLink::price`], [`CcModel::dxdt`] —
+    /// allocating as it goes: what the flat solver's `field` must reproduce
+    /// bit for bit.
+    fn reference_field(net: &FluidNet, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let y = net.link_rates(x);
+        let prices: Vec<f64> = net.links.iter().zip(&y).map(|(l, &yl)| l.price(yl)).collect();
+        net.flows
+            .iter()
+            .enumerate()
+            .map(|(f, flow)| {
+                let rtts: Vec<f64> = flow.paths.iter().map(|p| p.rtt).collect();
+                let bases: Vec<f64> = flow.paths.iter().map(|p| p.base_rtt).collect();
+                let view = FlowView { x: &x[f], rtt: &rtts, base_rtt: &bases };
+                flow.paths
                     .iter()
                     .enumerate()
-                    .map(|(f, flow)| {
-                        let rtts: Vec<f64> = flow.paths.iter().map(|p| p.rtt).collect();
-                        let bases: Vec<f64> = flow.paths.iter().map(|p| p.base_rtt).collect();
-                        let view = FlowView { x: &x[f], rtt: &rtts, base_rtt: &bases };
-                        flow.paths
-                            .iter()
-                            .enumerate()
-                            .map(|(p, path)| {
-                                let lambda: f64 = path.links.iter().map(|&l| prices[l]).sum();
-                                flow.model.dxdt(p, &view, lambda)
-                            })
-                            .collect()
+                    .map(|(p, path)| {
+                        let lambda: f64 = path.links.iter().map(|&l| prices[l]).sum();
+                        flow.model.dxdt(p, &view, lambda)
                     })
                     .collect()
-            };
+            })
+            .collect()
+    }
+
+    /// The pre-refactor nested-`Vec` integrator, kept as the reference for
+    /// byte-identity: the stage floor applied inside `add`. The
+    /// constant-extension field is provably the same map (`F(clamp(s))` vs
+    /// `clamp` inside `add`), so the flat solver must reproduce it bit for
+    /// bit.
+    fn reference_rk4_step(net: &FluidNet, x: &[Vec<f64>], dt: f64) -> Vec<Vec<f64>> {
+        let deriv = |x: &[Vec<f64>]| reference_field(net, x);
         let add = |a: &[Vec<f64>], b: &[Vec<f64>], s: f64| -> Vec<Vec<f64>> {
             a.iter()
                 .zip(b)
@@ -842,6 +816,119 @@ mod tests {
         let y_nested = net.link_rates(&nested);
         for (a, b) in y.iter().zip(&y_nested) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    // ---- the compiled kernel against the public, nested spelling ----
+
+    #[test]
+    fn squared_price_curve_is_within_4_ulp_of_powf() {
+        // B = 4 as two squarings rounds three times where libm's `powf`
+        // rounds once; the curves may differ in the last bits, never more.
+        for link in [FluidLink::new(1000.0), FluidLink::calibrated(8333.0, 0.0042, 0.9)] {
+            let r_cap = (1.0 / link.p0).powf(0.25);
+            for i in 0..200_000 {
+                // Log-uniform over y/c ∈ [10⁻³, 3.16] (clipped below the cap).
+                let r = (1e-3 * 3160f64.powf(f64::from(i) / 2e5)).min(0.999 * r_cap);
+                let y = r * link.capacity;
+                let libm = link.p0 * (y / link.capacity).powf(4.0);
+                let ulps = link.price(y).to_bits().abs_diff(libm.to_bits());
+                assert!(ulps <= 4, "y/c = {r}: {ulps} ulp from powf");
+            }
+        }
+    }
+
+    /// One path of a generated net: link picks (reduced modulo the link
+    /// count), RTT, `base_rtt / rtt`, initial rate.
+    type PathSpec = (Vec<usize>, f64, f64, f64);
+
+    /// 2–4 flows of 1–4 paths; RTTs log-uniform over 100 µs–500 ms with
+    /// `base ≤ rtt`; rates 1–10⁴.
+    fn flows_strategy() -> impl Strategy<Value = Vec<Vec<PathSpec>>> {
+        let rtt = (-4.0f64..-0.301).prop_map(|e| 10f64.powf(e));
+        let path = (proptest::collection::vec(0usize..60, 1..4), rtt, 0.05f64..1.0, 1.0f64..1e4);
+        proptest::collection::vec(proptest::collection::vec(path, 1..5), 2..5)
+    }
+
+    /// 3–6 shared links, standard or calibrated, sized so that generated
+    /// loads land on both sides of the probability cap.
+    fn links_strategy() -> impl Strategy<Value = Vec<FluidLink>> {
+        let link = (50.0f64..2e4, any::<bool>()).prop_map(|(cap, calibrated)| {
+            if calibrated {
+                FluidLink::calibrated(cap, 0.01, 0.9)
+            } else {
+                FluidLink::new(cap)
+            }
+        });
+        proptest::collection::vec(link, 3..7)
+    }
+
+    fn generated_net(
+        model: CcModel,
+        links: &[FluidLink],
+        flows: &[Vec<PathSpec>],
+    ) -> (FluidNet, Vec<Vec<f64>>) {
+        let mut net = FluidNet { links: links.to_vec(), flows: Vec::new() };
+        for specs in flows {
+            let paths = specs
+                .iter()
+                .map(|(picks, rtt, base_frac, _)| FluidPath {
+                    links: picks.iter().map(|l| l % links.len()).collect(),
+                    rtt: *rtt,
+                    base_rtt: rtt * base_frac,
+                })
+                .collect();
+            net.add_flow(FluidFlow { model, paths });
+        }
+        let x0 = flows.iter().map(|specs| specs.iter().map(|s| s.3).collect()).collect();
+        (net, x0)
+    }
+
+    /// All seven ψ under both φ.
+    fn every_model() -> Vec<CcModel> {
+        let phi = crate::dts_phi::DtsPhiConfig::default();
+        let psis = [
+            Psi::Ewtcp,
+            Psi::Coupled,
+            Psi::Lia,
+            Psi::Olia,
+            Psi::Balia,
+            Psi::EcMtcp,
+            Psi::Dts(phi.dts),
+        ];
+        let phis = [Phi::Zero, Phi::EnergyPrice(phi)];
+        psis.iter()
+            .flat_map(|&psi| phis.iter().map(move |&phi| CcModel { psi, beta: 0.5, phi }))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The hoists (per-path constants, per-flow sums, `u32` CSR) change
+        /// no bit of the field or of 200 RK4 steps, for any ψ and φ.
+        #[test]
+        fn flat_solver_equals_the_nested_reference_for_every_model(
+            links in links_strategy(),
+            flows in flows_strategy(),
+        ) {
+            for model in every_model() {
+                let (net, x0) = generated_net(model, &links, &flows);
+                let mut solver = net.solver_from(&x0);
+                let mut out = vec![0.0; solver.n_paths()];
+                let FluidSolver { topo, ws, x, price_cap_hits } = &mut solver;
+                topo.field(x, &mut ws.xc, &mut ws.y, &mut ws.prices, &mut out, price_cap_hits);
+                let want = reference_field(&net, &x0).concat();
+                for (p, (got, want)) in out.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} path {}", model, p);
+                }
+                let mut reference = x0;
+                for step in 0..200 {
+                    solver.step(1e-5);
+                    reference = reference_rk4_step(&net, &reference, 1e-5);
+                    assert_bits_eq(&solver.state(), &reference, step);
+                }
+            }
         }
     }
 }

@@ -79,39 +79,76 @@ pub enum Psi {
     Dts(DtsConfig),
 }
 
+/// What Equation (3) reads of one path besides its rate and its congestion
+/// signal. All of it is a function of `(rtt, base_rtt)`, so a solver builds
+/// it once ([`CcModel::path_consts`]) and every RK4 stage reuses it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct PathConsts {
+    pub(crate) rtt: f64,
+    /// `rtt·rtt`.
+    pub(crate) rtt2: f64,
+    /// `ψ_r`'s rate-independent part: `c·ε_r` (DTS), `rtt³` (ecMTCP), else 1.
+    pub(crate) psi0: f64,
+    /// `φ_r`'s gradient `ρ + η(d̂_r − D)⁺/D`; 0 for [`Phi::Zero`].
+    pub(crate) grad: f64,
+}
+
+/// The per-flow aggregates of a state: `Σx`, plus whichever of the others
+/// the flow's `ψ` reads ([`Psi::sums`]; the rest stay 0).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct FlowSums {
+    pub(crate) sum_x: f64,
+    pub(crate) sum_w: f64,
+    pub(crate) max_x: f64,
+    /// LIA's `max_k w_k/RTT_k²`.
+    pub(crate) best: f64,
+    /// ecMTCP's `n·min_k RTT_k`.
+    pub(crate) n_min_rtt: f64,
+    /// EWTCP's `√n`.
+    pub(crate) sqrt_n: f64,
+}
+
 impl Psi {
     /// Evaluates `ψ_r` on the given state.
     pub fn eval(&self, r: usize, v: &FlowView<'_>) -> f64 {
-        let n = v.n() as f64;
+        let k = CcModel::loss_based(*self).path_consts(v.rtt[r], v.base_rtt[r]);
+        self.of(&k, &self.sums(v.x, v.rtt), v.x[r])
+    }
+
+    /// The aggregates [`Psi::of`] reads, taken once per flow and state.
+    pub(crate) fn sums(&self, x: &[f64], rtt: &[f64]) -> FlowSums {
+        let v = FlowView { x, rtt, base_rtt: rtt };
+        let mut s = FlowSums { sum_x: v.sum_x(), ..FlowSums::default() };
         match self {
-            Psi::Ewtcp => {
-                let sx = v.sum_x();
-                (sx * sx) / (v.x[r] * v.x[r] * n.sqrt())
-            }
-            Psi::Coupled => {
-                let sx = v.sum_x();
-                let sw = v.sum_w();
-                v.rtt[r] * v.rtt[r] * sx * sx / (sw * sw)
-            }
+            Psi::Olia | Psi::Dts(_) => {}
+            Psi::Ewtcp => s.sqrt_n = (v.n() as f64).sqrt(),
+            Psi::Coupled => s.sum_w = v.sum_w(),
             Psi::Lia => {
-                let best =
-                    (0..v.n()).map(|k| v.w(k) / (v.rtt[k] * v.rtt[k])).fold(0.0f64, f64::max);
-                best * v.rtt[r] * v.rtt[r] / v.w(r)
+                s.best = (0..v.n()).map(|k| v.w(k) / (rtt[k] * rtt[k])).fold(0.0f64, f64::max);
             }
-            Psi::Olia => 1.0,
+            Psi::Balia => s.max_x = v.max_x(),
+            Psi::EcMtcp => {
+                s.sum_w = v.sum_w();
+                s.n_min_rtt = v.n() as f64 * v.min_rtt();
+            }
+        }
+        s
+    }
+
+    /// `ψ_r` from the path's constants, its flow's aggregates and `x_r`.
+    #[inline]
+    pub(crate) fn of(&self, k: &PathConsts, s: &FlowSums, x: f64) -> f64 {
+        let sx = s.sum_x;
+        match self {
+            Psi::Ewtcp => (sx * sx) / (x * x * s.sqrt_n),
+            Psi::Coupled => k.rtt2 * sx * sx / (s.sum_w * s.sum_w),
+            Psi::Lia => s.best * k.rtt * k.rtt / (x * k.rtt),
+            Psi::Olia | Psi::Dts(_) => k.psi0,
             Psi::Balia => {
-                let alpha = (v.max_x() / v.x[r]).max(1.0);
+                let alpha = (s.max_x / x).max(1.0);
                 0.4 + alpha / 2.0 + alpha * alpha / 10.0
             }
-            Psi::EcMtcp => {
-                let sx = v.sum_x();
-                let sw = v.sum_w();
-                v.rtt[r].powi(3) * sx * sx / (n * v.min_rtt() * v.w(r) * sw)
-            }
-            Psi::Dts(cfg) => {
-                let ratio = (v.base_rtt[r] / v.rtt[r]).clamp(0.0, 1.0);
-                cfg.c * epsilon_exact(ratio, cfg.slope, cfg.midpoint)
-            }
+            Psi::EcMtcp => k.psi0 * sx * sx / (s.n_min_rtt * (x * k.rtt) * s.sum_w),
         }
     }
 
@@ -142,14 +179,27 @@ pub enum Phi {
 impl Phi {
     /// Evaluates `φ_r` on the given state.
     pub fn eval(&self, r: usize, v: &FlowView<'_>) -> f64 {
+        self.of(self.grad(v.rtt[r], v.base_rtt[r]), v.x[r])
+    }
+
+    /// The price gradient `ρ + η(d̂_r − D)⁺/D` of a path, 0 for `Zero`.
+    fn grad(&self, rtt: f64, base_rtt: f64) -> f64 {
         match self {
             Phi::Zero => 0.0,
             Phi::EnergyPrice(cfg) => {
-                let d_hat = (v.rtt[r] - v.base_rtt[r]).max(0.0);
+                let d_hat = (rtt - base_rtt).max(0.0);
                 let excess = (d_hat - cfg.queue_target_s).max(0.0);
-                let grad = cfg.rho + cfg.eta * excess / cfg.queue_target_s;
-                cfg.kappa * v.x[r] * v.x[r] * grad
+                cfg.rho + cfg.eta * excess / cfg.queue_target_s
             }
+        }
+    }
+
+    /// `φ_r` from the path's gradient and `x_r`.
+    #[inline]
+    fn of(&self, grad: f64, x: f64) -> f64 {
+        match self {
+            Phi::Zero => 0.0,
+            Phi::EnergyPrice(cfg) => cfg.kappa * x * x * grad,
         }
     }
 }
@@ -183,14 +233,34 @@ impl CcModel {
 
     /// `dx_r/dt` per Equation (3) given the congestion signal `λ_r`.
     pub fn dxdt(&self, r: usize, v: &FlowView<'_>, lambda_r: f64) -> f64 {
-        let x = v.x[r];
-        let sx = v.sum_x();
-        if sx <= 0.0 {
+        let k = self.path_consts(v.rtt[r], v.base_rtt[r]);
+        self.rate(&k, &self.psi.sums(v.x, v.rtt), v.x[r], lambda_r)
+    }
+
+    /// The constants of a path with the given RTTs under this model.
+    pub(crate) fn path_consts(&self, rtt: f64, base_rtt: f64) -> PathConsts {
+        let psi0 = match self.psi {
+            Psi::Dts(cfg) => {
+                let ratio = (base_rtt / rtt).clamp(0.0, 1.0);
+                cfg.c * epsilon_exact(ratio, cfg.slope, cfg.midpoint)
+            }
+            Psi::EcMtcp => rtt.powi(3),
+            Psi::Ewtcp | Psi::Coupled | Psi::Lia | Psi::Olia | Psi::Balia => 1.0,
+        };
+        PathConsts { rtt, rtt2: rtt * rtt, psi0, grad: self.phi.grad(rtt, base_rtt) }
+    }
+
+    /// The Equation-(3) kernel: `dx_r/dt` of one path from its constants,
+    /// its flow's aggregates, its rate and its congestion signal. This is
+    /// what [`CcModel::dxdt`] returns and what the fluid solver integrates.
+    #[inline]
+    pub(crate) fn rate(&self, k: &PathConsts, s: &FlowSums, x: f64, lambda_r: f64) -> f64 {
+        if s.sum_x <= 0.0 {
             return 0.0;
         }
-        let inc = self.psi.eval(r, v) * x * x / (v.rtt[r] * v.rtt[r] * sx * sx);
+        let inc = self.psi.of(k, s, x) * x * x / (k.rtt2 * s.sum_x * s.sum_x);
         let dec = self.beta * lambda_r * x * x;
-        inc - dec - self.phi.eval(r, v)
+        inc - dec - self.phi.of(k.grad, x)
     }
 }
 
@@ -267,5 +337,58 @@ mod tests {
         let lambda = 2.0 / (100.0f64 * 0.1).powi(2);
         let d = model.dxdt(0, &view(&x, &rtt), lambda);
         assert!(d.abs() < 1e-9, "dxdt {d}");
+    }
+
+    /// Folds `f(r, view, λ)` over 400 fixed pseudo-random states (1–4 paths,
+    /// rates 1–10⁴, RTTs 100 µs–500 ms log-uniform, `base ≤ rtt`, λ < 3)
+    /// into one word; any changed bit of any value changes it.
+    fn digest(f: impl Fn(usize, &FlowView<'_>, f64) -> f64) -> u64 {
+        let mut s = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut unit = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut acc = 0u64;
+        for _ in 0..400 {
+            let n = 1 + (unit() * 4.0) as usize;
+            let x: Vec<f64> = (0..n).map(|_| 1.0 + unit() * 9999.0).collect();
+            let rtt: Vec<f64> = (0..n).map(|_| 10f64.powf(-4.0 + 3.699 * unit())).collect();
+            let base: Vec<f64> = rtt.iter().map(|r| r * (0.05 + 0.95 * unit())).collect();
+            let v = FlowView { x: &x, rtt: &rtt, base_rtt: &base };
+            for r in 0..n {
+                acc = acc.rotate_left(7) ^ f(r, &v, 3.0 * unit()).to_bits();
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn eval_and_dxdt_return_the_bits_they_returned_before_the_kernel() {
+        // Digests taken from the tree before `Psi::eval`, `Phi::eval` and
+        // `dxdt` became callers of the per-path kernel: Equation (3)'s
+        // operation order is part of their contract (the fluid tables pin
+        // it, and the solver integrates the same kernel).
+        let phi = DtsPhiConfig::default();
+        let pinned: [(Psi, u64, u64); 7] = [
+            (Psi::Ewtcp, 0x197d_f962_6b26_73f4, 0x1927_59b1_11c4_8155),
+            (Psi::Coupled, 0x4fed_bbea_2aec_a5f4, 0x77d8_5e6f_39d8_3d92),
+            (Psi::Lia, 0xdb5e_29c0_1158_083f, 0x08ec_ee2a_e20c_b5b2),
+            (Psi::Olia, 0xad22_5ab5_6ad5_ab56, 0x95e8_169e_f79b_21a7),
+            (Psi::Balia, 0xbe6f_cbde_09a6_f32e, 0x11d1_4883_cdfd_80a7),
+            (Psi::EcMtcp, 0x2a6c_5965_5fc0_9082, 0xc427_eb12_65c0_f003),
+            (Psi::Dts(phi.dts), 0x3961_d335_0479_e965, 0x3e2e_834a_09fb_1768),
+        ];
+        for (psi, eval_bits, dxdt_bits) in pinned {
+            let got = digest(|r, v, _| psi.eval(r, v));
+            assert_eq!(got, eval_bits, "ψ {}: {got:#018x}", psi.name());
+            let got = digest(|r, v, lambda| CcModel::loss_based(psi).dxdt(r, v, lambda));
+            assert_eq!(got, dxdt_bits, "dxdt {}: {got:#018x}", psi.name());
+        }
+        let got = digest(|r, v, _| Phi::EnergyPrice(phi).eval(r, v));
+        assert_eq!(got, 0xafaf_ff79_5ff8_fd4d, "φ: {got:#018x}");
+        let got = digest(|r, v, lambda| CcModel::dts_phi(phi).dxdt(r, v, lambda));
+        assert_eq!(got, 0xa89d_1e6a_c98c_b395, "dts-phi dxdt: {got:#018x}");
     }
 }
