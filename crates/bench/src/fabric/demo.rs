@@ -1,25 +1,22 @@
 //! The fabric's canonical drill workload: a tiny deterministic sweep shared
 //! by `fabric_smoke` (single-process crash drills), `fabric_chaos`
-//! (distributed chaos drills), `sweep_worker` (the attach-mode suite), and
-//! the `fabric_dist` integration tests.
+//! (distributed chaos drills), and the `fabric_dist` integration tests.
 //!
 //! One workload in one place keeps the byte-identity pins honest: the
-//! serial run, the self-exec worker, and the attach-mode worker all build
-//! their cells from these functions, so a drifted label or fingerprint
-//! shows up as a grid-digest mismatch instead of a silently different
-//! sweep.
+//! serial run and the self-exec worker both build their cells from these
+//! functions, so a drifted label or fingerprint shows up as a grid-digest
+//! mismatch instead of a silently different sweep.
 //!
 //! Each cell computes a splitmix-style pseudo-random walk folded into a
 //! `u64` checksum plus an `f64` running mean — cheap, seeded, and
 //! float-bearing, so bit-exact journal round-trips are exercised too.
 
-use super::journal::encode_payload;
 use super::{FabricCell, Fingerprint};
 
 /// Cells in the demo grid.
 pub const WALK_CELLS: u64 = 12;
 
-/// The suite name attach-mode workers host this workload under.
+/// The name this workload sweeps under.
 pub const WALK_SUITE: &str = "walk";
 
 /// The per-cell workload: a splitmix-style walk, a pure function of the
@@ -75,13 +72,6 @@ pub fn walk_cells() -> Vec<FabricCell<(u64, f64)>> {
     walk_cells_with(None, &[])
 }
 
-/// The walk workload as an attach-mode suite: encodes exactly the payload
-/// the in-process cell would journal, so attach-mode merges stay
-/// byte-identical.
-pub fn walk_suite() -> super::dist::SuiteFn {
-    std::sync::Arc::new(|_label: &str, seed: u64| encode_payload(&walk(seed)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,13 +80,5 @@ mod tests {
     fn walk_is_deterministic_and_seed_sensitive() {
         assert_eq!(walk(3), walk(3));
         assert_ne!(walk(3).0, walk(4).0);
-    }
-
-    #[test]
-    fn suite_payload_matches_in_process_encoding() {
-        // The attach-mode suite and the in-process cell must serialize the
-        // same bytes for the same seed — this equality is what makes the
-        // dist-vs-serial byte-identity pin possible in attach mode.
-        assert_eq!(walk_suite()(&walk_label(5), 5), encode_payload(&walk(5)));
     }
 }

@@ -2,11 +2,10 @@
 //! taken away.
 //!
 //! A lease is the supervisor's claim ledger for one `(shard, generation)`
-//! dispatch: granted when a worker is spawned (or an attached worker claims
-//! the request file), renewed every time the worker's streamed response
-//! file shows **progress** (a new completed cell), and revoked when the
-//! deadline passes without progress. Liveness and progress are deliberately
-//! separate signals:
+//! dispatch: granted when the worker is spawned, renewed every time the
+//! worker's streamed response file shows **progress** (a new completed
+//! cell), and revoked when the deadline passes without progress. Liveness
+//! and progress are deliberately separate signals:
 //!
 //! * **Heartbeats** prove the worker process is alive (its heartbeat thread
 //!   still appends). A lapse means the process is gone or wedged solid —
@@ -17,8 +16,8 @@
 //!   the per-attempt deadline radar) — cause [`RevokeCause::Stall`].
 //! * A worker whose **process exits** without a complete response crashed —
 //!   detected by the supervisor's `try_wait`, never by this module (like
-//!   invalid responses and claim timeouts, it is revoked where it is seen,
-//!   under a plain reason tag).
+//!   invalid responses, it is revoked where it is seen, under a plain
+//!   reason tag).
 //!
 //! Everything here is pure: time enters only as caller-supplied millisecond
 //! readings (the supervisor passes wall-clock milliseconds; tests pass
@@ -59,7 +58,7 @@ pub struct Lease {
     pub shard: usize,
     /// The dispatch generation (0 = first dispatch, +1 per re-dispatch).
     pub gen: u64,
-    /// The worker id the supervisor assigned (or the attached worker chose).
+    /// The worker id the supervisor assigned.
     pub worker: String,
     /// When the lease was granted (ms).
     pub granted_ms: u64,

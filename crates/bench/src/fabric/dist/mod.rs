@@ -19,10 +19,8 @@
 //!    │            ├─ crash (process exit, incomplete response)
 //!    │            ├─ heartbeat lapse (no liveness)
 //!    │            ├─ stall (liveness but no progress past deadline)
-//!    │            ├─ invalid/stale response (corrupt, wrong echo, old
-//!    │            │  protocol)
-//!    │            └─ claim timeout (attach mode: nobody claimed the
-//!    │               request — e.g. no attached worker hosts the suite)
+//!    │            └─ invalid/stale response (corrupt, wrong echo, old
+//!    │               protocol)
 //!    │            ▼
 //!    └─(backoff)─ revoke: harvest valid prefix, kill child, gen += 1
 //!                 … until the re-dispatch budget is spent, then the
@@ -52,13 +50,13 @@ pub mod wire;
 pub mod worker;
 
 pub use lease::{Lease, RevokeCause};
-pub use worker::{attach_loop, parse_chaos, serve_cells, SuiteFn, SuiteRegistry};
+pub use worker::{parse_chaos, serve_cells};
 
 use super::journal::{decode_payload, JournalCodec};
 use super::plan::{CellId, PlannedCell};
 use super::retry::{AttemptStats, FailCause};
 use super::{open_journal, plan_of, Collector, FabricCell, FabricOptions, FabricReport};
-use crate::{env_parsed, DistWorkerCli};
+use crate::DistWorkerCli;
 use obs::{DistCounters, DistEvent};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -67,7 +65,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 use wire::{RequestCell, RequestHeader, ResponseExpect, ResponseFault, PROTOCOL_VERSION};
 
-/// How the supervisor obtains worker processes.
+/// What the supervisor spawns as a worker process. Every worker is its
+/// child: it holds the handle and kills it on revocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpawnMode {
     /// Re-exec the current binary with `--dist-worker …` appended (plus the
@@ -77,9 +76,6 @@ pub enum SpawnMode {
     /// Spawn an explicit command (argv) per shard, `--dist-worker …`
     /// appended. Used by tests and the chaos harness.
     Command(Vec<String>),
-    /// Spawn nothing: externally-started `sweep_worker` processes watch the
-    /// spool and claim shards (`SWEEP_SPAWN=attach`).
-    Attach,
 }
 
 /// Distributed execution knobs, layered on top of [`FabricOptions`].
@@ -87,11 +83,11 @@ pub enum SpawnMode {
 pub struct DistOptions {
     /// Worker-process count; 1 means "run in-process via `run_fabric`".
     pub workers: usize,
-    /// Spool directory root; `None` uses a per-run temp directory. The
+    /// Spool directory root; `None` uses a per-run temp directory, removed
+    /// after a run that revoked no lease and quarantined no cell. The
     /// supervisor works inside `<spool>/grid-<digest>/`, wiped at start.
     pub spool: Option<PathBuf>,
-    /// Suite tag written into requests; attach-mode workers only claim
-    /// suites they host.
+    /// The run's name in the manifest, requests and messages.
     pub suite: String,
     /// Lease duration: how long a worker may go without completing a *new*
     /// cell before it is declared stalled. Renewed on every completed cell.
@@ -102,13 +98,6 @@ pub struct DistOptions {
     pub heartbeat_timeout: Duration,
     /// Supervisor poll interval.
     pub poll: Duration,
-    /// Attach mode only: how long a published request may sit unclaimed
-    /// before the dispatch is given up (counted, re-dispatched, and — once
-    /// the budget is spent — quarantined like any other revocation), so a
-    /// suite no attached worker hosts surfaces as a partial report instead
-    /// of a silent eternal poll. `None` waits forever; while waiting, the
-    /// supervisor warns on stderr periodically either way.
-    pub claim_timeout: Option<Duration>,
     /// Re-dispatch budget per shard; once spent, the shard's remaining
     /// cells quarantine with [`FailCause::Worker`].
     pub max_redispatch: u32,
@@ -121,8 +110,8 @@ pub struct DistOptions {
 
 impl DistOptions {
     /// Defaults for `suite`: single worker (in-process), 120 s lease,
-    /// 200 ms heartbeats with a 3 s timeout, 25 ms poll, a 10 min claim
-    /// timeout, 3 re-dispatches, self-exec spawning.
+    /// 200 ms heartbeats with a 3 s timeout, 25 ms poll, 3 re-dispatches,
+    /// self-exec spawning.
     pub fn new(suite: impl Into<String>) -> DistOptions {
         DistOptions {
             workers: 1,
@@ -132,47 +121,23 @@ impl DistOptions {
             heartbeat: Duration::from_millis(200),
             heartbeat_timeout: Duration::from_secs(3),
             poll: Duration::from_millis(25),
-            claim_timeout: Some(Duration::from_secs(600)),
             max_redispatch: 3,
             spawn: SpawnMode::SelfExec,
             task: None,
         }
     }
 
-    /// Builds options from the parsed [`crate::Cli`] plus the two env
-    /// knobs deployments set: `SWEEP_CLAIM_TIMEOUT_S` (fractional seconds
-    /// an attach-mode request may sit unclaimed; 0 waits forever) and
-    /// `SWEEP_SPAWN=attach` to use externally-started `sweep_worker`
-    /// processes. Unusable values warn and fall back. Lease, heartbeat,
+    /// Builds options from the parsed [`crate::Cli`]. Lease, heartbeat,
     /// poll and re-dispatch settings are struct fields only: the drills
     /// that need other values set them in code.
     pub fn from_cli(cli: &crate::Cli, suite: impl Into<String>) -> DistOptions {
-        let mut o = DistOptions::new(suite);
-        o.workers = cli.workers();
-        o.spool = cli.spool.clone();
-        o.task = cli.dist.clone();
-        if o.task.is_some() {
-            // A worker serves its shard and exits: the supervisor's knobs
-            // below are not its to read, or to warn about a second time.
-            return o;
+        DistOptions {
+            workers: cli.workers(),
+            spool: cli.spool.clone(),
+            task: cli.dist.clone(),
+            ..DistOptions::new(suite)
         }
-        let what = "a non-negative number of seconds (0 waits forever)";
-        if let Some(secs) = env_parsed("SWEEP_CLAIM_TIMEOUT_S", what, crate::secs) {
-            o.claim_timeout = claim_timeout_of(secs);
-        }
-        // One value: a near miss must warn, not silently self-exec while
-        // the operator's external pool idles.
-        if env_parsed("SWEEP_SPAWN", "`attach`", |s: &String| s == "attach").is_some() {
-            o.spawn = SpawnMode::Attach;
-        }
-        o
     }
-}
-
-/// `SWEEP_CLAIM_TIMEOUT_S` seconds as [`DistOptions::claim_timeout`]: zero
-/// waits forever.
-fn claim_timeout_of(secs: f64) -> Option<Duration> {
-    (secs > 0.0).then(|| Duration::from_secs_f64(secs))
 }
 
 /// Runs the grid across worker processes — or serves it, or falls through.
@@ -240,16 +205,10 @@ struct ShardRun<'p> {
 }
 
 enum State {
-    /// Attach mode: request published, waiting for a worker to claim it.
-    /// Tracks when the wait began and when it last warned, so an
-    /// unclaimable request (no attached worker hosts the suite) surfaces
-    /// on stderr and — past `claim_timeout` — as a counted give-up instead
-    /// of a silent eternal poll.
-    AwaitingClaim { since_ms: u64, warned_ms: u64 },
     /// Revoked; re-dispatch scheduled after bounded backoff.
     AwaitingRedispatch { at_ms: u64 },
-    /// A worker owns the shard.
-    Leased { lease: Lease, child: Option<Child> },
+    /// A worker — this supervisor's child — owns the shard.
+    Leased { lease: Lease, child: Child },
     /// Finished: completed, or quarantined after the budget was spent.
     Settled,
 }
@@ -361,30 +320,6 @@ where
             let state = std::mem::replace(&mut run.state, State::Settled);
             run.state = match state {
                 State::Settled => State::Settled,
-                State::AwaitingClaim { since_ms, warned_ms } => {
-                    match wire::read_claim(&sup.spool, run.shard, run.gen) {
-                        Some(worker_id) => {
-                            sup.counters.leases_granted += 1;
-                            sup.events.emit(&DistEvent::LeaseGranted {
-                                shard: run.shard,
-                                gen: run.gen,
-                                worker: worker_id.clone(),
-                                cells: run.pending.len(),
-                            });
-                            State::Leased {
-                                lease: Lease::grant(
-                                    run.shard,
-                                    run.gen,
-                                    worker_id,
-                                    now,
-                                    sup.lease_ms,
-                                ),
-                                child: None,
-                            }
-                        }
-                        None => sup.step_unclaimed(run, since_ms, warned_ms, now)?,
-                    }
-                }
                 State::AwaitingRedispatch { at_ms } if now >= at_ms => sup.dispatch(run)?,
                 s @ State::AwaitingRedispatch { .. } => s,
                 State::Leased { lease, child } => sup.step_lease(run, lease, child, now)?,
@@ -399,12 +334,21 @@ where
         std::thread::sleep(dist.poll);
     }
 
-    if let Err(e) = wire::write_shutdown(&sup.spool) {
-        eprintln!("warning: {e}");
-    }
-    let Supervisor { counters, collector, .. } = sup;
+    let revoked = runs.iter().any(|run| !run.causes.is_empty());
+    let Supervisor { counters, collector, spool, .. } = sup;
     let mut report = collector.finish(replayed)?;
     report.counters.dist = counters;
+    if dist.spool.is_none() {
+        // A spool the supervisor chose is the supervisor's to remove —
+        // unless something went wrong, when `events.jsonl` is the
+        // post-mortem. An operator's `--spool` is never touched.
+        if revoked || report.counters.quarantined > 0 {
+            eprintln!("warning: spool kept for post-mortem: {}", spool.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&spool);
+            let _ = std::fs::remove_dir(&root);
+        }
+    }
     Ok(report)
 }
 
@@ -416,8 +360,8 @@ where
         self.events.t0.elapsed().as_millis() as u64
     }
 
-    /// Publishes the request for `run`'s current generation and obtains a
-    /// worker for it (spawn modes) or starts waiting for one (attach).
+    /// Publishes the request for `run`'s current generation and spawns the
+    /// worker that serves it.
     fn dispatch(&mut self, run: &ShardRun<'_>) -> Result<State, String> {
         let header = RequestHeader {
             version: PROTOCOL_VERSION,
@@ -438,10 +382,6 @@ where
             .map(|p| RequestCell { id: p.id, index: p.index, label: p.label.clone(), seed: p.seed })
             .collect();
         wire::write_request(&self.spool, &header, &req_cells)?;
-        if self.dist.spawn == SpawnMode::Attach {
-            let now = self.now_ms();
-            return Ok(State::AwaitingClaim { since_ms: now, warned_ms: now });
-        }
         let worker_id = format!("w{}-g{}", run.shard, run.gen);
         let child = spawn_worker(&self.dist.spawn, &self.spool, run.shard, run.gen, &worker_id)?;
         self.counters.workers_spawned += 1;
@@ -454,52 +394,8 @@ where
         });
         Ok(State::Leased {
             lease: Lease::grant(run.shard, run.gen, worker_id, self.now_ms(), self.lease_ms),
-            child: Some(child),
+            child,
         })
-    }
-
-    /// One poll step for an attach-mode dispatch nobody has claimed yet:
-    /// warn periodically (an unclaimable suite must be visible, not a
-    /// silent hang), and past `claim_timeout` give the dispatch up through
-    /// the normal revocation path — counted, re-dispatched (a worker may
-    /// attach late), and ultimately quarantined once the budget is spent.
-    fn step_unclaimed(
-        &mut self,
-        run: &mut ShardRun<'_>,
-        since_ms: u64,
-        mut warned_ms: u64,
-        now: u64,
-    ) -> Result<State, String> {
-        const CLAIM_WARN_MS: u64 = 5_000;
-        let waited = now.saturating_sub(since_ms);
-        if let Some(timeout) = self.dist.claim_timeout {
-            let timeout_ms = timeout.as_millis() as u64;
-            if waited > timeout_ms {
-                self.counters.claim_timeouts += 1;
-                let detail = format!(
-                    "no attached worker claimed shard {} g{} (suite {:?}) within {timeout_ms} ms \
-                     — is a sweep_worker hosting this suite watching {}?",
-                    run.shard,
-                    run.gen,
-                    self.dist.suite,
-                    self.spool.display()
-                );
-                return self.revoke(run, None, "claim_timeout", detail, now);
-            }
-        }
-        if now.saturating_sub(warned_ms) >= CLAIM_WARN_MS {
-            warned_ms = now;
-            eprintln!(
-                "warning: shard {} g{} (suite {:?}) unclaimed for {:.1} s — \
-                 is a sweep_worker hosting this suite watching {}?",
-                run.shard,
-                run.gen,
-                self.dist.suite,
-                waited as f64 / 1e3,
-                self.spool.display()
-            );
-        }
-        Ok(State::AwaitingClaim { since_ms, warned_ms })
     }
 
     /// Checks revoked generations for post-revocation response growth: a
@@ -531,26 +427,21 @@ where
         &mut self,
         run: &mut ShardRun<'_>,
         mut lease: Lease,
-        mut child: Option<Child>,
+        mut child: Child,
         now: u64,
     ) -> Result<State, String> {
         let resp_path = wire::response_path(&self.spool, run.shard, run.gen);
         let expect = ResponseExpect { grid: self.grid, shard: run.shard, gen: run.gen };
         let mut text = std::fs::read_to_string(&resp_path).unwrap_or_default();
-        let mut exited = None;
-        if let Some(c) = child.as_mut() {
-            if let Ok(Some(status)) = c.try_wait() {
-                exited = Some(status);
-                // The exit can race our read of the final footer flush —
-                // re-read so a clean finish is never misread as a crash.
-                text = std::fs::read_to_string(&resp_path).unwrap_or_default();
-            }
+        let exited = child.try_wait().ok().flatten();
+        if exited.is_some() {
+            // The exit can race our read of the final footer flush —
+            // re-read so a clean finish is never misread as a crash.
+            text = std::fs::read_to_string(&resp_path).unwrap_or_default();
         }
         let parsed = wire::parse_response(&text, &expect);
-        // Scoped to this dispatch: an attached worker's heartbeat file
-        // accumulates lines (with per-request seq restarts) across every
-        // request it serves, and only this generation's lines prove it is
-        // alive *here*.
+        // Scoped to this dispatch: only this generation's lines prove the
+        // worker is alive *here*, whatever else its file holds.
         if let Some(seq) = wire::read_heartbeat_seq(&self.spool, &lease.worker, run.shard, run.gen)
         {
             lease.observe_heartbeat(seq, now);
@@ -571,9 +462,7 @@ where
         }
         if parsed.complete {
             if run.pending.is_empty() {
-                if let Some(mut c) = child {
-                    let _ = c.wait();
-                }
+                let _ = child.wait();
                 self.events.emit(&DistEvent::ResponseAccepted {
                     shard: run.shard,
                     gen: run.gen,
@@ -662,21 +551,19 @@ where
         Ok(())
     }
 
-    /// Revokes the current lease: kill the worker (if ours to kill), log
-    /// the harvested salvage, and either re-dispatch the remainder after
+    /// Revokes the current lease: kill the worker, log the harvested
+    /// salvage, and either re-dispatch the remainder after
     /// bounded backoff or — budget spent — quarantine it.
     fn revoke(
         &mut self,
         run: &mut ShardRun<'_>,
-        child: Option<Child>,
+        mut child: Child,
         reason: &'static str,
         detail: String,
         now: u64,
     ) -> Result<State, String> {
-        if let Some(mut c) = child {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
+        let _ = child.kill();
+        let _ = child.wait();
         // The late-response baseline is the file's on-disk length *after*
         // the worker is dead — a line it flushed between our last read and
         // the kill was written before the watch began, not after it.
@@ -753,7 +640,6 @@ fn spawn_worker(
             c.args(rest);
             c
         }
-        SpawnMode::Attach => return Err("attach mode spawns no workers".to_owned()),
     };
     cmd.arg("--dist-worker")
         .arg(spool)
@@ -821,11 +707,5 @@ mod tests {
         assert_eq!(o.spawn, SpawnMode::SelfExec);
         assert!(o.task.is_none());
         assert!(o.lease > o.heartbeat_timeout, "a stall must outlive a heartbeat lapse window");
-    }
-
-    #[test]
-    fn a_zero_claim_timeout_waits_forever() {
-        assert_eq!(claim_timeout_of(0.0), None);
-        assert_eq!(claim_timeout_of(2.5), Some(Duration::from_millis(2500)));
     }
 }

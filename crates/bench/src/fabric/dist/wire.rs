@@ -11,11 +11,9 @@
 //! spool/
 //!   manifest.jsonl              supervisor: grid digest, cell/shard counts
 //!   requests/shard-K.gG.jsonl   work order: header + one line per cell
-//!   claims/shard-K.gG.claim     O_EXCL claim file (attach-mode workers)
 //!   heartbeats/WORKER.jsonl     appended by the worker's heartbeat thread
 //!   responses/shard-K.gG.jsonl  streamed results: header, done/failed, end
 //!   events.jsonl                supervisor audit log (obs::DistEvent)
-//!   shutdown                    marker: attached workers drain and exit
 //! ```
 //!
 //! **Versioning and echo.** Every request and response header carries
@@ -36,14 +34,13 @@
 //! Line formats:
 //!
 //! ```text
-//! {"dist":"manifest","version":2,"grid":"<16 hex>","cells":N,"shards":K,"suite":"..."}
-//! {"dist":"request","version":2,"grid":"<16 hex>","shard":K,"gen":G,"suite":"...",
+//! {"dist":"manifest","version":3,"grid":"<16 hex>","cells":N,"shards":K,"suite":"..."}
+//! {"dist":"request","version":3,"grid":"<16 hex>","shard":K,"gen":G,"suite":"...",
 //!  "cells":N,"deadline_ms":D,"max_attempts":A,"backoff_ms":B,"max_backoff_ms":C,
 //!  "heartbeat_ms":H}
 //! {"dist":"cell","id":"<16 hex>","index":I,"label":"...","seed":S}
-//! {"dist":"claim","worker":"...","shard":K,"gen":G}
 //! {"dist":"heartbeat","worker":"...","shard":K,"gen":G,"seq":N}
-//! {"dist":"response","version":2,"grid":"<16 hex>","shard":K,"gen":G,"worker":"..."}
+//! {"dist":"response","version":3,"grid":"<16 hex>","shard":K,"gen":G,"worker":"..."}
 //! {"dist":"done","id":"<16 hex>","label":"...","seed":S,"attempts":A,"panics":P,
 //!  "deadline_kills":D,"payload":[...]}
 //! {"dist":"failed","id":"<16 hex>","label":"...","seed":S,"attempts":A,"panics":P,
@@ -54,7 +51,9 @@
 //! Both per-cell lines carry the worker's whole [`AttemptStats`], so a cell
 //! that panicked once and then succeeded is counted the same supervised or
 //! in-process. (Version 1 sent `attempts` alone on `done` and appended a
-//! counter snapshot to every payload; a v1 peer is refused at the header.)
+//! counter snapshot to every payload; version 2 had a worker-written claim
+//! line for workers the supervisor did not spawn. Either peer is refused at
+//! the header.)
 
 use crate::fabric::journal::{cell_fields, framed, read_done, read_id, DoneLine, JournalValue};
 use crate::fabric::plan::CellId;
@@ -66,7 +65,7 @@ use std::path::{Path, PathBuf};
 
 /// The wire protocol version; bumped on any incompatible change to the
 /// line formats above. Echoed in every request and response header.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Path of the request file for `(shard, gen)`.
 pub fn request_path(spool: &Path, shard: usize, gen: u64) -> PathBuf {
@@ -76,11 +75,6 @@ pub fn request_path(spool: &Path, shard: usize, gen: u64) -> PathBuf {
 /// Path of the response file for `(shard, gen)`.
 pub fn response_path(spool: &Path, shard: usize, gen: u64) -> PathBuf {
     spool.join("responses").join(format!("shard-{shard}.g{gen}.jsonl"))
-}
-
-/// Path of the claim file for `(shard, gen)` (attach mode).
-pub fn claim_path(spool: &Path, shard: usize, gen: u64) -> PathBuf {
-    spool.join("claims").join(format!("shard-{shard}.g{gen}.claim"))
 }
 
 /// Path of `worker`'s heartbeat file.
@@ -98,11 +92,6 @@ pub fn events_path(spool: &Path) -> PathBuf {
     spool.join("events.jsonl")
 }
 
-/// Path of the shutdown marker.
-pub fn shutdown_path(spool: &Path) -> PathBuf {
-    spool.join("shutdown")
-}
-
 /// Creates the spool directory tree and writes the manifest.
 ///
 /// # Errors
@@ -115,7 +104,7 @@ pub fn init_spool(
     shards: usize,
     suite: &str,
 ) -> Result<(), String> {
-    for sub in ["requests", "claims", "heartbeats", "responses"] {
+    for sub in ["requests", "heartbeats", "responses"] {
         std::fs::create_dir_all(spool.join(sub))
             .map_err(|e| format!("cannot create spool dir {}/{sub}: {e}", spool.display()))?;
     }
@@ -144,7 +133,7 @@ pub struct RequestHeader {
     pub shard: usize,
     /// Dispatch generation.
     pub gen: u64,
-    /// Suite name (attach-mode workers serve only suites they host).
+    /// The run's name, for messages.
     pub suite: String,
     /// Number of cell lines that follow.
     pub cells: usize,
@@ -160,8 +149,8 @@ pub struct RequestHeader {
     pub heartbeat_ms: u64,
 }
 
-/// One cell of a work order: identity only — the worker reconstructs (or
-/// hosts) the runnable closure itself and matches it by [`CellId`].
+/// One cell of a work order: identity only — the worker reconstructs the
+/// runnable closure itself and matches it by [`CellId`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RequestCell {
     /// Content-addressed identity (must match the worker's own derivation).
@@ -175,7 +164,7 @@ pub struct RequestCell {
 }
 
 /// Writes the request file for a shard dispatch, atomically (temp file +
-/// rename) so a watching worker never observes a half-written order.
+/// rename) so a worker never observes a half-written order.
 ///
 /// # Errors
 ///
@@ -649,12 +638,11 @@ pub fn append_heartbeat(
 /// `(shard, gen)`**, skipping any torn final line. `None` when the file
 /// does not exist or holds no complete line for that dispatch yet.
 ///
-/// Filtering by the shard/gen fields on each line matters: an attached
-/// worker keeps one id (and one heartbeat file) across every request it
-/// serves, and its heartbeat thread restarts `seq` at 1 per request. The
-/// file-wide maximum would belong to some *earlier* dispatch, and fresh
-/// beats below that stale maximum would never advance the current lease's
-/// liveness clock — a live worker revoked as a `heartbeat_lapse`.
+/// Filtering by the shard/gen fields on each line matters: the supervisor
+/// names a fresh file per dispatch, but a reused spool or a hostile writer
+/// can leave one holding another dispatch's lines, and heartbeat threads
+/// restart `seq` at 1. A file-wide maximum from some *other* dispatch would
+/// mask fresh beats below it — a live worker revoked as a `heartbeat_lapse`.
 pub fn read_heartbeat_seq(spool: &Path, worker: &str, shard: usize, gen: u64) -> Option<u64> {
     let text = std::fs::read_to_string(heartbeat_path(spool, worker)).ok()?;
     text.lines()
@@ -662,54 +650,6 @@ pub fn read_heartbeat_seq(spool: &Path, worker: &str, shard: usize, gen: u64) ->
         .filter(|r| r.uint("shard") == Ok(shard as u64) && r.uint("gen") == Ok(gen))
         .filter_map(|r| r.uint("seq").ok())
         .max()
-}
-
-/// Attempts to claim `(shard, gen)` for `worker` by O_EXCL-creating the
-/// claim file. Exactly one worker can win; the rest see `false`.
-///
-/// # Errors
-///
-/// On filesystem failures other than "already claimed".
-pub fn try_claim(spool: &Path, shard: usize, gen: u64, worker: &str) -> Result<bool, String> {
-    let path = claim_path(spool, shard, gen);
-    match OpenOptions::new().create_new(true).write(true).open(&path) {
-        Ok(mut f) => {
-            let line = framed(|w| {
-                w.str("dist", "claim")
-                    .str("worker", worker)
-                    .u64("shard", shard as u64)
-                    .u64("gen", gen)
-            });
-            f.write_all(line.as_bytes())
-                .and_then(|()| f.flush())
-                .map_err(|e| format!("cannot write claim {}: {e}", path.display()))?;
-            Ok(true)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
-        Err(e) => Err(format!("cannot claim {}: {e}", path.display())),
-    }
-}
-
-/// Reads who claimed `(shard, gen)`, if anyone has (and the claim line is
-/// fully written).
-pub fn read_claim(spool: &Path, shard: usize, gen: u64) -> Option<String> {
-    let text = std::fs::read_to_string(claim_path(spool, shard, gen)).ok()?;
-    text.lines().find_map(|l| Some(record::read(l).ok()?.str("worker").ok()?.to_owned()))
-}
-
-/// Drops the shutdown marker: attached workers drain and exit.
-///
-/// # Errors
-///
-/// On filesystem failures.
-pub fn write_shutdown(spool: &Path) -> Result<(), String> {
-    std::fs::write(shutdown_path(spool), b"shutdown\n")
-        .map_err(|e| format!("cannot write shutdown marker: {e}"))
-}
-
-/// True once the supervisor has requested shutdown.
-pub fn shutdown_requested(spool: &Path) -> bool {
-    shutdown_path(spool).exists()
 }
 
 #[cfg(test)]
@@ -760,7 +700,7 @@ mod tests {
         assert_eq!(rc, cells);
         // Version skew is refused with both versions named.
         let skew =
-            std::fs::read_to_string(&path).unwrap().replacen("\"version\":2", "\"version\":999", 1);
+            std::fs::read_to_string(&path).unwrap().replacen("\"version\":3", "\"version\":999", 1);
         std::fs::write(&path, skew).unwrap();
         let err = read_request(&path).unwrap_err();
         assert!(err.contains("v999") && err.contains("out of step"), "{err}");
@@ -807,11 +747,11 @@ mod tests {
     #[test]
     fn responses_reject_version_skew_echo_mismatch_and_bad_footer() {
         let expect = ResponseExpect { grid: 0x11, shard: 0, gen: 1 };
-        let header = "{\"dist\":\"response\",\"version\":2,\"grid\":\"0000000000000011\",\
+        let header = "{\"dist\":\"response\",\"version\":3,\"grid\":\"0000000000000011\",\
                       \"shard\":0,\"gen\":1,\"worker\":\"w\"}\n";
-        // The chaos drill's version 0 and the previous format's version 1.
-        for v in [0, 1] {
-            let old = header.replacen("\"version\":2", &format!("\"version\":{v}"), 1);
+        // The chaos drill's version 0 and the previous formats' 1 and 2.
+        for v in [0, 1, 2] {
+            let old = header.replacen("\"version\":3", &format!("\"version\":{v}"), 1);
             let p = parse_response(&old, &expect);
             assert!(matches!(p.fault, Some(ResponseFault::Stale(_))), "v{v}: {p:?}");
         }
@@ -859,7 +799,7 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_and_claims_roundtrip() {
+    fn heartbeats_roundtrip() {
         let spool = tmp("hb");
         let _ = std::fs::remove_dir_all(&spool);
         init_spool(&spool, 1, 1, 1, "walk").expect("init");
@@ -867,30 +807,23 @@ mod tests {
         append_heartbeat(&spool, "w0", 0, 0, 1).expect("hb1");
         append_heartbeat(&spool, "w0", 0, 0, 2).expect("hb2");
         assert_eq!(read_heartbeat_seq(&spool, "w0", 0, 0), Some(2));
-        // Exactly one claimant wins; the claim names the winner.
-        assert!(try_claim(&spool, 0, 0, "w0").expect("claim"));
-        assert!(!try_claim(&spool, 0, 0, "other").expect("reclaim"));
-        assert_eq!(read_claim(&spool, 0, 0), Some("w0".to_owned()));
-        assert!(!shutdown_requested(&spool));
-        write_shutdown(&spool).expect("shutdown");
-        assert!(shutdown_requested(&spool));
         let _ = std::fs::remove_dir_all(&spool);
     }
 
-    /// An attached worker reuses one heartbeat file across requests, with
-    /// `seq` restarting at 1 per request. The liveness read must see only
-    /// the asked-for dispatch's lines: a later generation's fresh low seqs
-    /// must not be shadowed by an earlier request's higher maximum.
+    /// A hostile or reused heartbeat file can hold several dispatches'
+    /// lines, with `seq` restarting at 1 in each. The liveness read must see
+    /// only the asked-for dispatch's lines: a later generation's fresh low
+    /// seqs must not be shadowed by another dispatch's higher maximum.
     #[test]
     fn heartbeat_reads_are_scoped_to_shard_and_gen() {
         let spool = tmp("hb-scope");
         let _ = std::fs::remove_dir_all(&spool);
         init_spool(&spool, 1, 1, 1, "walk").expect("init");
-        // A long first request on shard 1 drives seq far up…
+        // A long dispatch on shard 1 drives seq far up…
         for seq in 1..=50 {
             append_heartbeat(&spool, "w", 1, 0, seq).expect("hb");
         }
-        // …then the same worker serves shard 0 gen 1, seq restarting at 1.
+        // …then the same file takes shard 0 gen 1's beats, seq restarting at 1.
         append_heartbeat(&spool, "w", 0, 1, 1).expect("hb");
         append_heartbeat(&spool, "w", 0, 1, 2).expect("hb");
         assert_eq!(read_heartbeat_seq(&spool, "w", 1, 0), Some(50));

@@ -1,27 +1,20 @@
-//! The worker side of the distributed fabric: claim or receive a shard,
-//! execute its cells with the **same per-cell containment policy** the
-//! single-process fabric uses, and stream results back through the spool.
+//! The worker side of the distributed fabric: receive a shard, execute its
+//! cells with the **same per-cell containment policy** the single-process
+//! fabric uses, and stream results back through the spool.
 //!
-//! Two ways a process ends up here:
+//! A worker is a sweep binary spawned by its supervisor with `--dist-worker
+//! … --dist-shard K --dist-gen G --dist-id ID` ([`serve_cells`]). The
+//! binary rebuilds its full deterministic cell vector exactly as the
+//! supervisor did, so the grid digest in the request must match its own
+//! plan — a mismatch means supervisor and worker binaries are out of step,
+//! and the worker refuses rather than compute wrong cells.
 //!
-//! * **Self-exec** ([`serve_cells`]): a figure binary spawned by its own
-//!   supervisor with `--dist-worker … --dist-shard K --dist-gen G
-//!   --dist-id ID`. The binary rebuilds its full deterministic cell vector
-//!   exactly as the supervisor did, so the grid digest in the request must
-//!   match its own plan — a mismatch means supervisor and worker binaries
-//!   are out of step, and the worker refuses rather than compute wrong
-//!   cells.
-//! * **Attach** ([`attach_loop`]): a generic `sweep_worker` process points
-//!   at a spool and claims request files for suites it hosts (a
-//!   [`SuiteRegistry`] maps suite name → cell function). Claims are
-//!   O_EXCL-exclusive, so any number of workers can watch one spool.
-//!
-//! Either way, each cell runs under [`retry::run_with_retries`] with the
-//! deadline/retry policy shipped in the request header — a cell that would
-//! be quarantined by the in-process fabric fails the same way here, as a
-//! streamed `failed` line the supervisor turns into the identical
-//! quarantine record. Results are flushed line by line; a heartbeat thread
-//! appends liveness proof on the side.
+//! Each cell runs under [`retry::run_with_retries`] with the deadline/retry
+//! policy shipped in the request header — a cell that would be quarantined
+//! by the in-process fabric fails the same way here, as a streamed `failed`
+//! line the supervisor turns into the identical quarantine record. Results
+//! are flushed line by line; a heartbeat thread appends liveness proof on
+//! the side.
 //!
 //! ## Chaos injection
 //!
@@ -30,17 +23,16 @@
 //! generations always run clean, so every drill converges instead of
 //! crash-looping. Format: `mode[:n]@shard`, e.g. `kill:1@0` (SIGKILL self
 //! after 1 completed cell while serving shard 0). Modes: `kill:n`,
-//! `stall:n` (heartbeats continue, no further progress until the dispatch
-//! is superseded or the sweep shuts down), `truncate` (exit
-//! without the end footer), `corrupt:n` (write a garbage line), `dup`
-//! (write every done line twice), `stale` (respond with protocol version
-//! 0). Used by the `fabric_chaos` harness and CI; never armed in normal
-//! runs.
+//! `stall:n` (heartbeats continue, no further progress until the
+//! supervisor kills the worker), `truncate` (exit without the end footer),
+//! `corrupt:n` (write a garbage line), `dup` (write every done line twice),
+//! `stale` (respond with protocol version 0). Used by the `fabric_chaos`
+//! harness and CI; never armed in normal runs.
 
 use super::super::journal::{encode_payload, JournalCodec, JournalValue};
 use super::super::retry::{self, CellFn, RetryPolicy};
 use super::super::{plan_of, FabricCell};
-use super::wire::{self, RequestCell, RequestHeader, ResponseWriter, PROTOCOL_VERSION};
+use super::wire::{self, ResponseWriter, PROTOCOL_VERSION};
 use crate::DistWorkerCli;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -164,21 +156,34 @@ impl Drop for HeartbeatThread {
     }
 }
 
-/// One served cell: its closure returns the output already encoded, the
-/// payload of its `done` line (and, later, of the supervisor's journal).
-type ServedCell = CellFn<Vec<JournalValue>>;
-
-/// Serves one request with per-cell closures supplied by `make`, applying
-/// the armed chaos. The shared core of both self-exec and attach serving.
-fn serve_request(
-    spool: &Path,
-    worker_id: &str,
-    header: &RequestHeader,
-    cells: &[RequestCell],
-    make: &dyn Fn(&RequestCell) -> Result<ServedCell, String>,
-) -> Result<(), String> {
-    let chaos = armed_chaos(header.shard, header.gen);
-    let version = match chaos.map(|c| c.mode) {
+/// Serves a worker assignment: reads the request for `(task.shard,
+/// task.gen)`, verifies the grid digest against this binary's own plan of
+/// `cells` (a mismatch means supervisor/worker version skew), and streams
+/// results, applying the armed chaos.
+///
+/// # Errors
+///
+/// On an unreadable/stale request, a grid mismatch, cell ids the plan does
+/// not contain, or filesystem failures. The supervisor sees any of these as
+/// a crashed lease and re-dispatches.
+pub fn serve_cells<T>(task: &DistWorkerCli, cells: &[FabricCell<T>]) -> Result<(), String>
+where
+    T: JournalCodec + Send + 'static,
+{
+    let (spool, worker_id) = (task.spool.as_path(), task.id.as_str());
+    let (header, requested) = wire::read_request(&wire::request_path(spool, task.shard, task.gen))?;
+    let plan = plan_of(cells)?;
+    if plan.grid_id() != header.grid {
+        return Err(format!(
+            "request is for grid {:016x}, this binary plans grid {:016x}; \
+             supervisor and worker builds are out of step",
+            header.grid,
+            plan.grid_id()
+        ));
+    }
+    let by_id: BTreeMap<_, _> = cells.iter().map(|c| (c.id(), c)).collect();
+    let chaos = armed_chaos(header.shard, header.gen).map(|c| c.mode);
+    let version = match chaos {
         Some(ChaosMode::Stale) => 0,
         _ => PROTOCOL_VERSION,
     };
@@ -197,23 +202,13 @@ fn serve_request(
         base_backoff: Duration::from_millis(header.backoff_ms),
         max_backoff: Duration::from_millis(header.max_backoff_ms),
     };
-    for (served, cell) in cells.iter().enumerate() {
-        match chaos.map(|c| c.mode) {
+    for (served, req) in requested.iter().enumerate() {
+        match chaos {
             Some(ChaosMode::Kill(n)) if served == n => kill_self_hard(),
             Some(ChaosMode::Stall(n)) if served == n => loop {
                 // Alive (the heartbeat thread keeps appending) but never
                 // progressing: the supervisor must diagnose a stall, not a
-                // heartbeat lapse. A self-exec staller is killed by its
-                // supervisor at revocation; an attach-mode staller gets no
-                // such kill, so once this dispatch is superseded (the
-                // re-dispatched request exists) or the sweep shuts down,
-                // stop stalling — the drill converges instead of wedging
-                // the external worker process forever.
-                if wire::shutdown_requested(spool)
-                    || wire::request_path(spool, header.shard, header.gen + 1).exists()
-                {
-                    return Ok(());
-                }
+                // heartbeat lapse — and kills this process when it does.
                 std::thread::sleep(Duration::from_millis(50));
             },
             Some(ChaosMode::Corrupt(n)) if served == n => {
@@ -221,165 +216,32 @@ fn serve_request(
             }
             _ => {}
         }
-        let run = make(cell)?;
-        let (result, stats) = retry::run_with_retries(&cell.label, &run, deadline, &policy);
+        let cell = by_id
+            .get(&req.id)
+            .ok_or_else(|| format!("request names cell {} not in this grid", req.id))?;
+        // The closure returns the output already encoded: the payload of the
+        // cell's `done` line (and, later, of the supervisor's journal).
+        let run = Arc::clone(&cell.run);
+        let run: CellFn<Vec<JournalValue>> = Arc::new(move || encode_payload(&run()));
+        let (result, stats) = retry::run_with_retries(&req.label, &run, deadline, &policy);
         match result {
             Ok(payload) => {
-                resp.record_done(cell.id, &cell.label, cell.seed, stats, &payload)?;
-                if chaos.map(|c| c.mode) == Some(ChaosMode::Dup) {
-                    resp.record_done(cell.id, &cell.label, cell.seed, stats, &payload)?;
+                resp.record_done(req.id, &req.label, req.seed, stats, &payload)?;
+                if chaos == Some(ChaosMode::Dup) {
+                    resp.record_done(req.id, &req.label, req.seed, stats, &payload)?;
                 }
             }
             Err((cause, message)) => {
-                resp.record_failed(cell.id, &cell.label, cell.seed, stats, cause, &message)?;
+                resp.record_failed(req.id, &req.label, req.seed, stats, cause, &message)?;
             }
         }
     }
-    if chaos.map(|c| c.mode) == Some(ChaosMode::Truncate) {
+    if chaos == Some(ChaosMode::Truncate) {
         // Exit without the footer: to the supervisor this response is
         // truncated, indistinguishable from a crash after the last flush.
         return Ok(());
     }
     resp.finish()
-}
-
-/// Serves a self-exec worker assignment: reads the request for
-/// `(task.shard, task.gen)`, verifies the grid digest against this binary's
-/// own plan of `cells` (a mismatch means supervisor/worker version skew),
-/// and streams results.
-///
-/// # Errors
-///
-/// On an unreadable/stale request, a grid mismatch, cell ids the plan does
-/// not contain, or filesystem failures. The supervisor sees any of these as
-/// a crashed lease and re-dispatches.
-pub fn serve_cells<T>(task: &DistWorkerCli, cells: &[FabricCell<T>]) -> Result<(), String>
-where
-    T: JournalCodec + Send + 'static,
-{
-    let (header, requested) =
-        wire::read_request(&wire::request_path(&task.spool, task.shard, task.gen))?;
-    let plan = plan_of(cells)?;
-    if plan.grid_id() != header.grid {
-        return Err(format!(
-            "request is for grid {:016x}, this binary plans grid {:016x}; \
-             supervisor and worker builds are out of step",
-            header.grid,
-            plan.grid_id()
-        ));
-    }
-    let by_id: BTreeMap<_, _> = cells.iter().map(|c| (c.id(), c)).collect();
-    serve_request(&task.spool, &task.id, &header, &requested, &|req| {
-        let cell = by_id
-            .get(&req.id)
-            .ok_or_else(|| format!("request names cell {} not in this grid", req.id))?;
-        let run = Arc::clone(&cell.run);
-        Ok(Arc::new(move || encode_payload(&run())) as ServedCell)
-    })
-}
-
-/// A named cell function an attached worker hosts: `(label, seed)` → the
-/// encoded output. Must produce byte-identical payloads to the in-process
-/// cell of the same suite — the merged report is pinned to be identical
-/// either way.
-pub type SuiteFn = Arc<dyn Fn(&str, u64) -> Vec<JournalValue> + Send + Sync>;
-
-/// The suites an attached worker can serve, by name. Requests for unknown
-/// suites are left unclaimed for some other worker.
-#[derive(Clone, Default)]
-pub struct SuiteRegistry {
-    suites: BTreeMap<String, SuiteFn>,
-}
-
-impl SuiteRegistry {
-    /// An empty registry.
-    pub fn new() -> SuiteRegistry {
-        SuiteRegistry::default()
-    }
-
-    /// Registers `name`, replacing any previous entry.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        f: impl Fn(&str, u64) -> Vec<JournalValue> + Send + Sync + 'static,
-    ) {
-        self.suites.insert(name.into(), Arc::new(f));
-    }
-
-    /// Looks a suite up.
-    pub fn get(&self, name: &str) -> Option<&SuiteFn> {
-        self.suites.get(name)
-    }
-}
-
-/// Parses a request filename (`shard-K.gG.jsonl`) into `(shard, gen)`.
-fn parse_request_filename(name: &str) -> Option<(usize, u64)> {
-    let rest = name.strip_prefix("shard-")?.strip_suffix(".jsonl")?;
-    let (shard, gen) = rest.split_once(".g")?;
-    Some((shard.parse().ok()?, gen.parse().ok()?))
-}
-
-/// Attach-mode worker loop: watch the spool, claim request files whose
-/// suite this registry hosts (O_EXCL — exactly one worker wins each), serve
-/// them, and exit once the supervisor drops the shutdown marker. Returns
-/// the number of shard dispatches served.
-///
-/// # Errors
-///
-/// On filesystem failures; per-request serve errors are reported on stderr
-/// and the loop continues (the supervisor re-dispatches).
-pub fn attach_loop(
-    spool: &Path,
-    worker_id: &str,
-    suites: &SuiteRegistry,
-    poll: Duration,
-) -> Result<usize, String> {
-    let requests = spool.join("requests");
-    let mut served = 0usize;
-    loop {
-        if wire::shutdown_requested(spool) {
-            return Ok(served);
-        }
-        let Ok(entries) = std::fs::read_dir(&requests) else {
-            // The supervisor may not have initialised the spool yet.
-            std::thread::sleep(poll);
-            continue;
-        };
-        let mut names: Vec<String> = entries
-            .filter_map(Result::ok)
-            .filter_map(|e| e.file_name().into_string().ok())
-            .collect();
-        names.sort();
-        for name in names {
-            let Some((shard, gen)) = parse_request_filename(&name) else { continue };
-            if wire::read_claim(spool, shard, gen).is_some() {
-                continue;
-            }
-            let (header, cells) = match wire::read_request(&wire::request_path(spool, shard, gen)) {
-                Ok(parsed) => parsed,
-                Err(e) => {
-                    eprintln!("warning: skipping request {name}: {e}");
-                    continue;
-                }
-            };
-            let Some(suite) = suites.get(&header.suite).cloned() else { continue };
-            if !wire::try_claim(spool, shard, gen, worker_id)? {
-                continue; // someone else won the race
-            }
-            let result = serve_request(spool, worker_id, &header, &cells, &|req| {
-                let suite = Arc::clone(&suite);
-                let label = req.label.clone();
-                let seed = req.seed;
-                Ok(Arc::new(move || suite(&label, seed)) as ServedCell)
-            });
-            if let Err(e) = result {
-                eprintln!("warning: serving shard {shard} g{gen} failed: {e}");
-            } else {
-                served += 1;
-            }
-        }
-        std::thread::sleep(poll);
-    }
 }
 
 #[cfg(test)]
@@ -421,13 +283,5 @@ mod tests {
         drop(heartbeat);
         assert!(dropping.elapsed() < Duration::from_secs(1), "drop waited out the interval");
         let _ = std::fs::remove_dir_all(&spool);
-    }
-
-    #[test]
-    fn request_filenames_parse() {
-        assert_eq!(parse_request_filename("shard-3.g1.jsonl"), Some((3, 1)));
-        assert_eq!(parse_request_filename("shard-0.g0.jsonl"), Some((0, 0)));
-        assert_eq!(parse_request_filename("shard-0.g0.jsonl.tmp"), None);
-        assert_eq!(parse_request_filename("manifest.jsonl"), None);
     }
 }

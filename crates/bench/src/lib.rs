@@ -305,14 +305,9 @@ pub(crate) fn nonzero<T: Default + PartialEq>(n: &T) -> bool {
     *n != T::default()
 }
 
-/// Range check for seconds: anything a `Duration` can hold.
-pub(crate) fn secs(s: &f64) -> bool {
-    std::time::Duration::try_from_secs_f64(*s).is_ok()
-}
-
-/// [`secs`], excluding zero.
+/// Range check for seconds: positive, and what a `Duration` can hold.
 pub(crate) fn positive_secs(s: &f64) -> bool {
-    *s > 0.0 && secs(s)
+    *s > 0.0 && std::time::Duration::try_from_secs_f64(*s).is_ok()
 }
 
 /// Renders an aligned text table: a header row plus data rows.
@@ -436,19 +431,7 @@ mod tests {
         for bad in ["-1", "inf", "0", "NaN", "1e30", "soon"] {
             env_case::<f64>("SWEEP_DEADLINE_S", Some(bad), positive_secs, None);
         }
-        // Zero is a value here (the reader maps it to "wait forever").
-        env_case("SWEEP_CLAIM_TIMEOUT_S", Some("0"), secs, Some(0.0f64));
-        env_case("SWEEP_CLAIM_TIMEOUT_S", Some("2.5"), secs, Some(2.5f64));
-        for bad in ["-1", "inf"] {
-            env_case::<f64>("SWEEP_CLAIM_TIMEOUT_S", Some(bad), secs, None);
-        }
         env_case("SWEEP_TRACE", Some("out/t"), |_| true, Some(std::path::PathBuf::from("out/t")));
-        // One value; a near miss must warn, not silently spawn local workers.
-        let attach = |s: &String| s == "attach";
-        env_case("SWEEP_SPAWN", Some("attach"), attach, Some("attach".to_owned()));
-        for bad in ["Attach", "atach", ""] {
-            env_case::<String>("SWEEP_SPAWN", Some(bad), attach, None);
-        }
     }
 
     fn parse(args: &[&str]) -> Result<Cli, String> {

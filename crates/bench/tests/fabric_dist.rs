@@ -1,19 +1,16 @@
 //! Integration drills for the distributed sweep fabric: byte-identity of
-//! the distributed merge, chaos-injected worker loss, the attach-mode wire
-//! protocol driven by a test-authored worker (heartbeat lapse, late
-//! responses, partial harvest), journal resume across a killed supervisor,
-//! and quarantine-artifact naming.
+//! the distributed merge, chaos-injected worker loss, the temp spool's
+//! clean-up, journal resume across a killed supervisor, and
+//! quarantine-artifact naming. (The lease machine itself — heartbeat lapse,
+//! late responses, partial harvest — is drilled by the root package's
+//! `tests/fabric_supervisor.rs`, where tier-1 sees it.)
 
-use bench_harness::fabric::dist::wire::{self, PROTOCOL_VERSION};
-use bench_harness::fabric::journal::encode_payload;
-use bench_harness::fabric::retry::AttemptStats;
 use bench_harness::fabric::{
-    run_dist, run_fabric, CellOutcome, DistOptions, FabricCell, FabricOptions, Fingerprint,
-    RetryPolicy, ShardPlan, SpawnMode,
+    run_fabric, CellOutcome, FabricCell, FabricOptions, Fingerprint, RetryPolicy,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fabric-dist-{tag}-{}", std::process::id()));
@@ -68,6 +65,36 @@ fn killed_worker_is_redispatched_and_merge_unchanged() {
         stderr.contains("harvested_cells=1"),
         "the cell streamed before the kill must be salvaged, got:\n{stderr}"
     );
+}
+
+/// With no `--spool` the supervisor picks a directory under `$TMPDIR`, and
+/// owns it: a clean run removes it, a run that revoked a lease keeps it (its
+/// `events.jsonl` is the post-mortem) and says where it is, once.
+#[test]
+fn a_spool_the_supervisor_chose_is_removed_unless_a_lease_was_revoked() {
+    let tmpdir = temp_dir("tmpdir");
+    let entries = || -> Vec<PathBuf> {
+        std::fs::read_dir(&tmpdir).unwrap().map(|e| e.unwrap().path()).collect()
+    };
+    let tmp_env = ("TMPDIR", tmpdir.to_str().unwrap());
+
+    let (_, stderr, code) = smoke(&["--workers", "2"], &[tmp_env]);
+    assert_eq!(code, Some(0), "clean run failed:\n{stderr}");
+    assert_eq!(entries(), Vec::<PathBuf>::new(), "a clean run must leave $TMPDIR empty");
+    assert!(!stderr.contains("spool kept"), "nothing to announce:\n{stderr}");
+
+    let (_, stderr, code) =
+        smoke(&["--workers", "2"], &[tmp_env, ("SWEEP_DIST_CHAOS", "kill:1@0")]);
+    assert_eq!(code, Some(0), "kill drill failed:\n{stderr}");
+    let kept = entries();
+    assert_eq!(kept.len(), 1, "the revoked run's spool stays: {kept:?}");
+    assert!(kept[0].file_name().unwrap().to_string_lossy().starts_with("sweep-spool-"));
+    let grids: Vec<PathBuf> =
+        std::fs::read_dir(&kept[0]).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(grids.len() == 1 && grids[0].join("events.jsonl").exists(), "{grids:?}");
+    let named: Vec<&str> = stderr.lines().filter(|l| l.contains("spool kept")).collect();
+    assert_eq!(named.len(), 1, "the kept spool is named once:\n{stderr}");
+    assert!(named[0].contains(grids[0].to_str().unwrap()), "{named:?}");
 }
 
 #[test]
@@ -140,221 +167,6 @@ fn supervisor_killed_mid_sweep_resumes_from_journal() {
         text.lines().filter(|l| l.contains("\"fabric\":\"done\"")).count() >= 12,
         "journal must hold every cell after the resume"
     );
-}
-
-/// The attach-mode contract end to end, with the test as the worker: a
-/// first claimant heartbeats, streams one cell, and goes silent (lease
-/// revoked as a heartbeat lapse); its response file grows *after* the
-/// revocation (counted as a late response, discarded); a second claimant
-/// serves the re-dispatched remainder — on its second attempt, after a
-/// panic. The merge must match the serial run and account every event,
-/// that panic included.
-#[test]
-fn attach_worker_lapse_redispatch_and_late_response() {
-    let mk_cells = || -> Vec<FabricCell<(u64, f64)>> {
-        (0..4u64)
-            .map(|i| {
-                FabricCell::new(format!("att-{i}"), i, move || {
-                    (i.wrapping_mul(7) + 1, i as f64 * 0.5)
-                })
-                .config(Fingerprint::new().str("attach-test").u64(i))
-            })
-            .collect()
-    };
-    let payload_for = |seed: u64| encode_payload(&(seed.wrapping_mul(7) + 1, seed as f64 * 0.5));
-    let clean = AttemptStats { attempts: 1, ..AttemptStats::default() };
-    // Plan the same grid the supervisor will, to locate its spool subdir.
-    let plan = ShardPlan::new(
-        (0..4u64).map(|i| (format!("att-{i}"), i, Fingerprint::new().str("attach-test").u64(i))),
-    )
-    .unwrap();
-    let grid = plan.grid_id();
-
-    let root = temp_dir("attach");
-    let spool = root.join(format!("grid-{grid:016x}"));
-    let opts = FabricOptions {
-        jobs: 1,
-        journal: None,
-        deadline: None,
-        retry: RetryPolicy::default(),
-        artifacts: None,
-    };
-    let mut dist = DistOptions::new("attach-test");
-    dist.workers = 2;
-    dist.spool = Some(root.clone());
-    dist.spawn = SpawnMode::Attach;
-    dist.lease = Duration::from_secs(10);
-    dist.heartbeat = Duration::from_millis(25);
-    dist.heartbeat_timeout = Duration::from_millis(300);
-    dist.poll = Duration::from_millis(10);
-
-    let sup = {
-        let opts = opts.clone();
-        let dist = dist.clone();
-        std::thread::spawn(move || run_dist(mk_cells(), &opts, &dist))
-    };
-
-    let wait_for = |path: &Path| {
-        let start = Instant::now();
-        while !path.exists() {
-            assert!(start.elapsed() < Duration::from_secs(20), "timed out waiting for {path:?}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    };
-
-    // Both gen-0 requests appear once the supervisor is up.
-    wait_for(&wire::request_path(&spool, 0, 0));
-    wait_for(&wire::request_path(&spool, 1, 0));
-
-    // One worker id serves every claim, exactly like a real `sweep_worker`
-    // process: its heartbeat file accumulates lines across requests, and
-    // each request's heartbeat seq restarts at 1. The high seqs written
-    // for this first request must not mask later dispatches' fresh low
-    // seqs (liveness reads are scoped per shard/gen).
-    let (h1, cells1) = wire::read_request(&wire::request_path(&spool, 1, 0)).unwrap();
-    assert_eq!(h1.version, PROTOCOL_VERSION);
-    assert!(wire::try_claim(&spool, 1, 0, "t-w").unwrap());
-    for seq in 1..=50 {
-        wire::append_heartbeat(&spool, "t-w", 1, 0, seq).unwrap();
-    }
-    let mut resp =
-        wire::ResponseWriter::create(&spool, 1, 0, grid, "t-w", PROTOCOL_VERSION).unwrap();
-    for c in &cells1 {
-        resp.record_done(c.id, &c.label, c.seed, clean, &payload_for(c.seed)).unwrap();
-    }
-    resp.finish().unwrap();
-
-    // Shard 0: claim, heartbeat, stream ONE of its two cells, go silent.
-    let (_, cells0) = wire::read_request(&wire::request_path(&spool, 0, 0)).unwrap();
-    assert_eq!(cells0.len(), 2);
-    assert!(wire::try_claim(&spool, 0, 0, "t-w").unwrap());
-    wire::append_heartbeat(&spool, "t-w", 0, 0, 1).unwrap();
-    let mut resp =
-        wire::ResponseWriter::create(&spool, 0, 0, grid, "t-w", PROTOCOL_VERSION).unwrap();
-    resp.record_done(
-        cells0[0].id,
-        &cells0[0].label,
-        cells0[0].seed,
-        clean,
-        &payload_for(cells0[0].seed),
-    )
-    .unwrap();
-    drop(resp); // no finish(), no further heartbeats: a wedged worker
-
-    // The lapse revokes the lease and re-dispatches the remaining cell.
-    wait_for(&wire::request_path(&spool, 0, 1));
-    let (_, cells0g1) = wire::read_request(&wire::request_path(&spool, 0, 1)).unwrap();
-    assert_eq!(cells0g1.len(), 1, "only the unharvested cell is re-dispatched");
-    assert_eq!(cells0g1[0].id, cells0[1].id);
-
-    // The dead worker twitches: its gen-0 response grows after revocation.
-    // The supervisor must count (and ignore) it.
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(wire::response_path(&spool, 0, 0))
-            .unwrap();
-        writeln!(f, "{{\"dist\":\"done\",LATE-NOISE").unwrap();
-    }
-
-    // The same (now recovered) worker claims the re-dispatch. It
-    // heartbeats afresh from seq 1 — far below the seqs already sitting in
-    // its file — while taking several lapse windows to produce the cell.
-    // Scoped liveness reads keep this lease alive; a file-wide max would
-    // see "no fresh heartbeat" and wrongly revoke a live worker here.
-    assert!(wire::try_claim(&spool, 0, 1, "t-w").unwrap());
-    let mut resp =
-        wire::ResponseWriter::create(&spool, 0, 1, grid, "t-w", PROTOCOL_VERSION).unwrap();
-    for seq in 1..=12 {
-        wire::append_heartbeat(&spool, "t-w", 0, 1, seq).unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-    }
-    // This cell panicked once on the worker before it succeeded: the
-    // per-cause half of the accounting must cross the wire with it.
-    resp.record_done(
-        cells0g1[0].id,
-        &cells0g1[0].label,
-        cells0g1[0].seed,
-        AttemptStats { attempts: 2, panics: 1, deadline_kills: 0 },
-        &payload_for(cells0g1[0].seed),
-    )
-    .unwrap();
-    resp.finish().unwrap();
-
-    let report = sup.join().unwrap().expect("supervised attach run succeeds");
-    assert!(report.is_complete());
-    let serial = run_fabric(mk_cells(), &opts).unwrap();
-    let dist_rows: Vec<_> = report.results().map(|r| (r.label.clone(), r.seed, r.output)).collect();
-    let serial_rows: Vec<_> =
-        serial.results().map(|r| (r.label.clone(), r.seed, r.output)).collect();
-    assert_eq!(dist_rows, serial_rows, "attach-mode merge must equal the serial run");
-
-    let d = &report.counters.dist;
-    assert_eq!(d.heartbeat_lapses, 1, "only the silent worker lapses, exactly once");
-    assert_eq!(d.redispatches, 1);
-    assert_eq!(d.harvested_cells, 1, "the streamed cell survives the revocation");
-    assert_eq!(d.late_responses, 1, "post-revocation growth is counted");
-    assert_eq!(d.leases_granted, 3, "shard1 g0 + shard0 g0 + shard0 g1");
-    assert_eq!(d.duplicate_cells, 0);
-    assert_eq!(d.claim_timeouts, 0);
-    assert_eq!(d.workers_spawned, 0, "attach mode spawns nothing");
-    let c = &report.counters;
-    assert_eq!((c.retries, c.panics), (1, 1), "a worker-side panic counts as an in-process one");
-}
-
-/// A suite no attached worker hosts must never hang the supervisor in a
-/// silent claim-wait: each dispatch times out unclaimed (counted as a
-/// `claim_timeout`), burns the re-dispatch budget, and the shard's cells
-/// quarantine into a partial report with the cause history naming the
-/// unclaimed suite.
-#[test]
-fn unclaimed_attach_requests_time_out_into_a_partial_report() {
-    let mk_cells = || -> Vec<FabricCell<(u64, f64)>> {
-        (0..2u64)
-            .map(|i| {
-                FabricCell::new(format!("orphan-{i}"), i, move || (i, 0.0))
-                    .config(Fingerprint::new().str("orphan-test").u64(i))
-            })
-            .collect()
-    };
-    let root = temp_dir("unclaimed");
-    let opts = FabricOptions {
-        jobs: 1,
-        journal: None,
-        deadline: None,
-        retry: RetryPolicy::default(),
-        artifacts: None,
-    };
-    let mut dist = DistOptions::new("suite-nobody-hosts");
-    dist.workers = 2;
-    dist.spool = Some(root);
-    dist.spawn = SpawnMode::Attach;
-    dist.claim_timeout = Some(Duration::from_millis(150));
-    dist.max_redispatch = 1;
-    dist.poll = Duration::from_millis(10);
-
-    let start = Instant::now();
-    let report = run_dist(mk_cells(), &opts, &dist).expect("supervisor returns, never hangs");
-    assert!(start.elapsed() < Duration::from_secs(15), "must converge promptly");
-    assert!(!report.is_complete(), "nothing was served, so the report is partial");
-    for outcome in &report.outcomes {
-        match outcome {
-            CellOutcome::Quarantined(q) => {
-                assert!(
-                    q.message.contains("claim_timeout") && q.message.contains("suite-nobody-hosts"),
-                    "quarantine must name the unclaimed suite, got {:?}",
-                    q.message
-                );
-            }
-            CellOutcome::Done { .. } => panic!("no worker existed to complete cells"),
-        }
-    }
-    let d = &report.counters.dist;
-    assert_eq!(d.claim_timeouts, 4, "2 shards x (g0 + g1) each timed out");
-    assert_eq!(d.redispatches, 2, "one re-dispatch per shard before the budget ran out");
-    assert_eq!(d.leases_granted, 0, "nothing was ever claimed");
-    assert_eq!(report.counters.quarantined, 2);
 }
 
 /// Identically-labelled cells distinguished only by config fingerprint must

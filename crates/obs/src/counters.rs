@@ -131,10 +131,6 @@ pub struct DistCounters {
     /// Leases revoked because heartbeats continued but no cell completed
     /// before the lease deadline (the livelock arm).
     pub stalls: u64,
-    /// Attach-mode dispatches given up because no worker claimed the
-    /// request within the claim timeout (e.g. no attached worker hosts
-    /// the suite).
-    pub claim_timeouts: u64,
     /// Response files rejected for truncation, corruption, or undecodable
     /// payloads.
     pub invalid_responses: u64,
@@ -161,9 +157,8 @@ impl DistCounters {
     pub fn render(&self) -> String {
         format!(
             "fabric-dist: shards={} workers_spawned={} leases_granted={} redispatches={} \
-             worker_crashes={} heartbeat_lapses={} stalls={} claim_timeouts={} \
-             invalid_responses={} stale_protocol={} duplicate_cells={} late_responses={} \
-             harvested_cells={}",
+             worker_crashes={} heartbeat_lapses={} stalls={} invalid_responses={} \
+             stale_protocol={} duplicate_cells={} late_responses={} harvested_cells={}",
             self.shards,
             self.workers_spawned,
             self.leases_granted,
@@ -171,7 +166,6 @@ impl DistCounters {
             self.worker_crashes,
             self.heartbeat_lapses,
             self.stalls,
-            self.claim_timeouts,
             self.invalid_responses,
             self.stale_protocol,
             self.duplicate_cells,

@@ -116,7 +116,6 @@ fn spool(dir: &Path) -> PathBuf {
         .expect("failed");
     w.finish().expect("finish");
     wire::append_heartbeat(&spool, "w1-g2", 1, 2, 41).expect("heartbeat");
-    assert!(wire::try_claim(&spool, 1, 2, "w1-g2").expect("claim"));
     spool
 }
 
@@ -171,7 +170,7 @@ fn full_outcome() -> ReproOutcome {
 
 /// The harness half of the golden corpus from today's writers, in corpus
 /// order: journal `run`/`done`/`quarantined`, the quarantine stub, the
-/// nine spool line kinds, then an artifact's spec, faults and violation.
+/// eight spool line kinds, then an artifact's spec, faults and violation.
 fn harness_lines(dir: &Path) -> Vec<String> {
     let (journal, stub) = journal_and_stub(dir);
     let spool = spool(dir);
@@ -181,7 +180,6 @@ fn harness_lines(dir: &Path) -> Vec<String> {
     lines.extend(lines_of(&wire::request_path(&spool, 1, 2)));
     lines.extend(lines_of(&wire::response_path(&spool, 1, 2)));
     lines.extend(lines_of(&wire::heartbeat_path(&spool, "w1-g2")));
-    lines.extend(lines_of(&wire::claim_path(&spool, 1, 2)));
     lines.extend(render_artifact(&full_spec(), &full_outcome()).lines().map(str::to_owned));
     lines
 }
@@ -240,7 +238,6 @@ fn spool_lines_come_back_through_their_readers() {
     );
     assert_eq!((failed.stats, failed.cause), (FAILED_STATS, FailCause::Deadline));
     assert_eq!(wire::read_heartbeat_seq(&spool, "w1-g2", 1, 2), Some(41));
-    assert_eq!(wire::read_claim(&spool, 1, 2).as_deref(), Some("w1-g2"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
