@@ -1,7 +1,11 @@
 //! Regenerates every figure — or, with `--only`, some — in one crash-safe
 //! run.
 //!
-//! Pass --smoke/--quick/--full and optionally --jobs N. `--only LIST` (or
+//! Pass --smoke/--quick/--full and optionally --jobs N, which sizes both the
+//! pool of figures and the pool each figure's simulations fan out over
+//! (`--jobs 1` starts no thread). The figures are one plan: a simulation
+//! several of them need runs once, and a last stderr line counts it
+//! (`sims: datacenter 18 requested, 12 run; …`). `--only LIST` (or
 //! `--only=LIST`) restricts the run to a comma-separated list of figure
 //! module names (`fig01 fig02 fig03 fig04 fig06 fig07 fig08 fig09 fig10
 //! fig12_14 fig15 fig16 fig17`); an unknown name is a usage error that
@@ -17,9 +21,12 @@
 //! exhaustion, quarantined: the surviving figures still print and the
 //! process exits 1 with a partial-sweep note on stderr. With --workers N
 //! (or SWEEP_WORKERS) the figures run in N supervised worker processes —
-//! same byte-identical stdout, plus survival of whole worker losses.
+//! same byte-identical stdout, plus survival of whole worker losses (each
+//! worker holds the store of its own shard's figures; the supervisor
+//! simulates nothing and prints no `sims:` line).
 
 use bench_harness::{figs, Cli};
+use std::sync::Arc;
 
 /// Splits `--only LIST` / `--only=LIST` off the argument list; the rest is
 /// the shared [`Cli`] surface.
@@ -49,11 +56,14 @@ fn die(e: &str) -> ! {
 fn main() {
     let (only, rest) = take_only(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
     let cli = Cli::from_arg_list(rest.into_iter());
-    let cells = match &only {
-        Some(list) => figs::fig_cells_only(cli.scale, list).unwrap_or_else(|e| die(&e)),
-        None => figs::fig_cells(cli.scale),
-    };
+    // `--jobs` sizes the simulations' pool as it does the figures'.
+    let sims = Arc::new(figs::Sims::new(cli.jobs()));
+    let cells = figs::fig_cells_with(cli.scale, only.as_deref(), &sims).unwrap_or_else(|e| die(&e));
     let report = cli.sweep("figures", cells);
+    // Under --workers the stores are the workers'; this one ran nothing.
+    if sims.counts().iter().any(|&(_, (requested, _))| requested > 0) {
+        eprintln!("{}", sims.render());
+    }
     for r in report.results() {
         print!("==== {} ====\n{}\n", r.label, r.output);
     }

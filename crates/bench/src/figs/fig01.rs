@@ -4,6 +4,7 @@
 //! Paper shape: MPTCP > TCP, and MPTCP power increases with the number of
 //! subflows.
 
+use super::sims::{Sims, TestbedKey};
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
 use energy_model::{energy_of_flow, WiredCpuModel};
@@ -12,13 +13,16 @@ use netsim::{SimDuration, SimTime, Simulator};
 use topology::TwoPath;
 use transport::{attach_flow, FlowConfig, PathSpec};
 
-fn mean_power(n_subflows: usize, duration_s: f64, single_nic: bool) -> (f64, f64) {
-    let mut sim = Simulator::new(42);
+/// The simulator seed of every testbed run.
+pub(super) const SEED: u64 = 42;
+
+/// `(mean CPU power W, goodput b/s)` of one run: a single subflow is TCP
+/// over one NIC, more are MPTCP subflows alternating over the two.
+pub(super) fn mean_power(n_subflows: usize, duration_s: f64) -> (f64, f64) {
+    let mut sim = Simulator::new(SEED);
     let tp = TwoPath::dual_nic(&mut sim, 100_000_000, SimDuration::from_millis(5));
     let both = tp.both();
-    let paths: Vec<PathSpec> = (0..n_subflows)
-        .map(|i| if single_nic { both[0].clone() } else { both[i % 2].clone() })
-        .collect();
+    let paths: Vec<PathSpec> = (0..n_subflows).map(|i| both[i % 2].clone()).collect();
     let cc = if n_subflows == 1 {
         CcChoice::Base(AlgorithmKind::Reno).build(1)
     } else {
@@ -39,7 +43,7 @@ fn mean_power(n_subflows: usize, duration_s: f64, single_nic: bool) -> (f64, f64
 }
 
 /// Runs the Fig. 1 harness.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale, sims: &Sims) -> String {
     let duration = match scale {
         Scale::Smoke => 3.0,
         Scale::Quick => 15.0,
@@ -49,21 +53,15 @@ pub fn run(scale: Scale) -> String {
         Scale::Smoke => 4,
         Scale::Quick | Scale::Full => 8,
     };
+    let keys: Vec<TestbedKey> = (1..=max_subflows).map(|n| (n, duration)).collect();
     let mut rows = Vec::new();
-    let (p_tcp, g_tcp) = mean_power(1, duration, true);
-    rows.push(vec![
-        "tcp (1 NIC)".to_owned(),
-        "1".to_owned(),
-        format!("{p_tcp:.2}"),
-        crate::mbps(g_tcp),
-    ]);
-    for n in 2..=max_subflows {
-        let (p, g) = mean_power(n, duration, false);
+    for (&(n, _), r) in keys.iter().zip(sims.testbed(&keys)) {
+        let (power, goodput) = *r;
         rows.push(vec![
-            "mptcp (2 NICs)".to_owned(),
+            if n == 1 { "tcp (1 NIC)" } else { "mptcp (2 NICs)" }.to_owned(),
             n.to_string(),
-            format!("{p:.2}"),
-            crate::mbps(g),
+            format!("{power:.2}"),
+            crate::mbps(goodput),
         ]);
     }
     table(&["config", "subflows", "mean power (W)", "goodput (Mb/s)"], &rows)

@@ -5,32 +5,35 @@
 //! Paper shape: OLIA consumes the least average energy, increasingly so at
 //! large N — Pareto-optimality converts into shorter transfers.
 
+use super::Sims;
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_shared_bottleneck, CcChoice, SharedOptions};
+use mptcp_energy::scenarios::{CcChoice, SharedOptions};
 use mptcp_energy::FiveNumber;
 
 /// Runs the Fig. 6 harness.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale, sims: &Sims) -> String {
     let (n_values, transfer): (&[usize], u64) = match scale {
         Scale::Smoke => (&[5], 1024 * 1024),
         Scale::Quick => (&[10, 20], 8 * 1024 * 1024),
         Scale::Full => (&[10, 20, 50, 100], 16 * 1024 * 1024),
     };
-    let mut rows = Vec::new();
-    for &n in n_values {
-        for kind in AlgorithmKind::PAPER_FOUR {
+    let keys: Vec<(CcChoice, SharedOptions)> = n_values
+        .iter()
+        .flat_map(|&n| {
             let opts =
                 SharedOptions { n_users: n, transfer_bytes: transfer, ..SharedOptions::default() };
-            let energies = run_shared_bottleneck(&CcChoice::Base(kind), &opts);
-            let summary = FiveNumber::of(&energies);
-            rows.push(vec![
-                n.to_string(),
-                kind.to_string(),
-                format!("{:.1}", mptcp_energy::mean(&energies)),
-                summary.row(),
-            ]);
-        }
+            AlgorithmKind::PAPER_FOUR.map(|kind| (CcChoice::Base(kind), opts))
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for ((cc, opts), energies) in keys.iter().zip(sims.shared(&keys)) {
+        rows.push(vec![
+            opts.n_users.to_string(),
+            cc.label(),
+            format!("{:.1}", mptcp_energy::mean(&energies)),
+            FiveNumber::of(&energies).row(),
+        ]);
     }
     table(&["N", "algorithm", "mean energy (J)", "box-whisker (J)"], &rows)
 }

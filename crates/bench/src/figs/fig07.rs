@@ -4,19 +4,29 @@
 //! Paper shape: LIA outperforms the other existing algorithms at shifting
 //! traffic in this harsh scenario.
 
+use super::Sims;
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_two_path_bursty, BurstyOptions, CcChoice};
+use mptcp_energy::scenarios::{BurstyOptions, CcChoice};
 
-/// Runs the Fig. 7 harness.
-pub fn run(scale: Scale) -> String {
-    // Energy is measured to *completion* of a fixed transfer, the paper's
-    // Equation-(2) metric E = (M/mean-throughput)·ΣP.
+/// The Fig. 5(b) run Figs. 7–9 share at `scale` (seed 1; Fig. 9 adds
+/// seeds). Energy is measured to *completion* of a fixed transfer, the
+/// paper's Equation-(2) metric E = (M/mean-throughput)·ΣP.
+pub(super) fn bursty_opts(scale: Scale) -> BurstyOptions {
     let (transfer, horizon) = match scale {
         Scale::Smoke => (8_000_000, 120.0),
         Scale::Quick => (60_000_000, 600.0),
         Scale::Full => (400_000_000, 1800.0),
     };
+    BurstyOptions {
+        duration_s: horizon,
+        transfer_bytes: Some(transfer),
+        ..BurstyOptions::default()
+    }
+}
+
+/// Runs the Fig. 7 harness.
+pub fn run(scale: Scale, sims: &Sims) -> String {
     let algorithms = [
         AlgorithmKind::Ewtcp,
         AlgorithmKind::Coupled,
@@ -26,14 +36,9 @@ pub fn run(scale: Scale) -> String {
         AlgorithmKind::EcMtcp,
         AlgorithmKind::WVegas,
     ];
+    let opts = bursty_opts(scale);
     let mut rows = Vec::new();
-    for kind in algorithms {
-        let opts = BurstyOptions {
-            duration_s: horizon,
-            transfer_bytes: Some(transfer),
-            ..BurstyOptions::default()
-        };
-        let r = run_two_path_bursty(&CcChoice::Base(kind), &opts);
+    for r in sims.bursty(&algorithms.map(|kind| (CcChoice::Base(kind), opts))) {
         rows.push(vec![
             r.label.clone(),
             crate::mbps(r.goodput_bps),

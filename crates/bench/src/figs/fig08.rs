@@ -4,9 +4,10 @@
 //! Paper shape: DTS tracks LIA's throughput while drawing less power during
 //! the bad-path episodes.
 
+use super::Sims;
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_two_path_bursty, BurstyOptions, CcChoice, FlowResult};
+use mptcp_energy::scenarios::{CcChoice, FlowResult};
 
 fn downsample(r: &FlowResult, points: usize) -> Vec<(f64, f64, f64)> {
     let n = r.tput_trace.len().min(r.energy.trace.len());
@@ -21,21 +22,12 @@ fn downsample(r: &FlowResult, points: usize) -> Vec<(f64, f64, f64)> {
 }
 
 /// Runs the Fig. 8 harness.
-pub fn run(scale: Scale) -> String {
-    let (transfer, horizon) = match scale {
-        Scale::Smoke => (8_000_000, 120.0),
-        Scale::Quick => (60_000_000, 600.0),
-        Scale::Full => (400_000_000, 1800.0),
-    };
-    let opts = BurstyOptions {
-        duration_s: horizon,
-        transfer_bytes: Some(transfer),
-        ..BurstyOptions::default()
-    };
-    let lia = run_two_path_bursty(&CcChoice::Base(AlgorithmKind::Lia), &opts);
-    let dts = run_two_path_bursty(&CcChoice::dts(), &opts);
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let opts = super::fig07::bursty_opts(scale);
+    let pair = sims.bursty(&[(CcChoice::Base(AlgorithmKind::Lia), opts), (CcChoice::dts(), opts)]);
+    let (lia, dts) = (&pair[0], &pair[1]);
     let points = 12;
-    let (la, da) = (downsample(&lia, points), downsample(&dts, points));
+    let (la, da) = (downsample(lia, points), downsample(dts, points));
     let mut rows = Vec::new();
     for (l, d) in la.iter().zip(&da) {
         rows.push(vec![

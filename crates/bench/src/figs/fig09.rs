@@ -4,29 +4,29 @@
 //! Paper shape: DTS reduces energy by up to 20 % versus LIA without
 //! degrading throughput.
 
+use super::Sims;
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_two_path_bursty, BurstyOptions, CcChoice};
+use mptcp_energy::scenarios::{BurstyOptions, CcChoice};
 
 /// Runs the Fig. 9 harness.
-pub fn run(scale: Scale) -> String {
-    // Energy to move a fixed amount of data (the paper's Equation (2)).
-    let (transfer, horizon, seeds): (u64, f64, &[u64]) = match scale {
-        Scale::Smoke => (8_000_000, 120.0, &[1]),
-        Scale::Quick => (60_000_000, 600.0, &[1, 2, 3]),
-        Scale::Full => (400_000_000, 1800.0, &[1, 2, 3, 4, 5, 6, 7, 8]),
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let seeds: &[u64] = match scale {
+        Scale::Smoke => &[1],
+        Scale::Quick => &[1, 2, 3],
+        Scale::Full => &[1, 2, 3, 4, 5, 6, 7, 8],
     };
+    let keys: Vec<(CcChoice, BurstyOptions)> = seeds
+        .iter()
+        .flat_map(|&seed| {
+            let opts = BurstyOptions { seed, ..super::fig07::bursty_opts(scale) };
+            [(CcChoice::Base(AlgorithmKind::Lia), opts), (CcChoice::dts(), opts)]
+        })
+        .collect();
     let mut rows = Vec::new();
     let mut savings = Vec::new();
-    for &seed in seeds {
-        let opts = BurstyOptions {
-            seed,
-            duration_s: horizon,
-            transfer_bytes: Some(transfer),
-            ..BurstyOptions::default()
-        };
-        let lia = run_two_path_bursty(&CcChoice::Base(AlgorithmKind::Lia), &opts);
-        let dts = run_two_path_bursty(&CcChoice::dts(), &opts);
+    for (&seed, pair) in seeds.iter().zip(sims.bursty(&keys).chunks(2)) {
+        let (lia, dts) = (&pair[0], &pair[1]);
         let saving = 100.0 * (lia.energy.joules - dts.energy.joules) / lia.energy.joules;
         savings.push(saving);
         rows.push(vec![

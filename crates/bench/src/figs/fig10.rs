@@ -5,13 +5,13 @@
 //! energy of the single-path baselines (they finish ≈ 4× sooner on 4 ENIs),
 //! and DTS performs like LIA in this benign datacenter network.
 
-use crate::runner::{run_sweep, SweepCell};
+use super::Sims;
 use crate::{pct_of, table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_ec2, CcChoice, Ec2Options};
+use mptcp_energy::scenarios::{CcChoice, Ec2Options};
 
 /// Runs the Fig. 10 harness.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale, sims: &Sims) -> String {
     let opts = match scale {
         Scale::Smoke => Ec2Options {
             n_hosts: 4,
@@ -38,16 +38,11 @@ pub fn run(scale: Scale) -> String {
         CcChoice::Base(AlgorithmKind::Lia),
         CcChoice::dts(),
     ];
-    let cells: Vec<SweepCell<_>> = choices
-        .into_iter()
-        .map(|cc| SweepCell::new(cc.label(), opts.seed, move || run_ec2(&cc, &opts)))
-        .collect();
-    let results = run_sweep(cells);
+    let results = sims.ec2(&choices.map(|cc| (cc, opts)));
     // The single-path TCP row is the savings baseline (first cell).
-    let tcp_energy = results.first().map_or(0.0, |r| r.output.total_energy_j);
+    let tcp_energy = results.first().map_or(0.0, |r| r.total_energy_j);
     let mut rows = Vec::new();
     for r in &results {
-        let r = &r.output;
         rows.push(vec![
             r.label.clone(),
             format!("{:.0}", r.total_energy_j),

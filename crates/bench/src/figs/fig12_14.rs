@@ -8,12 +8,13 @@
 //!
 //! "Energy overhead" is reported as joules per gigabit delivered.
 
+use super::sims::{DcKey, Sims};
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_datacenter, CcChoice, DcKind, DcOptions};
+use mptcp_energy::scenarios::{CcChoice, DcKind, DcOptions};
 
 /// Runs the Figs. 12–14 harness.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale, sims: &Sims) -> String {
     let (fabrics, subflows, duration): (Vec<DcKind>, &[usize], f64) = match scale {
         Scale::Smoke => (
             vec![DcKind::BCube { n: 4, k: 1 }, DcKind::FatTree { k: 4 }, DcKind::Vl2 { scale: 8 }],
@@ -31,19 +32,25 @@ pub fn run(scale: Scale) -> String {
             20.0,
         ),
     };
+    let keys: Vec<DcKey> = fabrics
+        .iter()
+        .flat_map(|&fabric| {
+            subflows.iter().map(move |&n| {
+                let opts =
+                    DcOptions { n_subflows: n, duration_s: duration, ..DcOptions::default() };
+                (fabric, CcChoice::Base(AlgorithmKind::Lia), opts)
+            })
+        })
+        .collect();
     let mut rows = Vec::new();
-    for fabric in &fabrics {
-        for &n in subflows {
-            let opts = DcOptions { n_subflows: n, duration_s: duration, ..DcOptions::default() };
-            let r = run_datacenter(*fabric, &CcChoice::Base(AlgorithmKind::Lia), &opts);
-            rows.push(vec![
-                fabric.name().to_owned(),
-                n.to_string(),
-                format!("{:.1}", r.joules_per_gbit),
-                crate::mbps(r.aggregate_goodput_bps),
-                format!("{:.0}", r.total_energy_j),
-            ]);
-        }
+    for ((fabric, _, opts), r) in keys.iter().zip(sims.datacenter(&keys)) {
+        rows.push(vec![
+            fabric.name().to_owned(),
+            opts.n_subflows.to_string(),
+            format!("{:.1}", r.joules_per_gbit),
+            crate::mbps(r.aggregate_goodput_bps),
+            format!("{:.0}", r.total_energy_j),
+        ]);
     }
     table(&["fabric", "subflows", "J/Gbit", "agg goodput (Mb/s)", "energy (J)"], &rows)
 }

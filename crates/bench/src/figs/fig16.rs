@@ -3,33 +3,20 @@
 //! Paper shape: the new algorithm gets as good utilization as LIA in both
 //! fabrics (the energy saving of Fig. 15 is not bought with throughput).
 
-use crate::runner::{run_sweep, SweepCell};
+use super::fig15::{grid, GROUP};
+use super::Sims;
 use crate::{pct_of, table, Scale};
-use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_datacenter, CcChoice, DcOptions};
+use mptcp_energy::scenarios::CcChoice;
 
 /// Runs the Fig. 16 harness.
-pub fn run(scale: Scale) -> String {
-    let (fabrics, subflows, duration) = super::fig15::fabric_set(scale);
-    let choices = [CcChoice::Base(AlgorithmKind::Lia), CcChoice::dts(), CcChoice::dts_phi()];
-    let opts = DcOptions { n_subflows: subflows, duration_s: duration, ..DcOptions::default() };
-    let cells: Vec<SweepCell<_>> = fabrics
-        .iter()
-        .flat_map(|&fabric| {
-            choices.into_iter().map(move |cc| {
-                SweepCell::new(format!("{}/{}", fabric.name(), cc.label()), opts.seed, move || {
-                    (fabric, run_datacenter(fabric, &cc, &opts))
-                })
-            })
-        })
-        .collect();
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let keys = grid(scale, CcChoice::dts_phi());
     let mut rows = Vec::new();
-    for group in run_sweep(cells).chunks(choices.len()) {
+    for (keys, group) in keys.chunks(GROUP).zip(sims.datacenter(&keys).chunks(GROUP)) {
         // Each fabric's LIA row is the utilization baseline; a starved LIA
         // cell renders "-" rather than dividing by zero.
-        let lia_tput = group.first().map_or(0.0, |r| r.output.1.aggregate_goodput_bps);
-        for r in group {
-            let (fabric, r) = &r.output;
+        let lia_tput = group[0].aggregate_goodput_bps;
+        for ((fabric, ..), r) in keys.iter().zip(group) {
             rows.push(vec![
                 fabric.name().to_owned(),
                 r.label.clone(),

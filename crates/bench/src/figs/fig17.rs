@@ -5,13 +5,13 @@
 //! compensative parameter contributing; DTS trades some throughput for that
 //! saving.
 
-use crate::runner::{run_sweep, SweepCell};
+use super::Sims;
 use crate::{pct_of, table, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{run_wireless, CcChoice, WirelessOptions};
+use mptcp_energy::scenarios::{CcChoice, WirelessOptions};
 
 /// Runs the Fig. 17 harness.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale, sims: &Sims) -> String {
     let (duration, seeds): (f64, &[u64]) = match scale {
         Scale::Smoke => (20.0, &[1]),
         Scale::Quick => (100.0, &[1, 2]),
@@ -23,33 +23,25 @@ pub fn run(scale: Scale) -> String {
     let wireless_phi = mptcp_energy::DtsPhiConfig { kappa: 2e-3, ..Default::default() };
     let choices =
         [CcChoice::Base(AlgorithmKind::Lia), CcChoice::dts(), CcChoice::DtsPhi(wireless_phi)];
-    let cells: Vec<SweepCell<_>> = seeds
+    let keys: Vec<(CcChoice, WirelessOptions)> = seeds
         .iter()
         .flat_map(|&seed| {
-            choices.into_iter().map(move |cc| {
-                SweepCell::new(format!("{}/{}", seed, cc.label()), seed, move || {
-                    let opts = WirelessOptions {
-                        seed,
-                        duration_s: duration,
-                        ..WirelessOptions::default()
-                    };
-                    run_wireless(&cc, &opts)
-                })
-            })
+            let opts = WirelessOptions { seed, duration_s: duration, ..WirelessOptions::default() };
+            choices.map(|cc| (cc, opts))
         })
         .collect();
     let mut rows = Vec::new();
-    for group in run_sweep(cells).chunks(choices.len()) {
+    for (&seed, group) in seeds.iter().zip(sims.wireless(&keys).chunks(choices.len())) {
         // Each seed's LIA row is the savings baseline; a starved LIA cell
         // (wireless loss can kill a subflow) renders "-" instead of NaN.
-        let lia_energy = group.first().map_or(0.0, |r| r.output.energy.joules);
+        let lia_energy = group[0].energy.joules;
         for r in group {
             rows.push(vec![
-                r.seed.to_string(),
-                r.output.label.clone(),
-                format!("{:.1}", r.output.energy.joules),
-                pct_of(lia_energy - r.output.energy.joules, lia_energy, 1),
-                crate::mbps(r.output.goodput_bps),
+                seed.to_string(),
+                r.label.clone(),
+                format!("{:.1}", r.energy.joules),
+                pct_of(lia_energy - r.energy.joules, lia_energy, 1),
+                crate::mbps(r.goodput_bps),
             ]);
         }
     }

@@ -13,20 +13,25 @@ pub mod fig12_14;
 pub mod fig15;
 pub mod fig16;
 pub mod fig17;
+pub mod sims;
+
+pub use sims::Sims;
 
 use crate::fabric::{FabricCell, Fingerprint};
 use crate::Scale;
+use std::sync::Arc;
 
 /// A figure harness entry point: module name (the `--only` key), report
-/// label, runner.
-type FigRunner = (&'static str, &'static str, fn(Scale) -> String);
+/// label, runner. A runner takes its simulations from the plan's [`Sims`];
+/// Figs. 2–4 are closed-form and ignore it.
+type FigRunner = (&'static str, &'static str, fn(Scale, &Sims) -> String);
 
 /// Every figure harness, in report order.
 const FIGS: &[FigRunner] = &[
     ("fig01", "Fig 1", fig01::run),
-    ("fig02", "Fig 2", fig02::run),
-    ("fig03", "Fig 3", fig03::run),
-    ("fig04", "Fig 4", fig04::run),
+    ("fig02", "Fig 2", |scale, _| fig02::run(scale)),
+    ("fig03", "Fig 3", |scale, _| fig03::run(scale)),
+    ("fig04", "Fig 4", |scale, _| fig04::run(scale)),
     ("fig06", "Fig 6", fig06::run),
     ("fig07", "Fig 7", fig07::run),
     ("fig08", "Fig 8", fig08::run),
@@ -38,39 +43,60 @@ const FIGS: &[FigRunner] = &[
     ("fig17", "Fig 17", fig17::run),
 ];
 
-fn fig_cell(scale: Scale, &(_, name, f): &FigRunner) -> FabricCell<String> {
-    FabricCell::new(name, 0, move || f(scale))
-        .config(Fingerprint::new().str("figs").str(scale.name()).str(name))
-}
-
-/// The same harnesses as independent fabric cells (label = figure name,
-/// output = the rendered section), for the crash-safe `figures_all` sweep:
-/// each completed figure is journaled, a killed run resumes without
-/// regenerating finished figures, and a panicking figure is quarantined
-/// instead of sinking the whole report. The scale is part of each cell's
-/// config fingerprint, so a journal written at one scale refuses to resume
-/// a sweep at another.
-pub fn fig_cells(scale: Scale) -> Vec<FabricCell<String>> {
-    FIGS.iter().map(|fig| fig_cell(scale, fig)).collect()
-}
-
-/// [`fig_cells`] restricted to a comma-separated list of module names
-/// (`fig06,fig12_14`), in report order whatever order the list is in.
+/// The harnesses as independent fabric cells (label = figure name, output =
+/// the rendered section), for the crash-safe `figures_all` sweep: each
+/// completed figure is journaled, a killed run resumes without regenerating
+/// finished figures, and a panicking figure is quarantined instead of
+/// sinking the whole report. The scale is part of each cell's config
+/// fingerprint, so a journal written at one scale refuses to resume a sweep
+/// at another. The cells are one plan: they share `sims`, so a simulation
+/// two figures need runs once, whichever asks first. `only` restricts the
+/// plan to a comma-separated list of module names (`fig06,fig12_14`), in
+/// report order whatever order the list is in.
 ///
 /// # Errors
 ///
 /// On a name that is not a figure module; the message lists the names.
-pub fn fig_cells_only(scale: Scale, only: &str) -> Result<Vec<FabricCell<String>>, String> {
-    let wanted: Vec<&str> = only.split(',').collect();
-    if let Some(bad) = wanted.iter().find(|w| !FIGS.iter().any(|(key, ..)| key == *w)) {
+pub fn fig_cells_with(
+    scale: Scale,
+    only: Option<&str>,
+    sims: &Arc<Sims>,
+) -> Result<Vec<FabricCell<String>>, String> {
+    let wanted: Option<Vec<&str>> = only.map(|list| list.split(',').collect());
+    if let Some(bad) = wanted.iter().flatten().find(|w| !FIGS.iter().any(|(key, ..)| key == *w)) {
         let known: Vec<&str> = FIGS.iter().map(|&(key, ..)| key).collect();
         return Err(format!("--only: unknown figure {bad:?} (known: {})", known.join(", ")));
     }
     Ok(FIGS
         .iter()
-        .filter(|(key, ..)| wanted.contains(key))
-        .map(|fig| fig_cell(scale, fig))
+        .filter(|(key, ..)| wanted.as_ref().is_none_or(|w| w.contains(key)))
+        .map(|&(_, name, f)| {
+            let sims = Arc::clone(sims);
+            FabricCell::new(name, 0, move || f(scale, &sims))
+                .config(Fingerprint::new().str("figs").str(scale.name()).str(name))
+        })
         .collect())
+}
+
+/// A plan's own store, its simulations fanned out over
+/// [`crate::runner::default_jobs`] workers.
+fn own_sims() -> Arc<Sims> {
+    Arc::new(Sims::new(crate::runner::default_jobs()))
+}
+
+/// Every figure as one plan ([`fig_cells_with`]) with a store of its own.
+pub fn fig_cells(scale: Scale) -> Vec<FabricCell<String>> {
+    // simlint: allow(P001, invariant: only a name in an --only list is rejected and there is no list)
+    fig_cells_with(scale, None, &own_sims()).expect("no selection to reject")
+}
+
+/// [`fig_cells`] restricted to a comma-separated list of module names.
+///
+/// # Errors
+///
+/// On a name that is not a figure module; the message lists the names.
+pub fn fig_cells_only(scale: Scale, only: &str) -> Result<Vec<FabricCell<String>>, String> {
+    fig_cells_with(scale, Some(only), &own_sims())
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! # bench-harness — figure regeneration harnesses
 //!
 //! One module per figure of the paper's evaluation. Every module exposes
-//! `run(scale) -> String` returning the printed table; `figures_all`
-//! (optionally `--only fig06,fig09`) is the one binary in front of them.
+//! `run` returning the printed table — it lists the simulations it needs
+//! and [`figs::Sims`], the plan's store, runs each once however many
+//! figures ask; `figures_all` (optionally `--only fig06,fig09`) is the one
+//! binary in front of them.
 //!
 //! Scales:
 //! * [`Scale::Smoke`] — seconds; CI and the repo benchmark.
