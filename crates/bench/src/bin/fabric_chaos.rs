@@ -22,7 +22,9 @@
 //!   before any cell is trusted.
 //!
 //! Exits 0 with `fabric_chaos: N drills passed` when every drill holds,
-//! 1 with per-drill diagnostics otherwise. CI's `dist-fabric` job runs
+//! 1 with per-drill diagnostics otherwise. Each drill spools under
+//! `$TMPDIR/fabric-chaos-<pid>/<drill>/`; the root is removed when every
+//! drill passes and named once when one fails. CI's `dist-fabric` job runs
 //! this after the byte-identity check on a real 3-worker sweep.
 //!
 //! When spawned with `--dist-worker …`, this binary is one of its own
@@ -247,6 +249,10 @@ fn main() {
         }
     };
 
+    // Every drill gets its own spool under one root this binary owns — an
+    // operator-given spool the supervisor never touches — so a clean battery
+    // leaves nothing behind and a failed one names its evidence once.
+    let root = std::env::temp_dir().join(format!("fabric-chaos-{}", std::process::id()));
     let mut failed = 0usize;
     for drill in DRILLS {
         match drill.spec {
@@ -254,7 +260,8 @@ fn main() {
             None => std::env::remove_var("SWEEP_DIST_CHAOS"),
         }
         eprintln!("fabric_chaos: drill {} ({})", drill.name, drill.spec.unwrap_or("no chaos"));
-        let report = match run_dist(demo::walk_cells(), &fabric_opts(), &dist_opts(None)) {
+        let dist = DistOptions { spool: Some(root.join(drill.name)), ..dist_opts(None) };
+        let report = match run_dist(demo::walk_cells(), &fabric_opts(), &dist) {
             Ok(report) => report,
             Err(e) => {
                 eprintln!("fabric_chaos: drill {} errored: {e}", drill.name);
@@ -299,8 +306,10 @@ fn main() {
 
     if failed > 0 {
         eprintln!("fabric_chaos: {failed} of {} drills FAILED", DRILLS.len());
+        eprintln!("fabric_chaos: spools kept for post-mortem: {}", root.display());
         std::process::exit(1);
     }
+    let _ = std::fs::remove_dir_all(&root);
     println!("fabric_chaos: {} drills passed", DRILLS.len());
 }
 

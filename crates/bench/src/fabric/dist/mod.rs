@@ -62,6 +62,8 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wire::{RequestCell, RequestHeader, ResponseExpect, ResponseFault, PROTOCOL_VERSION};
 
@@ -96,7 +98,9 @@ pub struct DistOptions {
     pub heartbeat: Duration,
     /// Silence longer than this revokes the lease as a heartbeat lapse.
     pub heartbeat_timeout: Duration,
-    /// Supervisor poll interval.
+    /// The longest the supervisor waits before re-reading the spool
+    /// (streamed lines, heartbeats, lapse and stall). A worker's exit and a
+    /// due re-dispatch wake it sooner.
     pub poll: Duration,
     /// Re-dispatch budget per shard; once spent, the shard's remaining
     /// cells quarantine with [`FailCause::Worker`].
@@ -208,9 +212,17 @@ enum State {
     /// Revoked; re-dispatch scheduled after bounded backoff.
     AwaitingRedispatch { at_ms: u64 },
     /// A worker — this supervisor's child — owns the shard.
-    Leased { lease: Lease, child: Child },
+    Leased { lease: Lease, worker: Worker },
     /// Finished: completed, or quarantined after the budget was spent.
     Settled,
+}
+
+/// A leased shard's child process and the thread that reports its exit.
+struct Worker {
+    child: Child,
+    /// Drains the child's stdout to EOF, then sends `(shard, gen)` on the
+    /// supervisor's exit channel. Joined where the child is reaped.
+    relay: JoinHandle<()>,
 }
 
 /// The supervisor's audit log (`spool/events.jsonl`).
@@ -243,6 +255,12 @@ struct Supervisor<'a, T> {
     events: EventLog,
     lease_ms: u64,
     hb_timeout_ms: u64,
+    /// Cloned into every relay; held here so the channel never disconnects.
+    exit_tx: Sender<(usize, u64)>,
+    exit_rx: Receiver<(usize, u64)>,
+    /// Exits the relays reported and no reap has consumed yet:
+    /// `(shard, gen)` → the ms the EOF arrived.
+    exits: BTreeMap<(usize, u64), u64>,
 }
 
 fn supervise<T>(
@@ -266,6 +284,7 @@ where
     let _ = std::fs::remove_dir_all(&spool);
     wire::init_spool(&spool, plan.grid_id(), plan.len(), dist.workers, &dist.suite)?;
 
+    let (exit_tx, exit_rx) = mpsc::channel();
     let mut sup = Supervisor {
         grid: plan.grid_id(),
         opts,
@@ -283,6 +302,9 @@ where
         lease_ms: dist.lease.as_millis() as u64,
         hb_timeout_ms: dist.heartbeat_timeout.as_millis() as u64,
         spool,
+        exit_tx,
+        exit_rx,
+        exits: BTreeMap::new(),
     };
 
     let shards = plan.shards(dist.workers)?;
@@ -322,7 +344,7 @@ where
                 State::Settled => State::Settled,
                 State::AwaitingRedispatch { at_ms } if now >= at_ms => sup.dispatch(run)?,
                 s @ State::AwaitingRedispatch { .. } => s,
-                State::Leased { lease, child } => sup.step_lease(run, lease, child, now)?,
+                State::Leased { lease, worker } => sup.step_lease(run, lease, worker, now)?,
             };
             if !matches!(run.state, State::Settled) {
                 active += 1;
@@ -331,7 +353,12 @@ where
         if active == 0 {
             break;
         }
-        std::thread::sleep(dist.poll);
+        // A worker's exit ends the wait early (its relay's EOF); a due
+        // re-dispatch bounds it; `poll` is the backstop for what only the
+        // spool shows — streamed lines, heartbeats, lapse and stall.
+        let now = sup.now_ms();
+        let wait = next_wait(now, dist.poll, runs.iter().filter_map(|run| sup.due_ms(run, now)));
+        sup.await_exits(wait);
     }
 
     let revoked = runs.iter().any(|run| !run.causes.is_empty());
@@ -360,6 +387,54 @@ where
         self.events.t0.elapsed().as_millis() as u64
     }
 
+    /// When `run` next needs a step no relay will announce: its re-dispatch,
+    /// or a recheck of an exit whose EOF arrived before `try_wait` could see
+    /// it. The two race by microseconds, so the recheck backs off — 1, 2,
+    /// 4 … ms after the EOF — until `poll` caps it.
+    fn due_ms(&self, run: &ShardRun<'_>, now: u64) -> Option<u64> {
+        match run.state {
+            State::AwaitingRedispatch { at_ms } => Some(at_ms),
+            State::Leased { .. } => {
+                let eof = self.exits.get(&(run.shard, run.gen))?;
+                Some(now + now.saturating_sub(*eof).max(1))
+            }
+            State::Settled => None,
+        }
+    }
+
+    /// Blocks up to `wait` for a relay to report a worker's exit, then takes
+    /// every report already queued. False if the wait ran out.
+    fn await_exits(&mut self, wait: Duration) -> bool {
+        let Ok(first) = self.exit_rx.recv_timeout(wait) else {
+            return false;
+        };
+        let now = self.now_ms();
+        self.exits.insert(first, now);
+        self.exits.extend(self.exit_rx.try_iter().map(|key| (key, now)));
+        true
+    }
+
+    /// Reaps `run`'s worker — killed first when its lease is revoked — and
+    /// joins its relay. The relay's EOF follows the exit at once unless a
+    /// process the worker left behind still holds its stdout; that relay
+    /// gets one `poll` and is then left to finish on its own, so a leaked
+    /// grandchild cannot wedge the sweep.
+    fn reap(&mut self, run: &ShardRun<'_>, mut worker: Worker, kill: bool) {
+        if kill {
+            let _ = worker.child.kill();
+        }
+        let _ = worker.child.wait();
+        let key = (run.shard, run.gen);
+        let give_up = Instant::now() + self.dist.poll;
+        while !self.exits.contains_key(&key) {
+            if !self.await_exits(give_up.saturating_duration_since(Instant::now())) {
+                return;
+            }
+        }
+        self.exits.remove(&key);
+        let _ = worker.relay.join();
+    }
+
     /// Publishes the request for `run`'s current generation and spawns the
     /// worker that serves it.
     fn dispatch(&mut self, run: &ShardRun<'_>) -> Result<State, String> {
@@ -383,7 +458,9 @@ where
             .collect();
         wire::write_request(&self.spool, &header, &req_cells)?;
         let worker_id = format!("w{}-g{}", run.shard, run.gen);
-        let child = spawn_worker(&self.dist.spawn, &self.spool, run.shard, run.gen, &worker_id)?;
+        let exits = self.exit_tx.clone();
+        let worker =
+            spawn_worker(&self.dist.spawn, &self.spool, run.shard, run.gen, &worker_id, exits)?;
         self.counters.workers_spawned += 1;
         self.counters.leases_granted += 1;
         self.events.emit(&DistEvent::LeaseGranted {
@@ -394,7 +471,7 @@ where
         });
         Ok(State::Leased {
             lease: Lease::grant(run.shard, run.gen, worker_id, self.now_ms(), self.lease_ms),
-            child,
+            worker,
         })
     }
 
@@ -427,13 +504,13 @@ where
         &mut self,
         run: &mut ShardRun<'_>,
         mut lease: Lease,
-        mut child: Child,
+        mut worker: Worker,
         now: u64,
     ) -> Result<State, String> {
         let resp_path = wire::response_path(&self.spool, run.shard, run.gen);
         let expect = ResponseExpect { grid: self.grid, shard: run.shard, gen: run.gen };
         let mut text = std::fs::read_to_string(&resp_path).unwrap_or_default();
-        let exited = child.try_wait().ok().flatten();
+        let exited = worker.child.try_wait().ok().flatten();
         if exited.is_some() {
             // The exit can race our read of the final footer flush —
             // re-read so a clean finish is never misread as a crash.
@@ -450,7 +527,7 @@ where
         lease.observe_progress(parsed.done.len() + parsed.failed.len(), now, self.lease_ms);
         if let Err(detail) = harvested {
             self.counters.invalid_responses += 1;
-            return self.revoke(run, child, "invalid_response", detail, now);
+            return self.revoke(run, worker, "invalid_response", detail, now);
         }
         if let Some(fault) = &parsed.fault {
             match fault {
@@ -458,11 +535,11 @@ where
                 ResponseFault::Invalid(_) => self.counters.invalid_responses += 1,
             }
             let detail = fault.detail().to_owned();
-            return self.revoke(run, child, fault.as_str(), detail, now);
+            return self.revoke(run, worker, fault.as_str(), detail, now);
         }
         if parsed.complete {
             if run.pending.is_empty() {
-                let _ = child.wait();
+                self.reap(run, worker, false);
                 self.events.emit(&DistEvent::ResponseAccepted {
                     shard: run.shard,
                     gen: run.gen,
@@ -473,12 +550,12 @@ where
             }
             self.counters.invalid_responses += 1;
             let detail = format!("complete response left {} cell(s) unanswered", run.pending.len());
-            return self.revoke(run, child, "invalid_response", detail, now);
+            return self.revoke(run, worker, "invalid_response", detail, now);
         }
         if let Some(status) = exited {
             self.counters.worker_crashes += 1;
             let detail = format!("worker exited ({status}) with an incomplete response");
-            return self.revoke(run, child, "crash", detail, now);
+            return self.revoke(run, worker, "crash", detail, now);
         }
         if let Some(cause) = lease.assess(now, self.hb_timeout_ms) {
             let detail = match cause {
@@ -497,9 +574,9 @@ where
                     format!("no heartbeat for over {} ms", self.hb_timeout_ms)
                 }
             };
-            return self.revoke(run, child, cause.as_str(), detail, now);
+            return self.revoke(run, worker, cause.as_str(), detail, now);
         }
-        Ok(State::Leased { lease, child })
+        Ok(State::Leased { lease, worker })
     }
 
     /// Consumes new response lines past the harvest cursors. First valid
@@ -557,13 +634,12 @@ where
     fn revoke(
         &mut self,
         run: &mut ShardRun<'_>,
-        mut child: Child,
+        worker: Worker,
         reason: &'static str,
         detail: String,
         now: u64,
     ) -> Result<State, String> {
-        let _ = child.kill();
-        let _ = child.wait();
+        self.reap(run, worker, true);
         // The late-response baseline is the file's on-disk length *after*
         // the worker is dead — a line it flushed between our last read and
         // the kill was written before the watch began, not after it.
@@ -618,14 +694,26 @@ where
     }
 }
 
-/// Spawns one worker process for `(shard, gen)`.
+/// How long the supervisor may block: until the earliest of `due_ms`, and
+/// never longer than `poll`. Worker exits need no entry — a relay's EOF
+/// ends the wait on its own.
+fn next_wait(now_ms: u64, poll: Duration, due_ms: impl IntoIterator<Item = u64>) -> Duration {
+    due_ms
+        .into_iter()
+        .map(|due| Duration::from_millis(due.saturating_sub(now_ms)))
+        .fold(poll, Duration::min)
+}
+
+/// Spawns one worker process for `(shard, gen)` and the relay that sends
+/// `(shard, gen)` on `exits` once it is gone.
 fn spawn_worker(
     mode: &SpawnMode,
     spool: &Path,
     shard: usize,
     gen: u64,
     worker_id: &str,
-) -> Result<Child, String> {
+    exits: Sender<(usize, u64)>,
+) -> Result<Worker, String> {
     let mut cmd = match mode {
         SpawnMode::SelfExec => {
             let exe = std::env::current_exe()
@@ -649,10 +737,27 @@ fn spawn_worker(
         .arg(gen.to_string())
         .arg("--dist-id")
         .arg(worker_id)
-        // Workers write results to the spool and diagnostics to stderr;
-        // stdout stays clean for the supervisor's own table.
-        .stdout(Stdio::null());
-    cmd.spawn().map_err(|e| format!("cannot spawn worker {worker_id}: {e}"))
+        // Workers write results to the spool and diagnostics to stderr, and
+        // nothing to stdout: it is a pipe whose EOF tells the supervisor the
+        // worker is gone — finished, crashed or killed.
+        .stdout(Stdio::piped());
+    let mut child = cmd.spawn().map_err(|e| format!("cannot spawn worker {worker_id}: {e}"))?;
+    let stdout = child.stdout.take();
+    let relay =
+        std::thread::Builder::new().name(format!("dist-relay-{worker_id}")).spawn(move || {
+            if let Some(mut out) = stdout {
+                let _ = std::io::copy(&mut out, &mut std::io::sink());
+            }
+            let _ = exits.send((shard, gen));
+        });
+    match relay {
+        Ok(relay) => Ok(Worker { child, relay }),
+        Err(e) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            Err(format!("cannot start the exit relay of worker {worker_id}: {e}"))
+        }
+    }
 }
 
 /// The supervisor's own argv minus the orchestration flags: what a
@@ -698,6 +803,18 @@ mod tests {
         // A trailing orchestration flag with no value is still stripped.
         let kept = passthrough_args(["--full", "--workers"].iter().map(|s| (*s).to_owned()));
         assert_eq!(kept, vec!["--full".to_owned()]);
+    }
+
+    #[test]
+    fn the_wait_runs_to_the_earliest_due_and_never_past_poll() {
+        let poll = Duration::from_millis(25);
+        assert_eq!(next_wait(100, poll, []), poll, "nothing due: the backstop");
+        assert_eq!(next_wait(100, poll, [103]), Duration::from_millis(3));
+        assert_eq!(next_wait(100, poll, [140, 103, 110]), Duration::from_millis(3));
+        assert_eq!(next_wait(100, poll, [100]), Duration::ZERO, "due now");
+        assert_eq!(next_wait(100, poll, [40, 103]), Duration::ZERO, "overdue");
+        assert_eq!(next_wait(100, poll, [10_000]), poll, "never more than poll");
+        assert_eq!(next_wait(0, Duration::ZERO, [5]), Duration::ZERO);
     }
 
     #[test]

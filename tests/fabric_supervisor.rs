@@ -13,7 +13,7 @@
 
 use bench_harness::fabric::dist::wire::{self, PROTOCOL_VERSION};
 use bench_harness::fabric::journal::encode_payload;
-use bench_harness::fabric::retry::AttemptStats;
+use bench_harness::fabric::retry::{AttemptStats, FailCause};
 use bench_harness::fabric::{
     run_dist, run_fabric, DistOptions, FabricCell, FabricOptions, Fingerprint, RetryPolicy,
     ShardPlan, SpawnMode,
@@ -176,5 +176,98 @@ fn lapsed_lease_is_harvested_redispatched_and_its_late_response_counted() {
     assert_eq!(d.duplicate_cells, 0);
     let c = &report.counters;
     assert_eq!((c.retries, c.panics), (1, 1), "a worker-side panic counts as an in-process one");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Options for the two wake-up drills: a 10 s poll, so a run that returns
+/// in well under that was woken by its workers' exits and its due
+/// re-dispatches, not by the clock.
+fn slow_poll(root: &Path, script: &str) -> (FabricOptions, DistOptions) {
+    let opts = FabricOptions {
+        jobs: 1,
+        journal: None,
+        deadline: None,
+        retry: RetryPolicy {
+            max_attempts: 1,
+            base_backoff: Duration::from_millis(20),
+            max_backoff: Duration::from_millis(20),
+        },
+        artifacts: None,
+    };
+    let mut dist = DistOptions::new("supervisor-test");
+    dist.workers = 2;
+    dist.spool = Some(root.to_path_buf());
+    dist.spawn =
+        SpawnMode::Command(["sh", "-c", script, "inert"].iter().map(|s| (*s).to_owned()).collect());
+    dist.poll = Duration::from_secs(10);
+    (opts, dist)
+}
+
+/// Both shards are served whole by the test; each inert child exits once
+/// its footer lands, and that exit — not the 10 s poll — is what lets the
+/// supervisor harvest it.
+#[test]
+fn a_worker_exit_wakes_the_supervisor_before_its_poll() {
+    let clean = AttemptStats { attempts: 1, ..AttemptStats::default() };
+    let plan = ShardPlan::new((0..4u64).map(|i| (format!("sup-{i}"), i, fingerprint(i)))).unwrap();
+    let grid = plan.grid_id();
+    let root = std::env::temp_dir().join(format!("fabric-supervisor-exit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let spool = root.join(format!("grid-{grid:016x}"));
+    let (opts, dist) = slow_poll(&root, INERT);
+
+    let start = Instant::now();
+    let sup = {
+        let (opts, dist) = (opts.clone(), dist.clone());
+        std::thread::spawn(move || run_dist(cells(), &opts, &dist))
+    };
+    for shard in 0..2 {
+        wait_for(&wire::request_path(&spool, shard, 0));
+        let (_, req) = wire::read_request(&wire::request_path(&spool, shard, 0)).unwrap();
+        let id = format!("w{shard}-g0");
+        let mut resp =
+            wire::ResponseWriter::create(&spool, shard, 0, grid, &id, PROTOCOL_VERSION).unwrap();
+        for c in &req {
+            resp.record_done(c.id, &c.label, c.seed, clean, &encode_payload(&output(c.seed)))
+                .unwrap();
+        }
+        resp.finish().unwrap();
+    }
+    let report = sup.join().unwrap().expect("supervised run succeeds");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "waited out the poll: {took:?}");
+
+    let serial = run_fabric(cells(), &opts).unwrap();
+    let dist_rows: Vec<_> = report.results().map(|r| (r.label.clone(), r.seed, r.output)).collect();
+    let serial_rows: Vec<_> =
+        serial.results().map(|r| (r.label.clone(), r.seed, r.output)).collect();
+    assert_eq!(dist_rows, serial_rows, "the supervised merge must equal the serial run");
+    assert_eq!(report.counters.dist.workers_spawned, 2);
+    assert_eq!(report.counters.dist.redispatches, 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every generation's child exits at once with no response: three crashes,
+/// each noticed at its exit, and two re-dispatches, each sent when its 20 ms
+/// backoff is due; then the budget is spent and the shard's cell is
+/// quarantined as a worker failure. One cell over two workers: one shard.
+#[test]
+fn crashes_and_due_redispatches_wake_the_supervisor_before_its_poll() {
+    let root = std::env::temp_dir().join(format!("fabric-supervisor-crash-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (opts, mut dist) = slow_poll(&root, "exit 3");
+    dist.max_redispatch = 2;
+
+    let start = Instant::now();
+    let one: Vec<_> = cells().into_iter().take(1).collect();
+    let report = run_dist(one, &opts, &dist).expect("crashes are contained, not returned");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "waited out the poll: {took:?}");
+
+    let d = &report.counters.dist;
+    assert_eq!((d.shards, d.worker_crashes, d.redispatches), (1, 3, 2));
+    let quarantined: Vec<_> = report.quarantined().collect();
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!((quarantined[0].cause, quarantined[0].attempts), (FailCause::Worker, 3));
     let _ = std::fs::remove_dir_all(&root);
 }
