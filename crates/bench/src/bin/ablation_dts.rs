@@ -8,14 +8,14 @@
 //! 8 MB) and, for `c`, the fluid-model friendliness ratio.
 //!
 //! Pass --smoke/--quick/--full and optionally --jobs N (default: available
-//! parallelism, or the SWEEP_JOBS env var) or --workers N (SWEEP_WORKERS)
-//! for supervised multi-process execution. Every variant is an independent
-//! simulation cell; all three sections form ONE fabric grid, so with
-//! --journal PATH (or SWEEP_JOURNAL) a killed sweep resumes across section
-//! boundaries and the recomputed tables are byte-identical. A panicking or
-//! deadline-blown variant (SWEEP_DEADLINE_S) is retried and, on exhaustion,
-//! quarantined: its row is dropped, the rest of the ablation still prints,
-//! and the process exits 1 with a partial-sweep note on stderr.
+//! parallelism, or the SWEEP_JOBS env var) or --workers N for supervised
+//! multi-process execution. Every variant is an independent simulation
+//! cell; all three sections form ONE fabric grid, so with --journal PATH a
+//! killed sweep resumes across section boundaries and the recomputed tables
+//! are byte-identical. A panicking or deadline-blown variant
+//! (SWEEP_DEADLINE_S) is retried and, on exhaustion, quarantined: its row is
+//! dropped, the rest of the ablation still prints, and the process exits 1
+//! with a partial-sweep note on stderr.
 //!
 //! With `--trace DIR` (or the `SWEEP_TRACE` env var) each cell writes a
 //! JSONL event trace to `DIR/<section>-<label>.jsonl`, summarizable with

@@ -8,9 +8,9 @@
 //! f64 mean, exercising bit-exact float journaling) — the shared
 //! [`bench_harness::fabric::demo`] workload. Knobs, all optional:
 //!
-//! * `--journal PATH` / `SWEEP_JOURNAL` — checkpoint + resume as usual;
-//! * `--workers N` / `SWEEP_WORKERS` — distribute the grid across N worker
-//!   processes (self-exec) through the supervisor;
+//! * `--journal PATH` — checkpoint + resume as usual;
+//! * `--workers N` — distribute the grid across N worker processes
+//!   (self-exec) through the supervisor;
 //! * `FABRIC_SMOKE_SLEEP_MS=N` — each cell sleeps N ms first, so an external
 //!   `timeout -s KILL` reliably lands while the sweep is mid-flight;
 //! * `FABRIC_SMOKE_FAIL=cell-03,cell-07` — the named cells panic on every

@@ -12,18 +12,17 @@
 //! lists them. The selection is made before the grid is planned, so it is
 //! part of the grid digest: a journal written for one selection is refused
 //! by a run with another ("written for grid …"), never half-reused — use a
-//! journal path per selection. With --journal PATH
-//! (or the SWEEP_JOURNAL env var) each completed figure is checkpointed to
-//! an append-only journal: kill the run at any point, rerun the same
-//! command, and only the unfinished figures execute — the final stdout is
-//! byte-identical to an uninterrupted run (CI's `fabric` job pins this).
-//! A panicking or deadline-blown figure is retried with backoff and, on
-//! exhaustion, quarantined: the surviving figures still print and the
+//! journal path per selection. With --journal PATH each completed figure is
+//! checkpointed to an append-only journal: kill the run at any point, rerun
+//! the same command, and only the unfinished figures execute — the final
+//! stdout is byte-identical to an uninterrupted run (CI's `fabric` job pins
+//! this). A panicking or deadline-blown figure is retried with backoff and,
+//! on exhaustion, quarantined: the surviving figures still print and the
 //! process exits 1 with a partial-sweep note on stderr. With --workers N
-//! (or SWEEP_WORKERS) the figures run in N supervised worker processes —
-//! same byte-identical stdout, plus survival of whole worker losses (each
-//! worker holds the store of its own shard's figures; the supervisor
-//! simulates nothing and prints no `sims:` line).
+//! the figures run in N supervised worker processes — same byte-identical
+//! stdout, plus survival of whole worker losses (each worker holds the store
+//! of its own shard's figures; the supervisor simulates nothing and prints
+//! no `sims:` line).
 
 use bench_harness::{figs, Cli};
 use std::sync::Arc;

@@ -6,12 +6,12 @@
 //!
 //! Pass --smoke/--quick/--full (scales N) and optionally --jobs N. Each ψ's
 //! equilibrium solve is an independent cell, fanned out by the crash-safe
-//! sweep fabric: with --journal PATH (or SWEEP_JOURNAL) completed solves
-//! checkpoint to an append-only journal and a killed run resumes where it
-//! left off; a diverging solve can be bounded with SWEEP_DEADLINE_S and is
-//! quarantined instead of sinking the table (exit 1, partial note on
-//! stderr); --workers N (or SWEEP_WORKERS) spreads the solves over
-//! supervised worker processes with identical output.
+//! sweep fabric: with --journal PATH completed solves checkpoint to an
+//! append-only journal and a killed run resumes where it left off; a
+//! diverging solve can be bounded with SWEEP_DEADLINE_S and is quarantined
+//! instead of sinking the table (exit 1, partial note on stderr);
+//! --workers N spreads the solves over supervised worker processes with
+//! identical output.
 //!
 //! With `--trace DIR` (or `SWEEP_TRACE`) the equilibrium results are also
 //! appended to `DIR/fluid_fig6.jsonl` as `{"ev":"fluid_cell",...}` lines —

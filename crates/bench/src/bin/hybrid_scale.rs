@@ -11,11 +11,11 @@
 //!
 //! Runs through the crash-safe sweep fabric: `--journal PATH` checkpoints
 //! each completed cell and resumes after a kill; `--smoke/--quick/--full`
-//! select the scale tier; `--workers N` (or `SWEEP_WORKERS`) distributes
-//! the cells over N worker processes with leases, heartbeats, and
-//! re-dispatch on worker loss. Same seed + same tier → byte-identical
-//! stdout regardless of worker count (all state derives from the simulator
-//! clock and seeded RNG; outputs are journaled bit-exactly).
+//! select the scale tier; `--workers N` distributes the cells over N
+//! worker processes with leases, heartbeats, and re-dispatch on worker
+//! loss. Same seed + same tier → byte-identical stdout regardless of worker
+//! count (all state derives from the simulator clock and seeded RNG;
+//! outputs are journaled bit-exactly).
 
 use bench_harness::fabric::journal::{JournalValue, ValueReader};
 use bench_harness::fabric::{FabricCell, Fingerprint, JournalCodec};
@@ -181,14 +181,14 @@ fn run_cell(seed: u64, t: Tier, cc: &CcChoice) -> CellOut {
     }
 }
 
-fn models() -> Vec<(&'static str, CcChoice)> {
-    vec![
-        ("olia", CcChoice::Base(AlgorithmKind::Olia)),
-        ("lia", CcChoice::Base(AlgorithmKind::Lia)),
-        ("ewtcp", CcChoice::Base(AlgorithmKind::Ewtcp)),
-        ("balia", CcChoice::Base(AlgorithmKind::Balia)),
-        ("dts", CcChoice::dts()),
-        ("dts-phi", CcChoice::dts_phi()),
+fn models() -> [CcChoice; 6] {
+    [
+        CcChoice::Base(AlgorithmKind::Olia),
+        CcChoice::Base(AlgorithmKind::Lia),
+        CcChoice::Base(AlgorithmKind::Ewtcp),
+        CcChoice::Base(AlgorithmKind::Balia),
+        CcChoice::dts(),
+        CcChoice::dts_phi(),
     ]
 }
 
@@ -198,9 +198,9 @@ fn main() {
     let cells: Vec<FabricCell<CellOut>> = models()
         .into_iter()
         .enumerate()
-        .map(|(i, (label, cc))| {
+        .map(|(i, cc)| {
             let seed = 0x5CA1E + i as u64;
-            FabricCell::new(label, seed, move || run_cell(seed, t, &cc)).config(
+            FabricCell::new(cc.label(), seed, move || run_cell(seed, t, &cc)).config(
                 Fingerprint::new()
                     .str("hybrid_scale")
                     .str(cli.scale.name())

@@ -117,7 +117,7 @@ impl<T> FabricCell<T> {
 }
 
 /// Fabric execution knobs. [`FabricOptions::from_cli`] wires the standard
-/// environment/CLI surface (`--journal`/`SWEEP_JOURNAL`, `SWEEP_DEADLINE_S`,
+/// environment/CLI surface (`--journal`, `SWEEP_DEADLINE_S`,
 /// `SWEEP_RETRIES`, `SWEEP_BACKOFF_MS`, `SWEEP_ARTIFACTS`).
 #[derive(Clone, Debug)]
 pub struct FabricOptions {

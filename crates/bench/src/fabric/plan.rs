@@ -200,12 +200,10 @@ impl ShardPlan {
     ///
     /// A zero shard count is a usage error, rejected explicitly — the same
     /// policy as `--jobs 0` in the runner. Silently coercing to one shard
-    /// would hide a broken `--workers`/`SWEEP_WORKERS` computation upstream.
+    /// would hide a broken `--workers` computation upstream.
     pub fn shards(&self, shards: usize) -> Result<Vec<Vec<&PlannedCell>>, String> {
         if shards == 0 {
-            return Err(
-                "shard count must be at least 1 (got 0); check --workers/SWEEP_WORKERS".to_owned()
-            );
+            return Err("shard count must be at least 1 (got 0); check --workers".to_owned());
         }
         let mut out: Vec<Vec<&PlannedCell>> = (0..shards).map(|_| Vec::new()).collect();
         for (i, c) in self.cells.iter().enumerate() {
@@ -311,6 +309,6 @@ mod tests {
         let plan = ShardPlan::new((0..3).map(|i| (format!("c{i}"), i, fp(0)))).unwrap();
         let err = plan.shards(0).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-        assert!(err.contains("SWEEP_WORKERS"), "{err}");
+        assert!(err.ends_with("check --workers"), "{err}");
     }
 }

@@ -77,7 +77,7 @@ pub struct Cli {
     pub journal: Option<std::path::PathBuf>,
     /// `--workers N` if given: the distributed fabric supervises N worker
     /// *processes* (vs `--jobs`, threads inside one process). Binaries fall
-    /// back to `SWEEP_WORKERS`, else single-process execution.
+    /// back to single-process execution.
     pub workers: Option<usize>,
     /// `--spool DIR` if given: the spool directory the distributed fabric
     /// exchanges request/response/heartbeat files through. Defaults to a
@@ -223,21 +223,17 @@ impl Cli {
         self.trace.clone().or_else(|| env_parsed("SWEEP_TRACE", "a directory", |_| true))
     }
 
-    /// The sweep journal path: `--journal` if given, else the
-    /// `SWEEP_JOURNAL` environment variable, else `None` (checkpointing
-    /// disabled; the sweep runs ephemerally).
+    /// The sweep journal path: `--journal` if given, else `None`
+    /// (checkpointing disabled; the sweep runs ephemerally).
     pub fn journal_path(&self) -> Option<std::path::PathBuf> {
-        self.journal.clone().or_else(|| env_parsed("SWEEP_JOURNAL", "a file path", |_| true))
+        self.journal.clone()
     }
 
-    /// The distributed worker-process count: `--workers` if given, else the
-    /// `SWEEP_WORKERS` environment variable, else 1 (single-process; the
-    /// fabric runs in-process and never touches a spool). Unusable env
-    /// values warn and fall back, matching `SWEEP_JOBS` handling.
+    /// The distributed worker-process count: `--workers` if given, else 1
+    /// (single-process; the fabric runs in-process and never touches a
+    /// spool).
     pub fn workers(&self) -> usize {
-        self.workers
-            .or_else(|| env_parsed("SWEEP_WORKERS", "a positive worker count", nonzero))
-            .unwrap_or(1)
+        self.workers.unwrap_or(1)
     }
 
     /// The sweep binaries' front door: runs `cells` as suite `suite` with
@@ -424,8 +420,6 @@ mod tests {
         for bad in ["0", "-3", "lots", ""] {
             env_case::<usize>("SWEEP_JOBS", Some(bad), nonzero, None);
         }
-        env_case("SWEEP_WORKERS", Some("3"), nonzero, Some(3usize));
-        env_case::<usize>("SWEEP_WORKERS", Some("0"), nonzero, None);
         env_case("SWEEP_RETRIES", Some("2"), nonzero, Some(2u32));
         env_case::<u32>("SWEEP_RETRIES", Some("0"), nonzero, None);
         env_case("SWEEP_BACKOFF_MS", Some("0"), |_| true, Some(0u64));
@@ -475,7 +469,7 @@ mod tests {
         let c = parse(&["--workers", "3", "--spool", "out/spool"]).unwrap();
         assert_eq!(c.workers, Some(3));
         assert_eq!(c.spool, Some(std::path::PathBuf::from("out/spool")));
-        assert_eq!(c.workers(), 3, "--workers wins over the SWEEP_WORKERS fallback");
+        assert_eq!(c.workers(), 3, "--workers is the worker count");
         let c = parse(&["--workers=2", "--spool=s"]).unwrap();
         assert_eq!(c.workers, Some(2));
         assert_eq!(c.spool, Some(std::path::PathBuf::from("s")));
@@ -483,6 +477,7 @@ mod tests {
         assert!(parse(&["--workers", "0"]).is_err(), "zero workers is a usage error");
         assert!(parse(&["--workers=0"]).is_err(), "the = form must reject zero too");
         assert_eq!(parse(&[]).unwrap().workers, None);
+        assert_eq!(parse(&[]).unwrap().workers(), 1, "no flag: one in-process run");
     }
 
     #[test]
@@ -515,11 +510,11 @@ mod tests {
     fn cli_parses_journal_path() {
         let c = parse(&["--journal", "out/j.jsonl"]).unwrap();
         assert_eq!(c.journal, Some(std::path::PathBuf::from("out/j.jsonl")));
-        // The --journal flag wins over the SWEEP_JOURNAL env fallback.
+        // The --journal flag is the only spelling of the journal path.
         assert_eq!(c.journal_path(), Some(std::path::PathBuf::from("out/j.jsonl")));
         let c = parse(&["--journal=j", "--smoke"]).unwrap();
         assert_eq!(c.journal, Some(std::path::PathBuf::from("j")));
         assert!(parse(&["--journal"]).is_err());
-        assert_eq!(parse(&[]).unwrap().journal, None);
+        assert_eq!(parse(&[]).unwrap().journal_path(), None);
     }
 }

@@ -1,5 +1,6 @@
 //! Integration drills for the distributed sweep fabric: byte-identity of
-//! the distributed merge, chaos-injected worker loss, the temp spool's
+//! the distributed merge, `--workers`/`--journal` as the only way to ask for
+//! workers or a journal, chaos-injected worker loss, the temp spool's
 //! clean-up, journal resume across a killed supervisor, and
 //! quarantine-artifact naming. (The lease machine itself — heartbeat lapse,
 //! late responses, partial harvest — is drilled by the root package's
@@ -21,7 +22,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn smoke(args: &[&str], envs: &[(&str, &str)]) -> (String, String, Option<i32>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fabric_smoke"));
-    cmd.args(args).env_remove("SWEEP_DIST_CHAOS").env_remove("SWEEP_WORKERS");
+    cmd.args(args).env_remove("SWEEP_DIST_CHAOS");
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -45,6 +46,37 @@ fn dist_merge_is_byte_identical_to_serial() {
         stderr.contains("workers_spawned=3") && stderr.contains("redispatches=0"),
         "expected a clean 3-worker accounting line, got:\n{stderr}"
     );
+}
+
+/// `--workers` and `--journal` are the only spellings of their knobs: the
+/// environment names they once also had must not turn a plain serial run
+/// into a supervised, journaled one.
+#[test]
+fn workers_and_journal_are_flags_only() {
+    let (serial, serial_err, code) = smoke(&[], &[]);
+    assert_eq!(code, Some(0));
+    let dir = temp_dir("flags-only");
+    let tmpdir = dir.join("tmp");
+    std::fs::create_dir(&tmpdir).unwrap();
+    let journal = dir.join("env.jsonl");
+    let (out, stderr, code) = smoke(
+        &[],
+        &[
+            ("SWEEP_WORKERS", "3"),
+            ("SWEEP_JOURNAL", journal.to_str().unwrap()),
+            ("TMPDIR", tmpdir.to_str().unwrap()),
+        ],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(out, serial, "stdout must be the plain serial run's");
+    assert_eq!(stderr, serial_err, "no supervisor, no warning: the serial run's counters only");
+    assert!(!journal.exists(), "no journal without --journal");
+    let spools: Vec<PathBuf> = std::fs::read_dir(&tmpdir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("sweep-spool-"))
+        .collect();
+    assert_eq!(spools, Vec::<PathBuf>::new(), "no spool without --workers");
 }
 
 #[test]

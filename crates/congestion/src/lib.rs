@@ -109,7 +109,6 @@ pub trait MultipathCongestionControl: fmt::Debug + Send {
 
 /// The algorithm families available in this crate, for configuration by name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[non_exhaustive]
 pub enum AlgorithmKind {
     /// Single-path TCP Reno (runs uncoupled per subflow).
     Reno,

@@ -117,10 +117,8 @@ pub fn fluid_model_of(cc: &CcChoice) -> Option<CcModel> {
             AlgorithmKind::Balia => Some(CcModel::loss_based(Psi::Balia)),
             AlgorithmKind::EcMtcp => Some(CcModel::loss_based(Psi::EcMtcp)),
             // DCTCP, wVegas, DWC have no §IV decomposition and stay
-            // packet-level; a new algorithm must pick a side here. The
-            // wildcard exists only because AlgorithmKind is non_exhaustive.
+            // packet-level; a new algorithm must pick a side here.
             AlgorithmKind::Dctcp | AlgorithmKind::WVegas | AlgorithmKind::Dwc => None,
-            _ => None,
         },
         CcChoice::Dts(cfg) => Some(CcModel::dts(*cfg)),
         CcChoice::DtsPhi(cfg) => Some(CcModel::dts_phi(*cfg)),

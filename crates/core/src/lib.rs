@@ -44,7 +44,6 @@ pub mod fluid;
 pub mod hybrid;
 pub mod model;
 pub mod path_select;
-pub mod report;
 pub mod scenarios;
 pub mod stats;
 

@@ -9,12 +9,10 @@
 //! advantages such as throughput increment" — congestion-control-level
 //! energy awareness (DTS) keeps the aggregation benefit instead.
 
-use crate::scenarios::{CcChoice, FlowResult, WirelessOptions};
+use crate::scenarios::{run_wireless_on, CcChoice, FlowResult, WirelessOptions};
 use energy_model::{LteModel, PathLoad, PhoneModel, WifiModel};
-use netsim::{SimDuration, SimTime, Simulator};
-use topology::TwoPath;
-use transport::{attach_flow, FlowConfig, PathSpec};
-use workload::{attach_pareto_cross_traffic, ParetoOnOffConfig};
+use std::borrow::Cow;
+use transport::{FlowSample, SubflowSample};
 
 /// Which paths an energy-aware selector admits.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -83,69 +81,33 @@ pub fn run_wireless_with_policy(
     opts: &WirelessOptions,
     policy: PathPolicy,
 ) -> FlowResult {
-    let mut sim = Simulator::new(opts.seed);
-    let tp = TwoPath::wireless(&mut sim);
-    crate::scenarios::apply_wireless_loss(&mut sim, &tp, opts);
-    let mut cross = ParetoOnOffConfig::paper_fig5b();
-    cross.burst_rate_bps = opts.wifi_cross_bps;
-    attach_pareto_cross_traffic(&mut sim, vec![tp.p1.fwd], cross);
-    cross.burst_rate_bps = opts.lte_cross_bps;
-    attach_pareto_cross_traffic(&mut sim, vec![tp.p2.fwd], cross);
-
     // Offline cost estimate at the nominal link rates, as the MDP/eMPTCP
     // schedulers do.
     let costs = wireless_path_costs(10.0, 20.0);
     let admitted = select_paths(&costs, policy);
-    let all = tp.both();
-    let paths: Vec<PathSpec> = admitted.iter().map(|&i| all[i].clone()).collect();
-    let lte_admitted = admitted.contains(&1);
+    let label = format!("{}+select", cc.label());
+    run_wireless_on(cc, opts, &admitted, label, |samples| match admitted[..] {
+        [path] => Cow::Owned(onto_phone_slots(samples, path)),
+        _ => Cow::Borrowed(samples),
+    })
+}
 
-    let n = paths.len();
-    let flow = attach_flow(
-        &mut sim,
-        FlowConfig::new(0)
-            .rcv_buf_bytes(opts.rcv_buf_bytes)
-            .sample_every(SimDuration::from_millis(50)),
-        cc.build(n),
-        &paths,
-        SimDuration::ZERO,
-    );
-    sim.run_until(SimTime::from_secs_f64(opts.duration_s));
-
-    // Map samples back onto (wifi, lte) interface slots for the phone model.
-    let sender = flow.sender_ref(&sim);
-    let mut samples = sender.samples().to_vec();
-    if n == 1 {
-        let idle = transport::SubflowSample {
-            throughput_bps: 0.0,
-            srtt_s: 0.0,
-            base_rtt_s: 0.0,
-            cwnd_pkts: 0.0,
-            active: false,
-        };
-        for s in &mut samples {
-            if lte_admitted {
-                s.subflows.insert(0, idle); // traffic is on the LTE slot
-            } else {
-                s.subflows.push(idle); // traffic is on the WiFi slot
-            }
-        }
+/// Lays a one-path connection's samples onto the phone's `(wifi, lte)`
+/// interface slots: its one subflow keeps slot `path`, and the other slot
+/// is an idle, closed interface.
+fn onto_phone_slots(samples: &[FlowSample], path: usize) -> Vec<FlowSample> {
+    let idle = SubflowSample {
+        throughput_bps: 0.0,
+        srtt_s: 0.0,
+        base_rtt_s: 0.0,
+        cwnd_pkts: 0.0,
+        active: false,
+    };
+    let mut samples = samples.to_vec();
+    for s in &mut samples {
+        s.subflows.insert(1 - path, idle);
     }
-    let mut model = PhoneModel::nexus5_uplink();
-    let energy = energy_model::energy_of_flow(&mut model, &samples);
-    FlowResult {
-        label: format!("{}+select", cc.label()),
-        goodput_bps: sender.goodput_bps(sim.now()),
-        energy,
-        finish_s: sender.finished_at().map(SimTime::as_secs_f64),
-        rexmits: sender.total_rexmits(),
-        timeouts: sender.total_timeouts(),
-        tput_trace: sender
-            .samples()
-            .iter()
-            .map(|s| (s.at.as_secs_f64(), s.total_throughput_bps()))
-            .collect(),
-    }
+    samples
 }
 
 /// Reference for the marginal-cost helper: make the idle slots explicit.

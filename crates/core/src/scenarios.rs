@@ -16,8 +16,9 @@ use netsim::{LossModel, ReorderModel, SimDuration, SimTime, Simulator};
 use obs::{CounterSnapshot, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use topology::{BCube, Ec2Vpc, FatTree, Hierarchy, LinkParams, SharedBottleneck, TwoPath, Vl2};
-use transport::{attach_flow, FlowConfig, FlowHandle, PathSpec};
+use transport::{attach_flow, FlowConfig, FlowHandle, FlowSample, PathSpec};
 use workload::{
     attach_pareto_cross_traffic, permutation_pairs, short_flow_schedule, ParetoOnOffConfig,
     ShortFlowConfig,
@@ -91,12 +92,23 @@ impl FlowResult {
         label: String,
         model: &mut dyn PowerModel,
     ) -> FlowResult {
+        FlowResult::metered(sim, flow, label, model, flow.sender_ref(sim).samples())
+    }
+
+    /// [`FlowResult::collect`], with the energy integrated over `samples`
+    /// instead of the sender's own series.
+    fn metered(
+        sim: &Simulator,
+        flow: FlowHandle,
+        label: String,
+        model: &mut dyn PowerModel,
+        samples: &[FlowSample],
+    ) -> FlowResult {
         let sender = flow.sender_ref(sim);
-        let energy = energy_of_flow(model, sender.samples());
         FlowResult {
             label,
             goodput_bps: sender.goodput_bps(sim.now()),
-            energy,
+            energy: energy_of_flow(model, samples),
             finish_s: sender.finished_at().map(SimTime::as_secs_f64),
             rexmits: sender.total_rexmits(),
             timeouts: sender.total_timeouts(),
@@ -655,7 +667,7 @@ impl Default for WirelessOptions {
 /// the uplink (data-direction) hops. `LossModel::iid(0.0)` is
 /// `LossModel::None` and all-zero [`ImpairmentKnobs`] are inert, so the
 /// lossless defaults draw nothing from the RNG.
-pub(crate) fn apply_wireless_loss(sim: &mut Simulator, tp: &TwoPath, opts: &WirelessOptions) {
+fn apply_wireless_loss(sim: &mut Simulator, tp: &TwoPath, opts: &WirelessOptions) {
     sim.world_mut().link_mut(tp.p1.fwd).impairment_mut().set_loss(LossModel::iid(opts.wifi_loss));
     sim.world_mut().link_mut(tp.p2.fwd).impairment_mut().set_loss(LossModel::iid(opts.lte_loss));
     opts.wifi_impair.apply(sim, tp.p1.fwd);
@@ -666,6 +678,21 @@ pub(crate) fn apply_wireless_loss(sim: &mut Simulator, tp: &TwoPath, opts: &Wire
 /// 40 ms) + 4G (20 Mb/s, 100 ms) with bursty cross traffic on both links,
 /// energy measured with the phone radio model.
 pub fn run_wireless(cc: &CcChoice, opts: &WirelessOptions) -> FlowResult {
+    run_wireless_on(cc, opts, &[0, 1], cc.label(), |samples| Cow::Borrowed(samples))
+}
+
+/// The Fig. 17 run behind [`run_wireless`] and
+/// [`crate::path_select::run_wireless_with_policy`]: the connection uses
+/// the `admitted` paths (indices into `[wifi, lte]`), and `phone_slots`
+/// lays its samples onto the phone's `(wifi, lte)` interfaces before they
+/// are metered.
+pub(crate) fn run_wireless_on(
+    cc: &CcChoice,
+    opts: &WirelessOptions,
+    admitted: &[usize],
+    label: String,
+    phone_slots: impl FnOnce(&[FlowSample]) -> Cow<'_, [FlowSample]>,
+) -> FlowResult {
     let mut sim = Simulator::new(opts.seed);
     let tp = TwoPath::wireless(&mut sim);
     apply_wireless_loss(&mut sim, &tp, opts);
@@ -674,18 +701,20 @@ pub fn run_wireless(cc: &CcChoice, opts: &WirelessOptions) -> FlowResult {
     attach_pareto_cross_traffic(&mut sim, vec![tp.p1.fwd], cross);
     cross.burst_rate_bps = opts.lte_cross_bps;
     attach_pareto_cross_traffic(&mut sim, vec![tp.p2.fwd], cross);
+    let all = tp.both();
+    let paths: Vec<PathSpec> = admitted.iter().map(|&i| all[i].clone()).collect();
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(0)
             .rcv_buf_bytes(opts.rcv_buf_bytes)
             .sample_every(SimDuration::from_millis(50)),
-        cc.build(2),
-        &tp.both(),
+        cc.build(paths.len()),
+        &paths,
         SimDuration::ZERO,
     );
     sim.run_until(SimTime::from_secs_f64(opts.duration_s));
-    let mut model = PhoneModel::nexus5_uplink();
-    FlowResult::collect(&sim, flow, cc.label(), &mut model)
+    let samples = phone_slots(flow.sender_ref(&sim).samples());
+    FlowResult::metered(&sim, flow, label, &mut PhoneModel::nexus5_uplink(), &samples)
 }
 
 /// Aggregate host-level energy for a machine running `flows` in parallel

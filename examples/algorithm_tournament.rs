@@ -13,20 +13,8 @@
 use mptcp_energy_repro::congestion::AlgorithmKind;
 use mptcp_energy_repro::paper::scenarios::{run_two_path_bursty, BurstyOptions, CcChoice};
 use mptcp_energy_repro::paper::{
-    check_condition1, pareto_efficiency, CcModel, DtsConfig, FlowView, Psi,
+    check_condition1, fluid_model_of, pareto_efficiency, CcModel, DtsConfig, FlowView,
 };
-
-fn psi_of(kind: AlgorithmKind) -> Option<Psi> {
-    match kind {
-        AlgorithmKind::Ewtcp => Some(Psi::Ewtcp),
-        AlgorithmKind::Coupled => Some(Psi::Coupled),
-        AlgorithmKind::Lia => Some(Psi::Lia),
-        AlgorithmKind::Olia => Some(Psi::Olia),
-        AlgorithmKind::Balia => Some(Psi::Balia),
-        AlgorithmKind::EcMtcp => Some(Psi::EcMtcp),
-        _ => None,
-    }
-}
 
 fn main() {
     // Analytical pass: Condition 1 and fluid Pareto efficiency.
@@ -35,8 +23,12 @@ fn main() {
     let view = FlowView { x: &x, rtt: &rtt, base_rtt: &rtt };
     println!("{:<10} {:>18} {:>18}", "algo", "condition 1", "pareto efficiency");
     for kind in AlgorithmKind::ALL {
-        let Some(psi) = psi_of(kind) else { continue };
-        let model = CcModel::loss_based(psi);
+        // Reno's fluid form, ψ = 1, is Reno only on one path; this table
+        // uses two.
+        if kind == AlgorithmKind::Reno {
+            continue;
+        }
+        let Some(model) = fluid_model_of(&CcChoice::Base(kind)) else { continue };
         let friendly = match check_condition1(&model, &view, 1e-6) {
             Ok(()) => "satisfied".to_owned(),
             Err(e) => match e {

@@ -66,11 +66,7 @@ fn main() {
         [CcChoice::Base(AlgorithmKind::Lia), CcChoice::Base(AlgorithmKind::Olia), CcChoice::dts()]
     {
         let (jpg, bps, handoffs) = run(&cc);
-        let label = match &cc {
-            CcChoice::Base(k) => format!("{k:?}").to_lowercase(),
-            _ => "dts".into(),
-        };
-        println!("{:<8} {:>10.1} {:>14.1} {:>9}", label, jpg, bps / 1e6, handoffs);
+        println!("{:<8} {:>10.1} {:>14.1} {:>9}", cc.label(), jpg, bps / 1e6, handoffs);
     }
     println!("\nLong-lived flows advance as Equation-(3) ODEs (cheap at any");
     println!("scale); short transfers stay packet-accurate, and stragglers");

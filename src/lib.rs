@@ -1,13 +1,13 @@
 //! # mptcp-energy-repro — umbrella crate
 //!
 //! Re-exports every layer of the reproduction of *On Energy-Efficient
-//! Congestion Control for Multipath TCP* (ICDCS 2017) under one roof, for
-//! the runnable examples and cross-crate integration tests.
+//! Congestion Control for Multipath TCP* (ICDCS 2017): a library, with no
+//! binary, for the runnable examples and cross-crate integration tests.
 //!
 //! * [`netsim`] — deterministic discrete-event network simulator;
 //! * [`transport`] — packet-level TCP / MPTCP stack;
-//! * [`congestion`] — LIA, OLIA, Balia, ecMTCP, wVegas, EWTCP, Coupled,
-//!   Reno, DCTCP;
+//! * [`congestion`] — LIA, OLIA, Balia, ecMTCP, wVegas, DWC, EWTCP,
+//!   Coupled, Reno, DCTCP;
 //! * [`energy`] — CPU and radio power models, energy integration;
 //! * [`topology`] — FatTree, VL2, BCube, EC2 VPC, testbed scenarios;
 //! * [`workload`] — Pareto bursts, CBR, permutation traffic;

@@ -1,0 +1,128 @@
+//! One smoke test per crate boundary that the root package's other tests
+//! cross only implicitly: `energy` metering `transport` telemetry,
+//! `topology` laying paths on `netsim` links, and `workload` generating
+//! traffic for a `netsim` world. Each is small enough for a debug build.
+
+use congestion::AlgorithmKind;
+use energy_model::{energy_of_flow, loads_of, PhoneModel, PowerModel, WiredCpuModel};
+use netsim::{SimDuration, SimTime, Simulator};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use topology::{FatTree, LinkParams, TwoPath};
+use transport::{attach_flow, FlowConfig, FlowSample};
+use workload::{attach_pareto_cross_traffic, permutation_pairs, ParetoOnOffConfig};
+
+/// The Figs. 7–9 smoke transfer (8 MB over the Fig. 5(b) bursty two-path
+/// network), run until it completes.
+fn bursty_samples() -> Vec<FlowSample> {
+    let mut sim = Simulator::new(1);
+    let params = LinkParams::new(100_000_000, SimDuration::from_millis(10)).queue(100);
+    let tp = TwoPath::symmetric(&mut sim, params);
+    for link in tp.forward_links() {
+        attach_pareto_cross_traffic(&mut sim, vec![link], ParetoOnOffConfig::paper_fig5b());
+    }
+    let cfg =
+        FlowConfig::new(0).sample_every(SimDuration::from_millis(20)).transfer_bytes(8_000_000);
+    let flow =
+        attach_flow(&mut sim, cfg, AlgorithmKind::Lia.build(2), &tp.both(), SimDuration::ZERO);
+    while !flow.is_finished(&sim) && sim.now() < SimTime::from_secs_f64(60.0) {
+        sim.run_until(sim.now() + SimDuration::from_millis(100));
+    }
+    assert!(flow.is_finished(&sim), "the transfer completes");
+    flow.sender_ref(&sim).samples().to_vec()
+}
+
+/// Three seconds of a long-lived DTS flow over the Fig. 17 WiFi + 4G pair.
+fn wireless_samples() -> Vec<FlowSample> {
+    let mut sim = Simulator::new(1);
+    let tp = TwoPath::wireless(&mut sim);
+    let cfg =
+        FlowConfig::new(0).rcv_buf_bytes(256 * 1024).sample_every(SimDuration::from_millis(50));
+    let cc = mptcp_energy::scenarios::CcChoice::dts().build(2);
+    let flow = attach_flow(&mut sim, cfg, cc, &tp.both(), SimDuration::ZERO);
+    sim.run_until(SimTime::from_secs_f64(3.0));
+    flow.sender_ref(&sim).samples().to_vec()
+}
+
+/// `energy_of_flow` is the plain rectangle rule over the samples: the same
+/// additions, in the same order, as a left-to-right fold of
+/// `power_w(at_i, loads_of(s_i)) · interval_s_i` on a fresh model.
+fn assert_metered_left_to_right<M: PowerModel>(make: impl Fn() -> M, samples: &[FlowSample]) {
+    let report = energy_of_flow(&mut make(), samples);
+    let mut model = make();
+    model.reset();
+    let (mut joules, mut duration) = (0.0f64, 0.0f64);
+    for s in samples {
+        joules += model.power_w(s.at.as_secs_f64(), &loads_of(s)) * s.interval_s;
+        duration += s.interval_s;
+    }
+    assert_eq!(report.joules.to_bits(), joules.to_bits(), "{} vs {joules}", report.joules);
+    assert_eq!(report.duration_s.to_bits(), duration.to_bits());
+    assert!(report.joules > 0.0);
+}
+
+fn assert_telemetry_is_a_series(samples: &[FlowSample]) {
+    assert!(samples.len() > 10, "{} samples", samples.len());
+    assert!(samples.windows(2).all(|w| w[0].at < w[1].at), "sample times strictly increase");
+    assert!(samples.iter().all(|s| s.interval_s > 0.0), "every sample covers time");
+}
+
+#[test]
+fn energy_meters_transport_telemetry_left_to_right() {
+    let bursty = bursty_samples();
+    assert_telemetry_is_a_series(&bursty);
+    assert_metered_left_to_right(WiredCpuModel::i7_3770, &bursty);
+
+    let wireless = wireless_samples();
+    assert_telemetry_is_a_series(&wireless);
+    assert_metered_left_to_right(PhoneModel::nexus5_uplink, &wireless);
+}
+
+#[test]
+fn fattree_paths_are_links_of_the_world() {
+    let mut sim = Simulator::new(1);
+    let ft =
+        FatTree::build(&mut sim, 4, LinkParams::new(100_000_000, SimDuration::from_micros(100)));
+    let links = sim.world().link_count();
+    let pod = |host: usize| host / 4; // k²/4 hosts per pod
+    let mut rng = SmallRng::seed_from_u64(7);
+    for src in 0..ft.hosts() {
+        for dst in (0..ft.hosts()).filter(|&d| d != src) {
+            for path in ft.sample_paths(src, dst, 2, &mut rng) {
+                assert!(
+                    path.fwd.iter().chain(&path.rev).all(|&l| l < links),
+                    "{src}→{dst}: {path:?} names a link the world does not have ({links} links)"
+                );
+                if pod(src) != pod(dst) {
+                    assert_eq!((path.fwd.len(), path.rev.len()), (6, 6), "{src}→{dst}: {path:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn workload_traffic_fits_the_world() {
+    // Permutation traffic: every host sends once and receives once, never
+    // to itself.
+    let mut rng = SmallRng::seed_from_u64(11);
+    for n in 2..=16 {
+        let pairs = permutation_pairs(n, &mut rng);
+        let mut dsts: Vec<usize> = pairs.iter().map(|&(_, d)| d).collect();
+        dsts.sort_unstable();
+        assert_eq!(dsts, (0..n).collect::<Vec<_>>(), "n={n}: every host receives once");
+        assert!(pairs.iter().enumerate().all(|(i, &(s, d))| s == i && s != d), "n={n}: {pairs:?}");
+    }
+
+    // Pareto cross traffic: 45 Mb/s bursts into a 20 Mb/s link, so the
+    // link, not the source, sets the rate while a burst is on.
+    let (link_bps, duration_s) = (20_000_000u64, 30.0);
+    let mut sim = Simulator::new(3);
+    let link = sim.add_link(LinkParams::new(link_bps, SimDuration::from_millis(1)).to_config());
+    attach_pareto_cross_traffic(&mut sim, vec![link], ParetoOnOffConfig::paper_fig5b());
+    sim.run_until(SimTime::from_secs_f64(duration_s));
+    let sent = sim.world().link(link).stats().tx_bytes;
+    assert!(sent > 0, "at least one burst in {duration_s} s");
+    let capacity = link_bps as f64 / 8.0 * duration_s;
+    assert!((sent as f64) <= capacity, "{sent} bytes through a {capacity}-byte pipe");
+}

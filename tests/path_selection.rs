@@ -5,7 +5,7 @@
 
 use congestion::AlgorithmKind;
 use mptcp_energy::path_select::{run_wireless_with_policy, PathPolicy};
-use mptcp_energy::scenarios::{run_wireless, CcChoice, WirelessOptions};
+use mptcp_energy::scenarios::{run_wireless, CcChoice, FlowResult, WirelessOptions};
 
 fn opts() -> WirelessOptions {
     WirelessOptions { duration_s: 40.0, ..WirelessOptions::default() }
@@ -32,14 +32,33 @@ fn cheapest_only_selection_saves_energy_but_loses_aggregation() {
     );
 }
 
+/// Every field of a result but its label, floats as their bit patterns and
+/// each trace prefixed by its length.
+fn bits(r: &FlowResult) -> Vec<u64> {
+    let e = &r.energy;
+    let mut bits = vec![
+        r.goodput_bps.to_bits(),
+        e.joules.to_bits(),
+        e.duration_s.to_bits(),
+        e.mean_power_w.to_bits(),
+        r.finish_s.map_or(u64::MAX, f64::to_bits),
+        r.rexmits,
+        r.timeouts,
+    ];
+    for trace in [&e.trace, &r.tput_trace] {
+        bits.push(trace.len() as u64);
+        bits.extend(trace.iter().flat_map(|&(t, y)| [t.to_bits(), y.to_bits()]));
+    }
+    bits
+}
+
 #[test]
 fn all_paths_policy_is_plain_mptcp() {
     let lia = CcChoice::Base(AlgorithmKind::Lia);
     let plain = run_wireless(&lia, &opts());
     let all = run_wireless_with_policy(&lia, &opts(), PathPolicy::AllPaths);
-    assert_eq!(plain.rexmits, all.rexmits);
-    assert!((plain.goodput_bps - all.goodput_bps).abs() < 1.0);
-    assert!((plain.energy.joules - all.energy.joules).abs() < 1e-6);
+    assert_eq!(all.label, "lia+select");
+    assert_eq!(bits(&all), bits(&plain), "admitting every path is the Fig. 17 run, bit for bit");
 }
 
 #[test]
@@ -61,6 +80,6 @@ fn dts_keeps_aggregation_while_approaching_selector_energy() {
         selector.goodput_bps
     );
     // Energy-per-bit ordering: selector ≤ DTS-Φ ≤ LIA (tolerances for noise).
-    let jpb = |r: &mptcp_energy::scenarios::FlowResult| r.energy.joules / (r.goodput_bps + 1.0);
+    let jpb = |r: &FlowResult| r.energy.joules / (r.goodput_bps + 1.0);
     assert!(jpb(&phi) <= jpb(&lia) * 1.05, "phi {} lia {}", jpb(&phi), jpb(&lia));
 }
