@@ -55,6 +55,12 @@ impl LinkConfig {
     /// Panics if the configured bandwidth is zero.
     pub fn serialization(&self, bytes: u32) -> SimDuration {
         assert!(self.bandwidth_bps > 0, "link bandwidth must be positive");
+        // `bytes·8·10⁹` fits a u64 below ~2.3 GB, every size ever sent, and
+        // there the u64 quotient is the u128 one without the software
+        // 128-bit division.
+        if let Some(bit_ns) = u64::from(bytes).checked_mul(8 * 1_000_000_000) {
+            return SimDuration::from_nanos(bit_ns / self.bandwidth_bps);
+        }
         let ns = (u128::from(bytes) * 8 * 1_000_000_000) / u128::from(self.bandwidth_bps);
         // A bare `as u64` here used to truncate: u32::MAX bytes at 1 bit/s is
         // ~3.4e19 ns, past u64::MAX, and wrapped to a *shorter* delay.
@@ -433,6 +439,24 @@ mod tests {
         // Ordinary values are unchanged by the checked path.
         let fast = LinkConfig::new(100_000_000, SimDuration::ZERO);
         assert_eq!(fast.serialization(1500), SimDuration::from_micros(120));
+    }
+
+    #[test]
+    fn serialization_u64_route_equals_the_u128_formula() {
+        // The last size whose `bytes·8·10⁹` fits a u64, and the first that
+        // does not, sit on either side of the u64 route's boundary.
+        let last_u64 = u64::MAX / 8_000_000_000;
+        let sizes = [0, 1, 40, 1500, 9000, last_u64, last_u64 + 1, u64::from(u32::MAX)];
+        for bytes in sizes.map(|b| u32::try_from(b).expect("every size is a u32")) {
+            for bps in [1, 8, 1_000_007, 100_000_000, 1_000_000_000, u64::MAX] {
+                let u128_ns = u128::from(bytes) * 8 * 1_000_000_000 / u128::from(bps);
+                assert_eq!(
+                    LinkConfig::new(bps, SimDuration::ZERO).serialization(bytes),
+                    SimDuration::from_nanos_u128(u128_ns),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
     }
 
     #[test]

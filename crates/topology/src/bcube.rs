@@ -15,7 +15,6 @@
 
 use crate::duplex::LinkParams;
 use netsim::{LinkId, Simulator};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use transport::PathSpec;
 
@@ -127,18 +126,8 @@ impl BCube {
         n: usize,
         rng: &mut R,
     ) -> Vec<PathSpec> {
-        let mut all = self.paths(src, dst);
-        all.shuffle(rng);
-        if n <= all.len() {
-            all.truncate(n);
-            all
-        } else {
-            let mut out = Vec::with_capacity(n);
-            while out.len() < n {
-                out.extend(all.iter().take(n - out.len()).cloned());
-            }
-            out
-        }
+        let all = self.paths(src, dst);
+        crate::sample_by_index(all.len(), n, rng, |i| all[i].clone())
     }
 
     /// Which host NIC (interface) each of `paths(src, dst)`'s entries leaves
@@ -206,6 +195,18 @@ mod tests {
         let p = b.paths(0, 1);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].fwd.len(), 2); // one switch hop, no relay
+    }
+
+    #[test]
+    fn sampler_keeps_the_enumerated_picks() {
+        for (n, k) in [(4, 1), (4, 2), (8, 1)] {
+            let (_, b) = build(n, k);
+            crate::pin::assert_sampler_pinned(
+                b.hosts(),
+                |s, d| b.paths(s, d),
+                |s, d, n, rng| b.sample_paths(s, d, n, rng),
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use crate::duplex::LinkParams;
 use netsim::{LinkId, Simulator};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use transport::PathSpec;
 
@@ -82,54 +81,54 @@ impl FatTree {
         pod * self.half() + a_local
     }
 
-    /// Enumerates every equal-cost forward link path from `src` to `dst`.
-    fn forward_paths(&self, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
+    /// The number of equal-cost paths from `src` to `dst`: one under a
+    /// shared edge switch, one per aggregation switch within a pod, one per
+    /// core switch between pods.
+    fn path_count(&self, src: usize, dst: usize) -> usize {
         assert_ne!(src, dst, "src and dst must differ");
+        if self.edge_of(src) == self.edge_of(dst) {
+            1
+        } else if self.pod_of(src) == self.pod_of(dst) {
+            self.half()
+        } else {
+            self.half() * self.half()
+        }
+    }
+
+    /// The `i`-th equal-cost forward link path from `src` to `dst`: within a
+    /// pod via aggregation switch `i`, between pods via core
+    /// `(i / (k/2), i % (k/2))`.
+    fn forward_path(&self, src: usize, dst: usize, i: usize) -> Vec<LinkId> {
         let (ps, pd) = (self.pod_of(src), self.pod_of(dst));
         let (es, ed) = (self.edge_of(src), self.edge_of(dst));
         let ed_local = ed % self.half();
-        let mut out = Vec::new();
         if es == ed {
-            // Same edge switch.
-            out.push(vec![self.host_up[src], self.host_down[dst]]);
+            vec![self.host_up[src], self.host_down[dst]]
         } else if ps == pd {
-            // Same pod, via any aggregation switch.
-            for a in 0..self.half() {
-                let ag = self.agg_global(ps, a);
-                out.push(vec![
-                    self.host_up[src],
-                    self.e2a[es][a],
-                    self.a2e[ag][ed_local],
-                    self.host_down[dst],
-                ]);
-            }
+            let ag = self.agg_global(ps, i);
+            vec![self.host_up[src], self.e2a[es][i], self.a2e[ag][ed_local], self.host_down[dst]]
         } else {
-            // Inter-pod, via core (i, j).
-            for i in 0..self.half() {
-                for j in 0..self.half() {
-                    let ags = self.agg_global(ps, i);
-                    let agd = self.agg_global(pd, i);
-                    out.push(vec![
-                        self.host_up[src],
-                        self.e2a[es][i],
-                        self.a2c[ags][j],
-                        self.c2a[agd][j],
-                        self.a2e[agd][ed_local],
-                        self.host_down[dst],
-                    ]);
-                }
-            }
+            let (a, j) = (i / self.half(), i % self.half());
+            let (ags, agd) = (self.agg_global(ps, a), self.agg_global(pd, a));
+            vec![
+                self.host_up[src],
+                self.e2a[es][a],
+                self.a2c[ags][j],
+                self.c2a[agd][j],
+                self.a2e[agd][ed_local],
+                self.host_down[dst],
+            ]
         }
-        out
     }
 
-    /// All equal-cost bidirectional paths between two hosts (reverse takes
-    /// the mirror route).
+    /// Path `i` between two hosts; the reverse takes the mirror route.
+    fn path(&self, src: usize, dst: usize, i: usize) -> PathSpec {
+        PathSpec::new(self.forward_path(src, dst, i), self.forward_path(dst, src, i))
+    }
+
+    /// All equal-cost bidirectional paths between two hosts.
     pub fn paths(&self, src: usize, dst: usize) -> Vec<PathSpec> {
-        let fwd = self.forward_paths(src, dst);
-        let rev = self.forward_paths(dst, src);
-        debug_assert_eq!(fwd.len(), rev.len());
-        fwd.into_iter().zip(rev).map(|(f, r)| PathSpec::new(f, r)).collect()
+        (0..self.path_count(src, dst)).map(|i| self.path(src, dst, i)).collect()
     }
 
     /// Samples `n` paths for a connection's subflows (without replacement
@@ -141,18 +140,7 @@ impl FatTree {
         n: usize,
         rng: &mut R,
     ) -> Vec<PathSpec> {
-        let mut all = self.paths(src, dst);
-        all.shuffle(rng);
-        if n <= all.len() {
-            all.truncate(n);
-            all
-        } else {
-            let mut out = Vec::with_capacity(n);
-            while out.len() < n {
-                out.extend(all.iter().take(n - out.len()).cloned());
-            }
-            out
-        }
+        crate::sample_by_index(self.path_count(src, dst), n, rng, |i| self.path(src, dst, i))
     }
 }
 
@@ -252,5 +240,66 @@ mod tests {
     fn self_paths_panic() {
         let (_, ft) = build(4);
         let _ = ft.paths(3, 3);
+    }
+
+    /// The enumeration that built every path before sampling: the order
+    /// path `i` must keep.
+    fn enumerated_forward_paths(ft: &FatTree, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
+        assert_ne!(src, dst, "src and dst must differ");
+        let (ps, pd) = (ft.pod_of(src), ft.pod_of(dst));
+        let (es, ed) = (ft.edge_of(src), ft.edge_of(dst));
+        let ed_local = ed % ft.half();
+        let mut out = Vec::new();
+        if es == ed {
+            // Same edge switch.
+            out.push(vec![ft.host_up[src], ft.host_down[dst]]);
+        } else if ps == pd {
+            // Same pod, via any aggregation switch.
+            for a in 0..ft.half() {
+                let ag = ft.agg_global(ps, a);
+                out.push(vec![
+                    ft.host_up[src],
+                    ft.e2a[es][a],
+                    ft.a2e[ag][ed_local],
+                    ft.host_down[dst],
+                ]);
+            }
+        } else {
+            // Inter-pod, via core (i, j).
+            for i in 0..ft.half() {
+                for j in 0..ft.half() {
+                    let ags = ft.agg_global(ps, i);
+                    let agd = ft.agg_global(pd, i);
+                    out.push(vec![
+                        ft.host_up[src],
+                        ft.e2a[es][i],
+                        ft.a2c[ags][j],
+                        ft.c2a[agd][j],
+                        ft.a2e[agd][ed_local],
+                        ft.host_down[dst],
+                    ]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sampler_keeps_the_enumerated_picks() {
+        for k in [4, 8] {
+            let (_, ft) = build(k);
+            crate::pin::assert_sampler_pinned(
+                ft.hosts(),
+                |s, d| {
+                    let rev = enumerated_forward_paths(&ft, d, s);
+                    enumerated_forward_paths(&ft, s, d)
+                        .into_iter()
+                        .zip(rev)
+                        .map(|(f, r)| PathSpec::new(f, r))
+                        .collect()
+                },
+                |s, d, n, rng| ft.sample_paths(s, d, n, rng),
+            );
+        }
     }
 }

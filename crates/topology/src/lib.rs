@@ -49,3 +49,94 @@ pub use hierarchy::Hierarchy;
 pub use shared::SharedBottleneck;
 pub use twopath::TwoPath;
 pub use vl2::{Vl2, Vl2Config};
+
+use rand::seq::SliceRandom;
+use rand::Rng;
+use transport::PathSpec;
+
+/// Samples `n` of a host pair's `count` equal-cost paths for a connection's
+/// subflows — without replacement while possible, as htsim's random path
+/// selection does, then cycling — and builds only the paths it keeps;
+/// `path(i)` builds the pair's `i`-th path.
+///
+/// Shuffling the indices makes the same `count − 1` draws that shuffling the
+/// built paths would (the draws depend on the length alone), so a seed picks
+/// the same paths and leaves its RNG in the same state.
+pub(crate) fn sample_by_index<R: Rng>(
+    count: usize,
+    n: usize,
+    rng: &mut R,
+    path: impl Fn(usize) -> PathSpec,
+) -> Vec<PathSpec> {
+    let mut order: Vec<usize> = (0..count).collect();
+    order.shuffle(rng);
+    order.iter().cycle().take(n).map(|&i| path(i)).collect()
+}
+
+#[cfg(test)]
+pub(crate) mod pin {
+    //! Pins [`sample_by_index`](super::sample_by_index) to the sampler it
+    //! replaced: enumerate every path, shuffle them, truncate or cycle.
+
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, RngCore, SeedableRng};
+    use transport::PathSpec;
+
+    /// The enumerate → shuffle → truncate/cycle sampler, verbatim, over a
+    /// pair's enumerated paths.
+    fn reference_sample<R: Rng>(mut all: Vec<PathSpec>, n: usize, rng: &mut R) -> Vec<PathSpec> {
+        all.shuffle(rng);
+        if n <= all.len() {
+            all.truncate(n);
+            all
+        } else {
+            let mut out = Vec::with_capacity(n);
+            while out.len() < n {
+                out.extend(all.iter().take(n - out.len()).cloned());
+            }
+            out
+        }
+    }
+
+    /// Asserts that `sample` picks what the reference sampler picks over
+    /// `enumerate`'s paths from the same seed, and leaves the RNG where the
+    /// reference leaves it, for n ∈ {1, 2, 3, 4, 8, count + 1}: on every
+    /// ordered pair of up to 64 hosts, or 500 seeded pairs of a larger
+    /// fabric.
+    pub(crate) fn assert_sampler_pinned(
+        hosts: usize,
+        enumerate: impl Fn(usize, usize) -> Vec<PathSpec>,
+        sample: impl Fn(usize, usize, usize, &mut SmallRng) -> Vec<PathSpec>,
+    ) {
+        let pairs: Vec<(usize, usize)> = if hosts <= 64 {
+            (0..hosts)
+                .flat_map(|s| (0..hosts).filter(move |&d| d != s).map(move |d| (s, d)))
+                .collect()
+        } else {
+            let mut rng = SmallRng::seed_from_u64(hosts as u64);
+            let mut pairs = Vec::new();
+            while pairs.len() < 500 {
+                let (s, d) = (rng.gen_range(0..hosts), rng.gen_range(0..hosts));
+                if s != d {
+                    pairs.push((s, d));
+                }
+            }
+            pairs
+        };
+        for (case, &(src, dst)) in pairs.iter().enumerate() {
+            let all = enumerate(src, dst);
+            for n in [1, 2, 3, 4, 8, all.len() + 1] {
+                let seed = (case * 64 + n) as u64;
+                let mut ours = SmallRng::seed_from_u64(seed);
+                let mut theirs = SmallRng::seed_from_u64(seed);
+                assert_eq!(
+                    sample(src, dst, n, &mut ours),
+                    reference_sample(all.clone(), n, &mut theirs),
+                    "{src}→{dst}, n = {n}: different picks"
+                );
+                assert_eq!(ours.next_u64(), theirs.next_u64(), "{src}→{dst}, n = {n}: RNG moved");
+            }
+        }
+    }
+}

@@ -10,7 +10,6 @@
 
 use crate::duplex::LinkParams;
 use netsim::{LinkId, Simulator};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use transport::PathSpec;
 
@@ -92,38 +91,44 @@ impl Vl2 {
         (2 * tor + sel) % self.cfg.n_agg
     }
 
-    fn forward_paths(&self, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
+    /// The number of equal-cost paths from `src` to `dst`: one under a
+    /// shared ToR, else 2 source aggs × `n_int` intermediates × 2 dest aggs.
+    fn path_count(&self, src: usize, dst: usize) -> usize {
         assert_ne!(src, dst, "src and dst must differ");
+        if self.tor_of(src) == self.tor_of(dst) {
+            1
+        } else {
+            2 * self.cfg.n_int * 2
+        }
+    }
+
+    /// The `i`-th equal-cost forward link path from `src` to `dst`, with
+    /// `i = (a_sel·n_int + int)·2 + b_sel` between ToRs.
+    fn forward_path(&self, src: usize, dst: usize, i: usize) -> Vec<LinkId> {
         let (ts, td) = (self.tor_of(src), self.tor_of(dst));
-        let mut out = Vec::new();
         if ts == td {
-            out.push(vec![self.host_up[src], self.host_down[dst]]);
-            return out;
+            return vec![self.host_up[src], self.host_down[dst]];
         }
-        for a_sel in 0..2 {
-            for i in 0..self.cfg.n_int {
-                for b_sel in 0..2 {
-                    let agg_a = self.agg_of(ts, a_sel);
-                    let agg_b = self.agg_of(td, b_sel);
-                    out.push(vec![
-                        self.host_up[src],
-                        self.t2a[ts][a_sel],
-                        self.a2i[agg_a][i],
-                        self.i2a[agg_b][i],
-                        self.a2t[td][b_sel],
-                        self.host_down[dst],
-                    ]);
-                }
-            }
-        }
-        out
+        let (a_sel, int, b_sel) = (i / 2 / self.cfg.n_int, i / 2 % self.cfg.n_int, i % 2);
+        let (agg_a, agg_b) = (self.agg_of(ts, a_sel), self.agg_of(td, b_sel));
+        vec![
+            self.host_up[src],
+            self.t2a[ts][a_sel],
+            self.a2i[agg_a][int],
+            self.i2a[agg_b][int],
+            self.a2t[td][b_sel],
+            self.host_down[dst],
+        ]
+    }
+
+    /// Path `i` between two hosts; the reverse takes the mirror route.
+    fn path(&self, src: usize, dst: usize, i: usize) -> PathSpec {
+        PathSpec::new(self.forward_path(src, dst, i), self.forward_path(dst, src, i))
     }
 
     /// All equal-cost bidirectional paths between two hosts.
     pub fn paths(&self, src: usize, dst: usize) -> Vec<PathSpec> {
-        let fwd = self.forward_paths(src, dst);
-        let rev = self.forward_paths(dst, src);
-        fwd.into_iter().zip(rev).map(|(f, r)| PathSpec::new(f, r)).collect()
+        (0..self.path_count(src, dst)).map(|i| self.path(src, dst, i)).collect()
     }
 
     /// Samples `n` paths for a connection's subflows.
@@ -134,18 +139,7 @@ impl Vl2 {
         n: usize,
         rng: &mut R,
     ) -> Vec<PathSpec> {
-        let mut all = self.paths(src, dst);
-        all.shuffle(rng);
-        if n <= all.len() {
-            all.truncate(n);
-            all
-        } else {
-            let mut out = Vec::with_capacity(n);
-            while out.len() < n {
-                out.extend(all.iter().take(n - out.len()).cloned());
-            }
-            out
-        }
+        crate::sample_by_index(self.path_count(src, dst), n, rng, |i| self.path(src, dst, i))
     }
 }
 
@@ -160,6 +154,66 @@ mod tests {
         let sw = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
         let v = Vl2::paper_scale(&mut sim, host, sw);
         (sim, v)
+    }
+
+    /// The enumeration that built every path before sampling: the order
+    /// path `i` must keep.
+    fn enumerated_forward_paths(v: &Vl2, src: usize, dst: usize) -> Vec<Vec<LinkId>> {
+        assert_ne!(src, dst, "src and dst must differ");
+        let (ts, td) = (v.tor_of(src), v.tor_of(dst));
+        let mut out = Vec::new();
+        if ts == td {
+            out.push(vec![v.host_up[src], v.host_down[dst]]);
+            return out;
+        }
+        for a_sel in 0..2 {
+            for i in 0..v.cfg.n_int {
+                for b_sel in 0..2 {
+                    let agg_a = v.agg_of(ts, a_sel);
+                    let agg_b = v.agg_of(td, b_sel);
+                    out.push(vec![
+                        v.host_up[src],
+                        v.t2a[ts][a_sel],
+                        v.a2i[agg_a][i],
+                        v.i2a[agg_b][i],
+                        v.a2t[td][b_sel],
+                        v.host_down[dst],
+                    ]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sampler_keeps_the_enumerated_picks() {
+        // The Figs. 14–15 smoke fabric (`DcKind::Vl2 { scale: 8 }`) and the
+        // paper-scale one.
+        let mut sim = Simulator::new(1);
+        let host = LinkParams::new(100_000_000, SimDuration::from_micros(100));
+        let sw = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+        let smoke = Vl2Config {
+            n_tor: 2,
+            n_agg: 2,
+            n_int: 2,
+            hosts_per_tor: 8,
+            host_link: host,
+            switch_link: sw,
+        };
+        for v in [Vl2::build(&mut sim, smoke), build().1] {
+            crate::pin::assert_sampler_pinned(
+                v.hosts(),
+                |s, d| {
+                    let rev = enumerated_forward_paths(&v, d, s);
+                    enumerated_forward_paths(&v, s, d)
+                        .into_iter()
+                        .zip(rev)
+                        .map(|(f, r)| PathSpec::new(f, r))
+                        .collect()
+                },
+                |s, d, n, rng| v.sample_paths(s, d, n, rng),
+            );
+        }
     }
 
     #[test]

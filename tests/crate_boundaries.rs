@@ -8,8 +8,8 @@ use energy_model::{energy_of_flow, loads_of, PhoneModel, PowerModel, WiredCpuMod
 use netsim::{SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use topology::{FatTree, LinkParams, TwoPath};
-use transport::{attach_flow, FlowConfig, FlowSample};
+use topology::{BCube, FatTree, LinkParams, TwoPath, Vl2, Vl2Config};
+use transport::{attach_flow, FlowConfig, FlowSample, PathSpec};
 use workload::{attach_pareto_cross_traffic, permutation_pairs, ParetoOnOffConfig};
 
 /// The Figs. 7–9 smoke transfer (8 MB over the Fig. 5(b) bursty two-path
@@ -78,27 +78,87 @@ fn energy_meters_transport_telemetry_left_to_right() {
     assert_metered_left_to_right(PhoneModel::nexus5_uplink, &wireless);
 }
 
+/// Samples two paths for every ordered host pair and hands each to `check`
+/// after asserting that it names only links `sim` has.
+fn for_each_sampled_path(
+    sim: &Simulator,
+    hosts: usize,
+    sample: impl Fn(usize, usize, &mut SmallRng) -> Vec<PathSpec>,
+    check: impl Fn(usize, usize, &PathSpec),
+) {
+    let links = sim.world().link_count();
+    let mut rng = SmallRng::seed_from_u64(7);
+    for src in 0..hosts {
+        for dst in (0..hosts).filter(|&d| d != src) {
+            for path in sample(src, dst, &mut rng) {
+                assert!(
+                    path.fwd.iter().chain(&path.rev).all(|&l| l < links),
+                    "{src}→{dst}: {path:?} names a link the world does not have ({links} links)"
+                );
+                check(src, dst, &path);
+            }
+        }
+    }
+}
+
+/// Path `i`'s reverse route is the forward route of path `i` the other way.
+fn assert_reverse_is_mirror(hosts: usize, paths: impl Fn(usize, usize) -> Vec<PathSpec>) {
+    for src in 0..hosts {
+        for dst in (0..hosts).filter(|&d| d != src) {
+            let (there, back) = (paths(src, dst), paths(dst, src));
+            assert_eq!(there.len(), back.len(), "{src}↔{dst}");
+            for (i, (t, b)) in there.iter().zip(&back).enumerate() {
+                assert_eq!(t.rev, b.fwd, "{src}→{dst}, path {i}");
+            }
+        }
+    }
+}
+
 #[test]
 fn fattree_paths_are_links_of_the_world() {
     let mut sim = Simulator::new(1);
     let ft =
         FatTree::build(&mut sim, 4, LinkParams::new(100_000_000, SimDuration::from_micros(100)));
-    let links = sim.world().link_count();
     let pod = |host: usize| host / 4; // k²/4 hosts per pod
-    let mut rng = SmallRng::seed_from_u64(7);
-    for src in 0..ft.hosts() {
-        for dst in (0..ft.hosts()).filter(|&d| d != src) {
-            for path in ft.sample_paths(src, dst, 2, &mut rng) {
-                assert!(
-                    path.fwd.iter().chain(&path.rev).all(|&l| l < links),
-                    "{src}→{dst}: {path:?} names a link the world does not have ({links} links)"
-                );
-                if pod(src) != pod(dst) {
-                    assert_eq!((path.fwd.len(), path.rev.len()), (6, 6), "{src}→{dst}: {path:?}");
-                }
+    for_each_sampled_path(
+        &sim,
+        ft.hosts(),
+        |s, d, rng| ft.sample_paths(s, d, 2, rng),
+        |src, dst, path| {
+            if pod(src) != pod(dst) {
+                assert_eq!((path.fwd.len(), path.rev.len()), (6, 6), "{src}→{dst}: {path:?}");
             }
-        }
-    }
+        },
+    );
+    assert_reverse_is_mirror(ft.hosts(), |s, d| ft.paths(s, d));
+}
+
+#[test]
+fn vl2_and_bcube_paths_are_links_of_the_world() {
+    // VL2 as the Figs. 14–15 smoke grid builds it (`DcKind::Vl2 { scale: 8 }`).
+    let mut sim = Simulator::new(1);
+    let host_link = LinkParams::new(100_000_000, SimDuration::from_micros(100));
+    let switch_link = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+    let cfg = Vl2Config { n_tor: 2, n_agg: 2, n_int: 2, hosts_per_tor: 8, host_link, switch_link };
+    let vl2 = Vl2::build(&mut sim, cfg);
+    for_each_sampled_path(
+        &sim,
+        vl2.hosts(),
+        |s, d, rng| vl2.sample_paths(s, d, 2, rng),
+        |_, _, _| {},
+    );
+    assert_reverse_is_mirror(vl2.hosts(), |s, d| vl2.paths(s, d));
+
+    // BCube(4, 1), Fig. 12's smoke fabric: a relayed path corrects one
+    // digit per switch hop, so it is two or four links long.
+    let mut sim = Simulator::new(1);
+    let bcube = BCube::build(&mut sim, 4, 1, host_link);
+    for_each_sampled_path(
+        &sim,
+        bcube.hosts(),
+        |s, d, rng| bcube.sample_paths(s, d, 2, rng),
+        |src, dst, path| assert!(matches!(path.fwd.len(), 2 | 4), "{src}→{dst}: {path:?}"),
+    );
 }
 
 #[test]
