@@ -125,7 +125,6 @@ fn run_cell(seed: u64, t: Tier, cc: &CcChoice) -> CellOut {
         // the fluid regime — the handoff path is exercised at scale.
         handoff_age_s: 2.0 * t.epoch_s,
         calib_rtt_s: calib_rtt_s(HOST_BPS),
-        ..HybridConfig::default()
     };
     let Some(model) = fluid_model_of(cc) else {
         // The cell list below only contains algorithms with a §IV fluid

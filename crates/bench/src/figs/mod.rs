@@ -22,8 +22,10 @@ use crate::Scale;
 use std::sync::Arc;
 
 /// A figure harness entry point: module name (the `--only` key), report
-/// label, runner. A runner takes its simulations from the plan's [`Sims`];
-/// Figs. 2–4 are closed-form and ignore it.
+/// label, runner. A runner takes its simulations from the plan's [`Sims`],
+/// except Figs. 2–4: they share nothing, so they ignore it and run their own
+/// packet simulations (3, 10 and 2) one after another on the figure's
+/// thread.
 type FigRunner = (&'static str, &'static str, fn(Scale, &Sims) -> String);
 
 /// Every figure harness, in report order.

@@ -23,15 +23,14 @@
 
 use congestion::{common, MultipathCongestionControl, SubflowCc};
 
-/// Tunable parameters of DTS (the defaults are the paper's).
+/// Tunable parameters of DTS (the defaults are the paper's). The sigmoid's
+/// midpoint is fixed at Equation (5)'s ½.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DtsConfig {
     /// Pareto-optimality scale `c` (the paper sets 1).
     pub c: f64,
     /// Sigmoid slope (the paper's Equation (5) uses 10).
     pub slope: f64,
-    /// Sigmoid midpoint (the paper uses 1/2).
-    pub midpoint: f64,
     /// Use the kernel-style fixed-point Taylor expansion of Algorithm 1
     /// instead of the exact exponential.
     pub fixed_point: bool,
@@ -39,9 +38,13 @@ pub struct DtsConfig {
 
 impl Default for DtsConfig {
     fn default() -> Self {
-        DtsConfig { c: 1.0, slope: 10.0, midpoint: 0.5, fixed_point: false }
+        DtsConfig { c: 1.0, slope: 10.0, fixed_point: false }
     }
 }
+
+/// Equation (5)'s sigmoid midpoint, read by the packet-level algorithm and
+/// by its fluid form ([`crate::model`]) alike.
+pub(crate) const MIDPOINT: f64 = 0.5;
 
 /// The exact Equation (5) factor for a quality ratio `baseRTT/RTT ∈ [0, 1]`.
 pub fn epsilon_exact(ratio: f64, slope: f64, midpoint: f64) -> f64 {
@@ -93,7 +96,7 @@ impl Dts {
         if self.cfg.fixed_point {
             epsilon_fixed_point(ratio)
         } else {
-            epsilon_exact(ratio, self.cfg.slope, self.cfg.midpoint)
+            epsilon_exact(ratio, self.cfg.slope, MIDPOINT)
         }
     }
 }

@@ -24,7 +24,8 @@
 use crate::dts::{Dts, DtsConfig};
 use congestion::{MultipathCongestionControl, SubflowCc};
 
-/// Tunable parameters of DTS-Φ.
+/// Tunable parameters of DTS-Φ. The queue-excess term's weight η is fixed
+/// at 1.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DtsPhiConfig {
     /// The underlying DTS parameters.
@@ -36,21 +37,17 @@ pub struct DtsPhiConfig {
     /// Expected (target) queueing delay — the end-to-end proxy for
     /// Equation (6)'s expected queue size `Q` — in seconds.
     pub queue_target_s: f64,
-    /// Weight of the queue-excess term.
-    pub eta: f64,
 }
 
 impl Default for DtsPhiConfig {
     fn default() -> Self {
-        DtsPhiConfig {
-            dts: DtsConfig::default(),
-            kappa: 1e-4,
-            rho: 0.2,
-            queue_target_s: 0.005,
-            eta: 1.0,
-        }
+        DtsPhiConfig { dts: DtsConfig::default(), kappa: 1e-4, rho: 0.2, queue_target_s: 0.005 }
     }
 }
+
+/// Weight η of the queue-excess term in the price gradient, read by the
+/// packet-level algorithm and by its fluid form ([`crate::model`]) alike.
+pub(crate) const ETA: f64 = 1.0;
 
 /// DTS with the energy-proportional compensative price.
 #[derive(Clone, Debug, Default)]
@@ -88,7 +85,7 @@ impl DtsPhi {
     /// The marginal energy price `∂U_ep/∂x_r` estimate.
     pub fn price_gradient(&self, f: &SubflowCc) -> f64 {
         let excess = (Self::queue_delay_estimate(f) - self.cfg.queue_target_s).max(0.0);
-        self.cfg.rho + self.cfg.eta * excess / self.cfg.queue_target_s
+        self.cfg.rho + ETA * excess / self.cfg.queue_target_s
     }
 }
 
@@ -102,11 +99,7 @@ impl MultipathCongestionControl for DtsPhi {
         // The compensative drain applies in congestion avoidance only.
         let f = &mut flows[r];
         if f.cwnd >= f.ssthresh {
-            let grad = {
-                let fr = &*f;
-                let excess = (DtsPhi::queue_delay_estimate(fr) - self.cfg.queue_target_s).max(0.0);
-                self.cfg.rho + self.cfg.eta * excess / self.cfg.queue_target_s
-            };
+            let grad = self.price_gradient(f);
             f.cwnd -= self.cfg.kappa * f.cwnd * grad * newly_acked as f64;
             f.clamp_cwnd();
         }

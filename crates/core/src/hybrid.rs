@@ -35,9 +35,18 @@ use congestion::AlgorithmKind;
 use energy_model::{PathLoad, PowerModel, WiredCpuModel};
 use netsim::{SimDuration, SimTime, Simulator};
 use obs::HybridCounters;
-use transport::{attach_flow, FlowConfig, FlowHandle, PathSpec};
+use transport::{
+    attach_flow, FlowConfig, FlowHandle, PathSpec, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES,
+};
 
 /// Tuning knobs for the hybrid engine.
+///
+/// Fixed, not configurable: bounded transfers of at most 1 MiB stay
+/// packet-level ([`classify`]); rates convert between packets and bits at
+/// transport's [`DEFAULT_MSS_BYTES`], and path RTTs count
+/// [`DEFAULT_ACK_BYTES`] ACKs; fluid link prices are calibrated for 90 %
+/// utilization (Peng, Walid, Hwang & Low); fluid background load on a packet
+/// link is capped at 95 % of its bandwidth.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HybridConfig {
     /// Coupling epoch length, seconds. Boundary state (background load,
@@ -49,41 +58,30 @@ pub struct HybridConfig {
     /// Packet flows older than this are handed off to the fluid regime
     /// (provided their algorithm has an Equation-(3) form).
     pub handoff_age_s: f64,
-    /// Classification threshold: bounded transfers at or below this many
-    /// bytes stay packet-level; larger or unbounded flows go fluid.
-    pub short_flow_max_bytes: u64,
-    /// MSS used to convert between packets/second and bits/second.
-    pub mss_bytes: u32,
-    /// ACK wire size used when deriving path propagation RTTs.
-    pub ack_bytes: u32,
-    /// Target utilization for the fluid link price calibration
-    /// ([`FluidLink::calibrated`]).
-    pub target_util: f64,
     /// RTT used for the price calibration — pick the typical path RTT of
-    /// the topology so single-flow fluid equilibria land near
-    /// `target_util · capacity`.
+    /// the topology so single-flow fluid equilibria land near 90 % of
+    /// capacity.
     pub calib_rtt_s: f64,
-    /// Fluid background load installed on a packet link is capped at this
-    /// fraction of the link's nominal bandwidth, so packet flows always
-    /// keep a residual.
-    pub bg_cap_frac: f64,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        HybridConfig {
-            epoch_s: 0.25,
-            fluid_dt: 2e-4,
-            handoff_age_s: 1.0,
-            short_flow_max_bytes: 1 << 20,
-            mss_bytes: 1500,
-            ack_bytes: 40,
-            target_util: 0.9,
-            calib_rtt_s: 0.01,
-            bg_cap_frac: 0.95,
-        }
+        HybridConfig { epoch_s: 0.25, fluid_dt: 2e-4, handoff_age_s: 1.0, calib_rtt_s: 0.01 }
     }
 }
+
+/// Classification threshold: bounded transfers at or below this many bytes
+/// stay packet-level; larger or unbounded flows go fluid.
+const SHORT_FLOW_MAX_BYTES: u64 = 1 << 20;
+
+/// Target utilization of the fluid link price calibration
+/// ([`FluidLink::calibrated`]).
+const TARGET_UTIL: f64 = 0.9;
+
+/// Fluid background load installed on a packet link is capped at this
+/// fraction of the link's nominal bandwidth, so packet flows always keep a
+/// residual.
+const BG_CAP_FRAC: f64 = 0.95;
 
 /// Which engine a flow is simulated in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,11 +93,11 @@ pub enum Regime {
 }
 
 /// Classifies a flow by its expected transfer size: bounded transfers up to
-/// [`HybridConfig::short_flow_max_bytes`] are packet-level (their transient
-/// behavior dominates); larger or unbounded flows are fluid.
-pub fn classify(transfer_bytes: Option<u64>, cfg: &HybridConfig) -> Regime {
+/// 1 MiB are packet-level (their transient behavior dominates); larger or
+/// unbounded flows are fluid.
+pub fn classify(transfer_bytes: Option<u64>) -> Regime {
     match transfer_bytes {
-        Some(b) if b <= cfg.short_flow_max_bytes => Regime::Packet,
+        Some(b) if b <= SHORT_FLOW_MAX_BYTES => Regime::Packet,
         _ => Regime::Fluid,
     }
 }
@@ -201,8 +199,8 @@ impl HybridEngine {
         for l in 0..n_links {
             let link = sim.world().link(l);
             let bw_bps = link.config().bandwidth_bps;
-            let cap_pps = bw_bps as f64 / (8.0 * f64::from(cfg.mss_bytes));
-            net.add_link(FluidLink::calibrated(cap_pps, cfg.calib_rtt_s, cfg.target_util));
+            let cap_pps = bw_bps as f64 / (8.0 * f64::from(DEFAULT_MSS_BYTES));
+            net.add_link(FluidLink::calibrated(cap_pps, cfg.calib_rtt_s, TARGET_UTIL));
             nominal_cap_pps.push(cap_pps);
             link_queue_pkts.push(link.config().queue_limit_pkts);
             prev_tx_bytes.push(link.stats().tx_bytes);
@@ -296,7 +294,7 @@ impl HybridEngine {
         assert!(!paths.is_empty(), "a fluid flow needs at least one path");
         let mut fps = Vec::with_capacity(paths.len());
         for p in paths {
-            let rtt = path_prop_rtt(&self.sim, p, self.cfg.mss_bytes, self.cfg.ack_bytes);
+            let rtt = path_prop_rtt(&self.sim, p, DEFAULT_MSS_BYTES, DEFAULT_ACK_BYTES);
             fps.push(FluidPath::new(p.fwd.clone(), rtt));
             self.x_flat.push(x0_pps.max(X_MIN));
         }
@@ -330,7 +328,7 @@ impl HybridEngine {
     ) -> FlowHandle {
         let prop_rtts = paths
             .iter()
-            .map(|p| path_prop_rtt(&self.sim, p, self.cfg.mss_bytes, self.cfg.ack_bytes))
+            .map(|p| path_prop_rtt(&self.sim, p, DEFAULT_MSS_BYTES, DEFAULT_ACK_BYTES))
             .collect();
         let fwd_links = paths.iter().map(|p| p.fwd.clone()).collect();
         let n_paths = paths.len();
@@ -364,7 +362,7 @@ impl HybridEngine {
         src_host: usize,
     ) -> Regime {
         let bytes = cfg.total_pkts.map(|p| p.saturating_mul(u64::from(cfg.mss_bytes)));
-        match (classify(bytes, &self.cfg), fluid_model_of(cc)) {
+        match (classify(bytes), fluid_model_of(cc)) {
             (Regime::Fluid, Some(model)) => {
                 self.add_fluid_flow(model, paths, X_MIN, src_host);
                 Regime::Fluid
@@ -392,8 +390,7 @@ impl HybridEngine {
         for l in 0..self.net.links.len() {
             let nominal = self.nominal_cap_pps[l];
             let residual = (nominal - self.pkt_rate_pps[l]).max(0.05 * nominal);
-            self.net.links[l] =
-                FluidLink::calibrated(residual, self.cfg.calib_rtt_s, self.cfg.target_util);
+            self.net.links[l] = FluidLink::calibrated(residual, self.cfg.calib_rtt_s, TARGET_UTIL);
         }
 
         // (2) Inflate fluid path RTTs with an M/M/1 queueing proxy driven by
@@ -429,9 +426,9 @@ impl HybridEngine {
         // (4) Fluid traffic becomes background load on the packet links.
         let mut bg_links = 0u64;
         for l in 0..self.fluid_y.len() {
-            let bw_bps = self.nominal_cap_pps[l] * 8.0 * f64::from(self.cfg.mss_bytes);
-            let bg = (self.fluid_y[l] * 8.0 * f64::from(self.cfg.mss_bytes))
-                .min(self.cfg.bg_cap_frac * bw_bps);
+            let bw_bps = self.nominal_cap_pps[l] * 8.0 * f64::from(DEFAULT_MSS_BYTES);
+            let bg =
+                (self.fluid_y[l] * 8.0 * f64::from(DEFAULT_MSS_BYTES)).min(BG_CAP_FRAC * bw_bps);
             let bg_u = if bg > 0.0 { bg.round() as u64 } else { 0 };
             if bg_u > 0 {
                 bg_links += 1;
@@ -454,7 +451,7 @@ impl HybridEngine {
             let tx = self.sim.world().link(l).stats().tx_bytes;
             let delta = tx - self.prev_tx_bytes[l];
             self.prev_tx_bytes[l] = tx;
-            self.pkt_rate_pps[l] = delta as f64 / (f64::from(self.cfg.mss_bytes) * epoch_s);
+            self.pkt_rate_pps[l] = delta as f64 / (f64::from(DEFAULT_MSS_BYTES) * epoch_s);
         }
 
         self.counters.epochs = epoch_index;
@@ -474,7 +471,7 @@ impl HybridEngine {
     /// (permutation traffic), matching `scenarios::host_energy`.
     fn account_epoch(&mut self, at_s: f64) {
         let epoch_s = self.cfg.epoch_s;
-        let mss_bits = 8.0 * f64::from(self.cfg.mss_bytes);
+        let mss_bits = 8.0 * f64::from(DEFAULT_MSS_BYTES);
         let idle_w = self.power.idle_w;
         let mut energy = idle_w * self.n_hosts as f64 * epoch_s;
 
@@ -599,24 +596,18 @@ mod tests {
     }
 
     fn engine(seed: u64) -> HybridEngine {
-        let cfg = HybridConfig {
-            epoch_s: 0.1,
-            fluid_dt: 1e-3,
-            handoff_age_s: 0.25,
-            calib_rtt_s: 0.012,
-            ..HybridConfig::default()
-        };
+        let cfg =
+            HybridConfig { epoch_s: 0.1, fluid_dt: 1e-3, handoff_age_s: 0.25, calib_rtt_s: 0.012 };
         let sim = two_path_sim(seed);
         HybridEngine::new(sim, 2, WiredCpuModel::energy_proportional_server(), cfg)
     }
 
     #[test]
     fn classify_splits_on_size_and_boundedness() {
-        let cfg = HybridConfig::default();
-        assert_eq!(classify(Some(1000), &cfg), Regime::Packet);
-        assert_eq!(classify(Some(cfg.short_flow_max_bytes), &cfg), Regime::Packet);
-        assert_eq!(classify(Some(cfg.short_flow_max_bytes + 1), &cfg), Regime::Fluid);
-        assert_eq!(classify(None, &cfg), Regime::Fluid);
+        assert_eq!(classify(Some(1000)), Regime::Packet);
+        assert_eq!(classify(Some(SHORT_FLOW_MAX_BYTES)), Regime::Packet);
+        assert_eq!(classify(Some(SHORT_FLOW_MAX_BYTES + 1)), Regime::Fluid);
+        assert_eq!(classify(None), Regime::Fluid);
     }
 
     #[test]

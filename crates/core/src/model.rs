@@ -13,8 +13,8 @@
 //! variants; the `congestion` crate's per-ACK implementations and these
 //! fluid forms are cross-validated in the test suite.
 
-use crate::dts::{epsilon_exact, DtsConfig};
-use crate::dts_phi::DtsPhiConfig;
+use crate::dts::{epsilon_exact, DtsConfig, MIDPOINT};
+use crate::dts_phi::{DtsPhiConfig, ETA};
 
 /// A read-only view of one multipath user's state for parameter evaluation.
 #[derive(Clone, Copy, Debug)]
@@ -189,7 +189,7 @@ impl Phi {
             Phi::EnergyPrice(cfg) => {
                 let d_hat = (rtt - base_rtt).max(0.0);
                 let excess = (d_hat - cfg.queue_target_s).max(0.0);
-                cfg.rho + cfg.eta * excess / cfg.queue_target_s
+                cfg.rho + ETA * excess / cfg.queue_target_s
             }
         }
     }
@@ -242,7 +242,7 @@ impl CcModel {
         let psi0 = match self.psi {
             Psi::Dts(cfg) => {
                 let ratio = (base_rtt / rtt).clamp(0.0, 1.0);
-                cfg.c * epsilon_exact(ratio, cfg.slope, cfg.midpoint)
+                cfg.c * epsilon_exact(ratio, cfg.slope, MIDPOINT)
             }
             Psi::EcMtcp => rtt.powi(3),
             Psi::Ewtcp | Psi::Coupled | Psi::Lia | Psi::Olia | Psi::Balia => 1.0,

@@ -12,7 +12,7 @@ use congestion::{AlgorithmKind, MultipathCongestionControl};
 use energy_model::{
     energy_of_flow, EnergyReport, HostLoadSeries, PhoneModel, PowerModel, WiredCpuModel,
 };
-use netsim::{LossModel, ReorderModel, SimDuration, SimTime, Simulator};
+use netsim::{LossModel, SimDuration, SimTime, Simulator};
 use obs::{CounterSnapshot, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -122,6 +122,10 @@ impl FlowResult {
 }
 
 /// Options for the Fig. 5(b) two-path bursty scenario (Figs. 7, 8, 9).
+///
+/// Fixed, as on the paper's testbed: both paths run at 100 Mb/s with 10 ms
+/// one-way propagation and a 100-packet queue, each loaded by the paper's
+/// Pareto bursts ([`ParetoOnOffConfig::paper_fig5b`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BurstyOptions {
     /// RNG seed.
@@ -130,12 +134,6 @@ pub struct BurstyOptions {
     /// the run then ends within 100 ms of the transfer being acknowledged,
     /// and the link counters and traces cover that window.
     pub duration_s: f64,
-    /// Path rate, bits/second (testbed NICs: 100 Mb/s).
-    pub link_bps: u64,
-    /// One-way propagation per path.
-    pub one_way: SimDuration,
-    /// Cross-traffic configuration (the paper's Pareto bursts).
-    pub cross: ParetoOnOffConfig,
     /// Finite transfer size; `None` = long-lived, which runs for exactly
     /// `duration_s`.
     pub transfer_bytes: Option<u64>,
@@ -143,16 +141,15 @@ pub struct BurstyOptions {
 
 impl Default for BurstyOptions {
     fn default() -> Self {
-        BurstyOptions {
-            seed: 1,
-            duration_s: 120.0,
-            link_bps: 100_000_000,
-            one_way: SimDuration::from_millis(10),
-            cross: ParetoOnOffConfig::paper_fig5b(),
-            transfer_bytes: None,
-        }
+        BurstyOptions { seed: 1, duration_s: 120.0, transfer_bytes: None }
     }
 }
+
+/// The testbed NIC rate of Figs. 5(a) and 5(b), bits/second.
+const TESTBED_BPS: u64 = 100_000_000;
+
+/// One-way propagation of each Fig. 5(b) path.
+const BURSTY_ONE_WAY: SimDuration = SimDuration::from_millis(10);
 
 /// Widens a host/flow index to `u64` for flow ids and stagger arithmetic.
 /// Lossless on every supported target (`usize` is at most 64 bits); the
@@ -229,10 +226,10 @@ pub fn run_two_path_bursty_on(
 /// Builds the Fig. 5(b) topology, cross traffic and the measured connection
 /// on a fresh `sim`.
 fn build_two_path_bursty(sim: &mut Simulator, cc: &CcChoice, opts: &BurstyOptions) -> FlowHandle {
-    let params = LinkParams::new(opts.link_bps, opts.one_way).queue(100);
+    let params = LinkParams::new(TESTBED_BPS, BURSTY_ONE_WAY).queue(100);
     let tp = TwoPath::symmetric(sim, params);
     for link in tp.forward_links() {
-        attach_pareto_cross_traffic(sim, vec![link], opts.cross);
+        attach_pareto_cross_traffic(sim, vec![link], ParetoOnOffConfig::paper_fig5b());
     }
     let mut cfg = FlowConfig::new(0).sample_every(SimDuration::from_millis(20));
     if let Some(bytes) = opts.transfer_bytes {
@@ -265,6 +262,9 @@ pub fn counters_of(sim: &Simulator, flows: &[FlowHandle]) -> CounterSnapshot {
 }
 
 /// Options for the Fig. 5(a) shared-bottleneck scenario (Fig. 6).
+///
+/// Fixed, as on the paper's testbed: both bottlenecks run at 100 Mb/s with
+/// 5 ms one-way propagation and a 100-packet queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SharedOptions {
     /// RNG seed.
@@ -274,10 +274,6 @@ pub struct SharedOptions {
     pub n_users: usize,
     /// Per-user transfer size, bytes (the paper: 16 MB).
     pub transfer_bytes: u64,
-    /// Bottleneck rate, bits/second.
-    pub link_bps: u64,
-    /// One-way propagation.
-    pub one_way: SimDuration,
     /// Safety horizon, seconds: an upper bound. Every measured transfer is
     /// finite, so the run ends when the last user's transfer is
     /// acknowledged; a user still unfinished at the horizon is charged up to
@@ -287,16 +283,12 @@ pub struct SharedOptions {
 
 impl Default for SharedOptions {
     fn default() -> Self {
-        SharedOptions {
-            seed: 1,
-            n_users: 10,
-            transfer_bytes: 16 * 1024 * 1024,
-            link_bps: 100_000_000,
-            one_way: SimDuration::from_millis(5),
-            horizon_s: 600.0,
-        }
+        SharedOptions { seed: 1, n_users: 10, transfer_bytes: 16 * 1024 * 1024, horizon_s: 600.0 }
     }
 }
+
+/// One-way propagation of the Fig. 5(a) bottlenecks.
+const SHARED_ONE_WAY: SimDuration = SimDuration::from_millis(5);
 
 /// Per-user energies (joules) for the Fig. 5(a) scenario: N MPTCP users
 /// (16 MB each) racing 2N long-lived TCP users over two shared bottlenecks.
@@ -312,8 +304,8 @@ fn build_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> (Simulator, V
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
     let mut stagger_rng = SmallRng::seed_from_u64(opts.seed ^ 0x5A);
-    let sb =
-        SharedBottleneck::new(&mut sim, LinkParams::new(opts.link_bps, opts.one_way).queue(100));
+    let bottleneck = LinkParams::new(TESTBED_BPS, SHARED_ONE_WAY).queue(100);
+    let sb = SharedBottleneck::new(&mut sim, bottleneck);
     // 2N competing TCP users, long-lived, randomly staggered starts.
     for i in 0..2 * opts.n_users {
         let start = SimDuration::from_millis(stagger_rng.gen_range(0..200));
@@ -501,6 +493,10 @@ impl DcKind {
 }
 
 /// Options for the datacenter scenarios.
+///
+/// Fixed, as on the paper's htsim fabrics: hosts link at 100 Mb/s (VL2's
+/// switch links at 1 Gb/s), every link has 100 µs one-way propagation and a
+/// 32-packet DropTail queue.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DcOptions {
     /// RNG seed.
@@ -509,32 +505,28 @@ pub struct DcOptions {
     pub n_subflows: usize,
     /// Run length, seconds (the paper simulates 1000 s; scaled here).
     pub duration_s: f64,
-    /// Host link rate, bits/second.
-    pub host_bps: u64,
-    /// Per-link one-way propagation.
-    pub link_delay: SimDuration,
-    /// DropTail queue bound per link, packets.
-    pub queue_pkts: usize,
 }
 
 impl Default for DcOptions {
     fn default() -> Self {
-        DcOptions {
-            seed: 1,
-            n_subflows: 2,
-            duration_s: 10.0,
-            host_bps: 100_000_000,
-            link_delay: SimDuration::from_micros(100),
-            queue_pkts: 32,
-        }
+        DcOptions { seed: 1, n_subflows: 2, duration_s: 10.0 }
     }
 }
+
+/// Host link rate of the datacenter fabrics, bits/second.
+const DC_HOST_BPS: u64 = 100_000_000;
+
+/// Per-link one-way propagation of the datacenter fabrics.
+const DC_LINK_DELAY: SimDuration = SimDuration::from_micros(100);
+
+/// DropTail queue bound per datacenter link, packets.
+const DC_QUEUE_PKTS: usize = 32;
 
 /// Runs a datacenter scenario: a random permutation of long-lived flows,
 /// `n_subflows` sampled ECMP paths each.
 pub fn run_datacenter(kind: DcKind, cc: &CcChoice, opts: &DcOptions) -> FleetResult {
     let mut sim = Simulator::new(opts.seed);
-    let params = LinkParams::new(opts.host_bps, opts.link_delay).queue(opts.queue_pkts);
+    let params = LinkParams::new(DC_HOST_BPS, DC_LINK_DELAY).queue(DC_QUEUE_PKTS);
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xDC);
     enum Fabric {
         Ft(FatTree),
@@ -544,7 +536,7 @@ pub fn run_datacenter(kind: DcKind, cc: &CcChoice, opts: &DcOptions) -> FleetRes
     let fabric = match kind {
         DcKind::FatTree { k } => Fabric::Ft(FatTree::build(&mut sim, k, params)),
         DcKind::Vl2 { scale } => {
-            let sw = LinkParams::new(opts.host_bps * 10, opts.link_delay).queue(opts.queue_pkts);
+            let sw = LinkParams::new(DC_HOST_BPS * 10, DC_LINK_DELAY).queue(DC_QUEUE_PKTS);
             let cfg = topology::Vl2Config {
                 n_tor: (16 / scale.max(1)).max(2),
                 n_agg: (8 / scale.max(1)).max(2),
@@ -591,16 +583,17 @@ pub fn run_datacenter(kind: DcKind, cc: &CcChoice, opts: &DcOptions) -> FleetRes
 }
 
 /// Options for the heterogeneous wireless scenario (Fig. 17).
+///
+/// Fixed: Pareto cross-traffic bursts ([`ParetoOnOffConfig::paper_fig5b`]
+/// timing) at 8 Mb/s on the WiFi path and 16 Mb/s on the 4G path. The
+/// uplinks carry no delivery impairments; to add reordering, duplication or
+/// corruption, set them on the links through [`netsim::Impairment`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WirelessOptions {
     /// RNG seed.
     pub seed: u64,
     /// Run length, seconds (the paper simulates 200 s).
     pub duration_s: f64,
-    /// Cross-traffic burst rate on the WiFi path, bits/second.
-    pub wifi_cross_bps: u64,
-    /// Cross-traffic burst rate on the 4G path, bits/second.
-    pub lte_cross_bps: u64,
     /// Receive buffer, bytes. The ns-2 default is 64 KB; we default to
     /// 256 KB so the congestion window (not flow control) governs — see
     /// EXPERIMENTS.md.
@@ -611,40 +604,6 @@ pub struct WirelessOptions {
     pub wifi_loss: f64,
     /// Random uplink loss probability on the 4G path.
     pub lte_loss: f64,
-    /// Delivery impairments (reorder/duplicate/corrupt) on the WiFi uplink.
-    /// All-zero by default — inert knobs draw nothing from the RNG, so the
-    /// clean scenario stays bit-identical to the pre-impairment runs.
-    pub wifi_impair: ImpairmentKnobs,
-    /// Delivery impairments on the 4G uplink.
-    pub lte_impair: ImpairmentKnobs,
-}
-
-/// Per-path delivery-impairment knobs for scenario options: reordering
-/// jitter, duplication, and corruption probabilities. The all-zero default
-/// is inert (no RNG draws, byte-identical runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ImpairmentKnobs {
-    /// Per-packet probability of an extra reordering delay.
-    pub reorder_p: f64,
-    /// Maximum extra delay drawn uniformly when reordering fires, seconds.
-    pub reorder_max_s: f64,
-    /// Per-packet duplication probability.
-    pub duplicate_p: f64,
-    /// Per-packet corruption probability (delivered but poisoned).
-    pub corrupt_p: f64,
-}
-
-impl ImpairmentKnobs {
-    /// Installs these knobs on `link` (no-ops stay no-ops).
-    fn apply(&self, sim: &mut Simulator, link: netsim::LinkId) {
-        let imp = sim.world_mut().link_mut(link).impairment_mut();
-        imp.set_reorder(ReorderModel::uniform(
-            self.reorder_p,
-            SimDuration::from_secs_f64(self.reorder_max_s),
-        ));
-        imp.set_duplicate(self.duplicate_p);
-        imp.set_corrupt(self.corrupt_p);
-    }
 }
 
 impl Default for WirelessOptions {
@@ -652,26 +611,25 @@ impl Default for WirelessOptions {
         WirelessOptions {
             seed: 1,
             duration_s: 200.0,
-            wifi_cross_bps: 8_000_000,
-            lte_cross_bps: 16_000_000,
             rcv_buf_bytes: 256 * 1024,
             wifi_loss: 0.0,
             lte_loss: 0.0,
-            wifi_impair: ImpairmentKnobs::default(),
-            lte_impair: ImpairmentKnobs::default(),
         }
     }
 }
 
-/// Installs the wireless scenario's random-loss and delivery impairments on
-/// the uplink (data-direction) hops. `LossModel::iid(0.0)` is
-/// `LossModel::None` and all-zero [`ImpairmentKnobs`] are inert, so the
+/// Cross-traffic burst rate on the Fig. 17 WiFi path, bits/second.
+const WIFI_CROSS_BPS: u64 = 8_000_000;
+
+/// Cross-traffic burst rate on the Fig. 17 4G path, bits/second.
+const LTE_CROSS_BPS: u64 = 16_000_000;
+
+/// Installs the wireless scenario's random loss on the uplink
+/// (data-direction) hops. `LossModel::iid(0.0)` is `LossModel::None`, so the
 /// lossless defaults draw nothing from the RNG.
 fn apply_wireless_loss(sim: &mut Simulator, tp: &TwoPath, opts: &WirelessOptions) {
     sim.world_mut().link_mut(tp.p1.fwd).impairment_mut().set_loss(LossModel::iid(opts.wifi_loss));
     sim.world_mut().link_mut(tp.p2.fwd).impairment_mut().set_loss(LossModel::iid(opts.lte_loss));
-    opts.wifi_impair.apply(sim, tp.p1.fwd);
-    opts.lte_impair.apply(sim, tp.p2.fwd);
 }
 
 /// Runs the Fig. 17 scenario: an infinite MPTCP flow over WiFi (10 Mb/s,
@@ -697,9 +655,9 @@ pub(crate) fn run_wireless_on(
     let tp = TwoPath::wireless(&mut sim);
     apply_wireless_loss(&mut sim, &tp, opts);
     let mut cross = ParetoOnOffConfig::paper_fig5b();
-    cross.burst_rate_bps = opts.wifi_cross_bps;
+    cross.burst_rate_bps = WIFI_CROSS_BPS;
     attach_pareto_cross_traffic(&mut sim, vec![tp.p1.fwd], cross);
-    cross.burst_rate_bps = opts.lte_cross_bps;
+    cross.burst_rate_bps = LTE_CROSS_BPS;
     attach_pareto_cross_traffic(&mut sim, vec![tp.p2.fwd], cross);
     let all = tp.both();
     let paths: Vec<PathSpec> = admitted.iter().map(|&i| all[i].clone()).collect();
@@ -742,37 +700,38 @@ pub fn host_energy(
 
 /// Options for the §V-C hierarchical-Internet scenario (the setting the
 /// compensative parameter φ is designed for).
+///
+/// Fixed: 12 dual-homed users on 20 Mb/s access links, 3 aggregation nodes
+/// with 60 Mb/s uplinks, and a 150 Mb/s shared backbone (the concentration
+/// point).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HierarchyOptions {
     /// RNG seed.
     pub seed: u64,
-    /// Number of dual-homed end hosts.
-    pub n_users: usize,
-    /// Number of aggregation nodes.
-    pub n_agg: usize,
-    /// Access link rate, bits/second.
-    pub access_bps: u64,
-    /// Aggregation uplink rate, bits/second.
-    pub agg_bps: u64,
-    /// Shared backbone rate, bits/second (the concentration point).
-    pub core_bps: u64,
     /// Run length, seconds.
     pub duration_s: f64,
 }
 
 impl Default for HierarchyOptions {
     fn default() -> Self {
-        HierarchyOptions {
-            seed: 1,
-            n_users: 12,
-            n_agg: 3,
-            access_bps: 20_000_000,
-            agg_bps: 60_000_000,
-            core_bps: 150_000_000,
-            duration_s: 30.0,
-        }
+        HierarchyOptions { seed: 1, duration_s: 30.0 }
     }
 }
+
+/// Number of dual-homed end hosts in the hierarchy scenario.
+const HIERARCHY_USERS: usize = 12;
+
+/// Number of aggregation nodes in the hierarchy scenario.
+const HIERARCHY_AGGS: usize = 3;
+
+/// Access link rate of the hierarchy scenario, bits/second.
+const ACCESS_BPS: u64 = 20_000_000;
+
+/// Aggregation uplink rate of the hierarchy scenario, bits/second.
+const AGG_UPLINK_BPS: u64 = 60_000_000;
+
+/// Shared backbone rate of the hierarchy scenario, bits/second.
+const BACKBONE_BPS: u64 = 150_000_000;
 
 /// Result of the hierarchy scenario: fleet metrics plus backbone telemetry.
 #[derive(Clone, Debug)]
@@ -789,11 +748,11 @@ pub struct HierarchyResult {
 /// long-lived flow through the shared backbone.
 pub fn run_hierarchy(cc: &CcChoice, opts: &HierarchyOptions) -> HierarchyResult {
     let mut sim = Simulator::new(opts.seed);
-    let access = LinkParams::new(opts.access_bps, SimDuration::from_millis(5)).queue(64);
-    let agg = LinkParams::new(opts.agg_bps, SimDuration::from_millis(5)).queue(64);
-    let core = LinkParams::new(opts.core_bps, SimDuration::from_millis(10)).queue(128);
-    let h = Hierarchy::build(&mut sim, opts.n_users, opts.n_agg, access, agg, core);
-    let flows: Vec<FlowHandle> = (0..opts.n_users)
+    let access = LinkParams::new(ACCESS_BPS, SimDuration::from_millis(5)).queue(64);
+    let agg = LinkParams::new(AGG_UPLINK_BPS, SimDuration::from_millis(5)).queue(64);
+    let core = LinkParams::new(BACKBONE_BPS, SimDuration::from_millis(10)).queue(128);
+    let h = Hierarchy::build(&mut sim, HIERARCHY_USERS, HIERARCHY_AGGS, access, agg, core);
+    let flows: Vec<FlowHandle> = (0..HIERARCHY_USERS)
         .map(|u| {
             attach_flow(
                 &mut sim,
@@ -816,34 +775,33 @@ pub fn run_hierarchy(cc: &CcChoice, opts: &HierarchyOptions) -> HierarchyResult 
 /// Options for the short-flow (mice) datacenter experiment. Every mouse is a
 /// finite transfer, so the run ends when the last one is acknowledged;
 /// `mice.horizon_s + drain_s` is an upper bound.
+///
+/// Fixed: a FatTree(4) with the links of [`DcOptions`], 2 subflows per
+/// flow, and 4 long-lived background elephants.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShortFlowOptions {
     /// RNG seed.
     pub seed: u64,
-    /// FatTree arity.
-    pub k: usize,
-    /// Subflows per mouse.
-    pub n_subflows: usize,
     /// The mice process.
     pub mice: ShortFlowConfig,
-    /// Number of long-lived background elephants.
-    pub n_elephants: usize,
     /// Safety horizon past the mice horizon, seconds.
     pub drain_s: f64,
 }
 
 impl Default for ShortFlowOptions {
     fn default() -> Self {
-        ShortFlowOptions {
-            seed: 1,
-            k: 4,
-            n_subflows: 2,
-            mice: ShortFlowConfig::default(),
-            n_elephants: 4,
-            drain_s: 10.0,
-        }
+        ShortFlowOptions { seed: 1, mice: ShortFlowConfig::default(), drain_s: 10.0 }
     }
 }
+
+/// FatTree arity of the short-flow experiment.
+const SHORT_FLOW_FATTREE_K: usize = 4;
+
+/// Subflows per flow (mouse or elephant) in the short-flow experiment.
+const SHORT_FLOW_SUBFLOWS: usize = 2;
+
+/// Long-lived background elephants in the short-flow experiment.
+const ELEPHANTS: usize = 4;
 
 /// Result of the short-flow experiment: flow-completion-time statistics.
 #[derive(Clone, Debug)]
@@ -881,18 +839,18 @@ pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResul
 fn build_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> (Simulator, Vec<FlowHandle>) {
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
-    let params = LinkParams::new(100_000_000, SimDuration::from_micros(100)).queue(32);
-    let ft = FatTree::build(&mut sim, opts.k, params);
+    let params = LinkParams::new(DC_HOST_BPS, DC_LINK_DELAY).queue(DC_QUEUE_PKTS);
+    let ft = FatTree::build(&mut sim, SHORT_FLOW_FATTREE_K, params);
     let hosts = ft.hosts();
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x517);
     // Background elephants.
-    for e in 0..opts.n_elephants {
+    for e in 0..ELEPHANTS {
         let src = rng.gen_range(0..hosts);
         let mut dst = rng.gen_range(0..hosts);
         if dst == src {
             dst = (dst + 1) % hosts;
         }
-        let paths = ft.sample_paths(src, dst, opts.n_subflows, &mut rng);
+        let paths = ft.sample_paths(src, dst, SHORT_FLOW_SUBFLOWS, &mut rng);
         let n = paths.len();
         attach_flow(
             &mut sim,
@@ -915,7 +873,7 @@ fn build_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> (Simulator, Vec<
             if dst == src {
                 dst = (dst + 1) % hosts;
             }
-            let paths = ft.sample_paths(src, dst, opts.n_subflows, &mut rng);
+            let paths = ft.sample_paths(src, dst, SHORT_FLOW_SUBFLOWS, &mut rng);
             let n = paths.len();
             attach_flow(
                 &mut sim,

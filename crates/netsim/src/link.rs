@@ -12,6 +12,7 @@
 use crate::faults::Impairment;
 use crate::pool::PacketSlot;
 use crate::time::{SimDuration, SimTime};
+use obs::DropCause;
 use std::collections::VecDeque;
 
 /// Configuration of a unidirectional link.
@@ -250,24 +251,21 @@ impl Link {
         self.impairment.is_up()
     }
 
-    /// Rolls the loss impairment for one offered packet, counting a loss.
-    /// `true` means the packet is lost before reaching the queue.
-    pub(crate) fn roll_loss(&mut self, rng: &mut rand::rngs::SmallRng) -> bool {
-        let lost = self.impairment.roll_loss(rng);
-        if lost {
-            self.stats.random_losses += 1;
-        }
-        lost
-    }
-
-    /// Counts a packet dropped because the link was down.
-    pub(crate) fn note_blackout_drop(&mut self) {
-        self.stats.blackout_drops += 1;
-    }
-
-    /// Counts a packet offered to the link (for conservation accounting).
-    pub(crate) fn note_offered(&mut self) {
+    /// Counts a packet offered to the link and applies the impairments that
+    /// act where the wire starts: a down link swallows it outright, then the
+    /// loss process rolls. Returns the cause of a drop, counted here, or
+    /// `None` if the packet goes on to the DropTail queue.
+    pub(crate) fn admit(&mut self, rng: &mut rand::rngs::SmallRng) -> Option<DropCause> {
         self.stats.offered += 1;
+        if !self.impairment.is_up() {
+            self.stats.blackout_drops += 1;
+            return Some(DropCause::Blackout);
+        }
+        if self.impairment.roll_loss(rng) {
+            self.stats.random_losses += 1;
+            return Some(DropCause::FaultLoss);
+        }
+        None
     }
 
     /// Counts a packet copy delayed by the reorder impairment.

@@ -165,13 +165,6 @@ pub struct World {
     /// Only the `popped_*` fields are kept here; the rest are read off the
     /// queue and the pool on demand ([`Simulator::engine_counters`]).
     popped: EngineCounters,
-    /// Total packets dropped by DropTail across all links.
-    pub dropped_pkts: u64,
-    /// Total packets lost to random-loss impairments across all links.
-    pub random_losses: u64,
-    /// Total packets dropped because a link was down (offers while down plus
-    /// queue drains at the moment of going down), across all links.
-    pub blackout_drops: u64,
 }
 
 impl World {
@@ -187,9 +180,6 @@ impl World {
             timers: Vec::new(),
             armed_count: 0,
             popped: EngineCounters::default(),
-            dropped_pkts: 0,
-            random_losses: 0,
-            blackout_drops: 0,
         }
     }
 
@@ -258,6 +248,21 @@ impl World {
                 }
             })
             .collect()
+    }
+
+    /// Total packets dropped by DropTail across all links.
+    pub fn dropped_pkts(&self) -> u64 {
+        self.links.iter().map(|l| l.stats().drops).sum()
+    }
+
+    /// Total packets lost to random-loss impairments across all links.
+    pub fn random_losses(&self) -> u64 {
+        self.links.iter().map(|l| l.stats().random_losses).sum()
+    }
+
+    /// Total packets dropped because a link was down, across all links.
+    pub fn blackout_drops(&self) -> u64 {
+        self.links.iter().map(|l| l.stats().blackout_drops).sum()
     }
 
     /// The current simulated time.
@@ -405,19 +410,9 @@ impl World {
     }
 
     fn offer_to_link(&mut self, link: LinkId, pkt: PacketSlot) {
-        // Impairments act where the wire starts: a down link swallows the
-        // packet outright, then the loss process rolls, and only survivors
-        // reach the DropTail queue. `dropped_pkts` stays DropTail-only.
         let l = &mut self.links[link];
-        l.note_offered();
-        if !l.is_up() {
-            l.note_blackout_drop();
-            self.blackout_drops += 1;
-            return self.drop_packet(link, pkt, DropCause::Blackout);
-        }
-        if l.roll_loss(&mut self.rng) {
-            self.random_losses += 1;
-            return self.drop_packet(link, pkt, DropCause::FaultLoss);
+        if let Some(cause) = l.admit(&mut self.rng) {
+            return self.drop_packet(link, pkt, cause);
         }
         let (pkt_id, size_bytes) = {
             let p = self.pool.get(pkt);
@@ -435,7 +430,6 @@ impl World {
                 }
             }
             Enqueue::Dropped => {
-                self.dropped_pkts += 1;
                 return self.drop_packet(link, pkt, DropCause::QueueOverflow);
             }
         }
@@ -457,7 +451,6 @@ impl World {
     /// Panics if `id` is not a registered link.
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
         let drained = self.links[id].set_up(up, self.now);
-        self.blackout_drops += drained.len() as u64;
         for pkt in drained {
             self.drop_packet(id, pkt, DropCause::Blackout);
         }
@@ -1209,7 +1202,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs_f64(1.0));
         // 1 in service + 1 queued survive; 3 dropped.
-        assert_eq!(sim.world().dropped_pkts, 3);
+        assert_eq!(sim.world().dropped_pkts(), 3);
         assert_eq!(sim.agent::<Sink>(sink).received.len(), 2);
     }
 
@@ -1225,13 +1218,13 @@ mod tests {
             sim.world_mut().send_packet(sink, route.clone(), 100, Payload::Raw);
         }
         sim.run_to_completion();
-        let lost = sim.world().random_losses;
+        let lost = sim.world().random_losses();
         let got = sim.agent::<Sink>(sink).received.len() as u64;
         assert_eq!(lost + got, 200);
         assert_eq!(sim.world().link(l).stats().random_losses, lost);
         assert!((50..150).contains(&lost), "p=0.5 lost {lost}/200");
         // Random losses are not DropTail drops.
-        assert_eq!(sim.world().dropped_pkts, 0);
+        assert_eq!(sim.world().dropped_pkts(), 0);
     }
 
     #[test]
@@ -1245,10 +1238,10 @@ mod tests {
             sim.world_mut().send_packet(sink, route.clone(), 1250, Payload::Raw);
         }
         sim.world_mut().set_link_up(l, false);
-        assert_eq!(sim.world().blackout_drops, 3, "queue drained on going down");
+        assert_eq!(sim.world().blackout_drops(), 3, "queue drained on going down");
         // Offers while down are swallowed.
         sim.world_mut().send_packet(sink, route.clone(), 1250, Payload::Raw);
-        assert_eq!(sim.world().blackout_drops, 4);
+        assert_eq!(sim.world().blackout_drops(), 4);
         sim.run_to_completion();
         // Only the packet already in service got through.
         assert_eq!(sim.agent::<Sink>(sink).received.len(), 1);

@@ -40,7 +40,7 @@ proptest! {
         }
         sim.run_until(SimTime::from_secs_f64(60.0));
         let delivered = sim.agent::<Recorder>(sink).arrivals.len() as u64;
-        let dropped = sim.world().dropped_pkts;
+        let dropped = sim.world().dropped_pkts();
         prop_assert_eq!(delivered + dropped, n_pkts as u64);
         // The link's own counters agree.
         prop_assert_eq!(sim.world().link(l).stats().tx_pkts, delivered);

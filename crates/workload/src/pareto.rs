@@ -4,9 +4,9 @@
 //! follows Pareto pattern at rate 45 Mb/s and occurs at random intervals
 //! (average 10 seconds) and with average bursty duration of 5 seconds."
 //!
-//! Burst durations are Pareto(α = 1.5) with the configured mean; gaps are
-//! exponential with the configured mean; within a burst the source emits CBR
-//! at the burst rate.
+//! Burst durations are Pareto(α = 1.5) with a 5 s mean; gaps are
+//! exponential with a 10 s mean; within a burst the source emits 1500-byte
+//! packets at the configured burst rate.
 
 use crate::sink::Sink;
 use netsim::{Agent, Ctx, LinkId, Packet, Payload, Route, SimDuration, Simulator};
@@ -16,32 +16,28 @@ use std::sync::Arc;
 const TK_TOGGLE: u64 = 1;
 const TK_SEND: u64 = 2;
 
-/// Configuration of a Pareto on/off source.
+/// Mean burst duration, seconds.
+const MEAN_ON_S: f64 = 5.0;
+/// Mean gap between bursts, seconds.
+const MEAN_OFF_S: f64 = 10.0;
+/// Pareto shape α for burst durations (must be > 1 for a finite mean).
+const SHAPE: f64 = 1.5;
+/// Packet size, bytes.
+const PKT_BYTES: u32 = 1500;
+
+/// Configuration of a Pareto on/off source. The burst timing is fixed at
+/// the paper's: Pareto(α = 1.5) bursts of 5 s mean, exponential gaps of
+/// 10 s mean, 1500-byte packets.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ParetoOnOffConfig {
     /// Emission rate during a burst, bits/second.
     pub burst_rate_bps: u64,
-    /// Mean burst duration, seconds.
-    pub mean_on_s: f64,
-    /// Mean gap between bursts, seconds.
-    pub mean_off_s: f64,
-    /// Pareto shape α for burst durations (must be > 1 for a finite mean).
-    pub shape: f64,
-    /// Packet size, bytes.
-    pub pkt_bytes: u32,
 }
 
 impl ParetoOnOffConfig {
-    /// The paper's Fig. 5(b) parameters: 45 Mb/s bursts, 5 s mean duration,
-    /// 10 s mean gap, α = 1.5.
+    /// The paper's Fig. 5(b) parameters: 45 Mb/s bursts.
     pub fn paper_fig5b() -> Self {
-        ParetoOnOffConfig {
-            burst_rate_bps: 45_000_000,
-            mean_on_s: 5.0,
-            mean_off_s: 10.0,
-            shape: 1.5,
-            pkt_bytes: 1500,
-        }
+        ParetoOnOffConfig { burst_rate_bps: 45_000_000 }
     }
 }
 
@@ -62,7 +58,6 @@ pub fn exp_sample<R: Rng>(rng: &mut R, mean: f64) -> f64 {
 /// The on/off bursty source agent.
 #[derive(Debug)]
 pub struct ParetoOnOff {
-    cfg: ParetoOnOffConfig,
     route: Arc<Route>,
     on: bool,
     interval: SimDuration,
@@ -76,8 +71,8 @@ impl ParetoOnOff {
     /// Creates the source (attach with [`attach_pareto_cross_traffic`]).
     pub fn new(route: Arc<Route>, cfg: ParetoOnOffConfig) -> Self {
         let interval =
-            SimDuration::from_secs_f64(f64::from(cfg.pkt_bytes) * 8.0 / cfg.burst_rate_bps as f64);
-        ParetoOnOff { cfg, route, on: false, interval, bursts: 0, sent: 0 }
+            SimDuration::from_secs_f64(f64::from(PKT_BYTES) * 8.0 / cfg.burst_rate_bps as f64);
+        ParetoOnOff { route, on: false, interval, bursts: 0, sent: 0 }
     }
 
     /// Whether a burst is in progress.
@@ -96,19 +91,19 @@ impl Agent for ParetoOnOff {
                     // Burst ends; schedule the next one after an exponential
                     // gap.
                     self.on = false;
-                    let gap = exp_sample(ctx.rng(), self.cfg.mean_off_s);
+                    let gap = exp_sample(ctx.rng(), MEAN_OFF_S);
                     ctx.schedule_in(SimDuration::from_secs_f64(gap), TK_TOGGLE);
                 } else {
                     // Burst begins; schedule its Pareto end and start sending.
                     self.on = true;
                     self.bursts += 1;
-                    let dur = pareto_sample(ctx.rng(), self.cfg.shape, self.cfg.mean_on_s);
+                    let dur = pareto_sample(ctx.rng(), SHAPE, MEAN_ON_S);
                     ctx.schedule_in(SimDuration::from_secs_f64(dur), TK_TOGGLE);
                     ctx.schedule_in(SimDuration::ZERO, TK_SEND);
                 }
             }
             TK_SEND if self.on => {
-                ctx.send(self.route.clone(), self.cfg.pkt_bytes, Payload::Raw);
+                ctx.send(self.route.clone(), PKT_BYTES, Payload::Raw);
                 self.sent += 1;
                 ctx.schedule_in(self.interval, TK_SEND);
             }
@@ -130,7 +125,7 @@ pub fn attach_pareto_cross_traffic(
     let src = sim.add_agent(Box::new(ParetoOnOff::new(route, cfg)));
     let first_gap = {
         let rng = sim.world_mut().rng();
-        exp_sample(rng, cfg.mean_off_s)
+        exp_sample(rng, MEAN_OFF_S)
     };
     sim.kick(src, SimDuration::from_secs_f64(first_gap), TK_TOGGLE);
     (src, sink)

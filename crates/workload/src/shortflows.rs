@@ -20,14 +20,16 @@ pub struct ShortFlow {
     pub bytes: u64,
 }
 
-/// Parameters of the short-flow process.
+/// Smallest flow, bytes.
+const MIN_BYTES: u64 = 10 * 1024;
+
+/// Parameters of the short-flow process. The smallest flow is fixed at
+/// 10 KiB.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShortFlowConfig {
     /// Mean arrival rate, flows/second.
     pub rate_per_s: f64,
-    /// Smallest flow, bytes.
-    pub min_bytes: u64,
-    /// Largest flow, bytes (sizes are log-uniform in `[min, max]`, the
+    /// Largest flow, bytes (sizes are log-uniform in `[10 KiB, max]`, the
     /// heavy-tailed shape of measured DC mice/elephant mixes).
     pub max_bytes: u64,
     /// Horizon over which arrivals are generated, seconds.
@@ -36,12 +38,7 @@ pub struct ShortFlowConfig {
 
 impl Default for ShortFlowConfig {
     fn default() -> Self {
-        ShortFlowConfig {
-            rate_per_s: 20.0,
-            min_bytes: 10 * 1024,
-            max_bytes: 1024 * 1024,
-            horizon_s: 10.0,
-        }
+        ShortFlowConfig { rate_per_s: 20.0, max_bytes: 1024 * 1024, horizon_s: 10.0 }
     }
 }
 
@@ -49,9 +46,9 @@ impl Default for ShortFlowConfig {
 ///
 /// # Panics
 ///
-/// Panics if `min_bytes == 0` or `min_bytes > max_bytes`.
+/// Panics if `max_bytes` is below 10 KiB.
 pub fn short_flow_schedule<R: Rng>(cfg: &ShortFlowConfig, rng: &mut R) -> Vec<ShortFlow> {
-    assert!(cfg.min_bytes > 0 && cfg.min_bytes <= cfg.max_bytes);
+    assert!(MIN_BYTES <= cfg.max_bytes);
     let mut out = Vec::new();
     let mut t = 0.0;
     let mean_gap = 1.0 / cfg.rate_per_s;
@@ -60,7 +57,7 @@ pub fn short_flow_schedule<R: Rng>(cfg: &ShortFlowConfig, rng: &mut R) -> Vec<Sh
         if t >= cfg.horizon_s {
             break;
         }
-        let lo = (cfg.min_bytes as f64).ln();
+        let lo = (MIN_BYTES as f64).ln();
         let hi = (cfg.max_bytes as f64).ln();
         let bytes = (lo + rng.gen_range(0.0..1.0) * (hi - lo)).exp() as u64;
         out.push(ShortFlow { start: SimDuration::from_secs_f64(t), bytes: bytes.max(1) });
@@ -88,7 +85,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let cfg = ShortFlowConfig { rate_per_s: 100.0, horizon_s: 50.0, ..Default::default() };
         let sched = short_flow_schedule(&cfg, &mut rng);
-        assert!(sched.iter().all(|f| f.bytes >= cfg.min_bytes && f.bytes <= cfg.max_bytes));
+        assert!(sched.iter().all(|f| f.bytes >= MIN_BYTES && f.bytes <= cfg.max_bytes));
         let small = sched.iter().filter(|f| f.bytes < 100 * 1024).count();
         let large = sched.iter().filter(|f| f.bytes >= 100 * 1024).count();
         assert!(small > 0 && large > 0, "log-uniform should cover both ends");

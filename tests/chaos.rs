@@ -198,8 +198,8 @@ fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
         acked: s.data_acked(),
         per_path: (s.subflow(0).acked_pkts, s.subflow(1).acked_pkts),
         failover_reinjections: s.failover_reinjections,
-        random_losses: sim.world().random_losses,
-        blackout_drops: sim.world().blackout_drops,
+        random_losses: sim.world().random_losses(),
+        blackout_drops: sim.world().blackout_drops(),
         counters,
     }
 }

@@ -1,10 +1,13 @@
 //! One smoke test per crate boundary that the root package's other tests
 //! cross only implicitly: `energy` metering `transport` telemetry,
-//! `topology` laying paths on `netsim` links, and `workload` generating
-//! traffic for a `netsim` world. Each is small enough for a debug build.
+//! `topology` laying paths on `netsim` links, `workload` generating traffic
+//! for a `netsim` world, and the paper's per-ACK controllers (run through
+//! `congestion`'s interface) against their Equation-(3) fluid form in
+//! `core::model`. Each is small enough for a debug build.
 
-use congestion::AlgorithmKind;
+use congestion::{AlgorithmKind, MultipathCongestionControl, SubflowCc};
 use energy_model::{energy_of_flow, loads_of, PhoneModel, PowerModel, WiredCpuModel};
+use mptcp_energy::{CcModel, Dts, DtsConfig, DtsPhi, DtsPhiConfig, FlowView};
 use netsim::{SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -185,4 +188,91 @@ fn workload_traffic_fits_the_world() {
     assert!(sent > 0, "at least one burst in {duration_s} s");
     let capacity = link_bps as f64 / 8.0 * duration_s;
     assert!((sent as f64) <= capacity, "{sent} bytes through a {capacity}-byte pipe");
+}
+
+/// `congestion/tests/model_consistency.rs`'s windows and RTTs, one row per
+/// flow.
+const STATES: &[(&[f64], &[f64])] = &[
+    (&[10.0, 10.0], &[0.1, 0.1]),
+    (&[30.0, 10.0], &[0.05, 0.2]),
+    (&[5.0, 25.0, 40.0], &[0.02, 0.08, 0.3]),
+    (&[100.0, 2.0], &[0.5, 0.01]),
+];
+
+/// `baseRTT_r / RTT_r` of path `r`, cycling: every ratio is off Equation
+/// (5)'s midpoint, and the queueing delays it implies fall on both sides
+/// of DTS-Φ's default 5 ms target.
+const BASE_FRACTION: [f64; 3] = [0.9, 0.6, 0.3];
+
+/// One flow's subflows in congestion avoidance with `srtt = last_rtt = rtt`
+/// and `base_rtt < rtt`, plus the same state as a fluid [`FlowView`]'s
+/// `x = w/rtt`, `rtt` and `base_rtt`.
+fn cc_state(ws: &[f64], rtts: &[f64]) -> (Vec<SubflowCc>, [Vec<f64>; 3]) {
+    let base: Vec<f64> = rtts.iter().enumerate().map(|(r, &t)| t * BASE_FRACTION[r % 3]).collect();
+    let flows = ws
+        .iter()
+        .zip(rtts)
+        .zip(&base)
+        .map(|((&w, &rtt), &base_rtt)| {
+            let mut f = SubflowCc::new();
+            (f.cwnd, f.ssthresh) = (w, 1.0);
+            (f.srtt, f.last_rtt, f.base_rtt) = (rtt, rtt, base_rtt);
+            f
+        })
+        .collect();
+    let x = ws.iter().zip(rtts).map(|(w, rtt)| w / rtt).collect();
+    (flows, [x, rtts.to_vec(), base])
+}
+
+/// Subflow `r`'s window after one ACK under `cc`.
+fn window_after_ack(cc: &mut dyn MultipathCongestionControl, r: usize, fs: &[SubflowCc]) -> f64 {
+    let mut fs = fs.to_vec();
+    cc.on_ack(r, &mut fs, 1, false);
+    fs[r].cwnd
+}
+
+#[test]
+fn dts_and_dts_phi_per_ack_steps_are_their_equation_3_drift() {
+    let (dts_cfg, phi_cfg) = (DtsConfig::default(), DtsPhiConfig::default());
+    assert_eq!(phi_cfg.dts, dts_cfg, "DTS-Φ's increase is default DTS");
+    let (dts_model, phi_model) = (CcModel::dts(dts_cfg), CcModel::dts_phi(phi_cfg));
+    for (ws, rtts) in STATES {
+        let (fs, [x, rtt, base_rtt]) = cc_state(ws, rtts);
+        let view = FlowView { x: &x, rtt: &rtt, base_rtt: &base_rtt };
+        for r in 0..fs.len() {
+            let w = fs[r].cwnd;
+            // (a) One ACK every 1/x_r seconds moves the window by Δw, and
+            // dx = dw/RTT: the per-ACK step is a drift of Δw·x_r/RTT_r.
+            // Reading Δw back as w′ − w costs up to one ulp of w on top of
+            // the 1e-12 the two evaluation orders may differ by.
+            let w_dts = window_after_ack(&mut Dts::with_config(dts_cfg), r, &fs);
+            let dw = w_dts - w;
+            let packet = dw * x[r] / rtt[r];
+            let fluid = dts_model.dxdt(r, &view, 0.0);
+            assert!(dw > 0.0, "state {ws:?}, r={r}: DTS grows the window");
+            assert!(
+                (packet - fluid).abs() <= (1e-12 + f64::EPSILON * w / dw) * fluid.abs(),
+                "state {ws:?}, r={r}: DTS per-ACK drift {packet} vs Equation (3) {fluid}"
+            );
+
+            // (b) DTS-Φ takes DTS's step, then drains κ·w′·grad from the
+            // window w′ that step left.
+            let w_phi = window_after_ack(&mut DtsPhi::with_config(phi_cfg), r, &fs);
+            let grad = DtsPhi::with_config(phi_cfg).price_gradient(&fs[r]);
+            let drained = w_dts - phi_cfg.kappa * w_dts * grad;
+            assert_eq!(w_phi.to_bits(), drained.to_bits(), "state {ws:?}, r={r}: {w_phi}");
+            // The drain's drift is −κ·w′·grad·x_r/RTT_r; the fluid price is
+            // −κ·x_r²·grad = −κ·w·grad·x_r/RTT_r. They differ by the factor
+            // w′/w = 1 + Δw/w and nothing else. Reading the drain back as
+            // w″ − w′ costs up to one ulp of w′, ε/(κ·grad) of the drain.
+            let packet = (w_phi - w_dts) * x[r] / rtt[r];
+            let fluid = phi_model.dxdt(r, &view, 0.0) - dts_model.dxdt(r, &view, 0.0);
+            assert!(fluid < 0.0, "state {ws:?}, r={r}: the price drains");
+            let tol = 1e-12 + f64::EPSILON / (phi_cfg.kappa * grad);
+            assert!(
+                (packet - fluid * (w_dts / w)).abs() <= tol * fluid.abs(),
+                "state {ws:?}, r={r}: DTS-Φ drain drift {packet} vs Equation (3) {fluid}·w′/w"
+            );
+        }
+    }
 }

@@ -133,13 +133,8 @@ fn hybrid_epochs_repeat_bit_for_bit() {
             sim.add_link(LinkConfig::new(10_000_000, SimDuration::from_millis(5)).queue_limit(64));
         }
         let paths = [PathSpec::new(vec![0], vec![1]), PathSpec::new(vec![2], vec![3])];
-        let cfg = HybridConfig {
-            epoch_s: 0.1,
-            fluid_dt: 1e-3,
-            handoff_age_s: 0.1,
-            calib_rtt_s: 0.012,
-            ..HybridConfig::default()
-        };
+        let cfg =
+            HybridConfig { epoch_s: 0.1, fluid_dt: 1e-3, handoff_age_s: 0.1, calib_rtt_s: 0.012 };
         let mut eng = HybridEngine::new(sim, 2, WiredCpuModel::energy_proportional_server(), cfg);
         eng.add_fluid_flow(CcModel::dts_phi(DtsPhiConfig::default()), &paths, 10.0, 0);
         eng.add_packet_flow(

@@ -25,12 +25,7 @@ use workload::permutation_pairs;
 
 /// A finite 2 MB transfer over the two bursty paths.
 fn opts(seed: u64) -> BurstyOptions {
-    BurstyOptions {
-        seed,
-        transfer_bytes: Some(2_000_000),
-        duration_s: 60.0,
-        ..BurstyOptions::default()
-    }
+    BurstyOptions { seed, transfer_bytes: Some(2_000_000), duration_s: 60.0 }
 }
 
 fn cells(seeds: &[u64]) -> Vec<SweepCell<'static, FlowResult>> {
