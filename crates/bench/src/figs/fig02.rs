@@ -6,13 +6,14 @@
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
 use energy_model::{energy_of_flow, PhoneModel};
+use mptcp_energy::path_select::onto_phone_slots;
 use mptcp_energy::scenarios::CcChoice;
 use netsim::{SimDuration, SimTime, Simulator};
 use topology::TwoPath;
 use transport::{attach_flow, FlowConfig};
 
 /// Which radios the connection uses.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Radios {
     Wifi,
     Lte,
@@ -39,21 +40,10 @@ fn run_phone(radios: Radios, duration_s: f64) -> (f64, f64) {
     let sender = flow.sender_ref(&sim);
     // The phone model maps sample slot 0 → WiFi and slot 1 → LTE; pad the
     // single-LTE run so its traffic lands on the LTE slot.
-    let mut samples = sender.samples().to_vec();
-    if radios == Radios::Lte {
-        for s in &mut samples {
-            s.subflows.insert(
-                0,
-                transport::SubflowSample {
-                    throughput_bps: 0.0,
-                    srtt_s: 0.0,
-                    base_rtt_s: 0.0,
-                    cwnd_pkts: 0.0,
-                    active: false,
-                },
-            );
-        }
-    }
+    let samples = match radios {
+        Radios::Lte => onto_phone_slots(sender.samples(), 1),
+        Radios::Wifi | Radios::Both => sender.samples().to_vec(),
+    };
     let mut model = PhoneModel::nexus5();
     let report = energy_of_flow(&mut model, &samples);
     (report.mean_power_w, sender.goodput_bps(sim.now()))

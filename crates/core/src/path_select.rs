@@ -95,7 +95,7 @@ pub fn run_wireless_with_policy(
 /// Lays a one-path connection's samples onto the phone's `(wifi, lte)`
 /// interface slots: its one subflow keeps slot `path`, and the other slot
 /// is an idle, closed interface.
-fn onto_phone_slots(samples: &[FlowSample], path: usize) -> Vec<FlowSample> {
+pub fn onto_phone_slots(samples: &[FlowSample], path: usize) -> Vec<FlowSample> {
     let idle = SubflowSample {
         throughput_bps: 0.0,
         srtt_s: 0.0,

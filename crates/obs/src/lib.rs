@@ -41,7 +41,5 @@ pub use counters::{
 };
 pub use dist_event::DistEvent;
 pub use event::{DiscardCause, DropCause, FaultKind, ImpairKind, RecoveryCause, TraceEvent};
-pub use sink::{
-    jsonl_sink_in, sanitize_label, trace_path, FilterSink, JsonlSink, RingSink, TraceSink,
-};
+pub use sink::{jsonl_sink_in, sanitize_label, trace_path, JsonlSink, RingSink, TraceSink};
 pub use summary::{summarize, TraceSummary};

@@ -88,30 +88,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Keeps only events passing a predicate, in an unbounded Vec. Lets tests
-/// capture the low-rate control-plane events (recovery, death, revival) of a
-/// long run without retaining the packet firehose.
-pub struct FilterSink<F: FnMut(&TraceEvent) -> bool + Send> {
-    keep: F,
-    /// The retained events, in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl<F: FnMut(&TraceEvent) -> bool + Send> FilterSink<F> {
-    /// Creates a sink retaining events for which `keep` returns true.
-    pub fn new(keep: F) -> FilterSink<F> {
-        FilterSink { keep, events: Vec::new() }
-    }
-}
-
-impl<F: FnMut(&TraceEvent) -> bool + Send> TraceSink for FilterSink<F> {
-    fn record(&mut self, ev: &TraceEvent) {
-        if (self.keep)(ev) {
-            self.events.push(*ev);
-        }
-    }
-}
-
 /// Writes one flat JSON object per line to any `Write` target, reusing a
 /// single line buffer.
 pub struct JsonlSink<W: Write + Send> {
@@ -202,7 +178,6 @@ pub fn jsonl_sink_in(dir: &Path, label: &str) -> Option<Box<dyn TraceSink>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::DropCause;
 
     fn ev(t: u64) -> TraceEvent {
         TraceEvent::Enqueue { t_ns: t, link: 0, pkt_id: t, qlen: 0 }
@@ -218,15 +193,6 @@ mod tests {
         assert_eq!(ring.len(), 3);
         let times: Vec<u64> = ring.events().map(TraceEvent::t_ns).collect();
         assert_eq!(times, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn filter_sink_keeps_only_matches() {
-        let mut sink = FilterSink::new(|e: &TraceEvent| matches!(e, TraceEvent::Drop { .. }));
-        sink.record(&ev(1));
-        sink.record(&TraceEvent::Drop { t_ns: 2, link: 0, pkt_id: 1, cause: DropCause::Blackout });
-        sink.record(&ev(3));
-        assert_eq!(sink.events.len(), 1);
     }
 
     #[test]

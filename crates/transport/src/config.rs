@@ -25,7 +25,8 @@ pub struct AppRead {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Scheduler {
     /// Prefer the subflow with the smallest smoothed RTT (the MPTCP Linux
-    /// kernel default).
+    /// kernel default); a subflow with no RTT sample yet gets new data
+    /// first, ties go to the lowest index.
     #[default]
     LowestSrtt,
     /// Rotate over subflows with space (the kernel's `roundrobin` module).

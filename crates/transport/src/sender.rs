@@ -12,7 +12,9 @@
 //! stack the paper instruments (the kernel's MPTCP v0.90 is SACK-based) and
 //! avoids the RTO storms a plain NewReno model suffers after slow-start
 //! overshoot. Data is striped over subflows by a lowest-SRTT-first scheduler,
-//! the MPTCP kernel default.
+//! the MPTCP kernel default; a subflow with no RTT sample yet gets new data
+//! first. Reinjections and window probes go to the fastest *sampled* subflow
+//! instead, trying unsampled ones last.
 
 use crate::config::{FlowConfig, Scheduler};
 use crate::rtt::RttEstimator;
@@ -27,7 +29,7 @@ use std::sync::Arc;
 pub const TK_START: u64 = 1;
 /// Timer token: telemetry sample tick.
 const TK_SAMPLE: u64 = 2;
-/// High bit marking an RTO token; subflow in bits 32..48, generation in low
+/// High bit marking an RTO token; subflow in bits 32..62, generation in low
 /// 32 bits.
 const TK_RTO_BIT: u64 = 1 << 63;
 /// Bit marking a persist (zero-window probe) timer token; generation in the
@@ -42,7 +44,7 @@ fn rto_token(subflow: usize, gen: u64) -> u64 {
 }
 
 /// Scoreboard entry for one outstanding segment.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Seg {
     /// Connection-level data sequence carried by this subflow sequence.
     data_seq: u64,
@@ -257,6 +259,30 @@ impl SubflowState {
     /// Whether any data is outstanding.
     fn has_outstanding(&self) -> bool {
         self.snd_nxt > self.snd_una
+    }
+
+    /// Appends a fresh, unsent segment carrying `data_seq` at `snd_nxt` and
+    /// returns its subflow sequence.
+    fn push_seg(&mut self, data_seq: u64, now: SimTime) -> u64 {
+        let seq = self.snd_nxt;
+        self.segs.insert(seq, Seg { data_seq, last_tx: now, ..Seg::default() });
+        self.snd_nxt += 1;
+        seq
+    }
+
+    /// Opens a recovery episode covering everything sent so far.
+    fn open_episode(&mut self) {
+        self.in_recovery = true;
+        self.recover = self.snd_nxt;
+        self.rexmit_cursor = self.snd_una;
+    }
+
+    /// Opens an episode that may retransmit from the head even if the
+    /// receiver never saw anything past it (RTO and revival).
+    fn open_episode_from_head(&mut self) {
+        self.open_episode();
+        self.sack_high = self.sack_high.max(self.snd_nxt);
+        self.loss_scan = self.snd_una;
     }
 
     /// Marks `seq` delivered on the scoreboard, adjusting `pipe`. Returns
@@ -650,22 +676,30 @@ impl MptcpSender {
         self.cfg.total_pkts.is_none_or(|t| self.data_next < t)
     }
 
-    /// The live subflow with the lowest smoothed RTT (falling back to 0) —
-    /// where window probes go.
-    fn probe_subflow(&self) -> usize {
-        let mut best = 0;
-        let mut best_srtt = f64::INFINITY;
-        for r in 0..self.subflows.len() {
-            if self.subflows[r].dead {
-                continue;
-            }
-            let srtt = self.subflows[r].rtt.srtt().unwrap_or(f64::MAX);
-            if srtt < best_srtt {
-                best = r;
-                best_srtt = srtt;
+    /// Whether subflow `r` may take a segment now: live and `pipe < cwnd`.
+    /// Only `mark_dead` clears `active` and `revive` restores it, so this
+    /// also skips dead subflows (`check_invariants` pins the pairing).
+    fn has_space(&self, r: usize) -> bool {
+        self.cc_states[r].active && self.subflows[r].pipe < self.cwnd_floor(r)
+    }
+
+    /// The `eligible` subflow with the lowest smoothed RTT, ties to the
+    /// lowest index; a subflow with no RTT sample yet counts as `unsampled`.
+    fn fastest(&self, unsampled: f64, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for r in (0..self.subflows.len()).filter(|&r| eligible(r)) {
+            let srtt = self.subflows[r].rtt.srtt().unwrap_or(unsampled);
+            if !best.is_some_and(|(_, s)| s <= srtt) {
+                best = Some((r, srtt));
             }
         }
-        best
+        best.map(|(r, _)| r)
+    }
+
+    /// The live subflow with the lowest smoothed RTT, unsampled ones last
+    /// (falling back to 0) — where window probes go.
+    fn probe_subflow(&self) -> usize {
+        self.fastest(f64::MAX, |r| !self.subflows[r].dead).unwrap_or(0)
     }
 
     /// Enters the zero-window stall state and arms the persist timer.
@@ -727,20 +761,7 @@ impl MptcpSender {
                 // the scoreboard like any segment so a window that reopens
                 // mid-probe accounts for it normally.
                 let r = self.probe_subflow();
-                let seq = self.subflows[r].snd_nxt;
-                let data_seq = self.data_next;
-                self.subflows[r].segs.insert(
-                    seq,
-                    Seg {
-                        data_seq,
-                        delivered: false,
-                        in_pipe: false,
-                        rexmits: 0,
-                        spurious_counted: false,
-                        last_tx: ctx.now(),
-                    },
-                );
-                self.subflows[r].snd_nxt += 1;
+                let seq = self.subflows[r].push_seg(self.data_next, ctx.now());
                 self.data_next += 1;
                 self.probe = Some((r, seq));
                 (r, seq, true)
@@ -813,49 +834,17 @@ impl MptcpSender {
                 }
             }
             let n = self.subflows.len();
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..n {
-                let r = match self.cfg.scheduler {
-                    Scheduler::LowestSrtt => i,
-                    Scheduler::RoundRobin => (self.rr_next + i) % n,
-                };
-                if !self.cc_states[r].active {
-                    continue;
+            let pick = match self.cfg.scheduler {
+                Scheduler::LowestSrtt => self.fastest(0.0, |r| self.has_space(r)),
+                Scheduler::RoundRobin => {
+                    (0..n).map(|i| (self.rr_next + i) % n).find(|&r| self.has_space(r))
                 }
-                if self.subflows[r].pipe >= self.cwnd_floor(r) {
-                    continue;
-                }
-                match self.cfg.scheduler {
-                    Scheduler::RoundRobin => {
-                        best = Some((r, 0.0));
-                        break;
-                    }
-                    Scheduler::LowestSrtt => {
-                        let srtt = self.subflows[r].rtt.srtt().unwrap_or(0.0);
-                        match best {
-                            Some((_, s)) if s <= srtt => {}
-                            _ => best = Some((r, srtt)),
-                        }
-                    }
-                }
-            }
-            let Some((r, _)) = best else { return };
+            };
+            let Some(r) = pick else { return };
             self.rr_next = (r + 1) % n.max(1);
             let was_idle = !self.subflows[r].has_outstanding();
-            let seq = self.subflows[r].snd_nxt;
             let data_seq = self.data_next;
-            self.subflows[r].segs.insert(
-                seq,
-                Seg {
-                    data_seq,
-                    delivered: false,
-                    in_pipe: false,
-                    rexmits: 0,
-                    spurious_counted: false,
-                    last_tx: now,
-                },
-            );
-            self.subflows[r].snd_nxt += 1;
+            let seq = self.subflows[r].push_seg(data_seq, now);
             self.data_next += 1;
             ctx.emit(TraceEvent::SchedulerPick {
                 t_ns: now.as_nanos(),
@@ -893,42 +882,12 @@ impl MptcpSender {
             return;
         };
         // Fastest other subflow with pipe space.
-        let mut best: Option<(usize, f64)> = None;
-        for r in 0..self.subflows.len() {
-            if r == rb || !self.cc_states[r].active {
-                continue;
-            }
-            if self.subflows[r].pipe >= self.cwnd_floor(r) {
-                continue;
-            }
-            let srtt = self.subflows[r].rtt.srtt().unwrap_or(f64::MAX);
-            match best {
-                Some((_, s)) if s <= srtt => {}
-                _ => best = Some((r, srtt)),
-            }
-        }
-        let Some((r, _)) = best else { return };
-        let now = ctx.now();
-        // Reinject the blocking data on the fast subflow under a fresh
-        // subflow sequence number.
-        let seq = self.subflows[r].snd_nxt;
-        self.subflows[r].segs.insert(
-            seq,
-            Seg {
-                data_seq: target,
-                delivered: false,
-                in_pipe: false,
-                rexmits: 0,
-                spurious_counted: false,
-                last_tx: now,
-            },
-        );
-        self.subflows[r].snd_nxt += 1;
-        self.transmit(r, seq, false, ctx);
-        self.arm_rto(r, ctx);
+        let Some(r) = self.fastest(f64::MAX, |r| r != rb && self.has_space(r)) else { return };
+        self.reinject(r, target, ctx);
         self.last_reinject = Some(target);
         self.reinjections += 1;
         // Penalize the blocker.
+        let now = ctx.now();
         let srtt = self.subflows[rb].rtt.srtt().unwrap_or(0.2);
         if now.saturating_since(self.subflows[rb].last_penalty).as_secs_f64() > srtt {
             congestion::common::halve(&mut self.cc_states[rb]);
@@ -937,52 +896,26 @@ impl MptcpSender {
         }
     }
 
-    /// The lowest-SRTT live subflow with pipe space, if any.
-    fn live_subflow_with_space(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for r in 0..self.subflows.len() {
-            if self.subflows[r].dead || !self.cc_states[r].active {
-                continue;
-            }
-            if self.subflows[r].pipe >= self.cwnd_floor(r) {
-                continue;
-            }
-            let srtt = self.subflows[r].rtt.srtt().unwrap_or(f64::MAX);
-            match best {
-                Some((_, s)) if s <= srtt => {}
-                _ => best = Some((r, srtt)),
-            }
-        }
-        best.map(|(r, _)| r)
+    /// Re-sends `data_seq` on subflow `r` under a fresh subflow sequence
+    /// number, covered by `r`'s RTO.
+    fn reinject(&mut self, r: usize, data_seq: u64, ctx: &mut Ctx<'_>) {
+        let seq = self.subflows[r].push_seg(data_seq, ctx.now());
+        self.transmit(r, seq, false, ctx);
+        self.arm_rto(r, ctx);
     }
 
     /// Re-sends data sequences stranded on dead subflows over live ones, as
     /// window space allows. Each hole leaves the queue exactly once; holes
     /// the connection has meanwhile acknowledged are discarded.
     fn drain_reinject_queue(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
         while let Some(&data_seq) = self.reinject_queue.front() {
             if data_seq < self.data_acked {
                 self.reinject_queue.pop_front();
                 continue;
             }
-            let Some(r) = self.live_subflow_with_space() else { return };
+            let Some(r) = self.fastest(f64::MAX, |r| self.has_space(r)) else { return };
             self.reinject_queue.pop_front();
-            let seq = self.subflows[r].snd_nxt;
-            self.subflows[r].segs.insert(
-                seq,
-                Seg {
-                    data_seq,
-                    delivered: false,
-                    in_pipe: false,
-                    rexmits: 0,
-                    spurious_counted: false,
-                    last_tx: now,
-                },
-            );
-            self.subflows[r].snd_nxt += 1;
-            self.transmit(r, seq, false, ctx);
-            self.arm_rto(r, ctx);
+            self.reinject(r, data_seq, ctx);
             self.failover_reinjections += 1;
         }
     }
@@ -1039,11 +972,7 @@ impl MptcpSender {
         sf.revivals += 1;
         sf.backoff = 0;
         sf.rtt = RttEstimator::new(min_rto);
-        sf.in_recovery = true;
-        sf.recover = sf.snd_nxt;
-        sf.rexmit_cursor = sf.snd_una;
-        sf.sack_high = sf.sack_high.max(sf.snd_nxt);
-        sf.loss_scan = sf.snd_una;
+        sf.open_episode_from_head();
         let mut st = SubflowCc::new();
         st.cwnd = self.cfg.initial_cwnd;
         self.cc_states[r] = st;
@@ -1094,13 +1023,7 @@ impl MptcpSender {
             let t_ns = ctx.now().as_nanos();
             ctx.emit(TraceEvent::SubflowRevived { t_ns, conn: self.cfg.conn_id, subflow: r });
             if !was_in_recovery {
-                ctx.emit(TraceEvent::RecoveryEnter {
-                    t_ns,
-                    conn: self.cfg.conn_id,
-                    subflow: r,
-                    recover: self.subflows[r].recover,
-                    cause: RecoveryCause::Revival,
-                });
+                self.emit_recovery_enter(r, RecoveryCause::Revival, ctx);
             }
         }
 
@@ -1169,18 +1092,9 @@ impl MptcpSender {
         // Enter fast recovery when fresh losses are classified outside an
         // episode (the congestion response fires once per episode).
         if newly_lost > 0 && !self.subflows[r].in_recovery {
-            let sf = &mut self.subflows[r];
-            sf.in_recovery = true;
-            sf.recover = sf.snd_nxt;
-            sf.rexmit_cursor = sf.snd_una;
-            sf.recoveries += 1;
-            ctx.emit(TraceEvent::RecoveryEnter {
-                t_ns: ctx.now().as_nanos(),
-                conn: self.cfg.conn_id,
-                subflow: r,
-                recover: self.subflows[r].recover,
-                cause: RecoveryCause::FastRetransmit,
-            });
+            self.subflows[r].open_episode();
+            self.subflows[r].recoveries += 1;
+            self.emit_recovery_enter(r, RecoveryCause::FastRetransmit, ctx);
             let cwnd_before = self.cc_states[r].cwnd;
             self.cc.on_loss(r, &mut self.cc_states);
             self.emit_cwnd_change(r, cwnd_before, ctx);
@@ -1220,30 +1134,17 @@ impl MptcpSender {
                 seg.in_pipe = false;
             }
             sf.pipe = 0;
-            sf.in_recovery = true;
-            sf.recover = sf.snd_nxt;
-            sf.rexmit_cursor = sf.snd_una;
+            sf.open_episode_from_head();
             sf.recoveries += 1;
-            // Let the head be retransmitted even if the receiver never saw
-            // anything past it.
-            sf.sack_high = sf.sack_high.max(sf.snd_nxt);
-            sf.loss_scan = sf.snd_una;
         }
-        let t_ns = ctx.now().as_nanos();
         ctx.emit(TraceEvent::RtoFired {
-            t_ns,
+            t_ns: ctx.now().as_nanos(),
             conn: self.cfg.conn_id,
             subflow: r,
             backoff: self.subflows[r].backoff,
         });
         if !was_in_recovery {
-            ctx.emit(TraceEvent::RecoveryEnter {
-                t_ns,
-                conn: self.cfg.conn_id,
-                subflow: r,
-                recover: self.subflows[r].recover,
-                cause: RecoveryCause::Rto,
-            });
+            self.emit_recovery_enter(r, RecoveryCause::Rto, ctx);
         }
         let cwnd_before = self.cc_states[r].cwnd;
         self.cc.on_timeout(r, &mut self.cc_states);
@@ -1267,6 +1168,17 @@ impl MptcpSender {
                 self.pump(ctx);
             }
         }
+    }
+
+    /// Emits `RecoveryEnter` for the episode subflow `r` just opened.
+    fn emit_recovery_enter(&self, r: usize, cause: RecoveryCause, ctx: &mut Ctx<'_>) {
+        ctx.emit(TraceEvent::RecoveryEnter {
+            t_ns: ctx.now().as_nanos(),
+            conn: self.cfg.conn_id,
+            subflow: r,
+            recover: self.subflows[r].recover,
+            cause,
+        });
     }
 
     /// Emits a `CwndChange` event when the algorithm actually moved subflow
@@ -1328,6 +1240,12 @@ impl MptcpSender {
         for (r, (sf, st)) in self.subflows.iter().zip(&self.cc_states).enumerate() {
             if !st.cwnd.is_finite() || st.cwnd <= 0.0 {
                 return Err(format!("conn {conn} sf{r}: cwnd degenerate: {}", st.cwnd));
+            }
+            if sf.dead == st.active {
+                return Err(format!(
+                    "conn {conn} sf{r}: dead {} but cc active {} (only mark_dead/revive flip them)",
+                    sf.dead, st.active
+                ));
             }
             if sf.snd_una > sf.snd_nxt {
                 return Err(format!(
@@ -1491,17 +1409,7 @@ impl Agent for MptcpSender {
 mod tests {
     use super::*;
     use congestion::AlgorithmKind;
-
-    fn seg(data_seq: u64) -> Seg {
-        Seg {
-            data_seq,
-            delivered: false,
-            in_pipe: false,
-            rexmits: 0,
-            spurious_counted: false,
-            last_tx: SimTime::ZERO,
-        }
-    }
+    use netsim::{AgentId, SimDuration, Simulator};
 
     fn two_path_sender() -> MptcpSender {
         let mut s = MptcpSender::new(FlowConfig::new(0), AlgorithmKind::Lia.build(2));
@@ -1517,9 +1425,8 @@ mod tests {
     fn mark_dead_skips_data_already_reinjected_elsewhere() {
         let mut s = two_path_sender();
         // Subflow 1 carries data 5 and 6, both undelivered.
-        s.subflows[1].segs.insert(0, seg(5));
-        s.subflows[1].segs.insert(1, seg(6));
-        s.subflows[1].snd_nxt = 2;
+        s.subflows[1].push_seg(5, SimTime::ZERO);
+        s.subflows[1].push_seg(6, SimTime::ZERO);
 
         s.mark_dead(1);
         assert_eq!(s.reinject_queue, [5, 6], "first death strands both sequences");
@@ -1528,9 +1435,8 @@ mod tests {
         // flight there), and subflow 1 then revived with its scoreboard
         // intact — the classic flap.
         s.reinject_queue.clear();
-        s.subflows[0].segs.insert(0, seg(5));
-        s.subflows[0].segs.insert(1, seg(6));
-        s.subflows[0].snd_nxt = 2;
+        s.subflows[0].push_seg(5, SimTime::ZERO);
+        s.subflows[0].push_seg(6, SimTime::ZERO);
         s.revive(1);
 
         s.mark_dead(1);
@@ -1546,13 +1452,11 @@ mod tests {
     #[test]
     fn mark_dead_still_strands_unprotected_data() {
         let mut s = two_path_sender();
-        s.subflows[1].segs.insert(0, seg(5));
-        s.subflows[1].segs.insert(1, seg(6));
-        s.subflows[1].snd_nxt = 2;
+        s.subflows[1].push_seg(5, SimTime::ZERO);
+        s.subflows[1].push_seg(6, SimTime::ZERO);
         // Subflow 0 holds a copy of 5, but it was already delivered — it no
         // longer protects 5 from re-stranding. Nothing covers 6.
-        s.subflows[0].segs.insert(0, seg(5));
-        s.subflows[0].snd_nxt = 1;
+        s.subflows[0].push_seg(5, SimTime::ZERO);
         s.subflows[0].segs.get_mut(0).unwrap().delivered = true;
 
         s.mark_dead(1);
@@ -1563,12 +1467,96 @@ mod tests {
     #[test]
     fn mark_dead_ignores_already_acked_data() {
         let mut s = two_path_sender();
-        s.subflows[1].segs.insert(0, seg(5));
-        s.subflows[1].segs.insert(1, seg(6));
-        s.subflows[1].snd_nxt = 2;
+        s.subflows[1].push_seg(5, SimTime::ZERO);
+        s.subflows[1].push_seg(6, SimTime::ZERO);
         s.data_acked = 6;
 
         s.mark_dead(1);
         assert_eq!(s.reinject_queue, [6], "only data at/above the data ACK strands");
+    }
+
+    /// A three-path LIA sender whose subflows carry the given smoothed RTTs
+    /// (`None`: no sample yet).
+    fn three_path_sender(cfg: FlowConfig, srtts: [Option<f64>; 3]) -> MptcpSender {
+        let mut s = MptcpSender::new(cfg, AlgorithmKind::Lia.build(3));
+        for (r, srtt) in srtts.into_iter().enumerate() {
+            s.add_path(Route::direct(0));
+            if let Some(srtt) = srtt {
+                s.subflows[r].rtt.observe(srtt);
+            }
+        }
+        s
+    }
+
+    /// Fires `s`'s start timer in a fresh simulator: exactly one `pump`.
+    fn pump_once(s: MptcpSender) -> (Simulator, AgentId) {
+        let mut sim = Simulator::new(1);
+        let id = sim.add_agent(Box::new(s));
+        sim.kick(id, SimDuration::ZERO, TK_START);
+        assert!(sim.step());
+        (sim, id)
+    }
+
+    /// Segments each subflow has been handed.
+    fn pushed(s: &MptcpSender) -> Vec<u64> {
+        s.subflows.iter().map(|sf| sf.snd_nxt).collect()
+    }
+
+    /// New data goes to the lowest-SRTT subflow with space, an unsampled
+    /// subflow counting as the fastest; ties go to the lowest index.
+    #[test]
+    fn new_data_tries_an_unsampled_subflow_first() {
+        for (srtts, want) in [
+            ([Some(0.05), None, Some(0.01)], [0, 1, 0]),
+            ([Some(0.02), Some(0.01), Some(0.01)], [0, 1, 0]),
+            ([None, None, None], [1, 0, 0]),
+        ] {
+            let (sim, id) =
+                pump_once(three_path_sender(FlowConfig::new(0).transfer_pkts(1), srtts));
+            assert_eq!(pushed(sim.agent(id)), want, "srtts {srtts:?}");
+        }
+    }
+
+    /// Failover reinjection tries an unsampled subflow last: a sampled one
+    /// with space wins even with a larger SRTT.
+    #[test]
+    fn failover_reinjection_skips_an_unsampled_subflow() {
+        let mut s =
+            three_path_sender(FlowConfig::new(0).transfer_pkts(1), [Some(0.05), None, Some(0.01)]);
+        s.data_next = 1;
+        s.reinject_queue.push_back(0);
+        s.subflows[2].pipe = s.cwnd_floor(2);
+        let (sim, id) = pump_once(s);
+        let s: &MptcpSender = sim.agent(id);
+        assert_eq!(pushed(s), [1, 0, 0]);
+        assert_eq!((s.failover_reinjections, s.reinjections), (1, 0));
+    }
+
+    /// Opportunistic reinjection of a blocked head goes to the fastest
+    /// sampled other subflow, never back to the blocker.
+    #[test]
+    fn opportunistic_reinjection_skips_an_unsampled_subflow() {
+        let cfg = FlowConfig::new(0).reinjection(true).rcv_buf_pkts(1);
+        let mut s = three_path_sender(cfg, [Some(0.01), None, Some(0.03)]);
+        s.subflows[0].push_seg(0, SimTime::ZERO);
+        s.data_next = 1;
+        let (sim, id) = pump_once(s);
+        let s: &MptcpSender = sim.agent(id);
+        assert_eq!(pushed(s), [1, 0, 1]);
+        assert_eq!((s.reinjections, s.failover_reinjections), (1, 0));
+    }
+
+    /// Window probes go to the fastest live subflow, unsampled ones last,
+    /// ties to the lowest index, and to subflow 0 when every one is dead.
+    #[test]
+    fn window_probes_pick_the_fastest_sampled_live_subflow() {
+        let mut s = three_path_sender(FlowConfig::new(0), [Some(0.01), None, Some(0.01)]);
+        assert_eq!(s.probe_subflow(), 0);
+        s.mark_dead(0);
+        assert_eq!(s.probe_subflow(), 2);
+        s.mark_dead(2);
+        assert_eq!(s.probe_subflow(), 1);
+        s.mark_dead(1);
+        assert_eq!(s.probe_subflow(), 0);
     }
 }
