@@ -123,18 +123,19 @@ pub fn fluid_model_of(cc: &CcChoice) -> Option<CcModel> {
     }
 }
 
-/// Propagation-plus-serialization round trip of one [`PathSpec`]: full-size
-/// segments forward, ACKs back. This is the fluid path's base RTT.
-pub fn path_prop_rtt(sim: &Simulator, path: &PathSpec, mss_bytes: u32, ack_bytes: u32) -> f64 {
+/// Propagation-plus-serialization round trip of one [`PathSpec`]:
+/// [`DEFAULT_MSS_BYTES`] segments forward, [`DEFAULT_ACK_BYTES`] ACKs back.
+/// This is the fluid path's base RTT.
+pub fn path_prop_rtt(sim: &Simulator, path: &PathSpec) -> f64 {
     let w = sim.world();
     let mut rtt = 0.0;
     for &l in &path.fwd {
         let c = w.link(l).config();
-        rtt += c.propagation.as_secs_f64() + c.serialization(mss_bytes).as_secs_f64();
+        rtt += c.propagation.as_secs_f64() + c.serialization(DEFAULT_MSS_BYTES).as_secs_f64();
     }
     for &l in &path.rev {
         let c = w.link(l).config();
-        rtt += c.propagation.as_secs_f64() + c.serialization(ack_bytes).as_secs_f64();
+        rtt += c.propagation.as_secs_f64() + c.serialization(DEFAULT_ACK_BYTES).as_secs_f64();
     }
     rtt
 }
@@ -236,11 +237,6 @@ impl HybridEngine {
         &self.sim
     }
 
-    /// The packet simulator, for attaching extra instrumentation.
-    pub fn sim_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
-    }
-
     /// The fluid net (links mirror simulator link ids).
     pub fn net(&self) -> &FluidNet {
         &self.net
@@ -294,7 +290,7 @@ impl HybridEngine {
         assert!(!paths.is_empty(), "a fluid flow needs at least one path");
         let mut fps = Vec::with_capacity(paths.len());
         for p in paths {
-            let rtt = path_prop_rtt(&self.sim, p, DEFAULT_MSS_BYTES, DEFAULT_ACK_BYTES);
+            let rtt = path_prop_rtt(&self.sim, p);
             fps.push(FluidPath::new(p.fwd.clone(), rtt));
             self.x_flat.push(x0_pps.max(X_MIN));
         }
@@ -326,10 +322,7 @@ impl HybridEngine {
         start_after: SimDuration,
         src_host: usize,
     ) -> FlowHandle {
-        let prop_rtts = paths
-            .iter()
-            .map(|p| path_prop_rtt(&self.sim, p, DEFAULT_MSS_BYTES, DEFAULT_ACK_BYTES))
-            .collect();
+        let prop_rtts = paths.iter().map(|p| path_prop_rtt(&self.sim, p)).collect();
         let fwd_links = paths.iter().map(|p| p.fwd.clone()).collect();
         let n_paths = paths.len();
         let algo = cc.build(n_paths);

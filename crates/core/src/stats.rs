@@ -17,8 +17,8 @@ pub struct FiveNumber {
     pub max: f64,
     /// Points outside `[q1 − 1.5·IQR, q3 + 1.5·IQR]`.
     pub outliers: Vec<f64>,
-    /// NaN samples excluded from the summary (also surfaced through the
-    /// `obs` counter registry as `GlobalCounters::nan_samples`).
+    /// NaN samples excluded from the summary (shown as `nan=` in
+    /// [`FiveNumber::row`]).
     pub nan_samples: usize,
 }
 

@@ -88,8 +88,7 @@ pub struct HostLoadSeries {
     /// `bins[t][iface]` load at grid point `t`.
     pub bins: Vec<Vec<PathLoad>>,
     /// Samples discarded by [`HostLoadSeries::add_flow`] because they fell
-    /// past the horizon (surfaced through the `obs` counter registry as
-    /// `GlobalCounters::dropped_load_samples`).
+    /// past the horizon.
     pub dropped_samples: u64,
 }
 

@@ -186,21 +186,11 @@ pub struct Impairment {
 }
 
 impl Impairment {
-    /// The active loss model.
-    pub fn loss_model(&self) -> &LossModel {
-        &self.loss
-    }
-
     /// Replaces the loss model. Switching to [`LossModel::GilbertElliott`]
     /// starts the channel in the good state.
     pub fn set_loss(&mut self, model: LossModel) {
         self.ge_bad = false;
         self.loss = model;
-    }
-
-    /// The active reorder model.
-    pub fn reorder_model(&self) -> &ReorderModel {
-        &self.reorder
     }
 
     /// Replaces the reorder (extra-delay jitter) model.

@@ -100,15 +100,6 @@ impl ConnCounters {
     }
 }
 
-/// Process-wide counters that have no per-link/per-subflow home.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GlobalCounters {
-    /// NaN samples filtered out of summary statistics instead of panicking.
-    pub nan_samples: u64,
-    /// Flow samples dropped by `HostLoadSeries::add_flow` (past horizon).
-    pub dropped_load_samples: u64,
-}
-
 /// Distributed-fabric accounting for one supervisor run: how shards moved
 /// between workers, and how every injected or organic failure was absorbed.
 /// Each field is one arm of the failure matrix drilled by `fabric_chaos` —
@@ -273,8 +264,6 @@ pub struct CounterSnapshot {
     pub subflows: Vec<SubflowCounters>,
     /// One entry per connection.
     pub conns: Vec<ConnCounters>,
-    /// Process-wide counts.
-    pub global: GlobalCounters,
 }
 
 impl CounterSnapshot {
@@ -352,13 +341,6 @@ impl CounterSnapshot {
                 c.duplicates
             );
         }
-        if self.global.nan_samples > 0 || self.global.dropped_load_samples > 0 {
-            let _ = writeln!(
-                out,
-                "global: nan_samples={} dropped_load_samples={}",
-                self.global.nan_samples, self.global.dropped_load_samples
-            );
-        }
         out
     }
 }
@@ -387,7 +369,6 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            global: GlobalCounters::default(),
         };
         assert_eq!(snap.total_drops(), 7);
         assert_eq!(snap.total_recoveries(), 3);

@@ -10,12 +10,12 @@
 //!   cwnd change, subflow death/revival, scheduler decision, fault
 //!   transition);
 //! - [`sink::TraceSink`] — the consumer trait, with JSONL
-//!   ([`sink::JsonlSink`]), ring-buffer ([`sink::RingSink`]), filtering and
-//!   in-memory implementations; the no-op default is simply *no sink
-//!   installed*, which costs one branch and zero allocations on the hot path;
-//! - [`counters`] — always-on per-link / per-subflow / global counter
-//!   snapshots read off a finished simulator; a sweep cell that wants them
-//!   next to its numbers returns them in its own output type;
+//!   ([`sink::JsonlSink`]), ring-buffer ([`sink::RingSink`]) and in-memory
+//!   implementations; the no-op default is simply *no sink installed*,
+//!   which costs one branch and zero allocations on the hot path;
+//! - [`counters`] — always-on per-link / per-subflow / per-connection
+//!   counter snapshots read off a finished simulator; a sweep cell that
+//!   wants them next to its numbers returns them in its own output type;
 //! - [`record`] — the one-line JSON dialect every trace, journal, spool
 //!   and artifact line is written and read through;
 //! - [`summary`] — the JSONL summarizer behind the `trace_dump` binary.
@@ -36,8 +36,8 @@ pub mod sink;
 pub mod summary;
 
 pub use counters::{
-    ConnCounters, CounterSnapshot, DistCounters, FabricCounters, GlobalCounters, HybridCounters,
-    LinkCounters, SubflowCounters,
+    ConnCounters, CounterSnapshot, DistCounters, FabricCounters, HybridCounters, LinkCounters,
+    SubflowCounters,
 };
 pub use dist_event::DistEvent;
 pub use event::{DiscardCause, DropCause, FaultKind, ImpairKind, RecoveryCause, TraceEvent};

@@ -89,11 +89,6 @@ impl Hierarchy {
     pub fn backbone(&self) -> LinkId {
         self.core_up
     }
-
-    /// The aggregation uplinks.
-    pub fn agg_links(&self) -> &[LinkId] {
-        &self.agg_up
-    }
 }
 
 #[cfg(test)]

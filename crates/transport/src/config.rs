@@ -5,7 +5,7 @@ use netsim::SimDuration;
 /// Default wire size of a data segment (Ethernet MTU).
 pub const DEFAULT_MSS_BYTES: u32 = 1_500;
 
-/// Default wire size of a pure ACK.
+/// Wire size of a pure ACK.
 pub const DEFAULT_ACK_BYTES: u32 = 40;
 
 /// Receiver application read model: the app drains `pkts` packets from the
@@ -19,18 +19,6 @@ pub struct AppRead {
     pub interval: SimDuration,
     /// Packets consumed per read.
     pub pkts: u64,
-}
-
-/// How new data is striped over subflows with window space.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Scheduler {
-    /// Prefer the subflow with the smallest smoothed RTT (the MPTCP Linux
-    /// kernel default); a subflow with no RTT sample yet gets new data
-    /// first, ties go to the lowest index.
-    #[default]
-    LowestSrtt,
-    /// Rotate over subflows with space (the kernel's `roundrobin` module).
-    RoundRobin,
 }
 
 /// Configuration of one (MP)TCP connection.
@@ -52,8 +40,6 @@ pub struct FlowConfig {
     pub conn_id: u64,
     /// Data segment wire size in bytes.
     pub mss_bytes: u32,
-    /// ACK wire size in bytes.
-    pub ack_bytes: u32,
     /// Number of MSS-sized packets to transfer; `None` = long-lived flow.
     pub total_pkts: Option<u64>,
     /// Receive buffer (connection-level reordering window), in packets.
@@ -61,17 +47,8 @@ pub struct FlowConfig {
     pub rcv_buf_pkts: u64,
     /// RTO floor (Linux default 200 ms; datacenter experiments lower it).
     pub min_rto: SimDuration,
-    /// Initial congestion window in packets.
-    pub initial_cwnd: f64,
     /// Telemetry sampling interval.
     pub sample_every: SimDuration,
-    /// Packet scheduler for striping new data over subflows.
-    pub scheduler: Scheduler,
-    /// Opportunistic reinjection + penalization (the MPTCP kernel's
-    /// countermeasures against head-of-line blocking by a slow subflow:
-    /// re-send the blocking segment on a faster subflow and halve the
-    /// blocker's window). Off by default; see `tests/reinjection.rs`.
-    pub reinjection: bool,
     /// Receiver application read model; `None` = the application consumes
     /// delivered data instantly (never a receive-buffer limit beyond
     /// reassembly).
@@ -91,14 +68,10 @@ impl FlowConfig {
         FlowConfig {
             conn_id,
             mss_bytes: DEFAULT_MSS_BYTES,
-            ack_bytes: DEFAULT_ACK_BYTES,
             total_pkts: None,
             rcv_buf_pkts: 256,
             min_rto: SimDuration::from_millis(200),
-            initial_cwnd: congestion::INITIAL_CWND,
             sample_every: SimDuration::from_millis(10),
-            scheduler: Scheduler::LowestSrtt,
-            reinjection: false,
             app_read: None,
             dead_after_backoffs: Some(6),
         }
@@ -139,24 +112,6 @@ impl FlowConfig {
     /// Sets the telemetry sampling interval.
     pub fn sample_every(mut self, interval: SimDuration) -> Self {
         self.sample_every = interval;
-        self
-    }
-
-    /// Sets the initial congestion window (packets).
-    pub fn initial_cwnd(mut self, pkts: f64) -> Self {
-        self.initial_cwnd = pkts;
-        self
-    }
-
-    /// Sets the packet scheduler.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Enables opportunistic reinjection + penalization.
-    pub fn reinjection(mut self, on: bool) -> Self {
-        self.reinjection = on;
         self
     }
 

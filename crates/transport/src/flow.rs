@@ -115,11 +115,10 @@ pub fn attach_flow(
 ) -> FlowHandle {
     assert!(!paths.is_empty(), "a connection needs at least one path");
     let conn_id = cfg.conn_id;
-    let ack_bytes = cfg.ack_bytes;
     let rcv_buf = cfg.rcv_buf_pkts;
     let app_read = cfg.app_read;
     let sender = sim.add_agent(Box::new(MptcpSender::new(cfg, cc)));
-    let receiver = sim.add_agent(Box::new(MptcpReceiver::new(conn_id, ack_bytes, rcv_buf)));
+    let receiver = sim.add_agent(Box::new(MptcpReceiver::new(conn_id, rcv_buf)));
     sim.agent_mut::<MptcpReceiver>(receiver).set_app_read(app_read);
     for p in paths {
         sim.agent_mut::<MptcpSender>(sender).add_path(Route::new(p.fwd.clone(), receiver));

@@ -47,7 +47,7 @@ pub mod rtt;
 pub mod sample;
 pub mod sender;
 
-pub use config::{AppRead, FlowConfig, Scheduler, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES};
+pub use config::{AppRead, FlowConfig, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES};
 pub use flow::{attach_flow, FlowHandle, PathSpec};
 pub use receiver::MptcpReceiver;
 pub use rtt::RttEstimator;

@@ -17,7 +17,7 @@
 //! reopens; recovering from a zero window is the sender's persist machinery's
 //! job, which models the lost-window-update worst case.
 
-use crate::config::AppRead;
+use crate::config::{AppRead, DEFAULT_ACK_BYTES};
 use netsim::{Agent, Ctx, Packet, Payload, Route, SimTime};
 use obs::{DiscardCause, TraceEvent};
 use std::collections::BTreeSet;
@@ -54,7 +54,6 @@ enum Accept {
 #[derive(Debug)]
 pub struct MptcpReceiver {
     conn_id: u64,
-    ack_bytes: u32,
     rcv_buf_pkts: u64,
     app_read: Option<AppRead>,
     /// Reverse (ACK) route per subflow.
@@ -86,10 +85,9 @@ pub struct MptcpReceiver {
 impl MptcpReceiver {
     /// Creates a receiver; wire subflow ACK routes with
     /// [`MptcpReceiver::add_path`].
-    pub fn new(conn_id: u64, ack_bytes: u32, rcv_buf_pkts: u64) -> Self {
+    pub fn new(conn_id: u64, rcv_buf_pkts: u64) -> Self {
         MptcpReceiver {
             conn_id,
-            ack_bytes,
             rcv_buf_pkts: rcv_buf_pkts.max(2),
             app_read: None,
             reverse: Vec::new(),
@@ -337,7 +335,7 @@ impl Agent for MptcpReceiver {
             ts_echo: pkt.sent_at,
         };
         let route = self.reverse[r].clone();
-        ctx.send(route, self.ack_bytes, ack);
+        ctx.send(route, DEFAULT_ACK_BYTES, ack);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
@@ -363,7 +361,7 @@ mod tests {
     use super::*;
 
     fn recv() -> MptcpReceiver {
-        let mut r = MptcpReceiver::new(1, 40, 16);
+        let mut r = MptcpReceiver::new(1, 16);
         r.add_path(Route::direct(0));
         r
     }
@@ -428,7 +426,7 @@ mod tests {
 
     #[test]
     fn full_buffer_advertises_a_zero_window_and_sheds_new_data() {
-        let mut r = MptcpReceiver::new(1, 40, 2);
+        let mut r = MptcpReceiver::new(1, 2);
         r.add_path(Route::direct(0));
         // Two reassembly holds fill the 2-packet buffer.
         assert_eq!(r.accept_data(0, 1, 1, SimTime::ZERO), Accept::Ok);
@@ -444,7 +442,7 @@ mod tests {
 
     #[test]
     fn unconsumed_app_data_closes_the_window() {
-        let mut r = MptcpReceiver::new(1, 40, 2);
+        let mut r = MptcpReceiver::new(1, 2);
         r.add_path(Route::direct(0));
         assert_eq!(r.accept_data(0, 0, 0, SimTime::ZERO), Accept::Ok);
         assert_eq!(r.accept_data(0, 1, 1, SimTime::ZERO), Accept::Ok);
@@ -461,7 +459,7 @@ mod tests {
 
     #[test]
     fn subflow_reassembly_buffer_is_bounded() {
-        let mut r = MptcpReceiver::new(1, 40, 2);
+        let mut r = MptcpReceiver::new(1, 2);
         r.add_path(Route::direct(0));
         // Reinjection can resend one data sequence under many fresh subflow
         // sequences: the conn level sees a known hold (no window charge) but

@@ -13,10 +13,10 @@
 //! avoids the RTO storms a plain NewReno model suffers after slow-start
 //! overshoot. Data is striped over subflows by a lowest-SRTT-first scheduler,
 //! the MPTCP kernel default; a subflow with no RTT sample yet gets new data
-//! first. Reinjections and window probes go to the fastest *sampled* subflow
-//! instead, trying unsampled ones last.
+//! first. Failover reinjections and window probes go to the fastest *sampled*
+//! subflow instead, trying unsampled ones last.
 
-use crate::config::{FlowConfig, Scheduler};
+use crate::config::FlowConfig;
 use crate::rtt::RttEstimator;
 use crate::sample::{FlowSample, PathHandoff, SubflowSample};
 use congestion::{MultipathCongestionControl, SubflowCc};
@@ -87,11 +87,6 @@ impl SegBoard {
         let lo = usize::try_from(from.saturating_sub(self.base)).unwrap_or(len).min(len);
         let hi = usize::try_from(to.saturating_sub(self.base)).unwrap_or(len).min(len);
         (lo, hi.max(lo))
-    }
-
-    fn get(&self, seq: u64) -> Option<&Seg> {
-        let i = self.idx(seq)?;
-        self.ring.get(i)
     }
 
     fn get_mut(&mut self, seq: u64) -> Option<&mut Seg> {
@@ -204,16 +199,12 @@ pub struct SubflowState {
     pub acked_pkts: u64,
     /// Fast-recovery episodes entered.
     pub recoveries: u64,
-    /// Times this subflow was penalized for head-of-line blocking.
-    pub penalties: u64,
     /// Times this subflow was declared dead.
     pub deaths: u64,
     /// Times this subflow came back from the dead.
     pub revivals: u64,
     /// Revival probes sent while dead.
     pub probes: u64,
-    /// Last penalization instant (penalize at most once per SRTT).
-    last_penalty: SimTime,
     sample_prev_acked: u64,
 }
 
@@ -242,18 +233,11 @@ impl SubflowState {
             timeouts: 0,
             acked_pkts: 0,
             recoveries: 0,
-            penalties: 0,
             deaths: 0,
             revivals: 0,
             probes: 0,
-            last_penalty: SimTime::ZERO,
             sample_prev_acked: 0,
         }
-    }
-
-    /// Whether this subflow is currently declared dead.
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     /// Whether any data is outstanding.
@@ -387,12 +371,6 @@ pub struct MptcpSender {
     finished_at: Option<SimTime>,
     samples: Vec<FlowSample>,
     last_sample_at: SimTime,
-    /// Round-robin scheduler cursor.
-    rr_next: usize,
-    /// Data sequence most recently reinjected (throttles duplicates).
-    last_reinject: Option<u64>,
-    /// Connection-level reinjection count.
-    pub reinjections: u64,
     /// Data sequences stranded on dead subflows, awaiting reinjection onto
     /// live ones (each hole queued at most once).
     reinject_queue: VecDeque<u64>,
@@ -447,9 +425,6 @@ impl MptcpSender {
             finished_at: None,
             samples: Vec::new(),
             last_sample_at: SimTime::ZERO,
-            rr_next: 0,
-            last_reinject: None,
-            reinjections: 0,
             reinject_queue: VecDeque::new(),
             failover_reinjections: 0,
             zero_window: false,
@@ -467,19 +442,12 @@ impl MptcpSender {
     /// receiver).
     pub fn add_path(&mut self, route: Arc<Route>) {
         self.subflows.push(SubflowState::new(route, &self.cfg));
-        let mut st = SubflowCc::new();
-        st.cwnd = self.cfg.initial_cwnd;
-        self.cc_states.push(st);
+        self.cc_states.push(SubflowCc::new());
     }
 
     /// Connection configuration.
     pub fn config(&self) -> &FlowConfig {
         &self.cfg
-    }
-
-    /// The congestion-control algorithm's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
     }
 
     /// Number of subflows.
@@ -666,11 +634,6 @@ impl MptcpSender {
         self.peer_rwnd.min(self.cfg.rcv_buf_pkts)
     }
 
-    /// Whether the sender is currently stalled on a zero receive window.
-    pub fn zero_window_stalled(&self) -> bool {
-        self.zero_window
-    }
-
     /// Whether unsent data remains (for finite transfers).
     fn more_data_pending(&self) -> bool {
         self.cfg.total_pkts.is_none_or(|t| self.data_next < t)
@@ -812,7 +775,7 @@ impl MptcpSender {
         }
         // 2. Failover: re-send data stranded on dead subflows over live ones.
         self.drain_reinject_queue(ctx);
-        // 3. New data via the configured packet scheduler.
+        // 3. New data to the lowest-SRTT subflow with space.
         loop {
             let outstanding = self.data_next - self.data_acked;
             let limit = self.conn_window_limit();
@@ -823,9 +786,6 @@ impl MptcpSender {
                 if limit == 0 && outstanding == 0 && self.more_data_pending() && !self.zero_window {
                     self.enter_zero_window(ctx);
                 }
-                if self.cfg.reinjection {
-                    self.try_reinject(ctx);
-                }
                 return;
             }
             if let Some(total) = self.cfg.total_pkts {
@@ -833,15 +793,7 @@ impl MptcpSender {
                     return;
                 }
             }
-            let n = self.subflows.len();
-            let pick = match self.cfg.scheduler {
-                Scheduler::LowestSrtt => self.fastest(0.0, |r| self.has_space(r)),
-                Scheduler::RoundRobin => {
-                    (0..n).map(|i| (self.rr_next + i) % n).find(|&r| self.has_space(r))
-                }
-            };
-            let Some(r) = pick else { return };
-            self.rr_next = (r + 1) % n.max(1);
+            let Some(r) = self.fastest(0.0, |r| self.has_space(r)) else { return };
             let was_idle = !self.subflows[r].has_outstanding();
             let data_seq = self.data_next;
             let seq = self.subflows[r].push_seg(data_seq, now);
@@ -856,43 +808,6 @@ impl MptcpSender {
             if was_idle {
                 self.arm_rto(r, ctx);
             }
-        }
-    }
-
-    /// Opportunistic reinjection + penalization: when the connection window
-    /// is exhausted but another subflow has pipe space, the segment the data
-    /// ACK is waiting for (stuck at some subflow's head) is re-sent on the
-    /// fastest subflow with space, and the blocking subflow's window is
-    /// halved (at most once per SRTT) — the MPTCP kernel's HoL-blocking
-    /// countermeasures.
-    fn try_reinject(&mut self, ctx: &mut Ctx<'_>) {
-        let target = self.data_acked; // the connection-level hole
-        if self.last_reinject == Some(target) || self.finished_at.is_some() {
-            return;
-        }
-        // Which subflow holds the blocking segment at its head?
-        let Some(rb) = (0..self.subflows.len()).find(|&k| {
-            let sf = &self.subflows[k];
-            sf.has_outstanding()
-                && sf
-                    .segs
-                    .get(sf.snd_una)
-                    .is_some_and(|seg| seg.data_seq == target && !seg.delivered)
-        }) else {
-            return;
-        };
-        // Fastest other subflow with pipe space.
-        let Some(r) = self.fastest(f64::MAX, |r| r != rb && self.has_space(r)) else { return };
-        self.reinject(r, target, ctx);
-        self.last_reinject = Some(target);
-        self.reinjections += 1;
-        // Penalize the blocker.
-        let now = ctx.now();
-        let srtt = self.subflows[rb].rtt.srtt().unwrap_or(0.2);
-        if now.saturating_since(self.subflows[rb].last_penalty).as_secs_f64() > srtt {
-            congestion::common::halve(&mut self.cc_states[rb]);
-            self.subflows[rb].last_penalty = now;
-            self.subflows[rb].penalties += 1;
         }
     }
 
@@ -973,9 +888,7 @@ impl MptcpSender {
         sf.backoff = 0;
         sf.rtt = RttEstimator::new(min_rto);
         sf.open_episode_from_head();
-        let mut st = SubflowCc::new();
-        st.cwnd = self.cfg.initial_cwnd;
-        self.cc_states[r] = st;
+        self.cc_states[r] = SubflowCc::new();
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1529,21 +1442,7 @@ mod tests {
         let (sim, id) = pump_once(s);
         let s: &MptcpSender = sim.agent(id);
         assert_eq!(pushed(s), [1, 0, 0]);
-        assert_eq!((s.failover_reinjections, s.reinjections), (1, 0));
-    }
-
-    /// Opportunistic reinjection of a blocked head goes to the fastest
-    /// sampled other subflow, never back to the blocker.
-    #[test]
-    fn opportunistic_reinjection_skips_an_unsampled_subflow() {
-        let cfg = FlowConfig::new(0).reinjection(true).rcv_buf_pkts(1);
-        let mut s = three_path_sender(cfg, [Some(0.01), None, Some(0.03)]);
-        s.subflows[0].push_seg(0, SimTime::ZERO);
-        s.data_next = 1;
-        let (sim, id) = pump_once(s);
-        let s: &MptcpSender = sim.agent(id);
-        assert_eq!(pushed(s), [1, 0, 1]);
-        assert_eq!((s.reinjections, s.failover_reinjections), (1, 0));
+        assert_eq!(s.failover_reinjections, 1);
     }
 
     /// Window probes go to the fastest live subflow, unsampled ones last,

@@ -21,7 +21,7 @@ use congestion::AlgorithmKind;
 use netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use transport::{attach_flow, FlowConfig, PathSpec, Scheduler};
+use transport::{attach_flow, FlowConfig, PathSpec};
 
 fn duplex(sim: &mut Simulator, bps: u64, delay_us: u64, q: usize) -> PathSpec {
     let fwd = sim.add_link(LinkConfig::new(bps, SimDuration::from_micros(delay_us)).queue_limit(q));
@@ -30,7 +30,7 @@ fn duplex(sim: &mut Simulator, bps: u64, delay_us: u64, q: usize) -> PathSpec {
 }
 
 /// One randomly-drawn stress configuration (tiny queues, asymmetric rates
-/// and delays, any algorithm, either scheduler).
+/// and delays, any algorithm).
 #[derive(Clone, Copy, Debug)]
 struct StressCase {
     seed: u64,
@@ -41,7 +41,6 @@ struct StressCase {
     d1_us: u64,
     d2_us: u64,
     kind: AlgorithmKind,
-    rr: bool,
 }
 
 /// Draws `n` cases from the same distributions the old proptest block used,
@@ -49,16 +48,21 @@ struct StressCase {
 fn draw_cases(n: usize, meta_seed: u64) -> Vec<StressCase> {
     let mut rng = SmallRng::seed_from_u64(meta_seed);
     (0..n)
-        .map(|_| StressCase {
-            seed: rng.gen_range(0..1000),
-            q1: rng.gen_range(2..12),
-            q2: rng.gen_range(2..12),
-            mbps1: rng.gen_range(2..30),
-            mbps2: rng.gen_range(2..30),
-            d1_us: rng.gen_range(100..30_000),
-            d2_us: rng.gen_range(100..30_000),
-            kind: AlgorithmKind::ALL[rng.gen_range(0..AlgorithmKind::ALL.len())],
-            rr: rng.gen_bool(0.5),
+        .map(|_| {
+            let case = StressCase {
+                seed: rng.gen_range(0..1000),
+                q1: rng.gen_range(2..12),
+                q2: rng.gen_range(2..12),
+                mbps1: rng.gen_range(2..30),
+                mbps2: rng.gen_range(2..30),
+                d1_us: rng.gen_range(100..30_000),
+                d2_us: rng.gen_range(100..30_000),
+                kind: AlgorithmKind::ALL[rng.gen_range(0..AlgorithmKind::ALL.len())],
+            };
+            // A retired per-case coin (it once picked the packet scheduler),
+            // still drawn so every later case keeps its parameters.
+            let _ = rng.gen_bool(0.5);
+            case
         })
         .collect()
 }
@@ -83,7 +87,6 @@ fn stress_run(c: StressCase) -> StressOutcome {
         FlowConfig::new(0)
             .transfer_pkts(STRESS_PKTS)
             .rcv_buf_pkts(40)
-            .scheduler(if c.rr { Scheduler::RoundRobin } else { Scheduler::LowestSrtt })
             .min_rto(SimDuration::from_millis(50)),
         c.kind.build(2),
         &[p1, p2],

@@ -15,9 +15,9 @@ fn duplex(sim: &mut Simulator, bps: u64, one_way: SimDuration, qlimit: usize) ->
     PathSpec::new(vec![fwd], vec![rev])
 }
 
-/// A finite transfer whose entire window is wiped out by an early blackout:
-/// the sender RTOs into recovery with `recover == snd_nxt == 40` and, since
-/// only 40 packets exist, the cumulative ACK can never exceed 40 — so
+/// A finite transfer whose entire window is wiped out by a blackout from
+/// time zero: the sender RTOs into recovery with `recover == snd_nxt == 3`
+/// and, since only 3 packets exist, the cumulative ACK can never exceed 3 — so
 /// `RecoveryExit` must fire when `cum_ack` equals `recover` exactly. An
 /// off-by-one (`>` instead of `>=`) would emit no exit at all.
 #[test]
@@ -29,15 +29,11 @@ fn recovery_exit_fires_exactly_at_recover() {
     // Black out the forward link before anything is delivered; restore it
     // well before the RTO backoff gives up.
     FaultScript::new()
-        .blackout(path.fwd[0], SimTime::from_secs_f64(0.005), SimTime::from_secs_f64(0.5))
+        .blackout(path.fwd[0], SimTime::ZERO, SimTime::from_secs_f64(0.5))
         .install(&mut sim);
     let flow = attach_flow(
         &mut sim,
-        FlowConfig::new(0)
-            .transfer_pkts(40)
-            .initial_cwnd(64.0)
-            .rcv_buf_pkts(256)
-            .dead_after_backoffs(None),
+        FlowConfig::new(0).transfer_pkts(3).rcv_buf_pkts(256).dead_after_backoffs(None),
         AlgorithmKind::Reno.build(1),
         &[path],
         SimDuration::ZERO,
@@ -55,7 +51,7 @@ fn recovery_exit_fires_exactly_at_recover() {
         })
         .max()
         .expect("blackout must force a recovery episode");
-    assert_eq!(rto_recover, 40, "RTO must arm recovery at snd_nxt");
+    assert_eq!(rto_recover, 3, "RTO must arm recovery at snd_nxt");
     assert!(
         events.iter().any(|e| matches!(e, TraceEvent::RtoFired { .. })),
         "whole-window loss must be repaired by RTO"

@@ -74,11 +74,6 @@ impl ParetoOnOff {
             SimDuration::from_secs_f64(f64::from(PKT_BYTES) * 8.0 / cfg.burst_rate_bps as f64);
         ParetoOnOff { route, on: false, interval, bursts: 0, sent: 0 }
     }
-
-    /// Whether a burst is in progress.
-    pub fn is_on(&self) -> bool {
-        self.on
-    }
 }
 
 impl Agent for ParetoOnOff {

@@ -1,18 +1,21 @@
 //! One smoke test per crate boundary that the root package's other tests
 //! cross only implicitly: `energy` metering `transport` telemetry,
-//! `topology` laying paths on `netsim` links, `workload` generating traffic
-//! for a `netsim` world, and the paper's per-ACK controllers (run through
+//! `transport` putting segments and ACKs on `netsim` links, `topology`
+//! laying paths on `netsim` links, `workload` generating traffic for a
+//! `netsim` world, and the paper's per-ACK controllers (run through
 //! `congestion`'s interface) against their Equation-(3) fluid form in
 //! `core::model`. Each is small enough for a debug build.
 
 use congestion::{AlgorithmKind, MultipathCongestionControl, SubflowCc};
 use energy_model::{energy_of_flow, loads_of, PhoneModel, PowerModel, WiredCpuModel};
 use mptcp_energy::{CcModel, Dts, DtsConfig, DtsPhi, DtsPhiConfig, FlowView};
-use netsim::{SimDuration, SimTime, Simulator};
+use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use topology::{BCube, FatTree, LinkParams, TwoPath, Vl2, Vl2Config};
-use transport::{attach_flow, FlowConfig, FlowSample, PathSpec};
+use transport::{
+    attach_flow, FlowConfig, FlowSample, PathSpec, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES,
+};
 use workload::{attach_pareto_cross_traffic, permutation_pairs, ParetoOnOffConfig};
 
 /// The Figs. 7–9 smoke transfer (8 MB over the Fig. 5(b) bursty two-path
@@ -79,6 +82,33 @@ fn energy_meters_transport_telemetry_left_to_right() {
     let wireless = wireless_samples();
     assert_telemetry_is_a_series(&wireless);
     assert_metered_left_to_right(PhoneModel::nexus5_uplink, &wireless);
+}
+
+/// One Reno transfer over a duplex path whose 20-packet forward queue
+/// overflows: every data segment on the forward link is
+/// `DEFAULT_MSS_BYTES`, every ACK on the reverse link `DEFAULT_ACK_BYTES`,
+/// and each segment that crossed the forward link drew exactly one ACK.
+#[test]
+fn transport_segments_and_acks_cross_netsim_links_one_for_one() {
+    let mut sim = Simulator::new(3);
+    let one_way = SimDuration::from_millis(10);
+    let fwd = sim.add_link(LinkConfig::new(10_000_000, one_way).queue_limit(20));
+    let rev = sim.add_link(LinkConfig::new(10_000_000, one_way));
+    let flow = attach_flow(
+        &mut sim,
+        FlowConfig::new(0).transfer_pkts(2_000),
+        AlgorithmKind::Reno.build(1),
+        &[PathSpec::new(vec![fwd], vec![rev])],
+        SimDuration::ZERO,
+    );
+    sim.run_until(SimTime::from_secs_f64(30.0));
+    assert!(flow.is_finished(&sim), "the transfer completes");
+    let (f, r) = (sim.world().link(fwd).stats(), sim.world().link(rev).stats());
+    assert!(f.drops > 0, "the forward queue overflows: {f:?}");
+    assert!(f.tx_pkts >= 2_000, "every packet crossed at least once: {f:?}");
+    assert_eq!(f.tx_bytes, f.tx_pkts * u64::from(DEFAULT_MSS_BYTES), "data segment size");
+    assert_eq!(r.tx_bytes, r.tx_pkts * u64::from(DEFAULT_ACK_BYTES), "ACK size");
+    assert_eq!(r.offered, f.tx_pkts, "one ACK per data segment that crossed: {r:?}");
 }
 
 /// Samples two paths for every ordered host pair and hands each to `check`

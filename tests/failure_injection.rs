@@ -6,7 +6,7 @@ use congestion::AlgorithmKind;
 use mptcp_energy::CcChoice;
 use netsim::{FaultAction, FaultScript, SimDuration, SimTime, Simulator};
 use topology::TwoPath;
-use transport::{attach_flow, FlowConfig, FlowHandle, Scheduler};
+use transport::{attach_flow, FlowConfig, FlowHandle};
 
 fn acked_per_path(sim: &Simulator, flow: FlowHandle) -> (u64, u64) {
     let s = flow.sender_ref(sim);
@@ -89,26 +89,10 @@ fn bandwidth_collapse_does_not_deadlock() {
     );
 }
 
-/// Round-robin scheduling splits evenly on symmetric paths, while
-/// lowest-SRTT concentrates on the faster path when RTTs differ.
+/// The lowest-SRTT scheduler concentrates new data on the faster path when
+/// RTTs differ.
 #[test]
-fn schedulers_differ_as_designed() {
-    // Symmetric paths, round-robin: ~50/50 split.
-    let mut sim = Simulator::new(23);
-    let tp = TwoPath::dual_nic(&mut sim, 20_000_000, SimDuration::from_millis(10));
-    let flow = attach_flow(
-        &mut sim,
-        FlowConfig::new(0).scheduler(Scheduler::RoundRobin),
-        CcChoice::Base(AlgorithmKind::Lia).build(2),
-        &tp.both(),
-        SimDuration::ZERO,
-    );
-    sim.run_until(SimTime::from_secs_f64(10.0));
-    let (a0, a1) = acked_per_path(&sim, flow);
-    let ratio = a0 as f64 / a1.max(1) as f64;
-    assert!((0.7..1.4).contains(&ratio), "round-robin split {a0}/{a1}");
-
-    // Asymmetric RTT, lowest-SRTT: the fast path dominates.
+fn lowest_srtt_prefers_the_fast_path() {
     let mut sim = Simulator::new(23);
     let fast_slow = TwoPath::asymmetric(
         &mut sim,
@@ -117,7 +101,7 @@ fn schedulers_differ_as_designed() {
     );
     let flow = attach_flow(
         &mut sim,
-        FlowConfig::new(0).scheduler(Scheduler::LowestSrtt).rcv_buf_pkts(64),
+        FlowConfig::new(0).rcv_buf_pkts(64),
         CcChoice::Base(AlgorithmKind::Lia).build(2),
         &fast_slow.both(),
         SimDuration::ZERO,
