@@ -17,9 +17,8 @@
 //! dropped, the rest of the ablation still prints, and the process exits 1
 //! with a partial-sweep note on stderr.
 //!
-//! With `--trace DIR` (or the `SWEEP_TRACE` env var) each cell writes a
-//! JSONL event trace to `DIR/<section>-<label>.jsonl`, summarizable with
-//! the `trace_dump` binary. Tracing never changes results (pinned by
+//! With `--trace DIR` each cell writes a JSONL event trace to
+//! `DIR/<section>-<label>.jsonl`, summarizable with the `trace_dump` binary. Tracing never changes results (pinned by
 //! `tests/sweep_determinism.rs`).
 
 use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
@@ -95,8 +94,7 @@ fn rows_for(
 fn main() {
     let cli = Cli::from_args();
     let o = opts(cli.scale);
-    let trace = cli.trace_dir();
-    let trace = trace.as_deref();
+    let trace = cli.trace.as_deref();
     if let Some(dir) = trace {
         eprintln!("writing per-cell JSONL traces to {}", dir.display());
     }

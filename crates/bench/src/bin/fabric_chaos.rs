@@ -2,7 +2,7 @@
 //! through the supervisor with one injected worker failure per drill, and
 //! assert (a) the merged report is byte-identical to the serial in-process
 //! run, and (b) every absorbed loss shows up in the
-//! [`obs::DistCounters`] accounting — graceful degradation with nothing
+//! [`DistCounters`] accounting — graceful degradation with nothing
 //! swallowed silently.
 //!
 //! Drills, each armed via `SWEEP_DIST_CHAOS` (generation 0 of the named
@@ -31,9 +31,9 @@
 //! workers (self-exec), inheriting the armed chaos.
 
 use bench_harness::fabric::demo;
+use bench_harness::fabric::dist::DistCounters;
 use bench_harness::fabric::{run_dist, run_fabric, DistOptions, FabricOptions};
 use bench_harness::Cli;
-use obs::DistCounters;
 use std::time::Duration;
 
 const WORKERS: usize = 3;
@@ -233,7 +233,7 @@ const DRILLS: &[Drill] = &[
 ];
 
 fn main() {
-    let cli = Cli::from_args();
+    let cli = Cli::from_args().without_trace("fabric_chaos");
     if cli.dist.is_some() {
         // Worker role: serve the assigned shard of the demo grid and exit
         // (run_dist never returns with a task set).

@@ -54,7 +54,7 @@ fn die(e: &str) -> ! {
 
 fn main() {
     let (only, rest) = take_only(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
-    let cli = Cli::from_arg_list(rest.into_iter());
+    let cli = Cli::from_arg_list(rest.into_iter()).without_trace("figures_all");
     // `--jobs` sizes the simulations' pool as it does the figures'.
     let sims = Arc::new(figs::Sims::new(cli.jobs()));
     let cells = figs::fig_cells_with(cli.scale, only.as_deref(), &sims).unwrap_or_else(|e| die(&e));

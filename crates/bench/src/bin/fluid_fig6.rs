@@ -13,11 +13,11 @@
 //! --workers N spreads the solves over supervised worker processes with
 //! identical output.
 //!
-//! With `--trace DIR` (or `SWEEP_TRACE`) the equilibrium results are also
-//! appended to `DIR/fluid_fig6.jsonl` as `{"ev":"fluid_cell",...}` lines —
-//! there is no packet-level event stream here, but `trace_dump` tolerates
-//! the custom event kind and the file slots into the same trace directory
-//! the packet-level harnesses fill.
+//! With `--trace DIR` the equilibrium results are also appended to
+//! `DIR/fluid_fig6.jsonl` as `{"ev":"fluid_cell",...}` lines — there is no
+//! packet-level event stream here, but `trace_dump` tolerates the custom
+//! event kind and the file slots into the same trace directory the
+//! packet-level harnesses fill.
 
 use bench_harness::fabric::{FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
@@ -70,12 +70,12 @@ fn main() {
                 .config(Fingerprint::new().str("fluid_fig6").str(psi.name()).u64(n_users as u64))
         })
         .collect();
-    let mut sink = cli.trace_dir().and_then(|dir| {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
+    let mut sink = cli.trace.as_deref().and_then(|dir| {
+        if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("warning: cannot create trace dir {}: {e}", dir.display());
             return None;
         }
-        let path = obs::trace_path(&dir, "fluid_fig6");
+        let path = obs::trace_path(dir, "fluid_fig6");
         match obs::JsonlSink::create(&path) {
             Ok(s) => Some(s),
             Err(e) => {

@@ -22,10 +22,9 @@ use bench_harness::fabric::{FabricCell, Fingerprint, JournalCodec};
 use bench_harness::{Cli, Scale};
 use congestion::AlgorithmKind;
 use energy_model::WiredCpuModel;
-use mptcp_energy::hybrid::{fluid_model_of, HybridConfig, HybridEngine};
+use mptcp_energy::hybrid::{fluid_model_of, HybridConfig, HybridCounters, HybridEngine};
 use mptcp_energy::scenarios::CcChoice;
 use netsim::{SimDuration, Simulator};
-use obs::HybridCounters;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::{FatTree, LinkParams};
@@ -192,7 +191,7 @@ fn models() -> [CcChoice; 6] {
 }
 
 fn main() {
-    let cli = Cli::from_args();
+    let cli = Cli::from_args().without_trace("hybrid_scale");
     let t = tier(cli.scale);
     let cells: Vec<FabricCell<CellOut>> = models()
         .into_iter()

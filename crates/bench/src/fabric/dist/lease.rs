@@ -29,7 +29,7 @@
 //! worker that finishes on the stroke of its deadline is never revoked.
 
 /// Why [`Lease::assess`] wants a lease revoked. Carried into
-/// [`obs::DistEvent::LeaseRevoked`] and the counter accounting.
+/// [`super::DistEvent::LeaseRevoked`] and the counter accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RevokeCause {
     /// No heartbeat inside the liveness window: the process is gone or

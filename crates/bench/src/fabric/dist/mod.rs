@@ -31,10 +31,10 @@
 //! generation — is journaled and final. Later results for the same cell
 //! (duplicate lines from a chaos-mode worker, a revoked worker racing its
 //! replacement) are discarded and counted in
-//! [`obs::DistCounters::duplicate_cells`]; growth in a revoked
+//! [`DistCounters::duplicate_cells`]; growth in a revoked
 //! generation's response file is counted in `late_responses`. Nothing is
 //! silently dropped: every absorbed failure increments a counter and
-//! appends a [`obs::DistEvent`] line to `spool/events.jsonl`.
+//! appends a [`DistEvent`] line to `spool/events.jsonl`.
 //!
 //! **Determinism.** Worker assignment, lease timing, crashes, and
 //! re-dispatch order never influence a cell's *output* — cells own their
@@ -45,10 +45,12 @@
 //! `tests/fabric_dist.rs`); wall-clock here decides only whether and where
 //! a cell runs, the same contract as [`super::retry`].
 
+mod audit;
 pub mod lease;
 pub mod wire;
 pub mod worker;
 
+pub use audit::{DistCounters, DistEvent};
 pub use lease::{Lease, RevokeCause};
 pub use worker::{parse_chaos, serve_cells};
 
@@ -57,7 +59,6 @@ use super::plan::{CellId, PlannedCell};
 use super::retry::{AttemptStats, FailCause};
 use super::{open_journal, plan_of, Collector, FabricCell, FabricOptions, FabricReport};
 use crate::DistWorkerCli;
-use obs::{DistCounters, DistEvent};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -13,7 +13,7 @@
 //!   requests/shard-K.gG.jsonl   work order: header + one line per cell
 //!   heartbeats/WORKER.jsonl     appended by the worker's heartbeat thread
 //!   responses/shard-K.gG.jsonl  streamed results: header, done/failed, end
-//!   events.jsonl                supervisor audit log (obs::DistEvent)
+//!   events.jsonl                supervisor audit log (dist::DistEvent)
 //! ```
 //!
 //! **Versioning and echo.** Every request and response header carries

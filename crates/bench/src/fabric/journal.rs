@@ -36,8 +36,8 @@
 //! identity across resumes.
 
 use super::plan::CellId;
+use mptcp_energy::HybridCounters;
 use obs::record::{self, LineWriter, Record};
-use obs::HybridCounters;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;

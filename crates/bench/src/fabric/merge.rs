@@ -6,11 +6,58 @@
 //! fresh outputs, quarantine records), so an interrupted-and-resumed sweep
 //! assembles the same bytes as an uninterrupted one.
 
+use super::dist::DistCounters;
 use super::plan::CellId;
 use super::retry::FailCause;
 use crate::runner::RunSummary;
-use obs::FabricCounters;
 use std::path::PathBuf;
+
+/// Sweep-fabric accounting for one fabric run: how much work the journal
+/// saved, how hard the retry layer worked, and what was quarantined.
+/// Assembled by the fabric after the pool joins, so cells pay nothing for
+/// it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FabricCounters {
+    /// Cells in the planned grid.
+    pub planned: u64,
+    /// Cells satisfied by replaying the journal (not executed).
+    pub replayed: u64,
+    /// Cells executed this run (including ones later quarantined).
+    pub executed: u64,
+    /// Extra attempts beyond each cell's first (the retry bill).
+    pub retries: u64,
+    /// Attempts that ended in a caught panic.
+    pub panics: u64,
+    /// Attempts abandoned at their wall-clock deadline.
+    pub deadline_kills: u64,
+    /// Cells quarantined after retry exhaustion.
+    pub quarantined: u64,
+    /// Supervisor/worker accounting; all-zero for in-process runs.
+    pub dist: DistCounters,
+}
+
+impl FabricCounters {
+    /// Renders the one-line digest the fabric prints on stderr (two lines
+    /// when the distributed layer ran).
+    pub fn render(&self) -> String {
+        let base = format!(
+            "fabric: planned={} replayed={} executed={} retries={} panics={} \
+             deadline_kills={} quarantined={}",
+            self.planned,
+            self.replayed,
+            self.executed,
+            self.retries,
+            self.panics,
+            self.deadline_kills,
+            self.quarantined
+        );
+        if self.dist.is_idle() {
+            base
+        } else {
+            format!("{base}\n{}", self.dist.render())
+        }
+    }
+}
 
 /// A cell the fabric gave up on: retried to exhaustion, then contained.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -43,7 +43,7 @@ pub mod retry;
 
 pub use dist::{run_dist, DistOptions, SpawnMode};
 pub use journal::{JournalCodec, JournalReplay};
-pub use merge::{CellOutcome, FabricReport, QuarantineRecord};
+pub use merge::{CellOutcome, FabricCounters, FabricReport, QuarantineRecord};
 pub use plan::{CellId, Fingerprint, ShardPlan};
 pub use retry::{FailCause, RetryPolicy};
 
@@ -51,7 +51,6 @@ use crate::env_parsed;
 use crate::repro::{self, ReproOutcome, ReproSpec, ViolationRecord};
 use crate::runner::{run_sweep_jobs, RunSummary, SweepCell};
 use journal::{decode_payload, encode_payload, JournalValue, JournalWriter};
-use obs::FabricCounters;
 use plan::PlannedCell;
 use retry::{AttemptStats, CellFn};
 use std::collections::BTreeMap;

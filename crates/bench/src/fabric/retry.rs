@@ -167,7 +167,7 @@ pub fn run_attempt<T: Send + 'static>(
     }
 }
 
-/// Per-cell attempt accounting, aggregated into `obs::FabricCounters`.
+/// Per-cell attempt accounting, aggregated into [`super::FabricCounters`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AttemptStats {
     /// Attempts consumed, including the first.

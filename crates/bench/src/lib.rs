@@ -69,7 +69,9 @@ pub struct Cli {
     /// [`runner::default_jobs`] (which honours `SWEEP_JOBS`) when absent.
     pub jobs: Option<usize>,
     /// `--trace DIR` if given: the directory where per-cell JSONL traces are
-    /// written (one file per cell, see [`obs::jsonl_sink_in`]).
+    /// written (one file per cell, see [`obs::jsonl_sink_in`]). Only
+    /// `ablation_dts` and `fluid_fig6` trace; the other binaries refuse the
+    /// flag ([`Cli::without_trace`]).
     pub trace: Option<std::path::PathBuf>,
     /// `--journal PATH` if given: the crash-safe sweep journal
     /// ([`fabric::run_fabric`] checkpoints each completed cell there and
@@ -217,10 +219,14 @@ impl Cli {
         self.jobs.unwrap_or_else(runner::default_jobs)
     }
 
-    /// The trace output directory: `--trace` if given, else the
-    /// `SWEEP_TRACE` environment variable, else `None` (tracing disabled).
-    pub fn trace_dir(&self) -> Option<std::path::PathBuf> {
-        self.trace.clone().or_else(|| env_parsed("SWEEP_TRACE", "a directory", |_| true))
+    /// For a binary that writes no trace: exits 2 with a usage message if
+    /// `--trace` was given, rather than accept a flag it would ignore.
+    pub fn without_trace(self, bin: &str) -> Cli {
+        if self.trace.is_some() {
+            eprintln!("{bin}: --trace is not supported (only ablation_dts and fluid_fig6 trace)");
+            std::process::exit(2);
+        }
+        self
     }
 
     /// The sweep journal path: `--journal` if given, else `None`
@@ -427,7 +433,6 @@ mod tests {
         for bad in ["-1", "inf", "0", "NaN", "1e30", "soon"] {
             env_case::<f64>("SWEEP_DEADLINE_S", Some(bad), positive_secs, None);
         }
-        env_case("SWEEP_TRACE", Some("out/t"), |_| true, Some(std::path::PathBuf::from("out/t")));
     }
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
@@ -459,8 +464,6 @@ mod tests {
         assert_eq!(c.trace, Some(std::path::PathBuf::from("t")));
         assert_eq!(c.scale, Scale::Smoke);
         assert!(parse(&["--trace"]).is_err());
-        // The --trace flag wins over the SWEEP_TRACE env fallback.
-        assert_eq!(c.trace_dir(), Some(std::path::PathBuf::from("t")));
         assert_eq!(parse(&[]).unwrap().trace, None);
     }
 

@@ -1,6 +1,7 @@
 //! Integration drills for the distributed sweep fabric: byte-identity of
 //! the distributed merge, `--workers`/`--journal` as the only way to ask for
-//! workers or a journal, chaos-injected worker loss, the temp spool's
+//! workers or a journal, `--trace` refused by a binary that writes no
+//! trace, chaos-injected worker loss, the temp spool's
 //! clean-up, journal resume across a killed supervisor, and
 //! quarantine-artifact naming. (The lease machine itself — heartbeat lapse,
 //! late responses, partial harvest — is drilled by the root package's
@@ -77,6 +78,20 @@ fn workers_and_journal_are_flags_only() {
         .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("sweep-spool-"))
         .collect();
     assert_eq!(spools, Vec::<PathBuf>::new(), "no spool without --workers");
+}
+
+/// `fabric_smoke` writes no trace, so `--trace` is a usage error there, not
+/// a flag accepted and ignored.
+#[test]
+fn a_binary_that_writes_no_trace_refuses_the_flag() {
+    let dir = temp_dir("no-trace");
+    let traces = dir.join("traces");
+    let (out, stderr, code) = smoke(&["--trace", traces.to_str().unwrap()], &[]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--trace is not supported"), "{stderr}");
+    assert_eq!(out, "", "no cell ran");
+    assert!(!traces.exists(), "a refused --trace creates nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -34,7 +34,6 @@ use crate::scenarios::CcChoice;
 use congestion::AlgorithmKind;
 use energy_model::{PathLoad, PowerModel, WiredCpuModel};
 use netsim::{SimDuration, SimTime, Simulator};
-use obs::HybridCounters;
 use transport::{
     attach_flow, FlowConfig, FlowHandle, PathSpec, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES,
 };
@@ -156,6 +155,47 @@ struct PacketFlowMeta {
     handed_off: bool,
     prev_acked: u64,
     prev_sub_acked: Vec<u64>,
+}
+
+/// Accounting for one hybrid engine run: how flows were split between the
+/// regimes, how often state crossed the boundary, and how hard the fluid
+/// integrator worked. Assembled per epoch by the engine — the integration
+/// hot path pays nothing for it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HybridCounters {
+    /// Coupling epochs advanced.
+    pub epochs: u64,
+    /// Flows currently integrated in the fluid regime.
+    pub fluid_flows: u64,
+    /// Flows attached to the packet engine over the run.
+    pub packet_flows: u64,
+    /// Packet flows that outlived the age threshold and were handed off to
+    /// the fluid regime.
+    pub handoffs: u64,
+    /// RK4 steps integrated across all epochs.
+    pub fluid_steps: u64,
+    /// Times a fluid link price hit the loss-probability cap.
+    pub price_cap_hits: u64,
+    /// Packet links carrying a nonzero fluid background load after the last
+    /// epoch.
+    pub background_links: u64,
+}
+
+impl HybridCounters {
+    /// Renders the one-line digest the hybrid harness prints on stderr.
+    pub fn render(&self) -> String {
+        format!(
+            "hybrid: epochs={} fluid_flows={} packet_flows={} handoffs={} fluid_steps={} \
+             price_cap_hits={} background_links={}",
+            self.epochs,
+            self.fluid_flows,
+            self.packet_flows,
+            self.handoffs,
+            self.fluid_steps,
+            self.price_cap_hits,
+            self.background_links
+        )
+    }
 }
 
 /// The hybrid fluid/packet engine: owns the packet simulator and the fluid
@@ -461,7 +501,7 @@ impl HybridEngine {
     /// Integrates host power over the epoch that just ran: every host pays
     /// idle; each flow's source host pays the dynamic (above-idle) power of
     /// its load. One flow per source host is the intended workload shape
-    /// (permutation traffic), matching `scenarios::host_energy`.
+    /// (permutation traffic).
     fn account_epoch(&mut self, at_s: f64) {
         let epoch_s = self.cfg.epoch_s;
         let mss_bits = 8.0 * f64::from(DEFAULT_MSS_BYTES);

@@ -54,7 +54,7 @@ pub use fluid::{
     disjoint_paths_net, EquilibriumInfo, EquilibriumReport, FluidFlow, FluidLink, FluidNet,
     FluidPath, FluidSolver,
 };
-pub use hybrid::{classify, fluid_model_of, HybridConfig, HybridEngine, Regime};
+pub use hybrid::{classify, fluid_model_of, HybridConfig, HybridCounters, HybridEngine, Regime};
 pub use model::{CcModel, FlowView, Phi, Psi};
 pub use path_select::{run_wireless_with_policy, select_paths, PathPolicy};
 pub use scenarios::CcChoice;

@@ -9,16 +9,16 @@
 use crate::dts::{Dts, DtsConfig};
 use crate::dts_phi::{DtsPhi, DtsPhiConfig};
 use congestion::{AlgorithmKind, MultipathCongestionControl};
-use energy_model::{
-    energy_of_flow, EnergyReport, HostLoadSeries, PhoneModel, PowerModel, WiredCpuModel,
-};
-use netsim::{LossModel, SimDuration, SimTime, Simulator};
-use obs::{CounterSnapshot, TraceSink};
+use energy_model::{energy_of_flow, EnergyReport, PhoneModel, PowerModel, WiredCpuModel};
+use netsim::{LinkStats, LossModel, SimDuration, SimTime, Simulator};
+use obs::TraceSink;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
 use topology::{BCube, Ec2Vpc, FatTree, Hierarchy, LinkParams, SharedBottleneck, TwoPath, Vl2};
-use transport::{attach_flow, FlowConfig, FlowHandle, FlowSample, PathSpec};
+use transport::{
+    attach_flow, ConnCounters, FlowConfig, FlowHandle, FlowSample, PathSpec, SubflowCounters,
+};
 use workload::{
     attach_pareto_cross_traffic, permutation_pairs, short_flow_schedule, ParetoOnOffConfig,
     ShortFlowConfig,
@@ -79,7 +79,7 @@ pub struct FlowResult {
     /// Retransmissions.
     pub rexmits: u64,
     /// RTO events.
-    pub timeouts: u64,
+    pub rtos: u64,
     /// `(t, throughput_bps)` trace.
     pub tput_trace: Vec<(f64, f64)>,
 }
@@ -111,7 +111,7 @@ impl FlowResult {
             energy: energy_of_flow(model, samples),
             finish_s: sender.finished_at().map(SimTime::as_secs_f64),
             rexmits: sender.total_rexmits(),
-            timeouts: sender.total_timeouts(),
+            rtos: sender.total_rtos(),
             tput_trace: sender
                 .samples()
                 .iter()
@@ -247,18 +247,94 @@ fn collect_two_path_bursty(
     (FlowResult::collect(sim, flow, cc.label(), &mut model), counters_of(sim, &[flow]))
 }
 
+/// A full counter snapshot for one run, read off a finished simulator by
+/// [`counters_of`]. A sweep cell that wants it next to its numbers returns
+/// it in its own output type.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CounterSnapshot {
+    /// One entry per link, in link-id order.
+    pub links: Vec<LinkStats>,
+    /// One entry per connection.
+    pub conns: Vec<ConnCounters>,
+    /// Each connection's subflow counters, in path order: `subflows[i]`
+    /// belongs to `conns[i]`.
+    pub subflows: Vec<Vec<SubflowCounters>>,
+}
+
+impl CounterSnapshot {
+    /// Renders a compact human-readable digest (one line per non-idle link
+    /// and subflow) for harness stdout.
+    pub fn render(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for (id, l) in self.links.iter().enumerate().filter(|(_, l)| {
+            l.drops() > 0
+                || l.queue_high_water > 0
+                || l.reordered > 0
+                || l.duplicated > 0
+                || l.corrupted > 0
+        }) {
+            let _ = writeln!(
+                out,
+                "link {id}: tx={} drops(queue={} fault={} blackout={}) ecn={} q_hwm={} \
+                 reordered={} duplicated={} corrupted={}",
+                l.tx_pkts,
+                l.drops_queue,
+                l.drops_fault,
+                l.drops_blackout,
+                l.ecn_marks,
+                l.queue_high_water,
+                l.reordered,
+                l.duplicated,
+                l.corrupted
+            );
+        }
+        for (c, subflows) in self.conns.iter().zip(&self.subflows) {
+            for (r, s) in subflows.iter().enumerate() {
+                let _ = writeln!(
+                    out,
+                    "conn {} subflow {r}: rtos={} fast_rexmits={} spurious={} recoveries={} \
+                     deaths={} revivals={} probes={}",
+                    c.conn,
+                    s.rtos,
+                    s.fast_rexmits,
+                    s.spurious_rexmits,
+                    s.recoveries,
+                    s.deaths,
+                    s.revivals,
+                    s.probes
+                );
+            }
+        }
+        for c in self.conns.iter().filter(|c| !c.is_quiet()) {
+            let _ = writeln!(
+                out,
+                "conn {}: zw_stalls={} persist_probes={} corrupt(acks={} data={}) \
+                 rwnd_dropped={} ooo_dropped={} duplicates={}",
+                c.conn,
+                c.zero_window_stalls,
+                c.persist_probes,
+                c.corrupt_acks,
+                c.corrupt_discards,
+                c.rwnd_dropped,
+                c.ooo_dropped,
+                c.duplicates
+            );
+        }
+        out
+    }
+}
+
 /// Assembles the observability counter snapshot for a finished simulation:
 /// link counters from the world plus subflow counters from each sender and
 /// connection-level robustness counters (zero-window stalls, persist
 /// probes, corrupt/window discards) from each endpoint pair.
 pub fn counters_of(sim: &Simulator, flows: &[FlowHandle]) -> CounterSnapshot {
-    let mut snap =
-        CounterSnapshot { links: sim.world().link_counters(), ..CounterSnapshot::default() };
-    for f in flows {
-        snap.subflows.extend(f.sender_ref(sim).subflow_counters());
-        snap.conns.push(f.conn_counters(sim));
+    CounterSnapshot {
+        links: sim.world().link_counters(),
+        conns: flows.iter().map(|f| f.conn_counters(sim)).collect(),
+        subflows: flows.iter().map(|f| f.sender_ref(sim).subflow_counters()).collect(),
     }
-    snap
 }
 
 /// Options for the Fig. 5(a) shared-bottleneck scenario (Fig. 6).
@@ -675,29 +751,6 @@ pub(crate) fn run_wireless_on(
     FlowResult::metered(&sim, flow, label, &mut PhoneModel::nexus5_uplink(), &samples)
 }
 
-/// Aggregate host-level energy for a machine running `flows` in parallel
-/// (used by the testbed figures where one machine hosts N senders).
-pub fn host_energy(
-    sim: &Simulator,
-    flows: &[FlowHandle],
-    model: &mut dyn PowerModel,
-    n_ifaces: usize,
-    bin_s: f64,
-) -> EnergyReport {
-    let horizon = sim.now().as_secs_f64();
-    let mut series = HostLoadSeries::new(n_ifaces, bin_s, horizon);
-    for f in flows {
-        let iface_map: Vec<usize> = (0..n_ifaces).collect();
-        series.add_flow(f.sender_ref(sim).samples(), &iface_map);
-    }
-    let last_finish = flows
-        .iter()
-        .filter_map(|f| f.finish_time(sim))
-        .map(SimTime::as_secs_f64)
-        .fold(0.0f64, f64::max);
-    series.energy(model, if last_finish > 0.0 { Some(last_finish) } else { None })
-}
-
 /// Options for the §V-C hierarchical-Internet scenario (the setting the
 /// compensative parameter φ is designed for).
 ///
@@ -920,7 +973,7 @@ mod tests {
             r.energy.mean_power_w.to_bits(),
             r.finish_s.map_or(u64::MAX, f64::to_bits),
             r.rexmits,
-            r.timeouts,
+            r.rtos,
         ];
         let points = r.energy.trace.iter().chain(&r.tput_trace);
         bits.extend(points.flat_map(|&(t, y)| [t.to_bits(), y.to_bits()]));
@@ -1072,5 +1125,36 @@ mod tests {
         let (got, counters) = collect_two_path_bursty(&sim, flow, &cc);
         assert_eq!(flow_bits(&got), flow_bits(&want));
         assert_eq!(counters, want_counters);
+    }
+
+    #[test]
+    fn render_lists_noisy_links_every_subflow_and_noisy_conns() {
+        let snap = CounterSnapshot {
+            links: vec![
+                LinkStats { drops_queue: 2, drops_blackout: 1, ..LinkStats::default() },
+                LinkStats { tx_pkts: 9, ..LinkStats::default() },
+            ],
+            conns: vec![
+                ConnCounters { conn: 7, ..ConnCounters::default() },
+                ConnCounters {
+                    conn: 8,
+                    zero_window_stalls: 1,
+                    persist_probes: 4,
+                    ..ConnCounters::default()
+                },
+            ],
+            subflows: vec![
+                vec![SubflowCounters { rtos: 3, recoveries: 2, ..SubflowCounters::default() }],
+                vec![SubflowCounters::default(); 2],
+            ],
+        };
+        let text = snap.render();
+        assert!(text.contains("link 0: tx=0 drops(queue=2 fault=0 blackout=1)"), "{text}");
+        assert!(!text.contains("link 1:"), "an idle link stays out: {text}");
+        assert!(text.contains("conn 7 subflow 0: rtos=3 fast_rexmits=0 spurious=0 recoveries=2"));
+        assert!(text.contains("conn 8 subflow 1: rtos=0"), "{text}");
+        // Quiet connections stay out of the digest; noisy ones show up.
+        assert!(!text.contains("conn 7:"), "{text}");
+        assert!(text.contains("conn 8: zw_stalls=1 persist_probes=4"), "{text}");
     }
 }

@@ -10,9 +10,8 @@
 //! * [`radio::WifiModel`], [`radio::LteModel`], [`radio::PhoneModel`] —
 //!   linear radio power with the LTE RRC promotion/tail machine
 //!   (Figs. 2, 3b), after Huang et al. (MobiSys 2012);
-//! * [`meter::energy_of_flow`] / [`meter::HostLoadSeries`] — integrate any
-//!   [`PowerModel`] over per-flow or per-host load series, implementing the
-//!   paper's Equation (2).
+//! * [`meter::energy_of_flow`] — integrates any [`PowerModel`] over a
+//!   flow's load series, implementing the paper's Equation (2).
 //!
 //! # Examples
 //!
@@ -32,5 +31,5 @@ pub mod radio;
 
 pub use cpu::WiredCpuModel;
 pub use load::{PathLoad, PowerModel};
-pub use meter::{energy_of_flow, loads_of, EnergyReport, HostLoadSeries};
+pub use meter::{energy_of_flow, loads_of, EnergyReport};
 pub use radio::{LteModel, PhoneModel, RrcState, WifiModel};

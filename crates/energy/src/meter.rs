@@ -76,97 +76,6 @@ pub fn energy_of_flow(model: &mut dyn PowerModel, samples: &[FlowSample]) -> Ene
     }
 }
 
-/// A host-level load series: per-interface loads on a fixed time grid,
-/// aggregated across all flows originating at one host.
-///
-/// Used when several parallel connections share one host CPU (the paper's
-/// Fig. 6 scenario runs N senders on one machine).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HostLoadSeries {
-    /// Grid step, seconds.
-    pub bin_s: f64,
-    /// `bins[t][iface]` load at grid point `t`.
-    pub bins: Vec<Vec<PathLoad>>,
-    /// Samples discarded by [`HostLoadSeries::add_flow`] because they fell
-    /// past the horizon.
-    pub dropped_samples: u64,
-}
-
-impl HostLoadSeries {
-    /// Builds a grid of `n_ifaces` interfaces with `bin_s` resolution
-    /// covering `horizon_s`.
-    pub fn new(n_ifaces: usize, bin_s: f64, horizon_s: f64) -> Self {
-        let n = (horizon_s / bin_s).ceil() as usize;
-        HostLoadSeries { bin_s, bins: vec![vec![PathLoad::IDLE; n_ifaces]; n], dropped_samples: 0 }
-    }
-
-    /// The grid index of a sample at `at_s` seconds: `floor(at / bin)` with
-    /// an epsilon so a sample landing on an exact bin edge deterministically
-    /// bins *forward* rather than hinging on float rounding (a sample at
-    /// `0.3 s` with 0.1 s bins is bin 3 even when `0.3 / 0.1` computes as
-    /// `2.9999…`). `None` when past the horizon.
-    fn bin_index(&self, at_s: f64) -> Option<usize> {
-        let raw = at_s / self.bin_s;
-        let idx = (raw + 1e-9).floor().max(0.0) as usize;
-        (idx < self.bins.len()).then_some(idx)
-    }
-
-    /// Accumulates a flow's samples. `iface_of[subflow]` maps the flow's
-    /// subflow index to the host interface it uses. Samples past the horizon
-    /// are counted in [`HostLoadSeries::dropped_samples`] instead of being
-    /// silently discarded.
-    pub fn add_flow(&mut self, samples: &[FlowSample], iface_of: &[usize]) {
-        for s in samples {
-            let Some(idx) = self.bin_index(s.at.as_secs_f64()) else {
-                self.dropped_samples += 1;
-                continue;
-            };
-            let bin = &mut self.bins[idx];
-            for (r, sub) in s.subflows.iter().enumerate() {
-                let iface = iface_of.get(r).copied().unwrap_or(r);
-                let Some(slot) = bin.get_mut(iface) else { continue };
-                // Sum throughput; carry the worst RTT as the interface RTT
-                // (the CPU cost term is driven by the flows still queuing).
-                slot.throughput_bps += sub.throughput_bps;
-                if sub.srtt_s > slot.rtt_s {
-                    slot.rtt_s = sub.srtt_s;
-                    slot.base_rtt_s = sub.base_rtt_s;
-                }
-                // Open subflows stay active even between bursts (tail/idle
-                // energy accrues to open radios; see `loads_of`).
-                slot.active |= sub.active;
-            }
-        }
-    }
-
-    /// Integrates a power model over the host series, stopping after
-    /// `until_s` if given (e.g. the last flow's completion).
-    pub fn energy(&self, model: &mut dyn PowerModel, until_s: Option<f64>) -> EnergyReport {
-        model.reset();
-        let mut joules = 0.0;
-        let mut duration = 0.0;
-        let mut trace = Vec::with_capacity(self.bins.len());
-        for (i, bin) in self.bins.iter().enumerate() {
-            let at = i as f64 * self.bin_s;
-            if let Some(limit) = until_s {
-                if at >= limit {
-                    break;
-                }
-            }
-            let p = model.power_w(at, bin);
-            joules += p * self.bin_s;
-            duration += self.bin_s;
-            trace.push((at, p));
-        }
-        EnergyReport {
-            joules,
-            duration_s: duration,
-            mean_power_w: if duration > 0.0 { joules / duration } else { 0.0 },
-            trace,
-        }
-    }
-}
-
 #[cfg(test)]
 // Tests pin outputs that are copies of model constants (base/tail/idle
 // watts, zero throughput) reached without arithmetic, so exact float
@@ -212,19 +121,6 @@ mod tests {
         assert!((r.joules_per_bit(100.0) - 0.1).abs() < 1e-12);
     }
 
-    #[test]
-    fn host_series_aggregates_two_flows() {
-        let mut series = HostLoadSeries::new(1, 0.1, 1.0);
-        let f1: Vec<_> = (0..10).map(|i| sample(i as f64 * 0.1, 10.0)).collect();
-        let f2: Vec<_> = (0..10).map(|i| sample(i as f64 * 0.1, 20.0)).collect();
-        series.add_flow(&f1, &[0]);
-        series.add_flow(&f2, &[0]);
-        assert!((series.bins[0][0].throughput_bps - 30e6).abs() < 1.0);
-        let mut m = WiredCpuModel::i7_3770();
-        let report = series.energy(&mut m, None);
-        assert!(report.joules > 0.0);
-    }
-
     fn sample_with(at_s: f64, mbps: f64, active: bool) -> FlowSample {
         FlowSample {
             at: SimTime::from_secs_f64(at_s),
@@ -264,52 +160,5 @@ mod tests {
         assert_eq!(lte2.state(), RrcState::Tail);
         let (_, p_tail) = *report2.trace.last().unwrap();
         assert!((p_tail - lte2.tail_w).abs() < 1e-9, "tail power {p_tail}");
-    }
-
-    #[test]
-    fn bin_edges_round_deterministically() {
-        // 0.3 / 0.1 computes as 2.9999999999999996 in f64; a naive float
-        // truncation files the sample one bin early. The epsilon-floored
-        // index must land it in bin 3.
-        let mut series = HostLoadSeries::new(1, 0.1, 1.0);
-        series.add_flow(&[sample_with(0.3, 10.0, true)], &[0]);
-        assert!((series.bins[3][0].throughput_bps - 10e6).abs() < 1.0);
-        assert_eq!(series.bins[2][0].throughput_bps, 0.0);
-        assert_eq!(series.dropped_samples, 0);
-    }
-
-    #[test]
-    fn past_horizon_samples_are_counted_not_silent() {
-        let mut series = HostLoadSeries::new(1, 0.1, 1.0);
-        series.add_flow(
-            &[
-                sample_with(0.5, 10.0, true),
-                sample_with(1.0, 10.0, true),
-                sample_with(2.0, 1.0, true),
-            ],
-            &[0],
-        );
-        // The 0.5 s sample lands; 1.0 s is the exclusive horizon edge and
-        // 2.0 s is far past it — both are dropped and counted.
-        assert!((series.bins[5][0].throughput_bps - 10e6).abs() < 1.0);
-        assert_eq!(series.dropped_samples, 2);
-    }
-
-    #[test]
-    fn open_idle_subflow_marks_host_bin_active() {
-        let mut series = HostLoadSeries::new(1, 0.1, 1.0);
-        series.add_flow(&[sample_with(0.2, 0.0, true)], &[0]);
-        assert!(series.bins[2][0].active, "open-but-idle subflow must keep the bin active");
-        assert_eq!(series.bins[2][0].throughput_bps, 0.0);
-    }
-
-    #[test]
-    fn until_limit_truncates() {
-        let series = HostLoadSeries::new(1, 0.1, 2.0);
-        let mut m = WiredCpuModel::i7_3770();
-        let full = series.energy(&mut m, None);
-        let half = series.energy(&mut m, Some(1.0));
-        assert!((half.duration_s - 1.0).abs() < 1e-9);
-        assert!(half.joules < full.joules);
     }
 }

@@ -1,10 +1,9 @@
 //! Session-level energy accounting tests: the LTE tail's contribution to a
-//! bursty session, host-level aggregation across flows, and uplink/downlink
-//! model asymmetries.
+//! bursty session, the cost of splitting a host's load over interfaces, and
+//! uplink/downlink model asymmetries.
 
 use energy_model::{
-    energy_of_flow, HostLoadSeries, LteModel, PathLoad, PhoneModel, PowerModel, WifiModel,
-    WiredCpuModel,
+    energy_of_flow, LteModel, PathLoad, PhoneModel, PowerModel, WifiModel, WiredCpuModel,
 };
 use netsim::SimTime;
 use transport::{FlowSample, SubflowSample};
@@ -82,28 +81,15 @@ fn uplink_models_charge_more_per_bit() {
 }
 
 #[test]
-fn host_series_with_interface_mapping() {
-    // Two flows on one host: flow A uses iface 0, flow B uses iface 1.
-    let mut series = HostLoadSeries::new(2, 0.1, 1.0);
-    let a: Vec<FlowSample> = (0..10).map(|i| sample(i as f64 * 0.1, 0.1, &[10.0])).collect();
-    let b: Vec<FlowSample> = (0..10).map(|i| sample(i as f64 * 0.1, 0.1, &[20.0])).collect();
-    series.add_flow(&a, &[0]);
-    series.add_flow(&b, &[1]);
-    assert!((series.bins[0][0].throughput_bps - 10e6).abs() < 1.0);
-    assert!((series.bins[0][1].throughput_bps - 20e6).abs() < 1.0);
-    // Host energy counts the per-subflow overhead of both active interfaces.
+fn split_interfaces_cost_more_than_pooled() {
+    // One host moving 30 Mb/s: split over two interfaces (10 + 20 Mb/s) it
+    // pays a second subflow's overhead; pooled on one interface it does not.
     let mut cpu = WiredCpuModel::i7_3770();
-    let joined = series.energy(&mut cpu, None);
-    let mut cpu_single = WiredCpuModel::i7_3770();
-    let mut merged = HostLoadSeries::new(1, 0.1, 1.0);
-    merged.add_flow(&a, &[0]);
-    merged.add_flow(&b, &[0]);
-    let pooled = merged.energy(&mut cpu_single, None);
+    let split = cpu.power_w(0.0, &[PathLoad::new(10e6, 0.05), PathLoad::new(20e6, 0.05)]);
+    let pooled = cpu.power_w(0.0, &[PathLoad::new(30e6, 0.05)]);
     assert!(
-        joined.joules > pooled.joules,
-        "split across 2 ifaces {} must cost more than pooled {} (Fig. 1 concavity)",
-        joined.joules,
-        pooled.joules
+        split > pooled,
+        "split across 2 ifaces {split} W must cost more than pooled {pooled} W (Fig. 1 concavity)"
     );
 }
 

@@ -40,8 +40,8 @@ pub type InvariantCheck = Box<dyn FnMut(&Simulator) -> Result<(), String> + Send
 ///
 /// - **Clock monotonicity** — simulated time never decreases between events.
 /// - **Per-link packet conservation** — every packet offered to a link is
-///   accounted for: `offered = tx + queued + in_service + droptail_drops +
-///   random_losses + blackout_drops` at every event boundary.
+///   accounted for: `offered = tx + queued + in_service + drops_queue +
+///   drops_fault + drops_blackout` at every event boundary.
 /// - **Queue bound** — no link queue exceeds its configured DropTail limit.
 pub fn install_default_invariants(sim: &mut Simulator) {
     let mut last = SimTime::ZERO;
@@ -62,9 +62,9 @@ pub fn install_default_invariants(sim: &mut Simulator) {
             let accounted = st.tx_pkts
                 + l.queue_len() as u64
                 + in_service
-                + st.drops
-                + st.random_losses
-                + st.blackout_drops;
+                + st.drops_queue
+                + st.drops_fault
+                + st.drops_blackout;
             if st.offered != accounted {
                 return Err(format!(
                     "link {i} packet conservation broken: offered={} but \
@@ -73,9 +73,9 @@ pub fn install_default_invariants(sim: &mut Simulator) {
                     st.offered,
                     st.tx_pkts,
                     l.queue_len(),
-                    st.drops,
-                    st.random_losses,
-                    st.blackout_drops,
+                    st.drops_queue,
+                    st.drops_fault,
+                    st.drops_blackout,
                 ));
             }
             if l.queue_len() > l.config().queue_limit_pkts {

@@ -310,7 +310,7 @@ pub enum FaultAction {
         propagation: SimDuration,
     },
     /// Takes the link down: its queue is drained (counted as
-    /// `blackout_drops`) and every packet offered while down is dropped. A
+    /// `drops_blackout`) and every packet offered while down is dropped. A
     /// packet already in service completes transmission.
     LinkDown {
         /// Target link.

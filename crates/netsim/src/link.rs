@@ -69,28 +69,29 @@ impl LinkConfig {
     }
 }
 
-/// Counters accumulated by a link over a run.
+/// Counters accumulated by a link over a run: the one per-link record,
+/// read through [`crate::World::link_counters`] or [`Link::stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets fully transmitted.
     pub tx_pkts: u64,
     /// Bytes fully transmitted.
     pub tx_bytes: u64,
-    /// Packets dropped by DropTail.
-    pub drops: u64,
+    /// Packets dropped because the DropTail queue was full.
+    pub drops_queue: u64,
     /// Packets CE-marked by ECN.
     pub ecn_marks: u64,
     /// High-water mark of queue occupancy (packets, excluding in-service).
-    pub max_qlen: usize,
+    pub queue_high_water: usize,
     /// Packets lost to the link's random-loss impairment
     /// ([`crate::faults::LossModel`]).
-    pub random_losses: u64,
+    pub drops_fault: u64,
     /// Packets dropped because the link was down, including queued packets
     /// drained when the link went down.
-    pub blackout_drops: u64,
+    pub drops_blackout: u64,
     /// Packets offered to the link (whether accepted, queued, or dropped).
     /// Conservation invariant: `offered = tx_pkts + queue_len + in_service +
-    /// drops + random_losses + blackout_drops` at any event boundary.
+    /// drops()` at any event boundary.
     pub offered: u64,
     /// Packet copies delayed by the reorder impairment after transmission.
     pub reordered: u64,
@@ -98,6 +99,13 @@ pub struct LinkStats {
     pub duplicated: u64,
     /// Packets poisoned by the corruption impairment (still delivered).
     pub corrupted: u64,
+}
+
+impl LinkStats {
+    /// Total drops across all causes.
+    pub fn drops(&self) -> u64 {
+        self.drops_queue + self.drops_fault + self.drops_blackout
+    }
 }
 
 /// Runtime state of a unidirectional link.
@@ -258,11 +266,11 @@ impl Link {
     pub(crate) fn admit(&mut self, rng: &mut rand::rngs::SmallRng) -> Option<DropCause> {
         self.stats.offered += 1;
         if !self.impairment.is_up() {
-            self.stats.blackout_drops += 1;
+            self.stats.drops_blackout += 1;
             return Some(DropCause::Blackout);
         }
         if self.impairment.roll_loss(rng) {
-            self.stats.random_losses += 1;
+            self.stats.drops_fault += 1;
             return Some(DropCause::FaultLoss);
         }
         None
@@ -296,7 +304,7 @@ impl Link {
         }
         self.note_q_change(now);
         let drained: Vec<PacketSlot> = self.queue.drain(..).map(|(pkt, _)| pkt).collect();
-        self.stats.blackout_drops += drained.len() as u64;
+        self.stats.drops_blackout += drained.len() as u64;
         drained
     }
 
@@ -365,10 +373,10 @@ impl Link {
             }
             self.note_q_change(now);
             self.queue.push_back((pkt, size_bytes));
-            self.stats.max_qlen = self.stats.max_qlen.max(self.queue.len());
+            self.stats.queue_high_water = self.stats.queue_high_water.max(self.queue.len());
             Enqueue::Queued { ce }
         } else {
-            self.stats.drops += 1;
+            self.stats.drops_queue += 1;
             Enqueue::Dropped
         }
     }
@@ -486,7 +494,7 @@ mod tests {
         assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Queued { ce: false });
         assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Queued { ce: false });
         assert_eq!(offer(&mut l, &mut pool, 100), Enqueue::Dropped);
-        assert_eq!(l.stats().drops, 1);
+        assert_eq!(l.stats().drops_queue, 1);
         assert_eq!(l.queue_len(), 2);
     }
 

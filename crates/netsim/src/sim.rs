@@ -31,11 +31,11 @@
 pub use crate::event::WheelCounters;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::FaultAction;
-use crate::link::{Enqueue, Link, LinkConfig};
+use crate::link::{Enqueue, Link, LinkConfig, LinkStats};
 use crate::packet::{AgentId, LinkId, Packet, Payload, Route};
 use crate::pool::{PacketPool, PacketSlot};
 use crate::time::{SimDuration, SimTime};
-use obs::{DropCause, FaultKind, ImpairKind, LinkCounters, TraceEvent, TraceSink};
+use obs::{DropCause, FaultKind, ImpairKind, TraceEvent, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
@@ -224,45 +224,10 @@ impl World {
         u64::try_from(link).unwrap_or(u64::MAX)
     }
 
-    /// Per-link counter snapshot (drops by cause, queue high-water),
-    /// assembled from [`Link::stats`] — available whether or not a trace
-    /// sink was installed.
-    pub fn link_counters(&self) -> Vec<LinkCounters> {
-        self.links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let s = l.stats();
-                LinkCounters {
-                    link: World::trace_link_id(i),
-                    tx_pkts: s.tx_pkts,
-                    offered: s.offered,
-                    drops_queue: s.drops,
-                    drops_fault: s.random_losses,
-                    drops_blackout: s.blackout_drops,
-                    ecn_marks: s.ecn_marks,
-                    queue_high_water: s.max_qlen,
-                    reordered: s.reordered,
-                    duplicated: s.duplicated,
-                    corrupted: s.corrupted,
-                }
-            })
-            .collect()
-    }
-
-    /// Total packets dropped by DropTail across all links.
-    pub fn dropped_pkts(&self) -> u64 {
-        self.links.iter().map(|l| l.stats().drops).sum()
-    }
-
-    /// Total packets lost to random-loss impairments across all links.
-    pub fn random_losses(&self) -> u64 {
-        self.links.iter().map(|l| l.stats().random_losses).sum()
-    }
-
-    /// Total packets dropped because a link was down, across all links.
-    pub fn blackout_drops(&self) -> u64 {
-        self.links.iter().map(|l| l.stats().blackout_drops).sum()
+    /// Every link's counters (drops by cause, queue high-water), in link-id
+    /// order — available whether or not a trace sink was installed.
+    pub fn link_counters(&self) -> Vec<LinkStats> {
+        self.links.iter().map(|l| l.stats().clone()).collect()
     }
 
     /// The current simulated time.
@@ -923,7 +888,7 @@ impl Simulator {
             // Checks take `&Simulator`, so lift them out for the duration.
             let mut checks = std::mem::take(&mut self.checks);
             let mut failed = None;
-            for c in checks.iter_mut() {
+            for c in &mut checks {
                 if let Err(message) = c(self) {
                     failed = Some(message);
                     break;
@@ -1202,7 +1167,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs_f64(1.0));
         // 1 in service + 1 queued survive; 3 dropped.
-        assert_eq!(sim.world().dropped_pkts(), 3);
+        assert_eq!(sim.world().link(l).stats().drops_queue, 3);
         assert_eq!(sim.agent::<Sink>(sink).received.len(), 2);
     }
 
@@ -1218,13 +1183,12 @@ mod tests {
             sim.world_mut().send_packet(sink, route.clone(), 100, Payload::Raw);
         }
         sim.run_to_completion();
-        let lost = sim.world().random_losses();
+        let lost = sim.world().link(l).stats().drops_fault;
         let got = sim.agent::<Sink>(sink).received.len() as u64;
         assert_eq!(lost + got, 200);
-        assert_eq!(sim.world().link(l).stats().random_losses, lost);
         assert!((50..150).contains(&lost), "p=0.5 lost {lost}/200");
         // Random losses are not DropTail drops.
-        assert_eq!(sim.world().dropped_pkts(), 0);
+        assert_eq!(sim.world().link(l).stats().drops_queue, 0);
     }
 
     #[test]
@@ -1238,10 +1202,11 @@ mod tests {
             sim.world_mut().send_packet(sink, route.clone(), 1250, Payload::Raw);
         }
         sim.world_mut().set_link_up(l, false);
-        assert_eq!(sim.world().blackout_drops(), 3, "queue drained on going down");
+        let blackout = |sim: &Simulator| sim.world().link(l).stats().drops_blackout;
+        assert_eq!(blackout(&sim), 3, "queue drained on going down");
         // Offers while down are swallowed.
         sim.world_mut().send_packet(sink, route.clone(), 1250, Payload::Raw);
-        assert_eq!(sim.world().blackout_drops(), 4);
+        assert_eq!(blackout(&sim), 4);
         sim.run_to_completion();
         // Only the packet already in service got through.
         assert_eq!(sim.agent::<Sink>(sink).received.len(), 1);
@@ -1249,7 +1214,7 @@ mod tests {
         sim.world_mut().send_packet(sink, route, 1250, Payload::Raw);
         sim.run_to_completion();
         assert_eq!(sim.agent::<Sink>(sink).received.len(), 2);
-        assert_eq!(sim.world().link(l).stats().blackout_drops, 4);
+        assert_eq!(blackout(&sim), 4);
     }
 
     #[test]
@@ -1559,7 +1524,7 @@ mod tests {
     #[test]
     fn every_exit_from_the_network_frees_its_slab_cell() {
         use crate::faults::{FaultScript, LossModel, ReorderModel};
-        fn run(mut sim: Simulator) -> (Vec<LinkCounters>, EngineCounters, usize) {
+        fn run(mut sim: Simulator) -> (Vec<LinkStats>, EngineCounters, usize) {
             let us = SimDuration::from_micros;
             // A fast first hop bursts into a slow second one with a short
             // queue; the third hop duplicates, corrupts and reorders.
@@ -1586,8 +1551,8 @@ mod tests {
             (sim.world().link_counters(), sim.engine_counters(), delivered)
         }
         let (links, engine, delivered) = run(Simulator::new(5));
-        for l in &links {
-            assert_eq!(l.offered, l.tx_pkts + l.drops(), "link {} lost count of a packet", l.link);
+        for (i, l) in links.iter().enumerate() {
+            assert_eq!(l.offered, l.tx_pkts + l.drops(), "link {i} lost count of a packet");
         }
         let [l0, l1, l2] = &links[..] else { panic!("three links") };
         assert_eq!(l0.offered, 24 * 40);

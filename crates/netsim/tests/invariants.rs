@@ -40,11 +40,10 @@ proptest! {
         }
         sim.run_until(SimTime::from_secs_f64(60.0));
         let delivered = sim.agent::<Recorder>(sink).arrivals.len() as u64;
-        let dropped = sim.world().dropped_pkts();
-        prop_assert_eq!(delivered + dropped, n_pkts as u64);
-        // The link's own counters agree.
-        prop_assert_eq!(sim.world().link(l).stats().tx_pkts, delivered);
-        prop_assert_eq!(sim.world().link(l).stats().drops, dropped);
+        let stats = sim.world().link(l).stats();
+        prop_assert_eq!(delivered + stats.drops_queue, n_pkts as u64);
+        // The link's own transmit counter agrees.
+        prop_assert_eq!(stats.tx_pkts, delivered);
     }
 
     /// A FIFO link delivers surviving packets in injection order, at
@@ -90,7 +89,7 @@ proptest! {
         }
         sim.run_until(SimTime::from_secs_f64(30.0));
         prop_assert!(sim.world().link(l).utilization(sim.now()) <= 1.0 + 1e-9);
-        prop_assert!(sim.world().link(l).stats().max_qlen <= queue_limit);
+        prop_assert!(sim.world().link(l).stats().queue_high_water <= queue_limit);
         prop_assert_eq!(sim.world().link(l).queue_len(), 0, "queue must drain");
     }
 }

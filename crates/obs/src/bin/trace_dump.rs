@@ -1,4 +1,5 @@
-//! `trace_dump` — summarize JSONL traces produced by `--trace`/`SWEEP_TRACE`.
+//! `trace_dump` — summarize JSONL traces produced by `--trace` (or the chaos
+//! soak's `SWEEP_TRACE`).
 //!
 //! Usage: `trace_dump <trace.jsonl>...`
 //!

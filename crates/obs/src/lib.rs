@@ -1,4 +1,4 @@
-//! # obs — structured trace/counter observability layer
+//! # obs — structured trace observability layer
 //!
 //! The paper's energy claims rest on *why* traffic shifts between paths:
 //! which drops, retransmissions, and recovery episodes drove each
@@ -13,12 +13,13 @@
 //!   ([`sink::JsonlSink`]), ring-buffer ([`sink::RingSink`]) and in-memory
 //!   implementations; the no-op default is simply *no sink installed*,
 //!   which costs one branch and zero allocations on the hot path;
-//! - [`counters`] — always-on per-link / per-subflow / per-connection
-//!   counter snapshots read off a finished simulator; a sweep cell that
-//!   wants them next to its numbers returns them in its own output type;
 //! - [`record`] — the one-line JSON dialect every trace, journal, spool
 //!   and artifact line is written and read through;
 //! - [`summary`] — the JSONL summarizer behind the `trace_dump` binary.
+//!
+//! Counters live in the crate that increments them (`netsim::LinkStats`,
+//! `transport::SubflowCounters`, …); `tests/trace_roundtrip.rs` checks that
+//! a trace and those counters agree.
 //!
 //! ## Determinism contract
 //!
@@ -28,18 +29,11 @@
 //! simulation results, and `netsim/tests/trace_noalloc.rs` pins that the
 //! disabled path allocates nothing.
 
-pub mod counters;
-pub mod dist_event;
 pub mod event;
 pub mod record;
 pub mod sink;
 pub mod summary;
 
-pub use counters::{
-    ConnCounters, CounterSnapshot, DistCounters, FabricCounters, HybridCounters, LinkCounters,
-    SubflowCounters,
-};
-pub use dist_event::DistEvent;
 pub use event::{DiscardCause, DropCause, FaultKind, ImpairKind, RecoveryCause, TraceEvent};
 pub use sink::{jsonl_sink_in, sanitize_label, trace_path, JsonlSink, RingSink, TraceSink};
 pub use summary::{summarize, TraceSummary};

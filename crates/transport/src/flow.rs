@@ -83,10 +83,10 @@ impl FlowHandle {
     /// Connection-level robustness counters (zero-window stalls, persist
     /// probes, corrupt/window/reassembly discards) assembled from both
     /// endpoints, for the observability registry.
-    pub fn conn_counters(&self, sim: &Simulator) -> obs::ConnCounters {
+    pub fn conn_counters(&self, sim: &Simulator) -> ConnCounters {
         let s = self.sender_ref(sim);
         let r = self.receiver_ref(sim);
-        obs::ConnCounters {
+        ConnCounters {
             conn: self.conn_id,
             zero_window_stalls: s.zero_window_stalls,
             persist_probes: s.persist_probes,
@@ -96,6 +96,42 @@ impl FlowHandle {
             ooo_dropped: r.ooo_dropped,
             duplicates: r.duplicates,
         }
+    }
+}
+
+/// Per-connection counters spanning sender and receiver: flow-control stalls
+/// and the receive-side discard accounting.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ConnCounters {
+    /// Connection id.
+    pub conn: u64,
+    /// Times the sender parked behind the persist timer (advertised window
+    /// zero with nothing outstanding).
+    pub zero_window_stalls: u64,
+    /// Persist-timer window probes sent.
+    pub persist_probes: u64,
+    /// Corrupted ACKs the sender discarded unparsed.
+    pub corrupt_acks: u64,
+    /// Corrupted data segments the receiver discarded unparsed.
+    pub corrupt_discards: u64,
+    /// Data segments refused because the receive buffer was full.
+    pub rwnd_dropped: u64,
+    /// Data segments refused by the subflow out-of-order buffer bound.
+    pub ooo_dropped: u64,
+    /// Duplicate data segments the receiver absorbed idempotently.
+    pub duplicates: u64,
+}
+
+impl ConnCounters {
+    /// True when nothing noteworthy happened on this connection.
+    pub fn is_quiet(&self) -> bool {
+        self.zero_window_stalls == 0
+            && self.persist_probes == 0
+            && self.corrupt_acks == 0
+            && self.corrupt_discards == 0
+            && self.rwnd_dropped == 0
+            && self.ooo_dropped == 0
+            && self.duplicates == 0
     }
 }
 

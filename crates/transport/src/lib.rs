@@ -48,8 +48,8 @@ pub mod sample;
 pub mod sender;
 
 pub use config::{AppRead, FlowConfig, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES};
-pub use flow::{attach_flow, FlowHandle, PathSpec};
+pub use flow::{attach_flow, ConnCounters, FlowHandle, PathSpec};
 pub use receiver::MptcpReceiver;
 pub use rtt::RttEstimator;
 pub use sample::{FlowSample, PathHandoff, SubflowSample};
-pub use sender::MptcpSender;
+pub use sender::{MptcpSender, SubflowCounters};

@@ -21,7 +21,7 @@ use crate::rtt::RttEstimator;
 use crate::sample::{FlowSample, PathHandoff, SubflowSample};
 use congestion::{MultipathCongestionControl, SubflowCc};
 use netsim::{Agent, Ctx, Packet, Payload, Route, SimTime, TimerHandle, Watched};
-use obs::{DiscardCause, RecoveryCause, SubflowCounters, TraceEvent};
+use obs::{DiscardCause, RecoveryCause, TraceEvent};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -154,9 +154,39 @@ impl SegBoard {
     }
 }
 
+/// Per-subflow transport counters: the one record of what a subflow sent,
+/// lost and survived. [`MptcpSender::subflow`] reads it in place and
+/// [`MptcpSender::subflow_counters`] copies out every subflow's.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SubflowCounters {
+    /// First transmissions (retransmissions count in `rexmits`).
+    pub tx_pkts: u64,
+    /// Fast (scoreboard) + RTO retransmissions.
+    pub rexmits: u64,
+    /// Scoreboard-driven (non-timeout) retransmissions only.
+    pub fast_rexmits: u64,
+    /// Retransmissions the receiver later proved unnecessary: an ACK arrived
+    /// for an already-delivered, retransmitted segment. A lower bound —
+    /// segments slid out by the cumulative ACK escape the check.
+    pub spurious_rexmits: u64,
+    /// Retransmission-timer firings.
+    pub rtos: u64,
+    /// Packets cumulatively acknowledged.
+    pub acked_pkts: u64,
+    /// Recovery episodes entered, by fast retransmit, RTO or revival (an
+    /// RTO inside an open episode does not open another).
+    pub recoveries: u64,
+    /// Times this subflow was declared dead.
+    pub deaths: u64,
+    /// Times this subflow came back from the dead.
+    pub revivals: u64,
+    /// Revival probes sent while dead.
+    pub probes: u64,
+}
+
 /// Per-subflow sender state.
 #[derive(Debug)]
-pub struct SubflowState {
+struct SubflowState {
     route: Arc<Route>,
     snd_nxt: u64,
     snd_una: u64,
@@ -183,28 +213,7 @@ pub struct SubflowState {
     dead: bool,
     /// Scoreboard: subflow sequence → segment state.
     segs: SegBoard,
-    /// Counters.
-    pub tx_pkts: u64,
-    /// Fast (scoreboard) + RTO retransmissions.
-    pub rexmits: u64,
-    /// Scoreboard-driven (non-timeout) retransmissions only.
-    pub fast_rexmits: u64,
-    /// Retransmissions the receiver later proved unnecessary: an ACK arrived
-    /// for an already-delivered, retransmitted segment. A lower bound —
-    /// segments slid out by the cumulative ACK escape the check.
-    pub spurious_rexmits: u64,
-    /// RTO expirations.
-    pub timeouts: u64,
-    /// Packets cumulatively acknowledged.
-    pub acked_pkts: u64,
-    /// Fast-recovery episodes entered.
-    pub recoveries: u64,
-    /// Times this subflow was declared dead.
-    pub deaths: u64,
-    /// Times this subflow came back from the dead.
-    pub revivals: u64,
-    /// Revival probes sent while dead.
-    pub probes: u64,
+    counters: SubflowCounters,
     sample_prev_acked: u64,
 }
 
@@ -226,16 +235,7 @@ impl SubflowState {
             backoff: 0,
             dead: false,
             segs: SegBoard::default(),
-            tx_pkts: 0,
-            rexmits: 0,
-            fast_rexmits: 0,
-            spurious_rexmits: 0,
-            timeouts: 0,
-            acked_pkts: 0,
-            recoveries: 0,
-            deaths: 0,
-            revivals: 0,
-            probes: 0,
+            counters: SubflowCounters::default(),
             sample_prev_acked: 0,
         }
     }
@@ -465,9 +465,9 @@ impl MptcpSender {
         &self.cc_states
     }
 
-    /// Per-subflow transport counters.
-    pub fn subflow(&self, r: usize) -> &SubflowState {
-        &self.subflows[r]
+    /// Subflow `r`'s transport counters.
+    pub fn subflow(&self, r: usize) -> &SubflowCounters {
+        &self.subflows[r].counters
     }
 
     /// When the connection started sending, if it has.
@@ -497,37 +497,17 @@ impl MptcpSender {
 
     /// Total retransmissions across subflows.
     pub fn total_rexmits(&self) -> u64 {
-        self.subflows.iter().map(|s| s.rexmits).sum()
+        self.subflows.iter().map(|s| s.counters.rexmits).sum()
     }
 
     /// Total RTO events across subflows.
-    pub fn total_timeouts(&self) -> u64 {
-        self.subflows.iter().map(|s| s.timeouts).sum()
+    pub fn total_rtos(&self) -> u64 {
+        self.subflows.iter().map(|s| s.counters.rtos).sum()
     }
 
-    /// Total fast-recovery episodes across subflows.
-    pub fn total_recoveries(&self) -> u64 {
-        self.subflows.iter().map(|s| s.recoveries).sum()
-    }
-
-    /// Per-subflow counter snapshot for the observability registry
-    /// (RTO / spurious-retransmit / recovery counts per subflow).
+    /// Every subflow's counters, in path order.
     pub fn subflow_counters(&self) -> Vec<SubflowCounters> {
-        self.subflows
-            .iter()
-            .enumerate()
-            .map(|(i, sf)| SubflowCounters {
-                conn: self.cfg.conn_id,
-                subflow: i,
-                rtos: sf.timeouts,
-                fast_rexmits: sf.fast_rexmits,
-                spurious_rexmits: sf.spurious_rexmits,
-                recoveries: sf.recoveries,
-                deaths: sf.deaths,
-                revivals: sf.revivals,
-                probes: sf.probes,
-            })
-            .collect()
+        self.subflows.iter().map(|sf| sf.counters).collect()
     }
 
     /// Mean goodput in bits/second between start and finish (or `until` for
@@ -577,7 +557,7 @@ impl MptcpSender {
             .iter()
             .zip(&self.cc_states)
             .map(|(sf, st)| PathHandoff {
-                rate_pps: if secs > 0.0 { sf.acked_pkts as f64 / secs } else { 0.0 },
+                rate_pps: if secs > 0.0 { sf.counters.acked_pkts as f64 / secs } else { 0.0 },
                 srtt_s: if st.srtt > 0.0 { st.srtt } else { 0.0 },
                 base_rtt_s: if st.base_rtt.is_finite() { st.base_rtt } else { 0.0 },
             })
@@ -607,9 +587,9 @@ impl MptcpSender {
         let data_seq = seg.data_seq;
         if retransmit {
             seg.rexmits += 1;
-            sf.rexmits += 1;
+            sf.counters.rexmits += 1;
         } else {
-            sf.tx_pkts += 1;
+            sf.counters.tx_pkts += 1;
         }
         if !seg.in_pipe {
             seg.in_pipe = true;
@@ -759,7 +739,7 @@ impl MptcpSender {
             while self.subflows[r].pipe < wnd {
                 match self.subflows[r].next_rexmit(now) {
                     Some(seq) => {
-                        self.subflows[r].fast_rexmits += 1;
+                        self.subflows[r].counters.fast_rexmits += 1;
                         ctx.emit(TraceEvent::FastRexmit {
                             t_ns: now.as_nanos(),
                             conn: self.cfg.conn_id,
@@ -843,7 +823,7 @@ impl MptcpSender {
         {
             let sf = &mut self.subflows[r];
             sf.dead = true;
-            sf.deaths += 1;
+            sf.counters.deaths += 1;
         }
         self.cc_states[r].active = false;
         // Data already reinjected onto (and still carried by) another live
@@ -884,7 +864,7 @@ impl MptcpSender {
         let min_rto = self.cfg.min_rto;
         let sf = &mut self.subflows[r];
         sf.dead = false;
-        sf.revivals += 1;
+        sf.counters.revivals += 1;
         sf.backoff = 0;
         sf.rtt = RttEstimator::new(min_rto);
         sf.open_episode_from_head();
@@ -936,7 +916,7 @@ impl MptcpSender {
             let t_ns = ctx.now().as_nanos();
             ctx.emit(TraceEvent::SubflowRevived { t_ns, conn: self.cfg.conn_id, subflow: r });
             if !was_in_recovery {
-                self.emit_recovery_enter(r, RecoveryCause::Revival, ctx);
+                self.enter_recovery(r, RecoveryCause::Revival, ctx);
             }
         }
 
@@ -959,7 +939,7 @@ impl MptcpSender {
             }
         };
         if spurious {
-            self.subflows[r].spurious_rexmits += 1;
+            self.subflows[r].counters.spurious_rexmits += 1;
             ctx.emit(TraceEvent::SpuriousRexmit {
                 t_ns: ctx.now().as_nanos(),
                 conn: self.cfg.conn_id,
@@ -974,7 +954,7 @@ impl MptcpSender {
             let newly = cum_ack - snd_una;
             {
                 let sf = &mut self.subflows[r];
-                sf.acked_pkts += newly;
+                sf.counters.acked_pkts += newly;
                 sf.slide(cum_ack);
                 sf.snd_una = cum_ack;
                 sf.backoff = 0;
@@ -1006,8 +986,7 @@ impl MptcpSender {
         // episode (the congestion response fires once per episode).
         if newly_lost > 0 && !self.subflows[r].in_recovery {
             self.subflows[r].open_episode();
-            self.subflows[r].recoveries += 1;
-            self.emit_recovery_enter(r, RecoveryCause::FastRetransmit, ctx);
+            self.enter_recovery(r, RecoveryCause::FastRetransmit, ctx);
             let cwnd_before = self.cc_states[r].cwnd;
             self.cc.on_loss(r, &mut self.cc_states);
             self.emit_cwnd_change(r, cwnd_before, ctx);
@@ -1031,7 +1010,7 @@ impl MptcpSender {
             // Revival probe: retransmit the head at the frozen backed-off
             // RTO. An answering ACK revives the subflow (see on_ack); the
             // congestion response does not fire again for a dead path.
-            self.subflows[r].probes += 1;
+            self.subflows[r].counters.probes += 1;
             let head = self.subflows[r].snd_una;
             self.transmit(r, head, true, ctx);
             self.arm_rto(r, ctx);
@@ -1040,7 +1019,7 @@ impl MptcpSender {
         let was_in_recovery = self.subflows[r].in_recovery;
         {
             let sf = &mut self.subflows[r];
-            sf.timeouts += 1;
+            sf.counters.rtos += 1;
             sf.backoff = (sf.backoff + 1).min(16);
             // RTO: every outstanding segment is presumed lost; pipe resets.
             for seg in sf.segs.values_mut() {
@@ -1048,7 +1027,6 @@ impl MptcpSender {
             }
             sf.pipe = 0;
             sf.open_episode_from_head();
-            sf.recoveries += 1;
         }
         ctx.emit(TraceEvent::RtoFired {
             t_ns: ctx.now().as_nanos(),
@@ -1057,7 +1035,7 @@ impl MptcpSender {
             backoff: self.subflows[r].backoff,
         });
         if !was_in_recovery {
-            self.emit_recovery_enter(r, RecoveryCause::Rto, ctx);
+            self.enter_recovery(r, RecoveryCause::Rto, ctx);
         }
         let cwnd_before = self.cc_states[r].cwnd;
         self.cc.on_timeout(r, &mut self.cc_states);
@@ -1083,8 +1061,10 @@ impl MptcpSender {
         }
     }
 
-    /// Emits `RecoveryEnter` for the episode subflow `r` just opened.
-    fn emit_recovery_enter(&self, r: usize, cause: RecoveryCause, ctx: &mut Ctx<'_>) {
+    /// Counts the episode subflow `r` just opened and emits its
+    /// `RecoveryEnter`, so the counter and the trace cannot disagree.
+    fn enter_recovery(&mut self, r: usize, cause: RecoveryCause, ctx: &mut Ctx<'_>) {
+        self.subflows[r].counters.recoveries += 1;
         ctx.emit(TraceEvent::RecoveryEnter {
             t_ns: ctx.now().as_nanos(),
             conn: self.cfg.conn_id,
@@ -1123,8 +1103,8 @@ impl MptcpSender {
             .iter_mut()
             .zip(&self.cc_states)
             .map(|(sf, st)| {
-                let delta = sf.acked_pkts - sf.sample_prev_acked;
-                sf.sample_prev_acked = sf.acked_pkts;
+                let delta = sf.counters.acked_pkts - sf.sample_prev_acked;
+                sf.sample_prev_acked = sf.counters.acked_pkts;
                 SubflowSample {
                     throughput_bps: delta as f64 * mss_bits / dt,
                     srtt_s: if st.srtt > 0.0 { st.srtt } else { 0.0 },

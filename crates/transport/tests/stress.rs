@@ -186,7 +186,8 @@ fn dctcp_on_ecn_links_sees_fewer_drops_than_reno() {
         );
         sim.run_until(SimTime::from_secs_f64(120.0));
         assert!(flow.is_finished(&sim), "{kind} did not finish");
-        (sim.world().dropped_pkts(), flow.sender_ref(&sim).goodput_bps(sim.now()))
+        let drops: u64 = sim.world().link_counters().iter().map(|l| l.drops_queue).sum();
+        (drops, flow.sender_ref(&sim).goodput_bps(sim.now()))
     };
     // The two runs are independent cells; fan them out.
     let cells = vec![

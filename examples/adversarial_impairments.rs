@@ -67,7 +67,7 @@ fn main() {
         let st = sim.world().link(id).stats();
         println!(
             "    {label}: offered {:>6}, reordered {:>5}, duplicated {:>4}, corrupted {:>3}, lost {:>3}",
-            st.offered, st.reordered, st.duplicated, st.corrupted, st.random_losses
+            st.offered, st.reordered, st.duplicated, st.corrupted, st.drops_fault
         );
     }
 

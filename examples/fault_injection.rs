@@ -71,9 +71,9 @@ fn failover_and_revival() {
     }
 
     let s = flow.sender_ref(&sim);
-    let drops = sim.world().link(tp.p2.fwd).stats().blackout_drops
-        + sim.world().link(tp.p2.rev).stats().blackout_drops;
-    let losses = sim.world().link(tp.p2.fwd).stats().random_losses;
+    let drops = sim.world().link(tp.p2.fwd).stats().drops_blackout
+        + sim.world().link(tp.p2.rev).stats().drops_blackout;
+    let losses = sim.world().link(tp.p2.fwd).stats().drops_fault;
     println!(
         "  {:>7}  transfer complete ({} / {} pkts acked)",
         format!("{}", sim.now()),

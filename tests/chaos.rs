@@ -25,6 +25,7 @@ use bench_harness::fabric::{
 use bench_harness::repro::ReproSpec;
 use bench_harness::runner::{run_sweep_jobs, SweepCell};
 use congestion::AlgorithmKind;
+use mptcp_energy::scenarios::{counters_of, CounterSnapshot};
 use mptcp_energy::CcChoice;
 use netsim::{FaultAction, FaultScript, LossModel, ReorderModel, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
@@ -135,9 +136,7 @@ struct SoakOutcome {
     acked: u64,
     per_path: (u64, u64),
     failover_reinjections: u64,
-    random_losses: u64,
-    blackout_drops: u64,
-    counters: obs::CounterSnapshot,
+    counters: CounterSnapshot,
 }
 
 fn soak_with(seed: u64, adversarial: bool) -> SoakOutcome {
@@ -189,7 +188,7 @@ fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
             dumped.map_or(String::new(), |p| format!(" (repro artifact: {})", p.display()))
         );
     }
-    let counters = mptcp_energy::scenarios::counters_of(&sim, std::slice::from_ref(&flow));
+    let counters = counters_of(&sim, std::slice::from_ref(&flow));
     let s = flow.sender_ref(&sim);
     SoakOutcome {
         finished: flow.is_finished(&sim),
@@ -198,8 +197,6 @@ fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
         acked: s.data_acked(),
         per_path: (s.subflow(0).acked_pkts, s.subflow(1).acked_pkts),
         failover_reinjections: s.failover_reinjections,
-        random_losses: sim.world().random_losses(),
-        blackout_drops: sim.world().blackout_drops(),
         counters,
     }
 }
@@ -291,7 +288,7 @@ fn chaos_soak_completes_under_randomized_faults() {
         if out.acked != TRANSFER_PKTS {
             problems.push("acked != transfer size");
         }
-        if out.random_losses + out.blackout_drops == 0 {
+        if out.counters.links.iter().all(|l| l.drops_fault + l.drops_blackout == 0) {
             problems.push("the fault script never bit — soak is vacuous");
         }
         if adversarial {

@@ -104,7 +104,7 @@ fn transport_segments_and_acks_cross_netsim_links_one_for_one() {
     sim.run_until(SimTime::from_secs_f64(30.0));
     assert!(flow.is_finished(&sim), "the transfer completes");
     let (f, r) = (sim.world().link(fwd).stats(), sim.world().link(rev).stats());
-    assert!(f.drops > 0, "the forward queue overflows: {f:?}");
+    assert!(f.drops_queue > 0, "the forward queue overflows: {f:?}");
     assert!(f.tx_pkts >= 2_000, "every packet crossed at least once: {f:?}");
     assert_eq!(f.tx_bytes, f.tx_pkts * u64::from(DEFAULT_MSS_BYTES), "data segment size");
     assert_eq!(r.tx_bytes, r.tx_pkts * u64::from(DEFAULT_ACK_BYTES), "ACK size");

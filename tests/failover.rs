@@ -82,8 +82,8 @@ fn blackout_fails_over_and_revives() {
     assert!(post_revival > 100, "revived subflow moved only {post_revival} pkts");
 
     // The blackout itself was accounted by the link, not DropTail.
-    let drops = sim.world().link(tp.p2.fwd).stats().blackout_drops
-        + sim.world().link(tp.p2.rev).stats().blackout_drops;
+    let drops = sim.world().link(tp.p2.fwd).stats().drops_blackout
+        + sim.world().link(tp.p2.rev).stats().drops_blackout;
     assert!(drops > 0, "blackout swallowed no packets");
 }
 

@@ -43,7 +43,7 @@ fn bits(r: &FlowResult) -> Vec<u64> {
         e.mean_power_w.to_bits(),
         r.finish_s.map_or(u64::MAX, f64::to_bits),
         r.rexmits,
-        r.timeouts,
+        r.rtos,
     ];
     for trace in [&e.trace, &r.tput_trace] {
         bits.push(trace.len() as u64);

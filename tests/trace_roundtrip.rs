@@ -2,14 +2,16 @@
 //! streams its events to a JSONL file through `obs::jsonl_sink_in`, and the
 //! `trace_dump` summarizer (`obs::summarize`, the library behind the binary)
 //! reads the file back showing the drops by cause and recovery counts the
-//! run actually experienced — with zero malformed lines.
+//! run actually experienced — with zero malformed lines, and equal to what
+//! the links and the sender counted without a trace.
 
 use congestion::AlgorithmKind;
 use mptcp_energy::CcChoice;
-use netsim::{FaultAction, FaultScript, LossModel, SimDuration, SimTime, Simulator};
+use netsim::{FaultAction, FaultScript, LinkStats, LossModel, SimDuration, SimTime, Simulator};
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use topology::TwoPath;
-use transport::{attach_flow, FlowConfig};
+use transport::{attach_flow, FlowConfig, SubflowCounters};
 
 #[test]
 fn chaos_cell_trace_round_trips_through_the_summarizer() {
@@ -58,13 +60,34 @@ fn chaos_cell_trace_round_trips_through_the_summarizer() {
     assert!(summary.drops_by_cause.get("blackout").copied().unwrap_or(0) > 0, "{summary:?}");
     assert!(summary.drops_by_cause.get("fault_loss").copied().unwrap_or(0) > 0, "{summary:?}");
 
+    // Drops agree with the links' own counters, by cause and by link.
+    let links = sim.world().link_counters();
+    let by_cause = |f: fn(&LinkStats) -> u64| links.iter().map(f).sum::<u64>();
+    let traced_cause = |cause: &str| summary.drops_by_cause.get(cause).copied().unwrap_or(0);
+    assert_eq!(traced_cause("queue_overflow"), by_cause(|l| l.drops_queue), "{summary:?}");
+    assert_eq!(traced_cause("fault_loss"), by_cause(|l| l.drops_fault), "{summary:?}");
+    assert_eq!(traced_cause("blackout"), by_cause(|l| l.drops_blackout), "{summary:?}");
+    let counted_by_link: BTreeMap<u64, u64> = (0u64..)
+        .zip(&links)
+        .filter(|(_, l)| l.drops() > 0)
+        .map(|(id, l)| (id, l.drops()))
+        .collect();
+    assert_eq!(summary.drops_by_link, counted_by_link);
+
     // Recovery counts: the blackout forced RTO-driven recovery episodes, and
-    // the file's counts agree with the sender's own counters.
+    // the file's counts agree with the sender's own counters, per subflow.
     let counters = flow.sender_ref(&sim).subflow_counters();
-    let traced_rtos: u64 = summary.rtos_by_subflow.values().sum();
-    assert!(traced_rtos > 0, "no RTOs in trace: {summary:?}");
-    assert_eq!(traced_rtos, counters.iter().map(|c| c.rtos).sum::<u64>());
+    assert!(summary.rtos_by_subflow.values().sum::<u64>() > 0, "no RTOs in trace: {summary:?}");
+    let per_subflow = |count: fn(&SubflowCounters) -> u64| -> BTreeMap<(u64, u64), u64> {
+        (0u64..)
+            .zip(&counters)
+            .filter(|(_, c)| count(c) > 0)
+            .map(|(r, c)| ((0, r), count(c)))
+            .collect()
+    };
     assert!(summary.recoveries_by_subflow.values().sum::<u64>() > 0, "{summary:?}");
+    assert_eq!(summary.rtos_by_subflow, per_subflow(|c| c.rtos));
+    assert_eq!(summary.recoveries_by_subflow, per_subflow(|c| c.recoveries));
 
     // And the human-readable report carries both tables.
     let report = summary.render();
