@@ -5,7 +5,9 @@
 //! * exact exponential vs Algorithm 1's fixed-point Taylor expansion.
 //!
 //! Each variant runs the Fig. 5(b) bursty two-path scenario (energy to move
-//! 8 MB) and, for `c`, the fluid-model friendliness ratio.
+//! 8 MB) and, for `c`, the fluid-model friendliness ratio. A friendliness
+//! solve that misses its tolerance prints `unconverged` in its cell and makes
+//! the process exit 1.
 //!
 //! Pass --smoke/--quick/--full and optionally --jobs N (default: available
 //! parallelism, or the SWEEP_JOBS env var) or --workers N for supervised
@@ -130,17 +132,19 @@ fn main() {
     );
 
     println!("\n== Pareto scale c sweep (slope 10) ==");
-    let rows = rows_for(c_out, |i| {
-        // Fluid friendliness at the design-point ratio: with E[ε] = 1 the
-        // aggregate over one shared bottleneck should not exceed one TCP for
-        // c ≤ 1 (the paper's fairness argument for c = 1).
-        let friend = friendliness_ratio(
-            CcModel::loss_based(Psi::Dts(DtsConfig { c: cs[i], ..DtsConfig::default() })),
-            1000.0,
-            0.1,
-            2,
-        );
-        vec![format!("{friend:.3}")]
+    // Fluid friendliness at the design-point ratio: with E[ε] = 1 the
+    // aggregate over one shared bottleneck should not exceed one TCP for
+    // c ≤ 1 (the paper's fairness argument for c = 1).
+    let friend: Vec<_> = cs
+        .iter()
+        .map(|&c| {
+            let psi = Psi::Dts(DtsConfig { c, ..DtsConfig::default() });
+            friendliness_ratio(CcModel::loss_based(psi), 1000.0, 0.1, 2)
+        })
+        .collect();
+    let rows = rows_for(c_out, |i| match friend[i] {
+        Ok(ratio) => vec![format!("{ratio:.3}")],
+        Err(_) => vec!["unconverged".to_owned()],
     });
     print!("{}", table(&["c", "energy (J)", "fct (s)", "Mb/s", "fluid friendliness"], &rows));
 
@@ -150,5 +154,15 @@ fn main() {
         table(&["epsilon", "energy (J)", "fct (s)", "Mb/s"], &rows_for(eps_out, |_| Vec::new()))
     );
 
+    let mut missed = false;
+    for (c, f) in cs.iter().zip(&friend) {
+        if let Err(miss) = f {
+            eprintln!("fluid friendliness at c = {c} did not reach equilibrium: {miss:?}");
+            missed = true;
+        }
+    }
     report.exit_if_partial();
+    if missed {
+        std::process::exit(1);
+    }
 }

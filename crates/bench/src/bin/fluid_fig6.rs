@@ -7,9 +7,10 @@
 //! Pass --smoke/--quick/--full (scales N) and optionally --jobs N. Each ψ's
 //! equilibrium solve is an independent cell, fanned out by the crash-safe
 //! sweep fabric: with --journal PATH completed solves checkpoint to an
-//! append-only journal and a killed run resumes where it left off; a
-//! diverging solve can be bounded with SWEEP_DEADLINE_S and is quarantined
-//! instead of sinking the table (exit 1, partial note on stderr);
+//! append-only journal and a killed run resumes where it left off; a solve
+//! that misses its tolerance fails its cell, and a diverging one can be
+//! bounded with SWEEP_DEADLINE_S; either is quarantined instead of sinking
+//! the table (exit 1, partial note on stderr);
 //! --workers N spreads the solves over supervised worker processes with
 //! identical output.
 //!
@@ -21,7 +22,7 @@
 
 use bench_harness::fabric::{FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
-use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, Psi};
+use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, Psi};
 
 fn scenario(psi: Psi, n_users: usize) -> (f64, f64) {
     let mut net = FluidNet::new();
@@ -44,12 +45,14 @@ fn scenario(psi: Psi, n_users: usize) -> (f64, f64) {
             paths: vec![FluidPath::new(vec![l], rtt)],
         });
     }
-    let x0: Vec<Vec<f64>> = net.flows.iter().map(|f| vec![50.0; f.paths.len()]).collect();
-    let x = net.equilibrium(x0, 5e-4, 1e-7, 2_000_000);
-    let mptcp_mean: f64 =
-        x[..n_users].iter().map(|r| r.iter().sum::<f64>()).sum::<f64>() / n_users as f64;
-    let tcp_mean: f64 =
-        x[n_users..].iter().map(|r| r.iter().sum::<f64>()).sum::<f64>() / (2 * n_users) as f64;
+    let n_paths = net.flows.iter().map(|f| f.paths.len()).sum();
+    let mut solver = FluidSolver::from_flat_state(&net, &vec![50.0; n_paths]);
+    if let Err(miss) = solver.solve_equilibrium(5e-4, 1e-7, 2_000_000) {
+        panic!("{} did not reach equilibrium: {miss:?}", psi.name());
+    }
+    let user_total = |f: usize| solver.rates_of(f).iter().sum::<f64>();
+    let mptcp_mean = (0..n_users).map(user_total).sum::<f64>() / n_users as f64;
+    let tcp_mean = (n_users..3 * n_users).map(user_total).sum::<f64>() / (2 * n_users) as f64;
     (mptcp_mean, tcp_mean)
 }
 

@@ -10,7 +10,9 @@
 //!   improvable without hurting others — measured as the gap to the OLIA
 //!   (`ψ = 1`, provably Pareto-optimal) reference on the same network.
 
-use crate::fluid::{disjoint_paths_net, FluidNet};
+use crate::fluid::{
+    disjoint_paths_net, EquilibriumInfo, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver,
+};
 use crate::model::{CcModel, FlowView, Psi};
 
 /// A violation of Condition 1, describing which clause failed.
@@ -77,39 +79,57 @@ pub fn check_condition1(
     Ok(())
 }
 
+/// Solves a one-flow `net` to equilibrium from 10 packets/s on every path,
+/// returning the flow's aggregate rate.
+fn equilibrium_total(net: &FluidNet) -> Result<f64, EquilibriumInfo> {
+    let n_paths = net.flows.iter().map(|f| f.paths.len()).sum();
+    let mut solver = FluidSolver::from_flat_state(net, &vec![10.0; n_paths]);
+    solver.solve_equilibrium(1e-3, 1e-8, 2_000_000)?;
+    Ok(solver.x().iter().sum())
+}
+
 /// The fluid-equilibrium aggregate throughput of `model` over disjoint equal
 /// paths, normalized by the OLIA (Pareto-optimal) reference on the same
 /// network. Values near 1 mean the algorithm extracts the Pareto-efficient
 /// allocation; materially below 1 means it leaves throughput on the table
 /// (the inefficiency the paper's Fig. 6 converts into wasted energy).
-pub fn pareto_efficiency(model: CcModel, caps: &[f64], rtts: &[f64]) -> f64 {
-    let run = |m: CcModel| -> f64 {
-        let net: FluidNet = disjoint_paths_net(m, caps, rtts);
-        let x0 = vec![vec![10.0; caps.len()]];
-        let x = net.equilibrium(x0, 1e-3, 1e-8, 2_000_000);
-        x[0].iter().sum()
-    };
-    let reference = run(CcModel::loss_based(Psi::Olia));
-    run(model) / reference
+///
+/// # Errors
+/// The first equilibrium solve that misses its tolerance.
+pub fn pareto_efficiency(
+    model: CcModel,
+    caps: &[f64],
+    rtts: &[f64],
+) -> Result<f64, EquilibriumInfo> {
+    let total = |m| equilibrium_total(&disjoint_paths_net(m, caps, rtts));
+    let reference = total(CcModel::loss_based(Psi::Olia))?;
+    Ok(total(model)? / reference)
 }
 
 /// Aggregate-vs-best-path-TCP friendliness ratio at fluid equilibrium:
 /// ≤ 1 means the multipath flow takes no more than one TCP on its best path
 /// *would get alone* on that path — the operational form of Condition 1
 /// (single shared-bottleneck case).
-pub fn friendliness_ratio(model: CcModel, cap: f64, rtt: f64, n_paths: usize) -> f64 {
+///
+/// # Errors
+/// The first equilibrium solve that misses its tolerance.
+pub fn friendliness_ratio(
+    model: CcModel,
+    cap: f64,
+    rtt: f64,
+    n_paths: usize,
+) -> Result<f64, EquilibriumInfo> {
     // n paths crossing ONE shared bottleneck.
     let mut net = FluidNet::new();
-    let l = net.add_link(crate::fluid::FluidLink::new(cap));
-    net.add_flow(crate::fluid::FluidFlow {
+    let l = net.add_link(FluidLink::new(cap));
+    net.add_flow(FluidFlow {
         model,
-        paths: (0..n_paths).map(|_| crate::fluid::FluidPath::new(vec![l], rtt)).collect(),
+        paths: (0..n_paths).map(|_| FluidPath::new(vec![l], rtt)).collect(),
     });
-    let multi: f64 =
-        net.equilibrium(vec![vec![10.0; n_paths]], 1e-3, 1e-8, 2_000_000)[0].iter().sum();
+    let multi = equilibrium_total(&net)?;
     let single_net = disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[cap], &[rtt]);
-    let single = single_net.equilibrium(vec![vec![10.0]], 1e-3, 1e-8, 2_000_000)[0][0];
-    multi / single
+    let single = equilibrium_total(&single_net)?;
+    Ok(multi / single)
 }
 
 #[cfg(test)]
@@ -172,7 +192,8 @@ mod tests {
 
     #[test]
     fn olia_pareto_efficiency_is_one_by_definition() {
-        let eff = pareto_efficiency(CcModel::loss_based(Psi::Olia), &[500.0, 500.0], &[0.1, 0.1]);
+        let eff = pareto_efficiency(CcModel::loss_based(Psi::Olia), &[500.0, 500.0], &[0.1, 0.1])
+            .expect("both solves converge");
         assert!((eff - 1.0).abs() < 1e-6);
     }
 
@@ -180,14 +201,16 @@ mod tests {
     fn lia_leaves_throughput_on_the_table() {
         // The paper (after Khalili et al.): LIA is not Pareto-optimal; OLIA
         // extracts at least as much.
-        let eff = pareto_efficiency(CcModel::loss_based(Psi::Lia), &[500.0, 500.0], &[0.1, 0.1]);
+        let eff = pareto_efficiency(CcModel::loss_based(Psi::Lia), &[500.0, 500.0], &[0.1, 0.1])
+            .expect("both solves converge");
         assert!(eff <= 1.0 + 1e-6, "LIA efficiency {eff}");
     }
 
     #[test]
     fn friendliness_ratio_bounded_for_friendly_algorithms() {
         for psi in [Psi::Lia, Psi::Olia, Psi::Balia] {
-            let ratio = friendliness_ratio(CcModel::loss_based(psi), 1000.0, 0.1, 2);
+            let ratio = friendliness_ratio(CcModel::loss_based(psi), 1000.0, 0.1, 2)
+                .expect("both solves converge");
             assert!(
                 ratio < 1.15,
                 "{} aggregate {ratio} should not exceed one TCP by much",

@@ -8,14 +8,12 @@
 //! (b) check TCP-friendliness and Pareto-efficiency numerically, and
 //! (c) cross-validate the packet-level simulator's equilibria.
 //!
-//! Two integration front-ends share one core:
-//!
-//! * [`FluidNet`] keeps the ergonomic nested `Vec<Vec<f64>>` API used by the
-//!   small analysis binaries and tests.
-//! * [`FluidSolver`] is the flat, allocation-free workhorse behind it: state,
-//!   RK4 stages, link rates and prices live in preallocated flat arrays with a
-//!   CSR path→link index, so a step over 10⁵ flows allocates nothing. The
-//!   hybrid engine drives this directly.
+//! [`FluidNet`] is plain data: links and flows. [`FluidSolver`] is the one
+//! integrator. It compiles a net into flat, preallocated arrays — state, RK4
+//! stages, link rates and prices, and a CSR path→link index — so a step over
+//! 10⁵ flows allocates nothing. The condition checkers, the Fig. 6 fluid
+//! cross-check and the hybrid engine all drive it. An equilibrium solve that
+//! misses its tolerance is an `Err` its caller has to handle.
 //!
 //! # Integrator semantics
 //!
@@ -119,24 +117,8 @@ pub struct FluidFlow {
     pub paths: Vec<FluidPath>,
 }
 
-/// The result of [`FluidNet::solve_equilibrium`]: the final state plus how
-/// the run terminated.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EquilibriumReport {
-    /// Final per-flow per-path rates.
-    pub x: Vec<Vec<f64>>,
-    /// Whether the relative-change test passed before `max_steps` elapsed.
-    pub converged: bool,
-    /// Steps actually integrated.
-    pub steps: usize,
-    /// Worst relative rate change over the last tested window
-    /// (`f64::INFINITY` if no window was ever tested, i.e. `max_steps == 0`).
-    pub residual: f64,
-    /// Times a link price hit the probability cap during the run.
-    pub price_cap_hits: u64,
-}
-
-/// A network of fluid links and flows.
+/// A network of fluid links and flows: plain data, integrated by
+/// [`FluidSolver`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FluidNet {
     /// Links.
@@ -162,102 +144,16 @@ impl FluidNet {
         self.flows.push(flow);
         self.flows.len() - 1
     }
-
-    /// Aggregate rate per link under state `x` (`x[flow][path]`).
-    pub fn link_rates(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        let mut y = vec![0.0; self.links.len()];
-        for (f, flow) in self.flows.iter().enumerate() {
-            for (p, path) in flow.paths.iter().enumerate() {
-                for &l in &path.links {
-                    y[l] += x[f][p];
-                }
-            }
-        }
-        y
-    }
-
-    /// Builds a flat solver over this net starting from state `x0`.
-    ///
-    /// # Panics
-    /// Panics if `x0`'s shape does not match the net's flows/paths, or if a
-    /// path references a link index out of range.
-    pub fn solver_from(&self, x0: &[Vec<f64>]) -> FluidSolver {
-        FluidSolver::from_state(self, x0)
-    }
-
-    /// Integrates with classic RK4 from `x0` for `steps` of size `dt`,
-    /// returning the final state. Rates are floored at [`X_MIN`].
-    pub fn run(&self, x0: Vec<Vec<f64>>, dt: f64, steps: usize) -> Vec<Vec<f64>> {
-        let mut solver = self.solver_from(&x0);
-        solver.run(dt, steps);
-        solver.state()
-    }
-
-    /// Integrates and records `(t, state)` every `record_every` steps.
-    pub fn trajectory(
-        &self,
-        x0: Vec<Vec<f64>>,
-        dt: f64,
-        steps: usize,
-        record_every: usize,
-    ) -> Vec<(f64, Vec<Vec<f64>>)> {
-        let mut solver = self.solver_from(&x0);
-        let mut out = Vec::new();
-        for s in 0..steps {
-            if s % record_every.max(1) == 0 {
-                out.push((s as f64 * dt, solver.state()));
-            }
-            solver.step(dt);
-        }
-        out.push((steps as f64 * dt, solver.state()));
-        out
-    }
-
-    /// Runs to (approximate) equilibrium: integrates until the max relative
-    /// rate change over a window falls below `tol`, or `max_steps` elapse.
-    /// Returns only the final state; see [`FluidNet::solve_equilibrium`] for
-    /// the convergence verdict.
-    pub fn equilibrium(
-        &self,
-        x0: Vec<Vec<f64>>,
-        dt: f64,
-        tol: f64,
-        max_steps: usize,
-    ) -> Vec<Vec<f64>> {
-        self.solve_equilibrium(x0, dt, tol, max_steps).x
-    }
-
-    /// Like [`FluidNet::equilibrium`] but reports whether the tolerance was
-    /// actually met. The relative-change test runs every `window` steps *and*
-    /// on the final step, so small `max_steps` (< 200) still get a verdict
-    /// instead of silently passing through.
-    pub fn solve_equilibrium(
-        &self,
-        x0: Vec<Vec<f64>>,
-        dt: f64,
-        tol: f64,
-        max_steps: usize,
-    ) -> EquilibriumReport {
-        let mut solver = self.solver_from(&x0);
-        let info = solver.solve_equilibrium(dt, tol, max_steps);
-        EquilibriumReport {
-            x: solver.state(),
-            converged: info.converged,
-            steps: info.steps,
-            residual: info.residual,
-            price_cap_hits: solver.price_cap_hits(),
-        }
-    }
 }
 
-/// Convergence verdict from [`FluidSolver::solve_equilibrium`].
+/// A miss of [`FluidSolver::solve_equilibrium`]: the tolerance was not met
+/// within `max_steps`, and the solver holds a state that is not a fixed point.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EquilibriumInfo {
-    /// Whether the relative-change test passed.
-    pub converged: bool,
-    /// Steps actually integrated.
+    /// Steps integrated (`max_steps`).
     pub steps: usize,
-    /// Worst relative change over the last tested window.
+    /// Worst relative rate change over the last tested window
+    /// (`f64::INFINITY` if no window was tested, i.e. `max_steps == 0`).
     pub residual: f64,
 }
 
@@ -360,40 +256,19 @@ pub struct FluidSolver {
 }
 
 impl FluidSolver {
-    /// Builds a solver from `net` starting at state `x0` (`x0[flow][path]`).
-    ///
-    /// # Panics
-    /// Panics if `x0`'s shape does not match the net, a path references a
-    /// link index out of range, or the net has more than `u32::MAX` links.
-    pub fn from_state(net: &FluidNet, x0: &[Vec<f64>]) -> Self {
-        assert_eq!(x0.len(), net.flows.len(), "x0 must have one row per flow");
-        for (f, (row, flow)) in x0.iter().zip(&net.flows).enumerate() {
-            assert_eq!(row.len(), flow.paths.len(), "x0 row {f} must match the flow's paths");
-        }
-        FluidSolver::build(net, x0.concat())
-    }
-
-    /// Builds a solver from `net` with the state given flat (flow-major, as
-    /// [`FluidSolver::x`] exposes it) — the path the hybrid engine uses
-    /// across epochs: one copy of the state, no per-flow allocation.
+    /// Builds a solver from `net` with the state given flat, flow-major (as
+    /// [`FluidSolver::x`] exposes it). The CSR arrays and each path's kernel
+    /// constants are computed here from its `(rtt, base_rtt)`, so a solver is
+    /// valid for as long as the net's RTTs and links are.
     ///
     /// # Panics
     /// Panics if `x0`'s length does not equal the net's total path count, a
     /// path references a link index out of range, or the net has more than
     /// `u32::MAX` links.
     pub fn from_flat_state(net: &FluidNet, x0: &[f64]) -> Self {
-        let total: usize = net.flows.iter().map(|f| f.paths.len()).sum();
-        assert_eq!(x0.len(), total, "flat x0 must have one entry per path");
-        FluidSolver::build(net, x0.to_vec())
-    }
-
-    /// Flattens `net` into the CSR arrays around the flow-major state `x`,
-    /// whose length the caller has checked against the net's path count, and
-    /// computes each path's kernel constants from its `(rtt, base_rtt)` — so
-    /// a solver is valid for as long as the net's RTTs and links are.
-    fn build(net: &FluidNet, x: Vec<f64>) -> Self {
+        let n_paths: usize = net.flows.iter().map(|f| f.paths.len()).sum();
+        assert_eq!(x0.len(), n_paths, "flat x0 must have one entry per path");
         let n_links = net.links.len();
-        let n_paths = x.len();
         let mut topo = FlatTopo {
             capacity: net.links.iter().map(|l| l.capacity).collect(),
             p0: net.links.iter().map(|l| l.p0).collect(),
@@ -429,17 +304,7 @@ impl FluidSolver {
             y: vec![0.0; n_links],
             prices: vec![0.0; n_links],
         };
-        FluidSolver { topo, ws, x, price_cap_hits: 0 }
-    }
-
-    /// Number of flows.
-    pub fn n_flows(&self) -> usize {
-        self.topo.models.len()
-    }
-
-    /// Total number of paths (the flat state length).
-    pub fn n_paths(&self) -> usize {
-        self.x.len()
+        FluidSolver { topo, ws, x: x0.to_vec(), price_cap_hits: 0 }
     }
 
     /// The flat state, flow-major.
@@ -450,11 +315,6 @@ impl FluidSolver {
     /// Flow `f`'s per-path rates.
     pub fn rates_of(&self, f: usize) -> &[f64] {
         &self.x[self.topo.path_off[f]..self.topo.path_off[f + 1]]
-    }
-
-    /// Copies the state back into the nested `x[flow][path]` form.
-    pub fn state(&self) -> Vec<Vec<f64>> {
-        (0..self.n_flows()).map(|f| self.rates_of(f).to_vec()).collect()
     }
 
     /// Per-link aggregate rates under the *current* state (clamped to the
@@ -501,9 +361,18 @@ impl FluidSolver {
     }
 
     /// Integrates until the max relative rate change over a window falls
-    /// below `tol`, or `max_steps` elapse. The test runs every 200 steps
-    /// *and* on the final step, so `max_steps < 200` still gets a verdict.
-    pub fn solve_equilibrium(&mut self, dt: f64, tol: f64, max_steps: usize) -> EquilibriumInfo {
+    /// below `tol`, returning the steps taken, or misses after `max_steps`.
+    /// The test runs every 200 steps *and* on the final step, so
+    /// `max_steps < 200` still gets a verdict.
+    ///
+    /// # Errors
+    /// [`EquilibriumInfo`] when `max_steps` elapse without meeting `tol`.
+    pub fn solve_equilibrium(
+        &mut self,
+        dt: f64,
+        tol: f64,
+        max_steps: usize,
+    ) -> Result<usize, EquilibriumInfo> {
         let window = 200usize;
         let mut since_check = self.x.clone();
         let mut residual = f64::INFINITY;
@@ -516,12 +385,12 @@ impl FluidSolver {
                 }
                 residual = worst;
                 if worst < tol {
-                    return EquilibriumInfo { converged: true, steps: s, residual };
+                    return Ok(s);
                 }
                 since_check.copy_from_slice(&self.x);
             }
         }
-        EquilibriumInfo { converged: false, steps: max_steps, residual }
+        Err(EquilibriumInfo { steps: max_steps, residual })
     }
 }
 
@@ -546,12 +415,20 @@ mod tests {
         disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[cap], &[rtt])
     }
 
+    /// Solves `net` from the flat state `x0`, asserting convergence.
+    fn solved(net: &FluidNet, x0: &[f64], dt: f64, tol: f64, max_steps: usize) -> FluidSolver {
+        let mut solver = FluidSolver::from_flat_state(net, x0);
+        if let Err(miss) = solver.solve_equilibrium(dt, tol, max_steps) {
+            panic!("no equilibrium: {miss:?} at x = {:?}", solver.x());
+        }
+        solver
+    }
+
     #[test]
     fn single_reno_converges_to_fixed_point() {
         // Equilibrium: ψ x²/(rtt²x²) = β p(x) x² → 1/rtt² = ½ p0 (x/c)^B x².
         let net = reno_single(1000.0, 0.1);
-        let x = net.equilibrium(vec![vec![10.0]], 1e-3, 1e-8, 2_000_000);
-        let xr = x[0][0];
+        let xr = solved(&net, &[10.0], 1e-3, 1e-8, 2_000_000).x()[0];
         // Analytic fixed point: 1/rtt² = ½·p0·(x/c)^B·x² → x* = (2c^B/(p0·rtt²))^(1/(B+2)).
         let expected = (2.0 * 1000.0f64.powi(4) / (1e-2 * 0.01)).powf(1.0 / 6.0);
         assert!((xr - expected).abs() / expected < 0.01, "x* = {xr}, expected {expected}");
@@ -560,8 +437,8 @@ mod tests {
     #[test]
     fn equilibrium_is_independent_of_start() {
         let net = reno_single(1000.0, 0.1);
-        let a = net.equilibrium(vec![vec![5.0]], 1e-3, 1e-8, 2_000_000)[0][0];
-        let b = net.equilibrium(vec![vec![500.0]], 1e-3, 1e-8, 2_000_000)[0][0];
+        let a = solved(&net, &[5.0], 1e-3, 1e-8, 2_000_000).x()[0];
+        let b = solved(&net, &[500.0], 1e-3, 1e-8, 2_000_000).x()[0];
         assert!((a - b).abs() / a < 1e-3, "a {a} b {b}");
     }
 
@@ -575,8 +452,8 @@ mod tests {
                 paths: vec![FluidPath::new(vec![l], 0.1)],
             });
         }
-        let x = net.equilibrium(vec![vec![10.0], vec![300.0]], 1e-3, 1e-8, 4_000_000);
-        let (a, b) = (x[0][0], x[1][0]);
+        let solver = solved(&net, &[10.0, 300.0], 1e-3, 1e-8, 4_000_000);
+        let (a, b) = (solver.x()[0], solver.x()[1]);
         assert!((a - b).abs() / a < 0.01, "unfair split {a} vs {b}");
     }
 
@@ -586,10 +463,8 @@ mod tests {
         // than two independent Renos would (coupling), but more than one.
         let net =
             disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[1000.0, 1000.0], &[0.1, 0.1]);
-        let x = net.equilibrium(vec![vec![10.0, 10.0]], 1e-3, 1e-8, 2_000_000);
-        let total: f64 = x[0].iter().sum();
-        let single =
-            reno_single(1000.0, 0.1).equilibrium(vec![vec![10.0]], 1e-3, 1e-8, 2_000_000)[0][0];
+        let total: f64 = solved(&net, &[10.0, 10.0], 1e-3, 1e-8, 2_000_000).x().iter().sum();
+        let single = solved(&reno_single(1000.0, 0.1), &[10.0], 1e-3, 1e-8, 2_000_000).x()[0];
         assert!(total > single * 1.05, "multipath should beat one path");
         assert!(total < single * 2.0, "multipath must not beat two independent TCPs");
     }
@@ -601,16 +476,22 @@ mod tests {
         // Path 1 shows heavy RTT inflation (base ≪ rtt).
         net.flows[0].paths[1].rtt = 0.2;
         net.flows[0].paths[1].base_rtt = 0.05; // ratio 0.25
-        let x = net.equilibrium(vec![vec![10.0, 10.0]], 1e-3, 1e-8, 2_000_000);
-        assert!(x[0][0] > 2.0 * x[0][1], "DTS should favour the clean path: {:?}", x[0]);
+
+        // From a cold start the fixed point, x* ≈ [525.7, 195.4], takes 10.7 M
+        // steps; an even split of about its aggregate takes 1.6 M, and the
+        // ratio assertion fails at the start, so the solve has to move it.
+        let solver = solved(&net, &[360.0, 360.0], 1e-3, 1e-8, 2_000_000);
+        let x = solver.x();
+        assert!(x[0] > 2.0 * x[1], "DTS should favour the clean path: {x:?}");
     }
 
     #[test]
     fn rates_never_drop_below_floor() {
         let net =
             disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[10.0, 10000.0], &[1.0, 0.01]);
-        let x = net.run(vec![vec![5.0, 5.0]], 1e-3, 100_000);
-        assert!(x[0].iter().all(|&v| v >= X_MIN));
+        let mut solver = FluidSolver::from_flat_state(&net, &[5.0, 5.0]);
+        solver.run(1e-3, 100_000);
+        assert!(solver.x().iter().all(|&v| v >= X_MIN));
     }
 
     // ---- price cap (satellite: price must stay a probability) ----
@@ -651,10 +532,10 @@ mod tests {
                 paths: vec![FluidPath::new(vec![l], 0.1)],
             });
         }
-        let report = net.solve_equilibrium(vec![vec![500.0], vec![500.0]], 1e-4, 1e-8, 10_000);
-        assert!(report.price_cap_hits > 0, "overload must hit the cap");
+        let solver = solved(&net, &[500.0, 500.0], 1e-4, 1e-8, 10_000);
+        assert!(solver.price_cap_hits() > 0, "overload must hit the cap");
         // And the capped system still settles to a finite, floored state.
-        assert!(report.x.iter().flatten().all(|v| v.is_finite() && *v >= X_MIN));
+        assert!(solver.x().iter().all(|v| v.is_finite() && *v >= X_MIN));
     }
 
     // ---- equilibrium window (satellite: small max_steps must test tol) ----
@@ -666,28 +547,38 @@ mod tests {
         // implicitly; the fix tests on the final step.
         let net = reno_single(1000.0, 0.1);
         let xstar = (2.0 * 1000.0f64.powi(4) / (1e-2 * 0.01)).powf(1.0 / 6.0);
-        let report = net.solve_equilibrium(vec![vec![xstar]], 1e-3, 1e-6, 50);
-        assert!(report.converged, "at the fixed point, 50 steps must converge");
-        assert_eq!(report.steps, 50);
-        assert!(report.residual < 1e-6);
+        let mut solver = FluidSolver::from_flat_state(&net, &[xstar]);
+        assert_eq!(
+            solver.solve_equilibrium(1e-3, 1e-6, 50),
+            Ok(50),
+            "at the fixed point, 50 steps must converge"
+        );
     }
 
     #[test]
     fn equilibrium_far_from_fixed_point_reports_not_converged() {
         let net = reno_single(1000.0, 0.1);
-        let report = net.solve_equilibrium(vec![vec![10.0]], 1e-3, 1e-10, 50);
-        assert!(!report.converged, "50 steps from x=10 cannot meet 1e-10");
-        assert!(report.residual > 1e-10);
+        let mut solver = FluidSolver::from_flat_state(&net, &[10.0]);
+        let miss = solver.solve_equilibrium(1e-3, 1e-10, 50).unwrap_err();
+        assert_eq!(miss.steps, 50, "50 steps from x=10 cannot meet 1e-10");
+        assert!(miss.residual > 1e-10);
     }
 
     // ---- RK4 stage handling (satellite: classic RK4 off the floor) ----
 
-    /// The nested-`Vec` field built from the public pieces alone —
-    /// [`FluidNet::link_rates`], [`FluidLink::price`], [`CcModel::dxdt`] —
+    /// The nested-`Vec` field built from the public pieces alone — link sums
+    /// in ascending path order, [`FluidLink::price`], [`CcModel::dxdt`] —
     /// allocating as it goes: what the flat solver's `field` must reproduce
     /// bit for bit.
     fn reference_field(net: &FluidNet, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let y = net.link_rates(x);
+        let mut y = vec![0.0; net.links.len()];
+        for (flow, xf) in net.flows.iter().zip(x) {
+            for (path, &xr) in flow.paths.iter().zip(xf) {
+                for &l in &path.links {
+                    y[l] += xr;
+                }
+            }
+        }
         let prices: Vec<f64> = net.links.iter().zip(&y).map(|(l, &yl)| l.price(yl)).collect();
         net.flows
             .iter()
@@ -741,11 +632,9 @@ mod tests {
             .collect()
     }
 
-    fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], step: usize) {
-        for (ra, rb) in a.iter().zip(b) {
-            for (va, vb) in ra.iter().zip(rb) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "step {step}: {va} vs {vb}");
-            }
+    fn assert_bits_eq(flat: &[f64], nested: &[Vec<f64>], step: usize) {
+        for (va, vb) in flat.iter().zip(nested.concat()) {
+            assert_eq!(va.to_bits(), vb.to_bits(), "step {step}: {va} vs {vb}");
         }
     }
 
@@ -756,12 +645,12 @@ mod tests {
         // same classic RK4, bit for bit.
         let net =
             disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[1000.0, 2000.0], &[0.1, 0.05]);
-        let mut solver = net.solver_from(&[vec![10.0, 10.0]]);
+        let mut solver = FluidSolver::from_flat_state(&net, &[10.0, 10.0]);
         let mut reference = vec![vec![10.0, 10.0]];
         for step in 0..5_000 {
             solver.step(1e-3);
             reference = reference_rk4_step(&net, &reference, 1e-3);
-            assert_bits_eq(&solver.state(), &reference, step);
+            assert_bits_eq(solver.x(), &reference, step);
         }
     }
 
@@ -772,12 +661,12 @@ mod tests {
         // F̃(s) = F(max(s, X_MIN)) is exactly what the stage clamp computed.
         let net =
             disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[10.0, 10000.0], &[1.0, 0.01]);
-        let mut solver = net.solver_from(&[vec![5.0, 5.0]]);
+        let mut solver = FluidSolver::from_flat_state(&net, &[5.0, 5.0]);
         let mut reference = vec![vec![5.0, 5.0]];
         for step in 0..5_000 {
             solver.step(1e-3);
             reference = reference_rk4_step(&net, &reference, 1e-3);
-            assert_bits_eq(&solver.state(), &reference, step);
+            assert_bits_eq(solver.x(), &reference, step);
         }
         assert!(solver.x().iter().all(|&v| v >= X_MIN));
     }
@@ -795,28 +684,9 @@ mod tests {
             model: CcModel::loss_based(Psi::Olia),
             paths: vec![FluidPath::new(vec![l], rtt)],
         });
-        let report = net.solve_equilibrium(vec![vec![100.0]], 1e-5, 1e-9, 4_000_000);
-        assert!(report.converged, "residual {}", report.residual);
-        let x = report.x[0][0];
+        let x = solved(&net, &[100.0], 1e-5, 1e-9, 4_000_000).x()[0];
         let target = util * cap;
         assert!((x - target).abs() / target < 0.01, "x* = {x}, want {target}");
-    }
-
-    #[test]
-    fn flat_solver_matches_nested_api() {
-        // FluidNet::run delegates to the solver; spot-check rates_of and
-        // link_rates agree with the nested accessors.
-        let net =
-            disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[1000.0, 1000.0], &[0.1, 0.1]);
-        let mut solver = net.solver_from(&[vec![10.0, 20.0]]);
-        solver.run(1e-3, 1_000);
-        let nested = net.run(vec![vec![10.0, 20.0]], 1e-3, 1_000);
-        assert_bits_eq(&solver.state(), &nested, 1_000);
-        let y = solver.link_rates().to_vec();
-        let y_nested = net.link_rates(&nested);
-        for (a, b) in y.iter().zip(&y_nested) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     // ---- the compiled kernel against the public, nested spelling ----
@@ -914,8 +784,8 @@ mod tests {
         ) {
             for model in every_model() {
                 let (net, x0) = generated_net(model, &links, &flows);
-                let mut solver = net.solver_from(&x0);
-                let mut out = vec![0.0; solver.n_paths()];
+                let mut solver = FluidSolver::from_flat_state(&net, &x0.concat());
+                let mut out = vec![0.0; solver.x().len()];
                 let FluidSolver { topo, ws, x, price_cap_hits } = &mut solver;
                 topo.field(x, &mut ws.xc, &mut ws.y, &mut ws.prices, &mut out, price_cap_hits);
                 let want = reference_field(&net, &x0).concat();
@@ -926,7 +796,7 @@ mod tests {
                 for step in 0..200 {
                     solver.step(1e-5);
                     reference = reference_rk4_step(&net, &reference, 1e-5);
-                    assert_bits_eq(&solver.state(), &reference, step);
+                    assert_bits_eq(solver.x(), &reference, step);
                 }
             }
         }

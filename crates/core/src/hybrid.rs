@@ -40,8 +40,7 @@ use transport::{
 
 /// Tuning knobs for the hybrid engine.
 ///
-/// Fixed, not configurable: bounded transfers of at most 1 MiB stay
-/// packet-level ([`classify`]); rates convert between packets and bits at
+/// Fixed, not configurable: rates convert between packets and bits at
 /// transport's [`DEFAULT_MSS_BYTES`], and path RTTs count
 /// [`DEFAULT_ACK_BYTES`] ACKs; fluid link prices are calibrated for 90 %
 /// utilization (Peng, Walid, Hwang & Low); fluid background load on a packet
@@ -69,10 +68,6 @@ impl Default for HybridConfig {
     }
 }
 
-/// Classification threshold: bounded transfers at or below this many bytes
-/// stay packet-level; larger or unbounded flows go fluid.
-const SHORT_FLOW_MAX_BYTES: u64 = 1 << 20;
-
 /// Target utilization of the fluid link price calibration
 /// ([`FluidLink::calibrated`]).
 const TARGET_UTIL: f64 = 0.9;
@@ -81,25 +76,6 @@ const TARGET_UTIL: f64 = 0.9;
 /// fraction of the link's nominal bandwidth, so packet flows always keep a
 /// residual.
 const BG_CAP_FRAC: f64 = 0.95;
-
-/// Which engine a flow is simulated in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Regime {
-    /// Integrated in the Equation-(3) fluid solver.
-    Fluid,
-    /// Simulated packet-by-packet in `netsim`/`transport`.
-    Packet,
-}
-
-/// Classifies a flow by its expected transfer size: bounded transfers up to
-/// 1 MiB are packet-level (their transient behavior dominates); larger or
-/// unbounded flows are fluid.
-pub fn classify(transfer_bytes: Option<u64>) -> Regime {
-    match transfer_bytes {
-        Some(b) if b <= SHORT_FLOW_MAX_BYTES => Regime::Packet,
-        _ => Regime::Fluid,
-    }
-}
 
 /// The Equation-(3) fluid form of a packet-level algorithm choice, or `None`
 /// for algorithms the paper's §IV table does not decompose (DCTCP, wVegas,
@@ -215,7 +191,8 @@ pub struct HybridEngine {
     pkt_rate_pps: Vec<f64>,
     /// Aggregate fluid rate per link after the last integration, pkts/s.
     fluid_y: Vec<f64>,
-    /// Source host of each fluid flow (for per-host energy attribution).
+    /// Source host of each fluid flow. Recorded, not read: energy is
+    /// charged per flow (see `account_epoch`).
     fluid_hosts: Vec<usize>,
     packet: Vec<PacketFlowMeta>,
     power: WiredCpuModel,
@@ -267,11 +244,6 @@ impl HybridEngine {
         }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &HybridConfig {
-        &self.cfg
-    }
-
     /// The packet simulator (read-only).
     pub fn sim(&self) -> &Simulator {
         &self.sim
@@ -311,11 +283,6 @@ impl HybridEngine {
         self.counters
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
     /// Adds a flow directly to the fluid regime with initial per-path rate
     /// `x0_pps`, returning the fluid flow index. Path base RTTs come from
     /// the topology ([`path_prop_rtt`]); the fluid links are the forward
@@ -338,22 +305,10 @@ impl HybridEngine {
         self.net.add_flow(FluidFlow { model, paths: fps })
     }
 
-    /// Attaches a flow to the packet simulator and registers it for epoch
-    /// accounting and eventual handoff. `cc` both builds the per-ACK
-    /// algorithm and determines the fluid form used if the flow outlives
-    /// [`HybridConfig::handoff_age_s`].
-    pub fn add_packet_flow(
-        &mut self,
-        cfg: FlowConfig,
-        cc: &CcChoice,
-        paths: &[PathSpec],
-        start_after: SimDuration,
-    ) -> FlowHandle {
-        self.add_packet_flow_from(cfg, cc, paths, start_after, 0)
-    }
-
-    /// [`Self::add_packet_flow`] with an explicit source host for energy
-    /// attribution.
+    /// Attaches a flow from `src_host` to the packet simulator and registers
+    /// it for epoch accounting and eventual handoff. `cc` both builds the
+    /// per-ACK algorithm and determines the fluid form used if the flow
+    /// outlives [`HybridConfig::handoff_age_s`].
     pub fn add_packet_flow_from(
         &mut self,
         cfg: FlowConfig,
@@ -380,31 +335,6 @@ impl HybridEngine {
         });
         self.counters.packet_flows += 1;
         handle
-    }
-
-    /// Adds a flow to whichever regime [`classify`] picks (falling back to
-    /// the packet regime when the algorithm has no fluid form), returning
-    /// the regime chosen. Fluid flows start at the rate floor and grow via
-    /// the ODE.
-    pub fn add_flow(
-        &mut self,
-        cfg: FlowConfig,
-        cc: &CcChoice,
-        paths: &[PathSpec],
-        start_after: SimDuration,
-        src_host: usize,
-    ) -> Regime {
-        let bytes = cfg.total_pkts.map(|p| p.saturating_mul(u64::from(cfg.mss_bytes)));
-        match (classify(bytes), fluid_model_of(cc)) {
-            (Regime::Fluid, Some(model)) => {
-                self.add_fluid_flow(model, paths, X_MIN, src_host);
-                Regime::Fluid
-            }
-            (Regime::Fluid, None) | (Regime::Packet, _) => {
-                self.add_packet_flow_from(cfg, cc, paths, start_after, src_host);
-                Regime::Packet
-            }
-        }
     }
 
     /// Advances both regimes by one epoch: recalibrates fluid links against
@@ -499,9 +429,11 @@ impl HybridEngine {
     }
 
     /// Integrates host power over the epoch that just ran: every host pays
-    /// idle; each flow's source host pays the dynamic (above-idle) power of
-    /// its load. One flow per source host is the intended workload shape
-    /// (permutation traffic).
+    /// idle; each flow pays the dynamic (above-idle) power of its own load,
+    /// as if it were alone on its source host. With one flow per source host
+    /// (permutation traffic) that is per-host accounting; with several, the
+    /// power curve is applied per flow, not to the host's summed load
+    /// (DESIGN.md §14).
     fn account_epoch(&mut self, at_s: f64) {
         let epoch_s = self.cfg.epoch_s;
         let mss_bits = 8.0 * f64::from(DEFAULT_MSS_BYTES);
@@ -636,14 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_splits_on_size_and_boundedness() {
-        assert_eq!(classify(Some(1000)), Regime::Packet);
-        assert_eq!(classify(Some(SHORT_FLOW_MAX_BYTES)), Regime::Packet);
-        assert_eq!(classify(Some(SHORT_FLOW_MAX_BYTES + 1)), Regime::Fluid);
-        assert_eq!(classify(None), Regime::Fluid);
-    }
-
-    #[test]
     fn fluid_model_mapping_matches_the_paper_table() {
         use AlgorithmKind as K;
         let psi = |k: K| fluid_model_of(&CcChoice::Base(k)).map(|m| m.psi);
@@ -687,11 +611,12 @@ mod tests {
     fn packet_flow_outliving_threshold_hands_off_to_fluid() {
         let mut eng = engine(7);
         let cfg = FlowConfig::new(0).min_rto(SimDuration::from_millis(10));
-        eng.add_packet_flow(
+        eng.add_packet_flow_from(
             cfg,
             &CcChoice::Base(AlgorithmKind::Olia),
             &two_paths(),
             SimDuration::ZERO,
+            0,
         );
         eng.run_epochs(8);
         let c = eng.counters();
@@ -710,31 +635,21 @@ mod tests {
     }
 
     #[test]
-    fn short_flows_stay_packet_and_unfluid_algorithms_never_hand_off() {
+    fn unfluid_algorithms_never_hand_off() {
         let mut eng = engine(3);
-        // Small bounded transfer → packet regime.
-        let r1 = eng.add_flow(
-            FlowConfig::new(0).transfer_bytes(100_000),
-            &CcChoice::Base(AlgorithmKind::Olia),
+        // Unbounded, but DCTCP has no Equation-(3) form: it must never hand
+        // off.
+        eng.add_packet_flow_from(
+            FlowConfig::new(0),
+            &CcChoice::Base(AlgorithmKind::Dctcp),
             &two_paths(),
             SimDuration::ZERO,
             0,
         );
-        assert_eq!(r1, Regime::Packet);
-        // Unbounded but DCTCP has no Equation-(3) form → packet regime, and
-        // it must never hand off.
-        let r2 = eng.add_flow(
-            FlowConfig::new(1),
-            &CcChoice::Base(AlgorithmKind::Dctcp),
-            &two_paths(),
-            SimDuration::ZERO,
-            1,
-        );
-        assert_eq!(r2, Regime::Packet);
         eng.run_epochs(6);
         assert_eq!(eng.counters().handoffs, 0);
         assert_eq!(eng.counters().fluid_flows, 0);
-        assert_eq!(eng.counters().packet_flows, 2);
+        assert_eq!(eng.counters().packet_flows, 1);
     }
 
     #[test]
@@ -742,11 +657,12 @@ mod tests {
         let run = || {
             let mut eng = engine(42);
             eng.add_fluid_flow(CcModel::loss_based(Psi::Olia), &two_paths(), 10.0, 0);
-            eng.add_packet_flow(
+            eng.add_packet_flow_from(
                 FlowConfig::new(0).min_rto(SimDuration::from_millis(10)),
                 &CcChoice::Base(AlgorithmKind::Lia),
                 &two_paths(),
                 SimDuration::ZERO,
+                0,
             );
             eng.run_epochs(6);
             let bits: Vec<u64> = eng.fluid_rates().iter().map(|x| x.to_bits()).collect();

@@ -51,10 +51,9 @@ pub use conditions::{check_condition1, friendliness_ratio, pareto_efficiency};
 pub use dts::{epsilon_exact, epsilon_fixed_point, Dts, DtsConfig};
 pub use dts_phi::{DtsPhi, DtsPhiConfig};
 pub use fluid::{
-    disjoint_paths_net, EquilibriumInfo, EquilibriumReport, FluidFlow, FluidLink, FluidNet,
-    FluidPath, FluidSolver,
+    disjoint_paths_net, EquilibriumInfo, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver,
 };
-pub use hybrid::{classify, fluid_model_of, HybridConfig, HybridCounters, HybridEngine, Regime};
+pub use hybrid::{fluid_model_of, HybridConfig, HybridCounters, HybridEngine};
 pub use model::{CcModel, FlowView, Phi, Psi};
 pub use path_select::{run_wireless_with_policy, select_paths, PathPolicy};
 pub use scenarios::CcChoice;

@@ -1,19 +1,29 @@
 //! Fluid-level validation of the DTS-Φ price (Equation (9)): the φ term must
 //! lower the equilibrium rate relative to plain DTS, proportionally to κ,
-//! and the trajectory API must expose the transient.
+//! and stepping the solver must show the transient settle.
 
 use mptcp_energy::{
-    disjoint_paths_net, CcModel, DtsConfig, DtsPhiConfig, FluidFlow, FluidLink, FluidNet, FluidPath,
+    disjoint_paths_net, CcModel, DtsConfig, DtsPhiConfig, FluidFlow, FluidLink, FluidNet,
+    FluidPath, FluidSolver,
 };
 
 fn phi_cfg(kappa: f64) -> DtsPhiConfig {
     DtsPhiConfig { kappa, rho: 1.0, queue_target_s: 0.005, ..DtsPhiConfig::default() }
 }
 
+/// Solves `net` from the flat state `x0` at `dt = 5e-4`, asserting
+/// convergence.
+fn equilibrium(net: &FluidNet, x0: &[f64]) -> FluidSolver {
+    let mut solver = FluidSolver::from_flat_state(net, x0);
+    if let Err(miss) = solver.solve_equilibrium(5e-4, 1e-8, 2_000_000) {
+        panic!("no equilibrium: {miss:?} at x = {:?}", solver.x());
+    }
+    solver
+}
+
 fn equilibrium_total(model: CcModel) -> f64 {
     let net = disjoint_paths_net(model, &[2000.0, 2000.0], &[0.05, 0.05]);
-    let x = net.equilibrium(vec![vec![10.0, 10.0]], 5e-4, 1e-8, 2_000_000);
-    x[0].iter().sum()
+    equilibrium(&net, &[10.0, 10.0]).x().iter().sum()
 }
 
 #[test]
@@ -30,17 +40,16 @@ fn phi_price_lowers_equilibrium_rate_monotonically_in_kappa() {
 fn trajectory_records_transient_and_converges() {
     let net =
         disjoint_paths_net(CcModel::dts(DtsConfig::default()), &[1000.0, 1000.0], &[0.05, 0.05]);
-    let traj = net.trajectory(vec![vec![5.0, 5.0]], 1e-3, 200_000, 10_000);
-    assert!(traj.len() > 10);
-    // Time stamps increase; rates move from the start point.
-    for pair in traj.windows(2) {
-        assert!(pair[0].0 < pair[1].0);
+    let mut solver = FluidSolver::from_flat_state(&net, &[5.0, 5.0]);
+    // The aggregate every 10 000 steps of 1 ms, over 200 s.
+    let mut totals = vec![solver.x().iter().sum::<f64>()];
+    for _ in 0..20 {
+        solver.run(1e-3, 10_000);
+        totals.push(solver.x().iter().sum());
     }
-    let first: f64 = traj[0].1[0].iter().sum();
-    let last: f64 = traj.last().unwrap().1[0].iter().sum();
+    let (first, prev, last) = (totals[0], totals[19], totals[20]);
     assert!(last > first, "flow should grow from a cold start");
     // The tail of the trajectory is near-stationary.
-    let prev: f64 = traj[traj.len() - 2].1[0].iter().sum();
     assert!((last - prev).abs() / last < 0.05, "tail not settled: {prev} -> {last}");
 }
 
@@ -59,7 +68,8 @@ fn shared_bottleneck_with_price_yields_to_unpriced_flow() {
         model: CcModel::dts_phi(phi_cfg(5e-5)),
         paths: vec![FluidPath::new(vec![l], 0.05)],
     });
-    let x = net.equilibrium(vec![vec![100.0], vec![100.0]], 5e-4, 1e-8, 2_000_000);
-    assert!(x[1][0] < x[0][0], "priced flow {} should yield to unpriced {}", x[1][0], x[0][0]);
-    assert!(x[1][0] > 0.05 * x[0][0], "but not starve");
+    let solver = equilibrium(&net, &[100.0, 100.0]);
+    let x = solver.x();
+    assert!(x[1] < x[0], "priced flow {} should yield to unpriced {}", x[1], x[0]);
+    assert!(x[1] > 0.05 * x[0], "but not starve");
 }

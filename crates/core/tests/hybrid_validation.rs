@@ -41,7 +41,7 @@
 
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::CcChoice;
-use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, Psi};
+use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, Psi};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use transport::{attach_flow, FlowConfig, FlowHandle, PathSpec};
 
@@ -115,9 +115,11 @@ fn packet_steady_pps(
 
 /// Solves the fluid equilibrium, asserting convergence.
 fn fluid_equilibrium(net: &FluidNet, x0: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-    let report = net.solve_equilibrium(x0, 2e-4, 1e-9, 2_000_000);
-    assert!(report.converged, "fluid solve did not converge: residual {}", report.residual);
-    report.x
+    let mut solver = FluidSolver::from_flat_state(net, &x0.concat());
+    if let Err(miss) = solver.solve_equilibrium(2e-4, 1e-9, 2_000_000) {
+        panic!("fluid solve did not converge: residual {}", miss.residual);
+    }
+    (0..net.flows.len()).map(|f| solver.rates_of(f).to_vec()).collect()
 }
 
 fn rel_err(measured: f64, predicted: f64) -> f64 {

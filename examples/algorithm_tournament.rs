@@ -16,6 +16,15 @@ use mptcp_energy_repro::paper::{
     check_condition1, fluid_model_of, pareto_efficiency, CcModel, DtsConfig, FlowView,
 };
 
+/// Fluid Pareto efficiency over two equal 500 pkt/s paths, three decimals,
+/// or `unconverged` if a solve misses its tolerance.
+fn efficiency(model: CcModel) -> String {
+    match pareto_efficiency(model, &[500.0, 500.0], &[0.1, 0.1]) {
+        Ok(eff) => format!("{eff:.3}"),
+        Err(_) => "unconverged".to_owned(),
+    }
+}
+
 fn main() {
     // Analytical pass: Condition 1 and fluid Pareto efficiency.
     let x = [100.0, 100.0];
@@ -39,8 +48,8 @@ fn main() {
                 other => format!("violated ({other})"),
             },
         };
-        let eff = pareto_efficiency(model, &[500.0, 500.0], &[0.1, 0.1]);
-        println!("{:<10} {:>18} {:>18.3}", kind.to_string(), friendly, eff);
+        let eff = efficiency(model);
+        println!("{:<10} {:>18} {:>18}", kind.to_string(), friendly, eff);
     }
     {
         let model = CcModel::dts(DtsConfig::default());
@@ -50,8 +59,8 @@ fn main() {
             Ok(()) => "satisfied".to_owned(),
             Err(e) => format!("violated ({e})"),
         };
-        let eff = pareto_efficiency(model, &[500.0, 500.0], &[0.1, 0.1]);
-        println!("{:<10} {:>18} {:>18.3}", "dts", friendly, eff);
+        let eff = efficiency(model);
+        println!("{:<10} {:>18} {:>18}", "dts", friendly, eff);
     }
 
     // Packet-level tournament.

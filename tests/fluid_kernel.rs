@@ -9,16 +9,24 @@
 
 use congestion::AlgorithmKind;
 use energy_model::WiredCpuModel;
-use mptcp_energy::fluid::{FluidFlow, FluidLink, FluidNet, FluidPath, X_MIN};
+use mptcp_energy::fluid::{FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, X_MIN};
 use mptcp_energy::hybrid::{HybridConfig, HybridEngine};
 use mptcp_energy::{CcChoice, CcModel, DtsPhiConfig, FlowView, Phi, Psi};
 use netsim::{LinkConfig, SimDuration, Simulator};
 use proptest::prelude::*;
 use transport::{FlowConfig, PathSpec};
 
-/// `dx/dt` of every path from the public, nested API alone.
+/// `dx/dt` of every path from the public, nested API alone; link loads are
+/// summed here, in ascending path order, not read from the solver.
 fn nested_field(net: &FluidNet, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let y = net.link_rates(x);
+    let mut y = vec![0.0; net.links.len()];
+    for (flow, xf) in net.flows.iter().zip(x) {
+        for (path, &xr) in flow.paths.iter().zip(xf) {
+            for &l in &path.links {
+                y[l] += xr;
+            }
+        }
+    }
     let prices: Vec<f64> = net.links.iter().zip(&y).map(|(l, &yl)| l.price(yl)).collect();
     net.flows
         .iter()
@@ -109,7 +117,7 @@ proptest! {
                 }
                 let mut reference: Vec<Vec<f64>> =
                     flows.iter().map(|draws| draws.iter().map(|d| d.3).collect()).collect();
-                let mut solver = net.solver_from(&reference);
+                let mut solver = FluidSolver::from_flat_state(&net, &reference.concat());
                 for step in 0..40 {
                     solver.step(1e-5);
                     reference = nested_rk4_step(&net, &reference, 1e-5);
@@ -137,11 +145,12 @@ fn hybrid_epochs_repeat_bit_for_bit() {
             HybridConfig { epoch_s: 0.1, fluid_dt: 1e-3, handoff_age_s: 0.1, calib_rtt_s: 0.012 };
         let mut eng = HybridEngine::new(sim, 2, WiredCpuModel::energy_proportional_server(), cfg);
         eng.add_fluid_flow(CcModel::dts_phi(DtsPhiConfig::default()), &paths, 10.0, 0);
-        eng.add_packet_flow(
+        eng.add_packet_flow_from(
             FlowConfig::new(0).min_rto(SimDuration::from_millis(10)),
             &CcChoice::Base(AlgorithmKind::Lia),
             &paths,
             SimDuration::ZERO,
+            0,
         );
         eng.run_epochs(3);
         let rates: Vec<u64> = eng.fluid_rates().iter().map(|x| x.to_bits()).collect();

@@ -146,8 +146,9 @@ proptest! {
         let rtts = vec![0.05; n];
         let net = mptcp_energy::disjoint_paths_net(
             CcModel::loss_based(Psi::Olia), &caps[..n], &rtts);
-        let x = net.run(vec![x0[..n].to_vec()], 1e-3, 5_000);
-        for rate in &x[0] {
+        let mut solver = mptcp_energy::fluid::FluidSolver::from_flat_state(&net, &x0[..n]);
+        solver.run(1e-3, 5_000);
+        for rate in solver.x() {
             prop_assert!(*rate >= mptcp_energy::fluid::X_MIN);
             prop_assert!(rate.is_finite());
         }
