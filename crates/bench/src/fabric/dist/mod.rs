@@ -290,7 +290,7 @@ where
         grid: plan.grid_id(),
         opts,
         dist,
-        collector: Collector::new(&plan, &cells, opts, writer),
+        collector: Collector::new(&plan, opts, writer),
         counters: DistCounters::default(),
         events: EventLog {
             file: std::fs::OpenOptions::new()

@@ -20,9 +20,9 @@
 //! 3. **Containment** ([`retry`], [`merge`]): each attempt runs under
 //!    `catch_unwind` with an optional wall-clock deadline; failures retry
 //!    with bounded exponential backoff, and on exhaustion the cell is
-//!    **quarantined** — it emits a self-contained repro artifact (the
-//!    `crate::repro` format the `replay` binary re-executes) and the sweep
-//!    degrades to a partial report naming it, instead of aborting.
+//!    **quarantined** — it writes an identity stub naming the cell, its
+//!    failure cause and message, and the sweep degrades to a partial report
+//!    naming it, instead of aborting.
 //!
 //! ## Determinism under resume, retry, and quarantine
 //!
@@ -48,7 +48,7 @@ pub use plan::{CellId, Fingerprint, ShardPlan};
 pub use retry::{FailCause, RetryPolicy};
 
 use crate::env_parsed;
-use crate::repro::{self, ReproOutcome, ReproSpec, ViolationRecord};
+use crate::repro;
 use crate::runner::{run_sweep_jobs, RunSummary, SweepCell};
 use journal::{decode_payload, encode_payload, JournalValue, JournalWriter};
 use plan::PlannedCell;
@@ -61,15 +61,13 @@ use std::time::Duration;
 /// One fabric work unit: a [`crate::runner::SweepCell`] whose closure is
 /// re-runnable (`Fn`, for retries) and `'static` (deadline attempts run on
 /// detachable threads), plus the config fingerprint that makes its
-/// [`CellId`] content-addressed and an optional [`ReproSpec`] for
-/// quarantine artifacts.
+/// [`CellId`] content-addressed.
 pub struct FabricCell<T> {
     /// Display label, carried into summaries, journals, and reports.
     pub label: String,
     /// The seed this cell derives its determinism from.
     pub seed: u64,
     config: Fingerprint,
-    repro: Option<ReproSpec>,
     run: CellFn<T>,
 }
 
@@ -86,7 +84,6 @@ impl<T> FabricCell<T> {
             label: label.into(),
             seed,
             config: Fingerprint::new(),
-            repro: None,
             run: std::sync::Arc::new(run),
         }
     }
@@ -97,15 +94,6 @@ impl<T> FabricCell<T> {
     #[must_use]
     pub fn config(mut self, config: Fingerprint) -> FabricCell<T> {
         self.config = config;
-        self
-    }
-
-    /// Attaches a repro spec: if this cell is quarantined, the artifact is
-    /// written in the `crate::repro` format and is replayable with
-    /// `cargo run --bin replay`.
-    #[must_use]
-    pub fn repro(mut self, spec: ReproSpec) -> FabricCell<T> {
-        self.repro = Some(spec);
         self
     }
 
@@ -169,51 +157,28 @@ impl FabricOptions {
     }
 }
 
-/// Writes the quarantine artifact for `cell`. With a [`ReproSpec`] the
-/// artifact is the full `crate::repro` format (replayable); without one it
-/// is an identity-only JSONL stub naming the cell. Both paths fold the
-/// cell's content-addressed [`CellId`] into the filename — a grid routinely
-/// runs many cells at the same seed (one per algorithm), and seed- or
-/// label-derived names would let their artifacts overwrite each other.
-/// IO failures warn and return `None` — quarantine must never abort the
-/// sweep it exists to save.
+/// Writes the quarantine artifact for `cell`: an identity-only JSONL stub
+/// naming the cell, its failure cause and message. The filename folds in
+/// the cell's content-addressed [`CellId`] — a grid routinely runs many
+/// cells at the same seed (one per algorithm), and seed- or label-derived
+/// names would let their artifacts overwrite each other. IO failures warn
+/// and return `None` — quarantine must never abort the sweep it exists to
+/// save.
 fn write_artifact(
     dir: &Path,
     planned: &PlannedCell,
-    spec: Option<&ReproSpec>,
     cause: FailCause,
     message: &str,
 ) -> Option<PathBuf> {
-    let annotated =
-        format!("quarantined sweep cell {:?} [{}]: {message}", planned.label, cause.as_str());
-    let result = match spec {
-        Some(spec) => {
-            let outcome = ReproOutcome {
-                finished: false,
-                acked: 0,
-                violation: Some(ViolationRecord { at_ns: 0, message: annotated }),
-                trace_tail: Vec::new(),
-            };
-            repro::dump_artifact_named(
-                dir,
-                &format!("repro-{}-{}", planned.seed, planned.id),
-                spec,
-                &outcome,
-            )
-        }
-        None => {
-            let path = dir.join(format!("quarantine-{}.jsonl", planned.id));
-            let PlannedCell { id, label, seed, .. } = planned;
-            let stub = journal::framed(|w| {
-                journal::cell_fields(w, "fabric", "quarantine", *id, label, *seed)
-                    .str("cause", cause.as_str())
-                    .str("message", message)
-            });
-            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, stub)).map(|()| path)
-        }
-    };
-    match result {
-        Ok(path) => Some(path),
+    let path = dir.join(format!("quarantine-{}.jsonl", planned.id));
+    let PlannedCell { id, label, seed, .. } = planned;
+    let stub = journal::framed(|w| {
+        journal::cell_fields(w, "fabric", "quarantine", *id, label, *seed)
+            .str("cause", cause.as_str())
+            .str("message", message)
+    });
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, stub)) {
+        Ok(()) => Some(path),
         Err(e) => {
             eprintln!("warning: cannot write quarantine artifact for {:?}: {e}", planned.label);
             None
@@ -292,8 +257,6 @@ pub(crate) fn open_journal<T: JournalCodec>(
 /// assembles the [`FabricReport`].
 pub(crate) struct Collector<'a, T> {
     plan: &'a ShardPlan,
-    /// The runnable cells, by input position (for quarantine repro specs).
-    cells: &'a [FabricCell<T>],
     artifacts: Option<&'a Path>,
     writer: Option<JournalWriter>,
     fresh: Vec<(usize, CellOutcome<T>)>,
@@ -303,13 +266,11 @@ pub(crate) struct Collector<'a, T> {
 impl<'a, T> Collector<'a, T> {
     pub(crate) fn new(
         plan: &'a ShardPlan,
-        cells: &'a [FabricCell<T>],
         opts: &'a FabricOptions,
         writer: Option<JournalWriter>,
     ) -> Collector<'a, T> {
         Collector {
             plan,
-            cells,
             artifacts: opts.artifacts.as_deref(),
             writer,
             fresh: Vec::new(),
@@ -358,9 +319,7 @@ impl<'a, T> Collector<'a, T> {
         stats: AttemptStats,
     ) {
         let planned = &self.plan.cells()[index];
-        let artifact = self.artifacts.and_then(|dir| {
-            write_artifact(dir, planned, self.cells[index].repro.as_ref(), cause, &message)
-        });
+        let artifact = self.artifacts.and_then(|dir| write_artifact(dir, planned, cause, &message));
         let PlannedCell { id, label, seed, .. } = planned.clone();
         let record = QuarantineRecord { id, label, seed, attempts, cause, message, artifact };
         eprintln!("fabric: {record}");
@@ -422,7 +381,7 @@ fn run_planned<T: Send + 'static>(
     encode: fn(&T) -> Vec<JournalValue>,
 ) -> Result<FabricReport<T>, String> {
     let journals = writer.is_some();
-    let collector = Mutex::new(Collector::new(plan, cells, opts, writer));
+    let collector = Mutex::new(Collector::new(plan, opts, writer));
     // Cell panics are caught inside run_with_retries, so a pool thread
     // cannot die holding the lock; recovery keeps a fabric-core panic from
     // cascading into every other worker.

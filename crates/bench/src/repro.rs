@@ -164,43 +164,35 @@ pub fn artifact_dir() -> Option<PathBuf> {
 }
 
 fn fault_fields<'a>(w: LineWriter<'a>, at: SimTime, action: &FaultAction) -> LineWriter<'a> {
-    let w = w.str("repro", "fault").u64("at_ns", at.as_nanos());
-    let head =
-        |action: &str, link: netsim::LinkId| w.str("action", action).u64("link", link as u64);
+    let w = w
+        .str("repro", "fault")
+        .u64("at_ns", at.as_nanos())
+        .str("action", action.kind().name())
+        .u64("link", action.link() as u64);
     match action {
-        FaultAction::SetLoss { link, model } => {
-            let w = head("set_loss", *link);
-            match model {
-                LossModel::None => w.str("model", "none"),
-                LossModel::Iid { p } => w.str("model", "iid").f64_bits("p_bits", *p),
-                LossModel::GilbertElliott { p_good_bad, p_bad_good, loss_good, loss_bad } => w
-                    .str("model", "ge")
-                    .f64_bits("pgb_bits", *p_good_bad)
-                    .f64_bits("pbg_bits", *p_bad_good)
-                    .f64_bits("lg_bits", *loss_good)
-                    .f64_bits("lb_bits", *loss_bad),
-            }
+        FaultAction::SetLoss { model, .. } => match model {
+            LossModel::None => w.str("model", "none"),
+            LossModel::Iid { p } => w.str("model", "iid").f64_bits("p_bits", *p),
+            LossModel::GilbertElliott { p_good_bad, p_bad_good, loss_good, loss_bad } => w
+                .str("model", "ge")
+                .f64_bits("pgb_bits", *p_good_bad)
+                .f64_bits("pbg_bits", *p_bad_good)
+                .f64_bits("lg_bits", *loss_good)
+                .f64_bits("lb_bits", *loss_bad),
+        },
+        FaultAction::SetBandwidth { bps, .. } => w.u64("bps", *bps),
+        FaultAction::SetPropagation { propagation, .. } => w.u64("prop_ns", propagation.as_nanos()),
+        FaultAction::LinkDown { .. } | FaultAction::LinkUp { .. } => w,
+        FaultAction::SetReorder { model, .. } => match model {
+            ReorderModel::None => w.str("model", "none"),
+            ReorderModel::Uniform { p, max_extra } => w
+                .str("model", "uniform")
+                .f64_bits("p_bits", *p)
+                .u64("max_extra_ns", max_extra.as_nanos()),
+        },
+        FaultAction::SetDuplicate { p, .. } | FaultAction::SetCorrupt { p, .. } => {
+            w.f64_bits("p_bits", *p)
         }
-        FaultAction::SetBandwidth { link, bps } => head("set_bandwidth", *link).u64("bps", *bps),
-        FaultAction::SetPropagation { link, propagation } => {
-            head("set_propagation", *link).u64("prop_ns", propagation.as_nanos())
-        }
-        FaultAction::LinkDown { link } => head("link_down", *link),
-        FaultAction::LinkUp { link } => head("link_up", *link),
-        FaultAction::SetReorder { link, model } => {
-            let w = head("set_reorder", *link);
-            match model {
-                ReorderModel::None => w.str("model", "none"),
-                ReorderModel::Uniform { p, max_extra } => w
-                    .str("model", "uniform")
-                    .f64_bits("p_bits", *p)
-                    .u64("max_extra_ns", max_extra.as_nanos()),
-            }
-        }
-        FaultAction::SetDuplicate { link, p } => {
-            head("set_duplicate", *link).f64_bits("p_bits", *p)
-        }
-        FaultAction::SetCorrupt { link, p } => head("set_corrupt", *link).f64_bits("p_bits", *p),
     }
 }
 
@@ -294,33 +286,15 @@ pub fn render_artifact(spec: &ReproSpec, outcome: &ReproOutcome) -> String {
 }
 
 /// Writes the artifact for a violating run to `<dir>/repro-<seed>.jsonl`,
-/// creating `dir` if needed. Returns the artifact path.
-///
-/// The seed-derived name is only safe when the caller runs one spec per
-/// seed (the invariant checker's situation). Sweep grids routinely run many
-/// cells at the same seed — those callers must use [`dump_artifact_named`]
-/// with a name that folds in the cell's content address, or artifacts
-/// overwrite each other.
+/// creating `dir` if needed. Returns the artifact path. The seed-derived
+/// name is safe because the invariant checker runs one spec per seed.
 pub fn dump_artifact(
     dir: &Path,
     spec: &ReproSpec,
     outcome: &ReproOutcome,
 ) -> std::io::Result<PathBuf> {
-    dump_artifact_named(dir, &format!("repro-{}", spec.seed), spec, outcome)
-}
-
-/// Writes the artifact for a violating run to `<dir>/<stem>.jsonl`,
-/// creating `dir` if needed. Returns the artifact path. The fabric passes a
-/// stem containing the cell's [`crate::fabric::CellId`] so two quarantined
-/// cells that differ only in label, seed, or config can never collide.
-pub fn dump_artifact_named(
-    dir: &Path,
-    stem: &str,
-    spec: &ReproSpec,
-    outcome: &ReproOutcome,
-) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{stem}.jsonl"));
+    let path = dir.join(format!("repro-{}.jsonl", spec.seed));
     let mut f = std::fs::File::create(&path)?;
     f.write_all(render_artifact(spec, outcome).as_bytes())?;
     Ok(path)
@@ -334,7 +308,7 @@ pub fn dump_artifact_named(
 /// evidence, and a silently skipped torn fault line would replay a different
 /// scenario), on missing or out-of-range fields, and when there is no spec
 /// line. Every other line is the trace tail — context, not config — and is
-/// skipped even when it does not read: `dump_artifact_named` does not write
+/// skipped even when it does not read: `dump_artifact` does not write
 /// atomically, so a kill can tear the last tail line.
 pub fn parse_artifact(text: &str) -> Result<(ReproSpec, Option<ViolationRecord>), String> {
     let mut spec: Option<ReproSpec> = None;

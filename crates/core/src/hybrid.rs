@@ -32,10 +32,11 @@ use crate::model::CcModel;
 use crate::model::Psi;
 use crate::scenarios::CcChoice;
 use congestion::AlgorithmKind;
-use energy_model::{PathLoad, PowerModel, WiredCpuModel};
+use energy_model::{PowerModel, WiredCpuModel};
 use netsim::{SimDuration, SimTime, Simulator};
 use transport::{
-    attach_flow, FlowConfig, FlowHandle, PathSpec, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES,
+    attach_flow, FlowConfig, FlowHandle, PathSpec, SubflowSample, DEFAULT_ACK_BYTES,
+    DEFAULT_MSS_BYTES,
 };
 
 /// Tuning knobs for the hybrid engine.
@@ -200,7 +201,7 @@ pub struct HybridEngine {
     energy_j: f64,
     delivered_bits: f64,
     counters: HybridCounters,
-    load_buf: Vec<PathLoad>,
+    load_buf: Vec<SubflowSample>,
 }
 
 impl HybridEngine {
@@ -449,9 +450,9 @@ impl HybridEngine {
             self.load_buf.clear();
             for (r, p) in flow.paths.iter().enumerate() {
                 let bps = xs[r] * mss_bits;
-                self.load_buf.push(PathLoad {
+                self.load_buf.push(SubflowSample {
                     throughput_bps: bps,
-                    rtt_s: p.rtt,
+                    srtt_s: p.rtt,
                     base_rtt_s: p.base_rtt,
                     active: true,
                 });
@@ -482,9 +483,9 @@ impl HybridEngine {
                 let st = &states[r];
                 let rtt = if st.srtt > 0.0 { st.srtt } else { meta.prop_rtts[r] };
                 let base = if st.base_rtt.is_finite() { st.base_rtt } else { meta.prop_rtts[r] };
-                self.load_buf.push(PathLoad {
+                self.load_buf.push(SubflowSample {
                     throughput_bps: sub_delta as f64 * mss_bits / epoch_s,
-                    rtt_s: rtt,
+                    srtt_s: rtt,
                     base_rtt_s: base,
                     active: st.active && sub_delta > 0,
                 });

@@ -10,7 +10,7 @@
 //! energy awareness (DTS) keeps the aggregation benefit instead.
 
 use crate::scenarios::{run_wireless_on, CcChoice, FlowResult, WirelessOptions};
-use energy_model::{LteModel, PathLoad, PhoneModel, WifiModel};
+use energy_model::{LteModel, WifiModel};
 use std::borrow::Cow;
 use transport::{FlowSample, SubflowSample};
 
@@ -96,25 +96,11 @@ pub fn run_wireless_with_policy(
 /// interface slots: its one subflow keeps slot `path`, and the other slot
 /// is an idle, closed interface.
 pub fn onto_phone_slots(samples: &[FlowSample], path: usize) -> Vec<FlowSample> {
-    let idle = SubflowSample {
-        throughput_bps: 0.0,
-        srtt_s: 0.0,
-        base_rtt_s: 0.0,
-        cwnd_pkts: 0.0,
-        active: false,
-    };
     let mut samples = samples.to_vec();
     for s in &mut samples {
-        s.subflows.insert(1 - path, idle);
+        s.subflows.insert(1 - path, SubflowSample::IDLE);
     }
     samples
-}
-
-/// Reference for the marginal-cost helper: make the idle slots explicit.
-pub fn phone_idle_power_w() -> f64 {
-    let mut phone = PhoneModel::nexus5_uplink();
-    use energy_model::PowerModel;
-    phone.power_w(0.0, &[PathLoad::IDLE, PathLoad::IDLE])
 }
 
 #[cfg(test)]
@@ -155,10 +141,5 @@ mod tests {
         let fast = marginal_cost_j_per_mbit(1.0, 0.4, 20.0);
         assert!(slow > fast);
         assert!((fast - (0.4 + 0.05)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phone_idle_floor_is_positive() {
-        assert!(phone_idle_power_w() > 0.0);
     }
 }

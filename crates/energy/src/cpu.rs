@@ -28,7 +28,8 @@
 //! the channel through which delay-avoiding congestion control (DTS, DTS-Φ)
 //! turns queue reduction into energy savings at unchanged throughput.
 
-use crate::load::{PathLoad, PowerModel};
+use crate::load::PowerModel;
+use transport::SubflowSample;
 
 /// Concave wired-CPU power model.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,24 +102,24 @@ impl WiredCpuModel {
     }
 
     /// Power contribution of one path, excluding idle and subflow overhead.
-    pub fn path_power_w(&self, load: &PathLoad) -> f64 {
+    pub fn path_power_w(&self, load: &SubflowSample) -> f64 {
         if !load.active || load.throughput_bps <= 0.0 {
             return 0.0;
         }
-        let base = self.coeff * load.mbps().powf(self.exponent);
+        let base = self.coeff * (load.throughput_bps / 1e6).powf(self.exponent);
         let inflation = if load.base_rtt_s > 0.0 {
-            ((load.rtt_s / load.base_rtt_s) - 1.0).clamp(0.0, self.queue_cap)
+            ((load.srtt_s / load.base_rtt_s) - 1.0).clamp(0.0, self.queue_cap)
         } else {
             0.0
         };
         let rtt_factor =
-            1.0 + self.rtt_gamma * (load.rtt_s / self.rtt_ref_s) + self.queue_gamma * inflation;
+            1.0 + self.rtt_gamma * (load.srtt_s / self.rtt_ref_s) + self.queue_gamma * inflation;
         base * rtt_factor
     }
 }
 
 impl PowerModel for WiredCpuModel {
-    fn power_w(&mut self, _at_s: f64, paths: &[PathLoad]) -> f64 {
+    fn power_w(&mut self, _at_s: f64, paths: &[SubflowSample]) -> f64 {
         let active = paths.iter().filter(|p| p.active).count();
         let dynamic: f64 = paths.iter().map(|p| self.path_power_w(p)).sum();
         self.idle_w + dynamic + self.per_subflow_w * active.saturating_sub(1) as f64
@@ -132,15 +133,16 @@ impl PowerModel for WiredCpuModel {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::load::load;
 
-    fn power(m: &mut WiredCpuModel, paths: &[PathLoad]) -> f64 {
+    fn power(m: &mut WiredCpuModel, paths: &[SubflowSample]) -> f64 {
         m.power_w(0.0, paths)
     }
 
     #[test]
     fn idle_host_draws_idle_power() {
         let mut m = WiredCpuModel::i7_3770();
-        assert_eq!(power(&mut m, &[PathLoad::IDLE]), 20.0);
+        assert_eq!(power(&mut m, &[SubflowSample::IDLE]), 20.0);
         assert_eq!(power(&mut m, &[]), 20.0);
     }
 
@@ -149,8 +151,8 @@ mod tests {
         // Paper Fig. 3a: ≈15% total power growth from 200 to 1000 Mb/s.
         let mut m = WiredCpuModel::i7_3770();
         m.rtt_gamma = 0.0; // isolate the throughput term
-        let p200 = power(&mut m, &[PathLoad::new(200e6, 0.0)]);
-        let p1000 = power(&mut m, &[PathLoad::new(1000e6, 0.0)]);
+        let p200 = power(&mut m, &[load(200e6, 0.0)]);
+        let p1000 = power(&mut m, &[load(1000e6, 0.0)]);
         let growth = p1000 / p200;
         assert!((growth - 1.15).abs() < 0.01, "growth {growth}");
     }
@@ -160,7 +162,7 @@ mod tests {
         let m = WiredCpuModel::i7_3770();
         let p = |mbps: f64| {
             let mut mm = m.clone();
-            mm.power_w(0.0, &[PathLoad::new(mbps * 1e6, 0.0)])
+            mm.power_w(0.0, &[load(mbps * 1e6, 0.0)])
         };
         // Midpoint above chord: concave.
         assert!(p(600.0) > (p(200.0) + p(1000.0)) / 2.0);
@@ -170,8 +172,8 @@ mod tests {
     fn higher_rtt_draws_more_power_at_same_throughput() {
         // Paper Fig. 4 — absolute-delay term.
         let mut m = WiredCpuModel::i7_3770();
-        let low = power(&mut m, &[PathLoad::new(100e6, 0.020)]);
-        let high = power(&mut m, &[PathLoad::new(100e6, 0.200)]);
+        let low = power(&mut m, &[load(100e6, 0.020)]);
+        let high = power(&mut m, &[load(100e6, 0.200)]);
         assert!(high > low * 1.05, "high {high} low {low}");
     }
 
@@ -180,9 +182,10 @@ mod tests {
         // Paper Fig. 4 — the paper raises delay via queueing (extra subflows
         // on a NIC): RTT above base is charged by γ_q.
         let mut m = WiredCpuModel::i7_3770();
-        let calm = PathLoad { throughput_bps: 100e6, rtt_s: 0.02, base_rtt_s: 0.02, active: true };
+        let calm =
+            SubflowSample { throughput_bps: 100e6, srtt_s: 0.02, base_rtt_s: 0.02, active: true };
         let queued =
-            PathLoad { throughput_bps: 100e6, rtt_s: 0.06, base_rtt_s: 0.02, active: true };
+            SubflowSample { throughput_bps: 100e6, srtt_s: 0.06, base_rtt_s: 0.02, active: true };
         let p_calm = power(&mut m, &[calm]);
         let p_queued = power(&mut m, &[queued]);
         assert!(p_queued > p_calm * 1.15, "queued {p_queued} calm {p_calm}");
@@ -195,9 +198,9 @@ mod tests {
         // pay the same inflation surcharge; only the small absolute-RTT term
         // differs.
         let wild =
-            PathLoad { throughput_bps: 100e6, rtt_s: 0.020, base_rtt_s: 0.001, active: true };
+            SubflowSample { throughput_bps: 100e6, srtt_s: 0.020, base_rtt_s: 0.001, active: true };
         let capped =
-            PathLoad { throughput_bps: 100e6, rtt_s: 0.005, base_rtt_s: 0.001, active: true };
+            SubflowSample { throughput_bps: 100e6, srtt_s: 0.005, base_rtt_s: 0.001, active: true };
         let pw = power(&mut m, &[wild]);
         let pc = power(&mut m, &[capped]);
         assert!(pw / pc < 1.05, "wild {pw} capped {pc}");
@@ -207,8 +210,8 @@ mod tests {
     fn more_subflows_draw_more_power() {
         // Paper Fig. 1.
         let mut m = WiredCpuModel::i7_3770();
-        let one = power(&mut m, &[PathLoad::new(100e6, 0.02)]);
-        let two = power(&mut m, &[PathLoad::new(50e6, 0.02), PathLoad::new(50e6, 0.02)]);
+        let one = power(&mut m, &[load(100e6, 0.02)]);
+        let two = power(&mut m, &[load(50e6, 0.02), load(50e6, 0.02)]);
         assert!(two > one, "two {two} one {one}");
     }
 }

@@ -16,10 +16,12 @@
 //! # Examples
 //!
 //! ```
-//! use energy_model::{PathLoad, PowerModel, WiredCpuModel};
+//! use energy_model::{PowerModel, WiredCpuModel};
+//! use transport::SubflowSample;
 //!
 //! let mut cpu = WiredCpuModel::i7_3770();
-//! let one_path = cpu.power_w(0.0, &[PathLoad::new(200e6, 0.02)]);
+//! let load = SubflowSample { throughput_bps: 200e6, srtt_s: 0.02, base_rtt_s: 0.02, active: true };
+//! let one_path = cpu.power_w(0.0, &[load]);
 //! let idle = cpu.power_w(0.0, &[]);
 //! assert!(one_path > idle);
 //! ```
@@ -30,6 +32,6 @@ pub mod meter;
 pub mod radio;
 
 pub use cpu::WiredCpuModel;
-pub use load::{PathLoad, PowerModel};
-pub use meter::{energy_of_flow, loads_of, EnergyReport};
+pub use load::PowerModel;
+pub use meter::{energy_of_flow, EnergyReport};
 pub use radio::{LteModel, PhoneModel, RrcState, WifiModel};

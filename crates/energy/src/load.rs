@@ -1,65 +1,24 @@
-//! Load descriptors consumed by power models.
+//! The power-model trait: per-subflow load in, host watts out.
 
-/// The instantaneous load a power model sees for one path/interface.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PathLoad {
-    /// Goodput on the path, bits/second.
-    pub throughput_bps: f64,
-    /// Smoothed RTT, seconds (0 if unknown).
-    pub rtt_s: f64,
-    /// Minimum RTT observed, seconds (0 if unknown).
-    pub base_rtt_s: f64,
-    /// Whether the path is actively carrying traffic.
-    pub active: bool,
-}
+use transport::SubflowSample;
 
-impl PathLoad {
-    /// An idle path.
-    pub const IDLE: PathLoad =
-        PathLoad { throughput_bps: 0.0, rtt_s: 0.0, base_rtt_s: 0.0, active: false };
-
-    /// Convenience constructor.
-    pub fn new(throughput_bps: f64, rtt_s: f64) -> Self {
-        PathLoad { throughput_bps, rtt_s, base_rtt_s: rtt_s, active: throughput_bps > 0.0 }
-    }
-
-    /// Throughput in Mb/s.
-    pub fn mbps(&self) -> f64 {
-        self.throughput_bps / 1e6
-    }
-}
-
-/// A power model: maps per-path load to host power in watts.
+/// A power model: maps per-subflow load to host power in watts.
 ///
-/// Takes `&mut self` and the sample time so stateful models (the LTE RRC
-/// tail-state machine) can be expressed with the same trait as pure
-/// functions of load.
+/// The load is the transport's own telemetry record, so a model reads
+/// exactly what the sender sampled. Takes `&mut self` and the sample time
+/// so stateful models (the LTE RRC tail-state machine) can be expressed
+/// with the same trait as pure functions of load.
 pub trait PowerModel {
-    /// Power draw in watts at time `at_s` under the given per-path loads.
-    fn power_w(&mut self, at_s: f64, paths: &[PathLoad]) -> f64;
+    /// Power draw in watts at time `at_s` under the given per-subflow loads.
+    fn power_w(&mut self, at_s: f64, paths: &[SubflowSample]) -> f64;
 
     /// Resets any internal state (RRC machines) for a fresh run.
     fn reset(&mut self) {}
 }
 
+/// An open subflow carrying `throughput_bps` at a steady `rtt_s` (base RTT
+/// equal to the smoothed one): the load the model unit tests drive.
 #[cfg(test)]
-// Tests pin outputs that are copies of model constants (base/tail/idle
-// watts, zero throughput) reached without arithmetic, so exact float
-// comparison is the correct strictness.
-#[allow(clippy::float_cmp)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn idle_is_inactive() {
-        const { assert!(!PathLoad::IDLE.active) };
-        assert_eq!(PathLoad::IDLE.mbps(), 0.0);
-    }
-
-    #[test]
-    fn new_infers_activity() {
-        assert!(PathLoad::new(1e6, 0.01).active);
-        assert!(!PathLoad::new(0.0, 0.01).active);
-        assert_eq!(PathLoad::new(2e6, 0.01).mbps(), 2.0);
-    }
+pub(crate) fn load(throughput_bps: f64, rtt_s: f64) -> SubflowSample {
+    SubflowSample { throughput_bps, srtt_s: rtt_s, base_rtt_s: rtt_s, active: throughput_bps > 0.0 }
 }

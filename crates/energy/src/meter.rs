@@ -5,7 +5,7 @@
 //! records per-subflow load samples and this module integrates a
 //! [`PowerModel`] over them: `E = Σ_i P(t_i, loads_i)·Δt_i`.
 
-use crate::load::{PathLoad, PowerModel};
+use crate::load::PowerModel;
 use transport::FlowSample;
 
 /// The result of integrating a power model over a load series.
@@ -21,37 +21,6 @@ pub struct EnergyReport {
     pub trace: Vec<(f64, f64)>,
 }
 
-impl EnergyReport {
-    /// Energy per delivered bit, joules/bit, given total delivered bits.
-    pub fn joules_per_bit(&self, delivered_bits: f64) -> f64 {
-        if delivered_bits > 0.0 {
-            self.joules / delivered_bits
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Converts one telemetry sample into per-path loads.
-///
-/// An open-but-momentarily-idle subflow (`active` with zero throughput)
-/// stays `active`: the paper's measurement section attributes radio
-/// tail/idle energy to *open* subflows, and the LTE RRC model keeps a
-/// connected radio in its high-power tail state between bursts. Gating on
-/// `throughput_bps > 0.0` here used to zero out exactly that energy.
-pub fn loads_of(sample: &FlowSample) -> Vec<PathLoad> {
-    sample
-        .subflows
-        .iter()
-        .map(|s| PathLoad {
-            throughput_bps: s.throughput_bps,
-            rtt_s: s.srtt_s,
-            base_rtt_s: s.base_rtt_s,
-            active: s.active,
-        })
-        .collect()
-}
-
 /// Integrates `model` over a flow's telemetry series.
 ///
 /// The model is `reset` first, so stateful models start from idle.
@@ -61,9 +30,8 @@ pub fn energy_of_flow(model: &mut dyn PowerModel, samples: &[FlowSample]) -> Ene
     let mut duration = 0.0;
     let mut trace = Vec::with_capacity(samples.len());
     for s in samples {
-        let loads = loads_of(s);
         let at = s.at.as_secs_f64();
-        let p = model.power_w(at, &loads);
+        let p = model.power_w(at, &s.subflows);
         joules += p * s.interval_s;
         duration += s.interval_s;
         trace.push((at, p));
@@ -95,7 +63,6 @@ mod tests {
                 throughput_bps: mbps * 1e6,
                 srtt_s: 0.02,
                 base_rtt_s: 0.02,
-                cwnd_pkts: 10.0,
                 active: mbps > 0.0,
             }],
         }
@@ -114,13 +81,6 @@ mod tests {
         assert!(report.trace.iter().all(|(_, p)| (p - p0).abs() < 1e-9));
     }
 
-    #[test]
-    fn joules_per_bit_guards_zero() {
-        let r = EnergyReport { joules: 10.0, duration_s: 1.0, mean_power_w: 10.0, trace: vec![] };
-        assert!(r.joules_per_bit(0.0).is_infinite());
-        assert!((r.joules_per_bit(100.0) - 0.1).abs() < 1e-12);
-    }
-
     fn sample_with(at_s: f64, mbps: f64, active: bool) -> FlowSample {
         FlowSample {
             at: SimTime::from_secs_f64(at_s),
@@ -129,7 +89,6 @@ mod tests {
                 throughput_bps: mbps * 1e6,
                 srtt_s: 0.05,
                 base_rtt_s: 0.05,
-                cwnd_pkts: 10.0,
                 active,
             }],
         }

@@ -15,7 +15,8 @@
 //! always-on base — exactly the asymmetry that makes MPTCP's extra radio
 //! expensive on phones (Fig. 2).
 
-use crate::load::{PathLoad, PowerModel};
+use crate::load::PowerModel;
+use transport::SubflowSample;
 
 /// WiFi radio: `P = base + α·τ` while active, near-zero in power-save.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,9 +42,9 @@ impl WifiModel {
     }
 
     /// Instantaneous power for a load on this interface.
-    pub fn power(&self, load: &PathLoad) -> f64 {
+    pub fn power(&self, load: &SubflowSample) -> f64 {
         if load.active {
-            self.base_w + self.per_mbps_w * load.mbps()
+            self.base_w + self.per_mbps_w * (load.throughput_bps / 1e6)
         } else {
             self.idle_w
         }
@@ -51,7 +52,7 @@ impl WifiModel {
 }
 
 impl PowerModel for WifiModel {
-    fn power_w(&mut self, _at_s: f64, paths: &[PathLoad]) -> f64 {
+    fn power_w(&mut self, _at_s: f64, paths: &[SubflowSample]) -> f64 {
         paths.iter().map(|p| self.power(p)).sum()
     }
 }
@@ -121,7 +122,7 @@ impl LteModel {
 
     /// Advances the machine to `at_s` given whether the interface is active,
     /// returning the instantaneous power.
-    pub fn advance(&mut self, at_s: f64, load: &PathLoad) -> f64 {
+    pub fn advance(&mut self, at_s: f64, load: &SubflowSample) -> f64 {
         if load.active {
             match self.state {
                 RrcState::Idle => {
@@ -165,15 +166,15 @@ impl LteModel {
         match self.state {
             RrcState::Idle => self.idle_w,
             RrcState::Promotion => self.promo_w,
-            RrcState::Connected => self.base_w + self.per_mbps_w * load.mbps(),
+            RrcState::Connected => self.base_w + self.per_mbps_w * (load.throughput_bps / 1e6),
             RrcState::Tail => self.tail_w,
         }
     }
 }
 
 impl PowerModel for LteModel {
-    fn power_w(&mut self, at_s: f64, paths: &[PathLoad]) -> f64 {
-        let load = paths.first().copied().unwrap_or(PathLoad::IDLE);
+    fn power_w(&mut self, at_s: f64, paths: &[SubflowSample]) -> f64 {
+        let load = paths.first().copied().unwrap_or(SubflowSample::IDLE);
         self.advance(at_s, &load)
     }
 
@@ -216,9 +217,9 @@ impl PhoneModel {
 }
 
 impl PowerModel for PhoneModel {
-    fn power_w(&mut self, at_s: f64, paths: &[PathLoad]) -> f64 {
-        let wifi_load = paths.first().copied().unwrap_or(PathLoad::IDLE);
-        let lte_load = paths.get(1).copied().unwrap_or(PathLoad::IDLE);
+    fn power_w(&mut self, at_s: f64, paths: &[SubflowSample]) -> f64 {
+        let wifi_load = paths.first().copied().unwrap_or(SubflowSample::IDLE);
+        let lte_load = paths.get(1).copied().unwrap_or(SubflowSample::IDLE);
         self.soc_w + self.wifi.power(&wifi_load) + self.lte.advance(at_s, &lte_load)
     }
 
@@ -234,24 +235,25 @@ impl PowerModel for PhoneModel {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::load::load;
 
     #[test]
     fn wifi_power_is_steeply_linear() {
         // Paper Fig. 3b: ≈90% growth from 10 to 50 Mb/s... with these
         // coefficients growth is far above 90%; the anchor is "sharp rise".
         let m = WifiModel::mobisys2012();
-        let p10 = m.power(&PathLoad::new(10e6, 0.02));
-        let p50 = m.power(&PathLoad::new(50e6, 0.02));
+        let p10 = m.power(&load(10e6, 0.02));
+        let p50 = m.power(&load(50e6, 0.02));
         assert!(p50 / p10 > 1.9, "ratio {}", p50 / p10);
         // Linearity: equal increments.
-        let p30 = m.power(&PathLoad::new(30e6, 0.02));
+        let p30 = m.power(&load(30e6, 0.02));
         assert!(((p30 - p10) - (p50 - p30)).abs() < 1e-9);
     }
 
     #[test]
     fn lte_promotion_then_connected() {
         let mut lte = LteModel::mobisys2012();
-        let active = PathLoad::new(5e6, 0.05);
+        let active = load(5e6, 0.05);
         let p0 = lte.advance(0.0, &active);
         assert_eq!(lte.state(), RrcState::Promotion);
         assert_eq!(p0, lte.promo_w);
@@ -263,19 +265,19 @@ mod tests {
     #[test]
     fn lte_tail_costs_energy_after_transfer() {
         let mut lte = LteModel::mobisys2012();
-        let active = PathLoad::new(5e6, 0.05);
+        let active = load(5e6, 0.05);
         lte.advance(0.0, &active);
         lte.advance(0.5, &active);
         // Transfer ends; tail holds high power for 11.576 s.
-        let p_tail = lte.advance(1.0, &PathLoad::IDLE);
+        let p_tail = lte.advance(1.0, &SubflowSample::IDLE);
         assert_eq!(lte.state(), RrcState::Tail);
         assert_eq!(p_tail, lte.tail_w);
-        let p_mid_tail = lte.advance(10.0, &PathLoad::IDLE);
+        let p_mid_tail = lte.advance(10.0, &SubflowSample::IDLE);
         assert_eq!(p_mid_tail, lte.tail_w);
         // After the tail expires the radio idles. (The expiry is detected on
         // the first sample past the boundary.)
-        lte.advance(13.0, &PathLoad::IDLE);
-        let p_idle = lte.advance(13.1, &PathLoad::IDLE);
+        lte.advance(13.0, &SubflowSample::IDLE);
+        let p_idle = lte.advance(13.1, &SubflowSample::IDLE);
         assert_eq!(lte.state(), RrcState::Idle);
         assert_eq!(p_idle, lte.idle_w);
     }
@@ -286,18 +288,18 @@ mod tests {
         // draws more than TCP over WiFi alone, because the second radio
         // adds its large CONNECTED base power.
         let mut phone = PhoneModel::nexus5();
-        let loads = [PathLoad::new(10e6, 0.02), PathLoad::new(10e6, 0.06)];
+        let loads = [load(10e6, 0.02), load(10e6, 0.06)];
         phone.power_w(0.0, &loads); // promotion
         let both = phone.power_w(1.0, &loads); // connected
         phone.reset();
-        let wifi_only = phone.power_w(1.0, &[PathLoad::new(20e6, 0.02), PathLoad::IDLE]);
+        let wifi_only = phone.power_w(1.0, &[load(20e6, 0.02), SubflowSample::IDLE]);
         assert!(both > wifi_only * 1.1, "both {both} wifi {wifi_only}");
     }
 
     #[test]
     fn reset_returns_to_idle() {
         let mut lte = LteModel::mobisys2012();
-        lte.advance(0.0, &PathLoad::new(1e6, 0.05));
+        lte.advance(0.0, &load(1e6, 0.05));
         assert_ne!(lte.state(), RrcState::Idle);
         lte.reset();
         assert_eq!(lte.state(), RrcState::Idle);

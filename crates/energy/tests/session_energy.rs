@@ -2,26 +2,21 @@
 //! bursty session, the cost of splitting a host's load over interfaces, and
 //! uplink/downlink model asymmetries.
 
-use energy_model::{
-    energy_of_flow, LteModel, PathLoad, PhoneModel, PowerModel, WifiModel, WiredCpuModel,
-};
+use energy_model::{energy_of_flow, LteModel, PhoneModel, PowerModel, WifiModel, WiredCpuModel};
 use netsim::SimTime;
 use transport::{FlowSample, SubflowSample};
+
+/// A subflow carrying `throughput_bps` at a steady `rtt_s`, open while it
+/// carries anything.
+fn load(throughput_bps: f64, rtt_s: f64) -> SubflowSample {
+    SubflowSample { throughput_bps, srtt_s: rtt_s, base_rtt_s: rtt_s, active: throughput_bps > 0.0 }
+}
 
 fn sample(at_s: f64, interval_s: f64, per_path_mbps: &[f64]) -> FlowSample {
     FlowSample {
         at: SimTime::from_secs_f64(at_s),
         interval_s,
-        subflows: per_path_mbps
-            .iter()
-            .map(|&m| SubflowSample {
-                throughput_bps: m * 1e6,
-                srtt_s: 0.05,
-                base_rtt_s: 0.05,
-                cwnd_pkts: 10.0,
-                active: m > 0.0,
-            })
-            .collect(),
+        subflows: per_path_mbps.iter().map(|&m| load(m * 1e6, 0.05)).collect(),
     }
 }
 
@@ -85,8 +80,8 @@ fn split_interfaces_cost_more_than_pooled() {
     // One host moving 30 Mb/s: split over two interfaces (10 + 20 Mb/s) it
     // pays a second subflow's overhead; pooled on one interface it does not.
     let mut cpu = WiredCpuModel::i7_3770();
-    let split = cpu.power_w(0.0, &[PathLoad::new(10e6, 0.05), PathLoad::new(20e6, 0.05)]);
-    let pooled = cpu.power_w(0.0, &[PathLoad::new(30e6, 0.05)]);
+    let split = cpu.power_w(0.0, &[load(10e6, 0.05), load(20e6, 0.05)]);
+    let pooled = cpu.power_w(0.0, &[load(30e6, 0.05)]);
     assert!(
         split > pooled,
         "split across 2 ifaces {split} W must cost more than pooled {pooled} W (Fig. 1 concavity)"
@@ -99,7 +94,7 @@ fn split_interfaces_cost_more_than_pooled() {
 #[allow(clippy::float_cmp)]
 fn phone_reset_between_runs_restores_idle_state() {
     let mut phone = PhoneModel::nexus5();
-    let active = [PathLoad::new(5e6, 0.05), PathLoad::new(5e6, 0.1)];
+    let active = [load(5e6, 0.05), load(5e6, 0.1)];
     let p_first = phone.power_w(0.0, &active);
     phone.power_w(1.0, &active);
     phone.reset();

@@ -42,6 +42,7 @@
 use crate::packet::{LinkId, Packet};
 use crate::sim::{Agent, Ctx};
 use crate::time::{SimDuration, SimTime};
+use obs::FaultKind;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -361,17 +362,18 @@ impl FaultAction {
         }
     }
 
-    /// A short stable name for the action kind, used in validation messages.
-    fn kind_name(&self) -> &'static str {
+    /// The action's kind: what its `Fault` trace event records, and (by
+    /// [`FaultKind::name`]) its name in validation messages and artifacts.
+    pub fn kind(&self) -> FaultKind {
         match self {
-            FaultAction::SetLoss { .. } => "set_loss",
-            FaultAction::SetBandwidth { .. } => "set_bandwidth",
-            FaultAction::SetPropagation { .. } => "set_propagation",
-            FaultAction::LinkDown { .. } => "link_down",
-            FaultAction::LinkUp { .. } => "link_up",
-            FaultAction::SetReorder { .. } => "set_reorder",
-            FaultAction::SetDuplicate { .. } => "set_duplicate",
-            FaultAction::SetCorrupt { .. } => "set_corrupt",
+            FaultAction::SetLoss { .. } => FaultKind::SetLoss,
+            FaultAction::SetBandwidth { .. } => FaultKind::SetBandwidth,
+            FaultAction::SetPropagation { .. } => FaultKind::SetPropagation,
+            FaultAction::LinkDown { .. } => FaultKind::LinkDown,
+            FaultAction::LinkUp { .. } => FaultKind::LinkUp,
+            FaultAction::SetReorder { .. } => FaultKind::SetReorder,
+            FaultAction::SetDuplicate { .. } => FaultKind::SetDuplicate,
+            FaultAction::SetCorrupt { .. } => FaultKind::SetCorrupt,
         }
     }
 
@@ -387,7 +389,7 @@ impl FaultAction {
         // Two knob writes of the same kind race (last-writer-wins by
         // insertion order, which the script author almost never intends),
         // and down+up at one instant is a contradiction either way round.
-        self.kind_name() == other.kind_name() || (updown(self) && updown(other))
+        self.kind() == other.kind() || (updown(self) && updown(other))
     }
 }
 
@@ -466,8 +468,8 @@ impl FaultScript {
                     !a.action.conflicts_with(&b.action),
                     "conflicting fault actions at {}: {} and {} on link {}",
                     a.at,
-                    a.action.kind_name(),
-                    b.action.kind_name(),
+                    a.action.kind().name(),
+                    b.action.kind().name(),
                     a.action.link()
                 );
             }

@@ -40,11 +40,6 @@ impl Route {
     pub fn direct(dst: AgentId) -> Arc<Self> {
         Arc::new(Route { links: Vec::new(), dst })
     }
-
-    /// Number of links on the route.
-    pub fn hop_count(&self) -> usize {
-        self.links.len()
-    }
 }
 
 /// Transport-level content of a packet.
@@ -125,13 +120,6 @@ pub struct Packet {
     pub payload: Payload,
 }
 
-impl Packet {
-    /// Whether the packet has traversed every link on its route.
-    pub fn at_last_hop(&self) -> bool {
-        self.hop >= self.route.links.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,26 +127,7 @@ mod tests {
     #[test]
     fn direct_route_has_no_hops() {
         let r = Route::direct(7);
-        assert_eq!(r.hop_count(), 0);
+        assert!(r.links.is_empty());
         assert_eq!(r.dst, 7);
-    }
-
-    #[test]
-    fn packet_hop_progression() {
-        let r = Route::new(vec![0, 1, 2], 9);
-        let mut p = Packet {
-            id: 0,
-            src: 1,
-            size_bytes: 1500,
-            sent_at: SimTime::ZERO,
-            ecn_ce: false,
-            hop: 0,
-            corrupted: false,
-            route: r,
-            payload: Payload::Raw,
-        };
-        assert!(!p.at_last_hop());
-        p.hop = 3;
-        assert!(p.at_last_hop());
     }
 }

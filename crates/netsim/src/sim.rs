@@ -35,7 +35,7 @@ use crate::link::{Enqueue, Link, LinkConfig, LinkStats};
 use crate::packet::{AgentId, LinkId, Packet, Payload, Route};
 use crate::pool::{PacketPool, PacketSlot};
 use crate::time::{SimDuration, SimTime};
-use obs::{DropCause, FaultKind, ImpairKind, TraceEvent, TraceSink};
+use obs::{DropCause, ImpairKind, TraceEvent, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
@@ -429,44 +429,30 @@ impl World {
     ///
     /// Panics if the action names an unregistered link.
     pub fn apply_fault(&mut self, action: &FaultAction) {
-        let (affected, kind) = match action {
+        match action {
             FaultAction::SetLoss { link, model } => {
                 self.links[*link].impairment_mut().set_loss(model.clone());
-                (*link, FaultKind::SetLoss)
             }
-            FaultAction::SetBandwidth { link, bps } => {
-                self.links[*link].set_bandwidth(*bps);
-                (*link, FaultKind::SetBandwidth)
-            }
+            FaultAction::SetBandwidth { link, bps } => self.links[*link].set_bandwidth(*bps),
             FaultAction::SetPropagation { link, propagation } => {
                 self.links[*link].set_propagation(*propagation);
-                (*link, FaultKind::SetPropagation)
             }
-            FaultAction::LinkDown { link } => {
-                self.set_link_up(*link, false);
-                (*link, FaultKind::LinkDown)
-            }
-            FaultAction::LinkUp { link } => {
-                self.set_link_up(*link, true);
-                (*link, FaultKind::LinkUp)
-            }
+            FaultAction::LinkDown { link } => self.set_link_up(*link, false),
+            FaultAction::LinkUp { link } => self.set_link_up(*link, true),
             FaultAction::SetReorder { link, model } => {
                 self.links[*link].impairment_mut().set_reorder(model.clone());
-                (*link, FaultKind::SetReorder)
             }
             FaultAction::SetDuplicate { link, p } => {
                 self.links[*link].impairment_mut().set_duplicate(*p);
-                (*link, FaultKind::SetDuplicate)
             }
             FaultAction::SetCorrupt { link, p } => {
                 self.links[*link].impairment_mut().set_corrupt(*p);
-                (*link, FaultKind::SetCorrupt)
             }
-        };
+        }
         self.emit(TraceEvent::Fault {
             t_ns: self.now.as_nanos(),
-            link: World::trace_link_id(affected),
-            kind,
+            link: World::trace_link_id(action.link()),
+            kind: action.kind(),
         });
     }
 

@@ -66,11 +66,6 @@ impl BCube {
         (self.k + 1) * self.n.pow(self.k as u32)
     }
 
-    /// NICs per host.
-    pub fn nics(&self) -> usize {
-        self.k + 1
-    }
-
     fn digit(&self, host: usize, level: usize) -> usize {
         (host / self.n.pow(level as u32)) % self.n
     }
@@ -159,7 +154,6 @@ mod tests {
         let (_, b) = build(8, 1);
         assert_eq!(b.hosts(), 64);
         assert_eq!(b.switches(), 16);
-        assert_eq!(b.nics(), 2);
     }
 
     #[test]

@@ -1,16 +1,18 @@
-//! RTT estimation and retransmission-timeout computation (RFC 6298).
+//! Retransmission-timeout computation (RFC 6298).
 
 use netsim::SimDuration;
 
-/// Smoothed RTT / RTO estimator per RFC 6298.
+/// RFC 6298's RTT variance and RTO clamp, over a smoothed RTT kept elsewhere.
 ///
-/// `srtt ← 7/8·srtt + 1/8·sample`, `rttvar ← 3/4·rttvar + 1/4·|srtt−sample|`,
+/// The sender's one smoothed RTT is [`congestion::SubflowCc::srtt`]
+/// (`srtt ← 7/8·srtt + 1/8·sample`, `0` before the first sample); this
+/// keeps the rest of RFC 6298 §2: `rttvar ← 3/4·rttvar + 1/4·|srtt−sample|`
+/// against the smoothed RTT *before* the sample, and
 /// `rto = srtt + max(G, 4·rttvar)`, clamped to `[min_rto, max_rto]`, where
 /// `G` is the clock granularity ([`RttEstimator::GRANULARITY`], one
 /// simulator tick).
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
-    srtt: Option<f64>,
     rttvar: f64,
     min_rto: SimDuration,
     max_rto: SimDuration,
@@ -29,43 +31,33 @@ impl RttEstimator {
     /// well-formed).
     pub fn new(min_rto: SimDuration) -> Self {
         let max_rto = SimDuration::from_secs(60).max(min_rto);
-        RttEstimator { srtt: None, rttvar: 0.0, min_rto, max_rto }
+        RttEstimator { rttvar: 0.0, min_rto, max_rto }
     }
 
-    /// Feeds an RTT sample (seconds).
+    /// Feeds an RTT sample (seconds), given the smoothed RTT before it
+    /// (`0` for the first sample).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `sample` is not positive.
-    pub fn observe(&mut self, sample: f64) {
+    pub fn observe(&mut self, srtt: f64, sample: f64) {
         debug_assert!(sample > 0.0, "RTT sample must be positive");
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample / 2.0;
-            }
-            Some(srtt) => {
-                self.rttvar = 0.75 * self.rttvar + 0.25 * (srtt - sample).abs();
-                self.srtt = Some(0.875 * srtt + 0.125 * sample);
-            }
-        }
+        self.rttvar = if srtt > 0.0 {
+            0.75 * self.rttvar + 0.25 * (srtt - sample).abs()
+        } else {
+            sample / 2.0
+        };
     }
 
-    /// The smoothed RTT in seconds, if any sample has been taken.
-    pub fn srtt(&self) -> Option<f64> {
-        self.srtt
-    }
-
-    /// The current retransmission timeout (before exponential backoff):
-    /// `srtt + max(G, 4·rttvar)` per RFC 6298 §2.3, clamped to
-    /// `[min_rto, max_rto]`.
-    pub fn rto(&self) -> SimDuration {
-        let raw = match self.srtt {
-            None => SimDuration::from_secs(1), // RFC 6298 initial RTO
-            Some(srtt) => {
-                let var = (4.0 * self.rttvar).max(Self::GRANULARITY.as_secs_f64());
-                SimDuration::from_secs_f64(srtt + var)
-            }
+    /// The current retransmission timeout (before exponential backoff) for
+    /// smoothed RTT `srtt`: `srtt + max(G, 4·rttvar)` per RFC 6298 §2.3,
+    /// clamped to `[min_rto, max_rto]`; 1 s before the first sample.
+    pub fn rto(&self, srtt: f64) -> SimDuration {
+        let raw = if srtt > 0.0 {
+            let var = (4.0 * self.rttvar).max(Self::GRANULARITY.as_secs_f64());
+            SimDuration::from_secs_f64(srtt + var)
+        } else {
+            SimDuration::from_secs(1) // RFC 6298 initial RTO
         };
         raw.clamp(self.min_rto, self.max_rto)
     }
@@ -74,8 +66,8 @@ impl RttEstimator {
     /// multiply saturates (`SimDuration`'s `Mul` clamps at the nanosecond
     /// ceiling), so a base near `max_rto` doubled `2¹⁶` times caps cleanly
     /// instead of wrapping before the `min`.
-    pub fn rto_backed_off(&self, backoff: u32) -> SimDuration {
-        let base = self.rto();
+    pub fn rto_backed_off(&self, srtt: f64, backoff: u32) -> SimDuration {
+        let base = self.rto(srtt);
         let factor = 1u64 << backoff.min(16);
         (base * factor).min(self.max_rto)
     }
@@ -84,46 +76,52 @@ impl RttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congestion::SubflowCc;
+
+    /// Feeds `sample` to the estimator and to the smoothed RTT it reads, in
+    /// the sender's order: variance first, against the previous `srtt`.
+    fn feed(e: &mut RttEstimator, cc: &mut SubflowCc, sample: f64) {
+        e.observe(cc.srtt, sample);
+        cc.observe_rtt(sample);
+    }
 
     #[test]
     fn first_sample_initializes() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
-        assert_eq!(e.rto(), SimDuration::from_secs(1));
-        e.observe(0.1);
-        assert_eq!(e.srtt(), Some(0.1));
+        let (mut e, mut cc) = (RttEstimator::new(SimDuration::from_millis(200)), SubflowCc::new());
+        assert_eq!(e.rto(cc.srtt), SimDuration::from_secs(1));
+        feed(&mut e, &mut cc, 0.1);
         // rto = 0.1 + 4*0.05 = 0.3s
-        assert_eq!(e.rto(), SimDuration::from_millis(300));
+        assert_eq!(e.rto(cc.srtt), SimDuration::from_millis(300));
     }
 
     #[test]
     fn steady_samples_converge_to_min_variance() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(10));
+        let (mut e, mut cc) = (RttEstimator::new(SimDuration::from_millis(10)), SubflowCc::new());
         for _ in 0..200 {
-            e.observe(0.05);
+            feed(&mut e, &mut cc, 0.05);
         }
-        assert!((e.srtt().unwrap() - 0.05).abs() < 1e-9);
         // Variance decays toward zero; RTO approaches srtt but respects floor.
-        assert!(e.rto() >= SimDuration::from_millis(10));
-        assert!(e.rto() <= SimDuration::from_millis(60));
+        assert!(e.rto(cc.srtt) >= SimDuration::from_millis(10));
+        assert!(e.rto(cc.srtt) <= SimDuration::from_millis(60));
     }
 
     #[test]
     fn rto_floor_applies() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
+        let (mut e, mut cc) = (RttEstimator::new(SimDuration::from_millis(200)), SubflowCc::new());
         for _ in 0..100 {
-            e.observe(0.001);
+            feed(&mut e, &mut cc, 0.001);
         }
-        assert_eq!(e.rto(), SimDuration::from_millis(200));
+        assert_eq!(e.rto(cc.srtt), SimDuration::from_millis(200));
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200));
-        e.observe(0.1);
-        let base = e.rto();
-        assert_eq!(e.rto_backed_off(1), base * 2);
-        assert_eq!(e.rto_backed_off(2), base * 4);
-        assert_eq!(e.rto_backed_off(30), SimDuration::from_secs(60));
+        let (mut e, mut cc) = (RttEstimator::new(SimDuration::from_millis(200)), SubflowCc::new());
+        feed(&mut e, &mut cc, 0.1);
+        let base = e.rto(cc.srtt);
+        assert_eq!(e.rto_backed_off(cc.srtt, 1), base * 2);
+        assert_eq!(e.rto_backed_off(cc.srtt, 2), base * 4);
+        assert_eq!(e.rto_backed_off(cc.srtt, 30), SimDuration::from_secs(60));
     }
 
     #[test]
@@ -131,13 +129,14 @@ mod tests {
         // RFC 6298 regression: with the floor set far below srtt, a long run
         // of identical samples decays rttvar to zero; the granularity term
         // must keep RTO > srtt rather than letting the clamp do the work.
-        let mut e = RttEstimator::new(SimDuration::from_nanos(1));
+        let (mut e, mut cc) = (RttEstimator::new(SimDuration::from_nanos(1)), SubflowCc::new());
         for _ in 0..1000 {
-            e.observe(0.05);
+            feed(&mut e, &mut cc, 0.05);
         }
-        let srtt = SimDuration::from_secs_f64(e.srtt().unwrap());
-        assert!(e.rto() > srtt, "rto {:?} collapsed onto srtt {:?}", e.rto(), srtt);
-        assert_eq!(e.rto(), srtt + RttEstimator::GRANULARITY);
+        let srtt = SimDuration::from_secs_f64(cc.srtt);
+        let rto = e.rto(cc.srtt);
+        assert!(rto > srtt, "rto {rto:?} collapsed onto srtt {srtt:?}");
+        assert_eq!(rto, srtt + RttEstimator::GRANULARITY);
     }
 
     #[test]
@@ -147,12 +146,12 @@ mod tests {
         // saturate and cap instead of wrapping.
         let huge = SimDuration::from_nanos(u64::MAX / 2);
         let e = RttEstimator::new(huge);
-        assert_eq!(e.rto(), huge, "clamp must stay well-formed for min_rto > 60s");
+        assert_eq!(e.rto(0.0), huge, "clamp must stay well-formed for min_rto > 60s");
         for backoff in [16, 20, u32::MAX] {
-            assert_eq!(e.rto_backed_off(backoff), huge);
+            assert_eq!(e.rto_backed_off(0.0, backoff), huge);
         }
         // A merely-large floor (not overflow-prone) still caps at itself.
         let e = RttEstimator::new(SimDuration::from_secs(120));
-        assert_eq!(e.rto_backed_off(16), SimDuration::from_secs(120));
+        assert_eq!(e.rto_backed_off(0.0, 16), SimDuration::from_secs(120));
     }
 }

@@ -11,10 +11,20 @@ pub struct SubflowSample {
     pub srtt_s: f64,
     /// Minimum RTT observed so far, in seconds (0 before any sample).
     pub base_rtt_s: f64,
-    /// Congestion window at the sample instant, in packets.
-    pub cwnd_pkts: f64,
-    /// Whether the subflow was actively sending during the interval.
+    /// Whether the subflow is open: neither dead nor finished.
+    ///
+    /// An open-but-momentarily-idle subflow (`active` with zero throughput)
+    /// stays `active`: the paper's measurement section attributes radio
+    /// tail/idle energy to *open* subflows, and the LTE RRC model keeps a
+    /// connected radio in its high-power tail state between bursts. Gating on
+    /// `throughput_bps > 0.0` would zero out exactly that energy.
     pub active: bool,
+}
+
+impl SubflowSample {
+    /// A closed, idle interface.
+    pub const IDLE: SubflowSample =
+        SubflowSample { throughput_bps: 0.0, srtt_s: 0.0, base_rtt_s: 0.0, active: false };
 }
 
 /// One path's measured state at the moment a packet-level connection is
@@ -49,11 +59,6 @@ impl FlowSample {
     pub fn total_throughput_bps(&self) -> f64 {
         self.subflows.iter().map(|s| s.throughput_bps).sum()
     }
-
-    /// Number of subflows actively sending.
-    pub fn active_subflows(&self) -> usize {
-        self.subflows.iter().filter(|s| s.active).count()
-    }
 }
 
 #[cfg(test)]
@@ -66,18 +71,11 @@ mod tests {
             at: SimTime::ZERO,
             interval_s: 0.01,
             subflows: vec![
-                SubflowSample {
-                    throughput_bps: 1e6,
-                    srtt_s: 0.01,
-                    base_rtt_s: 0.01,
-                    cwnd_pkts: 10.0,
-                    active: true,
-                },
+                SubflowSample { throughput_bps: 1e6, srtt_s: 0.01, base_rtt_s: 0.01, active: true },
                 SubflowSample {
                     throughput_bps: 2e6,
                     srtt_s: 0.02,
                     base_rtt_s: 0.01,
-                    cwnd_pkts: 5.0,
                     active: false,
                 },
             ],
@@ -87,6 +85,5 @@ mod tests {
         {
             assert_eq!(s.total_throughput_bps(), 3e6);
         }
-        assert_eq!(s.active_subflows(), 1);
     }
 }

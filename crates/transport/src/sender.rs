@@ -208,9 +208,6 @@ struct SubflowState {
     /// defense in the token itself.
     rto_timer: Option<TimerHandle>,
     backoff: u32,
-    /// Declared dead after `FlowConfig::dead_after_backoffs` consecutive RTO
-    /// backoffs; only revival probes are sent until the path answers again.
-    dead: bool,
     /// Scoreboard: subflow sequence → segment state.
     segs: SegBoard,
     counters: SubflowCounters,
@@ -233,7 +230,6 @@ impl SubflowState {
             rto_gen: 0,
             rto_timer: None,
             backoff: 0,
-            dead: false,
             segs: SegBoard::default(),
             counters: SubflowCounters::default(),
             sample_prev_acked: 0,
@@ -329,8 +325,8 @@ impl SubflowState {
     /// Finds the next retransmission candidate: a lost (classified,
     /// not-in-pipe) undelivered segment from the episode cursor, or — if none
     /// — an undelivered retransmission that has been in flight suspiciously
-    /// long (a lost retransmission).
-    fn next_rexmit(&mut self, now: SimTime) -> Option<u64> {
+    /// long (a lost retransmission). `srtt` is the subflow's smoothed RTT.
+    fn next_rexmit(&mut self, now: SimTime, srtt: f64) -> Option<u64> {
         let hi = self.sack_high.saturating_sub(DUP_THRESH).min(self.recover);
         let from = self.rexmit_cursor.max(self.snd_una);
         if from < hi {
@@ -346,7 +342,7 @@ impl SubflowState {
         }
         // Lost-retransmission probe: an undelivered, already-retransmitted
         // segment that has been quiet for over 1.5 smoothed RTTs.
-        let stale = self.rtt.srtt().unwrap_or(0.2) * 1.5;
+        let stale = if srtt > 0.0 { srtt } else { 0.2 } * 1.5;
         if let Some((seq, _)) = self.segs.range(self.snd_una, hi).find(|(_, seg)| {
             !seg.delivered
                 && seg.rexmits > 0
@@ -558,7 +554,7 @@ impl MptcpSender {
             .zip(&self.cc_states)
             .map(|(sf, st)| PathHandoff {
                 rate_pps: if secs > 0.0 { sf.counters.acked_pkts as f64 / secs } else { 0.0 },
-                srtt_s: if st.srtt > 0.0 { st.srtt } else { 0.0 },
+                srtt_s: st.srtt,
                 base_rtt_s: if st.base_rtt.is_finite() { st.base_rtt } else { 0.0 },
             })
             .collect()
@@ -567,7 +563,7 @@ impl MptcpSender {
     fn arm_rto(&mut self, r: usize, ctx: &mut Ctx<'_>) {
         let sf = &mut self.subflows[r];
         sf.rto_gen += 1;
-        let delay = sf.rtt.rto_backed_off(sf.backoff);
+        let delay = sf.rtt.rto_backed_off(self.cc_states[r].srtt, sf.backoff);
         let h = *sf.rto_timer.get_or_insert_with(|| ctx.timer_slot());
         ctx.arm_timer(h, delay, rto_token(r, sf.rto_gen));
     }
@@ -620,8 +616,6 @@ impl MptcpSender {
     }
 
     /// Whether subflow `r` may take a segment now: live and `pipe < cwnd`.
-    /// Only `mark_dead` clears `active` and `revive` restores it, so this
-    /// also skips dead subflows (`check_invariants` pins the pairing).
     fn has_space(&self, r: usize) -> bool {
         self.cc_states[r].active && self.subflows[r].pipe < self.cwnd_floor(r)
     }
@@ -631,7 +625,8 @@ impl MptcpSender {
     fn fastest(&self, unsampled: f64, eligible: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for r in (0..self.subflows.len()).filter(|&r| eligible(r)) {
-            let srtt = self.subflows[r].rtt.srtt().unwrap_or(unsampled);
+            let st = &self.cc_states[r];
+            let srtt = if st.has_rtt() { st.srtt } else { unsampled };
             if !best.is_some_and(|(_, s)| s <= srtt) {
                 best = Some((r, srtt));
             }
@@ -642,7 +637,7 @@ impl MptcpSender {
     /// The live subflow with the lowest smoothed RTT, unsampled ones last
     /// (falling back to 0) — where window probes go.
     fn probe_subflow(&self) -> usize {
-        self.fastest(f64::MAX, |r| !self.subflows[r].dead).unwrap_or(0)
+        self.fastest(f64::MAX, |r| self.cc_states[r].active).unwrap_or(0)
     }
 
     /// Enters the zero-window stall state and arms the persist timer.
@@ -660,7 +655,8 @@ impl MptcpSender {
     fn arm_persist(&mut self, ctx: &mut Ctx<'_>) {
         self.persist_gen += 1;
         let r = self.probe_subflow();
-        let delay = self.subflows[r].rtt.rto_backed_off(self.persist_backoff);
+        let delay =
+            self.subflows[r].rtt.rto_backed_off(self.cc_states[r].srtt, self.persist_backoff);
         let h = *self.persist_timer.get_or_insert_with(|| ctx.timer_slot());
         ctx.arm_timer(h, delay, TK_PERSIST_BIT | (self.persist_gen & 0xffff_ffff));
     }
@@ -682,7 +678,7 @@ impl MptcpSender {
             rwnd_pkts: self.peer_rwnd,
         });
         for r in 0..self.subflows.len() {
-            if self.subflows[r].has_outstanding() && !self.subflows[r].dead {
+            if self.subflows[r].has_outstanding() && self.cc_states[r].active {
                 self.arm_rto(r, ctx);
             }
         }
@@ -732,12 +728,13 @@ impl MptcpSender {
         let now = ctx.now();
         // 1. Loss repair per subflow (dead subflows only probe; see on_rto).
         for r in 0..self.subflows.len() {
-            if !self.subflows[r].in_recovery || self.subflows[r].dead {
+            if !self.subflows[r].in_recovery || !self.cc_states[r].active {
                 continue;
             }
             let wnd = self.cwnd_floor(r);
+            let srtt = self.cc_states[r].srtt;
             while self.subflows[r].pipe < wnd {
-                match self.subflows[r].next_rexmit(now) {
+                match self.subflows[r].next_rexmit(now, srtt) {
                     Some(seq) => {
                         self.subflows[r].counters.fast_rexmits += 1;
                         ctx.emit(TraceEvent::FastRexmit {
@@ -820,19 +817,15 @@ impl MptcpSender {
     /// and its subsequent RTOs send only revival probes.
     fn mark_dead(&mut self, r: usize) {
         let data_acked = self.data_acked;
-        {
-            let sf = &mut self.subflows[r];
-            sf.dead = true;
-            sf.counters.deaths += 1;
-        }
+        self.subflows[r].counters.deaths += 1;
         self.cc_states[r].active = false;
         // Data already reinjected onto (and still carried by) another live
         // subflow is NOT stranded — a flapping subflow (die → revive → die)
         // must not enqueue the same data_seq a second time while the first
         // reinjection is still in flight elsewhere.
         let mut held_live: BTreeSet<u64> = BTreeSet::new();
-        for (i, sf) in self.subflows.iter().enumerate() {
-            if i == r || sf.dead {
+        for (i, (sf, st)) in self.subflows.iter().zip(&self.cc_states).enumerate() {
+            if i == r || !st.active {
                 continue;
             }
             held_live.extend(
@@ -863,7 +856,6 @@ impl MptcpSender {
     fn revive(&mut self, r: usize) {
         let min_rto = self.cfg.min_rto;
         let sf = &mut self.subflows[r];
-        sf.dead = false;
         sf.counters.revivals += 1;
         sf.backoff = 0;
         sf.rtt = RttEstimator::new(min_rto);
@@ -910,7 +902,7 @@ impl MptcpSender {
         // A dead subflow whose probe moved the cumulative ACK is reachable
         // again: revive it (slow start, fresh RTT state) before this ACK's
         // sample feeds the estimators.
-        if self.subflows[r].dead && cum_ack > self.subflows[r].snd_una {
+        if !self.cc_states[r].active && cum_ack > self.subflows[r].snd_una {
             let was_in_recovery = self.subflows[r].in_recovery;
             self.revive(r);
             let t_ns = ctx.now().as_nanos();
@@ -921,10 +913,11 @@ impl MptcpSender {
         }
 
         // RTT sample from the receiver's echo of the segment timestamp:
-        // immune to retransmission ambiguity (Karn's rule).
+        // immune to retransmission ambiguity (Karn's rule). The variance
+        // reads the smoothed RTT before this sample moves it.
         let rtt_s = ctx.now().saturating_since(ts_echo).as_secs_f64();
         if rtt_s > 0.0 {
-            self.subflows[r].rtt.observe(rtt_s);
+            self.subflows[r].rtt.observe(self.cc_states[r].srtt, rtt_s);
             self.cc_states[r].observe_rtt(rtt_s);
         }
 
@@ -1006,7 +999,7 @@ impl MptcpSender {
         if gen != sf.rto_gen & 0xffff_ffff || !sf.has_outstanding() || self.finished_at.is_some() {
             return; // stale timer
         }
-        if sf.dead {
+        if !self.cc_states[r].active {
             // Revival probe: retransmit the head at the frozen backed-off
             // RTO. An answering ACK revives the subflow (see on_ack); the
             // congestion response does not fire again for a dead path.
@@ -1107,9 +1100,8 @@ impl MptcpSender {
                 sf.sample_prev_acked = sf.counters.acked_pkts;
                 SubflowSample {
                     throughput_bps: delta as f64 * mss_bits / dt,
-                    srtt_s: if st.srtt > 0.0 { st.srtt } else { 0.0 },
+                    srtt_s: st.srtt,
                     base_rtt_s: if st.base_rtt.is_finite() { st.base_rtt } else { 0.0 },
-                    cwnd_pkts: st.cwnd,
                     active: st.active && !finished,
                 }
             })
@@ -1133,12 +1125,6 @@ impl MptcpSender {
         for (r, (sf, st)) in self.subflows.iter().zip(&self.cc_states).enumerate() {
             if !st.cwnd.is_finite() || st.cwnd <= 0.0 {
                 return Err(format!("conn {conn} sf{r}: cwnd degenerate: {}", st.cwnd));
-            }
-            if sf.dead == st.active {
-                return Err(format!(
-                    "conn {conn} sf{r}: dead {} but cc active {} (only mark_dead/revive flip them)",
-                    sf.dead, st.active
-                ));
             }
             if sf.snd_una > sf.snd_nxt {
                 return Err(format!(
@@ -1206,13 +1192,13 @@ impl Watched for MptcpSender {
             .map(|(i, (sf, st))| {
                 format!(
                     "sf{i}[{}cwnd={:.1} pipe={} una={} nxt={} backoff={} rto={:.3}s]",
-                    if sf.dead { "DEAD " } else { "" },
+                    if st.active { "" } else { "DEAD " },
                     st.cwnd,
                     sf.pipe,
                     sf.snd_una,
                     sf.snd_nxt,
                     sf.backoff,
-                    sf.rtt.rto_backed_off(sf.backoff).as_secs_f64(),
+                    sf.rtt.rto_backed_off(st.srtt, sf.backoff).as_secs_f64(),
                 )
             })
             .collect::<Vec<_>>()
@@ -1375,7 +1361,7 @@ mod tests {
         for (r, srtt) in srtts.into_iter().enumerate() {
             s.add_path(Route::direct(0));
             if let Some(srtt) = srtt {
-                s.subflows[r].rtt.observe(srtt);
+                s.cc_states[r].observe_rtt(srtt);
             }
         }
         s

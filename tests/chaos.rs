@@ -237,8 +237,8 @@ fn spec_for(seed: u64, adversarial: bool) -> ReproSpec {
     }
 }
 
-/// The soak grid as crash-contained fabric cells: each carries a repro spec
-/// so a quarantined seed leaves a replayable artifact behind.
+/// The soak grid as crash-contained fabric cells. A cell whose invariant
+/// checker halts dumps its own replayable artifact (see `soak_with`).
 fn fabric_soak_cells(
     seeds: std::ops::Range<u64>,
     adversarial: bool,
@@ -249,7 +249,6 @@ fn fabric_soak_cells(
                 if adversarial { format!("soak-adv-{seed}") } else { format!("soak-{seed}") };
             FabricCell::new(label, seed, move || soak_with(seed, adversarial))
                 .config(Fingerprint::new().str("chaos-soak").bool(adversarial).u64(seed))
-                .repro(spec_for(seed, adversarial))
         })
         .collect()
 }

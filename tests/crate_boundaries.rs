@@ -7,7 +7,7 @@
 //! `core::model`. Each is small enough for a debug build.
 
 use congestion::{AlgorithmKind, MultipathCongestionControl, SubflowCc};
-use energy_model::{energy_of_flow, loads_of, PhoneModel, PowerModel, WiredCpuModel};
+use energy_model::{energy_of_flow, PhoneModel, PowerModel, WiredCpuModel};
 use mptcp_energy::{CcModel, Dts, DtsConfig, DtsPhi, DtsPhiConfig, FlowView};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
@@ -52,14 +52,14 @@ fn wireless_samples() -> Vec<FlowSample> {
 
 /// `energy_of_flow` is the plain rectangle rule over the samples: the same
 /// additions, in the same order, as a left-to-right fold of
-/// `power_w(at_i, loads_of(s_i)) · interval_s_i` on a fresh model.
+/// `power_w(at_i, &s_i.subflows) · interval_s_i` on a fresh model.
 fn assert_metered_left_to_right<M: PowerModel>(make: impl Fn() -> M, samples: &[FlowSample]) {
     let report = energy_of_flow(&mut make(), samples);
     let mut model = make();
     model.reset();
     let (mut joules, mut duration) = (0.0f64, 0.0f64);
     for s in samples {
-        joules += model.power_w(s.at.as_secs_f64(), &loads_of(s)) * s.interval_s;
+        joules += model.power_w(s.at.as_secs_f64(), &s.subflows) * s.interval_s;
         duration += s.interval_s;
     }
     assert_eq!(report.joules.to_bits(), joules.to_bits(), "{} vs {joules}", report.joules);

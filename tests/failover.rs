@@ -14,7 +14,9 @@ const TRANSFER_PKTS: u64 = 30_000;
 /// Path 2 goes dark from t = 5 s to t = 17 s (a 12 s blackout). The sender
 /// must declare the subflow dead, reinject its stranded segments onto path 1,
 /// finish the transfer, and — once the link is back — revive the subflow in
-/// slow start and move real traffic over it again.
+/// slow start and move real traffic over it again. Liveness is one fact: the
+/// subflow's congestion state and its telemetry read closed while it is dead
+/// and open again once it revives.
 #[test]
 fn blackout_fails_over_and_revives() {
     let mut sim = Simulator::new(42);
@@ -39,15 +41,27 @@ fn blackout_fails_over_and_revives() {
     sim.enable_watchdog(SimDuration::from_secs_f64(5.0));
     sim.watch(flow.sender);
 
-    // Run in small steps so we can observe the subflow right as it revives.
+    // Run in small steps so we can observe the subflow while it is dead and
+    // right as it revives. `dead_samples` indexes the telemetry samples taken
+    // between the first and the last step that saw subflow 1 dead.
     let mut revival_cwnd = None;
     let mut acked_at_revival = 0;
+    let mut dead_from = None;
+    let mut dead_samples = 0..0;
+    let mut revived_from = 0;
     while sim.now() < SimTime::from_secs_f64(30.0) && revival_cwnd.is_none() {
+        let before = flow.sender_ref(&sim).samples().len();
         sim.run_until(sim.now() + SimDuration::from_millis(10));
         let s = flow.sender_ref(&sim);
         if s.subflow(1).revivals > 0 {
             revival_cwnd = Some(s.cc_states()[1].cwnd);
             acked_at_revival = s.subflow(1).acked_pkts;
+            assert!(s.cc_states()[1].active, "revived subflow must read active");
+            dead_samples = dead_from.expect("subflow revived without being seen dead")..before;
+            revived_from = s.samples().len();
+        } else if s.subflow(1).deaths > 0 {
+            assert!(!s.cc_states()[1].active, "dead subflow must read inactive");
+            dead_from.get_or_insert(s.samples().len());
         }
     }
     sim.run_until(SimTime::from_secs_f64(60.0));
@@ -72,6 +86,23 @@ fn blackout_fails_over_and_revives() {
         s.failover_reinjections <= s.config().rcv_buf_pkts,
         "more reinjections ({}) than could ever be stranded",
         s.failover_reinjections
+    );
+
+    // While dead, every sample reported the subflow closed — what the power
+    // models charge as a closed interface — and after revival, every sample
+    // up to the finish reports it open again.
+    let samples = s.samples();
+    assert!(dead_samples.len() > 10, "too few samples while dead: {dead_samples:?}");
+    assert!(
+        samples[dead_samples.clone()].iter().all(|x| !x.subflows[1].active),
+        "a sample taken while subflow 1 was dead reports it active"
+    );
+    let finish = flow.finish_time(&sim).expect("finished");
+    let open: Vec<_> = samples[revived_from..].iter().filter(|x| x.at < finish).collect();
+    assert!(!open.is_empty(), "no sample between revival and finish");
+    assert!(
+        open.iter().all(|x| x.subflows[1].active),
+        "a sample taken after revival reports subflow 1 inactive"
     );
 
     // Revival restarted congestion control from slow start.
