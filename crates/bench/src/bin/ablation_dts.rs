@@ -19,9 +19,10 @@
 //! dropped, the rest of the ablation still prints, and the process exits 1
 //! with a partial-sweep note on stderr.
 //!
-//! With `--trace DIR` each cell writes a JSONL event trace to
-//! `DIR/<section>-<label>.jsonl`, summarizable with the `trace_dump` binary. Tracing never changes results (pinned by
-//! `tests/sweep_determinism.rs`).
+//! With `--trace DIR` (or `--trace=DIR`) each cell writes a JSONL event
+//! trace to `DIR/<section>-<label>.jsonl`, summarizable with the
+//! `trace_dump` binary; this is the one figure binary that traces. Tracing
+//! never changes results (pinned by `tests/sweep_determinism.rs`).
 
 use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
@@ -94,9 +95,9 @@ fn rows_for(
 }
 
 fn main() {
-    let cli = Cli::from_args();
+    let (trace, cli) = Cli::from_args_with("--trace");
     let o = opts(cli.scale);
-    let trace = cli.trace.as_deref();
+    let trace = trace.as_deref().map(Path::new);
     if let Some(dir) = trace {
         eprintln!("writing per-cell JSONL traces to {}", dir.display());
     }

@@ -233,7 +233,7 @@ const DRILLS: &[Drill] = &[
 ];
 
 fn main() {
-    let cli = Cli::from_args().without_trace("fabric_chaos");
+    let cli = Cli::from_args();
     if cli.dist.is_some() {
         // Worker role: serve the assigned shard of the demo grid and exit
         // (run_dist never returns with a task set).

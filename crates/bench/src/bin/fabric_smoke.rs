@@ -24,7 +24,7 @@ use bench_harness::fabric::demo;
 use bench_harness::{env_parsed, Cli};
 
 fn main() {
-    let cli = Cli::from_args().without_trace("fabric_smoke");
+    let cli = Cli::from_args();
     let sleep_ms = env_parsed("FABRIC_SMOKE_SLEEP_MS", "integer milliseconds", |_| true);
     let fail: Vec<String> = env_parsed::<String>("FABRIC_SMOKE_FAIL", "cell labels", |_| true)
         .map(|s| s.split(',').map(|t| t.trim().to_owned()).filter(|t| !t.is_empty()).collect())

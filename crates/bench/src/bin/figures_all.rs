@@ -27,25 +27,6 @@
 use bench_harness::{figs, Cli};
 use std::sync::Arc;
 
-/// Splits `--only LIST` / `--only=LIST` off the argument list; the rest is
-/// the shared [`Cli`] surface.
-fn take_only(
-    mut args: impl Iterator<Item = String>,
-) -> Result<(Option<String>, Vec<String>), String> {
-    let mut only = None;
-    let mut rest = Vec::new();
-    while let Some(a) = args.next() {
-        if a == "--only" {
-            only = Some(args.next().ok_or("--only: missing figure list")?);
-        } else if let Some(list) = a.strip_prefix("--only=") {
-            only = Some(list.to_owned());
-        } else {
-            rest.push(a);
-        }
-    }
-    Ok((only, rest))
-}
-
 /// A usage error: the message on stderr, exit 2.
 fn die(e: &str) -> ! {
     eprintln!("figures_all: {e}");
@@ -53,8 +34,7 @@ fn die(e: &str) -> ! {
 }
 
 fn main() {
-    let (only, rest) = take_only(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
-    let cli = Cli::from_arg_list(rest.into_iter()).without_trace("figures_all");
+    let (only, cli) = Cli::from_args_with("--only");
     // `--jobs` sizes the simulations' pool as it does the figures'.
     let sims = Arc::new(figs::Sims::new(cli.jobs()));
     let cells = figs::fig_cells_with(cli.scale, only.as_deref(), &sims).unwrap_or_else(|e| die(&e));

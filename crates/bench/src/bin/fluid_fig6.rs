@@ -13,16 +13,11 @@
 //! the table (exit 1, partial note on stderr);
 //! --workers N spreads the solves over supervised worker processes with
 //! identical output.
-//!
-//! With `--trace DIR` the equilibrium results are also appended to
-//! `DIR/fluid_fig6.jsonl` as `{"ev":"fluid_cell",...}` lines — there is no
-//! packet-level event stream here, but `trace_dump` tolerates the custom
-//! event kind and the file slots into the same trace directory the
-//! packet-level harnesses fill.
 
 use bench_harness::fabric::{FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
 use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, Psi};
+use transport::DEFAULT_MSS_BYTES;
 
 fn scenario(psi: Psi, n_users: usize) -> (f64, f64) {
     let mut net = FluidNet::new();
@@ -63,7 +58,7 @@ fn main() {
         Scale::Quick => 10,
         Scale::Full => 25,
     };
-    let mss_bits = 1500.0 * 8.0;
+    let mss_bits = f64::from(DEFAULT_MSS_BYTES) * 8.0;
     let transfer_bits = 16.0 * 1024.0 * 1024.0 * 8.0;
     let psis = [Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp, Psi::Coupled, Psi::Ewtcp];
     let cells: Vec<FabricCell<_>> = psis
@@ -73,36 +68,12 @@ fn main() {
                 .config(Fingerprint::new().str("fluid_fig6").str(psi.name()).u64(n_users as u64))
         })
         .collect();
-    let mut sink = cli.trace.as_deref().and_then(|dir| {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create trace dir {}: {e}", dir.display());
-            return None;
-        }
-        let path = obs::trace_path(dir, "fluid_fig6");
-        match obs::JsonlSink::create(&path) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("warning: cannot open trace file {}: {e}", path.display());
-                None
-            }
-        }
-    });
     let report = cli.sweep("fluid_fig6", cells);
     let mut rows = Vec::new();
     for r in report.results() {
         let (mptcp, tcp) = r.output;
         // Implied 16 MB transfer time and a simple ∝1/τ̄ energy proxy.
         let seconds = transfer_bits / (mptcp * mss_bits);
-        if let Some(sink) = sink.as_mut() {
-            sink.line(|w| {
-                w.str("ev", "fluid_cell")
-                    .str("psi", &r.label)
-                    .u64("n_users", n_users as u64)
-                    .f64_fixed("mptcp_pkts_s", mptcp, 3)
-                    .f64_fixed("tcp_pkts_s", tcp, 3)
-                    .f64_fixed("transfer_s", seconds, 3)
-            });
-        }
         rows.push(vec![
             r.label.clone(),
             format!("{mptcp:.0}"),

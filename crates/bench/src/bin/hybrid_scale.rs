@@ -24,11 +24,11 @@ use congestion::AlgorithmKind;
 use energy_model::WiredCpuModel;
 use mptcp_energy::hybrid::{fluid_model_of, HybridConfig, HybridCounters, HybridEngine};
 use mptcp_energy::scenarios::CcChoice;
-use netsim::{SimDuration, Simulator};
+use netsim::{LinkConfig, SimDuration, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use topology::{FatTree, LinkParams};
-use transport::FlowConfig;
+use topology::FatTree;
+use transport::{FlowConfig, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES};
 use workload::permutation_pairs;
 
 /// One scale tier of the study.
@@ -102,18 +102,18 @@ impl JournalCodec for CellOut {
 }
 
 /// The inter-pod path RTT of the FatTree under study (6 links × (100 µs
-/// propagation + 100 Mb/s serialization of a 1500 B segment) each way,
-/// ACKs back) — the calibration RTT for the fluid price curves.
+/// propagation + 100 Mb/s serialization of a segment) each way, ACKs back)
+/// — the calibration RTT for the fluid price curves.
 fn calib_rtt_s(host_bps: u64) -> f64 {
-    let ser_data = 1500.0 * 8.0 / host_bps as f64;
-    let ser_ack = 40.0 * 8.0 / host_bps as f64;
+    let ser_data = f64::from(DEFAULT_MSS_BYTES) * 8.0 / host_bps as f64;
+    let ser_ack = f64::from(DEFAULT_ACK_BYTES) * 8.0 / host_bps as f64;
     6.0 * (2.0 * 100e-6 + ser_data + ser_ack)
 }
 
 fn run_cell(seed: u64, t: Tier, cc: &CcChoice) -> CellOut {
     const HOST_BPS: u64 = 100_000_000;
     let mut sim = Simulator::new(seed);
-    let params = LinkParams::new(HOST_BPS, SimDuration::from_micros(100)).queue(32);
+    let params = LinkConfig::new(HOST_BPS, SimDuration::from_micros(100)).queue_limit(32);
     let ft = FatTree::build(&mut sim, t.k, params);
     let hosts = ft.hosts();
 
@@ -142,7 +142,7 @@ fn run_cell(seed: u64, t: Tier, cc: &CcChoice) -> CellOut {
     // Long-lived fluid population: rounds of permutation traffic until the
     // target count is reached; every flow starts at a fair-share rate of
     // its host uplink.
-    let cap_pps = HOST_BPS as f64 / (8.0 * 1500.0);
+    let cap_pps = HOST_BPS as f64 / (8.0 * f64::from(DEFAULT_MSS_BYTES));
     let per_host = t.long_flows.div_ceil(hosts).max(1);
     let x0 = (cap_pps / (2.0 * per_host as f64)).max(1.0);
     let mut placed = 0;
@@ -191,7 +191,7 @@ fn models() -> [CcChoice; 6] {
 }
 
 fn main() {
-    let cli = Cli::from_args().without_trace("hybrid_scale");
+    let cli = Cli::from_args();
     let t = tier(cli.scale);
     let cells: Vec<FabricCell<CellOut>> = models()
         .into_iter()

@@ -60,8 +60,6 @@ pub struct Lease {
     pub gen: u64,
     /// The worker id the supervisor assigned.
     pub worker: String,
-    /// When the lease was granted (ms).
-    pub granted_ms: u64,
     /// The lease expires strictly *after* this instant; renewed to
     /// `now + lease_ms` on every progress observation.
     pub deadline_ms: u64,
@@ -80,7 +78,6 @@ impl Lease {
             shard,
             gen,
             worker,
-            granted_ms: now_ms,
             deadline_ms: now_ms.saturating_add(lease_ms),
             last_heartbeat_ms: now_ms,
             heartbeat_seq: 0,

@@ -121,37 +121,6 @@ impl JournalCodec for u64 {
     }
 }
 
-impl JournalCodec for u32 {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        out.push(JournalValue::U64(u64::from(*self)));
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        u32::try_from(r.u64()?).map_err(|e| format!("u32 out of range: {e}"))
-    }
-}
-
-impl JournalCodec for usize {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        out.push(JournalValue::U64(*self as u64));
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        usize::try_from(r.u64()?).map_err(|e| format!("usize out of range: {e}"))
-    }
-}
-
-impl JournalCodec for bool {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        out.push(JournalValue::U64(u64::from(*self)));
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        match r.u64()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("bool flag out of range: {other}")),
-        }
-    }
-}
-
 impl JournalCodec for f64 {
     /// Bit pattern, not decimal text: one lost ulp would break the
     /// byte-identical resume guarantee.
@@ -169,42 +138,6 @@ impl JournalCodec for String {
     }
     fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
         r.str()
-    }
-}
-
-impl<T: JournalCodec> JournalCodec for Option<T> {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        match self {
-            None => out.push(JournalValue::U64(0)),
-            Some(v) => {
-                out.push(JournalValue::U64(1));
-                v.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        match r.u64()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            other => Err(format!("Option flag out of range: {other}")),
-        }
-    }
-}
-
-impl<T: JournalCodec> JournalCodec for Vec<T> {
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        out.push(JournalValue::U64(self.len() as u64));
-        for v in self {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        let n = usize::try_from(r.u64()?).map_err(|e| format!("Vec length out of range: {e}"))?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
     }
 }
 
@@ -226,20 +159,6 @@ impl<A: JournalCodec, B: JournalCodec, C: JournalCodec> JournalCodec for (A, B, 
     }
     fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl<A: JournalCodec, B: JournalCodec, C: JournalCodec, D: JournalCodec> JournalCodec
-    for (A, B, C, D)
-{
-    fn encode(&self, out: &mut Vec<JournalValue>) {
-        self.0.encode(out);
-        self.1.encode(out);
-        self.2.encode(out);
-        self.3.encode(out);
-    }
-    fn decode(r: &mut ValueReader<'_>) -> Result<Self, String> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?, D::decode(r)?))
     }
 }
 
@@ -316,35 +235,14 @@ pub struct DoneLine {
     pub payload: Vec<JournalValue>,
 }
 
-/// A replayed `quarantined` line. Quarantined cells are **re-run** on
-/// resume — the journal remembers the failure for the report, but a fresh
-/// process gets a fresh chance (the crash being resumed from may well have
-/// been the quarantined cell's fault).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QuarantineLine {
-    /// The cell's content-addressed id.
-    pub id: CellId,
-    /// Label recorded at quarantine.
-    pub label: String,
-    /// The cell's seed.
-    pub seed: u64,
-    /// Attempts consumed before quarantine.
-    pub attempts: u32,
-    /// `"panic"` or `"deadline"`.
-    pub cause: String,
-    /// The captured failure message.
-    pub message: String,
-}
-
-/// A parsed journal: every `done` line keyed by cell id, plus history.
+/// A parsed journal: every `done` line keyed by cell id, the grid digest,
+/// and any torn tail.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JournalReplay {
     /// Grid digest from the `run` headers (`None` for an empty journal).
     pub grid: Option<u64>,
     /// Completed cells keyed by id (deterministic iteration: `BTreeMap`).
     pub done: BTreeMap<CellId, DoneLine>,
-    /// Quarantine records, in journal order.
-    pub quarantined: Vec<QuarantineLine>,
     /// A torn final line a kill interrupted, if one was found (tolerated;
     /// the affected cell simply re-runs).
     pub torn_tail: Option<String>,
@@ -435,14 +333,15 @@ fn parse_line(replay: &mut JournalReplay, line: &str) -> Result<(), String> {
             replay.done.entry(entry.id).or_insert(entry);
         }
         "quarantined" => {
-            replay.quarantined.push(QuarantineLine {
-                id: read_id(&rec)?,
-                label: rec.str("label")?.to_owned(),
-                seed: rec.uint("seed")?,
-                attempts: rec.uint("attempts")?,
-                cause: rec.str("cause")?.to_owned(),
-                message: rec.str("message")?.to_owned(),
-            });
+            // Quarantined cells are re-run on resume (a fresh process gets a
+            // fresh chance), so nothing is kept; the fields are still read,
+            // so a malformed line in mid-file is refused.
+            read_id(&rec)?;
+            rec.str("label")?;
+            rec.uint::<u64>("seed")?;
+            rec.uint::<u32>("attempts")?;
+            rec.str("cause")?;
+            rec.str("message")?;
         }
         other => return Err(format!("unknown journal line kind {other:?}")),
     }
@@ -611,10 +510,6 @@ mod tests {
     fn codec_roundtrips_primitives_bit_exactly() {
         roundtrip(0u64);
         roundtrip(u64::MAX);
-        roundtrip(42u32);
-        roundtrip(7usize);
-        roundtrip(true);
-        roundtrip(false);
         roundtrip(String::from("label \"quoted\"\nnewline"));
         roundtrip(String::new());
         for f in [0.0f64, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE, 0.1] {
@@ -622,12 +517,7 @@ mod tests {
             let dec: f64 = decode_payload(&enc).expect("decode");
             assert_eq!(dec.to_bits(), f.to_bits(), "{f} lost bits");
         }
-        roundtrip(Some(9u64));
-        roundtrip(Option::<u64>::None);
-        roundtrip(vec![1u64, 2, 3]);
-        roundtrip(Vec::<String>::new());
         roundtrip((1u64, 2.5f64, String::from("x")));
-        roundtrip((1u64, 2u64, 3u64, 4u64));
     }
 
     /// The on-disk word order of the one counter struct the journal still
@@ -669,7 +559,6 @@ mod tests {
         assert!(decode_payload::<u64>(&enc).is_err(), "trailing garbage accepted");
         assert!(decode_payload::<(u64, u64, u64)>(&enc).is_err(), "truncation accepted");
         assert!(decode_payload::<String>(&encode_payload(&1u64)).is_err(), "type confusion");
-        assert!(decode_payload::<bool>(&encode_payload(&9u64)).is_err(), "bad bool");
     }
 
     fn id(n: u64) -> CellId {
@@ -697,9 +586,6 @@ mod tests {
         assert_eq!(replay.done.len(), 2);
         assert_eq!(replay.done[&id(0)].label, "cell \"zero\"");
         assert_eq!(replay.done[&id(0)].payload, payload);
-        let q = &replay.quarantined[0];
-        assert_eq!((q.cause.as_str(), q.attempts), ("panic", 3));
-        assert_eq!(q.message, "boom\nline2");
         assert!(replay.torn_tail.is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -723,6 +609,25 @@ mod tests {
         let corrupt = format!("{good}{{\"fabric\":\"done\",\"id\":\"3333\nmore\n");
         let err = parse_journal(&corrupt).unwrap_err();
         assert!(err.contains("journal line"), "{err}");
+    }
+
+    #[test]
+    fn a_quarantined_line_missing_a_field_is_refused_mid_file_and_torn_at_the_tail() {
+        let header =
+            "{\"fabric\":\"run\",\"version\":2,\"grid\":\"00000000000000ff\",\"cells\":2}\n";
+        let no_cause = format!(
+            "{{\"fabric\":\"quarantined\",\"id\":\"{}\",\"label\":\"q\",\"seed\":1,\"attempts\":3,\"message\":\"boom\"}}",
+            id(1)
+        );
+        let done = format!(
+            "{{\"fabric\":\"done\",\"id\":\"{}\",\"label\":\"a\",\"seed\":0,\"attempts\":1,\"payload\":[1]}}\n",
+            id(0)
+        );
+        let err = parse_journal(&format!("{header}{no_cause}\n{done}")).unwrap_err();
+        assert!(err.contains("cause"), "{err}");
+        let replay = parse_journal(&format!("{header}{done}{no_cause}")).expect("torn tail");
+        assert_eq!(replay.torn_tail.as_deref(), Some(no_cause.as_str()));
+        assert_eq!(replay.done.len(), 1);
     }
 
     #[test]
@@ -799,11 +704,8 @@ mod tests {
 
     #[test]
     fn payload_strings_survive_commas_brackets_and_escapes() {
-        let payload = encode_payload(&vec![
-            String::from("a,b"),
-            String::from("c]d"),
-            String::from("e\"f\\g"),
-        ]);
+        let strings = (String::from("a,b"), String::from("c]d"), String::from("e\"f\\g"));
+        let payload = encode_payload(&(3u64, strings.clone()));
         let one = CellId::parse("0000000000000001").expect("id");
         let line = framed(|w| done_fields(w, one, "x", 0, 1, &payload));
         assert_eq!(
@@ -813,8 +715,8 @@ mod tests {
         let parsed =
             read_done(&mut record::read(line.trim_end()).expect("read")).expect("done").payload;
         assert_eq!(parsed, payload);
-        let decoded: Vec<String> = decode_payload(&parsed).expect("decode");
-        assert_eq!(decoded, vec!["a,b", "c]d", "e\"f\\g"]);
+        let decoded: (u64, (String, String, String)) = decode_payload(&parsed).expect("decode");
+        assert_eq!(decoded, (3, strings));
     }
 
     /// Whole or rejected: a kill can cut a line anywhere, and every cut must

@@ -9,9 +9,9 @@ use crate::{table, Scale};
 use congestion::AlgorithmKind;
 use energy_model::{energy_of_flow, PhoneModel, WiredCpuModel};
 use mptcp_energy::scenarios::CcChoice;
-use netsim::{SimDuration, SimTime, Simulator};
-use topology::{LinkParams, TwoPath};
-use transport::{attach_flow, FlowConfig};
+use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
+use topology::TwoPath;
+use transport::{attach_flow, FlowConfig, DEFAULT_MSS_BYTES};
 
 fn ethernet_point(total_bps: u64, bytes: u64) -> (f64, f64, f64) {
     let mut sim = Simulator::new(3);
@@ -19,8 +19,10 @@ fn ethernet_point(total_bps: u64, bytes: u64) -> (f64, f64, f64) {
     // a constant multiple of base RTT across the bandwidth sweep, so the
     // power curve isolates the throughput term (the paper's Fig. 3a).
     let nic_bps = total_bps / 2;
-    let bdp_pkts = ((nic_bps as f64 * 0.008) / (1500.0 * 8.0)).ceil() as usize;
-    let params = LinkParams::new(nic_bps, SimDuration::from_millis(2)).queue(bdp_pkts.max(16));
+    let bdp_pkts =
+        ((nic_bps as f64 * 0.008) / (f64::from(DEFAULT_MSS_BYTES) * 8.0)).ceil() as usize;
+    let params =
+        LinkConfig::new(nic_bps, SimDuration::from_millis(2)).queue_limit(bdp_pkts.max(16));
     let tp = TwoPath::symmetric(&mut sim, params);
     let flow = attach_flow(
         &mut sim,
@@ -41,7 +43,7 @@ fn ethernet_point(total_bps: u64, bytes: u64) -> (f64, f64, f64) {
 
 fn wifi_point(bps: u64, bytes: u64) -> (f64, f64, f64) {
     let mut sim = Simulator::new(3);
-    let params = LinkParams::new(bps, SimDuration::from_millis(10)).queue(100);
+    let params = LinkConfig::new(bps, SimDuration::from_millis(10)).queue_limit(100);
     let tp = TwoPath::symmetric(&mut sim, params);
     let flow = attach_flow(
         &mut sim,

@@ -59,8 +59,8 @@ pub struct DistWorkerCli {
 }
 
 /// Parsed command-line options shared by the figure binaries: an experiment
-/// [`Scale`], an optional sweep worker count, and an optional trace
-/// directory.
+/// [`Scale`], an optional sweep worker count, and the fabric's journal and
+/// worker settings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cli {
     /// The experiment scale.
@@ -68,11 +68,6 @@ pub struct Cli {
     /// `--jobs N` if given; binaries fall back to
     /// [`runner::default_jobs`] (which honours `SWEEP_JOBS`) when absent.
     pub jobs: Option<usize>,
-    /// `--trace DIR` if given: the directory where per-cell JSONL traces are
-    /// written (one file per cell, see [`obs::jsonl_sink_in`]). Only
-    /// `ablation_dts` and `fluid_fig6` trace; the other binaries refuse the
-    /// flag ([`Cli::without_trace`]).
-    pub trace: Option<std::path::PathBuf>,
     /// `--journal PATH` if given: the crash-safe sweep journal
     /// ([`fabric::run_fabric`] checkpoints each completed cell there and
     /// resumes from it after a kill).
@@ -93,21 +88,31 @@ pub struct Cli {
 
 impl Cli {
     /// Parses `--smoke`/`--quick`/`--full`, `--jobs N` (or `--jobs=N`),
-    /// `--trace DIR` (or `--trace=DIR`), `--journal PATH` (or
-    /// `--journal=PATH`), `--workers N` (or `--workers=N`), `--spool DIR`
-    /// (or `--spool=DIR`), and the worker-side `--dist-*` flags from the
-    /// process arguments. Exits with a usage message on anything else.
+    /// `--journal PATH` (or `--journal=PATH`), `--workers N` (or
+    /// `--workers=N`), `--spool DIR` (or `--spool=DIR`), and the worker-side
+    /// `--dist-*` flags from the process arguments. Exits 2 with a usage
+    /// message on anything else.
     pub fn from_args() -> Cli {
         Cli::from_arg_list(std::env::args().skip(1))
     }
 
-    /// [`Cli::from_args`] over an explicit argument list, for a binary that
-    /// strips a flag of its own first (`figures_all --only`).
-    pub fn from_arg_list(args: impl Iterator<Item = String>) -> Cli {
+    /// [`Cli::from_args`] for a binary with one valued flag of its own
+    /// (`figures_all --only LIST`, `ablation_dts --trace DIR`): splits
+    /// `flag VALUE` or `flag=VALUE` off and returns the value beside the
+    /// rest, parsed. A flag with no value exits 2.
+    pub fn from_args_with(flag: &str) -> (Option<String>, Cli) {
+        let (value, rest) = split_flag(flag, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+        (value, Cli::from_arg_list(rest.into_iter()))
+    }
+
+    fn from_arg_list(args: impl Iterator<Item = String>) -> Cli {
         Cli::parse(args).unwrap_or_else(|bad| {
             eprintln!(
                 "unknown argument `{bad}` \
-                 (expected --smoke/--quick/--full/--jobs N/--trace DIR/--journal PATH/\
+                 (expected --smoke/--quick/--full/--jobs N/--journal PATH/\
                  --workers N/--spool DIR)"
             );
             std::process::exit(2);
@@ -118,7 +123,6 @@ impl Cli {
         let mut cli = Cli {
             scale: Scale::Quick,
             jobs: None,
-            trace: None,
             journal: None,
             workers: None,
             spool: None,
@@ -141,10 +145,6 @@ impl Cli {
                 "--workers" => {
                     let v = args.next().ok_or_else(|| "--workers (missing count)".to_owned())?;
                     cli.workers = Some(v.parse::<usize>().map_err(|_| format!("--workers {v}"))?);
-                }
-                "--trace" => {
-                    let v = args.next().ok_or_else(|| "--trace (missing dir)".to_owned())?;
-                    cli.trace = Some(v.into());
                 }
                 "--journal" => {
                     let v = args.next().ok_or_else(|| "--journal (missing path)".to_owned())?;
@@ -177,8 +177,6 @@ impl Cli {
                     } else if let Some(v) = other.strip_prefix("--workers=") {
                         cli.workers =
                             Some(v.parse::<usize>().map_err(|_| format!("--workers={v}"))?);
-                    } else if let Some(v) = other.strip_prefix("--trace=") {
-                        cli.trace = Some(v.into());
                     } else if let Some(v) = other.strip_prefix("--journal=") {
                         cli.journal = Some(v.into());
                     } else if let Some(v) = other.strip_prefix("--spool=") {
@@ -219,16 +217,6 @@ impl Cli {
         self.jobs.unwrap_or_else(runner::default_jobs)
     }
 
-    /// For a binary that writes no trace: exits 2 with a usage message if
-    /// `--trace` was given, rather than accept a flag it would ignore.
-    pub fn without_trace(self, bin: &str) -> Cli {
-        if self.trace.is_some() {
-            eprintln!("{bin}: --trace is not supported (only ablation_dts and fluid_fig6 trace)");
-            std::process::exit(2);
-        }
-        self
-    }
-
     /// The sweep journal path: `--journal` if given, else `None`
     /// (checkpointing disabled; the sweep runs ephemerally).
     pub fn journal_path(&self) -> Option<std::path::PathBuf> {
@@ -265,6 +253,30 @@ impl Cli {
         eprintln!("{}", report.counters.render());
         report
     }
+}
+
+/// Splits `flag VALUE` / `flag=VALUE` off an argument list: returns the
+/// flag's value (the last one given) and the other arguments, in order.
+///
+/// # Errors
+///
+/// When `flag` is the last argument, with no value after it.
+fn split_flag(
+    flag: &str,
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<String>, Vec<String>), String> {
+    let mut value = None;
+    let mut rest = Vec::new();
+    while let Some(a) = args.next() {
+        if a == flag {
+            value = Some(args.next().ok_or_else(|| format!("{flag}: missing value"))?);
+        } else if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            value = Some(v.to_owned());
+        } else {
+            rest.push(a);
+        }
+    }
+    Ok((value, rest))
 }
 
 /// What a raw environment value resolves to, and the warning owed when it
@@ -440,7 +452,7 @@ mod tests {
     }
 
     fn cli(scale: Scale, jobs: Option<usize>) -> Cli {
-        Cli { scale, jobs, trace: None, journal: None, workers: None, spool: None, dist: None }
+        Cli { scale, jobs, journal: None, workers: None, spool: None, dist: None }
     }
 
     #[test]
@@ -456,15 +468,28 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
     }
 
+    fn split(flag: &str, args: &[&str]) -> Result<(Option<String>, Vec<String>), String> {
+        split_flag(flag, args.iter().map(|s| (*s).to_owned()))
+    }
+
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
     #[test]
-    fn cli_parses_trace_dir() {
-        let c = parse(&["--trace", "out/traces"]).unwrap();
-        assert_eq!(c.trace, Some(std::path::PathBuf::from("out/traces")));
-        let c = parse(&["--trace=t", "--smoke"]).unwrap();
-        assert_eq!(c.trace, Some(std::path::PathBuf::from("t")));
-        assert_eq!(c.scale, Scale::Smoke);
-        assert!(parse(&["--trace"]).is_err());
-        assert_eq!(parse(&[]).unwrap().trace, None);
+    fn split_flag_takes_both_spellings_and_passes_the_rest_in_order() {
+        assert_eq!(
+            split("--x", &["--smoke", "--x", "V", "--jobs", "2"]),
+            Ok((Some("V".to_owned()), owned(&["--smoke", "--jobs", "2"])))
+        );
+        assert_eq!(
+            split("--x", &["--jobs=2", "--x=a=b", "--full"]),
+            Ok((Some("a=b".to_owned()), owned(&["--jobs=2", "--full"])))
+        );
+        assert_eq!(split("--x", &["--smoke", "--xy"]), Ok((None, owned(&["--smoke", "--xy"]))));
+        assert_eq!(split("--x", &[]), Ok((None, Vec::new())));
+        let err = split("--x", &["--smoke", "--x"]).unwrap_err();
+        assert!(err.contains("--x") && err.contains("missing"), "{err}");
     }
 
     #[test]

@@ -10,12 +10,12 @@ use crate::dts::{Dts, DtsConfig};
 use crate::dts_phi::{DtsPhi, DtsPhiConfig};
 use congestion::{AlgorithmKind, MultipathCongestionControl};
 use energy_model::{energy_of_flow, EnergyReport, PhoneModel, PowerModel, WiredCpuModel};
-use netsim::{LinkStats, LossModel, SimDuration, SimTime, Simulator};
+use netsim::{LinkConfig, LinkStats, LossModel, SimDuration, SimTime, Simulator};
 use obs::TraceSink;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::borrow::Cow;
-use topology::{BCube, Ec2Vpc, FatTree, Hierarchy, LinkParams, SharedBottleneck, TwoPath, Vl2};
+use topology::{BCube, Ec2Vpc, FatTree, Hierarchy, SharedBottleneck, TwoPath, Vl2};
 use transport::{
     attach_flow, ConnCounters, FlowConfig, FlowHandle, FlowSample, PathSpec, SubflowCounters,
 };
@@ -226,7 +226,7 @@ pub fn run_two_path_bursty_on(
 /// Builds the Fig. 5(b) topology, cross traffic and the measured connection
 /// on a fresh `sim`.
 fn build_two_path_bursty(sim: &mut Simulator, cc: &CcChoice, opts: &BurstyOptions) -> FlowHandle {
-    let params = LinkParams::new(TESTBED_BPS, BURSTY_ONE_WAY).queue(100);
+    let params = LinkConfig::new(TESTBED_BPS, BURSTY_ONE_WAY).queue_limit(100);
     let tp = TwoPath::symmetric(sim, params);
     for link in tp.forward_links() {
         attach_pareto_cross_traffic(sim, vec![link], ParetoOnOffConfig::paper_fig5b());
@@ -350,28 +350,29 @@ pub struct SharedOptions {
     pub n_users: usize,
     /// Per-user transfer size, bytes (the paper: 16 MB).
     pub transfer_bytes: u64,
-    /// Safety horizon, seconds: an upper bound. Every measured transfer is
-    /// finite, so the run ends when the last user's transfer is
-    /// acknowledged; a user still unfinished at the horizon is charged up to
-    /// its last sample.
-    pub horizon_s: f64,
 }
 
 impl Default for SharedOptions {
     fn default() -> Self {
-        SharedOptions { seed: 1, n_users: 10, transfer_bytes: 16 * 1024 * 1024, horizon_s: 600.0 }
+        SharedOptions { seed: 1, n_users: 10, transfer_bytes: 16 * 1024 * 1024 }
     }
 }
 
 /// One-way propagation of the Fig. 5(a) bottlenecks.
 const SHARED_ONE_WAY: SimDuration = SimDuration::from_millis(5);
 
+/// Safety horizon of the Fig. 5(a) run, seconds: an upper bound. Every
+/// measured transfer is finite, so the run ends when the last user's
+/// transfer is acknowledged; a user still unfinished at the horizon is
+/// charged up to its last sample.
+const SHARED_HORIZON_S: f64 = 600.0;
+
 /// Per-user energies (joules) for the Fig. 5(a) scenario: N MPTCP users
 /// (16 MB each) racing 2N long-lived TCP users over two shared bottlenecks.
 /// The host's idle power is attributed evenly across the N users.
 pub fn run_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> Vec<f64> {
     let (mut sim, users) = build_shared_bottleneck(cc, opts);
-    run_until_finished(&mut sim, &users, SimTime::from_secs_f64(opts.horizon_s));
+    run_until_finished(&mut sim, &users, SimTime::from_secs_f64(SHARED_HORIZON_S));
     shared_bottleneck_energies(&sim, &users)
 }
 
@@ -380,7 +381,7 @@ fn build_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> (Simulator, V
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
     let mut stagger_rng = SmallRng::seed_from_u64(opts.seed ^ 0x5A);
-    let bottleneck = LinkParams::new(TESTBED_BPS, SHARED_ONE_WAY).queue(100);
+    let bottleneck = LinkConfig::new(TESTBED_BPS, SHARED_ONE_WAY).queue_limit(100);
     let sb = SharedBottleneck::new(&mut sim, bottleneck);
     // 2N competing TCP users, long-lived, randomly staggered starts.
     for i in 0..2 * opts.n_users {
@@ -602,7 +603,7 @@ const DC_QUEUE_PKTS: usize = 32;
 /// `n_subflows` sampled ECMP paths each.
 pub fn run_datacenter(kind: DcKind, cc: &CcChoice, opts: &DcOptions) -> FleetResult {
     let mut sim = Simulator::new(opts.seed);
-    let params = LinkParams::new(DC_HOST_BPS, DC_LINK_DELAY).queue(DC_QUEUE_PKTS);
+    let params = LinkConfig::new(DC_HOST_BPS, DC_LINK_DELAY).queue_limit(DC_QUEUE_PKTS);
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xDC);
     enum Fabric {
         Ft(FatTree),
@@ -612,7 +613,7 @@ pub fn run_datacenter(kind: DcKind, cc: &CcChoice, opts: &DcOptions) -> FleetRes
     let fabric = match kind {
         DcKind::FatTree { k } => Fabric::Ft(FatTree::build(&mut sim, k, params)),
         DcKind::Vl2 { scale } => {
-            let sw = LinkParams::new(DC_HOST_BPS * 10, DC_LINK_DELAY).queue(DC_QUEUE_PKTS);
+            let sw = LinkConfig::new(DC_HOST_BPS * 10, DC_LINK_DELAY).queue_limit(DC_QUEUE_PKTS);
             let cfg = topology::Vl2Config {
                 n_tor: (16 / scale.max(1)).max(2),
                 n_agg: (8 / scale.max(1)).max(2),
@@ -670,10 +671,6 @@ pub struct WirelessOptions {
     pub seed: u64,
     /// Run length, seconds (the paper simulates 200 s).
     pub duration_s: f64,
-    /// Receive buffer, bytes. The ns-2 default is 64 KB; we default to
-    /// 256 KB so the congestion window (not flow control) governs — see
-    /// EXPERIMENTS.md.
-    pub rcv_buf_bytes: u64,
     /// Random (i.i.d.) uplink loss probability on the WiFi path, applied
     /// through the link impairment layer. The default, `0.0`, keeps the
     /// scenario lossless (and bit-identical to the pre-impairment runs).
@@ -684,15 +681,13 @@ pub struct WirelessOptions {
 
 impl Default for WirelessOptions {
     fn default() -> Self {
-        WirelessOptions {
-            seed: 1,
-            duration_s: 200.0,
-            rcv_buf_bytes: 256 * 1024,
-            wifi_loss: 0.0,
-            lte_loss: 0.0,
-        }
+        WirelessOptions { seed: 1, duration_s: 200.0, wifi_loss: 0.0, lte_loss: 0.0 }
     }
 }
+
+/// Fig. 17's receive buffer, bytes. The ns-2 default is 64 KB; 256 KB lets
+/// the congestion window, not flow control, govern (see EXPERIMENTS.md).
+const WIRELESS_RCV_BUF_BYTES: u64 = 256 * 1024;
 
 /// Cross-traffic burst rate on the Fig. 17 WiFi path, bits/second.
 const WIFI_CROSS_BPS: u64 = 8_000_000;
@@ -740,7 +735,7 @@ pub(crate) fn run_wireless_on(
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(0)
-            .rcv_buf_bytes(opts.rcv_buf_bytes)
+            .rcv_buf_bytes(WIRELESS_RCV_BUF_BYTES)
             .sample_every(SimDuration::from_millis(50)),
         cc.build(paths.len()),
         &paths,
@@ -801,9 +796,9 @@ pub struct HierarchyResult {
 /// long-lived flow through the shared backbone.
 pub fn run_hierarchy(cc: &CcChoice, opts: &HierarchyOptions) -> HierarchyResult {
     let mut sim = Simulator::new(opts.seed);
-    let access = LinkParams::new(ACCESS_BPS, SimDuration::from_millis(5)).queue(64);
-    let agg = LinkParams::new(AGG_UPLINK_BPS, SimDuration::from_millis(5)).queue(64);
-    let core = LinkParams::new(BACKBONE_BPS, SimDuration::from_millis(10)).queue(128);
+    let access = LinkConfig::new(ACCESS_BPS, SimDuration::from_millis(5)).queue_limit(64);
+    let agg = LinkConfig::new(AGG_UPLINK_BPS, SimDuration::from_millis(5)).queue_limit(64);
+    let core = LinkConfig::new(BACKBONE_BPS, SimDuration::from_millis(10)).queue_limit(128);
     let h = Hierarchy::build(&mut sim, HIERARCHY_USERS, HIERARCHY_AGGS, access, agg, core);
     let flows: Vec<FlowHandle> = (0..HIERARCHY_USERS)
         .map(|u| {
@@ -827,7 +822,7 @@ pub fn run_hierarchy(cc: &CcChoice, opts: &HierarchyOptions) -> HierarchyResult 
 
 /// Options for the short-flow (mice) datacenter experiment. Every mouse is a
 /// finite transfer, so the run ends when the last one is acknowledged;
-/// `mice.horizon_s + drain_s` is an upper bound.
+/// the mice horizon plus a 10 s drain is an upper bound.
 ///
 /// Fixed: a FatTree(4) with the links of [`DcOptions`], 2 subflows per
 /// flow, and 4 long-lived background elephants.
@@ -837,15 +832,16 @@ pub struct ShortFlowOptions {
     pub seed: u64,
     /// The mice process.
     pub mice: ShortFlowConfig,
-    /// Safety horizon past the mice horizon, seconds.
-    pub drain_s: f64,
 }
 
 impl Default for ShortFlowOptions {
     fn default() -> Self {
-        ShortFlowOptions { seed: 1, mice: ShortFlowConfig::default(), drain_s: 10.0 }
+        ShortFlowOptions { seed: 1, mice: ShortFlowConfig::default() }
     }
 }
+
+/// Safety horizon past the mice horizon, seconds.
+const SHORT_FLOW_DRAIN_S: f64 = 10.0;
 
 /// FatTree arity of the short-flow experiment.
 const SHORT_FLOW_FATTREE_K: usize = 4;
@@ -883,7 +879,7 @@ impl ShortFlowResult {
 /// al.), measuring mouse flow-completion times under each algorithm.
 pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResult {
     let (mut sim, mice) = build_short_flows(cc, opts);
-    let horizon = SimTime::from_secs_f64(opts.mice.horizon_s + opts.drain_s);
+    let horizon = SimTime::from_secs_f64(opts.mice.horizon_s + SHORT_FLOW_DRAIN_S);
     run_until_finished(&mut sim, &mice, horizon);
     short_flow_result(&sim, &mice, cc)
 }
@@ -892,7 +888,7 @@ pub fn run_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> ShortFlowResul
 fn build_short_flows(cc: &CcChoice, opts: &ShortFlowOptions) -> (Simulator, Vec<FlowHandle>) {
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
-    let params = LinkParams::new(DC_HOST_BPS, DC_LINK_DELAY).queue(DC_QUEUE_PKTS);
+    let params = LinkConfig::new(DC_HOST_BPS, DC_LINK_DELAY).queue_limit(DC_QUEUE_PKTS);
     let ft = FatTree::build(&mut sim, SHORT_FLOW_FATTREE_K, params);
     let hosts = ft.hosts();
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x517);
@@ -1032,13 +1028,9 @@ mod tests {
 
     #[test]
     fn shared_bottleneck_matches_full_horizon_run_and_stops_at_last_finish() {
-        let opts = SharedOptions {
-            n_users: 3,
-            transfer_bytes: 256 * 1024,
-            horizon_s: 10.0,
-            ..SharedOptions::default()
-        };
-        let horizon = SimTime::from_secs_f64(opts.horizon_s);
+        let opts =
+            SharedOptions { n_users: 3, transfer_bytes: 256 * 1024, ..SharedOptions::default() };
+        let horizon = SimTime::from_secs_f64(10.0);
         for kind in AlgorithmKind::PAPER_FOUR {
             let cc = CcChoice::Base(kind);
             let (mut full, full_users) = build_shared_bottleneck(&cc, &opts);
@@ -1072,11 +1064,10 @@ mod tests {
     #[test]
     fn short_flows_match_full_horizon_run_and_stop_at_last_mouse() {
         let opts = ShortFlowOptions {
-            mice: ShortFlowConfig { horizon_s: 1.0, max_bytes: 128 * 1024, ..Default::default() },
-            drain_s: 4.0,
+            mice: ShortFlowConfig { horizon_s: 1.0, ..Default::default() },
             ..ShortFlowOptions::default()
         };
-        let horizon = SimTime::from_secs_f64(opts.mice.horizon_s + opts.drain_s);
+        let horizon = SimTime::from_secs_f64(opts.mice.horizon_s + SHORT_FLOW_DRAIN_S);
         let cc = CcChoice::dts();
         let (mut full, full_mice) = build_short_flows(&cc, &opts);
         full.run_until(horizon);

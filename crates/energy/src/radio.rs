@@ -89,7 +89,6 @@ pub struct LteModel {
     pub promo_s: f64,
     state: RrcState,
     state_since: f64,
-    last_activity: f64,
 }
 
 impl LteModel {
@@ -105,7 +104,6 @@ impl LteModel {
             promo_s: 0.260,
             state: RrcState::Idle,
             state_since: 0.0,
-            last_activity: f64::NEG_INFINITY,
         }
     }
 
@@ -141,7 +139,6 @@ impl LteModel {
                 }
                 RrcState::Connected => {}
             }
-            self.last_activity = at_s;
         } else {
             match self.state {
                 RrcState::Connected => {
@@ -181,7 +178,6 @@ impl PowerModel for LteModel {
     fn reset(&mut self) {
         self.state = RrcState::Idle;
         self.state_since = 0.0;
-        self.last_activity = f64::NEG_INFINITY;
     }
 }
 

@@ -16,7 +16,7 @@ use obs::DropCause;
 use std::collections::VecDeque;
 
 /// Configuration of a unidirectional link.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkConfig {
     /// Transmission rate in bits per second.
     pub bandwidth_bps: u64,
@@ -41,6 +41,12 @@ impl LinkConfig {
     pub fn queue_limit(mut self, pkts: usize) -> Self {
         self.queue_limit_pkts = pkts;
         self
+    }
+
+    /// [`LinkConfig::queue_limit`] under the name the benchmark package uses.
+    #[doc(hidden)]
+    pub fn queue(self, pkts: usize) -> Self {
+        self.queue_limit(pkts)
     }
 
     /// Enables ECN marking at threshold `k` packets.
@@ -230,7 +236,7 @@ impl Link {
         let d = if self.background_bps == 0 {
             self.cfg.serialization(bytes)
         } else {
-            LinkConfig { bandwidth_bps: self.effective_bandwidth_bps(), ..self.cfg.clone() }
+            LinkConfig { bandwidth_bps: self.effective_bandwidth_bps(), ..self.cfg }
                 .serialization(bytes)
         };
         self.ser_cache[1] = self.ser_cache[0];

@@ -200,13 +200,6 @@ impl World {
         sink
     }
 
-    /// Whether a trace sink is installed. Instrumentation sites that would
-    /// do extra work to *build* an event (beyond moving `Copy` fields) may
-    /// gate on this.
-    pub fn tracing(&self) -> bool {
-        self.trace.0.is_some()
-    }
-
     /// Records `ev` if a sink is installed. With no sink this is one branch
     /// on a niche — no allocation (pinned by `tests/trace_noalloc.rs`).
     #[inline]
@@ -531,11 +524,6 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// The id of the agent being called.
-    pub fn self_id(&self) -> AgentId {
-        self.self_id
-    }
-
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.world.now()
@@ -572,11 +560,6 @@ impl Ctx<'_> {
         self.world.cancel_timer(h);
     }
 
-    /// Read-only access to a link (e.g. to observe queue occupancy).
-    pub fn link(&self, id: LinkId) -> &Link {
-        self.world.link(id)
-    }
-
     /// Applies one fault action at the current time (used by
     /// [`crate::faults::FaultScript`] agents).
     pub fn apply_fault(&mut self, action: &FaultAction) {
@@ -587,11 +570,6 @@ impl Ctx<'_> {
     #[inline]
     pub fn emit(&mut self, ev: TraceEvent) {
         self.world.emit(ev);
-    }
-
-    /// Whether a trace sink is installed (see [`World::tracing`]).
-    pub fn tracing(&self) -> bool {
-        self.world.tracing()
     }
 }
 
@@ -1245,7 +1223,7 @@ mod tests {
         assert_eq!(counters[l].drops(), 4);
         // The sink detaches cleanly.
         assert!(sim.take_trace_sink().is_some());
-        assert!(!sim.world().tracing());
+        assert!(sim.take_trace_sink().is_none());
     }
 
     #[test]

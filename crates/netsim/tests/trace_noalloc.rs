@@ -78,7 +78,7 @@ impl Agent for PingPong {
 /// Two `PingPong`s, `a` and `b`, joined by a chain of `hops` links each way.
 /// `b` echoes (effectively) forever; `a`'s counter bounds each volley.
 fn ping_pong_pair(sim: &mut Simulator, hops: usize, cfg: &LinkConfig) -> usize {
-    let chain = |sim: &mut Simulator| (0..hops).map(|_| sim.add_link(cfg.clone())).collect();
+    let chain = |sim: &mut Simulator| (0..hops).map(|_| sim.add_link(*cfg)).collect();
     let (fwd, back): (Vec<_>, Vec<_>) = (chain(sim), chain(sim));
     let a =
         sim.add_agent_with(|id| Box::new(PingPong { reverse: Route::new(back, id), remaining: 0 }));

@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceEvent;
-use crate::record::LineWriter;
 
 /// A consumer of trace events. `Send` because simulators (and the sinks they
 /// own) move across sweep-runner worker threads.
@@ -99,15 +98,6 @@ impl<W: Write + Send> JsonlSink<W> {
     /// Wraps an arbitrary writer.
     pub fn new(out: W) -> JsonlSink<W> {
         JsonlSink { out, buf: String::with_capacity(160) }
-    }
-
-    /// Writes one harness-defined record (cell-level results logged
-    /// alongside simulator events): `fields` adds to the writer it is
-    /// handed and returns it; the sink closes and frames the line.
-    pub fn line(&mut self, fields: impl FnOnce(LineWriter<'_>) -> LineWriter<'_>) {
-        self.buf.clear();
-        fields(crate::record::line(&mut self.buf)).end();
-        self.write_line();
     }
 
     fn write_line(&mut self) {
@@ -200,10 +190,9 @@ mod tests {
         let mut sink = JsonlSink::new(Vec::new());
         sink.record(&ev(1));
         sink.record(&ev(2));
-        sink.line(|w| w.str("ev", "custom"));
         sink.flush();
         let text = String::from_utf8(sink.out.clone()).unwrap();
-        assert_eq!(text.lines().count(), 3);
+        assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.starts_with("{\"ev\":\"")));
     }
 

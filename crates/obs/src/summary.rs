@@ -1,8 +1,7 @@
 //! JSONL trace summarizer: the library behind the `trace_dump` binary.
 //!
 //! Traces are flat one-line records emitted by
-//! [`crate::event::TraceEvent::to_json`] (plus harness-written
-//! [`crate::sink::JsonlSink::line`] records), read back with
+//! [`crate::event::TraceEvent::to_json`], read back with
 //! [`crate::record::read`]: exact for our own output and gracefully lossy
 //! for anything else — unknown `"ev"` values are still counted by kind, and
 //! lines that are not whole records with an `"ev"` field are tallied as

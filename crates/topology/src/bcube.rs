@@ -13,8 +13,7 @@
 //! their forwarding energy is attributed to the network, not the flow
 //! endpoints (see DESIGN.md).
 
-use crate::duplex::LinkParams;
-use netsim::{LinkId, Simulator};
+use netsim::{LinkConfig, LinkId, Simulator};
 use rand::Rng;
 use transport::PathSpec;
 
@@ -37,22 +36,19 @@ impl BCube {
     /// # Panics
     ///
     /// Panics if `n < 2`.
-    pub fn build(sim: &mut Simulator, n: usize, k: usize, params: LinkParams) -> Self {
+    pub fn build(sim: &mut Simulator, n: usize, k: usize, params: LinkConfig) -> Self {
         assert!(n >= 2, "BCube needs n >= 2");
         let hosts = n.pow(k as u32 + 1);
-        let nic_up = (0..hosts)
-            .map(|_| (0..=k).map(|_| sim.add_link(params.to_config())).collect())
-            .collect();
-        let nic_down = (0..hosts)
-            .map(|_| (0..=k).map(|_| sim.add_link(params.to_config())).collect())
-            .collect();
+        let nic_up = (0..hosts).map(|_| (0..=k).map(|_| sim.add_link(params)).collect()).collect();
+        let nic_down =
+            (0..hosts).map(|_| (0..=k).map(|_| sim.add_link(params)).collect()).collect();
         BCube { n, k, nic_up, nic_down }
     }
 
     /// The paper-scale instance `BCube(8, 1)`: 64 hosts with 2 NICs each and
     /// 16 switches (the closest BCube to the paper's "128 hosts, 64
     /// switches" that keeps the structure exact; see EXPERIMENTS.md).
-    pub fn paper_scale(sim: &mut Simulator, params: LinkParams) -> Self {
+    pub fn paper_scale(sim: &mut Simulator, params: LinkConfig) -> Self {
         BCube::build(sim, 8, 1, params)
     }
 
@@ -144,7 +140,7 @@ mod tests {
             &mut sim,
             n,
             k,
-            LinkParams::new(100_000_000, SimDuration::from_micros(100)),
+            LinkConfig::new(100_000_000, SimDuration::from_micros(100)),
         );
         (sim, b)
     }

@@ -1,47 +1,6 @@
-//! Bidirectional link helper and shared link parameterization.
+//! Bidirectional link helper.
 
-use netsim::{LinkConfig, LinkId, SimDuration, Simulator};
-
-/// Parameters for one class of links in a topology.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkParams {
-    /// Rate in bits/second.
-    pub bandwidth_bps: u64,
-    /// One-way propagation delay.
-    pub delay: SimDuration,
-    /// DropTail bound in packets.
-    pub queue_pkts: usize,
-    /// ECN marking threshold, if any.
-    pub ecn_threshold: Option<usize>,
-}
-
-impl LinkParams {
-    /// Creates link parameters with a 100-packet queue and no ECN.
-    pub fn new(bandwidth_bps: u64, delay: SimDuration) -> Self {
-        LinkParams { bandwidth_bps, delay, queue_pkts: 100, ecn_threshold: None }
-    }
-
-    /// Sets the queue bound.
-    pub fn queue(mut self, pkts: usize) -> Self {
-        self.queue_pkts = pkts;
-        self
-    }
-
-    /// Enables ECN marking at `k` packets.
-    pub fn ecn(mut self, k: usize) -> Self {
-        self.ecn_threshold = Some(k);
-        self
-    }
-
-    /// Converts to a simulator link configuration.
-    pub fn to_config(self) -> LinkConfig {
-        let mut cfg = LinkConfig::new(self.bandwidth_bps, self.delay).queue_limit(self.queue_pkts);
-        if let Some(k) = self.ecn_threshold {
-            cfg = cfg.ecn_threshold(k);
-        }
-        cfg
-    }
-}
+use netsim::{LinkConfig, LinkId, Simulator};
 
 /// A pair of opposite-direction links between two points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,29 +12,21 @@ pub struct Duplex {
 }
 
 /// Registers a bidirectional link with identical parameters each way.
-pub fn duplex(sim: &mut Simulator, params: LinkParams) -> Duplex {
-    let fwd = sim.add_link(params.to_config());
-    let rev = sim.add_link(params.to_config());
+pub fn duplex(sim: &mut Simulator, params: LinkConfig) -> Duplex {
+    let fwd = sim.add_link(params);
+    let rev = sim.add_link(params);
     Duplex { fwd, rev }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn params_convert_to_config() {
-        let p = LinkParams::new(1_000_000, SimDuration::from_millis(5)).queue(50).ecn(20);
-        let cfg = p.to_config();
-        assert_eq!(cfg.bandwidth_bps, 1_000_000);
-        assert_eq!(cfg.queue_limit_pkts, 50);
-        assert_eq!(cfg.ecn_threshold_pkts, Some(20));
-    }
+    use netsim::SimDuration;
 
     #[test]
     fn duplex_registers_two_links() {
         let mut sim = Simulator::new(1);
-        let d = duplex(&mut sim, LinkParams::new(1_000_000, SimDuration::ZERO));
+        let d = duplex(&mut sim, LinkConfig::new(1_000_000, SimDuration::ZERO));
         assert_ne!(d.fwd, d.rev);
         assert_eq!(sim.world().link_count(), 2);
     }

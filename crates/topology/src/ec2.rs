@@ -2,8 +2,7 @@
 //! instances with four Elastic Network Interfaces, each on its own subnet,
 //! giving four disjoint routes between every pair of hosts.
 
-use crate::duplex::LinkParams;
-use netsim::{LinkId, SimDuration, Simulator};
+use netsim::{LinkConfig, LinkId, SimDuration, Simulator};
 use transport::PathSpec;
 
 /// Number of ENIs (and subnets) per host, per the paper.
@@ -22,13 +21,13 @@ pub struct Ec2Vpc {
 impl Ec2Vpc {
     /// Builds a VPC with `n_hosts` instances whose ENIs use `params`
     /// (the paper caps each ENI at 256 Mb/s).
-    pub fn build(sim: &mut Simulator, n_hosts: usize, params: LinkParams) -> Self {
+    pub fn build(sim: &mut Simulator, n_hosts: usize, params: LinkConfig) -> Self {
         assert!(n_hosts >= 2, "need at least two hosts");
         let eni_up = (0..n_hosts)
-            .map(|_| (0..ENIS_PER_HOST).map(|_| sim.add_link(params.to_config())).collect())
+            .map(|_| (0..ENIS_PER_HOST).map(|_| sim.add_link(params)).collect())
             .collect();
         let eni_down = (0..n_hosts)
-            .map(|_| (0..ENIS_PER_HOST).map(|_| sim.add_link(params.to_config())).collect())
+            .map(|_| (0..ENIS_PER_HOST).map(|_| sim.add_link(params)).collect())
             .collect();
         Ec2Vpc { n_hosts, eni_up, eni_down }
     }
@@ -36,7 +35,7 @@ impl Ec2Vpc {
     /// The paper's configuration: 256 Mb/s ENIs, ≈ 0.4 ms one-way
     /// intra-VPC latency.
     pub fn paper_scale(sim: &mut Simulator, n_hosts: usize) -> Self {
-        let params = LinkParams::new(256_000_000, SimDuration::from_micros(400)).queue(100);
+        let params = LinkConfig::new(256_000_000, SimDuration::from_micros(400)).queue_limit(100);
         Ec2Vpc::build(sim, n_hosts, params)
     }
 

@@ -9,8 +9,7 @@
 //! Switches are implicit: the simulator is source-routed, so a topology is
 //! exactly its set of directed links plus the path enumeration.
 
-use crate::duplex::LinkParams;
-use netsim::{LinkId, Simulator};
+use netsim::{LinkConfig, LinkId, Simulator};
 use rand::Rng;
 use transport::PathSpec;
 
@@ -37,13 +36,13 @@ impl FatTree {
     /// # Panics
     ///
     /// Panics if `k` is odd or less than 2.
-    pub fn build(sim: &mut Simulator, k: usize, params: LinkParams) -> Self {
+    pub fn build(sim: &mut Simulator, k: usize, params: LinkConfig) -> Self {
         assert!(k >= 2 && k.is_multiple_of(2), "FatTree arity must be even, got {k}");
         let half = k / 2;
         let hosts = k * k * k / 4;
         let n_edge = k * half;
         let n_agg = k * half;
-        let link = |sim: &mut Simulator| sim.add_link(params.to_config());
+        let link = |sim: &mut Simulator| sim.add_link(params);
 
         let host_up = (0..hosts).map(|_| link(sim)).collect();
         let host_down = (0..hosts).map(|_| link(sim)).collect();
@@ -156,7 +155,7 @@ mod tests {
         let ft = FatTree::build(
             &mut sim,
             k,
-            LinkParams::new(100_000_000, SimDuration::from_micros(100)),
+            LinkConfig::new(100_000_000, SimDuration::from_micros(100)),
         );
         (sim, ft)
     }

@@ -11,8 +11,7 @@
 //! backbone — multipath pressure concentrates exactly where the paper says
 //! it does.
 
-use crate::duplex::LinkParams;
-use netsim::{LinkId, Simulator};
+use netsim::{LinkConfig, LinkId, Simulator};
 use transport::PathSpec;
 
 /// A two-tier aggregation/backbone hierarchy.
@@ -42,21 +41,19 @@ impl Hierarchy {
         sim: &mut Simulator,
         n_users: usize,
         n_agg: usize,
-        access: LinkParams,
-        agg: LinkParams,
-        core: LinkParams,
+        access: LinkConfig,
+        agg: LinkConfig,
+        core: LinkConfig,
     ) -> Self {
         assert!(n_users > 0 && n_agg >= 2);
-        let access_up = (0..n_users)
-            .map(|_| [sim.add_link(access.to_config()), sim.add_link(access.to_config())])
-            .collect();
-        let access_down = (0..n_users)
-            .map(|_| [sim.add_link(access.to_config()), sim.add_link(access.to_config())])
-            .collect();
-        let agg_up = (0..n_agg).map(|_| sim.add_link(agg.to_config())).collect();
-        let agg_down = (0..n_agg).map(|_| sim.add_link(agg.to_config())).collect();
-        let core_up = sim.add_link(core.to_config());
-        let core_down = sim.add_link(core.to_config());
+        let access_up =
+            (0..n_users).map(|_| [sim.add_link(access), sim.add_link(access)]).collect();
+        let access_down =
+            (0..n_users).map(|_| [sim.add_link(access), sim.add_link(access)]).collect();
+        let agg_up = (0..n_agg).map(|_| sim.add_link(agg)).collect();
+        let agg_down = (0..n_agg).map(|_| sim.add_link(agg)).collect();
+        let core_up = sim.add_link(core);
+        let core_down = sim.add_link(core);
         Hierarchy { n_users, n_agg, access_up, access_down, agg_up, agg_down, core_up, core_down }
     }
 
@@ -98,9 +95,9 @@ mod tests {
 
     fn build(n_users: usize, n_agg: usize) -> (Simulator, Hierarchy) {
         let mut sim = Simulator::new(1);
-        let access = LinkParams::new(20_000_000, SimDuration::from_millis(5));
-        let agg = LinkParams::new(100_000_000, SimDuration::from_millis(5));
-        let core = LinkParams::new(200_000_000, SimDuration::from_millis(10));
+        let access = LinkConfig::new(20_000_000, SimDuration::from_millis(5));
+        let agg = LinkConfig::new(100_000_000, SimDuration::from_millis(5));
+        let core = LinkConfig::new(200_000_000, SimDuration::from_millis(10));
         let h = Hierarchy::build(&mut sim, n_users, n_agg, access, agg, core);
         (sim, h)
     }

@@ -21,12 +21,12 @@
 //! # Examples
 //!
 //! ```
-//! use netsim::{SimDuration, Simulator};
-//! use topology::{FatTree, LinkParams};
+//! use netsim::{LinkConfig, SimDuration, Simulator};
+//! use topology::FatTree;
 //!
 //! let mut sim = Simulator::new(1);
 //! let ft = FatTree::build(&mut sim, 4,
-//!     LinkParams::new(100_000_000, SimDuration::from_micros(100)));
+//!     LinkConfig::new(100_000_000, SimDuration::from_micros(100)));
 //! assert_eq!(ft.hosts(), 16);
 //! let paths = ft.paths(0, 15);
 //! assert_eq!(paths.len(), 4); // one per core switch
@@ -42,13 +42,18 @@ pub mod twopath;
 pub mod vl2;
 
 pub use bcube::BCube;
-pub use duplex::{duplex, Duplex, LinkParams};
+pub use duplex::{duplex, Duplex};
 pub use ec2::{Ec2Vpc, ENIS_PER_HOST};
 pub use fattree::FatTree;
 pub use hierarchy::Hierarchy;
 pub use shared::SharedBottleneck;
 pub use twopath::TwoPath;
 pub use vl2::{Vl2, Vl2Config};
+
+/// The old name of [`netsim::LinkConfig`], kept only for the benchmark
+/// package, which still names it.
+#[doc(hidden)]
+pub use netsim::LinkConfig as LinkParams;
 
 use rand::seq::SliceRandom;
 use rand::Rng;

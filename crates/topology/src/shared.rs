@@ -2,8 +2,8 @@
 //! spanning two bottlenecks that they share with 2N single-path TCP users
 //! (N on each bottleneck).
 
-use crate::duplex::{duplex, Duplex, LinkParams};
-use netsim::Simulator;
+use crate::duplex::{duplex, Duplex};
+use netsim::{LinkConfig, Simulator};
 use transport::PathSpec;
 
 /// Two shared bottleneck links; MPTCP users stripe across both, TCP users
@@ -18,7 +18,7 @@ pub struct SharedBottleneck {
 
 impl SharedBottleneck {
     /// Builds the two bottlenecks with identical parameters.
-    pub fn new(sim: &mut Simulator, params: LinkParams) -> Self {
+    pub fn new(sim: &mut Simulator, params: LinkConfig) -> Self {
         SharedBottleneck { b1: duplex(sim, params), b2: duplex(sim, params) }
     }
 
@@ -48,7 +48,7 @@ mod tests {
         let mut sim = Simulator::new(1);
         let sb = SharedBottleneck::new(
             &mut sim,
-            LinkParams::new(100_000_000, SimDuration::from_millis(5)),
+            LinkConfig::new(100_000_000, SimDuration::from_millis(5)),
         );
         let mp = sb.mptcp_paths();
         assert_eq!(mp.len(), 2);

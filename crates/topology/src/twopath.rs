@@ -2,8 +2,8 @@
 //! dual-NIC testbed machines (Figs. 1, 3, 4), and the heterogeneous wireless
 //! scenario (Fig. 17).
 
-use crate::duplex::{duplex, Duplex, LinkParams};
-use netsim::{LinkId, SimDuration, Simulator};
+use crate::duplex::{duplex, Duplex};
+use netsim::{LinkConfig, LinkId, SimDuration, Simulator};
 use transport::PathSpec;
 
 /// Two independent bidirectional paths between one sender and one receiver.
@@ -18,12 +18,12 @@ pub struct TwoPath {
 impl TwoPath {
     /// Builds two paths with identical parameters (the dual-NIC testbed of
     /// the paper's §III: two equal NICs per machine).
-    pub fn symmetric(sim: &mut Simulator, params: LinkParams) -> Self {
+    pub fn symmetric(sim: &mut Simulator, params: LinkConfig) -> Self {
         TwoPath { p1: duplex(sim, params), p2: duplex(sim, params) }
     }
 
     /// Builds two paths with different parameters.
-    pub fn asymmetric(sim: &mut Simulator, a: LinkParams, b: LinkParams) -> Self {
+    pub fn asymmetric(sim: &mut Simulator, a: LinkConfig, b: LinkConfig) -> Self {
         TwoPath { p1: duplex(sim, a), p2: duplex(sim, b) }
     }
 
@@ -31,14 +31,14 @@ impl TwoPath {
     /// WiFi 10 Mb/s with 40 ms one-way delay, 4G 20 Mb/s with 100 ms, both
     /// with DropTail queues of 50 packets (the ns-2 configuration).
     pub fn wireless(sim: &mut Simulator) -> Self {
-        let wifi = LinkParams::new(10_000_000, SimDuration::from_millis(40)).queue(50);
-        let lte = LinkParams::new(20_000_000, SimDuration::from_millis(100)).queue(50);
+        let wifi = LinkConfig::new(10_000_000, SimDuration::from_millis(40)).queue_limit(50);
+        let lte = LinkConfig::new(20_000_000, SimDuration::from_millis(100)).queue_limit(50);
         TwoPath::asymmetric(sim, wifi, lte)
     }
 
     /// The dual-NIC wired testbed: two `bps` NICs, `delay` one-way.
     pub fn dual_nic(sim: &mut Simulator, bps: u64, delay: SimDuration) -> Self {
-        TwoPath::symmetric(sim, LinkParams::new(bps, delay))
+        TwoPath::symmetric(sim, LinkConfig::new(bps, delay))
     }
 
     /// Both paths as MPTCP subflow specs.
@@ -83,8 +83,8 @@ mod tests {
     fn wireless_matches_ns2_parameters() {
         let mut sim = Simulator::new(1);
         let tp = TwoPath::wireless(&mut sim);
-        let wifi = sim.world().link(tp.p1.fwd).config().clone();
-        let lte = sim.world().link(tp.p2.fwd).config().clone();
+        let wifi = *sim.world().link(tp.p1.fwd).config();
+        let lte = *sim.world().link(tp.p2.fwd).config();
         assert_eq!(wifi.bandwidth_bps, 10_000_000);
         assert_eq!(lte.bandwidth_bps, 20_000_000);
         assert_eq!(wifi.queue_limit_pkts, 50);

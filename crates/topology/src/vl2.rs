@@ -8,8 +8,7 @@
 //! Valiant load balancing gives each inter-ToR host pair
 //! `2 × n_int × 2` equal-cost paths.
 
-use crate::duplex::LinkParams;
-use netsim::{LinkId, Simulator};
+use netsim::{LinkConfig, LinkId, Simulator};
 use rand::Rng;
 use transport::PathSpec;
 
@@ -25,9 +24,9 @@ pub struct Vl2Config {
     /// Hosts per ToR.
     pub hosts_per_tor: usize,
     /// Host ↔ ToR link parameters.
-    pub host_link: LinkParams,
+    pub host_link: LinkConfig,
     /// Switch ↔ switch link parameters (faster, per the paper).
-    pub switch_link: LinkParams,
+    pub switch_link: LinkConfig,
 }
 
 /// A VL2 network's links and path enumeration.
@@ -54,9 +53,9 @@ impl Vl2 {
     pub fn build(sim: &mut Simulator, cfg: Vl2Config) -> Self {
         assert!(cfg.n_tor > 0 && cfg.n_agg >= 2 && cfg.n_int > 0 && cfg.hosts_per_tor > 0);
         let hosts = cfg.n_tor * cfg.hosts_per_tor;
-        let host_up = (0..hosts).map(|_| sim.add_link(cfg.host_link.to_config())).collect();
-        let host_down = (0..hosts).map(|_| sim.add_link(cfg.host_link.to_config())).collect();
-        let sw = |sim: &mut Simulator| sim.add_link(cfg.switch_link.to_config());
+        let host_up = (0..hosts).map(|_| sim.add_link(cfg.host_link)).collect();
+        let host_down = (0..hosts).map(|_| sim.add_link(cfg.host_link)).collect();
+        let sw = |sim: &mut Simulator| sim.add_link(cfg.switch_link);
         let t2a = (0..cfg.n_tor).map(|_| [sw(sim), sw(sim)]).collect();
         let a2t = (0..cfg.n_tor).map(|_| [sw(sim), sw(sim)]).collect();
         let a2i = (0..cfg.n_agg).map(|_| (0..cfg.n_int).map(|_| sw(sim)).collect()).collect();
@@ -68,8 +67,8 @@ impl Vl2 {
     /// 4 intermediate switches, 100 Mb/s host links, 1 Gb/s switch links.
     pub fn paper_scale(
         sim: &mut Simulator,
-        host_link: LinkParams,
-        switch_link: LinkParams,
+        host_link: LinkConfig,
+        switch_link: LinkConfig,
     ) -> Self {
         Vl2::build(
             sim,
@@ -150,8 +149,8 @@ mod tests {
 
     fn build() -> (Simulator, Vl2) {
         let mut sim = Simulator::new(1);
-        let host = LinkParams::new(100_000_000, SimDuration::from_micros(100));
-        let sw = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+        let host = LinkConfig::new(100_000_000, SimDuration::from_micros(100));
+        let sw = LinkConfig::new(1_000_000_000, SimDuration::from_micros(100));
         let v = Vl2::paper_scale(&mut sim, host, sw);
         (sim, v)
     }
@@ -190,8 +189,8 @@ mod tests {
         // The Figs. 14–15 smoke fabric (`DcKind::Vl2 { scale: 8 }`) and the
         // paper-scale one.
         let mut sim = Simulator::new(1);
-        let host = LinkParams::new(100_000_000, SimDuration::from_micros(100));
-        let sw = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+        let host = LinkConfig::new(100_000_000, SimDuration::from_micros(100));
+        let sw = LinkConfig::new(1_000_000_000, SimDuration::from_micros(100));
         let smoke = Vl2Config {
             n_tor: 2,
             n_agg: 2,

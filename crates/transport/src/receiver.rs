@@ -18,7 +18,7 @@
 //! job, which models the lost-window-update worst case.
 
 use crate::config::{AppRead, DEFAULT_ACK_BYTES};
-use netsim::{Agent, Ctx, Packet, Payload, Route, SimTime};
+use netsim::{Agent, Ctx, Packet, Payload, Route};
 use obs::{DiscardCause, TraceEvent};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -68,8 +68,6 @@ pub struct MptcpReceiver {
     /// Packets the application has consumed (the exactly-once watermark).
     app_delivered: u64,
     app_timer_armed: bool,
-    /// Total data segments that arrived (including duplicates).
-    pub segments_received: u64,
     /// Duplicate segments discarded.
     pub duplicates: u64,
     /// Segments dropped because the connection-level buffer was full.
@@ -78,8 +76,6 @@ pub struct MptcpReceiver {
     pub ooo_dropped: u64,
     /// Corrupted segments discarded without acknowledgement.
     pub corrupt_discards: u64,
-    /// Time of the most recent in-order delivery advance.
-    pub last_delivery: Option<SimTime>,
 }
 
 impl MptcpReceiver {
@@ -97,12 +93,10 @@ impl MptcpReceiver {
             app_buffered: 0,
             app_delivered: 0,
             app_timer_armed: false,
-            segments_received: 0,
             duplicates: 0,
             rwnd_dropped: 0,
             ooo_dropped: 0,
             corrupt_discards: 0,
-            last_delivery: None,
         }
     }
 
@@ -147,8 +141,7 @@ impl MptcpReceiver {
         self.rcv_buf_pkts.saturating_sub(self.buffered_pkts())
     }
 
-    fn accept_data(&mut self, r: usize, seq: u64, data_seq: u64, now: SimTime) -> Accept {
-        self.segments_received += 1;
+    fn accept_data(&mut self, r: usize, seq: u64, data_seq: u64) -> Accept {
         // Admission control *before* any state change: a segment that would
         // overflow the connection buffer or the subflow reassembly buffer is
         // rejected as if it never arrived (no SACK hint, no reassembly).
@@ -193,7 +186,6 @@ impl MptcpReceiver {
                 self.data_rcv_nxt += 1;
                 self.app_buffered += 1;
             }
-            self.last_delivery = Some(now);
         } else if data_seq > self.data_rcv_nxt {
             self.data_ooo.insert(data_seq);
         }
@@ -300,7 +292,7 @@ impl Agent for MptcpReceiver {
             });
             return;
         }
-        let verdict = self.accept_data(r, seq, data_seq, ctx.now());
+        let verdict = self.accept_data(r, seq, data_seq);
         self.drain_app(ctx);
         let for_seq = match verdict {
             Accept::Ok | Accept::Duplicate => Some(seq),
@@ -369,8 +361,8 @@ mod tests {
     #[test]
     fn in_order_advances_both_levels() {
         let mut r = recv();
-        assert_eq!(r.accept_data(0, 0, 0, SimTime::ZERO), Accept::Ok);
-        assert_eq!(r.accept_data(0, 1, 1, SimTime::ZERO), Accept::Ok);
+        assert_eq!(r.accept_data(0, 0, 0), Accept::Ok);
+        assert_eq!(r.accept_data(0, 1, 1), Accept::Ok);
         assert_eq!(r.subflows[0].rcv_nxt, 2);
         assert_eq!(r.data_delivered(), 2);
         // Nothing consumed yet (drain_app not called): 2 packets buffered.
@@ -383,13 +375,13 @@ mod tests {
     #[test]
     fn gap_is_held_then_released() {
         let mut r = recv();
-        r.accept_data(0, 0, 0, SimTime::ZERO);
+        r.accept_data(0, 0, 0);
         r.app_buffered = 0; // app consumed
-        r.accept_data(0, 2, 2, SimTime::ZERO); // hole at 1
+        r.accept_data(0, 2, 2); // hole at 1
         assert_eq!(r.subflows[0].rcv_nxt, 1);
         assert_eq!(r.data_delivered(), 1);
         assert_eq!(r.rwnd_pkts(), 15);
-        r.accept_data(0, 1, 1, SimTime::ZERO);
+        r.accept_data(0, 1, 1);
         r.app_buffered = 0;
         assert_eq!(r.subflows[0].rcv_nxt, 3);
         assert_eq!(r.data_delivered(), 3);
@@ -399,8 +391,8 @@ mod tests {
     #[test]
     fn duplicates_are_counted() {
         let mut r = recv();
-        assert_eq!(r.accept_data(0, 0, 0, SimTime::ZERO), Accept::Ok);
-        assert_eq!(r.accept_data(0, 0, 0, SimTime::ZERO), Accept::Duplicate);
+        assert_eq!(r.accept_data(0, 0, 0), Accept::Ok);
+        assert_eq!(r.accept_data(0, 0, 0), Accept::Duplicate);
         assert_eq!(r.duplicates, 1);
         assert_eq!(r.data_delivered(), 1);
     }
@@ -408,8 +400,8 @@ mod tests {
     #[test]
     fn out_of_order_duplicates_are_counted_once_held() {
         let mut r = recv();
-        assert_eq!(r.accept_data(0, 3, 3, SimTime::ZERO), Accept::Ok);
-        assert_eq!(r.accept_data(0, 3, 3, SimTime::ZERO), Accept::Duplicate);
+        assert_eq!(r.accept_data(0, 3, 3), Accept::Ok);
+        assert_eq!(r.accept_data(0, 3, 3), Accept::Duplicate);
         assert_eq!(r.duplicates, 1);
     }
 
@@ -418,9 +410,9 @@ mod tests {
         let mut r = recv();
         r.add_path(Route::direct(0)); // second subflow
                                       // Data 0 on subflow 1, data 1 on subflow 0: both in subflow order.
-        r.accept_data(1, 0, 1, SimTime::ZERO);
+        r.accept_data(1, 0, 1);
         assert_eq!(r.data_delivered(), 0); // waiting for data 0
-        r.accept_data(0, 0, 0, SimTime::ZERO);
+        r.accept_data(0, 0, 0);
         assert_eq!(r.data_delivered(), 2);
     }
 
@@ -429,32 +421,32 @@ mod tests {
         let mut r = MptcpReceiver::new(1, 2);
         r.add_path(Route::direct(0));
         // Two reassembly holds fill the 2-packet buffer.
-        assert_eq!(r.accept_data(0, 1, 1, SimTime::ZERO), Accept::Ok);
-        assert_eq!(r.accept_data(0, 2, 2, SimTime::ZERO), Accept::Ok);
+        assert_eq!(r.accept_data(0, 1, 1), Accept::Ok);
+        assert_eq!(r.accept_data(0, 2, 2), Accept::Ok);
         assert_eq!(r.rwnd_pkts(), 0, "no floor: a full buffer advertises zero");
         // A third new segment — even the in-order one — is shed.
-        assert_eq!(r.accept_data(0, 0, 0, SimTime::ZERO), Accept::DroppedWindow);
+        assert_eq!(r.accept_data(0, 0, 0), Accept::DroppedWindow);
         assert_eq!(r.rwnd_dropped, 1);
         assert_eq!(r.data_delivered(), 0, "the shed segment left no trace");
         // A duplicate of held data is still acknowledged, not shed.
-        assert_eq!(r.accept_data(0, 1, 1, SimTime::ZERO), Accept::Duplicate);
+        assert_eq!(r.accept_data(0, 1, 1), Accept::Duplicate);
     }
 
     #[test]
     fn unconsumed_app_data_closes_the_window() {
         let mut r = MptcpReceiver::new(1, 2);
         r.add_path(Route::direct(0));
-        assert_eq!(r.accept_data(0, 0, 0, SimTime::ZERO), Accept::Ok);
-        assert_eq!(r.accept_data(0, 1, 1, SimTime::ZERO), Accept::Ok);
+        assert_eq!(r.accept_data(0, 0, 0), Accept::Ok);
+        assert_eq!(r.accept_data(0, 1, 1), Accept::Ok);
         // In-order, but the app has not read: buffer full, window zero.
         assert_eq!(r.app_buffered(), 2);
         assert_eq!(r.rwnd_pkts(), 0);
-        assert_eq!(r.accept_data(0, 2, 2, SimTime::ZERO), Accept::DroppedWindow);
+        assert_eq!(r.accept_data(0, 2, 2), Accept::DroppedWindow);
         // The app reads one packet: one slot reopens.
         r.app_buffered -= 1;
         r.app_delivered += 1;
         assert_eq!(r.rwnd_pkts(), 1);
-        assert_eq!(r.accept_data(0, 2, 2, SimTime::ZERO), Accept::Ok);
+        assert_eq!(r.accept_data(0, 2, 2), Accept::Ok);
     }
 
     #[test]
@@ -464,10 +456,10 @@ mod tests {
         // Reinjection can resend one data sequence under many fresh subflow
         // sequences: the conn level sees a known hold (no window charge) but
         // the subflow reassembly set keeps growing — until its own cap.
-        assert_eq!(r.accept_data(0, 5, 1, SimTime::ZERO), Accept::Ok);
-        assert_eq!(r.accept_data(0, 7, 1, SimTime::ZERO), Accept::Ok);
+        assert_eq!(r.accept_data(0, 5, 1), Accept::Ok);
+        assert_eq!(r.accept_data(0, 7, 1), Accept::Ok);
         assert_eq!(r.subflows[0].ooo.len(), 2);
-        assert_eq!(r.accept_data(0, 9, 1, SimTime::ZERO), Accept::DroppedOoo);
+        assert_eq!(r.accept_data(0, 9, 1), Accept::DroppedOoo);
         assert_eq!(r.ooo_dropped, 1);
         assert_eq!(r.subflows[0].ooo.len(), 2, "the shed segment was not held");
     }
@@ -476,7 +468,7 @@ mod tests {
     fn exactly_once_accounting_holds() {
         let mut r = recv();
         for (seq, data_seq) in [(0, 0), (2, 2), (1, 1), (2, 2)] {
-            r.accept_data(0, seq, data_seq, SimTime::ZERO);
+            r.accept_data(0, seq, data_seq);
         }
         assert_eq!(r.app_delivered + r.app_buffered, r.data_rcv_nxt);
         assert_eq!(r.data_delivered(), 3);

@@ -13,7 +13,6 @@ pub struct CbrSource {
     route: Arc<Route>,
     pkt_bytes: u32,
     interval: SimDuration,
-    running: bool,
     /// Packets emitted.
     pub sent: u64,
 }
@@ -27,7 +26,7 @@ impl CbrSource {
     pub fn new(route: Arc<Route>, rate_bps: u64, pkt_bytes: u32) -> Self {
         assert!(rate_bps > 0 && pkt_bytes > 0);
         let interval = SimDuration::from_secs_f64(f64::from(pkt_bytes) * 8.0 / rate_bps as f64);
-        CbrSource { route, pkt_bytes, interval, running: false, sent: 0 }
+        CbrSource { route, pkt_bytes, interval, sent: 0 }
     }
 }
 
@@ -36,7 +35,6 @@ impl Agent for CbrSource {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         if token == TK_TICK {
-            self.running = true;
             ctx.send(self.route.clone(), self.pkt_bytes, Payload::Raw);
             self.sent += 1;
             ctx.schedule_in(self.interval, TK_TICK);

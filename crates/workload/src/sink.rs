@@ -10,8 +10,6 @@ pub struct Sink {
     pub pkts: u64,
     /// Bytes delivered.
     pub bytes: u64,
-    /// Arrival time of the most recent packet.
-    pub last_arrival: Option<SimTime>,
 }
 
 impl Sink {
@@ -32,10 +30,9 @@ impl Sink {
 }
 
 impl Agent for Sink {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+    fn on_packet(&mut self, pkt: Packet, _ctx: &mut Ctx<'_>) {
         self.pkts += 1;
         self.bytes += u64::from(pkt.size_bytes);
-        self.last_arrival = Some(ctx.now());
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}

@@ -9,11 +9,11 @@
 
 use mptcp_energy_repro::congestion::AlgorithmKind;
 use mptcp_energy_repro::energy::WiredCpuModel;
-use mptcp_energy_repro::netsim::{SimDuration, Simulator};
+use mptcp_energy_repro::netsim::{LinkConfig, SimDuration, Simulator};
 use mptcp_energy_repro::paper::hybrid::{fluid_model_of, HybridConfig, HybridEngine};
 use mptcp_energy_repro::paper::scenarios::CcChoice;
-use mptcp_energy_repro::topology::{FatTree, LinkParams};
-use mptcp_energy_repro::transport::FlowConfig;
+use mptcp_energy_repro::topology::FatTree;
+use mptcp_energy_repro::transport::{FlowConfig, DEFAULT_MSS_BYTES};
 use mptcp_energy_repro::workload::permutation_pairs;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ use rand::SeedableRng;
 fn run(cc: &CcChoice) -> (f64, f64, u64) {
     const HOST_BPS: u64 = 100_000_000;
     let mut sim = Simulator::new(7);
-    let params = LinkParams::new(HOST_BPS, SimDuration::from_micros(100)).queue(32);
+    let params = LinkConfig::new(HOST_BPS, SimDuration::from_micros(100)).queue_limit(32);
     let ft = FatTree::build(&mut sim, 4, params);
     let hosts = ft.hosts();
 
@@ -40,7 +40,7 @@ fn run(cc: &CcChoice) -> (f64, f64, u64) {
     // (packet-level) over permutation traffic.
     let mut rng = SmallRng::seed_from_u64(42);
     let pairs = permutation_pairs(hosts, &mut rng);
-    let x0 = HOST_BPS as f64 / (8.0 * 1500.0 * 4.0);
+    let x0 = HOST_BPS as f64 / (8.0 * f64::from(DEFAULT_MSS_BYTES) * 4.0);
     for &(src, dst) in pairs.iter().take(16) {
         let paths = ft.sample_paths(src, dst, 2, &mut rng);
         eng.add_fluid_flow(model, &paths, x0, src);

@@ -13,7 +13,7 @@ use mptcp_energy_repro::workload::ShortFlowConfig;
 
 fn main() {
     let opts = ShortFlowOptions {
-        mice: ShortFlowConfig { rate_per_s: 15.0, horizon_s: 8.0, ..Default::default() },
+        mice: ShortFlowConfig { rate_per_s: 15.0, horizon_s: 8.0 },
         ..ShortFlowOptions::default()
     };
     println!("Poisson mice (10 KB – 1 MB) over FatTree(k=4) with 4 elephants:\n");

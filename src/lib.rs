@@ -13,8 +13,8 @@
 //! * [`workload`] — Pareto bursts, CBR, permutation traffic;
 //! * [`paper`] — the paper's contribution: the Equation-(3) model, DTS,
 //!   DTS-Φ, fluid solver, conditions, scenario runners;
-//! * [`obs`] — structured trace events, sinks (JSONL, ring, filter), and
-//!   the counter registry (DESIGN.md §9).
+//! * [`obs`] — structured trace events, sinks (JSONL, ring), the record
+//!   dialect and the trace summarizer (DESIGN.md §9, §17).
 
 pub use congestion;
 pub use energy_model as energy;

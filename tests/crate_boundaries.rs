@@ -12,7 +12,7 @@ use mptcp_energy::{CcModel, Dts, DtsConfig, DtsPhi, DtsPhiConfig, FlowView};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use topology::{BCube, FatTree, LinkParams, TwoPath, Vl2, Vl2Config};
+use topology::{BCube, FatTree, TwoPath, Vl2, Vl2Config};
 use transport::{
     attach_flow, FlowConfig, FlowSample, PathSpec, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES,
 };
@@ -22,7 +22,7 @@ use workload::{attach_pareto_cross_traffic, permutation_pairs, ParetoOnOffConfig
 /// network), run until it completes.
 fn bursty_samples() -> Vec<FlowSample> {
     let mut sim = Simulator::new(1);
-    let params = LinkParams::new(100_000_000, SimDuration::from_millis(10)).queue(100);
+    let params = LinkConfig::new(100_000_000, SimDuration::from_millis(10)).queue_limit(100);
     let tp = TwoPath::symmetric(&mut sim, params);
     for link in tp.forward_links() {
         attach_pareto_cross_traffic(&mut sim, vec![link], ParetoOnOffConfig::paper_fig5b());
@@ -151,7 +151,7 @@ fn assert_reverse_is_mirror(hosts: usize, paths: impl Fn(usize, usize) -> Vec<Pa
 fn fattree_paths_are_links_of_the_world() {
     let mut sim = Simulator::new(1);
     let ft =
-        FatTree::build(&mut sim, 4, LinkParams::new(100_000_000, SimDuration::from_micros(100)));
+        FatTree::build(&mut sim, 4, LinkConfig::new(100_000_000, SimDuration::from_micros(100)));
     let pod = |host: usize| host / 4; // k²/4 hosts per pod
     for_each_sampled_path(
         &sim,
@@ -170,8 +170,8 @@ fn fattree_paths_are_links_of_the_world() {
 fn vl2_and_bcube_paths_are_links_of_the_world() {
     // VL2 as the Figs. 14–15 smoke grid builds it (`DcKind::Vl2 { scale: 8 }`).
     let mut sim = Simulator::new(1);
-    let host_link = LinkParams::new(100_000_000, SimDuration::from_micros(100));
-    let switch_link = LinkParams::new(1_000_000_000, SimDuration::from_micros(100));
+    let host_link = LinkConfig::new(100_000_000, SimDuration::from_micros(100));
+    let switch_link = LinkConfig::new(1_000_000_000, SimDuration::from_micros(100));
     let cfg = Vl2Config { n_tor: 2, n_agg: 2, n_int: 2, hosts_per_tor: 8, host_link, switch_link };
     let vl2 = Vl2::build(&mut sim, cfg);
     for_each_sampled_path(
@@ -211,7 +211,7 @@ fn workload_traffic_fits_the_world() {
     // link, not the source, sets the rate while a burst is on.
     let (link_bps, duration_s) = (20_000_000u64, 30.0);
     let mut sim = Simulator::new(3);
-    let link = sim.add_link(LinkParams::new(link_bps, SimDuration::from_millis(1)).to_config());
+    let link = sim.add_link(LinkConfig::new(link_bps, SimDuration::from_millis(1)));
     attach_pareto_cross_traffic(&mut sim, vec![link], ParetoOnOffConfig::paper_fig5b());
     sim.run_until(SimTime::from_secs_f64(duration_s));
     let sent = sim.world().link(link).stats().tx_bytes;

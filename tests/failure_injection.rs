@@ -96,8 +96,8 @@ fn lowest_srtt_prefers_the_fast_path() {
     let mut sim = Simulator::new(23);
     let fast_slow = TwoPath::asymmetric(
         &mut sim,
-        topology::LinkParams::new(20_000_000, SimDuration::from_millis(5)),
-        topology::LinkParams::new(20_000_000, SimDuration::from_millis(80)),
+        netsim::LinkConfig::new(20_000_000, SimDuration::from_millis(5)),
+        netsim::LinkConfig::new(20_000_000, SimDuration::from_millis(80)),
     );
     let flow = attach_flow(
         &mut sim,

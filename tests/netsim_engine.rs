@@ -8,10 +8,12 @@
 use congestion::AlgorithmKind;
 use energy_model::WiredCpuModel;
 use mptcp_energy::scenarios::{counters_of, FlowResult};
-use netsim::{Agent, Ctx, EngineCounters, Packet, SimDuration, SimTime, Simulator, WheelCounters};
+use netsim::{
+    Agent, Ctx, EngineCounters, LinkConfig, Packet, SimDuration, SimTime, Simulator, WheelCounters,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use topology::{FatTree, LinkParams};
+use topology::FatTree;
 use transport::{attach_flow, FlowConfig, FlowHandle};
 use workload::permutation_pairs;
 
@@ -54,7 +56,7 @@ fn work_scheduled_between_two_runs_fires_in_time_order() {
 #[test]
 fn dense_fattree_cell_matches_the_reference_queue() {
     let run = |mut sim: Simulator| {
-        let params = LinkParams::new(1_000_000_000, SimDuration::from_micros(100)).queue(32);
+        let params = LinkConfig::new(1_000_000_000, SimDuration::from_micros(100)).queue_limit(32);
         let ft = FatTree::build(&mut sim, 4, params);
         let mut rng = SmallRng::seed_from_u64(0xF47);
         let flows: Vec<FlowHandle> = permutation_pairs(ft.hosts(), &mut rng)

@@ -110,7 +110,7 @@ fn spool(dir: &Path) -> PathBuf {
     wire::write_request(&spool, &header, &cells).expect("request");
     let mut w = ResponseWriter::create(&spool, 1, 2, header.grid, "w1-g2", PROTOCOL_VERSION)
         .expect("response");
-    let payload = encode_payload(&(0.1f64, NASTY.to_owned(), vec![1u64, 2]));
+    let payload = encode_payload(&(0.1f64, NASTY.to_owned(), (2u64, 1u64, 2u64)));
     w.record_done(cell_id(0), "c0", 0, DONE_STATS, &payload).expect("done");
     w.record_failed(cell_id(5), NASTY, u64::MAX, FAILED_STATS, FailCause::Deadline, NASTY)
         .expect("failed");
@@ -209,9 +209,6 @@ fn journal_lines_replay_what_was_journaled() {
     // The payload is the encoded output, whole.
     assert_eq!(done.payload, encode_payload(&(1.5f64, NASTY.to_owned(), u64::MAX)));
     assert_eq!(done.payload[0], JournalValue::U64(1.5f64.to_bits()));
-    let q = &replay.quarantined[0];
-    assert_eq!((q.label.as_str(), q.seed, q.attempts, q.cause.as_str()), ("bad", 8, 1, "panic"));
-    assert!(q.message.contains(NASTY), "{:?}", q.message);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -229,7 +226,7 @@ fn spool_lines_come_back_through_their_readers() {
     assert!(parsed.complete && parsed.fault.is_none(), "{parsed:?}");
     assert_eq!(parsed.worker.as_deref(), Some("w1-g2"));
     let (done, done_stats) = &parsed.done[0];
-    assert_eq!(done.payload, encode_payload(&(0.1f64, NASTY.to_owned(), vec![1u64, 2])));
+    assert_eq!(done.payload, encode_payload(&(0.1f64, NASTY.to_owned(), (2u64, 1u64, 2u64))));
     assert_eq!((done.attempts, *done_stats), (4, DONE_STATS));
     let failed = &parsed.failed[0];
     assert_eq!(
@@ -306,9 +303,13 @@ fn trace_lines_come_back_through_the_summarizer() {
         cause: RecoveryCause::Rto,
     });
     sink.record(&TraceEvent::CwndChange { t_ns: 7, conn: 2, subflow: 1, cwnd_pkts: 2.5 });
-    sink.line(|w| w.str("ev", "custom").str("note", NASTY).f64_fixed("x", 0.5, 3));
     drop(sink); // flush
-    let text = std::fs::read_to_string(&path).expect("trace");
+    let mut text = std::fs::read_to_string(&path).expect("trace");
+    obs::record::line(&mut text)
+        .str("ev", "custom")
+        .str("note", NASTY)
+        .f64_fixed("x", 0.5, 3)
+        .end();
     let summary = obs::summarize(text.as_bytes()).expect("summarize");
     assert_eq!((summary.events, summary.malformed_lines), (4, 0));
     assert_eq!(summary.drops_by_cause.get("blackout"), Some(&1));

@@ -8,7 +8,7 @@ use workload::ShortFlowConfig;
 
 fn opts() -> ShortFlowOptions {
     ShortFlowOptions {
-        mice: ShortFlowConfig { rate_per_s: 10.0, horizon_s: 5.0, ..Default::default() },
+        mice: ShortFlowConfig { rate_per_s: 10.0, horizon_s: 5.0 },
         ..ShortFlowOptions::default()
     }
 }

@@ -14,12 +14,12 @@ use mptcp_energy::scenarios::{
     counters_of, run_two_path_bursty, run_two_path_bursty_on, run_two_path_bursty_traced,
     BurstyOptions, CcChoice, FlowResult,
 };
-use netsim::{SimDuration, SimTime, Simulator};
+use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use obs::TraceEvent;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
-use topology::{FatTree, LinkParams};
+use topology::FatTree;
 use transport::{attach_flow, FlowConfig, FlowHandle};
 use workload::permutation_pairs;
 
@@ -128,7 +128,7 @@ fn all_engines_are_byte_identical_to_the_reference() {
 #[test]
 fn dense_fattree_cell_is_byte_identical_to_the_reference() {
     let run = |mut sim: Simulator| {
-        let params = LinkParams::new(1_000_000_000, SimDuration::from_micros(100)).queue(32);
+        let params = LinkConfig::new(1_000_000_000, SimDuration::from_micros(100)).queue_limit(32);
         let ft = FatTree::build(&mut sim, 4, params);
         let mut rng = SmallRng::seed_from_u64(0xF47);
         let flows: Vec<FlowHandle> = permutation_pairs(ft.hosts(), &mut rng)
