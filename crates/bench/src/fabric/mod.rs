@@ -141,7 +141,7 @@ impl FabricOptions {
     pub fn from_cli(cli: &crate::Cli) -> FabricOptions {
         let mut o = FabricOptions {
             jobs: cli.jobs(),
-            journal: cli.journal_path(),
+            journal: cli.journal.clone(),
             ..FabricOptions::default()
         };
         o.deadline =

@@ -7,8 +7,8 @@
 use super::sims::{Sims, TestbedKey};
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use energy_model::{energy_of_flow, WiredCpuModel};
-use mptcp_energy::scenarios::CcChoice;
+use energy_model::WiredCpuModel;
+use mptcp_energy::scenarios::{CcChoice, FlowResult};
 use netsim::{SimDuration, SimTime, Simulator};
 use topology::TwoPath;
 use transport::{attach_flow, FlowConfig, PathSpec};
@@ -23,23 +23,17 @@ pub(super) fn mean_power(n_subflows: usize, duration_s: f64) -> (f64, f64) {
     let tp = TwoPath::dual_nic(&mut sim, 100_000_000, SimDuration::from_millis(5));
     let both = tp.both();
     let paths: Vec<PathSpec> = (0..n_subflows).map(|i| both[i % 2].clone()).collect();
-    let cc = if n_subflows == 1 {
-        CcChoice::Base(AlgorithmKind::Reno).build(1)
-    } else {
-        CcChoice::Base(AlgorithmKind::Lia).build(n_subflows)
-    };
+    let cc = CcChoice::Base(if n_subflows == 1 { AlgorithmKind::Reno } else { AlgorithmKind::Lia });
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(0).rcv_buf_pkts(4096).sample_every(SimDuration::from_millis(20)),
-        cc,
+        cc.build(n_subflows),
         &paths,
         SimDuration::ZERO,
     );
     sim.run_until(SimTime::from_secs_f64(duration_s));
-    let sender = flow.sender_ref(&sim);
-    let mut model = WiredCpuModel::i7_3770();
-    let report = energy_of_flow(&mut model, sender.samples());
-    (report.mean_power_w, sender.goodput_bps(sim.now()))
+    let r = FlowResult::collect(&sim, flow, cc.label(), &mut WiredCpuModel::i7_3770());
+    (r.energy.mean_power_w, r.goodput_bps)
 }
 
 /// Runs the Fig. 1 harness.

@@ -5,10 +5,11 @@
 
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use energy_model::{energy_of_flow, PhoneModel};
+use energy_model::PhoneModel;
 use mptcp_energy::path_select::onto_phone_slots;
-use mptcp_energy::scenarios::CcChoice;
+use mptcp_energy::scenarios::{CcChoice, FlowResult};
 use netsim::{SimDuration, SimTime, Simulator};
+use std::borrow::Cow;
 use topology::TwoPath;
 use transport::{attach_flow, FlowConfig};
 
@@ -37,16 +38,15 @@ fn run_phone(radios: Radios, duration_s: f64) -> (f64, f64) {
         SimDuration::ZERO,
     );
     sim.run_until(SimTime::from_secs_f64(duration_s));
-    let sender = flow.sender_ref(&sim);
+    let samples = flow.sender_ref(&sim).samples();
     // The phone model maps sample slot 0 → WiFi and slot 1 → LTE; pad the
     // single-LTE run so its traffic lands on the LTE slot.
     let samples = match radios {
-        Radios::Lte => onto_phone_slots(sender.samples(), 1),
-        Radios::Wifi | Radios::Both => sender.samples().to_vec(),
+        Radios::Lte => Cow::Owned(onto_phone_slots(samples, 1)),
+        Radios::Wifi | Radios::Both => Cow::Borrowed(samples),
     };
-    let mut model = PhoneModel::nexus5();
-    let report = energy_of_flow(&mut model, &samples);
-    (report.mean_power_w, sender.goodput_bps(sim.now()))
+    let r = FlowResult::metered(&sim, flow, cc.label(), &mut PhoneModel::nexus5(), &samples);
+    (r.energy.mean_power_w, r.goodput_bps)
 }
 
 /// Runs the Fig. 2 harness.

@@ -7,8 +7,8 @@
 
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use energy_model::{energy_of_flow, PhoneModel, WiredCpuModel};
-use mptcp_energy::scenarios::CcChoice;
+use energy_model::{PhoneModel, WiredCpuModel};
+use mptcp_energy::scenarios::{CcChoice, FlowResult};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use topology::TwoPath;
 use transport::{attach_flow, FlowConfig, DEFAULT_MSS_BYTES};
@@ -24,39 +24,37 @@ fn ethernet_point(total_bps: u64, bytes: u64) -> (f64, f64, f64) {
     let params =
         LinkConfig::new(nic_bps, SimDuration::from_millis(2)).queue_limit(bdp_pkts.max(16));
     let tp = TwoPath::symmetric(&mut sim, params);
+    let cc = CcChoice::Base(AlgorithmKind::Lia);
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(0)
             .transfer_bytes(bytes)
             .rcv_buf_pkts(2048)
             .sample_every(SimDuration::from_millis(20)),
-        CcChoice::Base(AlgorithmKind::Lia).build(2),
+        cc.build(2),
         &tp.both(),
         SimDuration::ZERO,
     );
     sim.run_until(SimTime::from_secs_f64(600.0));
-    let sender = flow.sender_ref(&sim);
-    let mut model = WiredCpuModel::i7_3770();
-    let report = energy_of_flow(&mut model, sender.samples());
-    (report.joules, report.mean_power_w, sender.goodput_bps(sim.now()))
+    let r = FlowResult::collect(&sim, flow, cc.label(), &mut WiredCpuModel::i7_3770());
+    (r.energy.joules, r.energy.mean_power_w, r.goodput_bps)
 }
 
 fn wifi_point(bps: u64, bytes: u64) -> (f64, f64, f64) {
     let mut sim = Simulator::new(3);
     let params = LinkConfig::new(bps, SimDuration::from_millis(10)).queue_limit(100);
     let tp = TwoPath::symmetric(&mut sim, params);
+    let cc = CcChoice::Base(AlgorithmKind::Reno);
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(0).transfer_bytes(bytes).sample_every(SimDuration::from_millis(20)),
-        CcChoice::Base(AlgorithmKind::Reno).build(1),
+        cc.build(1),
         &tp.first_only(),
         SimDuration::ZERO,
     );
     sim.run_until(SimTime::from_secs_f64(600.0));
-    let sender = flow.sender_ref(&sim);
-    let mut model = PhoneModel::nexus5();
-    let report = energy_of_flow(&mut model, sender.samples());
-    (report.joules, report.mean_power_w, sender.goodput_bps(sim.now()))
+    let r = FlowResult::collect(&sim, flow, cc.label(), &mut PhoneModel::nexus5());
+    (r.energy.joules, r.energy.mean_power_w, r.goodput_bps)
 }
 
 /// Runs the Fig. 3 harness.

@@ -9,8 +9,8 @@
 
 use crate::{table, Scale};
 use congestion::AlgorithmKind;
-use energy_model::{energy_of_flow, WiredCpuModel};
-use mptcp_energy::scenarios::CcChoice;
+use energy_model::WiredCpuModel;
+use mptcp_energy::scenarios::{CcChoice, FlowResult};
 use netsim::{SimDuration, SimTime, Simulator};
 use topology::TwoPath;
 use transport::{attach_flow, FlowConfig, PathSpec};
@@ -20,11 +20,11 @@ fn point(subflows_per_nic: usize, duration_s: f64) -> (f64, f64, f64) {
     let tp = TwoPath::dual_nic(&mut sim, 50_000_000, SimDuration::from_millis(10));
     let both = tp.both();
     let paths: Vec<PathSpec> = (0..2 * subflows_per_nic).map(|i| both[i % 2].clone()).collect();
-    let n = paths.len();
+    let cc = CcChoice::Base(AlgorithmKind::Lia);
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(0).rcv_buf_pkts(4096).sample_every(SimDuration::from_millis(20)),
-        CcChoice::Base(AlgorithmKind::Lia).build(n),
+        cc.build(paths.len()),
         &paths,
         SimDuration::ZERO,
     );
@@ -33,10 +33,8 @@ fn point(subflows_per_nic: usize, duration_s: f64) -> (f64, f64, f64) {
     // Skip the slow-start warmup when averaging power.
     let samples = sender.samples();
     let steady = &samples[samples.len() / 3..];
-    let mut model = WiredCpuModel::i7_3770();
-    let report = energy_of_flow(&mut model, steady);
-    let srtt_ms = sender.cc_states()[0].srtt * 1000.0;
-    (report.mean_power_w, sender.goodput_bps(sim.now()), srtt_ms)
+    let r = FlowResult::metered(&sim, flow, cc.label(), &mut WiredCpuModel::i7_3770(), steady);
+    (r.energy.mean_power_w, r.goodput_bps, sender.cc_states()[0].srtt * 1000.0)
 }
 
 /// Runs the Fig. 4 harness.

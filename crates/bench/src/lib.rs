@@ -87,11 +87,10 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `--smoke`/`--quick`/`--full`, `--jobs N` (or `--jobs=N`),
-    /// `--journal PATH` (or `--journal=PATH`), `--workers N` (or
-    /// `--workers=N`), `--spool DIR` (or `--spool=DIR`), and the worker-side
-    /// `--dist-*` flags from the process arguments. Exits 2 with a usage
-    /// message on anything else.
+    /// Parses `--smoke`/`--quick`/`--full`, `--jobs N`, `--journal PATH`,
+    /// `--workers N`, `--spool DIR` and the worker-side `--dist-*` flags from
+    /// the process arguments, each valued flag also as `--flag=VALUE`. Exits
+    /// 2 with a usage message on anything else.
     pub fn from_args() -> Cli {
         Cli::from_arg_list(std::env::args().skip(1))
     }
@@ -119,7 +118,7 @@ impl Cli {
         })
     }
 
-    fn parse(args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             scale: Scale::Quick,
             jobs: None,
@@ -132,59 +131,21 @@ impl Cli {
         let mut dist_shard: Option<usize> = None;
         let mut dist_gen: Option<u64> = None;
         let mut dist_id: Option<String> = None;
-        let mut args = args.peekable();
+        let valued = |name: &str| VALUED_FLAGS.contains(&name);
         while let Some(a) = args.next() {
-            match a.as_str() {
-                "--smoke" => cli.scale = Scale::Smoke,
-                "--quick" => cli.scale = Scale::Quick,
-                "--full" => cli.scale = Scale::Full,
-                "--jobs" => {
-                    let v = args.next().ok_or_else(|| "--jobs (missing count)".to_owned())?;
-                    cli.jobs = Some(v.parse::<usize>().map_err(|_| format!("--jobs {v}"))?);
-                }
-                "--workers" => {
-                    let v = args.next().ok_or_else(|| "--workers (missing count)".to_owned())?;
-                    cli.workers = Some(v.parse::<usize>().map_err(|_| format!("--workers {v}"))?);
-                }
-                "--journal" => {
-                    let v = args.next().ok_or_else(|| "--journal (missing path)".to_owned())?;
-                    cli.journal = Some(v.into());
-                }
-                "--spool" => {
-                    let v = args.next().ok_or_else(|| "--spool (missing dir)".to_owned())?;
-                    cli.spool = Some(v.into());
-                }
-                "--dist-worker" => {
-                    let v =
-                        args.next().ok_or_else(|| "--dist-worker (missing spool)".to_owned())?;
-                    dist_spool = Some(v.into());
-                }
-                "--dist-shard" => {
-                    let v = args.next().ok_or_else(|| "--dist-shard (missing index)".to_owned())?;
-                    dist_shard = Some(v.parse::<usize>().map_err(|_| format!("--dist-shard {v}"))?);
-                }
-                "--dist-gen" => {
-                    let v = args.next().ok_or_else(|| "--dist-gen (missing gen)".to_owned())?;
-                    dist_gen = Some(v.parse::<u64>().map_err(|_| format!("--dist-gen {v}"))?);
-                }
-                "--dist-id" => {
-                    let v = args.next().ok_or_else(|| "--dist-id (missing id)".to_owned())?;
-                    dist_id = Some(v);
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--jobs=") {
-                        cli.jobs = Some(v.parse::<usize>().map_err(|_| format!("--jobs={v}"))?);
-                    } else if let Some(v) = other.strip_prefix("--workers=") {
-                        cli.workers =
-                            Some(v.parse::<usize>().map_err(|_| format!("--workers={v}"))?);
-                    } else if let Some(v) = other.strip_prefix("--journal=") {
-                        cli.journal = Some(v.into());
-                    } else if let Some(v) = other.strip_prefix("--spool=") {
-                        cli.spool = Some(v.into());
-                    } else {
-                        return Err(a);
-                    }
-                }
+            match read_flag(&a, valued, &mut args)? {
+                ("--smoke", None) => cli.scale = Scale::Smoke,
+                ("--quick", None) => cli.scale = Scale::Quick,
+                ("--full", None) => cli.scale = Scale::Full,
+                ("--jobs", Some(v)) => cli.jobs = Some(number("--jobs", &v)?),
+                ("--workers", Some(v)) => cli.workers = Some(number("--workers", &v)?),
+                ("--journal", Some(v)) => cli.journal = Some(v.into()),
+                ("--spool", Some(v)) => cli.spool = Some(v.into()),
+                ("--dist-worker", Some(v)) => dist_spool = Some(v.into()),
+                ("--dist-shard", Some(v)) => dist_shard = Some(number("--dist-shard", &v)?),
+                ("--dist-gen", Some(v)) => dist_gen = Some(number("--dist-gen", &v)?),
+                ("--dist-id", Some(v)) => dist_id = Some(v),
+                _ => return Err(a),
             }
         }
         if cli.jobs == Some(0) {
@@ -215,12 +176,6 @@ impl Cli {
     /// [`runner::default_jobs`].
     pub fn jobs(&self) -> usize {
         self.jobs.unwrap_or_else(runner::default_jobs)
-    }
-
-    /// The sweep journal path: `--journal` if given, else `None`
-    /// (checkpointing disabled; the sweep runs ephemerally).
-    pub fn journal_path(&self) -> Option<std::path::PathBuf> {
-        self.journal.clone()
     }
 
     /// The distributed worker-process count: `--workers` if given, else 1
@@ -255,6 +210,47 @@ impl Cli {
     }
 }
 
+/// The flags of [`Cli`] that take a value.
+const VALUED_FLAGS: [&str; 8] = [
+    "--jobs",
+    "--workers",
+    "--journal",
+    "--spool",
+    "--dist-worker",
+    "--dist-shard",
+    "--dist-gen",
+    "--dist-id",
+];
+
+/// Reads argument `a` as a flag: its name, and its value in either
+/// spelling — the `VALUE` of `--name=VALUE`, or, when `valued(name)`, the
+/// next argument of `args` (`--name VALUE`). Every flag of every harness
+/// binary is read here, so each valued flag takes both spellings.
+///
+/// # Errors
+///
+/// When a valued flag is the last argument, with no value after it.
+fn read_flag<'a>(
+    a: &'a str,
+    valued: impl Fn(&str) -> bool,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<(&'a str, Option<String>), String> {
+    let (name, inline) = match a.split_once('=') {
+        Some((name, v)) if name.starts_with("--") => (name, Some(v.to_owned())),
+        _ => (a, None),
+    };
+    let value = match inline {
+        None if valued(name) => Some(args.next().ok_or_else(|| format!("{name}: missing value"))?),
+        inline => inline,
+    };
+    Ok((name, value))
+}
+
+/// Flag `name`'s value `v` as a number.
+fn number<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("{name} {v}"))
+}
+
 /// Splits `flag VALUE` / `flag=VALUE` off an argument list: returns the
 /// flag's value (the last one given) and the other arguments, in order.
 ///
@@ -268,12 +264,9 @@ fn split_flag(
     let mut value = None;
     let mut rest = Vec::new();
     while let Some(a) = args.next() {
-        if a == flag {
-            value = Some(args.next().ok_or_else(|| format!("{flag}: missing value"))?);
-        } else if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            value = Some(v.to_owned());
-        } else {
-            rest.push(a);
+        match read_flag(&a, |name| name == flag, &mut args)? {
+            (name, v) if name == flag => value = v,
+            _ => rest.push(a),
         }
     }
     Ok((value, rest))
@@ -456,16 +449,123 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_scale_and_jobs() {
+    fn cli_parses_scale_flags_and_refuses_a_value_on_them() {
         assert_eq!(parse(&[]), Ok(cli(Scale::Quick, None)));
         assert_eq!(parse(&["--smoke"]), Ok(cli(Scale::Smoke, None)));
         assert_eq!(parse(&["--full", "--jobs", "4"]), Ok(cli(Scale::Full, Some(4))));
-        assert_eq!(parse(&["--jobs=2"]), Ok(cli(Scale::Quick, Some(2))));
-        assert!(parse(&["--jobs"]).is_err());
-        assert!(parse(&["--jobs", "zero"]).is_err());
-        assert!(parse(&["--jobs", "0"]).is_err(), "a zero worker count is a usage error");
-        assert!(parse(&["--jobs=0"]).is_err(), "the = form must reject zero too");
-        assert!(parse(&["--bogus"]).is_err());
+        assert_eq!(parse(&["--smoke", "--quick"]), Ok(cli(Scale::Quick, None)));
+        for bad in ["--smoke=1", "--quick=", "--full=yes", "--bogus", "--bogus=1", "smoke"] {
+            assert_eq!(parse(&[bad]), Err(bad.to_owned()), "{bad} must be refused");
+        }
+    }
+
+    /// One valued flag: a good value, the parsed field it lands in (as
+    /// `Debug`) and a bad value (`None`: every string is a good value).
+    struct Valued {
+        flag: &'static str,
+        good: &'static str,
+        read: fn(&Cli) -> String,
+        want: &'static str,
+        bad: Option<&'static str>,
+    }
+
+    const VALUED: [Valued; 8] = [
+        Valued {
+            flag: "--jobs",
+            good: "4",
+            read: |c| format!("{:?}", c.jobs),
+            want: "Some(4)",
+            bad: Some("four"),
+        },
+        Valued {
+            flag: "--workers",
+            good: "3",
+            read: |c| format!("{:?}", c.workers),
+            want: "Some(3)",
+            bad: Some("-1"),
+        },
+        Valued {
+            flag: "--journal",
+            good: "out/j.jsonl",
+            read: |c| format!("{:?}", c.journal),
+            want: r#"Some("out/j.jsonl")"#,
+            bad: None,
+        },
+        Valued {
+            flag: "--spool",
+            good: "s",
+            read: |c| format!("{:?}", c.spool),
+            want: r#"Some("s")"#,
+            bad: None,
+        },
+        Valued {
+            flag: "--dist-worker",
+            good: "sp",
+            read: |c| format!("{:?}", c.dist.as_ref().map(|d| &d.spool)),
+            want: r#"Some("sp")"#,
+            bad: None,
+        },
+        Valued {
+            flag: "--dist-shard",
+            good: "2",
+            read: |c| format!("{:?}", c.dist.as_ref().map(|d| d.shard)),
+            want: "Some(2)",
+            bad: Some("x"),
+        },
+        Valued {
+            flag: "--dist-gen",
+            good: "7",
+            read: |c| format!("{:?}", c.dist.as_ref().map(|d| d.gen)),
+            want: "Some(7)",
+            bad: Some("1.5"),
+        },
+        Valued {
+            flag: "--dist-id",
+            good: "w2-g1",
+            read: |c| format!("{:?}", c.dist.as_ref().map(|d| &d.id)),
+            want: r#"Some("w2-g1")"#,
+            bad: None,
+        },
+    ];
+
+    /// `args` for `flag`, plus the other `--dist-*` flags when `flag` is one
+    /// (the four travel together).
+    fn with_peers(flag: &str, args: &[String]) -> Result<Cli, String> {
+        let mut all = args.to_vec();
+        if flag.starts_with("--dist-") {
+            for v in VALUED.iter().filter(|v| v.flag.starts_with("--dist-") && v.flag != flag) {
+                all.extend([v.flag.to_owned(), v.good.to_owned()]);
+            }
+        }
+        Cli::parse(all.into_iter())
+    }
+
+    #[test]
+    fn cli_reads_every_valued_flag_in_both_spellings() {
+        for Valued { flag, good, read, want, bad } in VALUED {
+            let spaced = with_peers(flag, &owned(&[flag, good]));
+            let joined = with_peers(flag, &[format!("{flag}={good}")]);
+            let c = spaced.unwrap_or_else(|e| panic!("{flag} {good}: {e}"));
+            assert_eq!(read(&c), want, "{flag} {good}");
+            assert_eq!(joined.as_ref(), Ok(&c), "{flag}={good} reads as {flag} {good}");
+            let err = parse(&[flag]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("missing value"), "{err}");
+            if let Some(bad) = bad {
+                for args in [owned(&[flag, bad]), vec![format!("{flag}={bad}")]] {
+                    let err = with_peers(flag, &args).unwrap_err();
+                    assert!(err.contains(flag) && err.contains(bad), "{args:?}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cli_refuses_zero_jobs_and_workers_in_both_spellings() {
+        for args in [&["--jobs", "0"][..], &["--jobs=0"], &["--workers", "0"], &["--workers=0"]] {
+            assert!(parse(args).is_err(), "{args:?}: a zero count is a usage error");
+        }
+        assert_eq!(parse(&["--workers=2"]).unwrap().workers(), 2);
+        assert_eq!(parse(&[]).unwrap().workers(), 1, "no flag: one in-process run");
     }
 
     fn split(flag: &str, args: &[&str]) -> Result<(Option<String>, Vec<String>), String> {
@@ -493,22 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_workers_and_spool() {
-        let c = parse(&["--workers", "3", "--spool", "out/spool"]).unwrap();
-        assert_eq!(c.workers, Some(3));
-        assert_eq!(c.spool, Some(std::path::PathBuf::from("out/spool")));
-        assert_eq!(c.workers(), 3, "--workers is the worker count");
-        let c = parse(&["--workers=2", "--spool=s"]).unwrap();
-        assert_eq!(c.workers, Some(2));
-        assert_eq!(c.spool, Some(std::path::PathBuf::from("s")));
-        assert!(parse(&["--workers"]).is_err());
-        assert!(parse(&["--workers", "0"]).is_err(), "zero workers is a usage error");
-        assert!(parse(&["--workers=0"]).is_err(), "the = form must reject zero too");
-        assert_eq!(parse(&[]).unwrap().workers, None);
-        assert_eq!(parse(&[]).unwrap().workers(), 1, "no flag: one in-process run");
-    }
-
-    #[test]
     fn cli_parses_dist_worker_flags_all_or_nothing() {
         let c = parse(&[
             "--smoke",
@@ -532,17 +616,5 @@ mod tests {
         assert!(err.contains("all four"), "{err}");
         assert!(parse(&["--dist-shard", "x"]).is_err());
         assert_eq!(parse(&[]).unwrap().dist, None);
-    }
-
-    #[test]
-    fn cli_parses_journal_path() {
-        let c = parse(&["--journal", "out/j.jsonl"]).unwrap();
-        assert_eq!(c.journal, Some(std::path::PathBuf::from("out/j.jsonl")));
-        // The --journal flag is the only spelling of the journal path.
-        assert_eq!(c.journal_path(), Some(std::path::PathBuf::from("out/j.jsonl")));
-        let c = parse(&["--journal=j", "--smoke"]).unwrap();
-        assert_eq!(c.journal, Some(std::path::PathBuf::from("j")));
-        assert!(parse(&["--journal"]).is_err());
-        assert_eq!(parse(&[]).unwrap().journal_path(), None);
     }
 }

@@ -47,7 +47,8 @@ pub struct ReproSpec {
     pub seed: u64,
     /// Transfer size in packets.
     pub transfer_pkts: u64,
-    /// Congestion control name: `reno`, `lia`, `olia`, or `dts`.
+    /// Congestion control: the [`CcChoice::label`] of a base algorithm, of
+    /// `dts` or of `dts-phi` (the last two at their default parameters).
     pub cc: String,
     /// Subflow death threshold (`None` disables the failover watchdog).
     pub dead_after_backoffs: Option<u32>,
@@ -61,14 +62,16 @@ pub struct ReproSpec {
 }
 
 impl ReproSpec {
+    /// The [`CcChoice`] whose [`CcChoice::label`] is `cc`: a base algorithm,
+    /// or DTS or DTS-Φ at their defaults.
     fn cc_choice(&self) -> Result<CcChoice, String> {
-        match self.cc.as_str() {
-            "reno" => Ok(CcChoice::Base(AlgorithmKind::Reno)),
-            "lia" => Ok(CcChoice::Base(AlgorithmKind::Lia)),
-            "olia" => Ok(CcChoice::Base(AlgorithmKind::Olia)),
-            "dts" => Ok(CcChoice::dts()),
-            other => Err(format!("repro spec: unknown congestion control {other:?}")),
-        }
+        let dts = [CcChoice::dts(), CcChoice::dts_phi()];
+        AlgorithmKind::ALL
+            .map(CcChoice::Base)
+            .into_iter()
+            .chain(dts)
+            .find(|c| c.label() == self.cc)
+            .ok_or_else(|| format!("repro spec: unknown congestion control {:?}", self.cc))
     }
 }
 
@@ -448,6 +451,16 @@ mod tests {
         let (parsed, violation) = parse_artifact(&text).expect("parse");
         assert_eq!(parsed, s, "spec did not round-trip bit-exactly");
         assert_eq!(violation, outcome.violation);
+    }
+
+    #[test]
+    fn every_cc_label_resolves_back_to_its_choice() {
+        let dts = [CcChoice::dts(), CcChoice::dts_phi()];
+        for cc in AlgorithmKind::ALL.map(CcChoice::Base).into_iter().chain(dts) {
+            assert_eq!(ReproSpec { cc: cc.label(), ..spec() }.cc_choice(), Ok(cc));
+        }
+        let err = ReproSpec { cc: "tcp".into(), ..spec() }.cc_choice().unwrap_err();
+        assert!(err.contains("unknown congestion control \"tcp\""), "{err}");
     }
 
     #[test]

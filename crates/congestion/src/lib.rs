@@ -68,7 +68,6 @@ pub use state::{
 pub use wvegas::WVegas;
 
 use std::fmt;
-use std::str::FromStr;
 
 /// A window-based multipath congestion-control algorithm.
 ///
@@ -107,7 +106,7 @@ pub trait MultipathCongestionControl: fmt::Debug + Send {
     fn fresh_box(&self) -> Box<dyn MultipathCongestionControl>;
 }
 
-/// The algorithm families available in this crate, for configuration by name.
+/// The algorithm families available in this crate; `Display` names each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AlgorithmKind {
     /// Single-path TCP Reno (runs uncoupled per subflow).
@@ -186,38 +185,6 @@ impl fmt::Display for AlgorithmKind {
     }
 }
 
-/// Error returned when parsing an unknown algorithm name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseAlgorithmError(String);
-
-impl fmt::Display for ParseAlgorithmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown congestion-control algorithm `{}`", self.0)
-    }
-}
-
-impl std::error::Error for ParseAlgorithmError {}
-
-impl FromStr for AlgorithmKind {
-    type Err = ParseAlgorithmError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reno" | "tcp" => Ok(AlgorithmKind::Reno),
-            "dctcp" => Ok(AlgorithmKind::Dctcp),
-            "ewtcp" => Ok(AlgorithmKind::Ewtcp),
-            "coupled" => Ok(AlgorithmKind::Coupled),
-            "lia" => Ok(AlgorithmKind::Lia),
-            "olia" => Ok(AlgorithmKind::Olia),
-            "balia" => Ok(AlgorithmKind::Balia),
-            "ecmtcp" => Ok(AlgorithmKind::EcMtcp),
-            "wvegas" => Ok(AlgorithmKind::WVegas),
-            "dwc" => Ok(AlgorithmKind::Dwc),
-            other => Err(ParseAlgorithmError(other.to_owned())),
-        }
-    }
-}
-
 #[cfg(test)]
 // Tests drive window arithmetic whose operands (halving, +1 steps,
 // literal initial values) are exact in f64, so strict comparison pins
@@ -225,15 +192,6 @@ impl FromStr for AlgorithmKind {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds_roundtrip_through_strings() {
-        for kind in AlgorithmKind::ALL {
-            let parsed: AlgorithmKind = kind.to_string().parse().unwrap();
-            assert_eq!(parsed, kind);
-        }
-        assert!("nonsense".parse::<AlgorithmKind>().is_err());
-    }
 
     #[test]
     fn build_produces_matching_names() {

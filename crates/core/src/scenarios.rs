@@ -95,9 +95,9 @@ impl FlowResult {
         FlowResult::metered(sim, flow, label, model, flow.sender_ref(sim).samples())
     }
 
-    /// [`FlowResult::collect`], with the energy integrated over `samples`
-    /// instead of the sender's own series.
-    fn metered(
+    /// [`FlowResult::collect`], with the energy integrated over `samples`: a
+    /// slice of the sender's own series, or that series on other slots.
+    pub fn metered(
         sim: &Simulator,
         flow: FlowHandle,
         label: String,

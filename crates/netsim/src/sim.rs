@@ -1429,6 +1429,39 @@ mod tests {
         assert_eq!(sim.agent::<Canceller>(a).fired, 1);
     }
 
+    /// A slot cancelled while its wake is queued and then re-armed fires
+    /// once, at the new deadline, with the new token — earlier or later than
+    /// the queued wake. The slot's wake generation is the only staleness
+    /// rule, so a transport token need carry nothing but a timer kind.
+    #[test]
+    fn cancel_then_rearm_fires_once_at_the_new_deadline_with_the_new_token() {
+        struct Recorder(Vec<(SimTime, u64)>);
+        impl Agent for Recorder {
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+                self.0.push((ctx.now(), token));
+            }
+        }
+        let ms = |m| SimTime::ZERO + SimDuration::from_millis(m);
+        for (rearm_ms, want_ms) in [(20, 30), (70, 80)] {
+            let mut sim = Simulator::new(1);
+            let a = sim.add_agent(Box::new(Recorder(Vec::new())));
+            let h = sim.world_mut().timer_slot(a);
+            sim.world_mut().arm_timer(h, SimDuration::from_millis(50), 1);
+            sim.run_until(ms(10));
+            sim.world_mut().cancel_timer(h);
+            sim.world_mut().arm_timer(h, SimDuration::from_millis(rearm_ms), 2);
+            sim.run_until(ms(1000));
+            assert_eq!(
+                sim.agent::<Recorder>(a).0,
+                vec![(ms(want_ms), 2)],
+                "re-armed +{rearm_ms} ms"
+            );
+            assert_eq!(sim.world().armed_timers(), 0);
+            assert_eq!(sim.pending_events(), 0, "the queued wake drained without firing");
+        }
+    }
+
     /// The peek-ahead regression. `run_until` peeks at the next event — a
     /// timer a second away — to learn it is past the deadline, and that peek
     /// stages the timer's bucket and moves the wheel position there. Work

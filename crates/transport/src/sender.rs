@@ -29,19 +29,14 @@ use std::sync::Arc;
 pub const TK_START: u64 = 1;
 /// Timer token: telemetry sample tick.
 const TK_SAMPLE: u64 = 2;
-/// High bit marking an RTO token; subflow in bits 32..62, generation in low
-/// 32 bits.
+/// High bit marking an RTO token; the subflow index is in the low bits.
 const TK_RTO_BIT: u64 = 1 << 63;
-/// Bit marking a persist (zero-window probe) timer token; generation in the
-/// low 32 bits. One persist timer serves the whole connection.
+/// The persist (zero-window probe) timer's token. One persist timer serves
+/// the whole connection.
 const TK_PERSIST_BIT: u64 = 1 << 62;
 
 /// Duplicate threshold for loss classification (RFC 6675 DupThresh).
 const DUP_THRESH: u64 = 3;
-
-fn rto_token(subflow: usize, gen: u64) -> u64 {
-    TK_RTO_BIT | ((subflow as u64) << 32) | (gen & 0xffff_ffff)
-}
 
 /// Scoreboard entry for one outstanding segment.
 #[derive(Clone, Copy, Debug, Default)]
@@ -201,11 +196,9 @@ struct SubflowState {
     /// Estimated packets in flight (RFC 6675 pipe).
     pipe: u64,
     rtt: RttEstimator,
-    rto_gen: u64,
     /// Cancellable timer slot carrying this subflow's RTO (lazily allocated
     /// on first arm). Re-arming on every cumulative ACK is O(1) with no
-    /// event-queue traffic; `rto_gen` stays as a second line of staleness
-    /// defense in the token itself.
+    /// event-queue traffic, and the slot fires only its latest arm.
     rto_timer: Option<TimerHandle>,
     backoff: u32,
     /// Scoreboard: subflow sequence → segment state.
@@ -227,7 +220,6 @@ impl SubflowState {
             sack_high: 0,
             pipe: 0,
             rtt: RttEstimator::new(cfg.min_rto),
-            rto_gen: 0,
             rto_timer: None,
             backoff: 0,
             segs: SegBoard::default(),
@@ -377,8 +369,6 @@ pub struct MptcpSender {
     zero_window: bool,
     /// Persist-timer backoff exponent (reset on resume or data progress).
     persist_backoff: u32,
-    /// Persist-timer generation (stale-fire rejection, like `rto_gen`).
-    persist_gen: u64,
     /// Cancellable timer slot for the persist timer (lazily allocated).
     persist_timer: Option<TimerHandle>,
     /// The in-flight window probe, if one was materialized:
@@ -425,7 +415,6 @@ impl MptcpSender {
             failover_reinjections: 0,
             zero_window: false,
             persist_backoff: 0,
-            persist_gen: 0,
             persist_timer: None,
             probe: None,
             zero_window_stalls: 0,
@@ -562,15 +551,13 @@ impl MptcpSender {
 
     fn arm_rto(&mut self, r: usize, ctx: &mut Ctx<'_>) {
         let sf = &mut self.subflows[r];
-        sf.rto_gen += 1;
         let delay = sf.rtt.rto_backed_off(self.cc_states[r].srtt, sf.backoff);
         let h = *sf.rto_timer.get_or_insert_with(|| ctx.timer_slot());
-        ctx.arm_timer(h, delay, rto_token(r, sf.rto_gen));
+        ctx.arm_timer(h, delay, TK_RTO_BIT | r as u64);
     }
 
     /// Disarms subflow `r`'s RTO (nothing outstanding to cover).
     fn disarm_rto(&mut self, r: usize, ctx: &mut Ctx<'_>) {
-        self.subflows[r].rto_gen += 1;
         if let Some(h) = self.subflows[r].rto_timer {
             ctx.cancel_timer(h);
         }
@@ -653,12 +640,11 @@ impl MptcpSender {
     }
 
     fn arm_persist(&mut self, ctx: &mut Ctx<'_>) {
-        self.persist_gen += 1;
         let r = self.probe_subflow();
         let delay =
             self.subflows[r].rtt.rto_backed_off(self.cc_states[r].srtt, self.persist_backoff);
         let h = *self.persist_timer.get_or_insert_with(|| ctx.timer_slot());
-        ctx.arm_timer(h, delay, TK_PERSIST_BIT | (self.persist_gen & 0xffff_ffff));
+        ctx.arm_timer(h, delay, TK_PERSIST_BIT);
     }
 
     /// Leaves the zero-window stall: disarm the persist timer, restore RTO
@@ -667,7 +653,6 @@ impl MptcpSender {
     fn exit_zero_window(&mut self, ctx: &mut Ctx<'_>) {
         self.zero_window = false;
         self.persist_backoff = 0;
-        self.persist_gen += 1; // any already-dispatched persist fire is stale
         if let Some(h) = self.persist_timer {
             ctx.cancel_timer(h);
         }
@@ -688,10 +673,9 @@ impl MptcpSender {
     /// re-arm with exponential backoff. Probes ride the normal transmit path
     /// but are covered by the persist timer instead of the RTO — a discarded
     /// probe elicits a pure window report, not delivery.
-    fn on_persist(&mut self, gen: u64, ctx: &mut Ctx<'_>) {
-        if gen != self.persist_gen & 0xffff_ffff || !self.zero_window || self.finished_at.is_some()
-        {
-            return; // stale timer
+    fn on_persist(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.zero_window || self.finished_at.is_some() {
+            return; // no longer stalled
         }
         let (r, seq, first_send) = match self.probe {
             Some((r, seq)) => (r, seq, false),
@@ -969,8 +953,6 @@ impl MptcpSender {
             if self.subflows[r].has_outstanding() {
                 self.arm_rto(r, ctx);
             } else {
-                // Nothing outstanding: cancel the timer slot (and bump the
-                // generation so any already-dispatched fire is stale).
                 self.disarm_rto(r, ctx);
             }
         }
@@ -994,10 +976,9 @@ impl MptcpSender {
         self.pump(ctx);
     }
 
-    fn on_rto(&mut self, r: usize, gen: u64, ctx: &mut Ctx<'_>) {
-        let sf = &self.subflows[r];
-        if gen != sf.rto_gen & 0xffff_ffff || !sf.has_outstanding() || self.finished_at.is_some() {
-            return; // stale timer
+    fn on_rto(&mut self, r: usize, ctx: &mut Ctx<'_>) {
+        if !self.subflows[r].has_outstanding() || self.finished_at.is_some() {
+            return; // nothing left to cover
         }
         if !self.cc_states[r].active {
             // Revival probe: retransmit the head at the frozen backed-off
@@ -1262,13 +1243,12 @@ impl Agent for MptcpSender {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         if token & TK_RTO_BIT != 0 {
-            let r = ((token >> 32) & 0x3fff_ffff) as usize;
-            let gen = token & 0xffff_ffff;
+            let r = (token & !TK_RTO_BIT) as usize;
             if r < self.subflows.len() {
-                self.on_rto(r, gen, ctx);
+                self.on_rto(r, ctx);
             }
-        } else if token & TK_PERSIST_BIT != 0 {
-            self.on_persist(token & 0xffff_ffff, ctx);
+        } else if token == TK_PERSIST_BIT {
+            self.on_persist(ctx);
         } else if token == TK_START {
             if self.started_at.is_none() {
                 assert!(!self.subflows.is_empty(), "sender started with no paths");

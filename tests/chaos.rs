@@ -143,6 +143,15 @@ fn soak_with(seed: u64, adversarial: bool) -> SoakOutcome {
     soak_on(Simulator::new(seed), seed, adversarial)
 }
 
+/// The congestion control a soak cell runs: LIA on even seeds, DTS on odd.
+fn soak_cc(seed: u64) -> CcChoice {
+    if seed.is_multiple_of(2) {
+        CcChoice::Base(AlgorithmKind::Lia)
+    } else {
+        CcChoice::dts()
+    }
+}
+
 /// The soak on a caller-built simulator, fresh and seeded with `seed`.
 fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
     let label = if adversarial { format!("soak-adv-{seed}") } else { format!("soak-{seed}") };
@@ -156,12 +165,10 @@ fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
     spec.script.clone().install(&mut sim);
     #[cfg(feature = "check-invariants")]
     netsim::install_default_invariants(&mut sim);
-    let cc =
-        if seed.is_multiple_of(2) { CcChoice::Base(AlgorithmKind::Lia) } else { CcChoice::dts() };
     let flow = attach_flow(
         &mut sim,
         FlowConfig::new(seed).transfer_pkts(TRANSFER_PKTS).dead_after_backoffs(Some(4)),
-        cc.build(2),
+        soak_cc(seed).build(2),
         &tp.both(),
         SimDuration::ZERO,
     );
@@ -229,7 +236,7 @@ fn spec_for(seed: u64, adversarial: bool) -> ReproSpec {
     ReproSpec {
         seed,
         transfer_pkts: TRANSFER_PKTS,
-        cc: if seed.is_multiple_of(2) { "lia".into() } else { "dts".into() },
+        cc: soak_cc(seed).label(),
         dead_after_backoffs: Some(4),
         horizon_s: 120.0,
         fail_at_s: None,

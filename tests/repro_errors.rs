@@ -79,9 +79,11 @@ fn unknown_congestion_control_is_an_error_not_a_panic() {
 #[test]
 fn known_congestion_control_executes() {
     // The guard above must not be overeager: a real cc runs to completion.
-    let outcome = run_repro_cell(&spec("reno")).unwrap();
-    assert!(outcome.finished, "50-packet clean transfer must finish");
-    assert_eq!(outcome.acked, 50);
+    for cc in ["reno", "olia", "dts", "dts-phi"] {
+        let outcome = run_repro_cell(&spec(cc)).unwrap();
+        assert!(outcome.finished, "{cc}: 50-packet clean transfer must finish");
+        assert_eq!(outcome.acked, 50, "{cc}");
+    }
 }
 
 #[test]
