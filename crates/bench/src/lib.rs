@@ -108,16 +108,13 @@ impl Cli {
     }
 
     fn from_arg_list(args: impl Iterator<Item = String>) -> Cli {
-        Cli::parse(args).unwrap_or_else(|bad| {
-            eprintln!(
-                "unknown argument `{bad}` \
-                 (expected --smoke/--quick/--full/--jobs N/--journal PATH/\
-                 --workers N/--spool DIR)"
-            );
+        Cli::parse(args).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
         })
     }
 
+    /// The flags, or the usage message that names the fault found.
     fn parse(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             scale: Scale::Quick,
@@ -145,29 +142,26 @@ impl Cli {
                 ("--dist-shard", Some(v)) => dist_shard = Some(number("--dist-shard", &v)?),
                 ("--dist-gen", Some(v)) => dist_gen = Some(number("--dist-gen", &v)?),
                 ("--dist-id", Some(v)) => dist_id = Some(v),
-                _ => return Err(a),
-            }
-        }
-        if cli.jobs == Some(0) {
-            return Err("--jobs 0".to_owned());
-        }
-        if cli.workers == Some(0) {
-            return Err("--workers 0".to_owned());
-        }
-        let dist_any =
-            dist_spool.is_some() || dist_shard.is_some() || dist_gen.is_some() || dist_id.is_some();
-        if dist_any {
-            match (dist_spool, dist_shard, dist_gen, dist_id) {
-                (Some(spool), Some(shard), Some(gen), Some(id)) => {
-                    cli.dist = Some(DistWorkerCli { spool, shard, gen, id });
-                }
                 _ => {
-                    return Err(
-                        "--dist-worker/--dist-shard/--dist-gen/--dist-id (all four required)"
-                            .to_owned(),
-                    )
+                    return Err(format!(
+                        "unknown argument `{a}` \
+                         (expected --smoke/--quick/--full/--jobs N/--journal PATH/\
+                         --workers N/--spool DIR)"
+                    ))
                 }
             }
+        }
+        for (name, n) in [("--jobs", cli.jobs), ("--workers", cli.workers)] {
+            if n == Some(0) {
+                return Err(format!("{name}: must be at least 1"));
+            }
+        }
+        match (dist_spool, dist_shard, dist_gen, dist_id) {
+            (Some(spool), Some(shard), Some(gen), Some(id)) => {
+                cli.dist = Some(DistWorkerCli { spool, shard, gen, id });
+            }
+            (None, None, None, None) => {}
+            _ => return Err(format!("{}: give all four or none", VALUED_FLAGS[4..].join(", "))),
         }
         Ok(cli)
     }
@@ -210,7 +204,7 @@ impl Cli {
     }
 }
 
-/// The flags of [`Cli`] that take a value.
+/// The flags of [`Cli`] that take a value; the last four travel together.
 const VALUED_FLAGS: [&str; 8] = [
     "--jobs",
     "--workers",
@@ -248,7 +242,7 @@ fn read_flag<'a>(
 
 /// Flag `name`'s value `v` as a number.
 fn number<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("{name} {v}"))
+    v.parse().map_err(|_| format!("{name}: `{v}` is not a non-negative integer"))
 }
 
 /// Splits `flag VALUE` / `flag=VALUE` off an argument list: returns the
@@ -455,8 +449,16 @@ mod tests {
         assert_eq!(parse(&["--full", "--jobs", "4"]), Ok(cli(Scale::Full, Some(4))));
         assert_eq!(parse(&["--smoke", "--quick"]), Ok(cli(Scale::Quick, None)));
         for bad in ["--smoke=1", "--quick=", "--full=yes", "--bogus", "--bogus=1", "smoke"] {
-            assert_eq!(parse(&[bad]), Err(bad.to_owned()), "{bad} must be refused");
+            assert_eq!(parse(&[bad]), Err(unknown(bad)), "{bad} must be refused");
         }
+    }
+
+    /// What `Cli` prints for an argument it does not know.
+    fn unknown(a: &str) -> String {
+        format!(
+            "unknown argument `{a}` \
+             (expected --smoke/--quick/--full/--jobs N/--journal PATH/--workers N/--spool DIR)"
+        )
     }
 
     /// One valued flag: a good value, the parsed field it lands in (as
@@ -548,12 +550,11 @@ mod tests {
             let c = spaced.unwrap_or_else(|e| panic!("{flag} {good}: {e}"));
             assert_eq!(read(&c), want, "{flag} {good}");
             assert_eq!(joined.as_ref(), Ok(&c), "{flag}={good} reads as {flag} {good}");
-            let err = parse(&[flag]).unwrap_err();
-            assert!(err.contains(flag) && err.contains("missing value"), "{err}");
+            assert_eq!(parse(&[flag]), Err(format!("{flag}: missing value")));
             if let Some(bad) = bad {
+                let want = format!("{flag}: `{bad}` is not a non-negative integer");
                 for args in [owned(&[flag, bad]), vec![format!("{flag}={bad}")]] {
-                    let err = with_peers(flag, &args).unwrap_err();
-                    assert!(err.contains(flag) && err.contains(bad), "{args:?}: {err}");
+                    assert_eq!(with_peers(flag, &args), Err(want.clone()), "{args:?}");
                 }
             }
         }
@@ -562,7 +563,8 @@ mod tests {
     #[test]
     fn cli_refuses_zero_jobs_and_workers_in_both_spellings() {
         for args in [&["--jobs", "0"][..], &["--jobs=0"], &["--workers", "0"], &["--workers=0"]] {
-            assert!(parse(args).is_err(), "{args:?}: a zero count is a usage error");
+            let want = format!("{}: must be at least 1", args[0].trim_end_matches("=0"));
+            assert_eq!(parse(args), Err(want), "{args:?}: a zero count is a usage error");
         }
         assert_eq!(parse(&["--workers=2"]).unwrap().workers(), 2);
         assert_eq!(parse(&[]).unwrap().workers(), 1, "no flag: one in-process run");
@@ -612,8 +614,10 @@ mod tests {
         assert_eq!(d.gen, 1);
         assert_eq!(d.id, "w2-g1");
         // A partial flag set is a usage error, not a silent supervisor run.
-        let err = parse(&["--dist-worker", "sp", "--dist-shard", "2"]).unwrap_err();
-        assert!(err.contains("all four"), "{err}");
+        assert_eq!(
+            parse(&["--dist-worker", "sp", "--dist-shard", "2"]),
+            Err("--dist-worker, --dist-shard, --dist-gen, --dist-id: give all four or none".into())
+        );
         assert!(parse(&["--dist-shard", "x"]).is_err());
         assert_eq!(parse(&[]).unwrap().dist, None);
     }

@@ -33,7 +33,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use topology::TwoPath;
-use transport::{attach_flow, FlowConfig};
+use transport::{attach_flow, FlowConfig, FlowHandle};
 
 /// How many trailing trace events an artifact retains.
 const TRACE_TAIL: usize = 256;
@@ -98,25 +98,21 @@ pub struct ReproOutcome {
     pub trace_tail: Vec<TraceEvent>,
 }
 
-/// Executes `spec` on the fixed two-path soak topology with the trace-tail
-/// ring attached and (under `check-invariants`) the default simulator and
-/// transport invariants registered.
+/// Builds `spec`'s cell on `sim` (fresh, seeded with `spec.seed`), ready to
+/// run: the soak and [`run_repro_cell`] both build here, so an artifact
+/// replays the very cell that wrote it.
 ///
 /// # Errors
 ///
-/// Returns an error when the spec names an unknown congestion control —
-/// artifacts are hand-editable text, so a typo must surface as a message,
-/// not a panic.
-pub fn run_repro_cell(spec: &ReproSpec) -> Result<ReproOutcome, String> {
+/// When the spec names an unknown congestion control: artifacts are
+/// hand-editable text, so a typo must surface as a message, not a panic.
+pub fn build_cell(sim: &mut Simulator, spec: &ReproSpec) -> Result<FlowHandle, String> {
     let cc = spec.cc_choice()?;
-    let mut sim = Simulator::new(spec.seed);
-    let ring = Arc::new(Mutex::new(RingSink::new(TRACE_TAIL)));
-    sim.set_trace_sink(Box::new(Arc::clone(&ring)));
-    let tp = TwoPath::dual_nic(&mut sim, 20_000_000, SimDuration::from_millis(10));
-    spec.script.clone().install(&mut sim);
+    let tp = TwoPath::dual_nic(sim, 20_000_000, SimDuration::from_millis(10));
+    spec.script.clone().install(sim);
     #[cfg(feature = "check-invariants")]
     {
-        netsim::install_default_invariants(&mut sim);
+        netsim::install_default_invariants(sim);
         if let Some(fail_at) = spec.fail_at_s {
             let at = SimTime::from_secs_f64(fail_at);
             sim.add_invariant_check(Box::new(move |s: &Simulator| {
@@ -129,7 +125,7 @@ pub fn run_repro_cell(spec: &ReproSpec) -> Result<ReproOutcome, String> {
         }
     }
     let flow = attach_flow(
-        &mut sim,
+        sim,
         FlowConfig::new(spec.seed)
             .transfer_pkts(spec.transfer_pkts)
             .dead_after_backoffs(spec.dead_after_backoffs),
@@ -137,6 +133,15 @@ pub fn run_repro_cell(spec: &ReproSpec) -> Result<ReproOutcome, String> {
         &tp.both(),
         SimDuration::ZERO,
     );
+    Ok(flow)
+}
+
+/// [`build_cell`] run to the horizon with the trace-tail ring attached.
+pub fn run_repro_cell(spec: &ReproSpec) -> Result<ReproOutcome, String> {
+    let mut sim = Simulator::new(spec.seed);
+    let ring = Arc::new(Mutex::new(RingSink::new(TRACE_TAIL)));
+    sim.set_trace_sink(Box::new(Arc::clone(&ring)));
+    let flow = build_cell(&mut sim, spec)?;
     sim.run_until(SimTime::from_secs_f64(spec.horizon_s));
     drop(sim.take_trace_sink());
     #[cfg(feature = "check-invariants")]

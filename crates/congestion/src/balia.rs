@@ -15,7 +15,7 @@
 
 use crate::common;
 use crate::state::SubflowCc;
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// Balia coupled congestion avoidance.
 #[derive(Clone, Debug, Default)]
@@ -43,7 +43,7 @@ impl Balia {
 
 impl MultipathCongestionControl for Balia {
     fn name(&self) -> &'static str {
-        "balia"
+        AlgorithmKind::Balia.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

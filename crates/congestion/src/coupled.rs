@@ -8,7 +8,7 @@
 
 use crate::common;
 use crate::state::{total_cwnd, SubflowCc};
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// Fully coupled Kelly/Voice window control.
 #[derive(Clone, Debug, Default)]
@@ -25,7 +25,7 @@ impl CoupledKv {
 
 impl MultipathCongestionControl for CoupledKv {
     fn name(&self) -> &'static str {
-        "coupled"
+        AlgorithmKind::Coupled.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

@@ -13,7 +13,7 @@
 
 use crate::common;
 use crate::state::SubflowCc;
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// EWMA gain for the marking-fraction estimator (RFC 8257 recommends 1/16).
 pub const DCTCP_G: f64 = 1.0 / 16.0;
@@ -62,7 +62,7 @@ impl Dctcp {
 
 impl MultipathCongestionControl for Dctcp {
     fn name(&self) -> &'static str {
-        "dctcp"
+        AlgorithmKind::Dctcp.name()
     }
 
     fn wants_ecn(&self) -> bool {

@@ -18,7 +18,7 @@
 
 use crate::common;
 use crate::state::SubflowCc;
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// Fraction of the observed delay range treated as the congestion threshold
 /// (the ICNP paper's τ).
@@ -72,7 +72,7 @@ impl Dwc {
 
 impl MultipathCongestionControl for Dwc {
     fn name(&self) -> &'static str {
-        "dwc"
+        AlgorithmKind::Dwc.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

@@ -17,7 +17,7 @@
 
 use crate::common;
 use crate::state::{active_count, total_cwnd, SubflowCc};
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// ecMTCP energy-aware coupled congestion avoidance.
 #[derive(Clone, Debug, Default)]
@@ -34,7 +34,7 @@ impl EcMtcp {
 
 impl MultipathCongestionControl for EcMtcp {
     fn name(&self) -> &'static str {
-        "ecmtcp"
+        AlgorithmKind::EcMtcp.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

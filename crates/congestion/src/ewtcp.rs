@@ -11,7 +11,7 @@
 
 use crate::common;
 use crate::state::{active_count, SubflowCc};
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// EWTCP: uncoupled Reno with `1/√n` weighting.
 #[derive(Clone, Debug, Default)]
@@ -28,7 +28,7 @@ impl Ewtcp {
 
 impl MultipathCongestionControl for Ewtcp {
     fn name(&self) -> &'static str {
-        "ewtcp"
+        AlgorithmKind::Ewtcp.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

@@ -14,7 +14,7 @@
 
 use crate::common;
 use crate::state::{total_cwnd, total_rate, SubflowCc};
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// LIA (RFC 6356) coupled congestion avoidance.
 #[derive(Clone, Debug, Default)]
@@ -47,7 +47,7 @@ impl Lia {
 
 impl MultipathCongestionControl for Lia {
     fn name(&self) -> &'static str {
-        "lia"
+        AlgorithmKind::Lia.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

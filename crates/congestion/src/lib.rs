@@ -106,7 +106,7 @@ pub trait MultipathCongestionControl: fmt::Debug + Send {
     fn fresh_box(&self) -> Box<dyn MultipathCongestionControl>;
 }
 
-/// The algorithm families available in this crate; `Display` names each.
+/// The algorithm families available in this crate, named by [`AlgorithmKind::name`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AlgorithmKind {
     /// Single-path TCP Reno (runs uncoupled per subflow).
@@ -150,6 +150,22 @@ impl AlgorithmKind {
     pub const PAPER_FOUR: [AlgorithmKind; 4] =
         [AlgorithmKind::Lia, AlgorithmKind::Olia, AlgorithmKind::Balia, AlgorithmKind::EcMtcp];
 
+    /// The one spelling of each name: `Display` writes it, each controller's `name` returns it.
+    pub fn name(self) -> &'static str {
+        match self {
+            AlgorithmKind::Reno => "reno",
+            AlgorithmKind::Dctcp => "dctcp",
+            AlgorithmKind::Ewtcp => "ewtcp",
+            AlgorithmKind::Coupled => "coupled",
+            AlgorithmKind::Lia => "lia",
+            AlgorithmKind::Olia => "olia",
+            AlgorithmKind::Balia => "balia",
+            AlgorithmKind::EcMtcp => "ecmtcp",
+            AlgorithmKind::WVegas => "wvegas",
+            AlgorithmKind::Dwc => "dwc",
+        }
+    }
+
     /// Instantiates the algorithm for a connection with `n_subflows` paths.
     pub fn build(self, n_subflows: usize) -> Box<dyn MultipathCongestionControl> {
         match self {
@@ -169,19 +185,7 @@ impl AlgorithmKind {
 
 impl fmt::Display for AlgorithmKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AlgorithmKind::Reno => "reno",
-            AlgorithmKind::Dctcp => "dctcp",
-            AlgorithmKind::Ewtcp => "ewtcp",
-            AlgorithmKind::Coupled => "coupled",
-            AlgorithmKind::Lia => "lia",
-            AlgorithmKind::Olia => "olia",
-            AlgorithmKind::Balia => "balia",
-            AlgorithmKind::EcMtcp => "ecmtcp",
-            AlgorithmKind::WVegas => "wvegas",
-            AlgorithmKind::Dwc => "dwc",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -22,7 +22,7 @@
 
 use crate::common;
 use crate::state::SubflowCc;
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct LossHistory {
@@ -108,7 +108,7 @@ impl Olia {
 
 impl MultipathCongestionControl for Olia {
     fn name(&self) -> &'static str {
-        "olia"
+        AlgorithmKind::Olia.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

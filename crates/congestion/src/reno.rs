@@ -7,7 +7,7 @@
 
 use crate::common;
 use crate::state::SubflowCc;
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// TCP Reno: AIMD with `Δw = 1/w` per ACK and window halving on loss.
 #[derive(Clone, Debug, Default)]
@@ -24,7 +24,7 @@ impl Reno {
 
 impl MultipathCongestionControl for Reno {
     fn name(&self) -> &'static str {
-        "reno"
+        AlgorithmKind::Reno.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

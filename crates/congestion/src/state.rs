@@ -65,16 +65,6 @@ impl SubflowCc {
         }
     }
 
-    /// `baseRTT_r / RTT_r`, the path-quality ratio driving the paper's DTS
-    /// factor. Returns 1.0 before the first sample (pristine path).
-    pub fn rtt_ratio(&self) -> f64 {
-        if self.last_rtt > 0.0 && self.base_rtt.is_finite() {
-            (self.base_rtt / self.last_rtt).clamp(0.0, 1.0)
-        } else {
-            1.0
-        }
-    }
-
     /// Records an RTT sample, updating `last_rtt`, `srtt` (EWMA 1/8) and
     /// `base_rtt`.
     pub fn observe_rtt(&mut self, rtt: f64) {
@@ -128,7 +118,6 @@ mod tests {
         assert!(f.ssthresh.is_infinite());
         assert!(!f.has_rtt());
         assert_eq!(f.rate(), 0.0);
-        assert_eq!(f.rtt_ratio(), 1.0);
     }
 
     #[test]
@@ -141,7 +130,6 @@ mod tests {
         assert!((f.srtt - 0.1125).abs() < 1e-12);
         assert_eq!(f.base_rtt, 0.100);
         assert_eq!(f.last_rtt, 0.200);
-        assert!((f.rtt_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::common;
 use crate::state::{total_rate, SubflowCc};
-use crate::MultipathCongestionControl;
+use crate::{AlgorithmKind, MultipathCongestionControl};
 
 /// Total target backlog across subflows, in packets (the ICNP paper's
 /// `total_alpha`).
@@ -77,7 +77,7 @@ impl WVegas {
 
 impl MultipathCongestionControl for WVegas {
     fn name(&self) -> &'static str {
-        "wvegas"
+        AlgorithmKind::WVegas.name()
     }
 
     fn on_ack(&mut self, r: usize, flows: &mut [SubflowCc], newly_acked: u64, _ecn: bool) {

@@ -136,7 +136,7 @@ pub fn friendliness_ratio(
 mod tests {
     use super::*;
     use crate::dts::DtsConfig;
-    use crate::dts_phi::DtsPhiConfig;
+    use crate::model::DtsPhiConfig;
 
     fn sym_view<'a>(x: &'a [f64], rtt: &'a [f64]) -> FlowView<'a> {
         FlowView { x, rtt, base_rtt: rtt }

@@ -756,7 +756,7 @@ mod tests {
 
     /// All seven ψ under both φ.
     fn every_model() -> Vec<CcModel> {
-        let phi = crate::dts_phi::DtsPhiConfig::default();
+        let phi = crate::model::DtsPhiConfig::default();
         let psis = [
             Psi::Ewtcp,
             Psi::Coupled,

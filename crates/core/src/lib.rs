@@ -13,11 +13,11 @@
 //!   `ψ_r`;
 //! * [`conditions`] — numeric checkers for Condition 1 (TCP-friendliness)
 //!   and the Pareto-efficiency test behind Condition 2;
-//! * [`dts`] — **DTS**, Delay-based Traffic Shifting: the Equation-(5)
-//!   sigmoid window-increase factor, in both exact and kernel fixed-point
-//!   (Algorithm 1) forms;
-//! * [`dts_phi`] — **DTS-Φ**, the §V-C extension with the
-//!   energy-proportional compensative price of Equations (6)–(9);
+//! * [`dts`] — **DTS**, Delay-based Traffic Shifting, and **DTS-Φ**, its
+//!   §V-C extension with the energy-proportional compensative price of
+//!   Equations (6)–(9): one per-ACK controller that reads the Equation-(5)
+//!   sigmoid and the price gradient from its [`model`] instance, with
+//!   Algorithm 1's kernel fixed-point sigmoid as the one packet-only rule;
 //! * [`fluid`] — an RK4 fluid solver for networks of Equation-(3) flows;
 //! * [`scenarios`] — the paper's evaluation scenarios (Figs. 6–17) as
 //!   deterministic, seedable experiment runners;
@@ -39,7 +39,6 @@
 
 pub mod conditions;
 pub mod dts;
-pub mod dts_phi;
 pub mod fluid;
 pub mod hybrid;
 pub mod model;
@@ -49,12 +48,11 @@ pub mod stats;
 
 pub use conditions::{check_condition1, friendliness_ratio, pareto_efficiency};
 pub use dts::{epsilon_exact, epsilon_fixed_point, Dts, DtsConfig};
-pub use dts_phi::{DtsPhi, DtsPhiConfig};
 pub use fluid::{
     disjoint_paths_net, EquilibriumInfo, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver,
 };
 pub use hybrid::{fluid_model_of, HybridConfig, HybridCounters, HybridEngine};
-pub use model::{CcModel, FlowView, Phi, Psi};
+pub use model::{CcModel, DtsPhiConfig, FlowView, Phi, Psi};
 pub use path_select::{run_wireless_with_policy, select_paths, PathPolicy};
 pub use scenarios::CcChoice;
 pub use stats::{mean, std_dev, FiveNumber};

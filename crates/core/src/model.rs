@@ -13,8 +13,8 @@
 //! variants; the `congestion` crate's per-ACK implementations and these
 //! fluid forms are cross-validated in the test suite.
 
-use crate::dts::{epsilon_exact, DtsConfig, MIDPOINT};
-use crate::dts_phi::{DtsPhiConfig, ETA};
+use crate::dts::{epsilon_exact, quality_ratio, Dts, DtsConfig, MIDPOINT};
+use congestion::{AlgorithmKind, MultipathCongestionControl};
 
 /// A read-only view of one multipath user's state for parameter evaluation.
 #[derive(Clone, Copy, Debug)]
@@ -155,16 +155,40 @@ impl Psi {
     /// The human-readable algorithm name.
     pub fn name(&self) -> &'static str {
         match self {
-            Psi::Ewtcp => "ewtcp",
-            Psi::Coupled => "coupled",
-            Psi::Lia => "lia",
-            Psi::Olia => "olia",
-            Psi::Balia => "balia",
-            Psi::EcMtcp => "ecmtcp",
-            Psi::Dts(_) => "dts",
+            Psi::Ewtcp => AlgorithmKind::Ewtcp.name(),
+            Psi::Coupled => AlgorithmKind::Coupled.name(),
+            Psi::Lia => AlgorithmKind::Lia.name(),
+            Psi::Olia => AlgorithmKind::Olia.name(),
+            Psi::Balia => AlgorithmKind::Balia.name(),
+            Psi::EcMtcp => AlgorithmKind::EcMtcp.name(),
+            Psi::Dts(cfg) => Dts::with_config(*cfg).name(),
         }
     }
 }
+
+/// Tunable parameters of DTS-Φ, the paper's §V-C energy price. The
+/// queue-excess term's weight η is fixed at 1.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DtsPhiConfig {
+    /// The underlying DTS parameters.
+    pub dts: DtsConfig,
+    /// Price weight `κ_s` of Equation (7).
+    pub kappa: f64,
+    /// Per-unit-traffic energy price `ρ` of Equation (6).
+    pub rho: f64,
+    /// Expected (target) queueing delay — the end-to-end proxy for
+    /// Equation (6)'s expected queue size `Q` — in seconds.
+    pub queue_target_s: f64,
+}
+
+impl Default for DtsPhiConfig {
+    fn default() -> Self {
+        DtsPhiConfig { dts: DtsConfig::default(), kappa: 1e-4, rho: 0.2, queue_target_s: 0.005 }
+    }
+}
+
+/// Weight η of the queue-excess term in the price gradient.
+const ETA: f64 = 1.0;
 
 /// The compensative parameter `φ_r`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -183,7 +207,8 @@ impl Phi {
     }
 
     /// The price gradient `ρ + η(d̂_r − D)⁺/D` of a path, 0 for `Zero`.
-    fn grad(&self, rtt: f64, base_rtt: f64) -> f64 {
+    /// An unsampled path (`rtt = 0`, `base_rtt = ∞`) has `d̂_r = 0`.
+    pub fn grad(&self, rtt: f64, base_rtt: f64) -> f64 {
         match self {
             Phi::Zero => 0.0,
             Phi::EnergyPrice(cfg) => {
@@ -241,8 +266,7 @@ impl CcModel {
     pub(crate) fn path_consts(&self, rtt: f64, base_rtt: f64) -> PathConsts {
         let psi0 = match self.psi {
             Psi::Dts(cfg) => {
-                let ratio = (base_rtt / rtt).clamp(0.0, 1.0);
-                cfg.c * epsilon_exact(ratio, cfg.slope, MIDPOINT)
+                cfg.c * epsilon_exact(quality_ratio(rtt, base_rtt), cfg.slope, MIDPOINT)
             }
             Psi::EcMtcp => rtt.powi(3),
             Psi::Ewtcp | Psi::Coupled | Psi::Lia | Psi::Olia | Psi::Balia => 1.0,

@@ -7,7 +7,7 @@
 //! mapping and EXPERIMENTS.md for the scaling notes.
 
 use crate::dts::{Dts, DtsConfig};
-use crate::dts_phi::{DtsPhi, DtsPhiConfig};
+use crate::model::DtsPhiConfig;
 use congestion::{AlgorithmKind, MultipathCongestionControl};
 use energy_model::{energy_of_flow, EnergyReport, PhoneModel, PowerModel, WiredCpuModel};
 use netsim::{LinkConfig, LinkStats, LossModel, SimDuration, SimTime, Simulator};
@@ -51,17 +51,17 @@ impl CcChoice {
         match self {
             CcChoice::Base(kind) => kind.build(n_subflows),
             CcChoice::Dts(cfg) => Box::new(Dts::with_config(*cfg)),
-            CcChoice::DtsPhi(cfg) => Box::new(DtsPhi::with_config(*cfg)),
+            CcChoice::DtsPhi(cfg) => Box::new(Dts::with_price(*cfg)),
         }
     }
 
     /// The display label used in experiment tables.
     pub fn label(&self) -> String {
         match self {
-            CcChoice::Base(kind) => kind.to_string(),
-            CcChoice::Dts(_) => "dts".to_owned(),
-            CcChoice::DtsPhi(_) => "dts-phi".to_owned(),
+            CcChoice::Base(kind) => kind.name(),
+            CcChoice::Dts(_) | CcChoice::DtsPhi(_) => self.build(1).name(),
         }
+        .to_owned()
     }
 }
 

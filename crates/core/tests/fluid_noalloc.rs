@@ -9,9 +9,9 @@
 // allocations. The impl only delegates to `System` and bumps a counter.
 #![allow(unsafe_code)]
 
-use mptcp_energy::dts_phi::DtsPhiConfig;
 use mptcp_energy::fluid::{FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver};
 use mptcp_energy::model::CcModel;
+use mptcp_energy::DtsPhiConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -22,7 +22,7 @@
 use bench_harness::fabric::{
     run_fabric_ephemeral, FabricCell, FabricOptions, Fingerprint, RetryPolicy,
 };
-use bench_harness::repro::ReproSpec;
+use bench_harness::repro::{build_cell, ReproSpec};
 use bench_harness::runner::{run_sweep_jobs, SweepCell};
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{counters_of, CounterSnapshot};
@@ -31,7 +31,6 @@ use netsim::{FaultAction, FaultScript, LossModel, ReorderModel, SimDuration, Sim
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::TwoPath;
-use transport::{attach_flow, FlowConfig};
 
 const SEEDS: u64 = 20;
 // Big enough that the transfer is still in flight while the fault timeline
@@ -152,7 +151,8 @@ fn soak_cc(seed: u64) -> CcChoice {
     }
 }
 
-/// The soak on a caller-built simulator, fresh and seeded with `seed`.
+/// The soak on a caller-built simulator, fresh and seeded with `seed`: the
+/// repro cell of [`spec_for`], run under the stall watchdog.
 fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
     let label = if adversarial { format!("soak-adv-{seed}") } else { format!("soak-{seed}") };
     if let Some(dir) = trace_dir() {
@@ -160,21 +160,11 @@ fn soak_on(mut sim: Simulator, seed: u64, adversarial: bool) -> SoakOutcome {
             sim.set_trace_sink(sink);
         }
     }
-    let tp = TwoPath::dual_nic(&mut sim, 20_000_000, SimDuration::from_millis(10));
     let spec = spec_for(seed, adversarial);
-    spec.script.clone().install(&mut sim);
-    #[cfg(feature = "check-invariants")]
-    netsim::install_default_invariants(&mut sim);
-    let flow = attach_flow(
-        &mut sim,
-        FlowConfig::new(seed).transfer_pkts(TRANSFER_PKTS).dead_after_backoffs(Some(4)),
-        soak_cc(seed).build(2),
-        &tp.both(),
-        SimDuration::ZERO,
-    );
+    let flow = build_cell(&mut sim, &spec).expect("a soak spec names a known congestion control");
     sim.enable_watchdog(SimDuration::from_secs_f64(10.0));
     sim.watch(flow.sender);
-    sim.run_until(SimTime::from_secs_f64(120.0));
+    sim.run_until(SimTime::from_secs_f64(spec.horizon_s));
     drop(sim.take_trace_sink());
     // A halted invariant checker aborts the cell: dump the self-contained
     // repro artifact (spec + fault timeline + violation) first, then panic so
@@ -225,8 +215,8 @@ fn adv_cells(seeds: impl IntoIterator<Item = u64>) -> Vec<SweepCell<'static, Soa
 }
 
 /// The exact fault timeline a soak cell sees, as a self-contained repro
-/// spec: `dual_nic` is the first deterministic thing `soak_on` does with its
-/// fresh `Simulator`, so a scratch sim assigns identical link ids.
+/// spec: `dual_nic` is the first deterministic thing `build_cell` does with
+/// its fresh `Simulator`, so a scratch sim assigns identical link ids.
 fn spec_for(seed: u64, adversarial: bool) -> ReproSpec {
     let mut sim = Simulator::new(seed);
     let tp = TwoPath::dual_nic(&mut sim, 20_000_000, SimDuration::from_millis(10));

@@ -8,7 +8,7 @@
 
 use congestion::{AlgorithmKind, MultipathCongestionControl, SubflowCc};
 use energy_model::{energy_of_flow, PhoneModel, PowerModel, WiredCpuModel};
-use mptcp_energy::{CcModel, Dts, DtsConfig, DtsPhi, DtsPhiConfig, FlowView};
+use mptcp_energy::{fluid_model_of, CcChoice, CcModel, FlowView, Phi};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ fn wireless_samples() -> Vec<FlowSample> {
     let tp = TwoPath::wireless(&mut sim);
     let cfg =
         FlowConfig::new(0).rcv_buf_bytes(256 * 1024).sample_every(SimDuration::from_millis(50));
-    let cc = mptcp_energy::scenarios::CcChoice::dts().build(2);
+    let cc = CcChoice::dts().build(2);
     let flow = attach_flow(&mut sim, cfg, cc, &tp.both(), SimDuration::ZERO);
     sim.run_until(SimTime::from_secs_f64(3.0));
     flow.sender_ref(&sim).samples().to_vec()
@@ -261,21 +261,30 @@ fn window_after_ack(cc: &mut dyn MultipathCongestionControl, r: usize, fs: &[Sub
     fs[r].cwnd
 }
 
+/// The packet controller and the fluid model one [`CcChoice`] builds.
+fn engines(cc: CcChoice, n: usize) -> (Box<dyn MultipathCongestionControl>, CcModel) {
+    let model = fluid_model_of(&cc).unwrap_or_else(|| panic!("{} has a fluid form", cc.label()));
+    (cc.build(n), model)
+}
+
 #[test]
 fn dts_and_dts_phi_per_ack_steps_are_their_equation_3_drift() {
-    let (dts_cfg, phi_cfg) = (DtsConfig::default(), DtsPhiConfig::default());
-    assert_eq!(phi_cfg.dts, dts_cfg, "DTS-Φ's increase is default DTS");
-    let (dts_model, phi_model) = (CcModel::dts(dts_cfg), CcModel::dts_phi(phi_cfg));
     for (ws, rtts) in STATES {
         let (fs, [x, rtt, base_rtt]) = cc_state(ws, rtts);
         let view = FlowView { x: &x, rtt: &rtt, base_rtt: &base_rtt };
+        let (mut dts, dts_model) = engines(CcChoice::dts(), fs.len());
+        let (mut phi, phi_model) = engines(CcChoice::dts_phi(), fs.len());
+        assert_eq!(phi_model.psi, dts_model.psi, "DTS-Φ's increase is default DTS");
+        let Phi::EnergyPrice(price) = phi_model.phi else {
+            panic!("DTS-Φ's model carries the energy price, not {:?}", phi_model.phi)
+        };
         for r in 0..fs.len() {
             let w = fs[r].cwnd;
             // (a) One ACK every 1/x_r seconds moves the window by Δw, and
             // dx = dw/RTT: the per-ACK step is a drift of Δw·x_r/RTT_r.
             // Reading Δw back as w′ − w costs up to one ulp of w on top of
             // the 1e-12 the two evaluation orders may differ by.
-            let w_dts = window_after_ack(&mut Dts::with_config(dts_cfg), r, &fs);
+            let w_dts = window_after_ack(dts.as_mut(), r, &fs);
             let dw = w_dts - w;
             let packet = dw * x[r] / rtt[r];
             let fluid = dts_model.dxdt(r, &view, 0.0);
@@ -286,10 +295,10 @@ fn dts_and_dts_phi_per_ack_steps_are_their_equation_3_drift() {
             );
 
             // (b) DTS-Φ takes DTS's step, then drains κ·w′·grad from the
-            // window w′ that step left.
-            let w_phi = window_after_ack(&mut DtsPhi::with_config(phi_cfg), r, &fs);
-            let grad = DtsPhi::with_config(phi_cfg).price_gradient(&fs[r]);
-            let drained = w_dts - phi_cfg.kappa * w_dts * grad;
+            // window w′ that step left, with the model's gradient.
+            let w_phi = window_after_ack(phi.as_mut(), r, &fs);
+            let grad = phi_model.phi.grad(rtt[r], base_rtt[r]);
+            let drained = w_dts - price.kappa * w_dts * grad;
             assert_eq!(w_phi.to_bits(), drained.to_bits(), "state {ws:?}, r={r}: {w_phi}");
             // The drain's drift is −κ·w′·grad·x_r/RTT_r; the fluid price is
             // −κ·x_r²·grad = −κ·w·grad·x_r/RTT_r. They differ by the factor
@@ -298,7 +307,7 @@ fn dts_and_dts_phi_per_ack_steps_are_their_equation_3_drift() {
             let packet = (w_phi - w_dts) * x[r] / rtt[r];
             let fluid = phi_model.dxdt(r, &view, 0.0) - dts_model.dxdt(r, &view, 0.0);
             assert!(fluid < 0.0, "state {ws:?}, r={r}: the price drains");
-            let tol = 1e-12 + f64::EPSILON / (phi_cfg.kappa * grad);
+            let tol = 1e-12 + f64::EPSILON / (price.kappa * grad);
             assert!(
                 (packet - fluid * (w_dts / w)).abs() <= tol * fluid.abs(),
                 "state {ws:?}, r={r}: DTS-Φ drain drift {packet} vs Equation (3) {fluid}·w′/w"
