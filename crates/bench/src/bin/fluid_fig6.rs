@@ -1,95 +1,76 @@
-//! Fluid-model cross-check of the Fig. 6 scenario: N MPTCP users (one per
-//! Equation-(3) model) race 2N Reno users over two shared bottlenecks, at
-//! equilibrium. The fluid layer predicts the per-user throughput share each
-//! algorithm extracts — and therefore the energy ordering the packet-level
-//! Fig. 6 harness measures (energy ≈ M/τ̄·P, Equation (2)).
+//! Fluid-model cross-check of the Fig. 6 scenario: the equilibrium of its
+//! fluid twin (`shared_bottleneck_twin`) for every N that `figures_all`
+//! runs at the chosen scale, N MPTCP users racing 2N Reno users over the
+//! two 100 Mb/s bottlenecks. It predicts the per-user share each algorithm
+//! extracts, and so the energy ordering of the packet-level Fig. 6
+//! (energy ≈ M/τ̄·P, Equation (2)). `y/c` is the busiest bottleneck's fluid
+//! load over its capacity; the calibrated price lets it exceed 1, so the
+//! transfer times are faster than the wire allows (DESIGN.md §5).
 //!
-//! Pass --smoke/--quick/--full (scales N) and optionally --jobs N. Each ψ's
-//! equilibrium solve is an independent cell, fanned out by the crash-safe
-//! sweep fabric: with --journal PATH completed solves checkpoint to an
-//! append-only journal and a killed run resumes where it left off; a solve
-//! that misses its tolerance fails its cell, and a diverging one can be
-//! bounded with SWEEP_DEADLINE_S; either is quarantined instead of sinking
-//! the table (exit 1, partial note on stderr);
-//! --workers N spreads the solves over supervised worker processes with
-//! identical output.
+//! Flags: --smoke/--quick/--full, --jobs N, --workers N, --journal PATH.
+//! Each solve is one cell of the crash-safe sweep fabric: a journaled run
+//! resumes after a kill, and a solve that misses its tolerance (or
+//! SWEEP_DEADLINE_S) is quarantined; the table prints the rest and exits 1.
 
-use bench_harness::fabric::{FabricCell, Fingerprint};
-use bench_harness::{table, Cli, Scale};
-use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, Psi};
+use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
+use bench_harness::{fig06, table, Cli};
+use congestion::AlgorithmKind;
+use mptcp_energy::scenarios::{shared_bottleneck_twin, CcChoice, SharedOptions};
+use mptcp_energy::FluidSolver;
 use transport::DEFAULT_MSS_BYTES;
 
-fn scenario(psi: Psi, n_users: usize) -> (f64, f64) {
-    let mut net = FluidNet::new();
-    let cap = 10_000.0; // packets/second per bottleneck
-    let l0 = net.add_link(FluidLink::new(cap));
-    let l1 = net.add_link(FluidLink::new(cap));
-    let rtt = 0.02;
-    // N MPTCP users spanning both bottlenecks.
-    for _ in 0..n_users {
-        net.add_flow(FluidFlow {
-            model: CcModel::loss_based(psi),
-            paths: vec![FluidPath::new(vec![l0], rtt), FluidPath::new(vec![l1], rtt)],
-        });
-    }
-    // 2N single-path Reno users, half per bottleneck.
-    for i in 0..2 * n_users {
-        let l = if i % 2 == 0 { l0 } else { l1 };
-        net.add_flow(FluidFlow {
-            model: CcModel::loss_based(Psi::Olia), // single path: ψ = 1 = Reno
-            paths: vec![FluidPath::new(vec![l], rtt)],
-        });
-    }
+/// The twin's equilibrium: mean MPTCP and mean TCP user rate (packets per
+/// second) and the busiest link's load over its capacity.
+fn solve(cc: &CcChoice, opts: &SharedOptions) -> (f64, f64, f64) {
+    let (net, packet_only) = shared_bottleneck_twin(cc, opts);
+    assert!(packet_only.is_empty(), "{} has no fluid form", cc.label());
     let n_paths = net.flows.iter().map(|f| f.paths.len()).sum();
     let mut solver = FluidSolver::from_flat_state(&net, &vec![50.0; n_paths]);
     if let Err(miss) = solver.solve_equilibrium(5e-4, 1e-7, 2_000_000) {
-        panic!("{} did not reach equilibrium: {miss:?}", psi.name());
+        panic!("{} did not reach equilibrium: {miss:?}", cc.label());
     }
-    let user_total = |f: usize| solver.rates_of(f).iter().sum::<f64>();
-    let mptcp_mean = (0..n_users).map(user_total).sum::<f64>() / n_users as f64;
-    let tcp_mean = (n_users..3 * n_users).map(user_total).sum::<f64>() / (2 * n_users) as f64;
-    (mptcp_mean, tcp_mean)
+    let n = opts.n_users;
+    let total = |users: std::ops::Range<usize>| {
+        users.map(|f| solver.rates_of(f).iter().sum::<f64>()).sum::<f64>()
+    };
+    let (tcp, mptcp) = (total(0..2 * n) / (2 * n) as f64, total(2 * n..3 * n) / n as f64);
+    let load = solver.link_rates().iter().zip(&net.links).map(|(y, l)| y / l.capacity);
+    (mptcp, tcp, load.fold(0.0, f64::max))
 }
 
 fn main() {
     let cli = Cli::from_args();
-    let n_users = match cli.scale {
-        Scale::Smoke => 4,
-        Scale::Quick => 10,
-        Scale::Full => 25,
-    };
-    let mss_bits = f64::from(DEFAULT_MSS_BYTES) * 8.0;
-    let transfer_bits = 16.0 * 1024.0 * 1024.0 * 8.0;
-    let psis = [Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp, Psi::Coupled, Psi::Ewtcp];
-    let cells: Vec<FabricCell<_>> = psis
-        .into_iter()
-        .map(|psi| {
-            FabricCell::new(psi.name(), 0, move || scenario(psi, n_users))
-                .config(Fingerprint::new().str("fluid_fig6").str(psi.name()).u64(n_users as u64))
+    let kinds =
+        [AlgorithmKind::PAPER_FOUR.as_slice(), &[AlgorithmKind::Coupled, AlgorithmKind::Ewtcp]];
+    let keys = fig06::keys(cli.scale, &kinds.concat());
+    let cells: Vec<FabricCell<_>> = keys
+        .iter()
+        .map(|&(cc, opts)| {
+            let label = cc.label();
+            let config = Fingerprint::new().str("fluid_fig6").str(&label).u64(opts.n_users as u64);
+            FabricCell::new(label, 0, move || solve(&cc, &opts)).config(config)
         })
         .collect();
     let report = cli.sweep("fluid_fig6", cells);
     let mut rows = Vec::new();
-    for r in report.results() {
-        let (mptcp, tcp) = r.output;
-        // Implied 16 MB transfer time and a simple ∝1/τ̄ energy proxy.
-        let seconds = transfer_bits / (mptcp * mss_bits);
+    for ((cc, opts), outcome) in keys.iter().zip(&report.outcomes) {
+        let CellOutcome::Done { summary, .. } = outcome else { continue };
+        let (mptcp, tcp, load) = summary.output;
+        // Implied transfer time, the ∝1/τ̄ energy proxy.
+        let seconds = opts.transfer_bytes as f64 / (mptcp * f64::from(DEFAULT_MSS_BYTES));
         rows.push(vec![
-            r.label.clone(),
+            opts.n_users.to_string(),
+            cc.label(),
             format!("{mptcp:.0}"),
             format!("{tcp:.0}"),
             format!("{:.3}", mptcp / tcp),
-            format!("{seconds:.1}"),
+            format!("{load:.2}"),
+            format!("{seconds:.2}"),
         ]);
     }
-    println!(
-        "Fluid equilibrium, {n_users} MPTCP + {} TCP users on two shared bottlenecks:",
-        2 * n_users
-    );
-    print!(
-        "{}",
-        table(&["psi", "mptcp x* (pkt/s)", "tcp x* (pkt/s)", "mptcp/tcp", "16MB time (s)"], &rows)
-    );
+    println!("Fluid twin of Fig. 6: N MPTCP + 2N TCP users, two shared bottlenecks, pkt/s:");
+    let head = ["N", "algorithm", "mptcp x*", "tcp x*", "mptcp/tcp", "y/c", "transfer (s)"];
+    print!("{}", table(&head, &rows));
     println!("\nmptcp/tcp near 1 = TCP-friendly; higher mptcp x* = shorter transfers = less energy (Eq. 2).");
     report.exit_if_partial();
 }

@@ -11,21 +11,27 @@ use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{CcChoice, SharedOptions};
 use mptcp_energy::FiveNumber;
 
-/// Runs the Fig. 6 harness.
-pub fn run(scale: Scale, sims: &Sims) -> String {
+/// The Fig. 6 runs of `kinds` at `scale`: every N with its transfer size,
+/// N-major. `fluid_fig6` solves the fluid twin of the same keys.
+pub fn keys(scale: Scale, kinds: &[AlgorithmKind]) -> Vec<(CcChoice, SharedOptions)> {
     let (n_values, transfer): (&[usize], u64) = match scale {
         Scale::Smoke => (&[5], 1024 * 1024),
         Scale::Quick => (&[10, 20], 8 * 1024 * 1024),
         Scale::Full => (&[10, 20, 50, 100], 16 * 1024 * 1024),
     };
-    let keys: Vec<(CcChoice, SharedOptions)> = n_values
+    n_values
         .iter()
         .flat_map(|&n| {
             let opts =
                 SharedOptions { n_users: n, transfer_bytes: transfer, ..SharedOptions::default() };
-            AlgorithmKind::PAPER_FOUR.map(|kind| (CcChoice::Base(kind), opts))
+            kinds.iter().map(move |&kind| (CcChoice::Base(kind), opts))
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the Fig. 6 harness.
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let keys = keys(scale, &AlgorithmKind::PAPER_FOUR);
     let mut rows = Vec::new();
     for ((cc, opts), energies) in keys.iter().zip(sims.shared(&keys)) {
         rows.push(vec![

@@ -149,7 +149,7 @@ mod tests {
         let v = sym_view(&x, &rtt);
         for psi in [Psi::Coupled, Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp] {
             let m = CcModel::loss_based(psi);
-            assert!(check_condition1(&m, &v, 1e-6).is_ok(), "{}", psi.name());
+            assert!(check_condition1(&m, &v, 1e-6).is_ok(), "{psi:?}");
         }
     }
 
@@ -211,11 +211,7 @@ mod tests {
         for psi in [Psi::Lia, Psi::Olia, Psi::Balia] {
             let ratio = friendliness_ratio(CcModel::loss_based(psi), 1000.0, 0.1, 2)
                 .expect("both solves converge");
-            assert!(
-                ratio < 1.15,
-                "{} aggregate {ratio} should not exceed one TCP by much",
-                psi.name()
-            );
+            assert!(ratio < 1.15, "{psi:?} aggregate {ratio} should not exceed one TCP by much");
         }
     }
 }

@@ -99,10 +99,19 @@ pub fn fluid_model_of(cc: &CcChoice) -> Option<CcModel> {
     }
 }
 
-/// Propagation-plus-serialization round trip of one [`PathSpec`]:
-/// [`DEFAULT_MSS_BYTES`] segments forward, [`DEFAULT_ACK_BYTES`] ACKs back.
-/// This is the fluid path's base RTT.
-pub fn path_prop_rtt(sim: &Simulator, path: &PathSpec) -> f64 {
+/// The fluid form of netsim link `l`: its bandwidth in packets per second
+/// at [`DEFAULT_MSS_BYTES`], priced by [`FluidLink::calibrated`] at
+/// `calib_rtt` for 90 % utilization.
+pub fn fluid_link(sim: &Simulator, l: usize, calib_rtt: f64) -> FluidLink {
+    let bw_bps = sim.world().link(l).config().bandwidth_bps;
+    let cap_pps = bw_bps as f64 / (8.0 * f64::from(DEFAULT_MSS_BYTES));
+    FluidLink::calibrated(cap_pps, calib_rtt, TARGET_UTIL)
+}
+
+/// The fluid form of one [`PathSpec`]: its forward (data-direction) links,
+/// at a base RTT of propagation plus serialization, [`DEFAULT_MSS_BYTES`]
+/// segments forward and [`DEFAULT_ACK_BYTES`] ACKs back.
+pub fn fluid_path(sim: &Simulator, path: &PathSpec) -> FluidPath {
     let w = sim.world();
     let mut rtt = 0.0;
     for &l in &path.fwd {
@@ -113,7 +122,35 @@ pub fn path_prop_rtt(sim: &Simulator, path: &PathSpec) -> f64 {
         let c = w.link(l).config();
         rtt += c.propagation.as_secs_f64() + c.serialization(DEFAULT_ACK_BYTES).as_secs_f64();
     }
-    rtt
+    FluidPath::new(path.fwd.clone(), rtt)
+}
+
+/// One flow attached to a packet scenario, as its fluid twin reads it.
+pub type Attachment = (CcChoice, Vec<PathSpec>);
+
+/// The fluid twin of a packet scenario: one fluid flow per attached
+/// `(algorithm, paths)` that [`fluid_model_of`] has a form for, in
+/// attachment order, over fluid links whose ids equal `sim`'s link ids.
+/// Each link is priced ([`fluid_link`]) at the smallest base RTT among the
+/// twin's paths that cross it; a link no path crosses carries no load and
+/// gets price 0. Also returns the indices of the attachments left out,
+/// which only the packet engine can run.
+pub fn fluid_twin(sim: &Simulator, attachments: &[Attachment]) -> (FluidNet, Vec<usize>) {
+    let (mut net, mut packet_only) = (FluidNet::new(), Vec::new());
+    let mut calib_rtt = vec![f64::INFINITY; sim.world().link_count()];
+    for (i, (cc, paths)) in attachments.iter().enumerate() {
+        let Some(model) = fluid_model_of(cc) else {
+            packet_only.push(i);
+            continue;
+        };
+        let paths: Vec<_> = paths.iter().map(|p| fluid_path(sim, p)).collect();
+        for p in &paths {
+            p.links.iter().for_each(|&l| calib_rtt[l] = calib_rtt[l].min(p.base_rtt));
+        }
+        net.add_flow(FluidFlow { model, paths });
+    }
+    net.links = calib_rtt.iter().enumerate().map(|(l, &rtt)| fluid_link(sim, l, rtt)).collect();
+    (net, packet_only)
 }
 
 /// Book-keeping for one packet-regime flow.
@@ -125,10 +162,9 @@ struct PacketFlowMeta {
     /// Fluid form of the flow's algorithm; `None` pins it to the packet
     /// regime forever.
     fluid_model: Option<CcModel>,
-    /// Propagation RTT per path, the fallback when measurements are absent.
-    prop_rtts: Vec<f64>,
-    /// Forward link lists per path, for the fluid re-birth.
-    fwd_links: Vec<Vec<usize>>,
+    /// Fluid form of each path ([`fluid_path`]): the fallback RTT when
+    /// measurements are absent, and the links of the fluid re-birth.
+    paths: Vec<FluidPath>,
     handed_off: bool,
     prev_acked: u64,
     prev_sub_acked: Vec<u64>,
@@ -206,28 +242,21 @@ pub struct HybridEngine {
 
 impl HybridEngine {
     /// Wraps a fully built simulator (topology attached, no flows yet).
-    /// Every `netsim` link is mirrored as a calibrated fluid link;
+    /// Every `netsim` link is mirrored by [`fluid_link`] at
+    /// [`HybridConfig::calib_rtt_s`];
     /// `n_hosts` hosts are charged idle power whether or not they carry
     /// flows.
     pub fn new(sim: Simulator, n_hosts: usize, power: WiredCpuModel, cfg: HybridConfig) -> Self {
         let n_links = sim.world().link_count();
-        let mut net = FluidNet::new();
-        let mut nominal_cap_pps = Vec::with_capacity(n_links);
-        let mut link_queue_pkts = Vec::with_capacity(n_links);
-        let mut prev_tx_bytes = Vec::with_capacity(n_links);
-        for l in 0..n_links {
-            let link = sim.world().link(l);
-            let bw_bps = link.config().bandwidth_bps;
-            let cap_pps = bw_bps as f64 / (8.0 * f64::from(DEFAULT_MSS_BYTES));
-            net.add_link(FluidLink::calibrated(cap_pps, cfg.calib_rtt_s, TARGET_UTIL));
-            nominal_cap_pps.push(cap_pps);
-            link_queue_pkts.push(link.config().queue_limit_pkts);
-            prev_tx_bytes.push(link.stats().tx_bytes);
-        }
+        let links: Vec<_> = (0..n_links).map(|l| fluid_link(&sim, l, cfg.calib_rtt_s)).collect();
+        let nominal_cap_pps = links.iter().map(|l| l.capacity).collect();
+        let w = sim.world();
+        let link_queue_pkts = (0..n_links).map(|l| w.link(l).config().queue_limit_pkts).collect();
+        let prev_tx_bytes = (0..n_links).map(|l| w.link(l).stats().tx_bytes).collect();
         HybridEngine {
             cfg,
             sim,
-            net,
+            net: FluidNet { links, flows: Vec::new() },
             x_flat: Vec::new(),
             nominal_cap_pps,
             link_queue_pkts,
@@ -285,9 +314,8 @@ impl HybridEngine {
     }
 
     /// Adds a flow directly to the fluid regime with initial per-path rate
-    /// `x0_pps`, returning the fluid flow index. Path base RTTs come from
-    /// the topology ([`path_prop_rtt`]); the fluid links are the forward
-    /// (data-direction) links.
+    /// `x0_pps`, returning the fluid flow index. Each path's fluid form is
+    /// [`fluid_path`]'s.
     pub fn add_fluid_flow(
         &mut self,
         model: CcModel,
@@ -296,12 +324,8 @@ impl HybridEngine {
         src_host: usize,
     ) -> usize {
         assert!(!paths.is_empty(), "a fluid flow needs at least one path");
-        let mut fps = Vec::with_capacity(paths.len());
-        for p in paths {
-            let rtt = path_prop_rtt(&self.sim, p);
-            fps.push(FluidPath::new(p.fwd.clone(), rtt));
-            self.x_flat.push(x0_pps.max(X_MIN));
-        }
+        let fps = paths.iter().map(|p| fluid_path(&self.sim, p)).collect();
+        self.x_flat.extend(std::iter::repeat_n(x0_pps.max(X_MIN), paths.len()));
         self.fluid_hosts.push(src_host);
         self.net.add_flow(FluidFlow { model, paths: fps })
     }
@@ -318,8 +342,7 @@ impl HybridEngine {
         start_after: SimDuration,
         src_host: usize,
     ) -> FlowHandle {
-        let prop_rtts = paths.iter().map(|p| path_prop_rtt(&self.sim, p)).collect();
-        let fwd_links = paths.iter().map(|p| p.fwd.clone()).collect();
+        let fluid_paths = paths.iter().map(|p| fluid_path(&self.sim, p)).collect();
         let n_paths = paths.len();
         let algo = cc.build(n_paths);
         let handle = attach_flow(&mut self.sim, cfg, algo, paths, start_after);
@@ -328,8 +351,7 @@ impl HybridEngine {
             src_host,
             attached_at: self.sim.now() + start_after,
             fluid_model: fluid_model_of(cc),
-            prop_rtts,
-            fwd_links,
+            paths: fluid_paths,
             handed_off: false,
             prev_acked: 0,
             prev_sub_acked: vec![0; n_paths],
@@ -481,8 +503,9 @@ impl HybridEngine {
                 let sub_delta = sub_acked - *prev;
                 *prev = sub_acked;
                 let st = &states[r];
-                let rtt = if st.srtt > 0.0 { st.srtt } else { meta.prop_rtts[r] };
-                let base = if st.base_rtt.is_finite() { st.base_rtt } else { meta.prop_rtts[r] };
+                let rtt = if st.srtt > 0.0 { st.srtt } else { meta.paths[r].rtt };
+                let base =
+                    if st.base_rtt.is_finite() { st.base_rtt } else { meta.paths[r].base_rtt };
                 self.load_buf.push(SubflowSample {
                     throughput_bps: sub_delta as f64 * mss_bits / epoch_s,
                     srtt_s: rtt,
@@ -518,19 +541,17 @@ impl HybridEngine {
             self.packet[i].handle.halt(&mut self.sim);
             let hs = self.packet[i].handle.handoff_state(&self.sim);
             let meta = &mut self.packet[i];
-            let mut fps = Vec::with_capacity(meta.fwd_links.len());
-            for (r, links) in meta.fwd_links.iter().enumerate() {
-                let prop = meta.prop_rtts[r];
-                let h = &hs[r];
-                let rtt = if h.srtt_s > 0.0 { h.srtt_s } else { prop };
-                let base = if h.base_rtt_s > 0.0 && h.base_rtt_s.is_finite() {
-                    h.base_rtt_s
-                } else {
-                    prop
-                };
-                fps.push(FluidPath { links: links.clone(), rtt, base_rtt: base });
-                self.x_flat.push(h.rate_pps.max(X_MIN));
+            // The packet paths, with the measured RTTs written over them.
+            let mut fps = meta.paths.clone();
+            for (p, h) in fps.iter_mut().zip(&hs) {
+                if h.srtt_s > 0.0 {
+                    p.rtt = h.srtt_s;
+                }
+                if h.base_rtt_s > 0.0 && h.base_rtt_s.is_finite() {
+                    p.base_rtt = h.base_rtt_s;
+                }
             }
+            self.x_flat.extend(hs.iter().map(|h| h.rate_pps.max(X_MIN)));
             meta.handed_off = true;
             self.fluid_hosts.push(meta.src_host);
             self.net.add_flow(FluidFlow { model, paths: fps });
@@ -629,6 +650,10 @@ mod tests {
         // The fluid continuation was seeded with the measured rate.
         assert_eq!(eng.fluid_rates().len(), 2);
         assert!(eng.fluid_rates().iter().sum::<f64>() > 2.0 * X_MIN, "{:?}", eng.fluid_rates());
+        // …over the packet paths' forward links.
+        let links: Vec<Vec<usize>> =
+            eng.net().flows[0].paths.iter().map(|p| p.links.clone()).collect();
+        assert_eq!(links, two_paths().into_iter().map(|p| p.fwd).collect::<Vec<_>>());
         // Delivery keeps accruing after the handoff (now via the fluid side).
         let before = eng.delivered_bits();
         eng.run_epochs(2);

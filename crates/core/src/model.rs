@@ -13,8 +13,7 @@
 //! variants; the `congestion` crate's per-ACK implementations and these
 //! fluid forms are cross-validated in the test suite.
 
-use crate::dts::{epsilon_exact, quality_ratio, Dts, DtsConfig, MIDPOINT};
-use congestion::{AlgorithmKind, MultipathCongestionControl};
+use crate::dts::{epsilon_exact, quality_ratio, DtsConfig, MIDPOINT};
 
 /// A read-only view of one multipath user's state for parameter evaluation.
 #[derive(Clone, Copy, Debug)]
@@ -149,19 +148,6 @@ impl Psi {
                 0.4 + alpha / 2.0 + alpha * alpha / 10.0
             }
             Psi::EcMtcp => k.psi0 * sx * sx / (s.n_min_rtt * (x * k.rtt) * s.sum_w),
-        }
-    }
-
-    /// The human-readable algorithm name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Psi::Ewtcp => AlgorithmKind::Ewtcp.name(),
-            Psi::Coupled => AlgorithmKind::Coupled.name(),
-            Psi::Lia => AlgorithmKind::Lia.name(),
-            Psi::Olia => AlgorithmKind::Olia.name(),
-            Psi::Balia => AlgorithmKind::Balia.name(),
-            Psi::EcMtcp => AlgorithmKind::EcMtcp.name(),
-            Psi::Dts(cfg) => Dts::with_config(*cfg).name(),
         }
     }
 }
@@ -304,7 +290,7 @@ mod tests {
         let v = view(&x, &rtt);
         for psi in [Psi::Ewtcp, Psi::Coupled, Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp] {
             let val = psi.eval(0, &v);
-            assert!((val - 1.0).abs() < 1e-9, "{}: {val}", psi.name());
+            assert!((val - 1.0).abs() < 1e-9, "{psi:?}: {val}");
         }
     }
 
@@ -406,9 +392,9 @@ mod tests {
         ];
         for (psi, eval_bits, dxdt_bits) in pinned {
             let got = digest(|r, v, _| psi.eval(r, v));
-            assert_eq!(got, eval_bits, "ψ {}: {got:#018x}", psi.name());
+            assert_eq!(got, eval_bits, "ψ {psi:?}: {got:#018x}");
             let got = digest(|r, v, lambda| CcModel::loss_based(psi).dxdt(r, v, lambda));
-            assert_eq!(got, dxdt_bits, "dxdt {}: {got:#018x}", psi.name());
+            assert_eq!(got, dxdt_bits, "dxdt {psi:?}: {got:#018x}");
         }
         let got = digest(|r, v, _| Phi::EnergyPrice(phi).eval(r, v));
         assert_eq!(got, 0xafaf_ff79_5ff8_fd4d, "φ: {got:#018x}");

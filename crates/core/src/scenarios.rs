@@ -7,6 +7,8 @@
 //! mapping and EXPERIMENTS.md for the scaling notes.
 
 use crate::dts::{Dts, DtsConfig};
+use crate::fluid::FluidNet;
+use crate::hybrid::{fluid_twin, Attachment};
 use crate::model::DtsPhiConfig;
 use congestion::{AlgorithmKind, MultipathCongestionControl};
 use energy_model::{energy_of_flow, EnergyReport, PhoneModel, PowerModel, WiredCpuModel};
@@ -371,45 +373,45 @@ const SHARED_HORIZON_S: f64 = 600.0;
 /// (16 MB each) racing 2N long-lived TCP users over two shared bottlenecks.
 /// The host's idle power is attributed evenly across the N users.
 pub fn run_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> Vec<f64> {
-    let (mut sim, users) = build_shared_bottleneck(cc, opts);
+    let (mut sim, users, _) = build_shared_bottleneck(cc, opts);
     run_until_finished(&mut sim, &users, SimTime::from_secs_f64(SHARED_HORIZON_S));
     shared_bottleneck_energies(&sim, &users)
 }
 
-/// Builds the Fig. 5(a) simulation; returns it with the N measured users.
-fn build_shared_bottleneck(cc: &CcChoice, opts: &SharedOptions) -> (Simulator, Vec<FlowHandle>) {
+/// The fluid twin of the Fig. 5(a) scenario ([`fluid_twin`]): flows
+/// `0..2N` are the TCP users, `2N..3N` the MPTCP users.
+pub fn shared_bottleneck_twin(cc: &CcChoice, opts: &SharedOptions) -> (FluidNet, Vec<usize>) {
+    let (sim, _, attached) = build_shared_bottleneck(cc, opts);
+    fluid_twin(&sim, &attached)
+}
+
+/// Builds the Fig. 5(a) simulation; returns it with the N measured users
+/// and every flow's `(algorithm, paths)` in attachment order.
+fn build_shared_bottleneck(
+    cc: &CcChoice,
+    opts: &SharedOptions,
+) -> (Simulator, Vec<FlowHandle>, Vec<Attachment>) {
     use rand::Rng;
     let mut sim = Simulator::new(opts.seed);
     let mut stagger_rng = SmallRng::seed_from_u64(opts.seed ^ 0x5A);
     let bottleneck = LinkConfig::new(TESTBED_BPS, SHARED_ONE_WAY).queue_limit(100);
     let sb = SharedBottleneck::new(&mut sim, bottleneck);
-    // 2N competing TCP users, long-lived, randomly staggered starts.
-    for i in 0..2 * opts.n_users {
+    // 2N long-lived competing TCP users, then the N MPTCP users under test,
+    // each with a randomly staggered start.
+    let n_tcp = 2 * opts.n_users;
+    let tcp = (0..n_tcp).map(|i| (CcChoice::Base(AlgorithmKind::Reno), sb.tcp_path(i)));
+    let attached: Vec<_> = tcp.chain((0..opts.n_users).map(|_| (*cc, sb.mptcp_paths()))).collect();
+    let mut flows = Vec::with_capacity(attached.len());
+    for (i, (cc, paths)) in attached.iter().enumerate() {
         let start = SimDuration::from_millis(stagger_rng.gen_range(0..200));
-        attach_flow(
-            &mut sim,
-            FlowConfig::new(1000 + idx_u64(i)).sample_every(SimDuration::from_millis(100)),
-            AlgorithmKind::Reno.build(1),
-            &sb.tcp_path(i),
-            start,
-        );
+        let (cfg, every_ms) = match i.checked_sub(n_tcp) {
+            None => (FlowConfig::new(1000 + idx_u64(i)), 100),
+            Some(u) => (FlowConfig::new(idx_u64(u)).transfer_bytes(opts.transfer_bytes), 50),
+        };
+        let cfg = cfg.sample_every(SimDuration::from_millis(every_ms));
+        flows.push(attach_flow(&mut sim, cfg, cc.build(paths.len()), paths, start));
     }
-    // N MPTCP users under test.
-    let users = (0..opts.n_users)
-        .map(|i| {
-            let start = SimDuration::from_millis(stagger_rng.gen_range(0..200));
-            attach_flow(
-                &mut sim,
-                FlowConfig::new(i as u64)
-                    .transfer_bytes(opts.transfer_bytes)
-                    .sample_every(SimDuration::from_millis(50)),
-                cc.build(2),
-                &sb.mptcp_paths(),
-                start,
-            )
-        })
-        .collect();
-    (sim, users)
+    (sim, flows[n_tcp..].to_vec(), attached)
 }
 
 fn shared_bottleneck_energies(sim: &Simulator, users: &[FlowHandle]) -> Vec<f64> {
@@ -1033,9 +1035,9 @@ mod tests {
         let horizon = SimTime::from_secs_f64(10.0);
         for kind in AlgorithmKind::PAPER_FOUR {
             let cc = CcChoice::Base(kind);
-            let (mut full, full_users) = build_shared_bottleneck(&cc, &opts);
+            let (mut full, full_users, _) = build_shared_bottleneck(&cc, &opts);
             full.run_until(horizon);
-            let (mut sim, users) = build_shared_bottleneck(&cc, &opts);
+            let (mut sim, users, _) = build_shared_bottleneck(&cc, &opts);
             run_until_finished(&mut sim, &users, horizon);
             assert_eq!(
                 f64_bits(&shared_bottleneck_energies(&sim, &users)),

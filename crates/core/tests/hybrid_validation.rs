@@ -1,12 +1,16 @@
 //! Cross-validation of the Equation-(3) fluid solver against the
 //! packet-level stack — the evidence behind the hybrid engine's handoff.
 //!
-//! Each case builds the *same* scenario twice: once as a `netsim` +
-//! `transport` packet simulation measured in steady state (slow start and
-//! convergence excluded by a warmup window), and once as a [`FluidNet`]
-//! whose links are calibrated with [`FluidLink::calibrated`] at the
-//! topology's propagation RTT and a 90 % target utilization — exactly the
-//! mapping [`mptcp_energy::hybrid::HybridEngine`] applies.
+//! Each case builds one scenario and runs it on both engines: as a packet
+//! simulation (`netsim` and `transport`) measured in steady state (slow
+//! start and convergence excluded by a warmup window), and as the fluid
+//! twin that [`fluid_twin`] derives from that same simulator and the same
+//! attached flows. Nothing on the fluid side is written by hand: link
+//! capacities come from the packet links' bandwidth, path base RTTs from
+//! their propagation and serialization, and each link's price is
+//! calibrated for 90 % utilization at the smallest base RTT of the paths
+//! crossing it — the mapping (`fluid_link`, `fluid_path`) that
+//! [`mptcp_energy::hybrid::HybridEngine`] applies.
 //!
 //! # Tolerances (documented, deliberately honest)
 //!
@@ -40,8 +44,9 @@
 //!   wider band.
 
 use congestion::AlgorithmKind;
+use mptcp_energy::hybrid::fluid_twin;
 use mptcp_energy::scenarios::CcChoice;
-use mptcp_energy::{CcModel, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, Psi};
+use mptcp_energy::{FluidNet, FluidSolver};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use transport::{attach_flow, FlowConfig, FlowHandle, PathSpec};
 
@@ -56,23 +61,8 @@ const SHARE_TOL: f64 = 0.15;
 const DTS_AGG_TOL: f64 = 0.35;
 
 const BW_BPS: u64 = 10_000_000;
-const MSS: u32 = 1500;
 const PROP_MS: u64 = 10;
 const QUEUE_PKTS: usize = 64;
-/// The calibration the hybrid engine uses for packet links.
-const TARGET_UTIL: f64 = 0.9;
-
-fn cap_pps() -> f64 {
-    BW_BPS as f64 / (8.0 * f64::from(MSS))
-}
-
-/// Propagation + serialization RTT of one duplex link pair.
-fn path_rtt() -> f64 {
-    let prop = 2.0 * (PROP_MS as f64) / 1e3;
-    let ser_data = f64::from(MSS) * 8.0 / BW_BPS as f64;
-    let ser_ack = 40.0 * 8.0 / BW_BPS as f64;
-    prop + ser_data + ser_ack
-}
 
 fn duplex_sim(seed: u64, pairs: usize) -> Simulator {
     let mut sim = Simulator::new(seed);
@@ -82,6 +72,30 @@ fn duplex_sim(seed: u64, pairs: usize) -> Simulator {
         );
     }
     sim
+}
+
+/// Attaches flow `i` of `flows` to `sim` at time zero as connection `i`,
+/// and returns the handles with the scenario's fluid twin.
+fn attach_both(
+    sim: &mut Simulator,
+    flows: &[(CcChoice, Vec<PathSpec>)],
+) -> (Vec<FlowHandle>, FluidNet) {
+    let handles = flows
+        .iter()
+        .enumerate()
+        .map(|(i, (cc, paths))| {
+            attach_flow(
+                sim,
+                FlowConfig::new(i as u64),
+                cc.build(paths.len()),
+                paths,
+                SimDuration::ZERO,
+            )
+        })
+        .collect();
+    let (net, packet_only) = fluid_twin(sim, flows);
+    assert!(packet_only.is_empty(), "every case has a fluid form");
+    (handles, net)
 }
 
 /// Runs the packet simulation to `warmup_s`, then measures per-subflow
@@ -128,25 +142,12 @@ fn rel_err(measured: f64, predicted: f64) -> f64 {
 
 #[test]
 fn reno_single_path_operating_points_agree() {
-    // Packet: one Reno flow on one duplex pair.
+    // One Reno flow on one duplex pair.
     let mut sim = duplex_sim(11, 1);
-    let flow = attach_flow(
-        &mut sim,
-        FlowConfig::new(0),
-        AlgorithmKind::Reno.build(1),
-        &[PathSpec::new(vec![0], vec![1])],
-        SimDuration::ZERO,
-    );
-    let pps = packet_steady_pps(&mut sim, &[flow], 10.0, 15.0);
+    let reno = CcChoice::Base(AlgorithmKind::Reno);
+    let (flows, net) = attach_both(&mut sim, &[(reno, vec![PathSpec::new(vec![0], vec![1])])]);
+    let pps = packet_steady_pps(&mut sim, &flows, 10.0, 15.0);
     let packet_rate = pps[0][0];
-
-    // Fluid: the same link under the hybrid engine's calibration.
-    let mut net = FluidNet::new();
-    let l = net.add_link(FluidLink::calibrated(cap_pps(), path_rtt(), TARGET_UTIL));
-    net.add_flow(FluidFlow {
-        model: CcModel::loss_based(Psi::Olia),
-        paths: vec![FluidPath::new(vec![l], path_rtt())],
-    });
     let x = fluid_equilibrium(&net, vec![vec![10.0]]);
     let fluid_rate = x[0][0];
 
@@ -158,27 +159,12 @@ fn reno_single_path_operating_points_agree() {
 
 #[test]
 fn olia_two_disjoint_paths_aggregate_and_split_agree() {
-    // Packet: one OLIA flow over two disjoint duplex pairs.
+    // One OLIA flow over two disjoint duplex pairs.
     let mut sim = duplex_sim(12, 2);
-    let paths = [PathSpec::new(vec![0], vec![1]), PathSpec::new(vec![2], vec![3])];
-    let flow = attach_flow(
-        &mut sim,
-        FlowConfig::new(0),
-        AlgorithmKind::Olia.build(2),
-        &paths,
-        SimDuration::ZERO,
-    );
-    let pps = packet_steady_pps(&mut sim, &[flow], 10.0, 15.0);
+    let paths = vec![PathSpec::new(vec![0], vec![1]), PathSpec::new(vec![2], vec![3])];
+    let (flows, net) = attach_both(&mut sim, &[(CcChoice::Base(AlgorithmKind::Olia), paths)]);
+    let pps = packet_steady_pps(&mut sim, &flows, 10.0, 15.0);
     let packet_total: f64 = pps[0].iter().sum();
-
-    // Fluid mirror.
-    let mut net = FluidNet::new();
-    let l0 = net.add_link(FluidLink::calibrated(cap_pps(), path_rtt(), TARGET_UTIL));
-    let l1 = net.add_link(FluidLink::calibrated(cap_pps(), path_rtt(), TARGET_UTIL));
-    net.add_flow(FluidFlow {
-        model: CcModel::loss_based(Psi::Olia),
-        paths: vec![FluidPath::new(vec![l0], path_rtt()), FluidPath::new(vec![l1], path_rtt())],
-    });
     let x = fluid_equilibrium(&net, vec![vec![10.0, 10.0]]);
     let fluid_total: f64 = x[0].iter().sum();
 
@@ -200,39 +186,21 @@ fn olia_two_disjoint_paths_aggregate_and_split_agree() {
 
 #[test]
 fn olia_shared_bottleneck_takes_one_tcp_share_in_both_regimes() {
-    // Packet: a two-subflow OLIA flow and a single-path Reno flow share one
-    // duplex pair.
+    // A two-subflow OLIA flow and a single-path Reno flow share one duplex
+    // pair.
     let mut sim = duplex_sim(13, 1);
-    let mp = attach_flow(
+    let pair = PathSpec::new(vec![0], vec![1]);
+    let (flows, net) = attach_both(
         &mut sim,
-        FlowConfig::new(0),
-        AlgorithmKind::Olia.build(2),
-        &[PathSpec::new(vec![0], vec![1]), PathSpec::new(vec![0], vec![1])],
-        SimDuration::ZERO,
+        &[
+            (CcChoice::Base(AlgorithmKind::Olia), vec![pair.clone(), pair.clone()]),
+            (CcChoice::Base(AlgorithmKind::Reno), vec![pair]),
+        ],
     );
-    let tcp = attach_flow(
-        &mut sim,
-        FlowConfig::new(1),
-        AlgorithmKind::Reno.build(1),
-        &[PathSpec::new(vec![0], vec![1])],
-        SimDuration::ZERO,
-    );
-    let pps = packet_steady_pps(&mut sim, &[mp, tcp], 10.0, 15.0);
+    let pps = packet_steady_pps(&mut sim, &flows, 10.0, 15.0);
     let mp_rate: f64 = pps[0].iter().sum();
     let tcp_rate: f64 = pps[1].iter().sum();
     let packet_share = mp_rate / (mp_rate + tcp_rate);
-
-    // Fluid mirror: same link, one 2-path OLIA flow + one 1-path flow.
-    let mut net = FluidNet::new();
-    let l = net.add_link(FluidLink::calibrated(cap_pps(), path_rtt(), TARGET_UTIL));
-    net.add_flow(FluidFlow {
-        model: CcModel::loss_based(Psi::Olia),
-        paths: vec![FluidPath::new(vec![l], path_rtt()), FluidPath::new(vec![l], path_rtt())],
-    });
-    net.add_flow(FluidFlow {
-        model: CcModel::loss_based(Psi::Olia),
-        paths: vec![FluidPath::new(vec![l], path_rtt())],
-    });
     let x = fluid_equilibrium(&net, vec![vec![10.0, 10.0], vec![10.0]]);
     let fluid_mp: f64 = x[0].iter().sum();
     let fluid_share = fluid_mp / (fluid_mp + x[1][0]);
@@ -251,27 +219,17 @@ fn olia_shared_bottleneck_takes_one_tcp_share_in_both_regimes() {
 
 #[test]
 fn dts_two_disjoint_paths_aggregate_agrees_with_capped_fluid_prediction() {
-    // Packet: one DTS flow over two disjoint duplex pairs.
+    // One DTS flow over two disjoint duplex pairs.
     let mut sim = duplex_sim(14, 2);
-    let paths = [PathSpec::new(vec![0], vec![1]), PathSpec::new(vec![2], vec![3])];
-    let cc = CcChoice::dts();
-    let flow = attach_flow(&mut sim, FlowConfig::new(0), cc.build(2), &paths, SimDuration::ZERO);
-    let pps = packet_steady_pps(&mut sim, &[flow], 10.0, 15.0);
+    let paths = vec![PathSpec::new(vec![0], vec![1]), PathSpec::new(vec![2], vec![3])];
+    let (flows, net) = attach_both(&mut sim, &[(CcChoice::dts(), paths)]);
+    let pps = packet_steady_pps(&mut sim, &flows, 10.0, 15.0);
     let packet_total: f64 = pps[0].iter().sum();
-
-    // Fluid mirror via the same mapping the hybrid engine uses.
-    let model = mptcp_energy::hybrid::fluid_model_of(&cc).expect("dts has a fluid form");
-    let mut net = FluidNet::new();
-    let l0 = net.add_link(FluidLink::calibrated(cap_pps(), path_rtt(), TARGET_UTIL));
-    let l1 = net.add_link(FluidLink::calibrated(cap_pps(), path_rtt(), TARGET_UTIL));
-    net.add_flow(FluidFlow {
-        model,
-        paths: vec![FluidPath::new(vec![l0], path_rtt()), FluidPath::new(vec![l1], path_rtt())],
-    });
     let x = fluid_equilibrium(&net, vec![vec![10.0, 10.0]]);
     // ψ > 1 pushes the uncapped fixed point slightly above capacity; the
     // wire cannot follow, so clamp the prediction per path (module docs).
-    let fluid_total: f64 = x[0].iter().map(|&xr| xr.min(cap_pps())).sum();
+    let cap = net.links[0].capacity;
+    let fluid_total: f64 = x[0].iter().map(|&xr| xr.min(cap)).sum();
 
     assert!(
         rel_err(packet_total, fluid_total) < DTS_AGG_TOL,

@@ -4,15 +4,18 @@
 //! laying paths on `netsim` links, `workload` generating traffic for a
 //! `netsim` world, and the paper's per-ACK controllers (run through
 //! `congestion`'s interface) against their Equation-(3) fluid form in
-//! `core::model`. Each is small enough for a debug build.
+//! `core::model`, and the Fig. 6 scenario against the fluid twin `core`
+//! derives from its packet links. Each is small enough for a debug build.
 
 use congestion::{AlgorithmKind, MultipathCongestionControl, SubflowCc};
 use energy_model::{energy_of_flow, PhoneModel, PowerModel, WiredCpuModel};
-use mptcp_energy::{fluid_model_of, CcChoice, CcModel, FlowView, Phi};
+use mptcp_energy::hybrid::fluid_twin;
+use mptcp_energy::scenarios::{shared_bottleneck_twin, SharedOptions};
+use mptcp_energy::{fluid_model_of, CcChoice, CcModel, FlowView, FluidSolver, Phi};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use topology::{BCube, FatTree, TwoPath, Vl2, Vl2Config};
+use topology::{BCube, FatTree, SharedBottleneck, TwoPath, Vl2, Vl2Config};
 use transport::{
     attach_flow, FlowConfig, FlowSample, PathSpec, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES,
 };
@@ -314,4 +317,53 @@ fn dts_and_dts_phi_per_ack_steps_are_their_equation_3_drift() {
             );
         }
     }
+}
+
+/// Fig. 6's fluid twin is the packet scenario's: one fluid link per netsim
+/// link, the bottleneck capacity and every path's base RTT read from the
+/// 100 Mb/s, 5 ms links, and OLIA's TCP-friendly fixed point.
+#[test]
+fn fig6_fluid_twin_carries_the_packet_links_and_rtts() {
+    let olia = CcChoice::Base(AlgorithmKind::Olia);
+    let opts = SharedOptions { n_users: 2, ..SharedOptions::default() };
+    let (twin, packet_only) = shared_bottleneck_twin(&olia, &opts);
+    assert!(packet_only.is_empty());
+
+    // The same N = 2 scenario attached by hand, plus one DCTCP flow: the
+    // twin leaves out exactly that flow and is otherwise the same.
+    let mut sim = Simulator::new(1);
+    let link = LinkConfig::new(100_000_000, SimDuration::from_millis(5)).queue_limit(100);
+    let sb = SharedBottleneck::new(&mut sim, link);
+    let reno = CcChoice::Base(AlgorithmKind::Reno);
+    let mut flows: Vec<(CcChoice, Vec<PathSpec>)> =
+        (0..4).map(|i| (reno, sb.tcp_path(i))).collect();
+    flows.extend([(olia, sb.mptcp_paths()), (olia, sb.mptcp_paths())]);
+    flows.push((CcChoice::Base(AlgorithmKind::Dctcp), sb.tcp_path(0)));
+    let (by_hand, packet_only) = fluid_twin(&sim, &flows);
+    assert_eq!(packet_only, [6]);
+    assert_eq!(by_hand, twin);
+    assert_eq!(twin.links.len(), sim.world().link_count());
+
+    let cap = 100e6 / (8.0 * 1500.0);
+    let base_rtt = 2.0 * 5e-3 + (1500.0 + 40.0) * 8.0 / 100e6;
+    // Priced so that one Reno flow at that RTT settles at 90 % of capacity,
+    // where 1/RTT² = ½·p·x².
+    let x = 0.9 * cap;
+    let reno_price = 2.0 / (base_rtt * base_rtt * x * x);
+    for l in [sb.b1.fwd, sb.b2.fwd] {
+        let link = &twin.links[l];
+        assert!((link.capacity - cap).abs() < 1e-12 * cap, "{link:?}");
+        assert!((link.price(x) / reno_price - 1.0).abs() < 1e-9, "{link:?}");
+    }
+    for p in twin.flows.iter().flat_map(|f| &f.paths) {
+        assert!((p.base_rtt - base_rtt).abs() < 1e-15 && (p.rtt - base_rtt).abs() < 1e-15, "{p:?}");
+    }
+
+    let n_paths = twin.flows.iter().map(|f| f.paths.len()).sum();
+    let mut solver = FluidSolver::from_flat_state(&twin, &vec![50.0; n_paths]);
+    solver.solve_equilibrium(5e-4, 1e-7, 2_000_000).expect("the twin reaches equilibrium");
+    let user = |f: usize| solver.rates_of(f).iter().sum::<f64>();
+    let tcp = (0..4).map(user).sum::<f64>() / 4.0;
+    let mptcp = (4..6).map(user).sum::<f64>() / 2.0;
+    assert!((mptcp / tcp - 1.0).abs() < 1e-3, "OLIA mptcp/tcp {}", mptcp / tcp);
 }

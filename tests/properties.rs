@@ -130,7 +130,7 @@ proptest! {
         for psi in [Psi::Ewtcp, Psi::Coupled, Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp] {
             for r in 0..x.len() {
                 let val = psi.eval(r, &v);
-                prop_assert!(val.is_finite() && val > 0.0, "{} gave {val}", psi.name());
+                prop_assert!(val.is_finite() && val > 0.0, "{psi:?} gave {val}");
             }
         }
     }
