@@ -2,16 +2,17 @@
 //! cross only implicitly: `energy` metering `transport` telemetry,
 //! `transport` putting segments and ACKs on `netsim` links, `topology`
 //! laying paths on `netsim` links, `workload` generating traffic for a
-//! `netsim` world, and the paper's per-ACK controllers (run through
-//! `congestion`'s interface) against their Equation-(3) fluid form in
-//! `core::model`, and the Fig. 6 scenario against the fluid twin `core`
-//! derives from its packet links. Each is small enough for a debug build.
+//! `netsim` world, every per-ACK controller with an Equation-(3) form (run
+//! through `congestion`'s interface) against that form as the fluid solver
+//! integrates it (`fluid_model_of`), and the Fig. 6 scenario against the
+//! fluid twin `core` derives from its packet links. Each is small enough
+//! for a debug build.
 
-use congestion::{AlgorithmKind, MultipathCongestionControl, SubflowCc};
+use congestion::{AlgorithmKind, Olia, SubflowCc, MIN_CWND};
 use energy_model::{energy_of_flow, PhoneModel, PowerModel, WiredCpuModel};
 use mptcp_energy::hybrid::fluid_twin;
 use mptcp_energy::scenarios::{shared_bottleneck_twin, SharedOptions};
-use mptcp_energy::{fluid_model_of, CcChoice, CcModel, FlowView, FluidSolver, Phi};
+use mptcp_energy::{fluid_model_of, CcChoice, DtsConfig, FlowView, FluidSolver, Phi};
 use netsim::{LinkConfig, SimDuration, SimTime, Simulator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -223,99 +224,148 @@ fn workload_traffic_fits_the_world() {
     assert!((sent as f64) <= capacity, "{sent} bytes through a {capacity}-byte pipe");
 }
 
-/// `congestion/tests/model_consistency.rs`'s windows and RTTs, one row per
-/// flow.
-const STATES: &[(&[f64], &[f64])] = &[
-    (&[10.0, 10.0], &[0.1, 0.1]),
-    (&[30.0, 10.0], &[0.05, 0.2]),
-    (&[5.0, 25.0, 40.0], &[0.02, 0.08, 0.3]),
-    (&[100.0, 2.0], &[0.5, 0.01]),
-];
-
-/// `baseRTT_r / RTT_r` of path `r`, cycling: every ratio is off Equation
-/// (5)'s midpoint, and the queueing delays it implies fall on both sides
-/// of DTS-Φ's default 5 ms target.
-const BASE_FRACTION: [f64; 3] = [0.9, 0.6, 0.3];
-
-/// One flow's subflows in congestion avoidance with `srtt = last_rtt = rtt`
-/// and `base_rtt < rtt`, plus the same state as a fluid [`FlowView`]'s
-/// `x = w/rtt`, `rtt` and `base_rtt`.
-fn cc_state(ws: &[f64], rtts: &[f64]) -> (Vec<SubflowCc>, [Vec<f64>; 3]) {
-    let base: Vec<f64> = rtts.iter().enumerate().map(|(r, &t)| t * BASE_FRACTION[r % 3]).collect();
-    let flows = ws
-        .iter()
-        .zip(rtts)
-        .zip(&base)
-        .map(|((&w, &rtt), &base_rtt)| {
-            let mut f = SubflowCc::new();
-            (f.cwnd, f.ssthresh) = (w, 1.0);
-            (f.srtt, f.last_rtt, f.base_rtt) = (rtt, rtt, base_rtt);
-            f
-        })
-        .collect();
-    let x = ws.iter().zip(rtts).map(|(w, rtt)| w / rtt).collect();
-    (flows, [x, rtts.to_vec(), base])
-}
-
-/// Subflow `r`'s window after one ACK under `cc`.
-fn window_after_ack(cc: &mut dyn MultipathCongestionControl, r: usize, fs: &[SubflowCc]) -> f64 {
+/// Subflow `r`'s window after one ACK under a fresh `cc`.
+fn window_after_ack(cc: &CcChoice, r: usize, fs: &[SubflowCc]) -> f64 {
     let mut fs = fs.to_vec();
-    cc.on_ack(r, &mut fs, 1, false);
+    cc.build(fs.len()).on_ack(r, &mut fs, 1, false);
     fs[r].cwnd
 }
 
-/// The packet controller and the fluid model one [`CcChoice`] builds.
-fn engines(cc: CcChoice, n: usize) -> (Box<dyn MultipathCongestionControl>, CcModel) {
-    let model = fluid_model_of(&cc).unwrap_or_else(|| panic!("{} has a fluid form", cc.label()));
-    (cc.build(n), model)
+/// Subflow `r`'s window after one fast-retransmit loss under a fresh `cc`.
+fn window_after_loss(cc: &CcChoice, r: usize, fs: &[SubflowCc]) -> f64 {
+    let mut fs = fs.to_vec();
+    cc.build(fs.len()).on_loss(r, &mut fs);
+    fs[r].cwnd
+}
+
+proptest::proptest! {
+    /// The per-ACK and per-loss steps of every controller with an
+    /// Equation-(3) form are that form's drift and decrease, at random
+    /// operating points: 1–8 subflows in congestion avoidance, windows of
+    /// 1–10⁴ packets, `srtt = last_rtt` log-uniform over 100 µs–500 ms and
+    /// `base_rtt ≤ srtt`. What a packet controller adds to its row is
+    /// labelled where it is checked: LIA's `1/w` cap, OLIA's `α_r/w_r`,
+    /// Balia's loss-side `β_r` and DTS-Φ's per-ACK drain.
+    #[test]
+    fn every_modelled_controller_steps_its_equation_3_drift(
+        paths in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..9),
+    ) {
+        let n = paths.len();
+        let w: Vec<f64> = paths.iter().map(|p| 1e4f64.powf(p.0)).collect();
+        let rtt: Vec<f64> = paths.iter().map(|p| 1e-4 * 5e3f64.powf(p.1)).collect();
+        let base_rtt: Vec<f64> =
+            paths.iter().zip(&rtt).map(|(p, t)| t * (1.0 - 0.95 * p.2)).collect();
+        let fs: Vec<SubflowCc> = (0..n)
+            .map(|r| {
+                let mut f = SubflowCc::new();
+                (f.cwnd, f.ssthresh) = (w[r], 1.0);
+                (f.srtt, f.last_rtt, f.base_rtt) = (rtt[r], rtt[r], base_rtt[r]);
+                f
+            })
+            .collect();
+        let x: Vec<f64> = (0..n).map(|r| w[r] / rtt[r]).collect();
+        let view = FlowView { x: &x, rtt: &rtt, base_rtt: &base_rtt };
+        let max_x = x.iter().copied().fold(0.0f64, f64::max);
+        let olia_alpha = Olia::new(n).alphas(&fs);
+        let fixed_point = CcChoice::Dts(DtsConfig { fixed_point: true, ..DtsConfig::default() });
+        let ccs = [
+            CcChoice::Base(AlgorithmKind::Ewtcp),
+            CcChoice::Base(AlgorithmKind::Coupled),
+            CcChoice::Base(AlgorithmKind::Lia),
+            CcChoice::Base(AlgorithmKind::Olia),
+            CcChoice::Base(AlgorithmKind::Balia),
+            CcChoice::Base(AlgorithmKind::EcMtcp),
+            CcChoice::dts(),
+            fixed_point,
+            CcChoice::dts_phi(),
+        ];
+        for cc in ccs {
+            let model = fluid_model_of(&cc).unwrap_or_else(|| panic!("{} has a form", cc.label()));
+            for r in 0..n {
+                let at = format!("{} at r={r} of w={w:?}, rtt={rtt:?}, base={base_rtt:?}", cc.label());
+                // One ACK every 1/x_r seconds moves the window by Δw, and
+                // dx = dw/RTT: the per-ACK step is a drift of Δw·x_r/RTT_r.
+                let to_drift = x[r] / rtt[r];
+                let (w0, w1) = (w[r], window_after_ack(&cc, r, &fs));
+                let fluid = model.dxdt(r, &view, 0.0);
+                let (expected, own) = match cc {
+                    CcChoice::DtsPhi(_) => {
+                        // DTS-Φ takes DTS's step, then drains κ·w′·grad from
+                        // the window w′ that step left, with the model's
+                        // gradient, to the bit.
+                        let Phi::EnergyPrice(price) = model.phi else {
+                            panic!("{at}: DTS-Φ's model carries the energy price")
+                        };
+                        let w_dts = window_after_ack(&CcChoice::Dts(price.dts), r, &fs);
+                        let grad = model.phi.grad(rtt[r], base_rtt[r]);
+                        let drained = w_dts - price.kappa * w_dts * grad;
+                        assert_eq!(w1.to_bits(), drained.to_bits(), "{at}: {w1} vs {drained}");
+                        // The drain's drift is −κ·w′·grad·x_r/RTT_r; the fluid
+                        // price is −κ·x_r²·grad = −κ·w·grad·x_r/RTT_r. They
+                        // differ by the factor w′/w and nothing else. Reading
+                        // the drain back as w″ − w′ costs up to one ulp of
+                        // w′, ε/(κ·grad) of the drain.
+                        let dts_model = fluid_model_of(&CcChoice::Dts(price.dts)).unwrap();
+                        let price_drift = fluid - dts_model.dxdt(r, &view, 0.0);
+                        assert!(price_drift < 0.0, "{at}: the price drains");
+                        let packet = (w1 - w_dts) * to_drift;
+                        let tol = 1e-12 + f64::EPSILON / (price.kappa * grad);
+                        assert!(
+                            (packet - price_drift * (w_dts / w0)).abs() <= tol * price_drift.abs(),
+                            "{at}: drain drift {packet} vs Equation (3) {price_drift}·w′/w"
+                        );
+                        continue;
+                    }
+                    // LIA caps each subflow at one TCP's increase, 1/w_r.
+                    CcChoice::Base(AlgorithmKind::Lia) => (fluid.min(to_drift / w0), 0.0),
+                    // OLIA adds its re-balancing term α_r/w_r to the ψ = 1 row.
+                    CcChoice::Base(AlgorithmKind::Olia) => {
+                        let own = olia_alpha[r] / w0 * to_drift;
+                        (fluid + own, own)
+                    }
+                    _ => (fluid, 0.0),
+                };
+                // The two evaluation orders may differ by 1e-12 of the terms;
+                // reading Δw back as w′ − w costs up to one ulp of w′.
+                let packet = (w1 - w0) * to_drift;
+                let tol = 1e-12 * (fluid.abs() + own.abs()) + f64::EPSILON * w1.max(w0) * to_drift;
+                assert!(
+                    (packet - expected).abs() <= tol,
+                    "{at}: per-ACK drift {packet} vs Equation (3) {expected}"
+                );
+                // Alone on one path, every TCP-friendly row is Reno: Δw = 1/w.
+                if n == 1 && matches!(cc, CcChoice::Base(_)) {
+                    let reno = 1.0 / w0;
+                    assert!(
+                        (w1 - w0 - reno).abs() <= 1e-12 * reno + f64::EPSILON * w1,
+                        "{at}: Δw {} vs Reno's {reno}",
+                        w1 - w0
+                    );
+                }
+
+                // A loss takes the window to (1 − β)·w, floored at one packet,
+                // to the bit. Balia's packet form backs off by its published
+                // min(α_r, 1.5)/2 with α_r = max_k x_k / x_r, not the model's
+                // β = ½: at least as far, further on every slower path.
+                let beta = match cc {
+                    CcChoice::Base(AlgorithmKind::Balia) => (max_x / x[r]).clamp(1.0, 1.5) / 2.0,
+                    _ => model.beta,
+                };
+                let w_loss = window_after_loss(&cc, r, &fs);
+                let want = (w0 * (1.0 - beta)).max(MIN_CWND);
+                assert_eq!(w_loss.to_bits(), want.to_bits(), "{at}: loss {w_loss} vs {want}");
+                assert!(w_loss <= (w0 * (1.0 - model.beta)).max(MIN_CWND), "{at}: β {beta}");
+            }
+        }
+    }
 }
 
 #[test]
-fn dts_and_dts_phi_per_ack_steps_are_their_equation_3_drift() {
-    for (ws, rtts) in STATES {
-        let (fs, [x, rtt, base_rtt]) = cc_state(ws, rtts);
-        let view = FlowView { x: &x, rtt: &rtt, base_rtt: &base_rtt };
-        let (mut dts, dts_model) = engines(CcChoice::dts(), fs.len());
-        let (mut phi, phi_model) = engines(CcChoice::dts_phi(), fs.len());
-        assert_eq!(phi_model.psi, dts_model.psi, "DTS-Φ's increase is default DTS");
-        let Phi::EnergyPrice(price) = phi_model.phi else {
-            panic!("DTS-Φ's model carries the energy price, not {:?}", phi_model.phi)
-        };
-        for r in 0..fs.len() {
-            let w = fs[r].cwnd;
-            // (a) One ACK every 1/x_r seconds moves the window by Δw, and
-            // dx = dw/RTT: the per-ACK step is a drift of Δw·x_r/RTT_r.
-            // Reading Δw back as w′ − w costs up to one ulp of w on top of
-            // the 1e-12 the two evaluation orders may differ by.
-            let w_dts = window_after_ack(dts.as_mut(), r, &fs);
-            let dw = w_dts - w;
-            let packet = dw * x[r] / rtt[r];
-            let fluid = dts_model.dxdt(r, &view, 0.0);
-            assert!(dw > 0.0, "state {ws:?}, r={r}: DTS grows the window");
-            assert!(
-                (packet - fluid).abs() <= (1e-12 + f64::EPSILON * w / dw) * fluid.abs(),
-                "state {ws:?}, r={r}: DTS per-ACK drift {packet} vs Equation (3) {fluid}"
-            );
-
-            // (b) DTS-Φ takes DTS's step, then drains κ·w′·grad from the
-            // window w′ that step left, with the model's gradient.
-            let w_phi = window_after_ack(phi.as_mut(), r, &fs);
-            let grad = phi_model.phi.grad(rtt[r], base_rtt[r]);
-            let drained = w_dts - price.kappa * w_dts * grad;
-            assert_eq!(w_phi.to_bits(), drained.to_bits(), "state {ws:?}, r={r}: {w_phi}");
-            // The drain's drift is −κ·w′·grad·x_r/RTT_r; the fluid price is
-            // −κ·x_r²·grad = −κ·w·grad·x_r/RTT_r. They differ by the factor
-            // w′/w = 1 + Δw/w and nothing else. Reading the drain back as
-            // w″ − w′ costs up to one ulp of w′, ε/(κ·grad) of the drain.
-            let packet = (w_phi - w_dts) * x[r] / rtt[r];
-            let fluid = phi_model.dxdt(r, &view, 0.0) - dts_model.dxdt(r, &view, 0.0);
-            assert!(fluid < 0.0, "state {ws:?}, r={r}: the price drains");
-            let tol = 1e-12 + f64::EPSILON / (price.kappa * grad);
-            assert!(
-                (packet - fluid * (w_dts / w)).abs() <= tol * fluid.abs(),
-                "state {ws:?}, r={r}: DTS-Φ drain drift {packet} vs Equation (3) {fluid}·w′/w"
-            );
-        }
+fn dctcp_wvegas_and_dwc_alone_have_no_equation_3_form() {
+    for kind in AlgorithmKind::ALL {
+        let packet_only =
+            matches!(kind, AlgorithmKind::Dctcp | AlgorithmKind::WVegas | AlgorithmKind::Dwc);
+        assert_eq!(fluid_model_of(&CcChoice::Base(kind)).is_none(), packet_only, "{kind}");
     }
 }
 
