@@ -106,15 +106,15 @@ impl MultipathCongestionControl for Dwc {
             p.round_len = flows[r].cwnd;
         }
         // Increase: LIA-coupled across the congested group; Reno otherwise.
+        // The group is walked, not collected: this runs once per ACK and
+        // must not allocate.
         let in_group = self.paths[r].congested;
-        let group_members: Vec<usize> =
-            (0..flows.len()).filter(|&k| self.paths.get(k).is_some_and(|p| p.congested)).collect();
-        let delta = if in_group && group_members.len() >= 2 {
-            let wt: f64 = group_members.iter().map(|&k| flows[k].cwnd).sum();
-            let xt: f64 = group_members.iter().map(|&k| flows[k].rate()).sum();
-            let best = group_members
-                .iter()
-                .map(|&k| flows[k].cwnd / (flows[k].srtt * flows[k].srtt))
+        let group = || (0..flows.len()).filter(|&k| self.paths.get(k).is_some_and(|p| p.congested));
+        let delta = if in_group && group().count() >= 2 {
+            let wt: f64 = group().map(|k| flows[k].cwnd).sum();
+            let xt: f64 = group().map(|k| flows[k].rate()).sum();
+            let best = group()
+                .map(|k| flows[k].cwnd / (flows[k].srtt * flows[k].srtt))
                 .fold(0.0f64, f64::max);
             if wt > 0.0 && xt > 0.0 {
                 (wt * best / (xt * xt) / wt).min(1.0 / flows[r].cwnd)

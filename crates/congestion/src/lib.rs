@@ -1,23 +1,25 @@
 //! # congestion — multipath congestion-control algorithms
 //!
 //! Implementations of every congestion-control algorithm the paper analyzes
-//! (its §IV model decomposition and §VI evaluation):
+//! (its §IV model decomposition and §VI evaluation), and the model itself.
+//! An algorithm that *is* its Equation-(3) row (its traffic-shifting
+//! parameter `ψ_r` in [`model::Psi`]) runs as the one controller
+//! [`ModelCc`], which reads `ψ_r` from the [`CcModel`] the fluid solver
+//! integrates:
 //!
 //! | Algorithm | Module | Reference |
 //! |---|---|---|
 //! | TCP Reno | [`reno`] | baseline single-path TCP |
 //! | DCTCP | [`dctcp`] | Alizadeh et al., SIGCOMM 2010 |
-//! | EWTCP | [`ewtcp`] | Honda et al., PFLDNeT 2009 |
-//! | Coupled (Kelly/Voice) | [`coupled`] | Kelly & Voice, CCR 2005 |
-//! | LIA | [`lia`] | Wischik et al., NSDI 2011 / RFC 6356 |
-//! | OLIA | [`olia`] | Khalili et al., CoNEXT 2012 |
-//! | Balia | [`balia`] | Peng, Walid & Low, SIGMETRICS 2013 |
-//! | ecMTCP | [`ecmtcp`] | Le et al., IEEE Comm. Letters 2012 |
+//! | EWTCP | [`model_cc`], row [`model::Psi::Ewtcp`] | Honda et al., PFLDNeT 2009 |
+//! | Coupled (Kelly/Voice) | [`model_cc`], row [`model::Psi::Coupled`] | Kelly & Voice, CCR 2005 |
+//! | LIA | [`model_cc`], row [`model::Psi::Lia`] | Wischik et al., NSDI 2011 / RFC 6356 |
+//! | OLIA | [`olia`] (`ψ = 1` plus its own `α_r`) | Khalili et al., CoNEXT 2012 |
+//! | Balia | [`model_cc`], row [`model::Psi::Balia`] | Peng, Walid & Low, SIGMETRICS 2013 |
+//! | ecMTCP | [`model_cc`], row [`model::Psi::EcMtcp`] | Le et al., IEEE Comm. Letters 2012 |
 //! | wVegas | [`wvegas`] | Cao, Xu & Fu, ICNP 2012 |
 //! | DWC | [`dwc`] | Hassayoun, Iyengar & Ros, ICNP 2011 |
-//!
-//! The paper's own algorithms, DTS and DTS-Φ, implement the same
-//! [`MultipathCongestionControl`] trait from the `mptcp-energy` crate.
+//! | DTS, DTS-Φ | [`model_cc`], row [`model::Psi::Dts`] (+ [`model::Phi::EnergyPrice`]) | this paper, §V |
 //!
 //! All algorithms operate on a slice of [`SubflowCc`] states — MPTCP couples
 //! windows *across* subflows, so every callback sees the whole connection.
@@ -40,26 +42,20 @@
 //! assert!(flows[0].cwnd > before);
 //! ```
 
-pub mod balia;
 pub mod common;
-pub mod coupled;
 pub mod dctcp;
 pub mod dwc;
-pub mod ecmtcp;
-pub mod ewtcp;
-pub mod lia;
+pub mod model;
+pub mod model_cc;
 pub mod olia;
 pub mod reno;
 pub mod state;
 pub mod wvegas;
 
-pub use balia::Balia;
-pub use coupled::CoupledKv;
 pub use dctcp::Dctcp;
 pub use dwc::Dwc;
-pub use ecmtcp::EcMtcp;
-pub use ewtcp::Ewtcp;
-pub use lia::Lia;
+pub use model::{CcModel, DtsConfig, DtsPhiConfig};
+pub use model_cc::ModelCc;
 pub use olia::Olia;
 pub use reno::Reno;
 pub use state::{
@@ -67,6 +63,7 @@ pub use state::{
 };
 pub use wvegas::WVegas;
 
+use model::Psi;
 use std::fmt;
 
 /// A window-based multipath congestion-control algorithm.
@@ -166,19 +163,40 @@ impl AlgorithmKind {
         }
     }
 
+    /// The algorithm's Equation-(3) row, or `None` for the algorithms the
+    /// paper's §IV table does not decompose (DCTCP, wVegas, DWC). Reno maps
+    /// to `ψ = 1`, which on a single path *is* Reno.
+    pub fn model(self) -> Option<CcModel> {
+        let psi = match self {
+            AlgorithmKind::Reno | AlgorithmKind::Olia => Psi::Olia,
+            AlgorithmKind::Ewtcp => Psi::Ewtcp,
+            AlgorithmKind::Coupled => Psi::Coupled,
+            AlgorithmKind::Lia => Psi::Lia,
+            AlgorithmKind::Balia => Psi::Balia,
+            AlgorithmKind::EcMtcp => Psi::EcMtcp,
+            AlgorithmKind::Dctcp | AlgorithmKind::WVegas | AlgorithmKind::Dwc => return None,
+        };
+        Some(CcModel::loss_based(psi))
+    }
+
     /// Instantiates the algorithm for a connection with `n_subflows` paths.
     pub fn build(self, n_subflows: usize) -> Box<dyn MultipathCongestionControl> {
         match self {
             AlgorithmKind::Reno => Box::new(Reno::new()),
             AlgorithmKind::Dctcp => Box::new(Dctcp::new(n_subflows)),
-            AlgorithmKind::Ewtcp => Box::new(Ewtcp::new()),
-            AlgorithmKind::Coupled => Box::new(CoupledKv::new()),
-            AlgorithmKind::Lia => Box::new(Lia::new()),
             AlgorithmKind::Olia => Box::new(Olia::new(n_subflows)),
-            AlgorithmKind::Balia => Box::new(Balia::new()),
-            AlgorithmKind::EcMtcp => Box::new(EcMtcp::new()),
             AlgorithmKind::WVegas => Box::new(WVegas::new(n_subflows)),
             AlgorithmKind::Dwc => Box::new(Dwc::new(n_subflows)),
+            AlgorithmKind::Ewtcp
+            | AlgorithmKind::Coupled
+            | AlgorithmKind::Lia
+            | AlgorithmKind::Balia
+            | AlgorithmKind::EcMtcp => {
+                let Some(model) = self.model() else {
+                    unreachable!("{self} is a row of Equation (3)")
+                };
+                Box::new(ModelCc::new(self.name(), model))
+            }
         }
     }
 }

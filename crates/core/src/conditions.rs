@@ -13,7 +13,7 @@
 use crate::fluid::{
     disjoint_paths_net, EquilibriumInfo, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver,
 };
-use crate::model::{CcModel, FlowView, Psi};
+use congestion::model::{CcModel, FlowView, Psi};
 
 /// A violation of Condition 1, describing which clause failed.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,8 +135,7 @@ pub fn friendliness_ratio(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dts::DtsConfig;
-    use crate::model::DtsPhiConfig;
+    use congestion::model::{DtsConfig, DtsPhiConfig};
 
     fn sym_view<'a>(x: &'a [f64], rtt: &'a [f64]) -> FlowView<'a> {
         FlowView { x, rtt, base_rtt: rtt }

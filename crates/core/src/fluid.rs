@@ -24,7 +24,7 @@
 //! projected back onto `[X_MIN, ∞)`. Off the floor the extension is inert and
 //! the integrator is classic RK4, bit-for-bit (pinned by test).
 
-use crate::model::{CcModel, PathConsts};
+use congestion::model::{CcModel, PathConsts};
 
 /// Minimum rate floor (packets/second): flows never go extinct, matching the
 /// one-packet window floor of the packet level.
@@ -284,7 +284,7 @@ impl FluidSolver {
         for flow in &net.flows {
             for path in &flow.paths {
                 topo.rtt.push(path.rtt);
-                topo.consts.push(flow.model.path_consts(path.rtt, path.base_rtt));
+                topo.consts.push(flow.model.path_consts(path.rtt, path.rtt, path.base_rtt));
                 for &l in &path.links {
                     assert!(l < n_links, "path references link {l} of {n_links}");
                     // simlint: allow(P001, documented panic: a net of four billion links is out of scope by construction)
@@ -408,7 +408,7 @@ pub fn disjoint_paths_net(model: CcModel, caps: &[f64], rtts: &[f64]) -> FluidNe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{CcModel, FlowView, Phi, Psi};
+    use congestion::model::{CcModel, DtsConfig, DtsPhiConfig, FlowView, Phi, Psi};
     use proptest::prelude::*;
 
     fn reno_single(cap: f64, rtt: f64) -> FluidNet {
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn dts_shifts_rate_to_good_ratio_path() {
-        let cfg = crate::dts::DtsConfig::default();
+        let cfg = DtsConfig::default();
         let mut net = disjoint_paths_net(CcModel::dts(cfg), &[1000.0, 1000.0], &[0.1, 0.1]);
         // Path 1 shows heavy RTT inflation (base ≪ rtt).
         net.flows[0].paths[1].rtt = 0.2;
@@ -756,7 +756,7 @@ mod tests {
 
     /// All seven ψ under both φ.
     fn every_model() -> Vec<CcModel> {
-        let phi = crate::model::DtsPhiConfig::default();
+        let phi = DtsPhiConfig::default();
         let psis = [
             Psi::Ewtcp,
             Psi::Coupled,

@@ -28,10 +28,8 @@
 //! topology, same call sequence gives bit-identical results.
 
 use crate::fluid::{FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver, X_MIN};
-use crate::model::CcModel;
-use crate::model::Psi;
 use crate::scenarios::CcChoice;
-use congestion::AlgorithmKind;
+use congestion::CcModel;
 use energy_model::{PowerModel, WiredCpuModel};
 use netsim::{SimDuration, SimTime, Simulator};
 use transport::{
@@ -78,22 +76,14 @@ const TARGET_UTIL: f64 = 0.9;
 /// residual.
 const BG_CAP_FRAC: f64 = 0.95;
 
-/// The Equation-(3) fluid form of a packet-level algorithm choice, or `None`
-/// for algorithms the paper's §IV table does not decompose (DCTCP, wVegas,
-/// DWC). Reno maps to ψ = 1, which on a single path *is* Reno.
+/// The Equation-(3) form of an algorithm choice: [`AlgorithmKind::model`]
+/// for a baseline (`None` for DCTCP, wVegas and DWC), the DTS or DTS-Φ
+/// model otherwise.
+///
+/// [`AlgorithmKind::model`]: congestion::AlgorithmKind::model
 pub fn fluid_model_of(cc: &CcChoice) -> Option<CcModel> {
     match cc {
-        CcChoice::Base(kind) => match kind {
-            AlgorithmKind::Reno | AlgorithmKind::Olia => Some(CcModel::loss_based(Psi::Olia)),
-            AlgorithmKind::Lia => Some(CcModel::loss_based(Psi::Lia)),
-            AlgorithmKind::Ewtcp => Some(CcModel::loss_based(Psi::Ewtcp)),
-            AlgorithmKind::Coupled => Some(CcModel::loss_based(Psi::Coupled)),
-            AlgorithmKind::Balia => Some(CcModel::loss_based(Psi::Balia)),
-            AlgorithmKind::EcMtcp => Some(CcModel::loss_based(Psi::EcMtcp)),
-            // DCTCP, wVegas, DWC have no §IV decomposition and stay
-            // packet-level; a new algorithm must pick a side here.
-            AlgorithmKind::Dctcp | AlgorithmKind::WVegas | AlgorithmKind::Dwc => None,
-        },
+        CcChoice::Base(kind) => kind.model(),
         CcChoice::Dts(cfg) => Some(CcModel::dts(*cfg)),
         CcChoice::DtsPhi(cfg) => Some(CcModel::dts_phi(*cfg)),
     }
@@ -563,6 +553,8 @@ impl HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congestion::model::Psi;
+    use congestion::AlgorithmKind;
     use netsim::LinkConfig;
 
     fn two_path_sim(seed: u64) -> Simulator {

@@ -6,18 +6,20 @@
 //! datacenter topologies — see the `netsim`, `transport`, `congestion`,
 //! `energy-model`, `topology` and `workload` crates).
 //!
-//! This crate is the paper's primary contribution:
+//! The paper's model lives one layer down, in `congestion`, beside the
+//! controllers that run it: [`model`] (re-exported from `congestion::model`)
+//! is the general congestion-control model of Equation (3), the §IV
+//! per-algorithm decompositions of the traffic-shifting parameter `ψ_r`,
+//! and the paper's own rows — **DTS**, Delay-based Traffic Shifting, with
+//! its Equation-(5) sigmoid, and **DTS-Φ**, its §V-C extension with the
+//! energy-proportional compensative price of Equations (6)–(9). One packet
+//! controller, `congestion::ModelCc`, is the per-ACK form of every row that
+//! has one; [`CcChoice::build`] makes it for DTS and DTS-Φ.
 //!
-//! * [`model`] — the general congestion-control model of Equation (3) and
-//!   the §IV per-algorithm decompositions of the traffic-shifting parameter
-//!   `ψ_r`;
+//! This crate is what the paper does with that model:
+//!
 //! * [`conditions`] — numeric checkers for Condition 1 (TCP-friendliness)
 //!   and the Pareto-efficiency test behind Condition 2;
-//! * [`dts`] — **DTS**, Delay-based Traffic Shifting, and **DTS-Φ**, its
-//!   §V-C extension with the energy-proportional compensative price of
-//!   Equations (6)–(9): one per-ACK controller that reads the Equation-(5)
-//!   sigmoid and the price gradient from its [`model`] instance, with
-//!   Algorithm 1's kernel fixed-point sigmoid as the one packet-only rule;
 //! * [`fluid`] — an RK4 fluid solver for networks of Equation-(3) flows;
 //! * [`scenarios`] — the paper's evaluation scenarios (Figs. 6–17) as
 //!   deterministic, seedable experiment runners;
@@ -38,21 +40,21 @@
 //! ```
 
 pub mod conditions;
-pub mod dts;
 pub mod fluid;
 pub mod hybrid;
-pub mod model;
 pub mod path_select;
 pub mod scenarios;
 pub mod stats;
 
 pub use conditions::{check_condition1, friendliness_ratio, pareto_efficiency};
-pub use dts::{epsilon_exact, epsilon_fixed_point, Dts, DtsConfig};
+pub use congestion::model;
+pub use congestion::model::{
+    epsilon_exact, epsilon_fixed_point, CcModel, DtsConfig, DtsPhiConfig, FlowView, Phi, Psi,
+};
 pub use fluid::{
     disjoint_paths_net, EquilibriumInfo, FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver,
 };
 pub use hybrid::{fluid_model_of, HybridConfig, HybridCounters, HybridEngine};
-pub use model::{CcModel, DtsPhiConfig, FlowView, Phi, Psi};
 pub use path_select::{run_wireless_with_policy, select_paths, PathPolicy};
 pub use scenarios::CcChoice;
 pub use stats::{mean, std_dev, FiveNumber};

@@ -6,11 +6,9 @@
 //! wrappers over these functions; see DESIGN.md for the figure-by-figure
 //! mapping and EXPERIMENTS.md for the scaling notes.
 
-use crate::dts::{Dts, DtsConfig};
 use crate::fluid::FluidNet;
 use crate::hybrid::{fluid_twin, Attachment};
-use crate::model::DtsPhiConfig;
-use congestion::{AlgorithmKind, MultipathCongestionControl};
+use congestion::{AlgorithmKind, DtsConfig, DtsPhiConfig, ModelCc, MultipathCongestionControl};
 use energy_model::{energy_of_flow, EnergyReport, PhoneModel, PowerModel, WiredCpuModel};
 use netsim::{LinkConfig, LinkStats, LossModel, SimDuration, SimTime, Simulator};
 use obs::TraceSink;
@@ -52,8 +50,8 @@ impl CcChoice {
     pub fn build(&self, n_subflows: usize) -> Box<dyn MultipathCongestionControl> {
         match self {
             CcChoice::Base(kind) => kind.build(n_subflows),
-            CcChoice::Dts(cfg) => Box::new(Dts::with_config(*cfg)),
-            CcChoice::DtsPhi(cfg) => Box::new(Dts::with_price(*cfg)),
+            CcChoice::Dts(cfg) => Box::new(ModelCc::dts(*cfg)),
+            CcChoice::DtsPhi(cfg) => Box::new(ModelCc::dts_phi(*cfg)),
         }
     }
 

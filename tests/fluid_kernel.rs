@@ -1,4 +1,4 @@
-//! Tier-1's view of the `core::model` ↔ `core::fluid` ↔ `core::hybrid`
+//! Tier-1's view of the `congestion::model` ↔ `core::fluid` ↔ `core::hybrid`
 //! boundary. `cargo test -q` runs the root package only, so the crate-level
 //! oracles (`fluid.rs`'s proptest over every ψ and φ, `hybrid_validation`)
 //! do not gate a merge; this is their smoke at a small case count.
