@@ -22,13 +22,15 @@ use bench_harness::fabric::{FabricCell, Fingerprint, JournalCodec};
 use bench_harness::{Cli, Scale};
 use congestion::AlgorithmKind;
 use energy_model::WiredCpuModel;
-use mptcp_energy::hybrid::{fluid_model_of, HybridConfig, HybridCounters, HybridEngine};
+use mptcp_energy::hybrid::{
+    fluid_model_of, fluid_path, HybridConfig, HybridCounters, HybridEngine,
+};
 use mptcp_energy::scenarios::CcChoice;
 use netsim::{LinkConfig, SimDuration, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use topology::FatTree;
-use transport::{FlowConfig, DEFAULT_ACK_BYTES, DEFAULT_MSS_BYTES};
+use transport::{FlowConfig, DEFAULT_MSS_BYTES};
 use workload::permutation_pairs;
 
 /// One scale tier of the study.
@@ -101,21 +103,16 @@ impl JournalCodec for CellOut {
     }
 }
 
-/// The inter-pod path RTT of the FatTree under study (6 links × (100 µs
-/// propagation + 100 Mb/s serialization of a segment) each way, ACKs back)
-/// — the calibration RTT for the fluid price curves.
-fn calib_rtt_s(host_bps: u64) -> f64 {
-    let ser_data = f64::from(DEFAULT_MSS_BYTES) * 8.0 / host_bps as f64;
-    let ser_ack = f64::from(DEFAULT_ACK_BYTES) * 8.0 / host_bps as f64;
-    6.0 * (2.0 * 100e-6 + ser_data + ser_ack)
-}
-
 fn run_cell(seed: u64, t: Tier, cc: &CcChoice) -> CellOut {
     const HOST_BPS: u64 = 100_000_000;
     let mut sim = Simulator::new(seed);
     let params = LinkConfig::new(HOST_BPS, SimDuration::from_micros(100)).queue_limit(32);
     let ft = FatTree::build(&mut sim, t.k, params);
     let hosts = ft.hosts();
+    // The fluid price curves are calibrated at the base RTT of an inter-pod
+    // path (host 0 to the first host of pod 1), as the packet → fluid
+    // mapping reads it from the links.
+    let inter_pod = &ft.paths(0, t.k * t.k / 4)[0];
 
     let cfg = HybridConfig {
         epoch_s: t.epoch_s,
@@ -123,7 +120,7 @@ fn run_cell(seed: u64, t: Tier, cc: &CcChoice) -> CellOut {
         // Short flows that have not finished after two epochs cross into
         // the fluid regime — the handoff path is exercised at scale.
         handoff_age_s: 2.0 * t.epoch_s,
-        calib_rtt_s: calib_rtt_s(HOST_BPS),
+        calib_rtt_s: fluid_path(&sim, inter_pod).base_rtt,
     };
     let Some(model) = fluid_model_of(cc) else {
         // The cell list below only contains algorithms with a §IV fluid
