@@ -9,24 +9,29 @@ use crate::{table, Scale};
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{BurstyOptions, CcChoice};
 
-/// Runs the Fig. 9 harness.
-pub fn run(scale: Scale, sims: &Sims) -> String {
+/// The Fig. 9 runs at `scale`: a LIA, DTS pair per seed.
+pub fn keys(scale: Scale) -> Vec<(CcChoice, BurstyOptions)> {
     let seeds: &[u64] = match scale {
         Scale::Smoke => &[1],
         Scale::Quick => &[1, 2, 3],
         Scale::Full => &[1, 2, 3, 4, 5, 6, 7, 8],
     };
-    let keys: Vec<(CcChoice, BurstyOptions)> = seeds
+    seeds
         .iter()
         .flat_map(|&seed| {
             let opts = BurstyOptions { seed, ..super::fig07::bursty_opts(scale) };
             [(CcChoice::Base(AlgorithmKind::Lia), opts), (CcChoice::dts(), opts)]
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the Fig. 9 harness.
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let keys = keys(scale);
     let mut rows = Vec::new();
     let mut savings = Vec::new();
-    for (&seed, pair) in seeds.iter().zip(sims.bursty(&keys).chunks(2)) {
-        let (lia, dts) = (&pair[0], &pair[1]);
+    for (pair_keys, pair) in keys.chunks(2).zip(sims.bursty(&keys).chunks(2)) {
+        let (seed, lia, dts) = (pair_keys[0].1.seed, &pair[0], &pair[1]);
         let saving = 100.0 * (lia.energy.joules - dts.energy.joules) / lia.energy.joules;
         savings.push(saving);
         rows.push(vec![

@@ -10,8 +10,9 @@ use crate::{pct_of, table, Scale};
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{CcChoice, Ec2Options};
 
-/// Runs the Fig. 10 harness.
-pub fn run(scale: Scale, sims: &Sims) -> String {
+/// The Fig. 10 runs at `scale`: TCP, DCTCP, LIA and DTS on one fleet, the
+/// single-path TCP baseline first.
+pub fn keys(scale: Scale) -> Vec<(CcChoice, Ec2Options)> {
     let opts = match scale {
         Scale::Smoke => Ec2Options {
             n_hosts: 4,
@@ -38,7 +39,12 @@ pub fn run(scale: Scale, sims: &Sims) -> String {
         CcChoice::Base(AlgorithmKind::Lia),
         CcChoice::dts(),
     ];
-    let results = sims.ec2(&choices.map(|cc| (cc, opts)));
+    choices.map(|cc| (cc, opts)).to_vec()
+}
+
+/// Runs the Fig. 10 harness.
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let results = sims.ec2(&keys(scale));
     // The single-path TCP row is the savings baseline (first cell).
     let tcp_energy = results.first().map_or(0.0, |r| r.total_energy_j);
     let mut rows = Vec::new();

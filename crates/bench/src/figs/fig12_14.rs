@@ -13,8 +13,9 @@ use crate::{table, Scale};
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{CcChoice, DcKind, DcOptions};
 
-/// Runs the Figs. 12–14 harness.
-pub fn run(scale: Scale, sims: &Sims) -> String {
+/// The Figs. 12–14 runs at `scale`: LIA at each subflow count, ascending,
+/// on BCube, FatTree and VL2 in that order.
+pub fn keys(scale: Scale) -> Vec<DcKey> {
     let (fabrics, subflows, duration): (Vec<DcKind>, &[usize], f64) = match scale {
         Scale::Smoke => (
             vec![DcKind::BCube { n: 4, k: 1 }, DcKind::FatTree { k: 4 }, DcKind::Vl2 { scale: 8 }],
@@ -32,7 +33,7 @@ pub fn run(scale: Scale, sims: &Sims) -> String {
             20.0,
         ),
     };
-    let keys: Vec<DcKey> = fabrics
+    fabrics
         .iter()
         .flat_map(|&fabric| {
             subflows.iter().map(move |&n| {
@@ -41,7 +42,12 @@ pub fn run(scale: Scale, sims: &Sims) -> String {
                 (fabric, CcChoice::Base(AlgorithmKind::Lia), opts)
             })
         })
-        .collect();
+        .collect()
+}
+
+/// Runs the Figs. 12–14 harness.
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let keys = keys(scale);
     let mut rows = Vec::new();
     for ((fabric, _, opts), r) in keys.iter().zip(sims.datacenter(&keys)) {
         rows.push(vec![

@@ -4,13 +4,18 @@
 //! fabrics (the energy saving of Fig. 15 is not bought with throughput).
 
 use super::fig15::{grid, GROUP};
-use super::Sims;
+use super::sims::{DcKey, Sims};
 use crate::{pct_of, table, Scale};
 use mptcp_energy::scenarios::CcChoice;
 
+/// The Fig. 16 runs at `scale`: Fig. 15's grid with DTS-Φ at the default κ.
+pub fn keys(scale: Scale) -> Vec<DcKey> {
+    grid(scale, CcChoice::dts_phi())
+}
+
 /// Runs the Fig. 16 harness.
 pub fn run(scale: Scale, sims: &Sims) -> String {
-    let keys = grid(scale, CcChoice::dts_phi());
+    let keys = keys(scale);
     let mut rows = Vec::new();
     for (keys, group) in keys.chunks(GROUP).zip(sims.datacenter(&keys).chunks(GROUP)) {
         // Each fabric's LIA row is the utilization baseline; a starved LIA

@@ -10,8 +10,9 @@ use crate::{pct_of, table, Scale};
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{CcChoice, WirelessOptions};
 
-/// Runs the Fig. 17 harness.
-pub fn run(scale: Scale, sims: &Sims) -> String {
+/// The Fig. 17 runs at `scale`: LIA, DTS and DTS-Φ per seed, LIA — each
+/// seed's baseline — first.
+pub fn keys(scale: Scale) -> Vec<(CcChoice, WirelessOptions)> {
     let (duration, seeds): (f64, &[u64]) = match scale {
         Scale::Smoke => (20.0, &[1]),
         Scale::Quick => (100.0, &[1, 2]),
@@ -23,21 +24,29 @@ pub fn run(scale: Scale, sims: &Sims) -> String {
     let wireless_phi = mptcp_energy::DtsPhiConfig { kappa: 2e-3, ..Default::default() };
     let choices =
         [CcChoice::Base(AlgorithmKind::Lia), CcChoice::dts(), CcChoice::DtsPhi(wireless_phi)];
-    let keys: Vec<(CcChoice, WirelessOptions)> = seeds
+    seeds
         .iter()
         .flat_map(|&seed| {
             let opts = WirelessOptions { seed, duration_s: duration, ..WirelessOptions::default() };
             choices.map(|cc| (cc, opts))
         })
-        .collect();
+        .collect()
+}
+
+/// Algorithms per seed in [`keys`].
+const GROUP: usize = 3;
+
+/// Runs the Fig. 17 harness.
+pub fn run(scale: Scale, sims: &Sims) -> String {
+    let keys = keys(scale);
     let mut rows = Vec::new();
-    for (&seed, group) in seeds.iter().zip(sims.wireless(&keys).chunks(choices.len())) {
+    for (keys, group) in keys.chunks(GROUP).zip(sims.wireless(&keys).chunks(GROUP)) {
         // Each seed's LIA row is the savings baseline; a starved LIA cell
         // (wireless loss can kill a subflow) renders "-" instead of NaN.
         let lia_energy = group[0].energy.joules;
-        for r in group {
+        for ((_, opts), r) in keys.iter().zip(group) {
             rows.push(vec![
-                seed.to_string(),
+                opts.seed.to_string(),
                 r.label.clone(),
                 format!("{:.1}", r.energy.joules),
                 pct_of(lia_energy - r.energy.joules, lia_energy, 1),

@@ -1,8 +1,11 @@
 //! Failure-injection tests: degrade a path mid-run and verify the
 //! delay-based traffic shifting reacts — the operational behaviour the
-//! paper's §V-B designs DTS for.
+//! paper's §V-B designs DTS for — and random wireless loss, which must
+//! cost goodput without stalling the connection.
 
+use bench_harness::runner::{run_sweep, SweepCell};
 use congestion::AlgorithmKind;
+use mptcp_energy::scenarios::{run_wireless, FlowResult, WirelessOptions};
 use mptcp_energy::CcChoice;
 use netsim::{FaultAction, FaultScript, SimDuration, SimTime, Simulator};
 use topology::TwoPath;
@@ -109,4 +112,32 @@ fn lowest_srtt_prefers_the_fast_path() {
     sim.run_until(SimTime::from_secs_f64(10.0));
     let (f0, f1) = acked_per_path(&sim, flow);
     assert!(f0 > 2 * f1, "lowest-SRTT should prefer the fast path: {f0} vs {f1}");
+}
+
+#[test]
+fn fig17_wireless_loss_knob_costs_goodput() {
+    let clean = WirelessOptions { duration_s: 30.0, ..WirelessOptions::default() };
+    let lossy = WirelessOptions { wifi_loss: 0.05, lte_loss: 0.03, ..clean };
+    let cells = vec![
+        SweepCell::new("clean", clean.seed, move || {
+            run_wireless(&CcChoice::Base(AlgorithmKind::Lia), &clean)
+        }),
+        SweepCell::new("lossy", lossy.seed, move || {
+            run_wireless(&CcChoice::Base(AlgorithmKind::Lia), &lossy)
+        }),
+    ];
+    let results = run_sweep(cells);
+    let (a, b) = (&results[0].output, &results[1].output);
+    assert!(b.goodput_bps > 0.0, "lossy run must still move traffic");
+    assert!(
+        b.goodput_bps < a.goodput_bps,
+        "random wireless loss should cost goodput: {} vs {}",
+        b.goodput_bps,
+        a.goodput_bps
+    );
+    // Losses show up as repairs, not as a stalled connection. (Absolute
+    // counts can go either way — the clean run pushes more packets into the
+    // DropTail queues — so compare repairs per delivered bit.)
+    let rate = |r: &FlowResult| r.rexmits as f64 / r.goodput_bps.max(1.0);
+    assert!(rate(b) > rate(a), "lossy run should repair at a higher rate");
 }

@@ -5,9 +5,11 @@
 //! — and every table it renders equals, byte for byte, the table of a plan
 //! holding that figure alone, whichever figure asks first.
 //!
-//! The bursty figures at `Scale::Smoke` are the ones cheap enough for a
-//! debug-build tier-1 test; CI's `fabric` job pins the same property for all
-//! thirteen figures against the release binary.
+//! This test renders the bursty smoke figures, alone and in three shared
+//! orders; CI's `fabric` job pins the same property for all thirteen figures
+//! against the release binary. The datacenter smoke figures' simulations run
+//! at tier-1 too, in `tests/reproduction.rs`, whose claim rows read one
+//! shared plan.
 
 use bench_harness::fabric::{run_fabric_ephemeral, FabricCell, FabricOptions, RetryPolicy};
 use bench_harness::figs::{fig_cells_only, fig_cells_with, Sims};

@@ -1,238 +1,233 @@
-//! Cross-crate integration tests pinning the paper's headline claims at
-//! reduced scale. Each test asserts the *direction* of a published result
-//! (who wins, roughly by how much); EXPERIMENTS.md tracks the quantitative
-//! comparison at full scale.
+//! The paper's headline claims as data: one row per checked claim, measured
+//! on the simulations `figures_all --smoke` and the `figs_smoke` benchmark
+//! render. A row reads its figure's own key list (`figs::figNN::keys` at
+//! `Scale::Smoke`) from one shared `Sims`, so a run two rows read — Figs.
+//! 12–14's and 16's FatTree 2-subflow LIA run, say — is simulated once. The
+//! smoke simulations of Figs. 6, 9, 10, 12–14, 16 and 17, datacenter fabrics
+//! included, run here at tier-1.
 //!
-//! Each test's scenario runs are independent whole-simulator cells, so they
-//! fan out across the deterministic sweep runner (`bench_harness::runner`):
-//! on a multi-core machine the wall clock of a test is its slowest single
-//! run, not the sum of all of them.
+//! A row asserts the *direction* of a published result against a bound;
+//! EXPERIMENTS.md quotes the measured values. Each figure's test checks and
+//! prints its rows (`-- --nocapture`); a failure lists every row, measured.
 
-use bench_harness::runner::{run_sweep, SweepCell};
+use bench_harness::figs::{fig06, fig09, fig10, fig12_14, fig16, fig17, fig_cells_only, Sims};
+use bench_harness::{runner::default_jobs, Scale};
 use congestion::AlgorithmKind;
-use mptcp_energy::scenarios::{
-    run_datacenter, run_ec2, run_shared_bottleneck, run_two_path_bursty, run_wireless,
-    BurstyOptions, CcChoice, DcKind, DcOptions, Ec2Options, FlowResult, SharedOptions,
-    WirelessOptions,
-};
+use mptcp_energy::scenarios::{FleetResult, FlowResult};
+use std::sync::{Arc, OnceLock};
 
-fn bursty_opts() -> BurstyOptions {
-    BurstyOptions { transfer_bytes: Some(8_000_000), duration_s: 120.0, ..BurstyOptions::default() }
+/// A row's bound on its measured value.
+#[derive(Clone, Copy, Debug)]
+enum Bound {
+    Lt(f64),
+    Le(f64),
+    Gt(f64),
+    Ge(f64),
+    /// Exactly: a finished/total rate of 1 is the all-finished sentinel.
+    Eq(f64),
+    /// Half-open, `[lo, hi)`.
+    In(f64, f64),
+}
+use Bound::{Eq, Ge, Gt, In, Le, Lt};
+
+impl Bound {
+    #[allow(clippy::float_cmp)] // `Eq` compares a sentinel exactly, on purpose
+    fn holds(self, v: f64) -> bool {
+        match self {
+            Lt(b) => v < b,
+            Le(b) => v <= b,
+            Gt(b) => v > b,
+            Ge(b) => v >= b,
+            Eq(b) => v == b,
+            In(lo, hi) => (lo..hi).contains(&v),
+        }
+    }
 }
 
-/// Fans `run_two_path_bursty` over a list of congestion-control choices.
-fn bursty_sweep(choices: Vec<CcChoice>, opts: BurstyOptions) -> Vec<FlowResult> {
-    let cells: Vec<SweepCell<FlowResult>> = choices
-        .into_iter()
-        .map(|cc| SweepCell::new(cc.label(), opts.seed, move || run_two_path_bursty(&cc, &opts)))
-        .collect();
-    run_sweep(cells).into_iter().map(|r| r.output).collect()
+/// One checked paper claim.
+struct Claim {
+    /// `figNN.what`, unique; figure NN's test checks it.
+    id: &'static str,
+    /// The figure's `figures_all --only` key.
+    fig: &'static str,
+    bound: Bound,
+    /// The paper's direction and value.
+    paper: &'static str,
+    /// The bound's derivation, or "not derived: <reason>".
+    why: &'static str,
+    measure: fn(&Sims) -> f64,
+}
+
+const S: Scale = Scale::Smoke;
+const DIRECTION: &str = "derived: the claim's direction, no margin";
+const STALL: &str = "not derived: a floor only a stalled connection misses";
+
+#[rustfmt::skip]
+const CLAIMS: &[Claim] = &[
+    Claim { id: "fig06.users_finished", fig: "fig06", bound: Eq(1.0),
+        paper: "every user's transfer completes",
+        why: "derived: an unfinished user, or a non-finite or non-positive energy, is a broken run",
+        measure: |s| fig06_runs(s).0 },
+    Claim { id: "fig06.mean_energy_max_over_min", fig: "fig06", bound: Lt(1.4),
+        paper: "OLIA lowest mean energy, increasingly so at large N",
+        why: "not derived: one band for all four; OLIA's lead is inside the noise at this scale",
+        measure: |s| fig06_runs(s).1 },
+    Claim { id: "fig09.transfers_finished", fig: "fig09", bound: Eq(1.0),
+        paper: "both transfers complete", why: "derived: Equation (2)'s energy needs the finish",
+        measure: |s| { let r = s.bursty(&fig09::keys(S));
+            r.iter().filter(|r| r.finish_s.is_some()).count() as f64 / r.len() as f64 } },
+    Claim { id: "fig09.dts_energy_over_lia", fig: "fig09", bound: Lt(1.0),
+        paper: "DTS uses up to 20 % less energy than LIA", why: DIRECTION,
+        measure: |s| { let r = s.bursty(&fig09::keys(S)); r[1].energy.joules / r[0].energy.joules }
+    },
+    Claim { id: "fig09.dts_goodput_over_lia", fig: "fig09", bound: Ge(0.95),
+        paper: "DTS does not degrade throughput (Fig. 8)", why: "not derived: 5 % for one seed",
+        measure: |s| { let r = s.bursty(&fig09::keys(S)); r[1].goodput_bps / r[0].goodput_bps } },
+    Claim { id: "fig10.tcp_and_lia_completion", fig: "fig10", bound: Eq(1.0),
+        paper: "every transfer completes", why: "derived: below 1, a transfer hit the horizon",
+        measure: |s| { let r = fig10_runs(s); r[0].completion_rate.min(r[2].completion_rate) } },
+    Claim { id: "fig10.lia_energy_over_tcp", fig: "fig10", bound: Lt(0.6),
+        paper: "multipath saves up to 70 % of single-path TCP's energy",
+        why: "not derived: a 40 % saving floor under the paper's 70 %",
+        measure: |s| { let r = fig10_runs(s); r[2].total_energy_j / r[0].total_energy_j } },
+    Claim { id: "fig10.dts_energy_over_lia", fig: "fig10", bound: In(0.8, 1.2),
+        paper: "DTS performs like LIA in this benign network", why: "not derived: ±20 % of parity",
+        measure: |s| { let r = fig10_runs(s); r[3].total_energy_j / r[2].total_energy_j } },
+    Claim { id: "fig12.bcube_jpg_more_over_one", fig: "fig12_14", bound: Lt(1.0),
+        paper: "more subflows greatly reduce BCube's energy overhead", why: DIRECTION,
+        measure: |s| more_over_one(&dc(s, "bcube"), |r| r.joules_per_gbit) },
+    Claim { id: "fig12.bcube_goodput_more_over_one", fig: "fig12_14", bound: Gt(1.0),
+        paper: "each BCube subflow leaves through a NIC of its own", why: DIRECTION,
+        measure: |s| more_over_one(&dc(s, "bcube"), |r| r.aggregate_goodput_bps) },
+    Claim { id: "fig13.fattree_goodput_bps", fig: "fig12_14", bound: Le(16.0 * 100e6 * 1.01),
+        paper: "FatTree hosts have one NIC", why: "derived: 16 hosts' 100 Mb/s links, plus 1 %",
+        measure: |s| dc(s, "fattree").iter().map(|r| r.aggregate_goodput_bps).fold(0.0, f64::max) },
+    Claim { id: "fig13.fattree_goodput_gain", fig: "fig12_14", bound: Lt(2.5),
+        paper: "more subflows fail to save energy in FatTree",
+        why: "not derived: extra subflows only resolve ECMP collisions, by an unmeasured amount",
+        measure: |s| more_over_one(&dc(s, "fattree"), |r| r.aggregate_goodput_bps) },
+    Claim { id: "fig16.fattree_dts_goodput_over_lia", fig: "fig16", bound: Gt(0.9),
+        paper: "DTS gets as good utilization as LIA", why: "not derived: a 10 % allowance",
+        measure: |s| { let r = s.datacenter(&fig16::keys(S)[..2]);
+            r[1].aggregate_goodput_bps / r[0].aggregate_goodput_bps } },
+    Claim { id: "fig17.lia_and_phi_goodput_bps", fig: "fig17", bound: Gt(1e6),
+        paper: "both algorithms move traffic", why: STALL,
+        measure: |s| { let r = fig17_runs(s); r[0].goodput_bps.min(r[1].goodput_bps) } },
+    Claim { id: "fig17.phi_jpb_over_lia", fig: "fig17", bound: Lt(1.05),
+        paper: "DTS-Φ saves up to 30 % of LIA's energy, trading throughput",
+        why: "not derived: J/bit at most 5 % above LIA's, as total energy is noisy",
+        measure: |s| { let r = fig17_runs(s);
+            (r[1].energy.joules / r[1].goodput_bps) / (r[0].energy.joules / r[0].goodput_bps) } },
+];
+
+/// Fig. 6's share of users finished with finite, positive energy, and the
+/// largest over the smallest mean energy of the four algorithms.
+fn fig06_runs(s: &Sims) -> (f64, f64) {
+    let keys = fig06::keys(S, &AlgorithmKind::PAPER_FOUR);
+    let runs = s.shared(&keys);
+    let ok = runs.iter().flat_map(|e| e.iter()).filter(|e| e.is_finite() && **e > 0.0).count();
+    let users: usize = keys.iter().map(|(_, o)| o.n_users).sum();
+    let means: Vec<f64> = runs.iter().map(|e| mptcp_energy::mean(e)).collect();
+    let lo = means.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = means.iter().copied().fold(0.0, f64::max);
+    (ok as f64 / users as f64, hi / lo)
+}
+
+/// Fig. 10's TCP, DCTCP, LIA and DTS runs.
+fn fig10_runs(s: &Sims) -> Vec<Arc<FleetResult>> {
+    s.ec2(&fig10::keys(S))
+}
+
+/// Figs. 12–14's runs on one fabric, one subflow first.
+fn dc(s: &Sims, fabric: &str) -> Vec<Arc<FleetResult>> {
+    let keys: Vec<_> = fig12_14::keys(S).into_iter().filter(|(f, ..)| f.name() == fabric).collect();
+    s.datacenter(&keys)
+}
+
+/// A figure of the run with the most subflows over that of the run with one.
+fn more_over_one(r: &[Arc<FleetResult>], of: fn(&FleetResult) -> f64) -> f64 {
+    of(&r[r.len() - 1]) / of(&r[0])
+}
+
+/// Fig. 17's LIA and DTS-Φ runs; its plain DTS run is not claimed.
+fn fig17_runs(s: &Sims) -> Vec<Arc<FlowResult>> {
+    let keys = fig17::keys(S);
+    s.wireless(&[keys[0], keys[2]])
+}
+
+/// A row measured on the one smoke plan: whether it holds, and its line.
+fn measure(c: &Claim) -> (bool, String) {
+    // Shared by this file's tests on purpose: a simulation is a pure function
+    // of its key and each key's slot is a `OnceLock`, so tests asking for one
+    // key at once simulate it once (DESIGN.md §4b).
+    static SIMS: OnceLock<Sims> = OnceLock::new();
+    let Claim { id, bound, paper, why, measure, .. } = c;
+    let value = measure(SIMS.get_or_init(|| Sims::new(default_jobs())));
+    let holds = bound.holds(value);
+    let verdict = if holds { "holds" } else { "FAILS" };
+    (holds, format!("{id:<34} {value:>15.4} {bound:?} {verdict}; paper: {paper}; {why}"))
+}
+
+/// The one loop: checks and prints the rows whose id starts with `prefix`;
+/// a failure's message lists every row.
+fn check(prefix: &str) {
+    let mut failed = Vec::new();
+    for c in CLAIMS.iter().filter(|c| c.id.starts_with(prefix)) {
+        let (holds, line) = measure(c);
+        println!("{line}");
+        if !holds {
+            failed.push(c.id);
+        }
+    }
+    if !failed.is_empty() {
+        let all: Vec<String> = CLAIMS.iter().map(|c| measure(c).1).collect();
+        panic!("{failed:?} miss their bounds; every row:\n{}", all.join("\n"));
+    }
+}
+
+/// The tests' prefixes, in test order; every id starts with one.
+const TESTED: [&str; 7] = ["fig06.", "fig09.", "fig10.", "fig12.", "fig13.", "fig16.", "fig17."];
+
+#[test]
+fn fig6_four_friendly_algorithms_complete_with_bounded_energy_spread() {
+    check(TESTED[0]);
 }
 
 #[test]
 fn fig9_dts_uses_less_energy_than_lia_on_bursty_paths() {
-    let results =
-        bursty_sweep(vec![CcChoice::Base(AlgorithmKind::Lia), CcChoice::dts()], bursty_opts());
-    let (lia, dts) = (&results[0], &results[1]);
-    assert!(lia.finish_s.is_some() && dts.finish_s.is_some());
-    assert!(
-        dts.energy.joules < lia.energy.joules,
-        "dts {} J should beat lia {} J",
-        dts.energy.joules,
-        lia.energy.joules
-    );
-    // ...without degrading throughput (the paper's Fig. 8 claim).
-    assert!(
-        dts.goodput_bps >= 0.95 * lia.goodput_bps,
-        "dts tput {} vs lia {}",
-        dts.goodput_bps,
-        lia.goodput_bps
-    );
+    check(TESTED[1]);
 }
 
 #[test]
-// completion_rate is finished/total; exactly 1.0 is the all-finished
-// sentinel, so the strict comparison is intended.
-#[allow(clippy::float_cmp)]
 fn fig10_multipath_saves_energy_over_single_path_on_ec2() {
-    let opts = Ec2Options {
-        n_hosts: 4,
-        transfer_bytes: 8 * 1024 * 1024,
-        horizon_s: 120.0,
-        ..Ec2Options::default()
-    };
-    let choices =
-        [CcChoice::Base(AlgorithmKind::Reno), CcChoice::Base(AlgorithmKind::Lia), CcChoice::dts()];
-    let cells: Vec<_> = choices
-        .into_iter()
-        .map(|cc| SweepCell::new(cc.label(), opts.seed, move || run_ec2(&cc, &opts)))
-        .collect();
-    let results = run_sweep(cells);
-    let (tcp, lia, dts) = (&results[0].output, &results[1].output, &results[2].output);
-    assert_eq!(tcp.completion_rate, 1.0);
-    assert_eq!(lia.completion_rate, 1.0);
-    // Multipath finishes ~4x sooner on 4 ENIs and saves a large energy
-    // fraction (the paper reports up to 70%).
-    assert!(
-        lia.total_energy_j < 0.6 * tcp.total_energy_j,
-        "lia {} vs tcp {}",
-        lia.total_energy_j,
-        tcp.total_energy_j
-    );
-    // DTS behaves like LIA in this benign network (paper Fig. 10).
-    let ratio = dts.total_energy_j / lia.total_energy_j;
-    assert!((0.8..1.2).contains(&ratio), "dts/lia energy ratio {ratio}");
-}
-
-#[test]
-fn fig6_four_friendly_algorithms_complete_with_bounded_energy_spread() {
-    // At reduced scale the paper's OLIA-first ordering is inside the noise
-    // (see EXPERIMENTS.md); what must hold is that all four TCP-friendly
-    // algorithms finish every transfer and land in the same energy regime.
-    let opts =
-        SharedOptions { n_users: 10, transfer_bytes: 2 * 1024 * 1024, ..SharedOptions::default() };
-    let cells: Vec<_> = AlgorithmKind::PAPER_FOUR
-        .into_iter()
-        .map(|kind| {
-            SweepCell::new(kind.to_string(), opts.seed, move || {
-                run_shared_bottleneck(&CcChoice::Base(kind), &opts)
-            })
-        })
-        .collect();
-    let mut means = Vec::new();
-    for (r, kind) in run_sweep(cells).iter().zip(AlgorithmKind::PAPER_FOUR) {
-        let energies = &r.output;
-        assert_eq!(energies.len(), opts.n_users, "{kind}: all users must finish");
-        assert!(energies.iter().all(|e| e.is_finite() && *e > 0.0), "{kind}");
-        means.push(mptcp_energy::mean(energies));
-    }
-    let lo = means.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = means.iter().cloned().fold(0.0f64, f64::max);
-    assert!(hi / lo < 1.4, "energy spread too wide: {means:?}");
-}
-
-/// Fans `run_datacenter` over subflow counts for one fabric.
-fn dc_sweep(
-    kind: DcKind,
-    subflows: &[usize],
-    base: DcOptions,
-) -> Vec<mptcp_energy::scenarios::FleetResult> {
-    let cells: Vec<_> = subflows
-        .iter()
-        .map(|&n| {
-            SweepCell::new(format!("{n}-subflow"), base.seed, move || {
-                run_datacenter(
-                    kind,
-                    &CcChoice::Base(AlgorithmKind::Lia),
-                    &DcOptions { n_subflows: n, ..base },
-                )
-            })
-        })
-        .collect();
-    run_sweep(cells).into_iter().map(|r| r.output).collect()
+    check(TESTED[2]);
 }
 
 #[test]
 fn fig12_more_subflows_reduce_bcube_energy_overhead() {
-    let base = DcOptions { duration_s: 3.0, ..DcOptions::default() };
-    // The energy-proportional server model applies to the DC scenarios.
-    let results = dc_sweep(DcKind::BCube { n: 4, k: 2 }, &[1, 3], base);
-    let (one, three) = (&results[0], &results[1]);
-    assert!(
-        three.joules_per_gbit < one.joules_per_gbit,
-        "3 subflows {} J/Gb should beat 1 subflow {} J/Gb in BCube",
-        three.joules_per_gbit,
-        one.joules_per_gbit
-    );
-    assert!(three.aggregate_goodput_bps > one.aggregate_goodput_bps);
+    check(TESTED[3]);
 }
 
 #[test]
 fn fig13_fattree_gains_little_from_extra_subflows() {
-    let base = DcOptions { duration_s: 3.0, ..DcOptions::default() };
-    let results = dc_sweep(DcKind::FatTree { k: 4 }, &[1, 4], base);
-    let (one, four) = (&results[0], &results[1]);
-    // FatTree hosts have one NIC, so aggregate goodput is capped by host
-    // access capacity regardless of subflow count (extra subflows only
-    // resolve core collisions — the Raiciu et al. effect).
-    let capacity = 16.0 * 100e6;
-    assert!(one.aggregate_goodput_bps <= capacity * 1.01);
-    assert!(four.aggregate_goodput_bps <= capacity * 1.01);
-    let gain = four.aggregate_goodput_bps / one.aggregate_goodput_bps;
-    assert!(gain < 2.5, "FatTree subflow goodput gain {gain} bounded by one NIC");
+    check(TESTED[4]);
 }
 
 #[test]
 fn fig16_dts_matches_lia_utilization_in_fattree() {
-    let kind = DcKind::FatTree { k: 4 };
-    let opts = DcOptions { n_subflows: 2, duration_s: 3.0, ..DcOptions::default() };
-    let cells = vec![
-        SweepCell::new("lia", opts.seed, move || {
-            run_datacenter(kind, &CcChoice::Base(AlgorithmKind::Lia), &opts)
-        }),
-        SweepCell::new("dts", opts.seed, move || run_datacenter(kind, &CcChoice::dts(), &opts)),
-    ];
-    let results = run_sweep(cells);
-    let ratio = results[1].output.aggregate_goodput_bps / results[0].output.aggregate_goodput_bps;
-    assert!(ratio > 0.9, "dts/lia aggregate throughput {ratio}");
+    check(TESTED[5]);
 }
 
 #[test]
 fn fig17_wireless_runs_and_phi_trades_throughput_for_energy() {
-    let opts = WirelessOptions { duration_s: 60.0, ..WirelessOptions::default() };
-    let cells = vec![
-        SweepCell::new("lia", opts.seed, move || {
-            run_wireless(&CcChoice::Base(AlgorithmKind::Lia), &opts)
-        }),
-        SweepCell::new("phi", opts.seed, move || run_wireless(&CcChoice::dts_phi(), &opts)),
-    ];
-    let results = run_sweep(cells);
-    let (lia, phi) = (&results[0].output, &results[1].output);
-    assert!(lia.goodput_bps > 1_000_000.0, "lia should move traffic");
-    assert!(phi.goodput_bps > 1_000_000.0, "phi should move traffic");
-    // Energy per bit must improve even where total energy is noisy.
-    let lia_jpb = lia.energy.joules / (lia.goodput_bps * opts.duration_s);
-    let phi_jpb = phi.energy.joules / (phi.goodput_bps * opts.duration_s);
-    assert!(phi_jpb < lia_jpb * 1.05, "phi J/bit {phi_jpb} should not exceed lia {lia_jpb}");
+    check(TESTED[6]);
 }
 
 #[test]
-fn fig17_wireless_loss_knob_costs_goodput() {
-    let clean = WirelessOptions { duration_s: 30.0, ..WirelessOptions::default() };
-    let lossy = WirelessOptions { wifi_loss: 0.05, lte_loss: 0.03, ..clean };
-    let cells = vec![
-        SweepCell::new("clean", clean.seed, move || {
-            run_wireless(&CcChoice::Base(AlgorithmKind::Lia), &clean)
-        }),
-        SweepCell::new("lossy", lossy.seed, move || {
-            run_wireless(&CcChoice::Base(AlgorithmKind::Lia), &lossy)
-        }),
-    ];
-    let results = run_sweep(cells);
-    let (a, b) = (&results[0].output, &results[1].output);
-    assert!(b.goodput_bps > 0.0, "lossy run must still move traffic");
-    assert!(
-        b.goodput_bps < a.goodput_bps,
-        "random wireless loss should cost goodput: {} vs {}",
-        b.goodput_bps,
-        a.goodput_bps
-    );
-    // Losses show up as repairs, not as a stalled connection. (Absolute
-    // counts can go either way — the clean run pushes more packets into the
-    // DropTail queues — so compare repairs per delivered bit.)
-    let rate = |r: &FlowResult| r.rexmits as f64 / r.goodput_bps.max(1.0);
-    assert!(rate(b) > rate(a), "lossy run should repair at a higher rate");
-}
-
-#[test]
-// Bit-reproducibility check: identical runs must agree exactly.
-#[allow(clippy::float_cmp)]
-fn scenarios_are_deterministic() {
-    // Two identical cells through the (possibly parallel) sweep must agree;
-    // tests/sweep_determinism.rs pins the stronger jobs=1 vs jobs=N claim.
-    let results = bursty_sweep(vec![CcChoice::dts(), CcChoice::dts()], bursty_opts());
-    let (a, b) = (&results[0], &results[1]);
-    assert_eq!(a.finish_s, b.finish_s);
-    assert_eq!(a.energy.joules, b.energy.joules);
-    assert_eq!(a.rexmits, b.rexmits);
+fn every_claim_names_a_smoke_figure_a_unique_id_and_a_test() {
+    for (i, c) in CLAIMS.iter().enumerate() {
+        assert!(fig_cells_only(S, c.fig).is_ok(), "{}: unknown figure {:?}", c.id, c.fig);
+        assert!(CLAIMS[..i].iter().all(|d| d.id != c.id), "{} twice", c.id);
+        assert!(TESTED.iter().any(|t| c.id.starts_with(t)), "{}: no test checks it", c.id);
+    }
 }
