@@ -13,9 +13,10 @@ while IFS=$'\t' read -r pattern roots files allowed reason; do
   read -ra globs <<<"$files"
   read -ra exempt <<<"$allowed"
   includes=("${globs[@]/#/--include=}")
-  # Roots are split and glob-expanded on purpose (crates/*/src).
+  # Roots are split and glob-expanded on purpose (crates/*/src). -H keeps
+  # the file name in each hit when a root is a single file.
   # shellcheck disable=SC2086
-  hits=$(grep -rsnE "${includes[@]}" -e "$pattern" $roots | while IFS= read -r hit; do
+  hits=$(grep -rsnHE "${includes[@]}" -e "$pattern" $roots | while IFS= read -r hit; do
     file=${hit%%:*}
     for glob in "${exempt[@]}"; do
       # shellcheck disable=SC2053

@@ -2,7 +2,7 @@
 //!
 //! [`super::run_fabric`] contains failures inside one process; this module
 //! contains the loss of whole *processes*. A supervisor plans the grid,
-//! round-robins it into shards ([`ShardPlan::shards`]), and grants each
+//! round-robins it into shards ([`super::ShardPlan::shards`]), and grants each
 //! shard a **lease**: a worker process, a deadline, and a heartbeat
 //! obligation. Workers stream results back through a spool directory in
 //! the versioned wire format of [`wire`]; the supervisor harvests them

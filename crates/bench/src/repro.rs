@@ -94,7 +94,7 @@ pub struct ReproOutcome {
     /// The first invariant violation, if the checker halted the run
     /// (always `None` without the `check-invariants` feature).
     pub violation: Option<ViolationRecord>,
-    /// The last [`TRACE_TAIL`] trace events, oldest first.
+    /// The last `TRACE_TAIL` trace events, oldest first.
     pub trace_tail: Vec<TraceEvent>,
 }
 

@@ -11,8 +11,11 @@
 //! with a traffic-shifting parameter `ψ_r`, a decrease parameter `β_r`, a
 //! congestion signal `λ_r`, and a compensative parameter `φ_r`. The paper's
 //! §IV table of decompositions is reproduced here verbatim as [`Psi`]
-//! variants. The fluid solver integrates [`CcModel::rate`]; the packet
-//! controller [`crate::ModelCc`] takes one step of the same row per ACK.
+//! variants, and one `match`, [`Psi::of`], gives each row's `(ψ_r, β_r)` at
+//! a state: Balia's `β_r` is its published `min(α_r, 1.5)/2` (Peng, Walid,
+//! Hwang & Low), every other row's is ½. The fluid solver integrates
+//! [`CcModel::rate`]; the packet controller [`crate::ModelCc`] takes one
+//! step of the same row per ACK and backs off by the same `β_r` on a loss.
 //!
 //! DTS — Delay-based Traffic Shifting, the paper's §V-B contribution —
 //! multiplies the Pareto-optimal increase (`ψ = 1`, OLIA's base term) by a
@@ -152,8 +155,8 @@ pub struct FlowSums {
 }
 
 impl Psi {
-    /// Evaluates `ψ_r` on the given state.
-    pub fn eval(&self, r: usize, v: &FlowView<'_>) -> f64 {
+    /// Evaluates `(ψ_r, β_r)` on the given state.
+    pub fn eval(&self, r: usize, v: &FlowView<'_>) -> (f64, f64) {
         let k = CcModel::loss_based(*self).path_consts(v.rtt[r], v.rtt[r], v.base_rtt[r]);
         self.of(&k, &self.sums(v.x, v.rtt), v.x[r])
     }
@@ -203,27 +206,24 @@ impl Psi {
         s
     }
 
-    /// `ψ_r` from the path's constants, its flow's aggregates and `x_r`.
+    /// `(ψ_r, β_r)` from the path's constants, its flow's aggregates and
+    /// `x_r`. Balia's `α_r = max_k x_k / x_r`, at least 1, sets both its ψ
+    /// and its `β_r = min(α_r, 1.5)/2`; every other row's `β_r` is ½.
     #[inline]
-    pub fn of(&self, k: &PathConsts, s: &FlowSums, x: f64) -> f64 {
+    pub fn of(&self, k: &PathConsts, s: &FlowSums, x: f64) -> (f64, f64) {
         let sx = s.sum_x;
-        match self {
+        let psi = match self {
             Psi::Ewtcp => (sx * sx) / (x * x * s.sqrt_n),
             Psi::Coupled => k.rtt2 * sx * sx / (s.sum_w * s.sum_w),
             Psi::Lia => s.best * k.rtt * k.rtt / (x * k.rtt),
             Psi::Olia | Psi::Dts(_) => k.psi0,
             Psi::Balia => {
-                let alpha = Psi::balia_alpha(s, x);
-                0.4 + alpha / 2.0 + alpha * alpha / 10.0
+                let alpha = (s.max_x / x).max(1.0);
+                return (0.4 + alpha / 2.0 + alpha * alpha / 10.0, alpha.min(1.5) / 2.0);
             }
             Psi::EcMtcp => k.psi0 * sx * sx / (s.n_min_rtt * (x * k.rtt) * s.sum_w),
-        }
-    }
-
-    /// Balia's `α_r = max_k x_k / x_r`, at least 1.
-    #[inline]
-    pub(crate) fn balia_alpha(s: &FlowSums, x: f64) -> f64 {
-        (s.max_x / x).max(1.0)
+        };
+        (psi, 0.5)
     }
 }
 
@@ -340,21 +340,22 @@ impl Phi {
     }
 }
 
-/// A fully specified instance of Equation (3).
+/// A fully specified instance of Equation (3): the row `psi` names gives
+/// `ψ_r` and `β_r` ([`Psi::of`]), `phi` gives `φ_r`, and `λ_r` is the
+/// network's.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CcModel {
-    /// Traffic-shifting parameter.
+    /// Traffic-shifting and decrease parameters.
     pub psi: Psi,
-    /// Decrease parameter `β` (½ for every loss-based algorithm here).
-    pub beta: f64,
     /// Compensative parameter.
     pub phi: Phi,
 }
 
 impl CcModel {
-    /// The standard loss-based model with `β = ½`, `φ = 0`.
+    /// The loss-based model of row `psi`, with `φ = 0`; its `β_r` is the
+    /// row's, ½ for all but Balia.
     pub fn loss_based(psi: Psi) -> Self {
-        CcModel { psi, beta: 0.5, phi: Phi::Zero }
+        CcModel { psi, phi: Phi::Zero }
     }
 
     /// The paper's DTS model (Equation (5) inside Equation (3)).
@@ -364,7 +365,7 @@ impl CcModel {
 
     /// The paper's extended DTS-Φ model (Equation (9)).
     pub fn dts_phi(cfg: DtsPhiConfig) -> Self {
-        CcModel { psi: Psi::Dts(cfg.dts), beta: 0.5, phi: Phi::EnergyPrice(cfg) }
+        CcModel { psi: Psi::Dts(cfg.dts), phi: Phi::EnergyPrice(cfg) }
     }
 
     /// `dx_r/dt` per Equation (3) given the congestion signal `λ_r`.
@@ -402,8 +403,9 @@ impl CcModel {
         if s.sum_x <= 0.0 {
             return 0.0;
         }
-        let inc = self.psi.of(k, s, x) * x * x / (k.rtt2 * s.sum_x * s.sum_x);
-        let dec = self.beta * lambda_r * x * x;
+        let (psi, beta) = self.psi.of(k, s, x);
+        let inc = psi * x * x / (k.rtt2 * s.sum_x * s.sum_x);
+        let dec = beta * lambda_r * x * x;
         inc - dec - self.phi.of(k.grad, x)
     }
 }
@@ -495,7 +497,7 @@ mod tests {
         let rtt = [0.1];
         let v = view(&x, &rtt);
         for psi in [Psi::Ewtcp, Psi::Coupled, Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp] {
-            let val = psi.eval(0, &v);
+            let (val, _) = psi.eval(0, &v);
             assert!((val - 1.0).abs() < 1e-9, "{psi:?}: {val}");
         }
     }
@@ -506,16 +508,16 @@ mod tests {
         let rtt = [0.1, 0.1];
         let v = view(&x, &rtt);
         // EWTCP: (200)²/(100²·√2) = 4/√2 = 2.828.
-        assert!((Psi::Ewtcp.eval(0, &v) - 4.0 / 2f64.sqrt()).abs() < 1e-9);
+        assert!((Psi::Ewtcp.eval(0, &v).0 - 4.0 / 2f64.sqrt()).abs() < 1e-9);
         // Coupled: 0.01·4e4/(20·20)·... w = 10 each, Σw = 20:
         // 0.01·40000/400 = 1.
-        assert!((Psi::Coupled.eval(0, &v) - 1.0).abs() < 1e-9);
+        assert!((Psi::Coupled.eval(0, &v).0 - 1.0).abs() < 1e-9);
         // LIA: best = 10/0.01 = 1000; 1000·0.01/10 = 1.
-        assert!((Psi::Lia.eval(0, &v) - 1.0).abs() < 1e-9);
+        assert!((Psi::Lia.eval(0, &v).0 - 1.0).abs() < 1e-9);
         // Balia: α = 1 → 0.4+0.5+0.1 = 1.
-        assert!((Psi::Balia.eval(0, &v) - 1.0).abs() < 1e-9);
+        assert!((Psi::Balia.eval(0, &v).0 - 1.0).abs() < 1e-9);
         // ecMTCP: 0.001·4e4/(2·0.1·10·20) = 40/40 = 1.
-        assert!((Psi::EcMtcp.eval(0, &v) - 1.0).abs() < 1e-9);
+        assert!((Psi::EcMtcp.eval(0, &v).0 - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -525,8 +527,8 @@ mod tests {
         let base = [0.1, 0.1];
         let v = FlowView { x: &x, rtt: &rtt, base_rtt: &base };
         let psi = Psi::Dts(DtsConfig::default());
-        let good = psi.eval(0, &v); // ratio 1
-        let bad = psi.eval(1, &v); // ratio 0.5
+        let (good, _) = psi.eval(0, &v); // ratio 1
+        let (bad, _) = psi.eval(1, &v); // ratio 0.5
         assert!(good > 1.9 && (bad - 1.0).abs() < 1e-9, "good {good} bad {bad}");
     }
 
@@ -553,6 +555,20 @@ mod tests {
         let lambda = 2.0 / (100.0f64 * 0.1).powi(2);
         let d = model.dxdt(0, &view(&x, &rtt), lambda);
         assert!(d.abs() < 1e-9, "dxdt {d}");
+    }
+
+    #[test]
+    fn balia_backs_off_by_its_published_beta_and_every_other_row_by_half() {
+        // Path 1 runs at 100 packets/s beside a path α times as fast.
+        let rtt = [0.1, 0.1];
+        for (alpha, beta) in [(1.0, 0.5), (1.2, 0.6), (2.0, 0.75), (4.0, 0.75)] {
+            let x = [100.0 * alpha, 100.0];
+            assert_eq!(Psi::Balia.eval(1, &view(&x, &rtt)).1, beta, "α = {alpha}");
+            let others = [Psi::Ewtcp, Psi::Coupled, Psi::Lia, Psi::Olia, Psi::EcMtcp];
+            for psi in others.into_iter().chain([Psi::Dts(DtsConfig::default())]) {
+                assert_eq!(psi.eval(1, &view(&x, &rtt)).1, 0.5, "{psi:?} at α = {alpha}");
+            }
+        }
     }
 
     /// Folds `f(r, view, λ)` over 400 fixed pseudo-random states (1–4 paths,
@@ -585,19 +601,20 @@ mod tests {
         // Digests taken from the tree before `Psi::eval`, `Phi::eval` and
         // `dxdt` became callers of the per-path kernel: Equation (3)'s
         // operation order is part of their contract (the fluid tables pin
-        // it, and the solver integrates the same kernel).
+        // it, and the solver integrates the same kernel). Balia's `dxdt` was
+        // re-pinned once, when its row took its published `β_r` for ½.
         let phi = DtsPhiConfig::default();
         let pinned: [(Psi, u64, u64); 7] = [
             (Psi::Ewtcp, 0x197d_f962_6b26_73f4, 0x1927_59b1_11c4_8155),
             (Psi::Coupled, 0x4fed_bbea_2aec_a5f4, 0x77d8_5e6f_39d8_3d92),
             (Psi::Lia, 0xdb5e_29c0_1158_083f, 0x08ec_ee2a_e20c_b5b2),
             (Psi::Olia, 0xad22_5ab5_6ad5_ab56, 0x95e8_169e_f79b_21a7),
-            (Psi::Balia, 0xbe6f_cbde_09a6_f32e, 0x11d1_4883_cdfd_80a7),
+            (Psi::Balia, 0xbe6f_cbde_09a6_f32e, 0x27a8_e23d_a734_52fd),
             (Psi::EcMtcp, 0x2a6c_5965_5fc0_9082, 0xc427_eb12_65c0_f003),
             (Psi::Dts(phi.dts), 0x3961_d335_0479_e965, 0x3e2e_834a_09fb_1768),
         ];
         for (psi, eval_bits, dxdt_bits) in pinned {
-            let got = digest(|r, v, _| psi.eval(r, v));
+            let got = digest(|r, v, _| psi.eval(r, v).0);
             assert_eq!(got, eval_bits, "ψ {psi:?}: {got:#018x}");
             let got = digest(|r, v, lambda| CcModel::loss_based(psi).dxdt(r, v, lambda));
             assert_eq!(got, dxdt_bits, "dxdt {psi:?}: {got:#018x}");

@@ -6,18 +6,17 @@
 //! [`CcModel`] the fluid solver integrates, at the connection's packet
 //! state, and steps the window by Equation (3)'s increase term
 //! ([`common::model_increase`]); DTS-Φ then drains `κ·w_r·grad_r`, its
-//! `φ_r` per ACK. A loss takes the window to `(1 − β)·w_r`. The packet
+//! `φ_r` per ACK. A loss takes the window to `(1 − β_r)·w_r`, with `β_r`
+//! read from the same row at the same state ([`Psi::of`]). The packet
 //! state has two RTTs where the fluid state has one: `ψ`'s geometry reads
 //! the smoothed RTT, which is what the increase term divides by, while
 //! DTS's `ε_r` and φ's queueing delay read the latest sample
 //! ([`CcModel::path_consts`]). No subflow grows before its first RTT
 //! sample.
 //!
-//! Three rules are the packet form's own, each the published algorithm's:
+//! Two rules are the packet form's own, each the published algorithm's:
 //!
 //! * LIA caps each subflow's increase at one TCP's, `1/w_r` (RFC 6356);
-//! * Balia backs off by `min(α_r, 1.5)/2` (Peng, Walid & Low), where its
-//!   model uses `β = ½`;
 //! * DTS-Φ's drain runs in congestion avoidance only.
 
 use crate::common;
@@ -63,7 +62,7 @@ impl MultipathCongestionControl for ModelCc {
         let x = f.rate();
         if x > 0.0 {
             let mut delta =
-                common::model_increase(psi.of(&k, &psi.subflow_sums(flows), x), r, flows);
+                common::model_increase(psi.of(&k, &psi.subflow_sums(flows), x).0, r, flows);
             if matches!(psi, Psi::Lia) {
                 delta = delta.min(1.0 / flows[r].cwnd);
             }
@@ -79,15 +78,9 @@ impl MultipathCongestionControl for ModelCc {
     }
 
     fn on_loss(&mut self, r: usize, flows: &mut [SubflowCc]) {
-        let beta = match self.model.psi {
-            Psi::Balia => {
-                let alpha = Psi::balia_alpha(&Psi::Balia.subflow_sums(flows), flows[r].rate());
-                alpha.min(1.5) / 2.0
-            }
-            Psi::Ewtcp | Psi::Coupled | Psi::Lia | Psi::Olia | Psi::EcMtcp | Psi::Dts(_) => {
-                self.model.beta
-            }
-        };
+        let (psi, f) = (self.model.psi, &flows[r]);
+        let k = self.model.path_consts(f.srtt, f.last_rtt, f.base_rtt);
+        let (_, beta) = psi.of(&k, &psi.subflow_sums(flows), f.rate());
         common::decrease(&mut flows[r], beta);
     }
 

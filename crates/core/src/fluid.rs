@@ -767,9 +767,7 @@ mod tests {
             Psi::Dts(phi.dts),
         ];
         let phis = [Phi::Zero, Phi::EnergyPrice(phi)];
-        psis.iter()
-            .flat_map(|&psi| phis.iter().map(move |&phi| CcModel { psi, beta: 0.5, phi }))
-            .collect()
+        psis.iter().flat_map(|&psi| phis.iter().map(move |&phi| CcModel { psi, phi })).collect()
     }
 
     proptest! {

@@ -2,8 +2,8 @@
 //!
 //! Calibrated to the measurements of Huang et al., "A Close Examination of
 //! Performance and Power Characteristics of 4G LTE Networks" (MobiSys 2012) —
-//! the same model family the paper cites as [21] and that eMPTCP (its
-//! reference [5]) uses:
+//! the same model family the paper cites as \[21\] and that eMPTCP (its
+//! reference \[5\]) uses:
 //!
 //! | Interface | base (mW) | per-Mb/s downlink (mW) | tail |
 //! |---|---|---|---|

@@ -1,7 +1,7 @@
 //! The record dialect: the one place that knows how a line of this repo's
 //! JSONL is spelled. Trace events, the supervisor audit log, sweep journals,
 //! the distributed fabric's spool files and repro artifacts are all flat
-//! one-line records in the same restricted JSON; [`line`] writes one and
+//! one-line records in the same restricted JSON; [`line()`] writes one and
 //! [`read`] reads one back. Record types elsewhere keep their own field
 //! lists and never format or scan JSON themselves. DESIGN.md §17 has the
 //! escaping table and the history.
@@ -87,7 +87,7 @@ fn push_u64(out: &mut String, mut v: u64) {
     out.extend(digits[i..].iter().map(|&d| char::from(d)));
 }
 
-/// Writes one record into a caller-owned buffer; see [`line`]. Field
+/// Writes one record into a caller-owned buffer; see [`line()`]. Field
 /// methods chain by value and [`LineWriter::end`] closes the object, so a
 /// record the caller forgot to close is an unused-value warning.
 #[must_use = "call .end() to close the record"]

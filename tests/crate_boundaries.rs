@@ -244,8 +244,9 @@ proptest::proptest! {
     /// operating points: 1–8 subflows in congestion avoidance, windows of
     /// 1–10⁴ packets, `srtt = last_rtt` log-uniform over 100 µs–500 ms and
     /// `base_rtt ≤ srtt`. What a packet controller adds to its row is
-    /// labelled where it is checked: LIA's `1/w` cap, OLIA's `α_r/w_r`,
-    /// Balia's loss-side `β_r` and DTS-Φ's per-ACK drain.
+    /// labelled where it is checked: LIA's `1/w` cap, OLIA's `α_r/w_r` and
+    /// DTS-Φ's per-ACK drain. Every row's loss reads its `β_r` from the
+    /// model, and Balia's is checked against the published rule.
     #[test]
     fn every_modelled_controller_steps_its_equation_3_drift(
         paths in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..9),
@@ -343,18 +344,21 @@ proptest::proptest! {
                     );
                 }
 
-                // A loss takes the window to (1 − β)·w, floored at one packet,
-                // to the bit. Balia's packet form backs off by its published
-                // min(α_r, 1.5)/2 with α_r = max_k x_k / x_r, not the model's
-                // β = ½: at least as far, further on every slower path.
-                let beta = match cc {
-                    CcChoice::Base(AlgorithmKind::Balia) => (max_x / x[r]).clamp(1.0, 1.5) / 2.0,
-                    _ => model.beta,
-                };
+                // A loss takes the window to (1 − β_r)·w, floored at one
+                // packet, to the bit, with β_r the model's at this state.
+                let (_, beta) = model.psi.eval(r, &view);
                 let w_loss = window_after_loss(&cc, r, &fs);
                 let want = (w0 * (1.0 - beta)).max(MIN_CWND);
                 assert_eq!(w_loss.to_bits(), want.to_bits(), "{at}: loss {w_loss} vs {want}");
-                assert!(w_loss <= (w0 * (1.0 - model.beta)).max(MIN_CWND), "{at}: β {beta}");
+                assert!(w_loss <= (w0 * 0.5).max(MIN_CWND), "{at}: β {beta}");
+                // Balia's row is its published min(α_r, 1.5)/2 with
+                // α_r = max_k x_k / x_r: at least ½, more on every slower
+                // path. Every other row's β_r is ½.
+                let published = match cc {
+                    CcChoice::Base(AlgorithmKind::Balia) => (max_x / x[r]).clamp(1.0, 1.5) / 2.0,
+                    _ => 0.5,
+                };
+                assert_eq!(beta.to_bits(), published.to_bits(), "{at}: β {beta} vs {published}");
             }
         }
     }

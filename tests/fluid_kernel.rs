@@ -95,7 +95,7 @@ proptest! {
             [Psi::Ewtcp, Psi::Coupled, Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp, Psi::Dts(phi.dts)];
         for psi in psis {
             for phi in [Phi::Zero, Phi::EnergyPrice(phi)] {
-                let model = CcModel { psi, beta: 0.5, phi };
+                let model = CcModel { psi, phi };
                 let mut net = FluidNet::new();
                 for (i, &cap) in caps.iter().enumerate() {
                     net.add_link(if i % 2 == 0 {

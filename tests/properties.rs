@@ -119,7 +119,9 @@ proptest! {
         }
     }
 
-    /// Every ψ decomposition is positive on positive states.
+    /// Every ψ decomposition is positive on positive states, and every
+    /// row's β is exactly ½ on the best path: Condition 1's β clause holds
+    /// by construction.
     #[test]
     fn psi_decompositions_are_positive(
         x in proptest::collection::vec(1.0f64..1e5, 2..5),
@@ -127,10 +129,14 @@ proptest! {
     ) {
         let rtt: Vec<f64> = (0..x.len()).map(|i| rtt_base * (1.0 + i as f64 * 0.3)).collect();
         let v = FlowView { x: &x, rtt: &rtt, base_rtt: &rtt };
+        let best = (0..x.len()).max_by(|&a, &b| x[a].total_cmp(&x[b])).unwrap();
         for psi in [Psi::Ewtcp, Psi::Coupled, Psi::Lia, Psi::Olia, Psi::Balia, Psi::EcMtcp] {
             for r in 0..x.len() {
-                let val = psi.eval(r, &v);
+                let (val, beta) = psi.eval(r, &v);
                 prop_assert!(val.is_finite() && val > 0.0, "{psi:?} gave {val}");
+                if r == best {
+                    prop_assert_eq!(beta.to_bits(), 0.5f64.to_bits(), "{:?}: β {}", psi, beta);
+                }
             }
         }
     }
