@@ -24,6 +24,8 @@
 //! `trace_dump` binary; this is the one figure binary that traces. Tracing
 //! never changes results (pinned by `tests/sweep_determinism.rs`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
 use bench_harness::{table, Cli, Scale};
 use mptcp_energy::scenarios::{run_two_path_bursty_traced, BurstyOptions, CcChoice};

@@ -30,6 +30,8 @@
 //! When spawned with `--dist-worker …`, this binary is one of its own
 //! workers (self-exec), inheriting the armed chaos.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::fabric::demo;
 use bench_harness::fabric::dist::DistCounters;
 use bench_harness::fabric::{run_dist, run_fabric, DistOptions, FabricOptions};

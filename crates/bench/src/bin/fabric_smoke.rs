@@ -20,6 +20,8 @@
 //! stdout is one `(label, seed, output)` Debug line per completed cell, in
 //! input order — byte-comparable across runs by construction.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::fabric::demo;
 use bench_harness::{env_parsed, Cli};
 

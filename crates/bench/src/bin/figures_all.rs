@@ -24,6 +24,8 @@
 //! of its own shard's figures; the supervisor simulates nothing and prints
 //! no `sims:` line).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::{figs, Cli};
 use std::sync::Arc;
 

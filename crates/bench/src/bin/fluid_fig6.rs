@@ -12,6 +12,8 @@
 //! resumes after a kill, and a solve that misses its tolerance (or
 //! SWEEP_DEADLINE_S) is quarantined; the table prints the rest and exits 1.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::fabric::{CellOutcome, FabricCell, Fingerprint};
 use bench_harness::{fig06, table, Cli};
 use congestion::AlgorithmKind;
@@ -26,6 +28,10 @@ fn solve(cc: &CcChoice, opts: &SharedOptions) -> (f64, f64, f64) {
     assert!(packet_only.is_empty(), "{} has no fluid form", cc.label());
     let n_paths = net.flows.iter().map(|f| f.paths.len()).sum();
     let mut solver = FluidSolver::from_flat_state(&net, &vec![50.0; n_paths]);
+    #[expect(
+        clippy::panic,
+        reason = "a cell that misses equilibrium fails; the fabric's catch_unwind quarantines it"
+    )]
     if let Err(miss) = solver.solve_equilibrium(5e-4, 1e-7, 2_000_000) {
         panic!("{} did not reach equilibrium: {miss:?}", cc.label());
     }

@@ -17,6 +17,8 @@
 //! count (all state derives from the simulator clock and seeded RNG;
 //! outputs are journaled bit-exactly).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::fabric::journal::{JournalValue, ValueReader};
 use bench_harness::fabric::{FabricCell, Fingerprint, JournalCodec};
 use bench_harness::{Cli, Scale};

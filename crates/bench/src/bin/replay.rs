@@ -8,6 +8,8 @@
 //! message at the same simulated nanosecond), 1 when it did not, 2 on usage
 //! or parse errors.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use bench_harness::repro::{replay_artifact, ViolationRecord};
 use std::path::Path;
 use std::process::ExitCode;

@@ -286,6 +286,10 @@ where
     wire::init_spool(&spool, plan.grid_id(), plan.len(), dist.workers, &dist.suite)?;
 
     let (exit_tx, exit_rx) = mpsc::channel();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the audit log stamps events with the supervisor's own wall clock, which no cell reads"
+    )]
     let mut sup = Supervisor {
         grid: plan.grid_id(),
         opts,
@@ -420,6 +424,10 @@ where
     /// process the worker left behind still holds its stdout; that relay
     /// gets one `poll` and is then left to finish on its own, so a leaked
     /// grandchild cannot wedge the sweep.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the relay's grace period is the supervisor's wall-clock wait, not simulation time"
+    )]
     fn reap(&mut self, run: &ShardRun<'_>, mut worker: Worker, kill: bool) {
         if kill {
             let _ = worker.child.kill();

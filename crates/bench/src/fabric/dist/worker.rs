@@ -274,11 +274,19 @@ mod tests {
         wire::init_spool(&spool, 0, 0, 1, "t").expect("spool");
         let heartbeat = HeartbeatThread::start(&spool, "w", 0, 0, Duration::from_secs(10));
         // The first beat on disk proves the thread is inside its interval.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds a real thread's first heartbeat in wall-clock time"
+        )]
         let started = std::time::Instant::now();
         while wire::read_heartbeat_seq(&spool, "w", 0, 0) != Some(1) {
             assert!(started.elapsed() < Duration::from_secs(5), "no first heartbeat");
             std::thread::yield_now();
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds how long dropping the heartbeat thread takes in wall-clock time"
+        )]
         let dropping = std::time::Instant::now();
         drop(heartbeat);
         assert!(dropping.elapsed() < Duration::from_secs(1), "drop waited out the interval");

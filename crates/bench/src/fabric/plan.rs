@@ -10,7 +10,7 @@
 //!
 //! Everything here is deterministic by construction: hashing is FNV-1a with
 //! fixed constants (not `DefaultHasher`, whose output may change between
-//! std releases), duplicate detection uses `BTreeSet` (simlint D001), and
+//! std releases), duplicate detection uses `BTreeSet` (clippy bans `HashSet`), and
 //! shard assignment is round-robin over the input order. No wall-clock, no
 //! RNG, no pointer identity.
 

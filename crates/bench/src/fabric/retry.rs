@@ -12,10 +12,10 @@
 //! correctness — cells share no state.
 //!
 //! Wall-clock note: deadlines and backoff sleeps are the fabric's sanctioned
-//! wall-clock reads. They live here, outside the deterministic planning and
+//! wall-clock waits. They live here, outside the deterministic planning and
 //! merge paths, and can never influence a cell's *output* — only whether the
-//! fabric keeps waiting for it. simlint's D002 rule scopes wall-clock bans
-//! to the simulation crates for exactly this split.
+//! fabric keeps waiting for it. They wait with `recv_timeout` and `sleep`
+//! and never read the clock, which clippy's `disallowed-methods` bans.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;

@@ -87,8 +87,11 @@ fn own_sims() -> Arc<Sims> {
 }
 
 /// Every figure as one plan ([`fig_cells_with`]) with a store of its own.
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: only a name in an --only list is rejected and there is no list"
+)]
 pub fn fig_cells(scale: Scale) -> Vec<FabricCell<String>> {
-    // simlint: allow(P001, invariant: only a name in an --only list is rejected and there is no list)
     fig_cells_with(scale, None, &own_sims()).expect("no selection to reject")
 }
 

@@ -48,6 +48,10 @@ impl<K: Copy + PartialEq + Sync, V: Send + Sync> Memo<K, V> {
     /// The results for `keys`, in key order. Keys whose slot is empty go
     /// through the sweep pool as cells named by `id` (label, seed); a panic
     /// in one is re-raised under that name once the others have finished.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the sweep returns only if every cell did and a cell returns only with its slot full"
+    )]
     fn get(
         &self,
         jobs: usize,
@@ -80,7 +84,6 @@ impl<K: Copy + PartialEq + Sync, V: Send + Sync> Memo<K, V> {
             }
         }
         run_sweep_jobs(cells, jobs);
-        // simlint: allow(P001, invariant: the sweep returns only if every cell did and a cell returns only with its slot full)
         slots.iter().map(|s| Arc::clone(s.get().expect("the sweep fills or re-raises"))).collect()
     }
 

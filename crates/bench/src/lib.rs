@@ -12,6 +12,8 @@
 //! * [`Scale::Full`] — closest to the paper's parameters that a laptop-class
 //!   machine handles (see EXPERIMENTS.md for the documented scaling).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod fabric;
 pub mod figs;
 pub mod repro;

@@ -42,6 +42,8 @@
 //! assert!(flows[0].cwnd > before);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod common;
 pub mod dctcp;
 pub mod dwc;
@@ -208,10 +210,10 @@ impl fmt::Display for AlgorithmKind {
 }
 
 #[cfg(test)]
-// Tests drive window arithmetic whose operands (halving, +1 steps,
-// literal initial values) are exact in f64, so strict comparison pins
-// the algorithm without tolerance slop.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests drive window arithmetic whose operands (halving, +1 steps, literal initial values) are exact in f64, so strict comparison pins the algorithm without tolerance slop"
+)]
 mod tests {
     use super::*;
 

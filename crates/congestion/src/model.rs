@@ -411,9 +411,10 @@ impl CcModel {
 }
 
 #[cfg(test)]
-// The sigmoid tests assert values produced by exact f64 arithmetic on small
-// literals, so strict float comparison is the intended precision.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the sigmoid tests assert values produced by exact f64 arithmetic on small literals, so strict float comparison is the intended precision"
+)]
 mod tests {
     use super::*;
 

@@ -90,10 +90,10 @@ impl MultipathCongestionControl for ModelCc {
 }
 
 #[cfg(test)]
-// Tests assert values produced by exact f64 arithmetic on small literals
-// (window steps, halving), so strict float comparison is the intended
-// precision.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests assert values produced by exact f64 arithmetic on small literals (window steps, halving), so strict float comparison is the intended precision"
+)]
 mod tests {
     use super::*;
     use crate::AlgorithmKind;

@@ -140,10 +140,10 @@ impl MultipathCongestionControl for Olia {
 }
 
 #[cfg(test)]
-// Tests drive window arithmetic whose operands (halving, +1 steps,
-// literal initial values) are exact in f64, so strict comparison pins
-// the algorithm without tolerance slop.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests drive window arithmetic whose operands (halving, +1 steps, literal initial values) are exact in f64, so strict comparison pins the algorithm without tolerance slop"
+)]
 mod tests {
     use super::*;
 
@@ -250,7 +250,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)]
     fn no_transfer_when_best_path_has_max_window() {
         let mut cc = Olia::new(2);
         cc.history[0].l1 = 1000.0;

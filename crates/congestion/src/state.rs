@@ -104,10 +104,10 @@ pub fn active_count(flows: &[SubflowCc]) -> usize {
 }
 
 #[cfg(test)]
-// Tests drive window arithmetic whose operands (halving, +1 steps,
-// literal initial values) are exact in f64, so strict comparison pins
-// the algorithm without tolerance slop.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests drive window arithmetic whose operands (halving, +1 steps, literal initial values) are exact in f64, so strict comparison pins the algorithm without tolerance slop"
+)]
 mod tests {
     use super::*;
 

@@ -8,10 +8,10 @@
 //! The counting allocator wraps `System` and counts per thread, as in
 //! `crates/netsim/tests/trace_noalloc.rs`.
 
-// The workspace denies `unsafe_code`; implementing `GlobalAlloc` (inherently
-// unsafe) to count allocations is the sanctioned exception. The impl only
-// delegates to `System` and bumps a thread-local.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "implementing `GlobalAlloc` to count allocations is inherently unsafe; the impl only delegates to `System` and bumps a thread-local"
+)]
 
 use congestion::{
     AlgorithmKind, DtsConfig, DtsPhiConfig, ModelCc, MultipathCongestionControl, SubflowCc,

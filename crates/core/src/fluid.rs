@@ -287,7 +287,10 @@ impl FluidSolver {
                 topo.consts.push(flow.model.path_consts(path.rtt, path.rtt, path.base_rtt));
                 for &l in &path.links {
                     assert!(l < n_links, "path references link {l} of {n_links}");
-                    // simlint: allow(P001, documented panic: a net of four billion links is out of scope by construction)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "documented panic: a net of four billion links is out of scope by construction"
+                    )]
                     topo.link_idx.push(u32::try_from(l).expect("link index fits u32"));
                 }
                 topo.link_off.push(topo.link_idx.len());
@@ -497,8 +500,10 @@ mod tests {
     // ---- price cap (satellite: price must stay a probability) ----
 
     #[test]
-    // The cap saturates via `.min(1.0)`, so 1.0 is exact, not approximate.
-    #[allow(clippy::float_cmp)]
+    #[allow(
+        clippy::float_cmp,
+        reason = "the cap saturates via `.min(1.0)`, so 1.0 is exact, not approximate"
+    )]
     fn price_is_capped_at_one() {
         let l = FluidLink::new(1000.0);
         // p0·(y/c)^B = 1 at y/c = (1/p0)^(1/B) = 100^(1/4) ≈ 3.1623.

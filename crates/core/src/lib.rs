@@ -39,6 +39,8 @@
 //! println!("LIA: {:.1} J, DTS: {:.1} J", lia.energy.joules, dts.energy.joules);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod conditions;
 pub mod fluid;
 pub mod hybrid;

@@ -124,10 +124,10 @@ pub fn std_dev(values: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-// Tests assert values produced by exact f64 arithmetic on small literals
-// (window steps, order statistics of integer samples), so strict float
-// comparison is the intended precision.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests assert values produced by exact f64 arithmetic on small literals (window steps, order statistics of integer samples), so strict float comparison is the intended precision"
+)]
 mod tests {
     use super::*;
 

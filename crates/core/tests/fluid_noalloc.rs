@@ -4,10 +4,10 @@
 //! allocations, for the model that reads the most (DTS-Φ: ψ's sigmoid and φ's
 //! gradient are both per-path constants).
 
-// The workspace denies `unsafe_code`; like `netsim/tests/trace_noalloc.rs`
-// this test implements `GlobalAlloc` (inherently unsafe) to count
-// allocations. The impl only delegates to `System` and bumps a counter.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "implementing `GlobalAlloc` to count allocations is inherently unsafe; the impl only delegates to `System` and bumps a counter"
+)]
 
 use mptcp_energy::fluid::{FluidFlow, FluidLink, FluidNet, FluidPath, FluidSolver};
 use mptcp_energy::model::CcModel;

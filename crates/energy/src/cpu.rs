@@ -127,10 +127,10 @@ impl PowerModel for WiredCpuModel {
 }
 
 #[cfg(test)]
-// Tests pin outputs that are copies of model constants (base/tail/idle
-// watts, zero throughput) reached without arithmetic, so exact float
-// comparison is the correct strictness.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin outputs that are copies of model constants (base/tail/idle watts, zero throughput) reached without arithmetic, so exact float comparison is the correct strictness"
+)]
 mod tests {
     use super::*;
     use crate::load::load;

@@ -26,6 +26,8 @@
 //! assert!(one_path > idle);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod cpu;
 pub mod load;
 pub mod meter;

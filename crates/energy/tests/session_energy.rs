@@ -89,9 +89,10 @@ fn split_interfaces_cost_more_than_pooled() {
 }
 
 #[test]
-// Bit-reproducibility check: reset() must restore the exact same power
-// computation, so the strict comparison is intended.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "bit-reproducibility check: reset() must restore the exact same power computation, so the strict comparison is intended"
+)]
 fn phone_reset_between_runs_restores_idle_state() {
     let mut phone = PhoneModel::nexus5();
     let active = [load(5e6, 0.05), load(5e6, 0.1)];

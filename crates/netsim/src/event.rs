@@ -352,7 +352,10 @@ impl Wheel {
                 if bucket_of(top.at) >= self.cur + NUM_BUCKETS as u64 {
                     break;
                 }
-                // simlint: allow(P001, invariant: peek just returned Some on this non-empty heap)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: peek just returned Some on this non-empty heap"
+                )]
                 let ev = self.far.pop().expect("peeked far event vanished");
                 let slot = Self::slot_index(bucket_of(ev.at));
                 self.slots[slot].push(ev);

@@ -65,7 +65,10 @@ fn check_prob(name: &str, p: f64) -> f64 {
 /// stream of every later event. An epsilon compare here would make runs with
 /// `p = 1e-300` silently draw-free. Route every float sentinel check through
 /// this helper so the exact-compare allowlist stays a single entry.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "the one sanctioned exact float compare: zero must mean draw-free"
+)]
 pub fn is_exactly_zero(p: f64) -> bool {
     debug_assert!(!p.is_nan(), "sentinel test on NaN");
     p == 0.0 // simlint: allow(F001, canonical exact-zero sentinel; zero must mean draw-free, so no epsilon applies)
@@ -503,9 +506,10 @@ impl Agent for FaultScriptAgent {
 }
 
 #[cfg(test)]
-// Tests read back configured probabilities verbatim (no arithmetic), so
-// exact float comparison is the intended strictness.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests read back configured probabilities verbatim (no arithmetic), so exact float comparison is the intended strictness"
+)]
 mod tests {
     use super::*;
     use rand::SeedableRng;

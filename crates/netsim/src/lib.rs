@@ -40,6 +40,8 @@
 //! assert_eq!(sim.agent::<Counter>(sink).bytes, 1500);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 #[cfg(feature = "check-invariants")]
 pub mod check;
 pub(crate) mod event;

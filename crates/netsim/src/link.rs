@@ -395,7 +395,10 @@ impl Link {
     ///
     /// Panics if the link was not transmitting.
     pub(crate) fn tx_done(&mut self, now: SimTime) -> (PacketSlot, Option<SimDuration>) {
-        // simlint: allow(P001, documented panic: the simulator only schedules TxDone while a transmission is in service, so an idle link here is event-queue corruption)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the simulator only schedules TxDone while a transmission is in service, so an idle link here is event-queue corruption"
+        )]
         let (pkt, size_bytes) = self.in_flight.take().expect("tx_done on idle link");
         self.stats.tx_pkts += 1;
         self.stats.tx_bytes += u64::from(size_bytes);

@@ -40,7 +40,10 @@ impl PacketPool {
             self.slab[i as usize] = Some(pkt);
             return PacketSlot(i);
         }
-        // simlint: allow(P001, documented panic: four billion packets simultaneously in flight is out of scope by construction)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: four billion packets simultaneously in flight is out of scope by construction"
+        )]
         let i = u32::try_from(self.slab.len()).expect("packet slab index overflow");
         self.slab.push(Some(pkt));
         PacketSlot(i)
@@ -48,21 +51,30 @@ impl PacketPool {
 
     /// The parked packet.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a handle is live from stash until its single unstash"
+    )]
     pub fn get(&self, slot: PacketSlot) -> &Packet {
-        // simlint: allow(P001, invariant: a handle is live from stash until its single unstash)
         self.slab[slot.0 as usize].as_ref().expect("pool slot read after free")
     }
 
     /// The parked packet, mutably (hop cursor, ECN and corruption marks).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a handle is live from stash until its single unstash"
+    )]
     pub fn get_mut(&mut self, slot: PacketSlot) -> &mut Packet {
-        // simlint: allow(P001, invariant: a handle is live from stash until its single unstash)
         self.slab[slot.0 as usize].as_mut().expect("pool slot written after free")
     }
 
     /// Reclaims the packet; the cell returns to the freelist.
     pub fn unstash(&mut self, slot: PacketSlot) -> Packet {
-        // simlint: allow(P001, invariant: each handle is created by stash and consumed exactly once)
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: each handle is created by stash and consumed exactly once"
+        )]
         let pkt = self.slab[slot.0 as usize].take().expect("pool slot double-freed");
         self.free.push(slot.0);
         pkt

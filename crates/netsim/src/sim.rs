@@ -265,6 +265,10 @@ impl World {
     /// Allocates a cancellable timer slot owned by `agent`. The handle stays
     /// valid for the life of the simulation; arm it with
     /// [`World::arm_timer`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: four billion live timer slots is out of scope by construction"
+    )]
     pub fn timer_slot(&mut self, agent: AgentId) -> TimerHandle {
         let id = self.timers.len();
         self.timers.push(TimerSlot {
@@ -276,7 +280,6 @@ impl World {
             event_at: SimTime::ZERO,
             wake_gen: 0,
         });
-        // simlint: allow(P001, documented panic: four billion live timer slots is out of scope by construction)
         TimerHandle(u32::try_from(id).expect("timer slot id overflow"))
     }
 
@@ -720,10 +723,16 @@ impl Simulator {
     ///
     /// Panics if `id` is unknown, the agent is mid-dispatch, or `T` is not its
     /// concrete type.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: the downcast encodes the caller-supplied type"
+    )]
     pub fn agent<T: Agent>(&self, id: AgentId) -> &T {
-        // simlint: allow(P001, documented panic: typed agent access is a test/setup API whose misuse is a caller bug, not a runtime condition)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: typed agent access is a test/setup API whose misuse is a caller bug, not a runtime condition"
+        )]
         let a = self.agents[id].as_ref().expect("agent is mid-dispatch");
-        // simlint: allow(P001, documented panic: see above — the downcast encodes the caller-supplied type)
         (&**a as &dyn Any).downcast_ref::<T>().expect("agent type mismatch")
     }
 
@@ -732,10 +741,16 @@ impl Simulator {
     /// # Panics
     ///
     /// Same conditions as [`Simulator::agent`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: the downcast encodes the caller-supplied type"
+    )]
     pub fn agent_mut<T: Agent>(&mut self, id: AgentId) -> &mut T {
-        // simlint: allow(P001, documented panic: typed agent access is a test/setup API whose misuse is a caller bug, not a runtime condition)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: typed agent access is a test/setup API whose misuse is a caller bug, not a runtime condition"
+        )]
         let a = self.agents[id].as_mut().expect("agent is mid-dispatch");
-        // simlint: allow(P001, documented panic: see above — the downcast encodes the caller-supplied type)
         (&mut **a as &mut dyn Any).downcast_mut::<T>().expect("agent type mismatch")
     }
 
@@ -756,7 +771,10 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, agent: AgentId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
-        // simlint: allow(P001, invariant: dispatch is never reentrant — the event loop is single-threaded and agents cannot trigger dispatch from within dispatch)
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: dispatch is never reentrant — the event loop is single-threaded and agents cannot trigger dispatch from within dispatch"
+        )]
         let mut a = self.agents[agent].take().expect("reentrant agent dispatch");
         {
             let mut ctx = Ctx { world: &mut self.world, self_id: agent };
@@ -794,7 +812,10 @@ impl Simulator {
     ///
     /// Panics if the watchdog is not enabled.
     pub fn watch(&mut self, agent: AgentId) {
-        // simlint: allow(P001, documented panic: watch() without enable_watchdog() is a setup-order bug surfaced at configuration time)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: watch() without enable_watchdog() is a setup-order bug surfaced at configuration time"
+        )]
         let wd = self.watchdog.as_mut().expect("enable_watchdog before watch");
         wd.watched.push(agent);
         wd.last.push(None);
@@ -910,7 +931,10 @@ impl Simulator {
                 self.world.now = check_at;
             }
             self.watchdog_check();
-            // simlint: allow(P001, invariant: the loop condition just observed Some(watchdog) and nothing in between can clear it)
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the loop condition just observed Some(watchdog) and nothing in between can clear it"
+            )]
             let wd = self.watchdog.as_mut().expect("watchdog vanished mid-check");
             wd.next_check = check_at + wd.interval;
         }

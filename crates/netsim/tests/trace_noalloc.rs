@@ -11,10 +11,10 @@
 //! chain of links, whose buckets the wheel splits into sub-slots and pushes
 //! into while it drains them.
 
-// The workspace denies `unsafe_code`; this test is the single sanctioned
-// exception — implementing `GlobalAlloc` (inherently unsafe) to count
-// allocations. The impl only delegates to `System` and bumps an atomic.
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "implementing `GlobalAlloc` to count allocations is inherently unsafe; the impl only delegates to `System` and bumps an atomic"
+)]
 
 use netsim::prelude::*;
 use netsim::sim::{Agent, Ctx};

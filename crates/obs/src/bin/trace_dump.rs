@@ -7,6 +7,8 @@
 //! recovery/RTO episodes by (conn, subflow). Exits non-zero on unreadable
 //! input; malformed lines are counted, not fatal.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;

@@ -29,6 +29,8 @@
 //! simulation results, and `netsim/tests/trace_noalloc.rs` pins that the
 //! disabled path allocates nothing.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod event;
 pub mod record;
 pub mod sink;

@@ -1,4 +1,5 @@
-// Fixture: D001 must fire on nondeterministic hash collections.
+// Fixture: `disallowed_types` (was simlint D001) must fire on
+// nondeterministic hash collections.
 use std::collections::HashMap;
 
 pub fn tally(xs: &[u32]) -> HashMap<u32, u32> {

@@ -1,4 +1,5 @@
-// Fixture: D002 must fire on wall-clock reads inside simulation crates.
+// Fixture: `disallowed_methods` (was simlint D002) must fire on wall-clock
+// reads.
 use std::time::Instant;
 
 pub fn stamp() -> f64 {

@@ -1,4 +1,5 @@
-// Fixture: P001 must fire on panicking shortcuts in library code.
+// Fixture: `unwrap_used`, `expect_used` and `panic` (was simlint P001) must
+// fire on panicking shortcuts in library code.
 pub fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap()
 }

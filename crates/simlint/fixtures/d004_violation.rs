@@ -1,5 +1,5 @@
 //! D004 fixture: wall-clock-derived values reaching sim-state sinks
-//! through intermediate bindings (the flows call-site D002 cannot see).
+//! through intermediate bindings (the flows a call-site ban cannot see).
 
 pub fn stamp() -> SimTime {
     let wall = SystemTime::now();

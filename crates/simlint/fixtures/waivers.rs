@@ -5,7 +5,7 @@ pub fn sentinel(p: f64) -> bool {
     p == 0.0 // simlint: allow(F001, canonical exact-zero sentinel for this fixture)
 }
 
-pub fn must(x: Option<u32>) -> u32 {
-    // simlint: allow(P001, fixture demonstrates the preceding-line waiver form)
-    x.unwrap()
+pub fn low_word(nanos: u64) -> u32 {
+    // simlint: allow(A001, fixture demonstrates the preceding-line waiver form)
+    nanos as u32
 }

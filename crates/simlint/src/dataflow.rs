@@ -16,9 +16,10 @@
 //!   (`to_*`, `from_*`, `as_*`, `*_per_*`) drops to ⊤ (unknown): scaling
 //!   *is* how units legitimately convert, so only unconverted flows fire.
 //!
-//! * **Wall-clock taint** (`D004`). D002 bans wall-clock *call sites* in
-//!   sim-core crates; D004 generalizes it to flows anywhere in `src`: a
-//!   value derived from `Instant`/`SystemTime`/date-shaped sources must
+//! * **Wall-clock taint** (`D004`). clippy's `disallowed-methods` (the root
+//!   `clippy.toml`) bans wall-clock *call sites*, and each sanctioned read
+//!   carries an `#[expect]`; D004 follows the value to flows anywhere in
+//!   `src`: a value derived from `Instant`/`SystemTime`/date-shaped sources must
 //!   never reach a sim-state sink (`SimTime`/`SimDuration` construction,
 //!   or a parameter of that type on an indexed function), even through
 //!   intermediate bindings the call-site rule cannot see.

@@ -14,9 +14,13 @@
 //! [`lexer`] for the token layer, [`parser`] for the item trees, [`index`]
 //! for the workspace symbol index, [`dataflow`] for the unit/taint lattices,
 //! and [`rules`]/[`rules_flow`] for the rule set; `DESIGN.md` §11/§16 has
-//! the history each rule encodes. Violations are silenced by an inline
-//! `// simlint: allow(RULE, reason)` waiver — the reason is mandatory — or
-//! by a `simlint.baseline` entry (kept empty in this repo).
+//! the history each rule encodes. A violation is silenced by an inline
+//! `// simlint: allow(RULE, reason)` waiver; the reason is mandatory.
+//!
+//! simlint holds only the rules the compiler cannot say. Hash collections
+//! and wall-clock reads are banned by the root `clippy.toml`, and every
+//! crate root denies `clippy::unwrap_used`, `clippy::expect_used` and
+//! `clippy::panic` (DESIGN.md §11).
 //!
 //! Linting runs as a three-phase pipeline — per-file analysis (parallel),
 //! symbol-index build (serial), rule evaluation (parallel) — with findings
@@ -25,9 +29,10 @@
 //!
 //! Run it as `cargo run -p simlint -- --check`; exit code 0 means clean, 1
 //! means findings, 2 means usage or I/O error. `--json FILE` additionally
-//! emits every finding (fresh, waived, baseline-suppressed) as JSONL.
+//! emits every finding (fresh and waived) as JSONL.
 
-pub mod baseline;
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod dataflow;
 pub mod index;
 pub mod lexer;
@@ -35,7 +40,6 @@ pub mod parser;
 pub mod rules;
 pub mod rules_flow;
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -52,7 +56,7 @@ const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures", ".github", 
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Recursively collects the workspace's lintable `.rs` files, sorted by
-/// workspace-relative path so reports and baselines are stable.
+/// workspace-relative path so reports are stable.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         for entry in std::fs::read_dir(dir)? {
@@ -200,10 +204,9 @@ pub fn lint_workspace_with_jobs(root: &Path, jobs: usize) -> std::io::Result<Wor
     Ok(run_pipeline(&analyses, jobs))
 }
 
-/// Lints every file under `root`, returning standing findings sorted by
-/// path/line.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    Ok(lint_workspace_with_jobs(root, default_jobs())?.findings)
+/// Lints every file under `root` on every available core.
+pub fn lint_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
+    lint_workspace_with_jobs(root, default_jobs())
 }
 
 /// Locates the workspace root: the nearest ancestor of `start` whose
@@ -220,32 +223,6 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         dir = d.parent();
     }
     None
-}
-
-/// The outcome of a full `--check` run against a baseline.
-#[derive(Debug)]
-pub struct CheckReport {
-    /// Findings not covered by the baseline — these fail the build.
-    pub fresh: Vec<Finding>,
-    /// Findings suppressed by the baseline.
-    pub suppressed: Vec<Finding>,
-    /// Findings silenced by inline waivers.
-    pub waived: Vec<Finding>,
-    /// Baseline keys that matched nothing (should be deleted).
-    pub stale: Vec<String>,
-}
-
-/// Lints the workspace and applies the baseline at `baseline_path` (missing
-/// file = empty baseline).
-pub fn check(root: &Path, baseline_path: &Path) -> std::io::Result<CheckReport> {
-    let report = lint_workspace_with_jobs(root, default_jobs())?;
-    let base: BTreeSet<String> = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => baseline::parse(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeSet::new(),
-        Err(e) => return Err(e),
-    };
-    let (fresh, suppressed, stale) = baseline::apply(report.findings, &base);
-    Ok(CheckReport { fresh, suppressed, waived: report.waived, stale })
 }
 
 /// Escapes a string for a JSON string literal (no external deps).
@@ -265,17 +242,15 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a check report as JSONL: one object per finding with its waiver
-/// status (`fresh` fails the build, `waived` has an inline waiver,
-/// `baseline` is suppressed by `simlint.baseline`), sorted by path/line so
-/// reports diff cleanly across PRs.
-pub fn render_jsonl(report: &CheckReport) -> String {
+/// Renders a workspace report as JSONL: one object per finding with its
+/// waiver status (`fresh` fails the build, `waived` has an inline waiver),
+/// sorted by path/line so reports diff cleanly across PRs.
+pub fn render_jsonl(report: &WorkspaceReport) -> String {
     let mut rows: Vec<(&Finding, &str)> = report
-        .fresh
+        .findings
         .iter()
         .map(|f| (f, "fresh"))
         .chain(report.waived.iter().map(|f| (f, "waived")))
-        .chain(report.suppressed.iter().map(|f| (f, "baseline")))
         .collect();
     rows.sort_by(|a, b| a.0.cmp(b.0));
     let mut out = String::new();

@@ -1,5 +1,7 @@
 //! CLI for the workspace linter. See `simlint --help`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -16,27 +18,24 @@ OPTIONS:
                         invocations). Exit 0 = clean, 1 = findings, 2 = error.
     --root DIR          Workspace root (default: nearest ancestor with a
                         [workspace] Cargo.toml).
-    --baseline FILE     Baseline file (default: <root>/simlint.baseline).
-    --write-baseline    Rewrite the baseline to suppress all current findings.
-    --json FILE         Also write every finding (fresh, waived, and
-                        baseline-suppressed) as JSONL to FILE (`-` = stdout).
+    --json FILE         Also write every finding (fresh and waived) as JSONL
+                        to FILE (`-` = stdout).
     --list-rules        Print the rule set and exit.
     -h, --help          This text.
 
 Waive a finding inline with `// simlint: allow(RULE, reason)` on (or directly
-above) the offending line; the reason is mandatory. See DESIGN.md §11.";
+above) the offending line; the reason is mandatory. Hash collections, wall-clock
+reads and unwrap/expect/panic! are clippy's to check (clippy.toml and the deny
+line at every crate root). See DESIGN.md §11.";
 
 struct Opts {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
     list_rules: bool,
     json: Option<PathBuf>,
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut opts =
-        Opts { root: None, baseline: None, write_baseline: false, list_rules: false, json: None };
+    let mut opts = Opts { root: None, list_rules: false, json: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -44,10 +43,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--root" => {
                 opts.root = Some(it.next().ok_or("--root needs a directory argument")?.into());
             }
-            "--baseline" => {
-                opts.baseline = Some(it.next().ok_or("--baseline needs a file argument")?.into());
-            }
-            "--write-baseline" => opts.write_baseline = true,
             "--json" => {
                 opts.json = Some(it.next().ok_or("--json needs a file argument (or `-`)")?.into());
             }
@@ -78,17 +73,8 @@ fn run() -> Result<ExitCode, String> {
                 .ok_or("no [workspace] Cargo.toml above the current directory")?
         }
     };
-    let baseline_path = opts.baseline.unwrap_or_else(|| root.join("simlint.baseline"));
 
-    if opts.write_baseline {
-        let findings = simlint::lint_workspace(&root).map_err(|e| format!("lint: {e}"))?;
-        std::fs::write(&baseline_path, simlint::baseline::render(&findings))
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        eprintln!("simlint: wrote {} entries to {}", findings.len(), baseline_path.display());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let report = simlint::check(&root, &baseline_path).map_err(|e| format!("lint: {e}"))?;
+    let report = simlint::lint_workspace(&root).map_err(|e| format!("lint: {e}"))?;
     if let Some(json) = &opts.json {
         let body = simlint::render_jsonl(&report);
         if json.as_os_str() == "-" {
@@ -97,20 +83,11 @@ fn run() -> Result<ExitCode, String> {
             std::fs::write(json, body).map_err(|e| format!("write {}: {e}", json.display()))?;
         }
     }
-    for f in &report.fresh {
+    for f in &report.findings {
         println!("{f}");
     }
-    for key in &report.stale {
-        eprintln!("simlint: stale baseline entry {key} (matched nothing; delete it)");
-    }
-    eprintln!(
-        "simlint: {} finding(s), {} baseline-suppressed, {} stale baseline entr{}",
-        report.fresh.len(),
-        report.suppressed.len(),
-        report.stale.len(),
-        if report.stale.len() == 1 { "y" } else { "ies" },
-    );
-    Ok(if report.fresh.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    eprintln!("simlint: {} finding(s)", report.findings.len());
+    Ok(if report.findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
 fn main() -> ExitCode {

@@ -1,7 +1,7 @@
 //! A lightweight item parser on top of [`crate::lexer`].
 //!
 //! The token rules in [`crate::rules`] are per-line; the cross-file rules
-//! (`U001`/`U002`, `D004`, `E001`, `C001`, `C002`) need *structure*: which
+//! (`U001`/`U002`, `D004`, `E001`, `C001`) need *structure*: which
 //! tokens form a function body, what an enum's variants are, which `impl`
 //! block a `Self::` path resolves through. This module builds exactly that
 //! much — a flat item list per file with token ranges — and nothing more.

@@ -1,13 +1,14 @@
-//! The rule set: repo-specific determinism and safety checks.
+//! The rule set: repo-specific determinism and safety checks that clippy
+//! cannot express.
 //!
 //! Each rule exists because this repository was bitten by (or is structurally
 //! exposed to) the bug class it bans — see `DESIGN.md` §11/§16 for the
-//! history. The per-line rules run on the comment/string-stripped token
-//! stream from [`crate::lexer`]; the symbol-aware rules
-//! (U001/U002/D004/E001/C001/C002) run on the item trees from
-//! [`crate::parser`] against the workspace [`crate::index::SymbolIndex`].
-//! All are scoped by file class and silenced either by an inline
-//! `// simlint: allow(RULE, reason)` waiver or a baseline entry.
+//! history. The per-line rules (A001, F001) run on the comment/string-stripped
+//! token stream from [`crate::lexer`]; the symbol-aware rules
+//! (U001/U002/D004/E001/C001) run on the item trees from [`crate::parser`]
+//! against the workspace [`crate::index::SymbolIndex`]. All are scoped by
+//! file class and silenced by an inline `// simlint: allow(RULE, reason)`
+//! waiver.
 //!
 //! Linting is a two-phase pipeline so the workspace can be processed in
 //! parallel: [`analyze`] is per-file and embarrassingly parallel; the
@@ -26,20 +27,12 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Rule identifier (`D001`, …, `W001`).
+    /// Rule identifier (`D004`, …, `W002`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
     /// The trimmed offending source line, for reports and `--json` output.
-    /// Not part of the baseline key.
     pub snippet: String,
-}
-
-impl Finding {
-    /// The `path:line:rule` key used by the baseline file.
-    pub fn baseline_key(&self) -> String {
-        format!("{}:{}:{}", self.file, self.line, self.rule)
-    }
 }
 
 impl std::fmt::Display for Finding {
@@ -50,18 +43,13 @@ impl std::fmt::Display for Finding {
 
 /// Every enforced rule id, in report order.
 pub const ALL_RULES: &[(&str, &str)] = &[
-    ("D001", "no HashMap/HashSet (iteration-order nondeterminism); use BTreeMap/BTreeSet"),
-    ("D002", "no wall-clock reads (Instant/SystemTime) in simulation crates"),
-    ("D003", "no unseeded randomness (thread_rng/rand::random/from_entropy/OsRng)"),
     ("D004", "no wall-clock-derived values flowing into SimTime/SimDuration sinks"),
     ("A001", "no bare `as` integer casts in time/sequence arithmetic; use checked helpers"),
     ("F001", "no ==/!= against float literals; use is_exactly_zero or epsilon compares"),
-    ("P001", "no unwrap()/expect()/panic! in library code outside #[cfg(test)]"),
     ("U001", "no cross-unit assignment or argument flow (bits/bytes/bps/ns/…) without conversion"),
     ("U002", "no cross-unit additive/comparison arithmetic without an explicit conversion"),
     ("E001", "no wildcard match arms swallowing workspace enum variants (or naming unknown ones)"),
     ("C001", "no conflicting Mutex lock-acquisition orders within a file"),
-    ("C002", "no .unwrap()/.expect() on lock()/join() outside tests"),
     ("W001", "malformed waiver: unknown rule or missing reason"),
     ("W002", "unused waiver: no matching finding on the waived line"),
 ];
@@ -78,8 +66,6 @@ pub struct FileClass {
     pub crate_dir: Option<String>,
     /// Under a `tests/`, `benches/`, or `examples/` directory.
     pub is_test_file: bool,
-    /// A binary target: under `src/bin/` or a root `main.rs`.
-    pub is_bin: bool,
     /// Under a `src/` directory (library or binary source).
     pub in_src: bool,
 }
@@ -92,9 +78,7 @@ impl FileClass {
             (parts.first() == Some(&"crates") && parts.len() > 2).then(|| parts[1].to_owned());
         let is_test_file = parts.iter().any(|p| matches!(*p, "tests" | "benches" | "examples"));
         let in_src = parts.contains(&"src");
-        let is_bin =
-            parts.windows(2).any(|w| w == ["src", "bin"]) || parts.last() == Some(&"main.rs");
-        FileClass { crate_dir, is_test_file, is_bin, in_src }
+        FileClass { crate_dir, is_test_file, in_src }
     }
 
     fn crate_in(&self, list: &[&str]) -> bool {
@@ -102,9 +86,8 @@ impl FileClass {
     }
 }
 
-/// Crates whose state feeds simulation results; wall-clock reads there break
-/// bit-reproducibility (D002) and time/sequence casts there are the PR 2
-/// overflow class (A001).
+/// Crates whose state feeds simulation results; time/sequence casts there
+/// are the PR 2 overflow class (A001).
 const SIM_CORE_CRATES: &[&str] = &["netsim", "transport", "congestion", "core"];
 
 /// Substrings marking a line as time/sequence arithmetic for A001.
@@ -118,7 +101,7 @@ const INT_TYPES: &[&str] =
 /// An inline waiver parsed from a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
-    /// The rule being waived, e.g. `P001`.
+    /// The rule being waived, e.g. `F001`.
     pub rule: String,
     /// The human-readable justification (required non-empty).
     pub reason: String,
@@ -160,8 +143,8 @@ pub fn parse_waivers(comment: &str) -> (Vec<Waiver>, Vec<String>) {
 }
 
 /// Marks lines inside `#[cfg(test)]` items (and `#[test]` functions): after
-/// such an attribute, the next brace-delimited item body is test code. P001
-/// and A001 do not apply there.
+/// such an attribute, the next brace-delimited item body is test code. A001
+/// and the flow rules do not apply there.
 fn test_region_lines(lines: &[Line]) -> Vec<bool> {
     let mut out = vec![false; lines.len()];
     let mut depth: i32 = 0;
@@ -325,45 +308,6 @@ fn line_rules(
 ) {
     let toks = tokenize(code);
 
-    // D001 — everywhere: deterministic collections only.
-    for bad in ["HashMap", "HashSet"] {
-        if toks.iter().any(|t| t.ident() == Some(bad)) {
-            raw.push((
-                "D001",
-                format!("{bad} iterates in nondeterministic order; use BTree{} instead", &bad[4..]),
-            ));
-        }
-    }
-
-    // D002 — sim-core crates: no wall clock.
-    if class.crate_in(SIM_CORE_CRATES) {
-        for bad in ["Instant", "SystemTime", "UNIX_EPOCH", "OffsetDateTime", "chrono"] {
-            if toks.iter().any(|t| t.ident() == Some(bad)) {
-                raw.push((
-                    "D002",
-                    format!("wall-clock type/call `{bad}` in a simulation crate; all time must come from SimTime"),
-                ));
-            }
-        }
-    }
-
-    // D003 — everywhere: no unseeded randomness.
-    for bad in ["thread_rng", "from_entropy", "OsRng", "getrandom"] {
-        if toks.iter().any(|t| t.ident() == Some(bad)) {
-            raw.push(("D003", format!("`{bad}` is unseeded; derive all RNG from the run's seed")));
-        }
-    }
-    if toks.windows(3).any(|w| {
-        w[0].ident() == Some("rand")
-            && w[1] == Tok::Punct("::".into())
-            && w[2].ident() == Some("random")
-    }) {
-        raw.push((
-            "D003",
-            "`rand::random` is unseeded; derive all RNG from the run's seed".to_owned(),
-        ));
-    }
-
     // A001 — sim-core src, outside tests: no bare integer `as` casts on
     // time/sequence lines.
     if class.crate_in(SIM_CORE_CRATES)
@@ -395,40 +339,6 @@ fn line_rules(
                     "F001",
                     "exact float comparison; route sentinel checks through is_exactly_zero or compare with a tolerance".to_owned(),
                 ));
-            }
-        }
-    }
-
-    // P001 — library code only: no panicking shortcuts.
-    let p001_applies = class.in_src && !class.is_bin && !class.is_test_file && !in_test_region;
-    if p001_applies {
-        for w in toks.windows(3) {
-            let dot_call = |name: &str| {
-                w[0] == Tok::Punct(".".into())
-                    && w[1].ident() == Some(name)
-                    && w[2] == Tok::Punct("(".into())
-            };
-            if dot_call("unwrap") {
-                raw.push((
-                    "P001",
-                    "unwrap() in library code; propagate the error or waive with the invariant that makes it impossible".to_owned(),
-                ));
-            }
-            if dot_call("expect") {
-                raw.push((
-                    "P001",
-                    "expect() in library code; propagate the error or waive with the invariant that makes it impossible".to_owned(),
-                ));
-            }
-        }
-        for w in toks.windows(2) {
-            if w[1] == Tok::Punct("!".into()) {
-                if let Some(mac @ ("panic" | "todo" | "unimplemented")) = w[0].ident() {
-                    raw.push((
-                        "P001",
-                        format!("{mac}! in library code; return an error (assert!/unreachable! remain available for stated invariants)"),
-                    ));
-                }
             }
         }
     }

@@ -9,10 +9,6 @@
 //!   file. The PR 9 dist fabric holds supervisor-side locks around spool
 //!   I/O; acquiring two named locks in both orders is the textbook
 //!   deadlock seed, and a linter can see it where a unit test cannot.
-//! * **C002** — `.lock().unwrap()` / `.join().unwrap()` outside tests. A
-//!   poisoned mutex or a panicked worker must surface as a quarantined
-//!   error (`PoisonError::into_inner` or a propagated join result), not a
-//!   supervisor abort mid-sweep.
 //! * **U001/U002/D004** — driven here per function body; the lattice
 //!   machinery lives in [`crate::dataflow`].
 //!
@@ -66,7 +62,6 @@ pub fn run(
     }
     e001_match_exhaustiveness(toks, items, &in_test, index, &mut out);
     c001_lock_order(toks, items, &in_test, &mut out);
-    c002_lock_join_unwrap(toks, &in_test, &mut out);
     out
 }
 
@@ -394,39 +389,6 @@ fn c001_lock_order(
     }
 }
 
-/// C002: `.lock().unwrap()` / `.join().unwrap()` (or `.expect`) outside
-/// tests. Empty-argument `join()` only, so `path.join("x")` never matches.
-fn c002_lock_join_unwrap(toks: &[PTok], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<FlowDiag>) {
-    for i in 0..toks.len() {
-        let Some(callee @ ("lock" | "join")) = ident_at(toks, i) else { continue };
-        if i == 0 || !toks[i - 1].tok.is_punct(".") {
-            continue;
-        }
-        if !(punct_at(toks, i + 1, "(") && punct_at(toks, i + 2, ")") && punct_at(toks, i + 3, "."))
-        {
-            continue;
-        }
-        let Some(handler @ ("unwrap" | "expect")) = ident_at(toks, i + 4) else { continue };
-        if !punct_at(toks, i + 5, "(") {
-            continue;
-        }
-        let line = toks[i].line;
-        if in_test(line) {
-            continue;
-        }
-        let remedy = if callee == "lock" {
-            "map the PoisonError (e.g. `unwrap_or_else(PoisonError::into_inner)`) or propagate it"
-        } else {
-            "propagate the join result so a panicked worker is quarantined, not fatal"
-        };
-        out.push(FlowDiag {
-            line,
-            rule: "C002",
-            message: format!("`.{callee}().{handler}()` outside tests; {remedy}"),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,20 +466,5 @@ mod tests {
     fn c001_clean_on_consistent_order() {
         let src = "fn a(&self) { let g1 = self.spool.lock(); let g2 = self.journal.lock(); }\nfn b(&self) { let g1 = self.spool.lock(); let g2 = self.journal.lock(); }\n";
         assert!(rules(src).is_empty());
-    }
-
-    #[test]
-    fn c002_fires_on_lock_and_join_unwrap() {
-        assert_eq!(rules("fn f(m: &Mutex<u32>) { let g = m.lock().unwrap(); }"), ["C002"]);
-        assert_eq!(rules("fn f(h: JoinHandle<()>) { h.join().expect(\"boom\"); }"), ["C002"]);
-    }
-
-    #[test]
-    fn c002_ignores_path_join_and_poison_mapping() {
-        assert!(rules("fn f(p: &Path) { let q = p.join(\"x\").to_path_buf(); }").is_empty());
-        assert!(rules(
-            "fn f(m: &Mutex<u32>) { let g = m.lock().unwrap_or_else(PoisonError::into_inner); }"
-        )
-        .is_empty());
     }
 }

@@ -1,7 +1,9 @@
 //! Fixture corpus: every rule must trip on its violating snippet and stay
 //! quiet on the clean variant. Fixtures live in `crates/simlint/fixtures/`
 //! (excluded from workspace scans) and are linted here under synthetic
-//! workspace-relative paths that put them in each rule's scope.
+//! workspace-relative paths that put them in each rule's scope. The
+//! violation fixtures of the rules clippy now checks live in the
+//! `fixtures/clippy/` crate, which CI runs clippy on.
 
 use std::path::Path;
 
@@ -21,31 +23,6 @@ fn rules_hit(rel_path: &str, name: &str) -> Vec<&'static str> {
 }
 
 #[test]
-fn d001_hash_collections() {
-    assert_eq!(rules_hit("crates/core/src/fx.rs", "d001_violation.rs"), ["D001"]);
-    assert_eq!(rules_hit("crates/core/src/fx.rs", "d001_clean.rs"), [""; 0]);
-    // D001 is workspace-wide: it fires outside the sim-core crates too.
-    assert_eq!(rules_hit("crates/obs/src/fx.rs", "d001_violation.rs"), ["D001"]);
-}
-
-#[test]
-fn d002_wall_clock() {
-    assert_eq!(rules_hit("crates/netsim/src/fx.rs", "d002_violation.rs"), ["D002"]);
-    assert_eq!(rules_hit("crates/netsim/src/fx.rs", "d002_clean.rs"), [""; 0]);
-    // Out of scope: a tooling crate may time its own wall-clock runtime.
-    assert_eq!(rules_hit("crates/bench/src/fx.rs", "d002_violation.rs"), [""; 0]);
-}
-
-#[test]
-fn d003_unseeded_randomness() {
-    assert_eq!(rules_hit("crates/workload/src/fx.rs", "d003_violation.rs"), ["D003"]);
-    assert_eq!(rules_hit("crates/workload/src/fx.rs", "d003_clean.rs"), [""; 0]);
-    // D003 is workspace-wide, tests included: unseeded RNG in a test makes
-    // the test itself nondeterministic.
-    assert_eq!(rules_hit("tests/fx.rs", "d003_violation.rs"), ["D003"]);
-}
-
-#[test]
 fn a001_time_seq_casts() {
     assert_eq!(rules_hit("crates/transport/src/fx.rs", "a001_violation.rs"), ["A001"]);
     assert_eq!(rules_hit("crates/transport/src/fx.rs", "a001_clean.rs"), [""; 0]);
@@ -57,16 +34,6 @@ fn a001_time_seq_casts() {
 fn f001_float_equality() {
     assert_eq!(rules_hit("crates/energy/src/fx.rs", "f001_violation.rs"), ["F001"]);
     assert_eq!(rules_hit("crates/energy/src/fx.rs", "f001_clean.rs"), [""; 0]);
-}
-
-#[test]
-fn p001_library_panics() {
-    assert_eq!(rules_hit("crates/obs/src/fx.rs", "p001_violation.rs"), ["P001"]);
-    assert_eq!(rules_hit("crates/obs/src/fx.rs", "p001_clean.rs"), [""; 0]);
-    // Out of scope: tests, benches, and binaries may panic freely.
-    assert_eq!(rules_hit("crates/obs/tests/fx.rs", "p001_violation.rs"), [""; 0]);
-    assert_eq!(rules_hit("crates/obs/src/bin/fx.rs", "p001_violation.rs"), [""; 0]);
-    assert_eq!(rules_hit("src/main.rs", "p001_violation.rs"), [""; 0]);
 }
 
 #[test]
@@ -86,8 +53,8 @@ fn u002_cross_unit_arithmetic() {
 
 #[test]
 fn d004_wall_clock_taint_flow() {
-    // Linted under a tooling crate where call-site D002 is out of scope:
-    // only the dataflow rule sees the wall-clock value reach sim state.
+    // Call sites are clippy's `disallowed_methods`; only the dataflow rule
+    // sees the wall-clock value reach sim state.
     assert_eq!(rules_hit("crates/bench/src/fx.rs", "d004_violation.rs"), ["D004"]);
     assert_eq!(rules_hit("crates/bench/src/fx.rs", "d004_clean.rs"), [""; 0]);
     assert_eq!(rules_hit("crates/bench/tests/fx.rs", "d004_violation.rs"), [""; 0]);
@@ -105,14 +72,6 @@ fn c001_lock_order() {
     assert_eq!(rules_hit("crates/bench/src/fx.rs", "c001_violation.rs"), ["C001"]);
     assert_eq!(rules_hit("crates/bench/src/fx.rs", "c001_clean.rs"), [""; 0]);
     assert_eq!(rules_hit("crates/bench/tests/fx.rs", "c001_violation.rs"), [""; 0]);
-}
-
-#[test]
-fn c002_lock_join_unwrap() {
-    // Binaries are exempt from P001, so the fixture isolates C002 there.
-    assert_eq!(rules_hit("crates/bench/src/bin/fx.rs", "c002_violation.rs"), ["C002"]);
-    assert_eq!(rules_hit("crates/bench/src/bin/fx.rs", "c002_clean.rs"), [""; 0]);
-    assert_eq!(rules_hit("crates/bench/tests/fx.rs", "c002_violation.rs"), [""; 0]);
 }
 
 #[test]
@@ -136,10 +95,10 @@ fn waiver_hygiene_is_enforced() {
     let findings = lint_source("crates/obs/src/fx.rs", &fixture("waivers_bad.rs"));
     let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
     // Reasonless and unknown-rule waivers are W001 and do not suppress the
-    // underlying F001; a waiver matching nothing is W002.
+    // underlying F001; a waiver matching nothing (F001 or A001) is W002.
     assert_eq!(rules.iter().filter(|r| **r == "W001").count(), 2, "{findings:?}");
     assert_eq!(rules.iter().filter(|r| **r == "F001").count(), 2, "{findings:?}");
-    assert_eq!(rules.iter().filter(|r| **r == "W002").count(), 1, "{findings:?}");
+    assert_eq!(rules.iter().filter(|r| **r == "W002").count(), 2, "{findings:?}");
 }
 
 #[test]

@@ -123,8 +123,11 @@ impl BCube {
 
     /// Which host NIC (interface) each of `paths(src, dst)`'s entries leaves
     /// through — the energy model's subflow → interface mapping.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: passing a path that does not originate at src is a caller bug in experiment wiring, not a runtime condition"
+    )]
     pub fn first_nic_of_path(&self, src: usize, spec: &PathSpec) -> usize {
-        // simlint: allow(P001, documented panic: passing a path that does not originate at src is a caller bug in experiment wiring, not a runtime condition)
         self.nic_up[src].iter().position(|&l| l == spec.fwd[0]).expect("path does not start at src")
     }
 }

@@ -32,6 +32,8 @@
 //! assert_eq!(paths.len(), 4); // one per core switch
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod bcube;
 pub mod duplex;
 pub mod ec2;

@@ -40,6 +40,8 @@
 //! assert!(flow.is_finished(&sim));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod config;
 pub mod flow;
 pub mod receiver;

@@ -80,8 +80,10 @@ mod tests {
                 },
             ],
         };
-        // 1e6 + 2e6 is exact in f64, so the sum must equal 3e6 bit-for-bit.
-        #[allow(clippy::float_cmp)]
+        #[allow(
+            clippy::float_cmp,
+            reason = "1e6 + 2e6 is exact in f64, so the sum must equal 3e6 bit-for-bit"
+        )]
         {
             assert_eq!(s.total_throughput_bps(), 3e6);
         }

@@ -103,8 +103,10 @@ impl SegBoard {
         self.ring.front().map(|s| (self.base, s))
     }
 
-    /// Only the `check-invariants` scoreboard audit needs this.
-    #[cfg_attr(not(feature = "check-invariants"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "check-invariants"),
+        allow(dead_code, reason = "only the `check-invariants` scoreboard audit needs this")
+    )]
     fn last_seq(&self) -> Option<u64> {
         let n = u64::try_from(self.ring.len()).ok()?;
         n.checked_sub(1).map(|last| self.base + last)
@@ -142,8 +144,10 @@ impl SegBoard {
         self.ring.iter_mut()
     }
 
-    /// Only the `check-invariants` scoreboard audit needs this.
-    #[cfg_attr(not(feature = "check-invariants"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "check-invariants"),
+        allow(dead_code, reason = "only the `check-invariants` scoreboard audit needs this")
+    )]
     fn len(&self) -> usize {
         self.ring.len()
     }
@@ -847,7 +851,10 @@ impl MptcpSender {
         self.cc_states[r] = SubflowCc::new();
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the ACK payload the only caller destructures"
+    )]
     fn on_ack(
         &mut self,
         r: usize,
@@ -1052,9 +1059,10 @@ impl MptcpSender {
     /// `r`'s window across the preceding call.
     fn emit_cwnd_change(&mut self, r: usize, cwnd_before: f64, ctx: &mut Ctx<'_>) {
         let cwnd_pkts = self.cc_states[r].cwnd;
-        // Change detection, not numeric comparison: any bit-level movement of
-        // the window must produce an event, so no epsilon applies.
-        #[allow(clippy::float_cmp)]
+        #[allow(
+            clippy::float_cmp,
+            reason = "change detection, not numeric comparison: any bit-level movement of the window must produce an event, so no epsilon applies"
+        )]
         if cwnd_pkts != cwnd_before {
             ctx.emit(TraceEvent::CwndChange {
                 t_ns: ctx.now().as_nanos(),

@@ -14,7 +14,6 @@ use transport::{attach_flow, FlowConfig, PathSpec};
 /// Builds a two-path topology where every one of the four links carries the
 /// same adversarial impairment mix, runs a fixed-size transfer, and returns
 /// `(finished, data_delivered, app_delivered, data_acked)`.
-#[allow(clippy::too_many_arguments)]
 fn run_adversarial(
     seed: u64,
     pkts: u64,

@@ -27,6 +27,8 @@
 //! assert!(sim.agent::<Sink>(sink).pkts > 90);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod cbr;
 pub mod pareto;
 pub mod permutation;

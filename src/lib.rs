@@ -16,6 +16,8 @@
 //! * [`obs`] — structured trace events, sinks (JSONL, ring), the record
 //!   dialect and the trace summarizer (DESIGN.md §9, §17).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub use congestion;
 pub use energy_model as energy;
 pub use mptcp_energy as paper;

@@ -43,6 +43,10 @@ fn cells() -> Vec<FabricCell<(u64, f64)>> {
 }
 
 fn wait_for(path: &Path) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "waiting on a real process to write a file is bounded in wall-clock time"
+    )]
     let start = Instant::now();
     while !path.exists() {
         assert!(start.elapsed() < Duration::from_secs(20), "timed out waiting for {path:?}");
@@ -216,6 +220,10 @@ fn a_worker_exit_wakes_the_supervisor_before_its_poll() {
     let spool = root.join(format!("grid-{grid:016x}"));
     let (opts, dist) = slow_poll(&root, INERT);
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures how long the supervisor takes to wake, in wall-clock time"
+    )]
     let start = Instant::now();
     let sup = {
         let (opts, dist) = (opts.clone(), dist.clone());
@@ -258,6 +266,10 @@ fn crashes_and_due_redispatches_wake_the_supervisor_before_its_poll() {
     let (opts, mut dist) = slow_poll(&root, "exit 3");
     dist.max_redispatch = 2;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures how long the supervisor takes to wake, in wall-clock time"
+    )]
     let start = Instant::now();
     let one: Vec<_> = cells().into_iter().take(1).collect();
     let report = run_dist(one, &opts, &dist).expect("crashes are contained, not returned");

@@ -53,9 +53,10 @@ fn phi_drains_the_backbone_queue_without_losing_utilization() {
 }
 
 #[test]
-// Bit-reproducibility check: two identical runs must agree exactly, so the
-// float comparison is deliberately strict.
-#[allow(clippy::float_cmp)]
+#[allow(
+    clippy::float_cmp,
+    reason = "bit-reproducibility check: two identical runs must agree exactly, so the float comparison is deliberately strict"
+)]
 fn deterministic_per_seed() {
     let a = run_hierarchy(&CcChoice::dts(), &opts());
     let b = run_hierarchy(&CcChoice::dts(), &opts());

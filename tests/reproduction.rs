@@ -31,7 +31,7 @@ enum Bound {
 use Bound::{Eq, Ge, Gt, In, Le, Lt};
 
 impl Bound {
-    #[allow(clippy::float_cmp)] // `Eq` compares a sentinel exactly, on purpose
+    #[allow(clippy::float_cmp, reason = "`Eq` compares a sentinel exactly, on purpose")]
     fn holds(self, v: f64) -> bool {
         match self {
             Lt(b) => v < b,
