@@ -5,9 +5,9 @@
 //! * exact exponential vs Algorithm 1's fixed-point Taylor expansion.
 //!
 //! Each variant runs the Fig. 5(b) bursty two-path scenario (energy to move
-//! 8 MB) and, for `c`, the fluid-model friendliness ratio. A friendliness
-//! solve that misses its tolerance prints `unconverged` in its cell and makes
-//! the process exit 1.
+//! 8/24/100 MB at smoke/quick/full) and, for `c`, the fluid friendliness
+//! ratio. A friendliness solve that misses its tolerance prints
+//! `unconverged` in its cell and makes the process exit 1.
 //!
 //! Pass --smoke/--quick/--full and optionally --jobs N (default: available
 //! parallelism, or the SWEEP_JOBS env var) or --workers N for supervised
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 fn opts(scale: Scale) -> BurstyOptions {
     let transfer = match scale {
-        Scale::Smoke => 4_000_000,
+        Scale::Smoke => 8_000_000,
         Scale::Quick => 24_000_000,
         Scale::Full => 100_000_000,
     };

@@ -5,7 +5,7 @@
 //! pool of figures and the pool each figure's simulations fan out over
 //! (`--jobs 1` starts no thread). The figures are one plan: a simulation
 //! several of them need runs once, and a last stderr line counts it
-//! (`sims: datacenter 18 requested, 12 run; …`). `--only LIST` (or
+//! (`sims: datacenter 18 requested, 10 run; …`). `--only LIST` (or
 //! `--only=LIST`) restricts the run to a comma-separated list of figure
 //! module names (`fig01 fig02 fig03 fig04 fig06 fig07 fig08 fig09 fig10
 //! fig12_14 fig15 fig16 fig17`); an unknown name is a usage error that

@@ -13,8 +13,8 @@ use crate::{table, Scale};
 use congestion::AlgorithmKind;
 use mptcp_energy::scenarios::{CcChoice, DcKind, DcOptions};
 
-/// The Figs. 12–14 runs at `scale`: LIA at each subflow count, ascending,
-/// on BCube, FatTree and VL2 in that order.
+/// The Figs. 12–14 runs at `scale`, LIA at each subflow count, ascending, on
+/// BCube, FatTree and VL2 in that order. Fig. 15 derives its grid from these.
 pub fn keys(scale: Scale) -> Vec<DcKey> {
     let (fabrics, subflows, duration): (Vec<DcKind>, &[usize], f64) = match scale {
         Scale::Smoke => (

@@ -124,4 +124,24 @@ mod tests {
             assert!(err.contains("fig12_14") && err.contains("unknown figure"), "{err}");
         }
     }
+
+    #[test]
+    fn the_datacenter_figures_read_one_grid() {
+        use mptcp_energy::scenarios::CcChoice;
+        let lia = CcChoice::Base(congestion::AlgorithmKind::Lia);
+        for (scale, requested, run) in
+            [(Scale::Smoke, 18, 10), (Scale::Quick, 21, 13), (Scale::Full, 24, 16)]
+        {
+            let (fig12_14, fig15) = (fig12_14::keys(scale), fig15::keys(scale));
+            assert_eq!(fig16::keys(scale), fig15, "{scale:?}: Fig. 16 reads Fig. 15's runs");
+            assert_eq!(fig15.iter().filter(|(_, cc, _)| *cc == lia).count(), 2, "{scale:?}");
+            for key in fig15.iter().filter(|(_, cc, _)| *cc == lia) {
+                assert!(fig12_14.contains(key), "{scale:?}: {key:?} is not a Figs. 12–14 run");
+            }
+            // Counted as `Sims` counts: list lengths summed, distinct keys.
+            let plan = [fig12_14, fig15, fig16::keys(scale)].concat();
+            let distinct = plan.iter().enumerate().filter(|(i, k)| !plan[..*i].contains(k)).count();
+            assert_eq!((plan.len(), distinct), (requested, run), "{scale:?}");
+        }
+    }
 }

@@ -171,7 +171,7 @@ impl Sims {
     }
 
     /// The counts as `figures_all`'s stderr line:
-    /// `sims: datacenter 18 requested, 12 run; bursty 11/8; testbed 4/4; …`.
+    /// `sims: datacenter 18 requested, 10 run; bursty 11/8; testbed 4/4; …`.
     pub fn render(&self) -> String {
         let [(first, (requested, run)), rest @ ..] = self.counts();
         let mut out = format!("sims: {first} {requested} requested, {run} run");

@@ -98,14 +98,6 @@ pub struct FileItems {
     pub enums: Vec<EnumDef>,
     /// `impl` blocks.
     pub impls: Vec<ImplDef>,
-    /// `use` declarations, as space-joined path text.
-    pub uses: Vec<String>,
-    /// Lines containing an `unsafe` keyword.
-    pub unsafe_lines: Vec<usize>,
-    /// Lines containing a `spawn(`/`spawn_*(` call.
-    pub spawn_lines: Vec<usize>,
-    /// Lines containing a `.lock()` call.
-    pub lock_lines: Vec<usize>,
 }
 
 impl FileItems {
@@ -413,36 +405,14 @@ pub fn parse(toks: &[PTok]) -> FileItems {
                 }
             }
             Some("use") => {
-                let start = i + 1;
-                let mut j = start;
+                let mut j = i + 1;
                 while j < toks.len() && !punct_at(toks, j, ";") {
                     if punct_at(toks, j, "{") {
                         j = matching_close(toks, j);
                     }
                     j += 1;
                 }
-                items.uses.push(join_toks(&toks[start..j]));
                 i = j + 1;
-            }
-            Some("unsafe") => {
-                items.unsafe_lines.push(toks[i].line);
-                i += 1;
-            }
-            Some(id) if id == "spawn" || id.starts_with("spawn_") => {
-                if punct_at(toks, i + 1, "(") {
-                    items.spawn_lines.push(toks[i].line);
-                }
-                i += 1;
-            }
-            Some("lock") => {
-                if i > 0
-                    && toks[i - 1].tok.is_punct(".")
-                    && punct_at(toks, i + 1, "(")
-                    && punct_at(toks, i + 2, ")")
-                {
-                    items.lock_lines.push(toks[i].line);
-                }
-                i += 1;
             }
             _ => {
                 if punct_at(toks, i, "#") {
@@ -515,13 +485,11 @@ mod tests {
     }
 
     #[test]
-    fn records_sites_and_uses() {
-        let src = "use std::sync::Mutex;\nfn f() {\n  let g = self.writer.lock();\n  scope.spawn(|| {});\n  unsafe { x() }\n}\n";
+    fn a_use_declaration_is_skipped_to_its_semicolon() {
+        let src = "use std::sync::{Mutex, mpsc::{channel}};\nfn f() {\n  let g = self.writer.lock();\n  unsafe { x() }\n}\n";
         let items = items_of(src);
-        assert_eq!(items.uses.len(), 1);
-        assert_eq!(items.lock_lines, [3]);
-        assert_eq!(items.spawn_lines, [4]);
-        assert_eq!(items.unsafe_lines, [5]);
+        assert_eq!(items.fns.len(), 1);
+        assert_eq!((items.fns[0].name.as_str(), items.fns[0].line), ("f", 2));
     }
 
     #[test]
