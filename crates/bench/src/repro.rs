@@ -110,20 +110,6 @@ pub fn build_cell(sim: &mut Simulator, spec: &ReproSpec) -> Result<FlowHandle, S
     let cc = spec.cc_choice()?;
     let tp = TwoPath::dual_nic(sim, 20_000_000, SimDuration::from_millis(10));
     spec.script.clone().install(sim);
-    #[cfg(feature = "check-invariants")]
-    {
-        netsim::install_default_invariants(sim);
-        if let Some(fail_at) = spec.fail_at_s {
-            let at = SimTime::from_secs_f64(fail_at);
-            sim.add_invariant_check(Box::new(move |s: &Simulator| {
-                if s.now() >= at {
-                    Err(format!("seeded repro-pipeline violation (fail_at_s = {fail_at})"))
-                } else {
-                    Ok(())
-                }
-            }));
-        }
-    }
     let flow = attach_flow(
         sim,
         FlowConfig::new(spec.seed)
@@ -133,7 +119,35 @@ pub fn build_cell(sim: &mut Simulator, spec: &ReproSpec) -> Result<FlowHandle, S
         &tp.both(),
         SimDuration::ZERO,
     );
+    #[cfg(feature = "check-invariants")]
+    if let Some(fail_at_s) = spec.fail_at_s {
+        let wire = sim.add_agent(Box::new(Tripwire { fail_at_s, fired: false }));
+        sim.kick(wire, SimDuration::from_secs_f64(fail_at_s), 0);
+    }
     Ok(flow)
+}
+
+/// [`ReproSpec::fail_at_s`]'s seeded violation: an agent whose own check
+/// fails once its timer at that time has fired. It is added after the flow,
+/// so the flow keeps the agent ids of a spec without it.
+#[cfg(feature = "check-invariants")]
+struct Tripwire {
+    fail_at_s: f64,
+    fired: bool,
+}
+
+#[cfg(feature = "check-invariants")]
+impl netsim::Agent for Tripwire {
+    fn on_packet(&mut self, _pkt: netsim::Packet, _ctx: &mut netsim::Ctx<'_>) {}
+    fn on_timer(&mut self, _token: u64, _ctx: &mut netsim::Ctx<'_>) {
+        self.fired = true;
+    }
+    fn check_invariants(&self, _sim: &Simulator, _deep: bool) -> Result<(), String> {
+        if !self.fired {
+            return Ok(());
+        }
+        Err(format!("seeded repro-pipeline violation (fail_at_s = {})", self.fail_at_s))
+    }
 }
 
 /// [`build_cell`] run to the horizon with the trace-tail ring attached.

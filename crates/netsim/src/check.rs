@@ -1,20 +1,27 @@
 //! Online invariant checker (compiled only with the `check-invariants`
 //! feature).
 //!
-//! Checks are closures over `&Simulator` registered via
-//! [`Simulator::add_invariant_check`]; the event loop runs every check after
-//! each processed event and halts on the first `Err`. They are *observers*:
-//! a check must not touch the RNG or the event queue, so a checked run is
-//! byte-identical to an unchecked one (pinned by
-//! `tests/invariants_online.rs`).
-//!
-//! [`install_default_invariants`] registers the simulator-level invariants
-//! (per-link packet conservation, queue bounds, clock monotonicity);
-//! transport-level invariants (exactly-once delivery, window bounds) are
-//! registered by `transport::attach_flow` under the same feature.
+//! Each piece of state checks itself: an agent in
+//! [`crate::Agent::check_invariants`], a link in `Link::check_invariants`,
+//! and the simulator its clock. The
+//! simulator lists the agents and links that changed: the agent an event
+//! was dispatched to, the links it offered a packet to, transmitted on or
+//! drained, and those reached from outside any event
+//! ([`crate::Simulator::agent_mut`], [`crate::World::send_packet`],
+//! [`crate::World::set_link_up`]). After each event,
+//! [`crate::Simulator::step`] checks the clock and what the lists hold. A
+//! check reads only its owner's state, which nothing else changes, so it
+//! reports a violation at the same event as a check run after every event
+//! would. Every 256th event, every agent also runs its deep audit. The
+//! first violation halts every run loop. Checks take shared references
+//! only, so a checked run is byte-identical to an unchecked one. DESIGN.md
+//! §10.3 has the argument in full.
 
-use crate::sim::Simulator;
+use crate::packet::{AgentId, LinkId};
 use crate::time::SimTime;
+
+/// Every this many events, every agent runs its deep audit.
+pub(crate) const DEEP_EVERY: u64 = 256;
 
 /// A failed invariant: when it was detected and what went wrong.
 #[derive(Clone, Debug)]
@@ -31,61 +38,27 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
-/// An online invariant check. `FnMut` so a check can carry state across
-/// steps (e.g. the previous clock reading); `Send` because simulators move
-/// across sweep-runner worker threads.
-pub type InvariantCheck = Box<dyn FnMut(&Simulator) -> Result<(), String> + Send>;
+/// The checker's state, kept in the [`crate::World`].
+#[derive(Debug, Default)]
+pub(crate) struct Checker {
+    /// Events checked so far.
+    pub(crate) events: u64,
+    /// The clock at the previous check.
+    last: SimTime,
+    /// The agents and links changed since the previous check.
+    pub(crate) agents: Vec<AgentId>,
+    pub(crate) links: Vec<LinkId>,
+    /// The first violation; run loops halt once it is set.
+    pub(crate) violation: Option<InvariantViolation>,
+}
 
-/// Registers the simulator-level invariants:
-///
-/// - **Clock monotonicity** — simulated time never decreases between events.
-/// - **Per-link packet conservation** — every packet offered to a link is
-///   accounted for: `offered = tx + queued + in_service + drops_queue +
-///   drops_fault + drops_blackout` at every event boundary.
-/// - **Queue bound** — no link queue exceeds its configured DropTail limit.
-pub fn install_default_invariants(sim: &mut Simulator) {
-    let mut last = SimTime::ZERO;
-    sim.add_invariant_check(Box::new(move |s: &Simulator| {
-        let now = s.now();
-        if now < last {
-            return Err(format!("clock went backwards: {now} < {last}"));
+impl Checker {
+    /// Clock monotonicity: simulated time never decreases between events.
+    pub(crate) fn clock(&mut self, now: SimTime) -> Result<(), String> {
+        if now < self.last {
+            return Err(format!("clock went backwards: {now} < {}", self.last));
         }
-        last = now;
+        self.last = now;
         Ok(())
-    }));
-    sim.add_invariant_check(Box::new(|s: &Simulator| {
-        let w = s.world();
-        for i in 0..w.link_count() {
-            let l = w.link(i);
-            let st = l.stats();
-            let in_service = l.is_busy() as u64;
-            let accounted = st.tx_pkts
-                + l.queue_len() as u64
-                + in_service
-                + st.drops_queue
-                + st.drops_fault
-                + st.drops_blackout;
-            if st.offered != accounted {
-                return Err(format!(
-                    "link {i} packet conservation broken: offered={} but \
-                     tx={} + queued={} + in_service={in_service} + drops={} \
-                     + losses={} + blackout={} = {accounted}",
-                    st.offered,
-                    st.tx_pkts,
-                    l.queue_len(),
-                    st.drops_queue,
-                    st.drops_fault,
-                    st.drops_blackout,
-                ));
-            }
-            if l.queue_len() > l.config().queue_limit_pkts {
-                return Err(format!(
-                    "link {i} queue over limit: {} > {}",
-                    l.queue_len(),
-                    l.config().queue_limit_pkts
-                ));
-            }
-        }
-        Ok(())
-    }));
+    }
 }

@@ -67,7 +67,7 @@ pub mod prelude {
 }
 
 #[cfg(feature = "check-invariants")]
-pub use check::{install_default_invariants, InvariantCheck, InvariantViolation};
+pub use check::InvariantViolation;
 pub use faults::{
     is_exactly_zero, FaultAction, FaultEvent, FaultScript, Impairment, LossModel, ReorderModel,
 };

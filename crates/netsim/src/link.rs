@@ -407,6 +407,29 @@ impl Link {
         let next = self.in_flight.map(|(_, next_size)| self.serialization_cached(next_size));
         (pkt, next)
     }
+
+    /// The link's own invariants, for the online checker ([`crate::check`]):
+    /// every packet offered is accounted for, and the queue holds no more
+    /// than its DropTail bound. `id` names the link in the message.
+    #[cfg(feature = "check-invariants")]
+    pub(crate) fn check_invariants(&self, id: crate::packet::LinkId) -> Result<(), String> {
+        let LinkStats { offered, tx_pkts, drops_queue, drops_fault, drops_blackout, .. } =
+            self.stats;
+        let (queued, limit) = (self.queue.len(), self.cfg.queue_limit_pkts);
+        let in_service = u64::from(self.in_flight.is_some());
+        let accounted = tx_pkts + queued as u64 + in_service + self.stats.drops();
+        if offered != accounted {
+            return Err(format!(
+                "link {id} packet conservation broken: offered={offered} but tx={tx_pkts} + \
+                 queued={queued} + in_service={in_service} + drops={drops_queue} + \
+                 losses={drops_fault} + blackout={drops_blackout} = {accounted}"
+            ));
+        }
+        if queued > limit {
+            return Err(format!("link {id} queue over limit: {queued} > {limit}"));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -65,6 +65,16 @@ pub trait Agent: Any + Send {
     fn watched(&self) -> Option<&dyn Watched> {
         None
     }
+    /// The online checker's view of this agent ([`crate::check`]): `Err`
+    /// names a broken invariant of its own state. Runs after every event
+    /// dispatched to the agent or following a [`Simulator::agent_mut`] on
+    /// it, and with `deep` on every agent every 256th event. What it reads
+    /// of another agent through `sim` must not be able to break the
+    /// invariant without this agent moving. Checks nothing by default.
+    #[cfg(feature = "check-invariants")]
+    fn check_invariants(&self, _sim: &Simulator, _deep: bool) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 /// The stall watchdog's view of a flow-like agent.
@@ -165,6 +175,8 @@ pub struct World {
     /// Only the `popped_*` fields are kept here; the rest are read off the
     /// queue and the pool on demand ([`Simulator::engine_counters`]).
     popped: EngineCounters,
+    #[cfg(feature = "check-invariants")]
+    check: crate::check::Checker,
 }
 
 impl World {
@@ -180,6 +192,8 @@ impl World {
             timers: Vec::new(),
             armed_count: 0,
             popped: EngineCounters::default(),
+            #[cfg(feature = "check-invariants")]
+            check: crate::check::Checker::default(),
         }
     }
 
@@ -371,6 +385,8 @@ impl World {
     }
 
     fn offer_to_link(&mut self, link: LinkId, pkt: PacketSlot) {
+        #[cfg(feature = "check-invariants")]
+        self.check.links.push(link);
         let l = &mut self.links[link];
         if let Some(cause) = l.admit(&mut self.rng) {
             return self.drop_packet(link, pkt, cause);
@@ -411,6 +427,8 @@ impl World {
     ///
     /// Panics if `id` is not a registered link.
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
+        #[cfg(feature = "check-invariants")]
+        self.check.links.push(id);
         let drained = self.links[id].set_up(up, self.now);
         for pkt in drained {
             self.drop_packet(id, pkt, DropCause::Blackout);
@@ -632,13 +650,6 @@ pub struct Simulator {
     world: World,
     agents: Vec<Option<Box<dyn Agent>>>,
     watchdog: Option<Watchdog>,
-    /// Online invariant checks, run after every processed event. Compiled
-    /// out entirely without the `check-invariants` feature.
-    #[cfg(feature = "check-invariants")]
-    checks: Vec<crate::check::InvariantCheck>,
-    /// First invariant violation observed; run loops halt once set.
-    #[cfg(feature = "check-invariants")]
-    violation: Option<crate::check::InvariantViolation>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -667,15 +678,7 @@ impl Simulator {
     }
 
     fn on_queue(seed: u64, queue: EventQueue) -> Self {
-        Simulator {
-            world: World::new(seed, queue),
-            agents: Vec::new(),
-            watchdog: None,
-            #[cfg(feature = "check-invariants")]
-            checks: Vec::new(),
-            #[cfg(feature = "check-invariants")]
-            violation: None,
-        }
+        Simulator { world: World::new(seed, queue), agents: Vec::new(), watchdog: None }
     }
 
     /// Registers a link and returns its id.
@@ -746,6 +749,8 @@ impl Simulator {
         reason = "documented panic: the downcast encodes the caller-supplied type"
     )]
     pub fn agent_mut<T: Agent>(&mut self, id: AgentId) -> &mut T {
+        #[cfg(feature = "check-invariants")]
+        self.world.check.agents.push(id);
         #[expect(
             clippy::expect_used,
             reason = "documented panic: typed agent access is a test/setup API whose misuse is a caller bug, not a runtime condition"
@@ -781,6 +786,8 @@ impl Simulator {
             f(a.as_mut(), &mut ctx);
         }
         self.agents[agent] = Some(a);
+        #[cfg(feature = "check-invariants")]
+        self.world.check.agents.push(agent);
     }
 
     /// Enables the stall watchdog: every `interval` of simulated time, each
@@ -831,18 +838,10 @@ impl Simulator {
         self.stall_report().is_some()
     }
 
-    /// Registers an online invariant check, run against the simulator after
-    /// every processed event. The first check to return `Err` records an
-    /// [`crate::check::InvariantViolation`] and halts all run loops.
-    #[cfg(feature = "check-invariants")]
-    pub fn add_invariant_check(&mut self, check: crate::check::InvariantCheck) {
-        self.checks.push(check);
-    }
-
     /// The recorded invariant violation, if any check has failed.
     #[cfg(feature = "check-invariants")]
     pub fn invariant_violation(&self) -> Option<&crate::check::InvariantViolation> {
-        self.violation.as_ref()
+        self.world.check.violation.as_ref()
     }
 
     /// Whether an invariant violation has halted the simulator. Always
@@ -850,7 +849,7 @@ impl Simulator {
     pub fn invariant_halted(&self) -> bool {
         #[cfg(feature = "check-invariants")]
         {
-            self.violation.is_some()
+            self.world.check.violation.is_some()
         }
         #[cfg(not(feature = "check-invariants"))]
         {
@@ -858,31 +857,31 @@ impl Simulator {
         }
     }
 
-    /// Runs every registered invariant check; records the first failure and
-    /// returns `false` on (new or prior) violation. A no-op returning `true`
-    /// without the feature.
+    /// Runs the checks of what changed since the previous check (see
+    /// [`crate::check`]); records the first failure and returns `false` on
+    /// it. A no-op returning `true` without the feature.
     fn invariants_ok(&mut self) -> bool {
         #[cfg(feature = "check-invariants")]
         {
-            if self.violation.is_some() {
-                return false;
-            }
-            if self.checks.is_empty() {
-                return true;
-            }
-            // Checks take `&Simulator`, so lift them out for the duration.
-            let mut checks = std::mem::take(&mut self.checks);
-            let mut failed = None;
-            for c in &mut checks {
-                if let Err(message) = c(self) {
-                    failed = Some(message);
-                    break;
+            let now = self.world.now;
+            let ck = &mut self.world.check;
+            ck.events += 1;
+            let deep = ck.events.is_multiple_of(crate::check::DEEP_EVERY);
+            let verdict = ck.clock(now).and_then(|()| {
+                let (ck, links) = (&self.world.check, &self.world.links);
+                ck.links.iter().try_for_each(|&id| links[id].check_invariants(id))?;
+                if deep {
+                    self.agents.iter().flatten().try_for_each(|a| a.check_invariants(self, true))
+                } else {
+                    let mut touched = ck.agents.iter().filter_map(|&id| self.agents[id].as_deref());
+                    touched.try_for_each(|a| a.check_invariants(self, false))
                 }
-            }
-            self.checks = checks;
-            if let Some(message) = failed {
-                self.violation =
-                    Some(crate::check::InvariantViolation { at: self.world.now, message });
+            });
+            let ck = &mut self.world.check;
+            ck.agents.clear();
+            ck.links.clear();
+            if let Err(message) = verdict {
+                ck.violation = Some(crate::check::InvariantViolation { at: now, message });
                 return false;
             }
         }
@@ -982,6 +981,8 @@ impl Simulator {
                     self.world.queue.push(self.world.now + ser, EventKind::LinkTxDone { link });
                 }
                 self.world.forward_after_tx(link, pkt);
+                #[cfg(feature = "check-invariants")]
+                self.world.check.links.push(link);
             }
             EventKind::LinkEnqueue { link, pkt } => {
                 self.world.popped.popped_link_enqueue += 1;

@@ -160,36 +160,6 @@ pub fn attach_flow(
         sim.agent_mut::<MptcpSender>(sender).add_path(Route::new(p.fwd.clone(), receiver));
         sim.agent_mut::<MptcpReceiver>(receiver).add_path(Route::new(p.rev.clone(), sender));
     }
-    #[cfg(feature = "check-invariants")]
-    register_flow_invariants(sim, sender, receiver);
     sim.kick(sender, start_at, TK_START);
     FlowHandle { sender, receiver, conn_id }
-}
-
-/// Registers this connection's endpoint invariants with the simulator's
-/// online checker (`check-invariants` feature): exactly-once in-order
-/// delivery accounting, scoreboard/pipe consistency, window bounds, and the
-/// cross-endpoint ACK bound. Cheap O(subflows) checks run every step; the
-/// O(scoreboard) deep audit runs every 256th.
-#[cfg(feature = "check-invariants")]
-fn register_flow_invariants(sim: &mut Simulator, sender: AgentId, receiver: AgentId) {
-    let mut tick: u32 = 0;
-    sim.add_invariant_check(Box::new(move |s: &Simulator| {
-        tick = tick.wrapping_add(1);
-        let snd = s.agent::<MptcpSender>(sender);
-        let rcv = s.agent::<MptcpReceiver>(receiver);
-        snd.check_invariants(tick.is_multiple_of(256))?;
-        rcv.check_invariants()?;
-        // The sender can never believe more data was acknowledged than the
-        // receiver has actually delivered in order.
-        if snd.data_acked() > rcv.data_delivered() {
-            return Err(format!(
-                "conn {}: sender data_acked {} exceeds receiver in-order delivery {}",
-                snd.config().conn_id,
-                snd.data_acked(),
-                rcv.data_delivered()
-            ));
-        }
-        Ok(())
-    }));
 }

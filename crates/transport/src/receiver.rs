@@ -196,61 +196,6 @@ impl MptcpReceiver {
         }
     }
 
-    /// Online self-check for the invariant checker: exactly-once
-    /// accounting, reassembly-buffer ordering, and buffer bounds.
-    #[cfg(feature = "check-invariants")]
-    pub fn check_invariants(&self) -> Result<(), String> {
-        let conn = self.conn_id;
-        if self.app_delivered + self.app_buffered != self.data_rcv_nxt {
-            return Err(format!(
-                "conn {conn}: exactly-once broken: app_delivered {} + app_buffered {} != \
-                 data_rcv_nxt {}",
-                self.app_delivered, self.app_buffered, self.data_rcv_nxt
-            ));
-        }
-        if let Some(&min) = self.data_ooo.first() {
-            if min <= self.data_rcv_nxt {
-                return Err(format!(
-                    "conn {conn}: reassembly buffer holds already-delivered data {min} \
-                     (data_rcv_nxt {})",
-                    self.data_rcv_nxt
-                ));
-            }
-        }
-        if self.buffered_pkts() > self.rcv_buf_pkts {
-            return Err(format!(
-                "conn {conn}: receive buffer overfull: {} > {}",
-                self.buffered_pkts(),
-                self.rcv_buf_pkts
-            ));
-        }
-        for (r, sf) in self.subflows.iter().enumerate() {
-            if let Some(&min) = sf.ooo.first() {
-                if min <= sf.rcv_nxt {
-                    return Err(format!(
-                        "conn {conn} sf{r}: subflow reassembly holds received seq {min} \
-                         (rcv_nxt {})",
-                        sf.rcv_nxt
-                    ));
-                }
-            }
-            if sf.ooo.len() as u64 > self.rcv_buf_pkts {
-                return Err(format!(
-                    "conn {conn} sf{r}: subflow reassembly overfull: {} > {}",
-                    sf.ooo.len(),
-                    self.rcv_buf_pkts
-                ));
-            }
-            if sf.sack_high < sf.rcv_nxt {
-                return Err(format!(
-                    "conn {conn} sf{r}: sack_high {} below rcv_nxt {}",
-                    sf.sack_high, sf.rcv_nxt
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Consumes buffered in-order data per the application model: instantly
     /// with no model, else by arming the read timer.
     fn drain_app(&mut self, ctx: &mut Ctx<'_>) {
@@ -345,6 +290,61 @@ impl Agent for MptcpReceiver {
         } else {
             self.app_timer_armed = false;
         }
+    }
+
+    /// Exactly-once accounting, reassembly-buffer ordering, and buffer
+    /// bounds.
+    #[cfg(feature = "check-invariants")]
+    fn check_invariants(&self, _sim: &netsim::Simulator, _deep: bool) -> Result<(), String> {
+        let conn = self.conn_id;
+        if self.app_delivered + self.app_buffered != self.data_rcv_nxt {
+            return Err(format!(
+                "conn {conn}: exactly-once broken: app_delivered {} + app_buffered {} != \
+                 data_rcv_nxt {}",
+                self.app_delivered, self.app_buffered, self.data_rcv_nxt
+            ));
+        }
+        if let Some(&min) = self.data_ooo.first() {
+            if min <= self.data_rcv_nxt {
+                return Err(format!(
+                    "conn {conn}: reassembly buffer holds already-delivered data {min} \
+                     (data_rcv_nxt {})",
+                    self.data_rcv_nxt
+                ));
+            }
+        }
+        if self.buffered_pkts() > self.rcv_buf_pkts {
+            return Err(format!(
+                "conn {conn}: receive buffer overfull: {} > {}",
+                self.buffered_pkts(),
+                self.rcv_buf_pkts
+            ));
+        }
+        for (r, sf) in self.subflows.iter().enumerate() {
+            if let Some(&min) = sf.ooo.first() {
+                if min <= sf.rcv_nxt {
+                    return Err(format!(
+                        "conn {conn} sf{r}: subflow reassembly holds received seq {min} \
+                         (rcv_nxt {})",
+                        sf.rcv_nxt
+                    ));
+                }
+            }
+            if sf.ooo.len() as u64 > self.rcv_buf_pkts {
+                return Err(format!(
+                    "conn {conn} sf{r}: subflow reassembly overfull: {} > {}",
+                    sf.ooo.len(),
+                    self.rcv_buf_pkts
+                ));
+            }
+            if sf.sack_high < sf.rcv_nxt {
+                return Err(format!(
+                    "conn {conn} sf{r}: sack_high {} below rcv_nxt {}",
+                    sf.sack_high, sf.rcv_nxt
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -103,10 +103,7 @@ impl SegBoard {
         self.ring.front().map(|s| (self.base, s))
     }
 
-    #[cfg_attr(
-        not(feature = "check-invariants"),
-        allow(dead_code, reason = "only the `check-invariants` scoreboard audit needs this")
-    )]
+    #[cfg(feature = "check-invariants")]
     fn last_seq(&self) -> Option<u64> {
         let n = u64::try_from(self.ring.len()).ok()?;
         n.checked_sub(1).map(|last| self.base + last)
@@ -144,10 +141,7 @@ impl SegBoard {
         self.ring.iter_mut()
     }
 
-    #[cfg_attr(
-        not(feature = "check-invariants"),
-        allow(dead_code, reason = "only the `check-invariants` scoreboard audit needs this")
-    )]
+    #[cfg(feature = "check-invariants")]
     fn len(&self) -> usize {
         self.ring.len()
     }
@@ -592,7 +586,9 @@ impl MptcpSender {
     }
 
     fn cwnd_floor(&self, r: usize) -> u64 {
-        self.cc_states[r].cwnd.floor().max(1.0) as u64
+        // `floor().max(1.0)` without libm's `floor`: the saturating cast
+        // truncates a positive window and sends NaN and negatives to 0.
+        (self.cc_states[r].cwnd as u64).max(1)
     }
 
     fn conn_window_limit(&self) -> u64 {
@@ -1098,69 +1094,6 @@ impl MptcpSender {
         self.samples.push(FlowSample { at: now, interval_s: dt, subflows });
         self.last_sample_at = now;
     }
-
-    /// Online self-check for the invariant checker: sequencing and window
-    /// bounds every call, plus a full scoreboard recount when `deep` (the
-    /// caller throttles deep passes — they are O(segs)).
-    #[cfg(feature = "check-invariants")]
-    pub fn check_invariants(&self, deep: bool) -> Result<(), String> {
-        let conn = self.cfg.conn_id;
-        if self.data_acked > self.data_next {
-            return Err(format!(
-                "conn {conn}: data_acked {} ran past data_next {}",
-                self.data_acked, self.data_next
-            ));
-        }
-        for (r, (sf, st)) in self.subflows.iter().zip(&self.cc_states).enumerate() {
-            if !st.cwnd.is_finite() || st.cwnd <= 0.0 {
-                return Err(format!("conn {conn} sf{r}: cwnd degenerate: {}", st.cwnd));
-            }
-            if sf.snd_una > sf.snd_nxt {
-                return Err(format!(
-                    "conn {conn} sf{r}: snd_una {} past snd_nxt {}",
-                    sf.snd_una, sf.snd_nxt
-                ));
-            }
-            if sf.pipe as usize > sf.segs.len() {
-                return Err(format!(
-                    "conn {conn} sf{r}: pipe {} exceeds scoreboard size {}",
-                    sf.pipe,
-                    sf.segs.len()
-                ));
-            }
-            if deep {
-                let in_pipe = sf.segs.values().filter(|s| s.in_pipe).count() as u64;
-                if in_pipe != sf.pipe {
-                    return Err(format!(
-                        "conn {conn} sf{r}: pipe {} != scoreboard recount {in_pipe}",
-                        sf.pipe
-                    ));
-                }
-                if let Some(s) = sf.segs.values().find(|s| s.delivered && s.in_pipe) {
-                    return Err(format!(
-                        "conn {conn} sf{r}: delivered segment still in pipe: {s:?}"
-                    ));
-                }
-                if let Some((first, _)) = sf.segs.first() {
-                    if first < sf.snd_una {
-                        return Err(format!(
-                            "conn {conn} sf{r}: scoreboard entry {first} below snd_una {}",
-                            sf.snd_una
-                        ));
-                    }
-                }
-                if let Some(last) = sf.segs.last_seq() {
-                    if last >= sf.snd_nxt {
-                        return Err(format!(
-                            "conn {conn} sf{r}: scoreboard entry {last} at/past snd_nxt {}",
-                            sf.snd_nxt
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Watched for MptcpSender {
@@ -1270,6 +1203,87 @@ impl Agent for MptcpSender {
             ctx.schedule_in(self.cfg.sample_every, TK_SAMPLE);
         }
     }
+
+    /// Sequencing and window bounds, the O(segs) scoreboard audit when
+    /// `deep`, and `data_acked ≤` the in-order count of the receiver its
+    /// routes end at, which never decreases: only the sender can break it.
+    #[cfg(feature = "check-invariants")]
+    fn check_invariants(&self, sim: &netsim::Simulator, deep: bool) -> Result<(), String> {
+        let conn = self.cfg.conn_id;
+        if self.data_acked > self.data_next {
+            return Err(format!(
+                "conn {conn}: data_acked {} ran past data_next {}",
+                self.data_acked, self.data_next
+            ));
+        }
+        for (r, (sf, st)) in self.subflows.iter().zip(&self.cc_states).enumerate() {
+            if !st.cwnd.is_finite() || st.cwnd <= 0.0 {
+                return Err(format!("conn {conn} sf{r}: cwnd degenerate: {}", st.cwnd));
+            }
+            if sf.snd_una > sf.snd_nxt {
+                return Err(format!(
+                    "conn {conn} sf{r}: snd_una {} past snd_nxt {}",
+                    sf.snd_una, sf.snd_nxt
+                ));
+            }
+            if sf.pipe as usize > sf.segs.len() {
+                return Err(format!(
+                    "conn {conn} sf{r}: pipe {} exceeds scoreboard size {}",
+                    sf.pipe,
+                    sf.segs.len()
+                ));
+            }
+            if deep {
+                // One plain pass, the recount and the first delivered segment
+                // in it: the audit dominates the checker's cost in debug builds.
+                let (mut in_pipe, mut stuck) = (0u64, None);
+                for s in sf.segs.values() {
+                    if s.in_pipe {
+                        in_pipe += 1;
+                        if s.delivered && stuck.is_none() {
+                            stuck = Some(s);
+                        }
+                    }
+                }
+                if in_pipe != sf.pipe {
+                    return Err(format!(
+                        "conn {conn} sf{r}: pipe {} != scoreboard recount {in_pipe}",
+                        sf.pipe
+                    ));
+                }
+                if let Some(s) = stuck {
+                    return Err(format!(
+                        "conn {conn} sf{r}: delivered segment still in pipe: {s:?}"
+                    ));
+                }
+                if let Some((first, _)) = sf.segs.first() {
+                    if first < sf.snd_una {
+                        return Err(format!(
+                            "conn {conn} sf{r}: scoreboard entry {first} below snd_una {}",
+                            sf.snd_una
+                        ));
+                    }
+                }
+                if let Some(last) = sf.segs.last_seq() {
+                    if last >= sf.snd_nxt {
+                        return Err(format!(
+                            "conn {conn} sf{r}: scoreboard entry {last} at/past snd_nxt {}",
+                            sf.snd_nxt
+                        ));
+                    }
+                }
+            }
+        }
+        let Some(sf) = self.subflows.first() else { return Ok(()) };
+        let delivered = sim.agent::<crate::MptcpReceiver>(sf.route.dst).data_delivered();
+        if self.data_acked > delivered {
+            return Err(format!(
+                "conn {conn}: sender data_acked {} exceeds receiver in-order delivery {delivered}",
+                self.data_acked
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1355,12 +1369,17 @@ mod tests {
         s
     }
 
-    /// Fires `s`'s start timer in a fresh simulator: exactly one `pump`.
+    /// Fires `s`'s start timer in a fresh simulator, beside a receiver at
+    /// agent 0 (where its routes end): exactly one `pump`. A hand-built
+    /// state may fail the online checker, so only the step is asserted,
+    /// not its verdict.
     fn pump_once(s: MptcpSender) -> (Simulator, AgentId) {
         let mut sim = Simulator::new(1);
+        sim.add_agent(Box::new(crate::MptcpReceiver::new(0, 64)));
         let id = sim.add_agent(Box::new(s));
         sim.kick(id, SimDuration::ZERO, TK_START);
-        assert!(sim.step());
+        sim.step();
+        assert_eq!(sim.engine_counters().popped_timer, 1);
         (sim, id)
     }
 
@@ -1411,5 +1430,62 @@ mod tests {
         assert_eq!(s.probe_subflow(), 1);
         s.mark_dead(1);
         assert_eq!(s.probe_subflow(), 0);
+    }
+
+    /// The congestion window in whole packets, at least one, for every f64.
+    #[test]
+    fn cwnd_floor_is_whole_packets_and_at_least_one() {
+        let mut s = two_path_sender();
+        let cases = [
+            (f64::NAN, 1),
+            (-0.5, 1),
+            (0.0, 1),
+            (0.99, 1),
+            (1.0, 1),
+            (2.5, 2),
+            (1e300, u64::MAX),
+            (f64::INFINITY, u64::MAX),
+            (f64::NEG_INFINITY, 1),
+        ];
+        for (cwnd, want) in cases {
+            s.cc_states[0].cwnd = cwnd;
+            assert_eq!(s.cwnd_floor(0), want, "cwnd {cwnd}");
+            assert_eq!(cwnd.floor().max(1.0) as u64, want, "the libm spelling at {cwnd}");
+        }
+    }
+
+    /// State changed outside any event, here a sender corrupted through
+    /// `agent_mut` between two runs, is checked after the next event, even
+    /// one dispatched to neither endpoint and no link.
+    #[cfg(feature = "check-invariants")]
+    #[test]
+    fn a_sender_corrupted_between_runs_is_reported_after_the_next_event() {
+        struct Idle;
+        impl Agent for Idle {
+            fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+        }
+        let mut sim = Simulator::new(1);
+        let mut link =
+            || sim.add_link(netsim::LinkConfig::new(10_000_000, SimDuration::from_millis(1)));
+        let path = crate::PathSpec::new(vec![link()], vec![link()]);
+        let cfg = FlowConfig::new(1).transfer_pkts(10_000);
+        let flow = crate::attach_flow(
+            &mut sim,
+            cfg,
+            AlgorithmKind::Lia.build(1),
+            &[path],
+            SimDuration::ZERO,
+        );
+        let idle = sim.add_agent(Box::new(Idle));
+        let at = SimTime::from_secs_f64(0.05);
+        sim.run_until(at);
+        assert!(sim.invariant_violation().is_none(), "{:?}", sim.invariant_violation());
+        sim.agent_mut::<MptcpSender>(flow.sender).cc_states[0].cwnd = f64::NAN;
+        sim.kick(idle, SimDuration::ZERO, 0);
+        sim.run_until(SimTime::from_secs_f64(0.1));
+        let v = sim.invariant_violation().expect("the corrupted window must be reported");
+        assert_eq!(v.message, "conn 1 sf0: cwnd degenerate: NaN");
+        assert_eq!(v.at, at, "reported after the idle agent's event, the first one");
     }
 }

@@ -50,8 +50,6 @@ fn main() {
         &tp.both(),
         SimDuration::ZERO,
     );
-    #[cfg(feature = "check-invariants")]
-    mptcp_energy_repro::netsim::install_default_invariants(&mut sim);
 
     sim.run_until(SimTime::from_secs_f64(600.0));
     assert!(flow.is_finished(&sim), "impaired transfer must still complete");

@@ -1,5 +1,5 @@
 //! The online invariant checker end to end (`check-invariants` feature):
-//! registered checks are observe-only (byte-identical results), a seeded
+//! the checks are observe-only (byte-identical results), a seeded
 //! violation halts the run and round-trips through a repro artifact, and the
 //! replay entrypoint re-executes it to the same failure.
 
@@ -66,7 +66,7 @@ fn seeded_violation_halts_dumps_an_artifact_and_replays_to_the_same_failure() {
     spec.fail_at_s = Some(1.25);
     let outcome = run_repro_cell(&spec).expect("repro cell failed");
     let v = outcome.violation.as_ref().expect("seeded violation did not fire");
-    assert!(v.at_ns >= 1_250_000_000, "violation before its seeding time: {v:?}");
+    assert_eq!(v.at_ns, 1_250_000_000, "the tripwire's own timer reports it: {v:?}");
     assert!(!outcome.finished, "the run must halt at the violation, not complete");
     assert!(!outcome.trace_tail.is_empty(), "artifact needs a trace tail for context");
 
